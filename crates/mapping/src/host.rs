@@ -1,13 +1,11 @@
 //! [`MappingHost`]: the layer-1 program implementing ticketed,
 //! destination-less message passing (§IV-B).
 
-use std::collections::HashSet;
-
 use hyperspace_sim::{InitCtx, NodeId, NodeProgram, Outbox};
 
 use crate::mapper::{MapView, Mapper, MapperFactory, Target};
 use crate::msg::{MapMsg, MapPayload, Weight};
-use crate::ticket::Ticket;
+use crate::ticket::{Ticket, TicketMap};
 
 /// An application written against layer 3 (§IV-B's programming style).
 ///
@@ -134,9 +132,9 @@ pub struct MapState<H: TicketHandler, M> {
     mapper: M,
     received: u64,
     next_serial: u32,
-    root_tickets: HashSet<u64>,
+    root_tickets: TicketMap<()>,
     /// Where each outstanding ticket's request was mapped (for cancels).
-    ticket_dst: std::collections::HashMap<u64, NodeId>,
+    ticket_dst: TicketMap<NodeId>,
     /// Results of root calls triggered on this node.
     pub root_results: Vec<(Ticket, H::Resp)>,
     /// Requests serviced by this node.
@@ -178,7 +176,7 @@ struct HostCtx<'a, 'b, Q, R, M: Mapper> {
     next_serial: &'a mut u32,
     node: NodeId,
     calls_issued: &'a mut u64,
-    ticket_dst: &'a mut std::collections::HashMap<u64, NodeId>,
+    ticket_dst: &'a mut TicketMap<NodeId>,
 }
 
 impl<'a, 'b, Q: Clone + Send, R: Clone + Send, M: Mapper> CallCtx<Q, R>
@@ -326,8 +324,8 @@ where
             mapper: self.factory.build(node, ctx.degree()),
             received: 0,
             next_serial: 0,
-            root_tickets: HashSet::new(),
-            ticket_dst: std::collections::HashMap::new(),
+            root_tickets: TicketMap::default(),
+            ticket_dst: TicketMap::default(),
             root_results: Vec::new(),
             requests_in: 0,
             replies_in: 0,
@@ -382,7 +380,7 @@ where
             MapPayload::Reply { ticket, resp } => {
                 state.replies_in += 1;
                 state.ticket_dst.remove(&ticket.raw());
-                if state.root_tickets.remove(&ticket.raw()) {
+                if state.root_tickets.remove(&ticket.raw()).is_some() {
                     state.root_results.push((ticket, resp));
                     if self.cfg.halt_on_root_reply {
                         outbox.halt();
@@ -396,7 +394,7 @@ where
             MapPayload::Trigger { req } => {
                 let mut ctx = ctx!();
                 let ticket = ctx.call(req);
-                state.root_tickets.insert(ticket.raw());
+                state.root_tickets.insert(ticket.raw(), ());
             }
             MapPayload::Cancel { ticket } => {
                 state.cancels_in += 1;

@@ -17,6 +17,9 @@
 //!   (adaptive, the paper's least-busy-neighbour), [`RandomMapper`]
 //!   (static baseline) and [`WeightAwareMapper`] (cross-layer hints,
 //!   §III-B3);
+//! * the per-node tables keyed by ticket, here and in layer 4, are
+//!   [`TicketMap`]s: tickets are issued by the system itself, so they hash
+//!   with one multiply ([`TicketHasher`]) instead of SipHash;
 //! * every outgoing message piggy-backs the sender's total received count,
 //!   which is the activity estimate least-busy-neighbour feeds on (§V-D);
 //!   optionally nodes broadcast periodic `Status` messages, whose
@@ -36,4 +39,4 @@ pub use mapper::{
     RoundRobinMapper, Target, WeightAwareMapper,
 };
 pub use msg::{MapMsg, MapPayload, Weight};
-pub use ticket::Ticket;
+pub use ticket::{Ticket, TicketHasher, TicketMap};

@@ -4,6 +4,9 @@
 //! identity with a unique identifier (a ticket) that can be quoted to send
 //! reply messages."
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use hyperspace_topology::NodeId;
 
 /// A globally unique call identifier.
@@ -38,6 +41,40 @@ impl Ticket {
     /// The raw 64-bit representation.
     #[inline]
     pub fn raw(self) -> u64 {
+        self.0
+    }
+}
+
+/// A table keyed by [`Ticket::raw`] values (or other system-issued
+/// serials), as layers 3 and 4 keep per node and probe several times per
+/// activation. Iteration order is unspecified; nothing observable may
+/// depend on it.
+pub type TicketMap<V> = HashMap<u64, V, BuildHasherDefault<TicketHasher>>;
+
+/// The [`TicketMap`] hasher: one widening multiply per key, its two halves
+/// folded together. The keys are issued by this system, never by outside
+/// input, so the flooding resistance of the default SipHash buys nothing
+/// here.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TicketHasher(u64);
+
+impl Hasher for TicketHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let wide = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
         self.0
     }
 }

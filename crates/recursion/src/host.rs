@@ -8,9 +8,7 @@
 //! more records, until the activation finishes and its result is replied to
 //! the parent ticket.
 
-use std::collections::HashMap;
-
-use hyperspace_mapping::{CallCtx, Ticket, TicketHandler};
+use hyperspace_mapping::{CallCtx, Ticket, TicketHandler, TicketMap};
 use hyperspace_sim::NodeId;
 
 use crate::program::{Join, Objective, RecProgram, Resumed, Spawn, Step};
@@ -81,7 +79,8 @@ struct CallRecord<P: RecProgram> {
     frame: Option<P::Frame>,
     /// Join mode of the outstanding batch.
     join: Join<P::Out>,
-    /// Result slots, one per sub-call, in issue order.
+    /// Result slots of an `All` join, one per sub-call, in issue order
+    /// (an `Any` join keeps no results, so allocates none).
     results: Vec<Option<P::Out>>,
     /// Sub-call tickets still outstanding.
     pending: Vec<Ticket>,
@@ -116,11 +115,11 @@ pub struct RecStats {
 
 /// Per-node layer-4 state.
 pub struct RecState<P: RecProgram> {
-    records: HashMap<u64, CallRecord<P>>,
+    records: TicketMap<CallRecord<P>>,
     /// sub-call ticket -> (record id, result slot).
-    ticket_index: HashMap<u64, (u64, usize)>,
+    ticket_index: TicketMap<(u64, usize)>,
     /// parent ticket -> record id (for cancellation lookups).
-    parent_index: HashMap<u64, u64>,
+    parent_index: TicketMap<u64>,
     next_record: u64,
     /// Objective direction, when the host runs in B&B mode (used by
     /// report folding to pick the best incumbent across nodes).
@@ -136,9 +135,9 @@ pub struct RecState<P: RecProgram> {
 impl<P: RecProgram> RecState<P> {
     fn new(bnb: Option<&BnbMode>) -> Self {
         RecState {
-            records: HashMap::new(),
-            ticket_index: HashMap::new(),
-            parent_index: HashMap::new(),
+            records: TicketMap::default(),
+            ticket_index: TicketMap::default(),
+            parent_index: TicketMap::default(),
             next_record: 0,
             objective: bnb.map(|m| m.objective),
             incumbent: bnb.and_then(|m| m.initial_incumbent),
@@ -367,7 +366,10 @@ impl<P: RecProgram> RecursionHost<P> {
                         state.ticket_index.insert(t.raw(), (id, slot));
                         pending.push(t);
                     }
-                    let results = (0..pending.len()).map(|_| None).collect();
+                    let results = match join {
+                        Join::All => (0..pending.len()).map(|_| None).collect(),
+                        Join::Any(_) => Vec::new(),
+                    };
                     state.parent_index.insert(parent.raw(), id);
                     state.records.insert(
                         id,
@@ -485,14 +487,10 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
                     let frame = rec.frame.take().expect("frame present until resumed");
                     let parent = rec.parent;
                     if self.cancel_losers {
-                        let losers: Vec<Ticket> = rec.pending.clone();
-                        for t in &losers {
+                        for t in std::mem::take(&mut rec.pending) {
                             state.ticket_index.remove(&t.raw());
-                            ctx.cancel(*t);
+                            ctx.cancel(t);
                             state.stats.cancels_sent += 1;
-                        }
-                        if let Some(rec) = state.records.get_mut(&id) {
-                            rec.pending.clear();
                         }
                     }
                     Self::gc_record(state, id);
@@ -530,10 +528,9 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         rec.closed = true;
         rec.frame = None;
         state.stats.cancelled += 1;
-        let losers: Vec<Ticket> = rec.pending.drain(..).collect();
-        for t in &losers {
+        for t in std::mem::take(&mut rec.pending) {
             state.ticket_index.remove(&t.raw());
-            ctx.cancel(*t);
+            ctx.cancel(t);
             state.stats.cancels_sent += 1;
         }
         state.records.remove(&id);

@@ -173,7 +173,7 @@ impl CdclSolver {
     /// A solver over `cnf` with the given diversification knobs.
     pub fn new(cnf: &Cnf, cfg: CdclConfig) -> CdclSolver {
         CdclSolver {
-            clauses: cnf.clauses().to_vec(),
+            clauses: cnf.clauses().map(|c| Clause::new(c.to_vec())).collect(),
             values: vec![None; cnf.num_vars() as usize],
             trail: Vec::with_capacity(cnf.num_vars() as usize),
             level_starts: Vec::new(),

@@ -1,4 +1,5 @@
-//! CNF formula representation.
+//! CNF formula representation: packed literals, the flat [`Cnf`] and the
+//! owned [`Clause`] it is built from.
 
 /// A propositional variable, 0-based.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,7 +87,9 @@ impl std::fmt::Debug for Lit {
     }
 }
 
-/// A disjunction of literals.
+/// An owned disjunction of literals: what a [`Cnf`] is constructed from
+/// and what clause learning produces. Inside a [`Cnf`] a clause is a
+/// borrowed `&[Lit]` view instead.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Clause {
     lits: Vec<Lit>,
@@ -111,16 +114,6 @@ impl Clause {
     /// An empty clause is unsatisfiable.
     pub fn is_empty(&self) -> bool {
         self.lits.is_empty()
-    }
-
-    /// A unit clause forces its only literal (Listing 4 line 7).
-    pub fn is_unit(&self) -> bool {
-        self.lits.len() == 1
-    }
-
-    /// Whether the clause contains `lit`.
-    pub fn contains(&self, lit: Lit) -> bool {
-        self.lits.contains(&lit)
     }
 }
 
@@ -158,7 +151,7 @@ impl Assignment {
     /// Assigns `var := value`; panics if already assigned differently.
     pub fn assign(&mut self, var: Var, value: bool) {
         let slot = &mut self.values[var.0 as usize];
-        debug_assert!(
+        assert!(
             slot.is_none() || *slot == Some(value),
             "conflicting assignment of {var:?}"
         );
@@ -189,23 +182,33 @@ impl Assignment {
     }
 }
 
-/// A CNF formula.
+/// A CNF formula in one flat compressed-row layout: every clause's
+/// literals back to back in `lits`, clause `i` ending (exclusively) at
+/// `ends[i]`. A residual formula is copied, reduced and dropped once per
+/// DPLL activation, so the layout keeps that at two buffers regardless of
+/// the clause count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Cnf {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    lits: Vec<Lit>,
+    ends: Vec<u32>,
 }
 
 impl Cnf {
     /// Builds a formula over `num_vars` variables.
     pub fn new(num_vars: u32, clauses: Vec<Clause>) -> Cnf {
-        let cnf = Cnf { num_vars, clauses };
-        debug_assert!(cnf
-            .clauses
-            .iter()
-            .flat_map(|c| c.lits())
-            .all(|l| l.var().0 < num_vars));
-        cnf
+        let mut lits = Vec::with_capacity(clauses.iter().map(Clause::len).sum());
+        let mut ends = Vec::with_capacity(clauses.len());
+        for clause in &clauses {
+            lits.extend_from_slice(clause.lits());
+            ends.push(u32::try_from(lits.len()).expect("formula holds over u32::MAX literals"));
+        }
+        debug_assert!(lits.iter().all(|l| l.var().0 < num_vars));
+        Cnf {
+            num_vars,
+            lits,
+            ends,
+        }
     }
 
     /// Number of variables in the universe (not all need occur).
@@ -213,62 +216,121 @@ impl Cnf {
         self.num_vars
     }
 
-    /// The clauses.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    /// Clause `i` as a borrowed view of its literals.
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.lits[start as usize..self.ends[i] as usize]
+    }
+
+    /// The clauses, in order, each a borrowed view of its literals.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + Clone + '_ {
+        (0..self.ends.len()).map(|i| self.clause(i))
     }
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// `consistent(problem)` from Listing 4 line 2: an empty clause set is
     /// trivially satisfied.
     pub fn is_trivially_sat(&self) -> bool {
-        self.clauses.is_empty()
+        self.ends.is_empty()
+    }
+
+    /// Clause lengths, in order.
+    fn clause_lens(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut start = 0;
+        self.ends
+            .iter()
+            .map(move |&end| end - std::mem::replace(&mut start, end))
     }
 
     /// `exist_empty_clause(problem)` from Listing 4 line 4.
     pub fn has_empty_clause(&self) -> bool {
-        self.clauses.iter().any(|c| c.is_empty())
+        self.clause_lens().any(|len| len == 0)
+    }
+
+    /// The literal of the first unit clause, if any (Listing 4 line 7).
+    pub(crate) fn first_unit(&self) -> Option<Lit> {
+        let i = self.clause_lens().position(|len| len == 1)?;
+        Some(self.clause(i)[0])
     }
 
     /// Applies `var := value`: satisfied clauses vanish, falsified literals
     /// are deleted (the `assign(problem, L, v)` of Listing 4 lines 13–14).
+    /// One forward pass, two allocations.
     pub fn assign(&self, var: Var, value: bool) -> Cnf {
         let satisfied = Lit::with_polarity(var, value);
         let falsified = satisfied.negated();
-        let clauses = self
-            .clauses
-            .iter()
-            .filter(|c| !c.contains(satisfied))
-            .map(|c| {
-                c.lits()
-                    .iter()
-                    .copied()
-                    .filter(|&l| l != falsified)
-                    .collect()
-            })
-            .collect();
+        let mut lits = Vec::with_capacity(self.lits.len());
+        let mut ends = Vec::with_capacity(self.ends.len());
+        for clause in self.clauses() {
+            // Copy optimistically; a satisfied clause rolls its copy back.
+            let mark = lits.len();
+            let mut satisfied_clause = false;
+            for &lit in clause {
+                if lit == satisfied {
+                    satisfied_clause = true;
+                    break;
+                }
+                if lit != falsified {
+                    lits.push(lit);
+                }
+            }
+            if satisfied_clause {
+                lits.truncate(mark);
+            } else {
+                ends.push(lits.len() as u32);
+            }
+        }
         Cnf {
             num_vars: self.num_vars,
-            clauses,
+            lits,
+            ends,
         }
+    }
+
+    /// [`Cnf::assign`] compacting this formula's own buffers. Every
+    /// literal occurrence that leaves the formula — a falsified literal,
+    /// or any literal of a satisfied clause — is reported to `dropped`.
+    pub(crate) fn assign_in_place(&mut self, var: Var, value: bool, mut dropped: impl FnMut(Lit)) {
+        let satisfied = Lit::with_polarity(var, value);
+        let falsified = satisfied.negated();
+        let (mut start, mut lits_len, mut ends_len) = (0, 0, 0);
+        for i in 0..self.ends.len() {
+            let end = self.ends[i] as usize;
+            let is_satisfied = self.lits[start..end].contains(&satisfied);
+            for r in start..end {
+                let lit = self.lits[r];
+                if is_satisfied || lit == falsified {
+                    dropped(lit);
+                } else {
+                    self.lits[lits_len] = lit;
+                    lits_len += 1;
+                }
+            }
+            start = end;
+            if !is_satisfied {
+                self.ends[ends_len] = lits_len as u32;
+                ends_len += 1;
+            }
+        }
+        self.lits.truncate(lits_len);
+        self.ends.truncate(ends_len);
     }
 
     /// Evaluates the formula under a complete model.
     pub fn eval(&self, model: &Model) -> bool {
-        self.clauses.iter().all(|c| {
-            c.lits()
-                .iter()
+        self.clauses().all(|c| {
+            c.iter()
                 .any(|l| model[l.var().0 as usize] == l.demanded_value())
         })
     }
 
     /// All literals occurring in the formula (with repetition).
     pub fn iter_lits(&self) -> impl Iterator<Item = Lit> + '_ {
-        self.clauses.iter().flat_map(|c| c.lits().iter().copied())
+        self.lits.iter().copied()
     }
 }
 
@@ -322,8 +384,8 @@ mod tests {
         let after = cnf.assign(Var(0), true);
         // First clause satisfied; second loses !x1.
         assert_eq!(after.num_clauses(), 2);
-        assert_eq!(after.clauses()[0], Clause::new(vec![lit(3)]));
-        assert!(after.clauses()[0].is_unit());
+        assert_eq!(after.clause(0), [lit(3)]);
+        assert_eq!(after.first_unit(), Some(lit(3)));
 
         let contradiction = after.assign(Var(2), false);
         assert!(contradiction.has_empty_clause());
@@ -357,6 +419,64 @@ mod tests {
         assert_eq!(a.lit_status(lit(2)), Some(true));
         assert_eq!(a.lit_status(lit(-2)), Some(false));
         assert_eq!(a.lit_status(lit(1)), None);
+    }
+
+    #[test]
+    fn reassigning_the_same_value_is_allowed() {
+        let mut a = Assignment::new(2);
+        a.assign(Var(1), false);
+        a.assign(Var(1), false);
+        assert_eq!(a.value(Var(1)), Some(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting assignment")]
+    fn conflicting_reassignment_panics() {
+        let mut a = Assignment::new(2);
+        a.assign(Var(1), false);
+        a.assign(Var(1), true);
+    }
+
+    #[test]
+    fn clause_views_follow_construction_order() {
+        let cnf = Cnf::new(
+            3,
+            vec![
+                Clause::new(vec![lit(1), lit(-2)]),
+                Clause::new(vec![]),
+                Clause::new(vec![lit(3)]),
+            ],
+        );
+        let views: Vec<&[Lit]> = cnf.clauses().collect();
+        assert_eq!(views, [&[lit(1), lit(-2)][..], &[], &[lit(3)]]);
+        assert_eq!(cnf.clauses().len(), cnf.num_clauses());
+        assert_eq!(cnf.clause(2), [lit(3)]);
+        assert_eq!(cnf.iter_lits().count(), 3);
+        assert!(cnf.has_empty_clause());
+        assert_eq!(cnf.first_unit(), Some(lit(3)));
+    }
+
+    #[test]
+    fn in_place_assign_matches_copying_assign() {
+        let cnf = Cnf::new(
+            3,
+            vec![
+                Clause::new(vec![lit(1), lit(2)]),
+                Clause::new(vec![lit(-1), lit(3), lit(-1)]),
+                Clause::new(vec![lit(-1)]),
+                Clause::new(vec![lit(2), lit(3)]),
+            ],
+        );
+        for value in [true, false] {
+            let mut in_place = cnf.clone();
+            let mut dropped = Vec::new();
+            in_place.assign_in_place(Var(0), value, |l| dropped.push(l));
+            assert_eq!(in_place, cnf.assign(Var(0), value));
+            assert_eq!(
+                in_place.iter_lits().count() + dropped.len(),
+                cnf.iter_lits().count()
+            );
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub fn to_string(cnf: &Cnf) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses());
     for clause in cnf.clauses() {
-        for lit in clause.lits() {
+        for lit in clause {
             let _ = write!(out, "{} ", lit.to_dimacs());
         }
         out.push_str("0\n");
@@ -144,7 +144,7 @@ p cnf 3 2
         let cnf = parse(SAMPLE).unwrap();
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0].lits()[1], Lit::neg(Var(1)));
+        assert_eq!(cnf.clause(0)[1], Lit::neg(Var(1)));
     }
 
     #[test]
@@ -160,7 +160,7 @@ p cnf 3 2
         let text = "p cnf 2 1\n1\n-2\n0\n%\n0\n";
         let cnf = parse(text).unwrap();
         assert_eq!(cnf.num_clauses(), 1);
-        assert_eq!(cnf.clauses()[0].len(), 2);
+        assert_eq!(cnf.clause(0).len(), 2);
     }
 
     #[test]
@@ -206,9 +206,6 @@ p cnf 3 2
         let text = "c head\r\np cnf 3 2\r\n1\r\nc mid-clause comment\r\n-2 0\r\n2 3 0\r\n";
         let cnf = parse(text).unwrap();
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(
-            cnf.clauses()[0].lits(),
-            &[Lit::pos(Var(0)), Lit::neg(Var(1))]
-        );
+        assert_eq!(cnf.clause(0), [Lit::pos(Var(0)), Lit::neg(Var(1))]);
     }
 }

@@ -119,7 +119,7 @@ mod tests {
         for clause in cnf.clauses() {
             assert_eq!(clause.len(), 3);
             // Distinct variables within each clause.
-            let mut vars: Vec<u32> = clause.lits().iter().map(|l| l.var().0).collect();
+            let mut vars: Vec<u32> = clause.iter().map(|l| l.var().0).collect();
             vars.sort_unstable();
             vars.dedup();
             assert_eq!(vars.len(), 3);

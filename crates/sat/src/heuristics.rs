@@ -100,7 +100,8 @@ impl Heuristic {
     }
 }
 
-fn occurrence_counts(cnf: &Cnf) -> Vec<u32> {
+/// Occurrences of each literal, indexed by [`Lit::index`].
+pub(crate) fn occurrence_counts(cnf: &Cnf) -> Vec<u32> {
     let mut counts = vec![0u32; cnf.num_vars() as usize * 2];
     for lit in cnf.iter_lits() {
         counts[lit.index()] += 1;
@@ -147,7 +148,7 @@ fn jeroslow_wang(cnf: &Cnf) -> Option<Lit> {
     let mut seen = false;
     for clause in cnf.clauses() {
         let w = (2.0f64).powi(-(clause.len() as i32));
-        for lit in clause.lits() {
+        for lit in clause {
             scores[lit.index()] += w;
             seen = true;
         }
@@ -167,7 +168,7 @@ fn random_lit(cnf: &Cnf, seed: u64) -> Option<Lit> {
     // different search depths don't repeat choices.
     let mix = cnf.num_clauses() as u64 ^ ((cnf.num_vars() as u64) << 32);
     let mut rng = SmallRng::seed_from_u64(seed ^ mix.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let total: usize = cnf.clauses().iter().map(|c| c.len()).sum();
+    let total = cnf.iter_lits().count();
     if total == 0 {
         return None;
     }

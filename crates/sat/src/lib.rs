@@ -6,7 +6,15 @@
 //! `uf20-91` suite). This crate supplies every piece of that workload:
 //!
 //! * [`Cnf`] / [`Lit`] / [`Clause`] — formula representation, plus DIMACS
-//!   parsing and serialisation ([`dimacs`]);
+//!   parsing and serialisation ([`dimacs`]). A [`Cnf`] is one flat
+//!   compressed-row pair of buffers (every literal back to back, one end
+//!   offset per clause) read through borrowed `&[Lit]` views
+//!   ([`Cnf::clauses`], [`Cnf::clause`]); the owned [`Clause`] is what
+//!   formulas are built from and what the CDCL solver learns and exports.
+//!   The mesh ships a residual formula with every sub-problem, so
+//!   [`Cnf::assign`] — one forward pass, two allocations whatever the
+//!   clause count — is the hot loop of the whole stack, and
+//!   [`simplify`] reduces a formula by compacting those buffers in place;
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, and a planted-solution generator for larger instances;

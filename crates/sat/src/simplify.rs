@@ -1,7 +1,8 @@
 //! Problem simplification: unit propagation and pure-literal assignment
 //! (Listing 4, lines 6–11).
 
-use crate::cnf::{Assignment, Cnf, Lit};
+use crate::cnf::{Assignment, Cnf, Lit, Var};
+use crate::heuristics::occurrence_counts;
 
 /// Outcome of simplifying a sub-problem to fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,10 +106,9 @@ pub fn simplify_with(
         let mut changed = false;
         // Unit propagation (lines 6–8): drain every unit clause reachable
         // from the current formula.
-        while let Some(unit) = cnf.clauses().iter().find(|c| c.is_unit()) {
-            let lit = unit.lits()[0];
+        while let Some(lit) = cnf.first_unit() {
             assignment.assign(lit.var(), lit.demanded_value());
-            *cnf = cnf.assign(lit.var(), lit.demanded_value());
+            cnf.assign_in_place(lit.var(), lit.demanded_value(), |_| {});
             stats.unit_props += 1;
             changed = true;
             if cnf.has_empty_clause() {
@@ -116,10 +116,15 @@ pub fn simplify_with(
             }
         }
         // Pure-literal assignment (lines 9–11): a variable occurring with a
-        // single polarity can be fixed to satisfy all its clauses.
-        while let Some(pure) = find_pure_literal(cnf) {
+        // single polarity can be fixed to satisfy all its clauses. Fixing
+        // one only removes clauses, so the occurrence counts are built once
+        // and kept current by the removals.
+        let mut counts = occurrence_counts(cnf);
+        while let Some(pure) = lowest_pure_literal(&counts) {
             assignment.assign(pure.var(), pure.demanded_value());
-            *cnf = cnf.assign(pure.var(), pure.demanded_value());
+            cnf.assign_in_place(pure.var(), pure.demanded_value(), |lit| {
+                counts[lit.index()] -= 1
+            });
             stats.pure_assigns += 1;
             changed = true;
             if mode == SimplifyMode::SinglePass {
@@ -133,31 +138,25 @@ pub fn simplify_with(
     }
 }
 
-/// Finds a literal whose variable occurs with only one polarity, if any.
+/// Finds a literal whose variable occurs with only one polarity, if any
+/// (the lowest-numbered such variable).
 pub fn find_pure_literal(cnf: &Cnf) -> Option<Lit> {
-    let n = cnf.num_vars() as usize;
-    let mut pos = vec![false; n];
-    let mut neg = vec![false; n];
-    for lit in cnf.iter_lits() {
-        if lit.is_pos() {
-            pos[lit.var().0 as usize] = true;
-        } else {
-            neg[lit.var().0 as usize] = true;
-        }
-    }
-    for v in 0..n {
-        if pos[v] != neg[v] {
-            let var = crate::cnf::Var(v as u32);
-            return Some(Lit::with_polarity(var, pos[v]));
-        }
-    }
-    None
+    lowest_pure_literal(&occurrence_counts(cnf))
+}
+
+/// The pure literal of the lowest-numbered variable in a table of
+/// per-literal occurrence counts (indexed by [`Lit::index`]).
+fn lowest_pure_literal(counts: &[u32]) -> Option<Lit> {
+    let var = counts
+        .chunks_exact(2)
+        .position(|c| (c[0] == 0) != (c[1] == 0))?;
+    Some(Lit::with_polarity(Var(var as u32), counts[var * 2] != 0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::{check_model, Var};
+    use crate::cnf::check_model;
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)

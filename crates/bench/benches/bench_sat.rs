@@ -1,10 +1,11 @@
 //! SAT substrate microbenchmarks: sequential solver per heuristic,
-//! instance generation, and the simplification pipeline.
+//! instance generation, the simplification pipeline, and one DPLL split
+//! (both residual formulas of a branching variable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperspace_sat::heuristics::ALL_HEURISTICS;
 use hyperspace_sat::simplify::{simplify_with, SimplifyMode};
-use hyperspace_sat::{cdcl, dpll, gen, Assignment};
+use hyperspace_sat::{cdcl, dpll, gen, Assignment, Var};
 
 fn bench_sequential_solver(c: &mut Criterion) {
     let cnf = gen::uf20_91(2017);
@@ -80,11 +81,34 @@ fn bench_simplify(c: &mut Criterion) {
     group.finish();
 }
 
+/// Layer 5's share of a mesh activation: both children of a split, by two
+/// `assign` scans and by the one `split` scan.
+fn bench_split(c: &mut Criterion) {
+    let mut group = c.benchmark_group("split");
+    group.sample_size(50);
+    let formulas = [
+        ("uf20-91", gen::uf20_91(2017)),
+        ("ksat-30-136", gen::satisfiable_ksat(2017, 30, 136, 3)),
+    ];
+    for (name, cnf) in &formulas {
+        // A mid-formula variable, so clauses on both sides of it move.
+        let var = Var(cnf.num_vars() / 2);
+        group.bench_function(BenchmarkId::new("assign-twice", name), |b| {
+            b.iter(|| (cnf.assign(var, true), cnf.assign(var, false)))
+        });
+        group.bench_function(BenchmarkId::new("split", name), |b| {
+            b.iter(|| cnf.split(var))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sequential_solver,
     bench_cdcl,
     bench_generator,
-    bench_simplify
+    bench_simplify,
+    bench_split
 );
 criterion_main!(benches);

@@ -184,7 +184,10 @@ impl<'a, 'b, Q: Clone + Send, R: Clone + Send, M: Mapper> CallCtx<Q, R>
 {
     fn call_hint(&mut self, req: Q, hint: Weight) -> Ticket {
         let ticket = Ticket::new(self.node, *self.next_serial);
-        *self.next_serial += 1;
+        // A wrapped serial would re-issue a ticket that may still be live.
+        *self.next_serial = self.next_serial.checked_add(1).unwrap_or_else(|| {
+            panic!("ticket serials exhausted on node {}", self.node);
+        });
         *self.calls_issued += 1;
         let view = MapView {
             degree: self.outbox.degree(),
@@ -380,7 +383,11 @@ where
             MapPayload::Reply { ticket, resp } => {
                 state.replies_in += 1;
                 state.ticket_dst.remove(&ticket.raw());
-                if state.root_tickets.remove(&ticket.raw()).is_some() {
+                // Only a triggered node holds root tickets; the rest skip
+                // the probe.
+                if !state.root_tickets.is_empty()
+                    && state.root_tickets.remove(&ticket.raw()).is_some()
+                {
                     state.root_results.push((ticket, resp));
                     if self.cfg.halt_on_root_reply {
                         outbox.halt();
@@ -423,5 +430,86 @@ where
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mapper::RoundRobinMapper;
+    use hyperspace_sim::{SimConfig, Simulation};
+    use hyperspace_topology::Torus;
+
+    /// Answers every request with its own payload.
+    struct Echo;
+
+    impl TicketHandler for Echo {
+        type Req = u64;
+        type Resp = u64;
+        type State = ();
+
+        fn init(&self, _node: NodeId) {}
+
+        fn on_request(&self, _: &mut (), req: u64, to: Ticket, ctx: &mut dyn CallCtx<u64, u64>) {
+            ctx.reply(to, req);
+        }
+
+        fn on_reply(&self, _: &mut (), _: Ticket, _: u64, _: &mut dyn CallCtx<u64, u64>) {}
+    }
+
+    /// A mapping host whose nodes have all but `left` of their ticket
+    /// serials behind them.
+    struct LongRunning<F> {
+        host: MappingHost<Echo, F>,
+        left: u32,
+    }
+
+    impl<F: MapperFactory> NodeProgram for LongRunning<F> {
+        type Msg = MapMsg<u64, u64>;
+        type State = MapState<Echo, F::M>;
+
+        fn init(&self, node: NodeId, ctx: &InitCtx) -> Self::State {
+            let mut state = self.host.init(node, ctx);
+            state.next_serial = u32::MAX - self.left;
+            state
+        }
+
+        fn on_message(
+            &self,
+            state: &mut Self::State,
+            msg: Self::Msg,
+            out: &mut Outbox<'_, Self::Msg>,
+        ) {
+            self.host.on_message(state, msg, out);
+        }
+    }
+
+    /// Triggers `calls` root calls, one after the other, on a node with
+    /// `left` serials left; returns the tickets and results it collected.
+    fn root_calls(left: u32, calls: u64) -> Vec<(Ticket, u64)> {
+        let cfg = MapConfig {
+            halt_on_root_reply: false,
+            ..MapConfig::default()
+        };
+        let host = MappingHost::new(Echo, RoundRobinMapper::factory(), cfg);
+        let program = LongRunning { host, left };
+        let mut sim = Simulation::new(Torus::new_2d(3, 3), program, SimConfig::default());
+        for req in 0..calls {
+            sim.inject(4, trigger(req));
+            sim.run_to_quiescence().unwrap();
+        }
+        sim.state(4).root_results.clone()
+    }
+
+    #[test]
+    fn the_last_serials_are_still_issued() {
+        let last = |back: u32| Ticket::new(4, u32::MAX - back);
+        assert_eq!(root_calls(2, 2), [(last(2), 0), (last(1), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ticket serials exhausted on node 4")]
+    fn serial_exhaustion_panics_instead_of_reissuing_live_tickets() {
+        root_calls(2, 3);
     }
 }

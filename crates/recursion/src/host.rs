@@ -7,6 +7,16 @@
 //! records. When a join completes the frame is resumed, possibly producing
 //! more records, until the activation finishes and its result is replied to
 //! the parent ticket.
+//!
+//! The records of a node form a slab: a `Vec` of rows plus a free list,
+//! found through the sub-call tickets alone (`ticket -> (row, result
+//! slot)`). A suspension takes a vacant row, buffers and all, and the
+//! reply that completes the join gives it back, so in steady state an
+//! activation costs one table insert and one removal per sub-call and no
+//! allocation of its own. Rows are *not* keyed by the parent ticket: an
+//! activation resumed early by an `Any` join may suspend again while its
+//! first record still waits for the losing replies, and then two records
+//! answer to one parent.
 
 use hyperspace_mapping::{CallCtx, Ticket, TicketHandler, TicketMap};
 use hyperspace_sim::NodeId;
@@ -72,6 +82,10 @@ pub struct IncumbentEvent {
 }
 
 /// One suspended activation (a row of Figure 3's call-record table).
+///
+/// Rows live in a slab ([`RecState`]'s `records`): a row whose activation
+/// is over becomes [`Row::Vacant`] and is handed, `results` and `pending`
+/// buffers included, to the next activation that suspends on this node.
 struct CallRecord<P: RecProgram> {
     /// Where this activation's final result must be sent.
     parent: Ticket,
@@ -80,13 +94,24 @@ struct CallRecord<P: RecProgram> {
     /// Join mode of the outstanding batch.
     join: Join<P::Out>,
     /// Result slots of an `All` join, one per sub-call, in issue order
-    /// (an `Any` join keeps no results, so allocates none).
+    /// (an `Any` join keeps no results).
     results: Vec<Option<P::Out>>,
     /// Sub-call tickets still outstanding.
     pending: Vec<Ticket>,
-    /// `Any` join already satisfied (or activation cancelled): remaining
-    /// replies are ignored, the record lingers only for bookkeeping.
-    closed: bool,
+    /// Whether the row is in use, and how.
+    row: Row,
+}
+
+/// What a slab row currently holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// On the free list.
+    Vacant,
+    /// A suspended activation waiting on its join.
+    Open,
+    /// `Any` join already satisfied: remaining replies are ignored, the
+    /// record lingers only until the last of them has arrived.
+    Closed,
 }
 
 /// Counters exposed for experiments and tests.
@@ -115,12 +140,16 @@ pub struct RecStats {
 
 /// Per-node layer-4 state.
 pub struct RecState<P: RecProgram> {
-    records: TicketMap<CallRecord<P>>,
-    /// sub-call ticket -> (record id, result slot).
-    ticket_index: TicketMap<(u64, usize)>,
-    /// parent ticket -> record id (for cancellation lookups).
-    parent_index: TicketMap<u64>,
-    next_record: u64,
+    /// The call-record slab; `free` lists its vacant rows.
+    records: Vec<CallRecord<P>>,
+    free: Vec<u32>,
+    /// sub-call ticket -> (record row, result slot). A row is vacated only
+    /// once no ticket maps to it, so a reply never finds a reused row.
+    ticket_index: TicketMap<(u32, u32)>,
+    /// parent ticket -> record row, for cancellation lookups: kept only by
+    /// a host [`RecursionHost::with_cancellation`], as only such a host
+    /// (every node runs the same one) ever sends a `Cancel`.
+    parent_index: TicketMap<u32>,
     /// Objective direction, when the host runs in B&B mode (used by
     /// report folding to pick the best incumbent across nodes).
     objective: Option<Objective>,
@@ -135,10 +164,10 @@ pub struct RecState<P: RecProgram> {
 impl<P: RecProgram> RecState<P> {
     fn new(bnb: Option<&BnbMode>) -> Self {
         RecState {
-            records: TicketMap::default(),
+            records: Vec::new(),
+            free: Vec::new(),
             ticket_index: TicketMap::default(),
             parent_index: TicketMap::default(),
-            next_record: 0,
             objective: bnb.map(|m| m.objective),
             incumbent: bnb.and_then(|m| m.initial_incumbent),
             incumbent_trace: Vec::new(),
@@ -148,7 +177,7 @@ impl<P: RecProgram> RecState<P> {
 
     /// Number of live call records (suspended activations) on this node.
     pub fn live_records(&self) -> usize {
-        self.records.len()
+        self.records.len() - self.free.len()
     }
 
     /// Objective direction when the host runs in B&B mode.
@@ -180,12 +209,14 @@ impl<P: RecProgram> RecState<P> {
             incumbent_updates: self.stats.incumbent_updates,
             ..FrontierSnapshot::default()
         };
-        for record in self.records.values() {
-            if record.closed {
-                snapshot.closed_records += 1;
-            } else {
-                snapshot.open_records += 1;
-                snapshot.pending_calls += record.pending.len() as u64;
+        for record in &self.records {
+            match record.row {
+                Row::Vacant => {}
+                Row::Closed => snapshot.closed_records += 1,
+                Row::Open => {
+                    snapshot.open_records += 1;
+                    snapshot.pending_calls += record.pending.len() as u64;
+                }
             }
         }
         snapshot
@@ -357,45 +388,56 @@ impl<P: RecProgram> RecursionHost<P> {
                         step = self.program.resume(frame, resumed);
                         continue;
                     }
-                    let id = state.next_record;
-                    state.next_record += 1;
-                    let mut pending = Vec::with_capacity(calls.len());
+                    let row = state.free.pop().unwrap_or_else(|| {
+                        state.records.push(CallRecord {
+                            parent,
+                            frame: None,
+                            join: Join::All,
+                            results: Vec::new(),
+                            pending: Vec::new(),
+                            row: Row::Vacant,
+                        });
+                        (state.records.len() - 1) as u32
+                    });
+                    let rec = &mut state.records[row as usize];
                     for (slot, arg) in calls.into_iter().enumerate() {
                         let hint = self.program.weight(&arg);
                         let t = ctx.call_hint(arg, hint);
-                        state.ticket_index.insert(t.raw(), (id, slot));
-                        pending.push(t);
+                        state.ticket_index.insert(t.raw(), (row, slot as u32));
+                        rec.pending.push(t);
                     }
-                    let results = match join {
-                        Join::All => (0..pending.len()).map(|_| None).collect(),
-                        Join::Any(_) => Vec::new(),
-                    };
-                    state.parent_index.insert(parent.raw(), id);
-                    state.records.insert(
-                        id,
-                        CallRecord {
-                            parent,
-                            frame: Some(frame),
-                            join,
-                            results,
-                            pending,
-                            closed: false,
-                        },
-                    );
+                    if let Join::All = join {
+                        rec.results.resize_with(rec.pending.len(), || None);
+                    }
+                    rec.parent = parent;
+                    rec.frame = Some(frame);
+                    rec.join = join;
+                    rec.row = Row::Open;
+                    if self.cancel_losers {
+                        state.parent_index.insert(parent.raw(), row);
+                    }
                     return;
                 }
             }
         }
     }
 
-    /// Removes a record's bookkeeping once no replies remain outstanding.
-    fn gc_record(state: &mut RecState<P>, id: u64) {
-        if let Some(rec) = state.records.get(&id) {
-            if rec.pending.is_empty() {
-                let rec = state.records.remove(&id).expect("checked");
-                state.parent_index.remove(&rec.parent.raw());
-            }
+    /// Returns `row`, whose activation is over and whose sub-calls are all
+    /// answered or withdrawn, to the free list.
+    fn vacate(&self, state: &mut RecState<P>, row: u32) {
+        let rec = &mut state.records[row as usize];
+        debug_assert!(rec.row != Row::Vacant && rec.pending.is_empty());
+        rec.row = Row::Vacant;
+        rec.frame = None;
+        rec.results.clear();
+        // The parent ticket may by now name a successor: an activation
+        // resumed by an `Any` win suspends again under the same ticket
+        // while this row still waits for its stragglers.
+        let parent = rec.parent.raw();
+        if self.cancel_losers && state.parent_index.get(&parent) == Some(&row) {
+            state.parent_index.remove(&parent);
         }
+        state.free.push(row);
     }
 }
 
@@ -444,65 +486,68 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         resp: P::Out,
         ctx: &mut dyn CallCtx<P::Arg, P::Out>,
     ) {
-        let Some((id, slot)) = state.ticket_index.remove(&ticket.raw()) else {
+        let Some((row, slot)) = state.ticket_index.remove(&ticket.raw()) else {
             // Straggler for a record already resolved/cancelled.
             state.stats.stale_replies += 1;
             return;
         };
-        let Some(rec) = state.records.get_mut(&id) else {
-            state.stats.stale_replies += 1;
-            return;
-        };
-        rec.pending.retain(|t| *t != ticket);
+        let rec = &mut state.records[row as usize];
+        if let Some(at) = rec.pending.iter().position(|t| *t == ticket) {
+            rec.pending.remove(at);
+        }
 
-        if rec.closed {
+        if rec.row == Row::Closed {
             state.stats.stale_replies += 1;
-            Self::gc_record(state, id);
+            if rec.pending.is_empty() {
+                self.vacate(state, row);
+            }
             return;
         }
 
         match rec.join {
             Join::All => {
-                rec.results[slot] = Some(resp);
+                rec.results[slot as usize] = Some(resp);
                 if rec.pending.is_empty() {
-                    let rec = state.records.remove(&id).expect("present");
-                    state.parent_index.remove(&rec.parent.raw());
                     let results: Vec<P::Out> = rec
                         .results
-                        .into_iter()
+                        .drain(..)
                         .map(|r| r.expect("all slots filled"))
                         .collect();
-                    let frame = rec.frame.expect("frame present until resumed");
+                    let frame = rec.frame.take().expect("frame present until resumed");
+                    let parent = rec.parent;
+                    self.vacate(state, row);
                     let step = self.program.resume(frame, Resumed::All(results));
-                    self.drive(state, step, rec.parent, ctx);
+                    self.drive(state, step, parent, ctx);
                 }
             }
             Join::Any(valid) => {
                 if valid(&resp) {
                     // First valid result wins; ignore (or cancel) the rest.
-                    rec.closed = true;
+                    rec.row = Row::Closed;
                     if !rec.pending.is_empty() {
                         state.stats.speculative_wins += 1;
                     }
                     let frame = rec.frame.take().expect("frame present until resumed");
                     let parent = rec.parent;
                     if self.cancel_losers {
-                        for t in std::mem::take(&mut rec.pending) {
+                        for t in rec.pending.drain(..) {
                             state.ticket_index.remove(&t.raw());
                             ctx.cancel(t);
                             state.stats.cancels_sent += 1;
                         }
                     }
-                    Self::gc_record(state, id);
+                    if rec.pending.is_empty() {
+                        self.vacate(state, row);
+                    }
                     let step = self.program.resume(frame, Resumed::Any(Some(resp)));
                     self.drive(state, step, parent, ctx);
                 } else if rec.pending.is_empty() {
                     // Everything returned, nothing valid: null result.
-                    let rec = state.records.remove(&id).expect("present");
-                    state.parent_index.remove(&rec.parent.raw());
-                    let frame = rec.frame.expect("frame present until resumed");
+                    let frame = rec.frame.take().expect("frame present until resumed");
+                    let parent = rec.parent;
+                    self.vacate(state, row);
                     let step = self.program.resume(frame, Resumed::Any(None));
-                    self.drive(state, step, rec.parent, ctx);
+                    self.drive(state, step, parent, ctx);
                 }
             }
         }
@@ -517,23 +562,18 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         // The caller withdrew the request it issued with `reply_to`. Find
         // the activation working on it, abandon it, and recursively cancel
         // its own outstanding sub-calls.
-        let Some(id) = state.parent_index.remove(&reply_to.raw()) else {
+        let Some(row) = state.parent_index.remove(&reply_to.raw()) else {
             // Already replied (reply and cancel crossed in flight) — or the
             // request never started an activation here. Nothing to do.
             return;
         };
-        let Some(rec) = state.records.get_mut(&id) else {
-            return;
-        };
-        rec.closed = true;
-        rec.frame = None;
         state.stats.cancelled += 1;
-        for t in std::mem::take(&mut rec.pending) {
+        for t in state.records[row as usize].pending.drain(..) {
             state.ticket_index.remove(&t.raw());
             ctx.cancel(t);
             state.stats.cancels_sent += 1;
         }
-        state.records.remove(&id);
+        self.vacate(state, row);
     }
 
     fn on_bound(&self, state: &mut RecState<P>, value: i64, ctx: &mut dyn CallCtx<P::Arg, P::Out>) {

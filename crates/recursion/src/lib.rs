@@ -20,8 +20,10 @@
 //!
 //! [`RecursionHost`] drives either encoding over layer 3: each subcall
 //!   becomes a ticketed `Request`, each pending activation a *call record*
-//!   (Figure 3) holding the frame, the join mode and result slots. Joins
-//!   follow §IV-C:
+//!   (Figure 3) holding the frame, the join mode and result slots. A
+//!   node's records are rows of a slab reached through the sub-call
+//!   tickets; a finished activation's row is reused, buffers included, by
+//!   the next one to suspend. Joins follow §IV-C:
 //!
 //! * [`Join::All`] — `yield Sync()`: resume once every subcall returned;
 //! * [`Join::Any`] — non-deterministic choice: resume as soon as a result

@@ -263,11 +263,10 @@ impl Cnf {
     pub fn assign(&self, var: Var, value: bool) -> Cnf {
         let satisfied = Lit::with_polarity(var, value);
         let falsified = satisfied.negated();
-        let mut lits = Vec::with_capacity(self.lits.len());
-        let mut ends = Vec::with_capacity(self.ends.len());
+        let mut out = self.empty_child();
         for clause in self.clauses() {
             // Copy optimistically; a satisfied clause rolls its copy back.
-            let mark = lits.len();
+            let mark = out.lits.len();
             let mut satisfied_clause = false;
             for &lit in clause {
                 if lit == satisfied {
@@ -275,19 +274,58 @@ impl Cnf {
                     break;
                 }
                 if lit != falsified {
-                    lits.push(lit);
+                    out.lits.push(lit);
                 }
             }
-            if satisfied_clause {
-                lits.truncate(mark);
-            } else {
-                ends.push(lits.len() as u32);
-            }
+            out.close_clause(mark, satisfied_clause);
         }
+        out
+    }
+
+    /// Both polarities of one DPLL split, `(assign(var, true), assign(var,
+    /// false))`, from a single scan of this formula instead of two
+    /// (Listing 4 lines 13–14 back to back). A literal of another variable
+    /// is copied into both children; a clause that showed `var` positively
+    /// rolls its copy back in the `true` child, one that showed it
+    /// negatively in the `false` child (one that showed both, in both).
+    pub fn split(&self, var: Var) -> (Cnf, Cnf) {
+        let (mut when_true, mut when_false) = (self.empty_child(), self.empty_child());
+        for clause in self.clauses() {
+            let (mark_true, mark_false) = (when_true.lits.len(), when_false.lits.len());
+            let (mut saw_pos, mut saw_neg) = (false, false);
+            for &lit in clause {
+                if lit.var() != var {
+                    when_true.lits.push(lit);
+                    when_false.lits.push(lit);
+                } else if lit.is_pos() {
+                    saw_pos = true;
+                } else {
+                    saw_neg = true;
+                }
+            }
+            when_true.close_clause(mark_true, saw_pos);
+            when_false.close_clause(mark_false, saw_neg);
+        }
+        (when_true, when_false)
+    }
+
+    /// A formula over the same variables with no clauses yet and room for
+    /// all of this one's.
+    fn empty_child(&self) -> Cnf {
         Cnf {
             num_vars: self.num_vars,
-            lits,
-            ends,
+            lits: Vec::with_capacity(self.lits.len()),
+            ends: Vec::with_capacity(self.ends.len()),
+        }
+    }
+
+    /// Ends the clause being copied since `mark`: dropped if `satisfied`,
+    /// kept otherwise.
+    fn close_clause(&mut self, mark: usize, satisfied: bool) {
+        if satisfied {
+            self.lits.truncate(mark);
+        } else {
+            self.ends.push(self.lits.len() as u32);
         }
     }
 

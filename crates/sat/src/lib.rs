@@ -11,9 +11,12 @@
 //!   offset per clause) read through borrowed `&[Lit]` views
 //!   ([`Cnf::clauses`], [`Cnf::clause`]); the owned [`Clause`] is what
 //!   formulas are built from and what the CDCL solver learns and exports.
-//!   The mesh ships a residual formula with every sub-problem, so
+//!   The mesh ships a residual formula with every sub-problem, so the
+//!   scan that builds one is the hot loop of the whole stack:
 //!   [`Cnf::assign`] — one forward pass, two allocations whatever the
-//!   clause count — is the hot loop of the whole stack, and
+//!   clause count — is the single-branch primitive, [`Cnf::split`] builds
+//!   both polarities of a branching variable from one pass where a split
+//!   spawns both (each half equal to the `assign` it stands for), and
 //!   [`simplify`] reduces a formula by compacting those buffers in place;
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline

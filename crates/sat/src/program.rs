@@ -188,18 +188,18 @@ impl RecProgram for DpllProgram {
             lit = lit.negated();
         }
 
+        let (var, value) = (lit.var(), lit.demanded_value());
         let mut assign_true = sub.assign.clone();
-        assign_true.assign(lit.var(), lit.demanded_value());
-        let subp1 = SubProblem {
-            cnf: sub.cnf.assign(lit.var(), lit.demanded_value()),
-            assign: assign_true,
-            // Following the heuristic costs no discrepancy.
-            discrepancy: sub.discrepancy,
-        };
+        assign_true.assign(var, value);
 
         // The preferred branch alone when the discrepancy budget is spent:
         // deviating would cost a discrepancy we no longer have.
         if sub.discrepancy == Some(0) {
+            let subp1 = SubProblem {
+                cnf: sub.cnf.assign(var, value),
+                assign: assign_true,
+                discrepancy: sub.discrepancy,
+            };
             return Step::Spawn(Spawn {
                 calls: vec![subp1],
                 join: Join::Any(|v: &Verdict| v.is_sat()),
@@ -207,10 +207,23 @@ impl RecProgram for DpllProgram {
             });
         }
 
+        // Both branches spawn: one scan of the parent builds both halves.
+        let (when_true, when_false) = sub.cnf.split(var);
+        let (cnf1, cnf2) = if value {
+            (when_true, when_false)
+        } else {
+            (when_false, when_true)
+        };
+        let subp1 = SubProblem {
+            cnf: cnf1,
+            assign: assign_true,
+            // Following the heuristic costs no discrepancy.
+            discrepancy: sub.discrepancy,
+        };
         let mut assign_false = sub.assign;
-        assign_false.assign(lit.var(), !lit.demanded_value());
+        assign_false.assign(var, !value);
         let subp2 = SubProblem {
-            cnf: sub.cnf.assign(lit.var(), !lit.demanded_value()),
+            cnf: cnf2,
             assign: assign_false,
             // Going against the heuristic spends one discrepancy.
             discrepancy: sub.discrepancy.map(|d| d - 1),

@@ -537,7 +537,7 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
                     // Self-loopback sends never enter the NoC: they are
                     // local-queue moves (zero links), not routed traffic.
                     DeliveryModel::Routed
-                        if env.src != env.dst && !self.topo.are_adjacent(env.src, env.dst) =>
+                        if env.src != env.dst && !self.ctx.csr.are_adjacent(env.src, env.dst) =>
                     {
                         let key: TransitKey = (step, node as NodeId, emission as u32);
                         self.transit.push_back((key, env.src, env));
@@ -593,7 +593,6 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
     /// identical results.
     fn run_handlers(&mut self, step: u64, tick: bool, work: &[NodeId]) -> bool {
         let program = &self.program;
-        let topo = &self.topo;
         let csr = &self.ctx.csr;
         let num_nodes = self.states.len();
         let adjacent_only = self.cfg.delivery == DeliveryModel::AdjacentOnly;
@@ -614,7 +613,6 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
                     neighbours,
                     topo_nodes: num_nodes,
                     adjacent_only,
-                    topo,
                     staged,
                     halt: &mut halt,
                 };
@@ -629,7 +627,6 @@ impl<T: Topology, P: NodeProgram> Simulation<T, P> {
                     neighbours,
                     topo_nodes: num_nodes,
                     adjacent_only,
-                    topo,
                     staged,
                     halt: &mut halt,
                 };
@@ -976,6 +973,50 @@ mod tests {
         sim.inject(0, ());
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.step()));
         assert!(res.is_err(), "expected adjacency assertion to fire");
+        let payload = res.unwrap_err();
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("adjacent-only delivery: 0 -> 5 is not a mesh link")
+        );
+    }
+
+    /// Node 0 sends to a neighbour, to a node two links away and to one
+    /// four links away; the others note the step their message arrived.
+    struct FarSends;
+    impl NodeProgram for FarSends {
+        type Msg = u8;
+        type State = Option<u64>;
+        fn init(&self, _n: NodeId, _c: &InitCtx) -> Option<u64> {
+            None
+        }
+        fn on_message(&self, got: &mut Option<u64>, msg: u8, ctx: &mut Outbox<'_, u8>) {
+            if msg == 0 {
+                for dst in [1, 5, 10] {
+                    ctx.send(dst, 1);
+                }
+            } else {
+                *got = Some(ctx.step());
+            }
+        }
+    }
+
+    #[test]
+    fn routed_sends_enter_transit_only_beyond_a_mesh_link() {
+        let cfg = SimConfig {
+            delivery: DeliveryModel::Routed,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(Torus::new_2d(4, 4), FarSends, cfg);
+        sim.inject(0, 0);
+        sim.step().unwrap();
+        // The neighbour's copy went straight to its inbox.
+        assert_eq!(sim.transit.len(), 2);
+        sim.run_to_quiescence().unwrap();
+        let arrived = [1, 5, 10].map(|node| sim.state(node).unwrap());
+        assert_eq!(arrived, [2, 3, 5]);
+        // Trigger 0 hops, then 1 + 2 + 4 links.
+        assert_eq!(sim.metrics().hop_histogram.count(), 4);
+        assert_eq!(sim.metrics().hop_histogram.sum(), 7);
     }
 
     #[test]

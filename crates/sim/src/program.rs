@@ -84,7 +84,6 @@ pub struct Outbox<'a, M> {
     pub(crate) neighbours: &'a [NodeId],
     pub(crate) topo_nodes: usize,
     pub(crate) adjacent_only: bool,
-    pub(crate) topo: &'a dyn Topology,
     pub(crate) staged: &'a mut Vec<Envelope<M>>,
     pub(crate) halt: &'a mut bool,
 }
@@ -159,7 +158,7 @@ impl<'a, M> Outbox<'a, M> {
         // destinations must be mesh links under adjacent-only delivery.
         if self.adjacent_only && dst != self.node {
             assert!(
-                self.topo.are_adjacent(self.node, dst),
+                self.neighbours.contains(&dst),
                 "adjacent-only delivery: {} -> {dst} is not a mesh link",
                 self.node
             );

@@ -1268,7 +1268,6 @@ fn phase_handlers<T: Topology, P: NodeProgram>(
                     neighbours,
                     topo_nodes: env.num_nodes,
                     adjacent_only,
-                    topo: env.topo,
                     staged,
                     halt: &mut halt,
                 };
@@ -1283,7 +1282,6 @@ fn phase_handlers<T: Topology, P: NodeProgram>(
                     neighbours,
                     topo_nodes: env.num_nodes,
                     adjacent_only,
-                    topo: env.topo,
                     staged,
                     halt: &mut halt,
                 };
@@ -1334,7 +1332,7 @@ fn phase_handlers<T: Topology, P: NodeProgram>(
             let key: Key = (step, src, emission as u32);
             if cfg.delivery == DeliveryModel::Routed
                 && msg.src != msg.dst
-                && !env.topo.are_adjacent(msg.src, msg.dst)
+                && !env.csr.are_adjacent(msg.src, msg.dst)
             {
                 // Enters the NoC at the sender's position — owned by this
                 // shard, and keyed above everything already in transit.
@@ -1597,6 +1595,60 @@ mod tests {
                 ctx.send(far as NodeId, msg - 1);
             }
         }
+    }
+
+    #[test]
+    fn adjacency_assertion_names_the_missing_link() {
+        // 0 -> 20 is a wrap-around link of the 5x5 torus, 0 -> 7 is none.
+        #[derive(Clone)]
+        struct BadSend;
+        impl NodeProgram for BadSend {
+            type Msg = ();
+            type State = ();
+            fn init(&self, _n: NodeId, _c: &InitCtx) {}
+            fn on_message(&self, _s: &mut (), _m: (), ctx: &mut Outbox<'_, ()>) {
+                if ctx.node() == 0 {
+                    ctx.send(20, ());
+                    ctx.send(7, ());
+                }
+            }
+        }
+        let scfg = ShardedConfig {
+            shards: 2,
+            partition: Partition::Block,
+            threads: Some(2),
+        };
+        let mut sim =
+            ShardedSimulation::new(Torus::new_2d(5, 5), BadSend, SimConfig::default(), scfg);
+        sim.inject(0, ());
+        match sim.run_to_quiescence().unwrap_err() {
+            SimError::HandlerPanic { node, message, .. } => {
+                assert_eq!(node, 0);
+                assert_eq!(message, "adjacent-only delivery: 0 -> 7 is not a mesh link");
+            }
+            other => panic!("expected HandlerPanic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn routed_hop_counts_follow_the_mesh_distance() {
+        // FarEcho from node 0 with 3 to go: 0 -> 3 -> 23 -> 12, that is
+        // 2 + 1 + 3 links on the 5x5 torus (3 -> 23 is a wrap-around link
+        // and skips the transit queue), after the zero-hop trigger.
+        let cfg = SimConfig {
+            delivery: DeliveryModel::Routed,
+            ..SimConfig::default()
+        };
+        let scfg = ShardedConfig {
+            shards: 3,
+            partition: Partition::RoundRobin,
+            threads: Some(2),
+        };
+        let (report, _, metrics, _) =
+            sharded_run(&Torus::new_2d(5, 5), &FarEcho, &cfg, scfg, &[(0, 3)]);
+        assert_eq!(metrics.hop_histogram.count(), 4);
+        assert_eq!(metrics.hop_histogram.sum(), 6);
+        assert_eq!(report.steps, 7);
     }
 
     #[test]

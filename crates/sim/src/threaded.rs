@@ -58,7 +58,7 @@ pub struct ThreadedOutbox<'a, M> {
     node: NodeId,
     src: NodeId,
     neighbours: &'a [NodeId],
-    topo: &'a dyn Topology,
+    num_nodes: usize,
     in_flight: &'a AtomicU64,
     senders: &'a [Sender<Packet<M>>],
     shard_of: &'a dyn Fn(NodeId) -> usize,
@@ -89,7 +89,7 @@ impl<'a, M> ThreadedOutbox<'a, M> {
     /// Sends a message to an adjacent node (or to self).
     pub fn send(&mut self, dst: NodeId, msg: M) {
         assert!(
-            dst == self.node || self.topo.are_adjacent(self.node, dst),
+            dst == self.node || self.neighbours.contains(&dst),
             "adjacent-only delivery: {} -> {dst} is not a mesh link",
             self.node
         );
@@ -185,9 +185,8 @@ where
                 src: ctx.src,
                 hops: 1,
                 neighbours: ctx.neighbours,
-                topo_nodes: ctx.topo.num_nodes(),
+                topo_nodes: ctx.num_nodes,
                 adjacent_only: true,
-                topo: ctx.topo,
                 staged: &mut staged,
                 halt: &mut halt,
             };
@@ -312,7 +311,7 @@ pub fn run_threaded_ctl<P: ThreadedProgram>(
                                 node: *node,
                                 src: pkt.src,
                                 neighbours: csr.neighbours(*node),
-                                topo,
+                                num_nodes: n,
                                 in_flight,
                                 senders: &my_senders,
                                 shard_of: &*shard_of_ref,
@@ -408,6 +407,27 @@ mod tests {
         sim.run_to_quiescence().unwrap();
         assert_eq!(states_t, sim.states());
         assert_eq!(report_t.total_delivered, sim.metrics().total_delivered);
+    }
+
+    #[test]
+    #[should_panic(expected = "adjacent-only delivery: 0 -> 5 is not a mesh link")]
+    fn adjacency_assertion_names_the_missing_link() {
+        let csr = Csr::build(&Torus::new_2d(4, 4));
+        let (tx, rx) = channel::<Packet<()>>();
+        let mut outbox = ThreadedOutbox {
+            node: 0,
+            src: 0,
+            neighbours: csr.neighbours(0),
+            num_nodes: csr.num_nodes(),
+            in_flight: &AtomicU64::new(0),
+            senders: &[tx],
+            shard_of: &|_| 0,
+            halt: &AtomicBool::new(false),
+        };
+        // Over a link, then over none.
+        outbox.send(4, ());
+        assert!(rx.try_recv().is_ok());
+        outbox.send(5, ());
     }
 
     #[test]

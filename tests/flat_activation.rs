@@ -1,13 +1,22 @@
 //! The flat-layout activation path reproduces the nested-`Vec` one bit for
-//! bit: `Cnf::assign` and in-place simplification against a naive
-//! reference, whole mesh runs and a portfolio race against values recorded
-//! before the layout changed, and the ticket-table hasher's spread.
+//! bit: `Cnf::assign`, the one-scan `Cnf::split` and in-place
+//! simplification against a naive reference, whole mesh runs and a
+//! portfolio race against values recorded before the layout changed, and
+//! the ticket-table hasher's spread. Likewise the call-record slab and the
+//! ticket-keyed record table before it: limited-discrepancy, cancelling
+//! and branch-and-bound runs, and a program that keeps a closed record
+//! beside its successor, against values recorded at that parent commit.
 
 use std::hash::{BuildHasher, BuildHasherDefault};
 
-use hyperspace::core::{MapperSpec, PortfolioSpec, StackBuilder, TopologySpec};
-use hyperspace::mapping::{Ticket, TicketHasher};
+use hyperspace::apps::{seeded_items, BnbKnapsackProgram, BnbKnapsackTask};
+use hyperspace::core::{
+    BackendSpec, MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, RecRunReport, StackBuilder,
+    TopologySpec,
+};
+use hyperspace::mapping::{trigger, Ticket, TicketHasher};
 use hyperspace::portfolio::PortfolioRunner;
+use hyperspace::recursion::{FnProgram, FrontierSnapshot, Rec, RecStats};
 use hyperspace::sat::simplify::{simplify_with, Simplified};
 use hyperspace::sat::{
     gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, SimplifyMode, SubProblem, Var,
@@ -135,6 +144,20 @@ proptest! {
     }
 
     #[test]
+    fn one_scan_split_equals_the_two_reference_assigns(case in arb_formula(), pick in 0u32..9) {
+        // Nine picks over at most eight variables: the last one names a
+        // variable outside the formula (absent, but inside the universe).
+        let (num_vars, formula) = case;
+        let (num_vars, var) = (num_vars + 1, Var(pick % (num_vars + 1)));
+        let cnf = flat(num_vars, &formula);
+        let (when_true, when_false) = cnf.split(var);
+        assert_same(&when_true, &naive_assign(&formula, Lit::pos(var)));
+        assert_same(&when_false, &naive_assign(&formula, Lit::neg(var)));
+        prop_assert_eq!(&when_true, &cnf.assign(var, true));
+        prop_assert_eq!(&when_false, &cnf.assign(var, false));
+    }
+
+    #[test]
     fn in_place_simplification_equals_the_nested_reference(case in arb_formula()) {
         let (num_vars, formula) = case;
         for mode in [SimplifyMode::Fixpoint, SimplifyMode::SinglePass, SimplifyMode::SplitOnly] {
@@ -163,6 +186,16 @@ fn bits(model: &[bool]) -> String {
     model.iter().map(|&b| if b { '1' } else { '0' }).collect()
 }
 
+/// The paper's machine and mapper, run to quiescence.
+fn mesh_14x14(program: DpllProgram) -> StackBuilder<DpllProgram> {
+    StackBuilder::new(program)
+        .topology(TopologySpec::Torus2D { w: 14, h: 14 })
+        .mapper(MapperSpec::LeastBusy {
+            status_period: None,
+        })
+        .halt_on_root_reply(false)
+}
+
 #[test]
 fn mesh_runs_reproduce_the_nested_layout_pins() {
     let runs: Vec<(u64, u64, u64, String)> = [1u64, 2, 3]
@@ -171,13 +204,7 @@ fn mesh_runs_reproduce_the_nested_layout_pins() {
             let cnf = gen::satisfiable_ksat(seed, 30, 136, 3);
             let program =
                 DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
-            let report = StackBuilder::new(program)
-                .topology(TopologySpec::Torus2D { w: 14, h: 14 })
-                .mapper(MapperSpec::LeastBusy {
-                    status_period: None,
-                })
-                .halt_on_root_reply(false)
-                .run(SubProblem::root(cnf), 0);
+            let report = mesh_14x14(program).run(SubProblem::root(cnf), 0);
             let Some(Verdict::Sat(model)) = report.result else {
                 panic!("seed {seed}: satisfiable by construction");
             };
@@ -224,6 +251,166 @@ fn portfolio_race_reproduces_the_nested_layout_pin() {
         winner.as_deref(),
         Some("1111011111110001011111100001101100000010")
     );
+}
+
+/// What a run pins beside its answer: the layer-4 counters summed over
+/// the nodes, the steps taken and the envelopes delivered.
+fn counters<Out>(report: &RecRunReport<Out>) -> (RecStats, u64, u64) {
+    (
+        report.rec_totals,
+        report.steps,
+        report.metrics.total_delivered,
+    )
+}
+
+/// The answer as the pins spell it: the model's bits, or the verdict.
+fn answer(report: &RecRunReport<Verdict>) -> String {
+    match &report.result {
+        Some(Verdict::Sat(model)) => bits(model),
+        other => format!("{other:?}"),
+    }
+}
+
+#[test]
+fn single_branch_and_cancelling_runs_reproduce_the_parent_pins() {
+    let split_only =
+        || DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
+    let root = |seed| SubProblem::root(gen::satisfiable_ksat(seed, 30, 136, 3));
+    // Limited-discrepancy search: a spent budget spawns one branch (the
+    // `assign` path), an unspent one both (the `split` path). The first
+    // run ends inconclusive, the second finds a model.
+    let lds_2 = mesh_14x14(split_only()).run(root(1).with_discrepancy(2), 0);
+    let lds_6 = mesh_14x14(split_only()).run(root(5).with_discrepancy(6), 0);
+    // Losing branches withdrawn: every cancel path of the call records.
+    let cancelling = mesh_14x14(split_only()).cancellation(true).run(root(2), 0);
+    let stats = |started, stale_replies, speculative_wins, cancels_sent, cancelled| RecStats {
+        started,
+        completed: started - cancelled,
+        stale_replies,
+        speculative_wins,
+        cancels_sent,
+        cancelled,
+        ..RecStats::default()
+    };
+    // Recorded at the parent commit (records in a ticket-keyed table,
+    // two `assign` scans per split).
+    assert_eq!(
+        (counters(&lds_2), answer(&lds_2).as_str()),
+        ((stats(562, 0, 0, 0, 0), 51, 1125), "Some(Unsat)")
+    );
+    assert_eq!(
+        (counters(&lds_6), answer(&lds_6).as_str()),
+        (
+            (stats(6006, 9, 9, 0, 0), 202, 12013),
+            "101001100111111000000000110011"
+        )
+    );
+    assert_eq!(
+        (counters(&cancelling), answer(&cancelling).as_str()),
+        (
+            (stats(24319, 277, 45, 1406, 1129), 559, 48916),
+            "110000111101111110000000001011"
+        )
+    );
+}
+
+#[test]
+fn knapsack_bnb_reproduces_the_parent_pin_on_both_engines() {
+    // `Join::All` batches: every reply lands in its result slot.
+    let items = seeded_items(7, 14, 16, 24);
+    let capacity = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+    for backend in [BackendSpec::Sequential, BackendSpec::sharded(2)] {
+        let report = StackBuilder::new(BnbKnapsackProgram)
+            .topology(TopologySpec::Torus2D { w: 6, h: 6 })
+            .mapper(MapperSpec::LeastBusy {
+                status_period: None,
+            })
+            .objective(ObjectiveSpec::Maximise)
+            .prune(PruneSpec::incumbent())
+            .backend(backend.clone())
+            .halt_on_root_reply(false)
+            .run(BnbKnapsackTask::root(items.clone(), capacity), 0);
+        // Recorded at the parent commit.
+        assert_eq!(
+            (counters(&report), report.result),
+            (
+                (
+                    RecStats {
+                        started: 2472,
+                        completed: 2472,
+                        pruned: 1840,
+                        incumbent_updates: 250,
+                        ..RecStats::default()
+                    },
+                    673,
+                    9625
+                ),
+                Some(102)
+            ),
+            "{backend:?}"
+        );
+    }
+}
+
+/// Two batches under one parent ticket: `n < 100` counts down a chain of
+/// calls and returns `n`; a `100` races a short chain against a long one,
+/// is resumed by the short one while the long one is still out, and then
+/// calls again — so, without cancellation, its closed first record
+/// lingers beside the open second one until the long chain returns. (Why
+/// records cannot be keyed by their parent ticket.) A `200` sums three
+/// such activations.
+fn two_batch_program() -> impl hyperspace::recursion::RecProgram<Arg = u64, Out = u64> {
+    FnProgram::new(|n: u64| -> Rec<u64, u64> {
+        match n {
+            0 => Rec::done(0),
+            1..=99 => Rec::call(n - 1).then(|r| Rec::done(r + 1)),
+            100 => Rec::call_any(vec![1, 40], |r| *r > 0).then_any(|first| {
+                Rec::call(3).then(move |second| Rec::done(first.unwrap_or(0) * 100 + second))
+            }),
+            _ => Rec::call_all(vec![100, 100, 100]).then_all(|rs| Rec::done(rs.iter().sum())),
+        }
+    })
+}
+
+#[test]
+fn a_closed_record_lingers_beside_its_successor() {
+    let frontier_at = |cancel: bool, steps: u64| {
+        let mut sim = StackBuilder::new(two_batch_program())
+            .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+            .mapper(MapperSpec::RoundRobin)
+            .cancellation(cancel)
+            .halt_on_root_reply(false)
+            .build();
+        sim.inject(0, trigger(200));
+        for _ in 0..steps {
+            sim.step().unwrap();
+        }
+        let mut machine = FrontierSnapshot::default();
+        for node in 0..16 {
+            machine.absorb(&sim.state(node).app.frontier(), None);
+        }
+        sim.run_to_quiescence().unwrap();
+        assert_eq!(sim.state(0).root_result(), Some(&309), "cancel {cancel}");
+        for node in 0..16 {
+            let app = &sim.state(node).app;
+            assert_eq!(app.live_records(), 0, "cancel {cancel}: node {node} leaked");
+            assert_eq!(app.frontier().closed_records, 0);
+        }
+        let stats = (0..16).map(|node| sim.state(node).app.stats);
+        let stale: u64 = stats.map(|s| s.stale_replies).sum();
+        (machine, stale)
+    };
+    // Mid-run frontiers and stale-reply totals recorded at the parent
+    // commit: the three closed records are there without cancellation,
+    // gone at once with it.
+    let snapshot = |open_records, closed_records, pending_calls| FrontierSnapshot {
+        open_records,
+        closed_records,
+        pending_calls,
+        ..FrontierSnapshot::default()
+    };
+    assert_eq!(frontier_at(false, 12), (snapshot(40, 3, 42), 3));
+    assert_eq!(frontier_at(true, 12), (snapshot(31, 0, 33), 3));
 }
 
 #[test]

@@ -1,30 +1,33 @@
-//! Layer-1 engine microbenchmarks: message throughput of the sequential
-//! versus thread-parallel steppers, on light (flood-fill) and heavy
-//! (DPLL activation) handlers.
+//! Layer-1 engine microbenchmarks: message throughput of the one step
+//! kernel stepped inline as a single shard (`seq`) versus cut into one
+//! shard per core on as many worker threads (`parallel`), on light
+//! (flood-fill) and heavy (DPLL activation) handlers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperspace_apps::traversal::FloodFill;
 use hyperspace_bench::experiments::{run_sat, SatRunConfig};
-use hyperspace_core::{MapperSpec, TopologySpec};
+use hyperspace_core::{BackendSpec, MapperSpec, TopologySpec};
 use hyperspace_sat::gen;
-use hyperspace_sim::{SimConfig, Simulation};
+use hyperspace_sim::{ShardedConfig, ShardedSimulation, SimConfig};
 use hyperspace_topology::Torus;
 
 fn bench_flood_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim-flood-32x32");
     group.sample_size(20);
-    for parallel in [false, true] {
-        let name = if parallel { "parallel" } else { "sequential" };
+    for (name, scfg) in [
+        ("sequential", ShardedConfig::with_shards(1)),
+        ("parallel", ShardedConfig::default()),
+    ] {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                let mut sim = Simulation::new(
+                let mut sim = ShardedSimulation::new(
                     Torus::new_2d(32, 32),
                     FloodFill,
                     SimConfig {
-                        parallel,
                         record_queue_series: false,
                         ..SimConfig::default()
                     },
+                    scfg.clone(),
                 );
                 sim.inject(0, ());
                 sim.run_to_quiescence().unwrap();
@@ -40,15 +43,17 @@ fn bench_sat_stepper(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim-sat-14x14");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
-    for parallel in [false, true] {
-        let name = if parallel { "parallel" } else { "sequential" };
+    for (name, backend) in [
+        ("sequential", BackendSpec::Sequential),
+        ("parallel", BackendSpec::Parallel),
+    ] {
         let mut cfg = SatRunConfig::new(
             TopologySpec::Torus2D { w: 14, h: 14 },
             MapperSpec::LeastBusy {
                 status_period: None,
             },
         );
-        cfg.parallel = parallel;
+        cfg.backend = backend;
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| run_sat(std::hint::black_box(&cnf), &cfg).computation_time)
         });

@@ -1,10 +1,12 @@
-//! **PERF** — shard-count sweep of the sharded deterministic backend.
+//! **PERF** — shard-count sweep of the step kernel.
 //!
-//! Runs SAT (torus and hypercube machines) and n-queens workloads on the
-//! sequential engine and on the sharded backend with K ∈ {1, 2, 4, 8}
-//! shards, verifying along the way that every configuration produces the
-//! same step count and root result (the backends are bit-identical by
-//! contract), then reports wall-clock times and speedups.
+//! Runs SAT (torus and hypercube machines) and n-queens workloads with
+//! the machine as a single shard stepped inline (`seq` — printed first:
+//! it pays no barrier, lock or atomic, so every row below it shows what
+//! the exchange and the barriers cost or buy) and cut into K ∈ {2, 4, 8}
+//! shards on worker threads, verifying along the way that every
+//! configuration produces the same step count and root result (bit-
+//! identical by contract), then reports wall-clock times and speedups.
 
 use std::time::{Duration, Instant};
 
@@ -13,7 +15,7 @@ use hyperspace_sat::{gen, DpllProgram, Heuristic, SimplifyMode, SubProblem};
 
 use hyperspace_apps::{NQueensProgram, QueensTask};
 
-const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
+const SHARD_COUNTS: [u32; 3] = [2, 4, 8];
 
 /// One timed run: wall-clock, simulated steps, rendered root result.
 struct Timing {
@@ -65,7 +67,7 @@ fn queens_run(topology: TopologySpec, n: u8, backend: BackendSpec) -> Timing {
 fn sweep(label: &str, partition: PartitionSpec, run: impl Fn(BackendSpec) -> Timing) {
     let seq = run(BackendSpec::Sequential);
     println!(
-        "{label:<28} seq        {:>10.1?}  ({} steps, result {})",
+        "{label:<28} seq (K=1 inline) {:>10.1?}  ({} steps, result {})",
         seq.elapsed, seq.steps, seq.result
     );
     for shards in SHARD_COUNTS {
@@ -82,7 +84,7 @@ fn sweep(label: &str, partition: PartitionSpec, run: impl Fn(BackendSpec) -> Tim
         assert_eq!(t.result, seq.result, "{label}: K={shards} result diverged");
         let speedup = seq.elapsed.as_secs_f64() / t.elapsed.as_secs_f64().max(1e-9);
         println!(
-            "{label:<28} sharded:{shards:<2} {:>10.1?}  ({speedup:.2}x vs seq)",
+            "{label:<28} sharded:{shards:<2}       {:>10.1?}  ({speedup:.2}x vs seq)",
             t.elapsed
         );
     }

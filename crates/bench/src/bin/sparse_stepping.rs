@@ -3,8 +3,10 @@
 //!
 //! The engine promises that its active set changes *when* work happens,
 //! never *what* is computed (the equivalence suites prove the bit-by-bit
-//! half). This bench proves the other half with numbers, on the two
-//! workloads that bracket the design space:
+//! half against `hyperspace_sim::reference`, the naive interpreter that
+//! visits every node every step). This bench proves the other half with
+//! numbers, against that same interpreter as the dense baseline, on the
+//! two workloads that bracket the design space:
 //!
 //! * **sparse walker** — a handful of messages wander a large torus, so
 //!   almost every node is idle almost every step. The active set must
@@ -27,7 +29,7 @@
 use std::time::Instant;
 
 use hyperspace_obs::{pretty, JsonValue};
-use hyperspace_sim::{InitCtx, NodeId, NodeProgram, Outbox, SimConfig, Simulation};
+use hyperspace_sim::{reference, InitCtx, NodeId, NodeProgram, Outbox, SimConfig, Simulation};
 use hyperspace_topology::Torus;
 
 fn mix(v: u64) -> u64 {
@@ -70,36 +72,44 @@ struct Workload {
     trials: usize,
 }
 
-/// One timed run; returns steps/sec.
-fn trial(w: &Workload, dense_stepping: bool) -> f64 {
+/// One timed run — on the engine, or (`dense`) on the reference
+/// interpreter; returns steps/sec.
+fn trial(w: &Workload, dense: bool) -> f64 {
     let topo = Torus::new_2d(w.side, w.side);
     let cfg = SimConfig {
-        dense_stepping,
+        max_steps: w.steps,
         ..SimConfig::default()
     };
-    let mut sim = Simulation::new(topo, ForwardForever, cfg);
     let nodes = u64::from(w.side) * u64::from(w.side);
-    for m in 0..w.messages {
-        sim.inject(((m * nodes / w.messages) % nodes) as NodeId, mix(m) | 0x100);
-    }
-    sim.set_max_steps(w.steps);
+    let injections =
+        (0..w.messages).map(|m| (((m * nodes / w.messages) % nodes) as NodeId, mix(m) | 0x100));
     let start = Instant::now();
-    let report = sim.run_to_quiescence().expect("unbounded queues");
+    let (steps, delivered) = if dense {
+        let run = reference::run(&topo, &ForwardForever, &cfg, injections);
+        let report = run.result.expect("unbounded queues");
+        (report.steps, run.metrics.total_delivered)
+    } else {
+        let mut sim = Simulation::new(topo, ForwardForever, cfg);
+        for (node, payload) in injections {
+            sim.inject(node, payload);
+        }
+        let report = sim.run_to_quiescence().expect("unbounded queues");
+        (report.steps, sim.metrics().total_delivered)
+    };
     let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(report.steps, w.steps, "flood must never drain");
+    assert_eq!(steps, w.steps, "flood must never drain");
     // Walkers that collide on one inbox are popped across several steps
     // (`msgs_per_step`), so delivery count is bounded, not exact.
-    let delivered = sim.metrics().total_delivered;
     assert!(
         delivered >= w.steps && delivered <= w.steps * w.messages,
         "implausible delivery count {delivered}"
     );
-    report.steps as f64 / elapsed
+    steps as f64 / elapsed
 }
 
 /// Interleaved best-of-N: active-set and dense trials alternate (after
 /// one discarded warmup each), so CPU frequency drift and cache warmup
-/// hit both stepping modes equally instead of whichever ran last.
+/// hit both sides equally instead of whichever ran last.
 fn best_of_interleaved(w: &Workload) -> (f64, f64) {
     trial(w, false);
     trial(w, true);

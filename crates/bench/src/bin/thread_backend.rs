@@ -1,12 +1,13 @@
 //! **PERF** — layer-1 interchangeability demo: the same `NodeProgram`
-//! run on the time-stepped simulator and on the channel-based threaded
-//! backend, plus the thread-parallel stepper. Reports wall-clock times.
+//! run on the time-stepped simulator (one shard inline, and one shard
+//! per core on worker threads) and on the channel-based threaded demo.
+//! Reports wall-clock times.
 
 use std::time::Instant;
 
 use hyperspace_apps::traversal::FloodFill;
 use hyperspace_sim::threaded::{run_threaded, SimAdapter};
-use hyperspace_sim::{SimConfig, Simulation};
+use hyperspace_sim::{ShardedConfig, ShardedSimulation, SimConfig, Simulation};
 use hyperspace_topology::{Topology, Torus};
 
 fn main() {
@@ -20,15 +21,13 @@ fn main() {
         let seq = t0.elapsed();
         let delivered = sim.metrics().total_delivered;
 
-        // Parallel stepper.
+        // The same kernel, one shard per core on worker threads.
         let t0 = Instant::now();
-        let mut sim = Simulation::new(
+        let mut sim = ShardedSimulation::new(
             Torus::new_2d(side, side),
             FloodFill,
-            SimConfig {
-                parallel: true,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
+            ShardedConfig::default(),
         );
         sim.inject(0, ());
         sim.run_to_quiescence().unwrap();

@@ -1,6 +1,6 @@
 //! Shared experiment plumbing.
 
-use hyperspace_core::{MapperSpec, RecRunReport, StackBuilder, TopologySpec};
+use hyperspace_core::{BackendSpec, MapperSpec, RecRunReport, StackBuilder, TopologySpec};
 use hyperspace_metrics::Stats;
 use hyperspace_sat::{Cnf, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict};
 use hyperspace_sim::NodeId;
@@ -22,8 +22,8 @@ pub struct SatRunConfig {
     pub cancellation: bool,
     /// Node receiving the trigger.
     pub root: NodeId,
-    /// Thread-parallel stepping.
-    pub parallel: bool,
+    /// Execution backend (bit-identical results; wall-clock only).
+    pub backend: BackendSpec,
     /// End the run at the root verdict instead of draining to quiescence.
     /// Required when status broadcasts are enabled (they keep the machine
     /// non-quiescent); changes the meaning of `computation_time` to
@@ -41,7 +41,7 @@ impl SatRunConfig {
             mode: SimplifyMode::SplitOnly,
             cancellation: false,
             root: 0,
-            parallel: false,
+            backend: BackendSpec::Sequential,
             halt_on_root: false,
         }
     }
@@ -60,7 +60,7 @@ pub fn run_sat(cnf: &Cnf, cfg: &SatRunConfig) -> RecRunReport<Verdict> {
         .topology(cfg.topology.clone())
         .mapper(cfg.mapper.clone())
         .cancellation(cfg.cancellation)
-        .parallel(cfg.parallel)
+        .backend(cfg.backend.clone())
         .halt_on_root_reply(cfg.halt_on_root)
         .run(SubProblem::root(cnf.clone()), cfg.root)
 }

@@ -31,7 +31,7 @@
 //! a sequence of [`StrategySpec`] attempts — which the existing
 //! deterministic engines run unchanged. Legacy flat strategy strings are
 //! therefore sugar for single-attempt plans, and all the bit-identity
-//! guarantees (seq/parallel/sharded backends, dense/sparse stepping)
+//! guarantees (every backend spelling, any checkpoint slicing)
 //! carry over to expression-driven runs for free.
 
 use hyperspace_sat::{Heuristic, Polarity, RestartPolicy, SimplifyMode};

@@ -43,8 +43,7 @@ pub use spec::{
     PortfolioSpec, PruneSpec, SpecParseError, StrategySpec, TopologySpec,
 };
 pub use stack::{
-    summarise, summarise_sharded, ErasedStackJob, JobParams, StackBuilder, StackProgram,
-    StackShardedSim, StackSim, StartedJob,
+    drive, summarise, ErasedStackJob, JobParams, StackBuilder, StackProgram, StackSim, StartedJob,
 };
 
 pub use hyperspace_sim::{ObsHandle, Observer, StopHandle};

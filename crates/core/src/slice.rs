@@ -14,10 +14,10 @@
 //! deterministic replay after a worker crash).
 
 use hyperspace_recursion::{FrontierSnapshot, RecProgram};
-use hyperspace_sim::{NodeId, ObsHandle, RunOutcome, SimError};
+use hyperspace_sim::{NodeId, ObsHandle, RunOutcome};
 
 use crate::report::RunSummary;
-use crate::stack::{summarise, summarise_sharded, StackShardedSim, StackSim};
+use crate::stack::{drive, summarise, StackSim};
 
 /// Observable checkpoint metadata of a suspended run: how far it got
 /// and what its layer-4 frontier looks like. This is what a scheduler
@@ -65,15 +65,9 @@ pub trait RunSlice: Send {
     }
 }
 
-/// The two stack shapes a suspendable run drives.
-pub(crate) enum SliceSim<P: RecProgram> {
-    Seq(StackSim<P>),
-    Sharded(StackShardedSim<P>),
-}
-
 /// A five-layer stack run sliced at checkpoint intervals.
 pub(crate) struct StackSlice<P: RecProgram> {
-    pub(crate) sim: SliceSim<P>,
+    pub(crate) sim: StackSim<P>,
     pub(crate) root: NodeId,
     /// Steps per slice (`u64::MAX` = run to termination in one slice).
     pub(crate) interval: u64,
@@ -88,36 +82,7 @@ pub(crate) struct StackSlice<P: RecProgram> {
 impl<P: RecProgram> StackSlice<P> {
     /// Steps the underlying engine has executed.
     pub(crate) fn current_step(&self) -> u64 {
-        match &self.sim {
-            SliceSim::Seq(sim) => sim.current_step(),
-            SliceSim::Sharded(sim) => sim.current_step(),
-        }
-    }
-
-    /// Drives the underlying engine to `target`, normalising sharded
-    /// failure modes to the sequential engine's (panics re-raise with
-    /// the original message).
-    fn drive(&mut self, target: u64) -> RunOutcome {
-        match &mut self.sim {
-            SliceSim::Seq(sim) => {
-                sim.set_max_steps(target);
-                sim.run_to_quiescence()
-                    .expect("stack runs use unbounded queues")
-                    .outcome
-            }
-            SliceSim::Sharded(sim) => {
-                sim.set_max_steps(target);
-                match sim.run_to_quiescence() {
-                    Ok(report) => report.outcome,
-                    Err(SimError::HandlerPanic {
-                        node,
-                        step,
-                        message,
-                    }) => panic!("handler of node {node} panicked at step {step}: {message}"),
-                    Err(err) => panic!("stack runs use unbounded queues: {err}"),
-                }
-            }
-        }
+        self.sim.current_step()
     }
 
     /// Advances by one checkpoint interval; `None` means the slice
@@ -127,7 +92,7 @@ impl<P: RecProgram> StackSlice<P> {
             .current_step()
             .saturating_add(self.interval)
             .min(self.cap);
-        let outcome = self.drive(target);
+        let outcome = drive(&mut self.sim, target);
         if outcome == RunOutcome::MaxSteps && self.current_step() < self.cap {
             None
         } else {
@@ -149,19 +114,9 @@ impl<P: RecProgram> StackSlice<P> {
     /// machine-wide frontier folded over all nodes.
     fn checkpoint_meta(&self) -> CheckpointMeta {
         let mut frontier = FrontierSnapshot::default();
-        match &self.sim {
-            SliceSim::Seq(sim) => {
-                for st in sim.states() {
-                    frontier.absorb(&st.app.frontier(), st.app.objective());
-                }
-            }
-            SliceSim::Sharded(sim) => {
-                let n = sim.topology().num_nodes();
-                for node in 0..n as NodeId {
-                    let st = sim.state(node);
-                    frontier.absorb(&st.app.frontier(), st.app.objective());
-                }
-            }
+        for node in 0..self.sim.topology().num_nodes() as NodeId {
+            let st = self.sim.state(node);
+            frontier.absorb(&st.app.frontier(), st.app.objective());
         }
         CheckpointMeta {
             steps: self.current_step(),
@@ -197,12 +152,7 @@ where
             Some(outcome) => outcome,
         };
         self.report_progress();
-        let this = *self;
-        let root = this.root;
-        SliceOutcome::Finished(match this.sim {
-            SliceSim::Seq(sim) => summarise(sim, outcome, root).summary(),
-            SliceSim::Sharded(sim) => summarise_sharded(sim, outcome, root).summary(),
-        })
+        SliceOutcome::Finished(summarise(self.sim, outcome, self.root).summary())
     }
 
     fn steps_done(&self) -> u64 {

@@ -596,20 +596,22 @@ impl PartitionSpec {
 
 /// Which layer-1 execution backend runs the assembled stack.
 ///
-/// All three produce **bit-identical** runs (states, metrics, trace) —
-/// enforced by the cross-backend equivalence suite — so the choice only
-/// trades wall-clock time for cores.
+/// Three spellings of one engine: each names how the layer-1 machine is
+/// cut into shards and how many threads step them. All produce
+/// **bit-identical** runs (states, metrics, trace) — enforced by the
+/// cross-backend equivalence suite — so the choice only trades
+/// wall-clock time for cores.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum BackendSpec {
-    /// The single-threaded time-stepped engine (the paper's §IV-A
+    /// One shard stepped inline on the calling thread (the paper's §IV-A
     /// evaluation backend).
     #[default]
     Sequential,
-    /// The same engine with its handler phase forked over scoped
-    /// threads; state remains global.
+    /// "Use the machine": one block shard and one worker thread per
+    /// available core — the default [`ShardedConfig`].
     Parallel,
-    /// State partitioned into shards with their own queues and step
-    /// loops, exchanging cross-shard envelopes at step barriers.
+    /// State partitioned into shards with their own queues, exchanging
+    /// cross-shard envelopes at step barriers.
     Sharded {
         /// Number of shards.
         shards: u32,
@@ -640,7 +642,16 @@ impl BackendSpec {
         }
     }
 
-    /// The sharded-backend configuration, when this spec selects it.
+    /// The layer-1 configuration every spelling lowers to.
+    pub(crate) fn lower(&self) -> ShardedConfig {
+        match self {
+            BackendSpec::Sequential => ShardedConfig::with_shards(1),
+            BackendSpec::Parallel => ShardedConfig::default(),
+            BackendSpec::Sharded { .. } => self.sharded_config().expect("sharded spelling"),
+        }
+    }
+
+    /// The explicit sharding, when this spec spells one out.
     pub fn sharded_config(&self) -> Option<ShardedConfig> {
         match self {
             BackendSpec::Sharded {

@@ -2,13 +2,12 @@
 
 use hyperspace_mapping::{MapConfig, MapState, MappingHost};
 use hyperspace_recursion::{BnbMode, RecProgram, RecState, RecursionHost};
-use hyperspace_sim::record::SimMetrics;
 use hyperspace_sim::{
-    NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, Simulation, StopHandle, Topology,
+    NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, SimError, StopHandle, Topology,
 };
 
 use crate::report::{IncumbentEvent, RecRunReport, RunSummary};
-use crate::slice::{RunSlice, SliceOutcome, SliceSim, StackSlice};
+use crate::slice::{RunSlice, SliceOutcome, StackSlice};
 use crate::spec::{
     BackendSpec, BoxedMapperFactory, CheckpointSpec, MapperSpec, ObjectiveSpec, PruneSpec,
     TopologySpec,
@@ -17,15 +16,14 @@ use crate::spec::{
 /// The concrete layer-1 program type of an assembled stack.
 pub type StackProgram<P> = MappingHost<RecursionHost<P>, BoxedMapperFactory>;
 
-/// The concrete simulation type of an assembled stack.
-pub type StackSim<P> = Simulation<Box<dyn Topology>, StackProgram<P>>;
-
-/// The concrete sharded-simulation type of an assembled stack.
-pub type StackShardedSim<P> = ShardedSimulation<Box<dyn Topology>, StackProgram<P>>;
+/// The concrete simulation type of an assembled stack: the one layer-1
+/// machine, sharded and threaded as the [`BackendSpec`] says (`seq` is a
+/// single shard stepped inline).
+pub type StackSim<P> = ShardedSimulation<Box<dyn Topology>, StackProgram<P>>;
 
 /// Assembles the five-layer solver stack:
 ///
-/// * layer 1: the time-stepped simulator ([`Simulation`]),
+/// * layer 1: the time-stepped simulator ([`ShardedSimulation`]),
 /// * layer 2: single-process nodes (the mapping host *is* the node's
 ///   process; multi-process nodes are available via `hyperspace-sched` for
 ///   applications that need them),
@@ -120,21 +118,11 @@ impl<P: RecProgram> StackBuilder<P> {
         self
     }
 
-    /// Overrides the layer-1 engine configuration (step caps, parallel
-    /// stepping, tracing, ...). The builder still forces `tick_every` to
-    /// match the mapper's status period.
+    /// Overrides the layer-1 engine configuration (step caps, tracing,
+    /// ...). The builder still forces `tick_every` to match the mapper's
+    /// status period.
     pub fn sim_config(mut self, cfg: SimConfig) -> Self {
         self.sim = cfg;
-        self
-    }
-
-    /// Disables the engine's event-driven active set: every node is
-    /// visited every step (the dense baseline the active set is judged
-    /// against). Results are bit-identical either way — this only
-    /// trades wall-clock time, and exists for benchmarks and the
-    /// equivalence suites.
-    pub fn dense_stepping(mut self, on: bool) -> Self {
-        self.sim.dense_stepping = on;
         self
     }
 
@@ -207,21 +195,6 @@ impl<P: RecProgram> StackBuilder<P> {
         self
     }
 
-    /// Runs the handler phase on a thread pool (bit-identical
-    /// results, faster for large meshes). Shorthand for
-    /// [`StackBuilder::backend`] toggling between [`BackendSpec::Parallel`]
-    /// and [`BackendSpec::Sequential`]; an explicitly selected sharded
-    /// backend is left untouched (use [`StackBuilder::backend`] to
-    /// change it).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.backend = match (on, self.backend) {
-            (true, BackendSpec::Sequential | BackendSpec::Parallel) => BackendSpec::Parallel,
-            (false, BackendSpec::Parallel) => BackendSpec::Sequential,
-            (_, other) => other,
-        };
-        self
-    }
-
     /// Safety cap on simulated steps.
     pub fn max_steps(mut self, steps: u64) -> Self {
         self.sim.max_steps = steps;
@@ -257,9 +230,6 @@ impl<P: RecProgram> StackBuilder<P> {
         if let Some(cap) = self.logical_cap {
             sim_cfg.max_steps = sim_cfg.max_steps.min(cap);
         }
-        // A `parallel: true` set directly through sim_config() keeps
-        // working; the Parallel backend also turns the flag on.
-        sim_cfg.parallel |= matches!(self.backend, BackendSpec::Parallel);
         // Global mappers address arbitrary nodes: switch the engine to the
         // hop-by-hop NoC model unless the user already chose one.
         if self.mapper.needs_global_delivery()
@@ -289,22 +259,12 @@ impl<P: RecProgram> StackBuilder<P> {
         (topo, host, sim_cfg, self.backend)
     }
 
-    /// Builds the simulation without running it (for step-by-step
-    /// inspection); inject root problems with
-    /// [`hyperspace_mapping::trigger`]. A sharded backend choice is
-    /// ignored here — use [`StackBuilder::build_sharded`] for that.
+    /// Builds the simulation on the selected backend without running it
+    /// (for step-by-step inspection); inject root problems with
+    /// [`hyperspace_mapping::trigger`].
     pub fn build(self) -> StackSim<P> {
-        let (topo, host, sim_cfg, _) = self.assemble();
-        Simulation::new(topo, host, sim_cfg)
-    }
-
-    /// Builds the sharded simulation without running it, using the
-    /// builder's backend spec when it is sharded (or the default
-    /// [`ShardedConfig`] otherwise).
-    pub fn build_sharded(self) -> StackShardedSim<P> {
         let (topo, host, sim_cfg, backend) = self.assemble();
-        let scfg = backend.sharded_config().unwrap_or_default();
-        ShardedSimulation::new(topo, host, sim_cfg, scfg)
+        ShardedSimulation::new(topo, host, sim_cfg, backend.lower())
     }
 
     /// Assembles the stack and injects the root problem as a suspended
@@ -315,18 +275,8 @@ impl<P: RecProgram> StackBuilder<P> {
         let interval = self.checkpoint.interval().unwrap_or(u64::MAX);
         let cap = self.sim.max_steps;
         let obs = self.sim.obs.clone();
-        let sim = match self.backend {
-            BackendSpec::Sharded { .. } => {
-                let mut sim = self.build_sharded();
-                sim.inject(root_node, hyperspace_mapping::trigger(root_arg));
-                SliceSim::Sharded(sim)
-            }
-            _ => {
-                let mut sim = self.build();
-                sim.inject(root_node, hyperspace_mapping::trigger(root_arg));
-                SliceSim::Seq(sim)
-            }
-        };
+        let mut sim = self.build();
+        sim.inject(root_node, hyperspace_mapping::trigger(root_arg));
         StackSlice {
             sim,
             root: root_node,
@@ -344,11 +294,7 @@ impl<P: RecProgram> StackBuilder<P> {
     pub fn run(self, root_arg: P::Arg, root_node: NodeId) -> RecRunReport<P::Out> {
         let mut slice = self.into_slice(root_arg, root_node);
         let outcome = slice.run_to_terminal();
-        let root = slice.root;
-        match slice.sim {
-            SliceSim::Seq(sim) => summarise(sim, outcome, root),
-            SliceSim::Sharded(sim) => summarise_sharded(sim, outcome, root),
-        }
+        summarise(slice.sim, outcome, slice.root)
     }
 }
 
@@ -381,18 +327,8 @@ struct FoldedStack<Out> {
     incumbent_trace: Vec<IncumbentEvent>,
 }
 
-/// Folds the per-node layer-3/4 counters of a finished stack, whatever
-/// backend produced the states.
-fn fold_stack<'a, P, I>(states: I, root_node: NodeId) -> FoldedStack<P::Out>
-where
-    P: RecProgram,
-    I: Iterator<
-        Item = (
-            NodeId,
-            &'a MapState<RecursionHost<P>, Box<dyn hyperspace_mapping::Mapper>>,
-        ),
-    >,
-{
+/// Folds the per-node layer-3/4 counters of a finished stack.
+fn fold_stack<P: RecProgram>(sim: &StackSim<P>, root_node: NodeId) -> FoldedStack<P::Out> {
     let mut folded = FoldedStack {
         result: None,
         rec_totals: hyperspace_recursion::RecStats::default(),
@@ -404,7 +340,8 @@ where
         best_incumbent: None,
         incumbent_trace: Vec::new(),
     };
-    for (node, st) in states {
+    for node in 0..sim.topology().num_nodes() as NodeId {
+        let st: &MapState<RecursionHost<P>, _> = sim.state(node);
         let rs: &RecState<P> = &st.app;
         let s = rs.stats;
         folded.rec_totals.started += s.started;
@@ -446,12 +383,29 @@ where
     folded
 }
 
-fn assemble_report<Out>(
-    folded: FoldedStack<Out>,
+/// Drives a stack simulation to the absolute step `cap` — the one place
+/// layer-1 failures become stack failures, whatever the backend: a
+/// handler panic is re-raised as `handler of node N panicked at step S:
+/// <original message>`, and a queue overflow cannot happen (stack runs
+/// use unbounded queues).
+pub fn drive<P: RecProgram>(sim: &mut StackSim<P>, cap: u64) -> RunOutcome {
+    sim.set_max_steps(cap);
+    match sim.run_to_quiescence() {
+        Ok(report) => report.outcome,
+        Err(err @ SimError::HandlerPanic { .. }) => panic!("{err}"),
+        Err(err) => panic!("stack runs use unbounded queues: {err}"),
+    }
+}
+
+/// Extracts the aggregate report from a finished stack simulation.
+pub fn summarise<P: RecProgram>(
+    sim: StackSim<P>,
     outcome: RunOutcome,
-    steps: u64,
-    metrics: SimMetrics,
-) -> RecRunReport<Out> {
+    root_node: NodeId,
+) -> RecRunReport<P::Out> {
+    let steps = sim.current_step();
+    let folded = fold_stack(&sim, root_node);
+    let (_states, metrics) = sim.into_parts();
     RecRunReport {
         result: folded.result,
         outcome,
@@ -467,41 +421,6 @@ fn assemble_report<Out>(
         best_incumbent: folded.best_incumbent,
         incumbent_trace: folded.incumbent_trace,
     }
-}
-
-/// Extracts the aggregate report from a finished stack simulation.
-pub fn summarise<P: RecProgram>(
-    sim: StackSim<P>,
-    outcome: RunOutcome,
-    root_node: NodeId,
-) -> RecRunReport<P::Out> {
-    let steps = sim.current_step();
-    let folded = fold_stack::<P, _>(
-        sim.states()
-            .iter()
-            .enumerate()
-            .map(|(node, st)| (node as NodeId, st)),
-        root_node,
-    );
-    let (_states, metrics) = sim.into_parts();
-    assemble_report(folded, outcome, steps, metrics)
-}
-
-/// Extracts the aggregate report from a finished sharded stack
-/// simulation — the same fold as [`summarise`], over shard-owned states.
-pub fn summarise_sharded<P: RecProgram>(
-    sim: StackShardedSim<P>,
-    outcome: RunOutcome,
-    root_node: NodeId,
-) -> RecRunReport<P::Out> {
-    let steps = sim.current_step();
-    let n = sim.topology().num_nodes();
-    let folded = fold_stack::<P, _>(
-        (0..n as NodeId).map(|node| (node, sim.state(node))),
-        root_node,
-    );
-    let (_states, metrics) = sim.into_parts();
-    assemble_report(folded, outcome, steps, metrics)
 }
 
 /// Machine/run parameters applied to an [`ErasedStackJob`] at execution
@@ -940,6 +859,7 @@ mod tests {
         let seq = run(BackendSpec::Sequential);
         assert_eq!(seq.result, Some(325));
         for backend in [
+            BackendSpec::Parallel,
             BackendSpec::sharded(1),
             BackendSpec::sharded(4),
             BackendSpec::Sharded {
@@ -982,45 +902,42 @@ mod tests {
     }
 
     #[test]
-    fn parallel_toggle_preserves_an_explicit_sharded_backend() {
-        // Code that applies a boolean parallel flag after backend
-        // selection must not silently discard the sharded choice.
-        let builder = StackBuilder::new(sum_program())
-            .backend(BackendSpec::sharded(8))
-            .parallel(false);
-        assert_eq!(builder.backend, BackendSpec::sharded(8));
-        let builder = StackBuilder::new(sum_program())
-            .parallel(true)
-            .parallel(false);
-        assert_eq!(builder.backend, BackendSpec::Sequential);
-        let builder = StackBuilder::new(sum_program()).parallel(true);
-        assert_eq!(builder.backend, BackendSpec::Parallel);
-    }
-
-    #[test]
     fn sharded_stack_reraises_handler_panics_with_the_original_message() {
-        // A panicking program must fail the same way on the sharded
-        // backend as on the sequential one: a panic whose message names
-        // the faulting node, not a queue-capacity expect.
-        let bomb = FnProgram::new(|n: u64| -> Rec<u64, u64> {
-            if n == 0 {
-                panic!("injected stack fault");
-            }
-            Rec::call(n - 1).then(move |total| Rec::done(total + n))
-        });
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            StackBuilder::new(bomb)
-                .topology(TopologySpec::Torus2D { w: 4, h: 4 })
-                .backend(BackendSpec::sharded(4))
-                .run(3, 0)
-        }));
-        let payload = result.expect_err("the fault must propagate as a panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(message.contains("injected stack fault"), "{message}");
-        assert!(message.contains("panicked at step"), "{message}");
+        // A panicking program must fail the same way on every backend:
+        // a panic whose message names the faulting node and step and
+        // ends in the program's own text, not a queue-capacity expect.
+        for backend in [
+            BackendSpec::Sequential,
+            BackendSpec::Parallel,
+            BackendSpec::sharded(4),
+        ] {
+            let bomb = FnProgram::new(|n: u64| -> Rec<u64, u64> {
+                if n == 0 {
+                    panic!("injected stack fault");
+                }
+                Rec::call(n - 1).then(move |total| Rec::done(total + n))
+            });
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                StackBuilder::new(bomb)
+                    .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+                    .backend(backend.clone())
+                    .run(3, 0)
+            }));
+            let payload = result.expect_err("the fault must propagate as a panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.starts_with("handler of node "),
+                "{backend}: {message}"
+            );
+            assert!(message.contains("panicked at step"), "{backend}: {message}");
+            assert!(
+                message.ends_with("injected stack fault"),
+                "{backend}: {message}"
+            );
+        }
     }
 
     #[test]
@@ -1046,30 +963,6 @@ mod tests {
         assert_eq!(
             sharded.metrics.delivered_per_node,
             seq.metrics.delivered_per_node
-        );
-    }
-
-    #[test]
-    fn parallel_stepping_matches_sequential() {
-        // 144 nodes: above the engine's parallel fallback threshold, so
-        // the parallel run really forks threads.
-        let run = |parallel: bool| {
-            StackBuilder::new(sum_program())
-                .topology(TopologySpec::Torus2D { w: 12, h: 12 })
-                .mapper(MapperSpec::LeastBusy {
-                    status_period: None,
-                })
-                .parallel(parallel)
-                .run(30, 13)
-        };
-        let seq = run(false);
-        let par = run(true);
-        assert_eq!(seq.result, par.result);
-        assert_eq!(seq.steps, par.steps);
-        assert_eq!(seq.computation_time, par.computation_time);
-        assert_eq!(
-            seq.metrics.delivered_per_node,
-            par.metrics.delivered_per_node
         );
     }
 }

@@ -113,8 +113,9 @@ pub trait Observer: Send + Sync {
         let _ = (shard, phase, nanos);
     }
 
-    /// `shard`'s active-set size after a sampled step — the per-shard
-    /// load-imbalance signal.
+    /// The number of nodes `shard` visited on a sampled step (its work
+    /// list: the active set, or every node on a tick step) — the
+    /// per-shard load-imbalance signal.
     fn on_shard_active(&self, shard: usize, nodes: u64) {
         let _ = (shard, nodes);
     }

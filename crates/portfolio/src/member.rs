@@ -1,12 +1,12 @@
 //! The erased member abstraction: anything that can race in epochs.
 
 use hyperspace_core::{
-    summarise, summarise_sharded, LimitKind, MapperSpec, ObjectiveSpec, RunSummary, StackBuilder,
-    StackShardedSim, StackSim, StrategySpec, TopologySpec,
+    drive, summarise, LimitKind, MapperSpec, ObjectiveSpec, RunSummary, StackBuilder, StackSim,
+    StrategySpec, TopologySpec,
 };
 use hyperspace_recursion::{Objective, RecProgram};
 use hyperspace_sat::{cdcl, CdclConfig, CdclSolver, CdclStatus, Clause, Cnf, SatResult, Verdict};
-use hyperspace_sim::{NodeId, RunOutcome, SimError, StopHandle};
+use hyperspace_sim::{NodeId, RunOutcome, StopHandle};
 
 /// What one epoch of driving did to a member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,15 +58,9 @@ pub(crate) trait MemberDrive: Send {
 /// Boxed acceptance predicate over a program's root result.
 type AcceptFn<Out> = Box<dyn Fn(&Out) -> bool + Send>;
 
-/// The two stack shapes a mesh member can run on.
-enum MeshSim<P: RecProgram> {
-    Seq(StackSim<P>),
-    Sharded(StackShardedSim<P>),
-}
-
 /// A full five-layer stack racing as one member.
 pub(crate) struct MeshMember<P: RecProgram> {
-    sim: MeshSim<P>,
+    sim: StackSim<P>,
     root: NodeId,
     handle: StopHandle,
     objective: Option<Objective>,
@@ -97,7 +91,6 @@ where
         mapper: &MapperSpec,
         objective: ObjectiveSpec,
         cancellation: bool,
-        dense_stepping: bool,
         max_steps: u64,
         root: NodeId,
     ) -> Self {
@@ -116,20 +109,11 @@ where
             .mapper(mapper.clone())
             .objective(objective)
             .cancellation(cancellation)
-            .dense_stepping(dense_stepping)
             .strategy(member)
             .max_steps(max_steps)
             .stop(handle.clone());
-        let sharded = member.backend.sharded_config().is_some();
-        let mut sim = if sharded {
-            MeshSim::Sharded(builder.build_sharded())
-        } else {
-            MeshSim::Seq(builder.build())
-        };
-        match &mut sim {
-            MeshSim::Seq(sim) => sim.inject(root, hyperspace_mapping::trigger(root_arg)),
-            MeshSim::Sharded(sim) => sim.inject(root, hyperspace_mapping::trigger(root_arg)),
-        }
+        let mut sim = builder.build();
+        sim.inject(root, hyperspace_mapping::trigger(root_arg));
         MeshMember {
             sim,
             root,
@@ -154,36 +138,7 @@ where
 
     /// The root node's result, if it has one.
     fn root_result(&self) -> Option<&P::Out> {
-        match &self.sim {
-            MeshSim::Seq(sim) => sim.states()[self.root as usize].root_result(),
-            MeshSim::Sharded(sim) => sim.state(self.root).root_result(),
-        }
-    }
-
-    /// Runs to the given absolute step cap, normalising sharded-backend
-    /// errors to the sequential engine's failure modes (like
-    /// `StackBuilder::run`).
-    fn drive(&mut self, cap: u64) -> RunOutcome {
-        match &mut self.sim {
-            MeshSim::Seq(sim) => {
-                sim.set_max_steps(cap);
-                sim.run_to_quiescence()
-                    .expect("stack runs use unbounded queues")
-                    .outcome
-            }
-            MeshSim::Sharded(sim) => {
-                sim.set_max_steps(cap);
-                match sim.run_to_quiescence() {
-                    Ok(report) => report.outcome,
-                    Err(SimError::HandlerPanic {
-                        node,
-                        step,
-                        message,
-                    }) => panic!("handler of node {node} panicked at step {step}: {message}"),
-                    Err(err) => panic!("stack runs use unbounded queues: {err}"),
-                }
-            }
-        }
+        self.sim.state(self.root).root_result()
     }
 }
 
@@ -196,7 +151,7 @@ where
             return terminal;
         }
         let cap = cap.min(self.max_steps);
-        self.outcome = self.drive(cap);
+        self.outcome = drive(&mut self.sim, cap);
         let status = match self.outcome {
             RunOutcome::Halted | RunOutcome::Quiescent => match &self.accept {
                 // A limited attempt only *finishes* when its result is
@@ -213,10 +168,7 @@ where
     }
 
     fn units(&self) -> u64 {
-        match &self.sim {
-            MeshSim::Seq(sim) => sim.current_step(),
-            MeshSim::Sharded(sim) => sim.current_step(),
-        }
+        self.sim.current_step()
     }
 
     fn best_incumbent(&self) -> Option<i64> {
@@ -230,27 +182,14 @@ where
                 });
             }
         };
-        match &self.sim {
-            MeshSim::Seq(sim) => {
-                for st in sim.states() {
-                    fold(st.app.incumbent());
-                }
-            }
-            MeshSim::Sharded(sim) => {
-                let n = sim.topology().num_nodes();
-                for node in 0..n as NodeId {
-                    fold(sim.state(node).app.incumbent());
-                }
-            }
+        for node in 0..self.sim.topology().num_nodes() as NodeId {
+            fold(self.sim.state(node).app.incumbent());
         }
         best
     }
 
     fn inject_bound(&mut self, value: i64) {
-        match &mut self.sim {
-            MeshSim::Seq(sim) => sim.inject(self.root, hyperspace_mapping::bound(value)),
-            MeshSim::Sharded(sim) => sim.inject(self.root, hyperspace_mapping::bound(value)),
-        }
+        self.sim.inject(self.root, hyperspace_mapping::bound(value));
     }
 
     fn export_clauses(&mut self, _max_len: usize, _max_lbd: usize) -> Vec<Clause> {
@@ -268,18 +207,13 @@ where
         // The loser observes the trip through the ordinary stop path:
         // the run ends with `Stopped` before executing another step.
         self.handle.stop();
-        self.outcome = self.drive(self.max_steps);
+        self.outcome = drive(&mut self.sim, self.max_steps);
         debug_assert_eq!(self.outcome, RunOutcome::Stopped);
         self.terminal = Some(EpochStatus::Stopped);
     }
 
     fn finish(self: Box<Self>) -> RunSummary {
-        let outcome = self.outcome;
-        let root = self.root;
-        match self.sim {
-            MeshSim::Seq(sim) => summarise(sim, outcome, root).summary(),
-            MeshSim::Sharded(sim) => summarise_sharded(sim, outcome, root).summary(),
-        }
+        summarise(self.sim, self.outcome, self.root).summary()
     }
 }
 

@@ -30,7 +30,6 @@ pub struct PortfolioRunner {
     objective: ObjectiveSpec,
     prune: PruneSpec,
     cancellation: bool,
-    dense_stepping: bool,
     max_steps: u64,
     root_node: NodeId,
     threads: usize,
@@ -54,7 +53,6 @@ impl PortfolioRunner {
             objective: ObjectiveSpec::Enumerate,
             prune: PruneSpec::Off,
             cancellation: false,
-            dense_stepping: false,
             max_steps: 1_000_000,
             root_node: 0,
             threads: std::thread::available_parallelism()
@@ -134,7 +132,6 @@ impl PortfolioRunner {
             mapper: self.mapper.clone(),
             prune: self.prune,
             cancellation: self.cancellation,
-            dense_stepping: self.dense_stepping,
             max_steps: self.max_steps,
             root_node: self.root_node,
         }
@@ -171,15 +168,6 @@ impl PortfolioRunner {
     /// inside every member stack.
     pub fn cancellation(mut self, on: bool) -> Self {
         self.cancellation = on;
-        self
-    }
-
-    /// Runs every mesh member's engine with the dense (visit-every-node)
-    /// step loop instead of the event-driven active set. Reports are
-    /// bit-identical either way; this exists for benchmarks and the
-    /// equivalence suites.
-    pub fn dense_stepping(mut self, on: bool) -> Self {
-        self.dense_stepping = on;
         self
     }
 
@@ -337,7 +325,6 @@ struct MemberEnv {
     mapper: MapperSpec,
     prune: PruneSpec,
     cancellation: bool,
-    dense_stepping: bool,
     max_steps: u64,
     root_node: NodeId,
 }
@@ -372,7 +359,6 @@ impl MemberEnv {
             &self.mapper,
             objective,
             self.cancellation,
-            self.dense_stepping,
             self.max_steps,
             self.root_node,
         )

@@ -4,14 +4,15 @@
 //! a step barrier — node states, inbox contents, routed in-flight
 //! messages, instrumentation, and the step/halt counters — serialised
 //! through the self-contained byte [`crate::codec`]. The format is
-//! **canonical across backends**: the sequential engine and the sharded
-//! backend emit byte-identical checkpoints for the same run at the same
-//! step, and a checkpoint taken on one backend restores into any other
-//! (snapshot sequentially, resume `sharded:7`, and vice versa). That
-//! portability falls out of the same ordering discipline the sharded
-//! backend already enforces: everything queue-like is written in the
-//! sequential engine's global delivery order, with routed transit
-//! entries tagged by their `(enqueue step, sender, emission)` keys.
+//! **canonical across shardings**: the machine emits byte-identical
+//! checkpoints for the same run at the same step whatever its shard
+//! count, partition and thread count, and a checkpoint taken under one
+//! sharding restores under any other (snapshot `seq`, resume
+//! `sharded:7`, and vice versa). That portability falls out of the
+//! ordering discipline the step kernel already enforces: everything
+//! queue-like is written in the machine's global delivery order, with
+//! routed transit entries tagged by their `(enqueue step, sender,
+//! emission)` keys.
 //!
 //! Checkpoints capture *state*, not code: the restoring caller supplies
 //! the same topology, program and [`crate::SimConfig`] the checkpoint
@@ -29,8 +30,8 @@ use hyperspace_metrics::Histogram;
 use hyperspace_topology::NodeId;
 
 /// The exchange-ordering key of a routed in-flight message:
-/// `(enqueue step, sender, emission index)` — the sequential engine's
-/// global delivery order, and the sharded backend's mailbox key.
+/// `(enqueue step, sender, emission index)` — the machine's global
+/// delivery order, and the key shards exchange mail under.
 pub(crate) type TransitKey = (u64, NodeId, u32);
 
 const MAGIC: &[u8; 4] = b"HSCK";
@@ -129,8 +130,7 @@ impl SimCheckpoint {
 
 /// Encodes a simulation's state into the canonical body layout. The
 /// iterators must yield nodes in ascending global id order, and the
-/// transit entries in ascending key order (both backends hold their
-/// queues that way already).
+/// transit entries in ascending key order.
 pub(crate) fn encode_body<'a, S, M, IS, II, IT>(
     states: IS,
     inboxes: II,

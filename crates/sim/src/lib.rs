@@ -1,25 +1,27 @@
 //! **Layer 1 — Message Passing** (paper §III-A1, §IV-A).
 //!
 //! The base layer of the model is "a computer architecture that can emulate
-//! a message passing system". This crate provides interchangeable
-//! implementations behind one [`NodeProgram`] interface:
+//! a message passing system". This crate provides it behind one
+//! [`NodeProgram`] interface, as **one engine**:
 //!
-//! * [`Simulation`] — the paper's evaluation backend (§IV-A): a
-//!   deterministic *time-stepped* simulator. On each step, every node with a
-//!   non-empty inbox pops one message and runs its `receive` handler; sends
-//!   are enqueued for the following step; queues are unbounded (§V-A).
-//! * parallel stepping — the same semantics executed with a scoped
-//!   thread fork-join over nodes; bit-identical traces (tested),
-//!   near-linear speed-up for large meshes (enable with
-//!   [`SimConfig::parallel`]).
-//! * [`ShardedSimulation`] — the machine's *state* partitioned into K
-//!   shards with their own queues and step loops; cross-shard envelopes
-//!   exchange at step barriers in deterministic key order, so traces are
-//!   bit-identical to the sequential engine for every shard count,
-//!   partitioner and worker-thread count (see [`sharded`]).
-//! * [`threaded`] — a real multi-threaded backend built on mpsc
-//!   channels, demonstrating that programs written against layer 1 run
-//!   unchanged on a genuinely concurrent substrate.
+//! * the step kernel ([`sharded`]) — the paper's evaluation backend
+//!   (§IV-A): a deterministic *time-stepped* simulator. On each step,
+//!   every node with a non-empty inbox pops one message and runs its
+//!   `receive` handler; sends are enqueued for the following step; queues
+//!   are unbounded (§V-A). The machine's state is cut into K shards that
+//!   exchange at step barriers in deterministic key order, so a run is
+//!   bit-identical for every shard count, partitioner and worker-thread
+//!   count. [`Simulation`] is the kernel at K = 1, stepped inline on the
+//!   calling thread; [`ShardedSimulation`] takes any K and runs its
+//!   shards inline or on worker threads.
+//! * [`mod@reference`] — the same semantics as a naive interpreter that
+//!   visits every node every step and shares no queue code with the
+//!   kernel: the oracle of the equivalence suites and the dense baseline
+//!   of the stepping benchmark.
+//! * [`threaded`] — a clockless multi-threaded demo built on mpsc
+//!   channels, showing that programs written against layer 1 run
+//!   unchanged on a genuinely concurrent substrate (same converged
+//!   states, not the same trace).
 //!
 //! Instrumentation matches §V-C: per-step queued-message totals
 //! (*interconnect activity*), per-node delivered counts (*node activity*)
@@ -64,6 +66,8 @@ mod engine;
 mod envelope;
 mod program;
 pub mod record;
+pub mod reference;
+mod shard;
 pub mod sharded;
 pub mod threaded;
 

@@ -6,7 +6,7 @@
 //! message the node may queue further sends through the [`Outbox`].
 
 use crate::envelope::Envelope;
-use hyperspace_topology::{Csr, NodeId, Topology};
+use hyperspace_topology::NodeId;
 
 /// Context available to [`NodeProgram::init`].
 pub struct InitCtx<'a> {
@@ -40,7 +40,7 @@ impl<'a> InitCtx<'a> {
 /// A program executed identically by every node (SPMD style).
 ///
 /// The program value itself is shared immutably across all nodes (and across
-/// threads under parallel stepping); all per-node mutation goes through
+/// the worker threads of a sharded run); all per-node mutation goes through
 /// `State`.
 pub trait NodeProgram: Sync {
     /// Message payload exchanged between nodes.
@@ -74,8 +74,8 @@ pub trait NodeProgram: Sync {
 /// Send-side context handed to message handlers.
 ///
 /// Sends are *staged*: they become visible in destination queues at the next
-/// simulation step, which is what makes parallel and sequential stepping
-/// indistinguishable.
+/// simulation step, which is what makes a run independent of the order (and
+/// the thread) in which the step's nodes are visited.
 pub struct Outbox<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) step: u64,
@@ -191,19 +191,5 @@ impl<'a, M> Outbox<'a, M> {
     /// Number of messages staged by this handler invocation so far.
     pub fn staged_count(&self) -> usize {
         self.staged.len()
-    }
-}
-
-/// Internal helper bundling the per-node immutable context used to build
-/// `Outbox`es; lives in the engine, re-exported for the threaded backend.
-pub(crate) struct NodeCtx {
-    pub(crate) csr: Csr,
-}
-
-impl NodeCtx {
-    pub(crate) fn new(topo: &dyn Topology) -> Self {
-        NodeCtx {
-            csr: Csr::build(topo),
-        }
     }
 }

@@ -4,7 +4,7 @@ use hyperspace_metrics::{Heatmap, Histogram, TimeSeries};
 use hyperspace_topology::NodeId;
 
 /// Aggregated measurements of one simulation run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimMetrics {
     /// Total messages queued across the mesh after each step
     /// (*interconnect activity*, Figure 5 top).

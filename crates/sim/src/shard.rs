@@ -1,0 +1,526 @@
+//! The step kernel: one [`Shard`] of the machine and its fixed phase
+//! order (paper §IV-A, §V-A).
+//!
+//! A shard owns a slice of the nodes — their states, inboxes, staged
+//! sends and the routed messages currently positioned on them — and
+//! executes a simulated step in four calls, always in this order:
+//!
+//! 1. [`Shard::hop`] (routed delivery only): every in-flight message
+//!    advances one link along its deterministic minimal route;
+//! 2. [`Shard::absorb_hop`]: arrivals join their destination inbox,
+//!    messages whose position moved shards join the local transit queue;
+//! 3. [`Shard::run`]: every node of the work list pops up to
+//!    `msgs_per_step` messages (the paper pops exactly one), runs the
+//!    program's `receive` handler on them, and its staged sends are
+//!    keyed and addressed;
+//! 4. [`Shard::absorb_sends`]: sends join their destination inbox,
+//!    visible from the next step on.
+//!
+//! Between a producing call and its absorb the driver (see
+//! [`crate::sharded`]) carries every `out[d]` buffer to shard `d`'s
+//! `mail`. Everything that touches a queue does so in ascending
+//! [`Key`] order — `(step, sender, emission index)`, the order one big
+//! queue would have seen — so a run is bit-identical for every shard
+//! count and partition. A machine with a single shard has nobody to
+//! exchange with: its sends and arrivals are produced in key order
+//! already and go straight into the inboxes.
+
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use hyperspace_obs::Phase;
+use hyperspace_topology::{Csr, NodeId, Topology};
+
+use crate::checkpoint::TransitKey;
+use crate::engine::{DeliveryModel, SimConfig};
+use crate::envelope::Envelope;
+use crate::program::{NodeProgram, Outbox};
+use crate::record::{SimMetrics, TraceEvent, TraceKind};
+
+/// Exchange-ordering key: `(enqueue step, sender, emission index)` —
+/// the machine's global delivery order, and the checkpoint format's
+/// transit key.
+pub(crate) type Key = TransitKey;
+
+/// An envelope tagged with its ordering key and its current mesh
+/// position (the destination itself once it has arrived).
+pub(crate) struct Keyed<M> {
+    pub(crate) key: Key,
+    pub(crate) at: NodeId,
+    pub(crate) env: Envelope<M>,
+}
+
+/// Read-only run context shared by every shard.
+pub(crate) struct Env<'a, T, P> {
+    pub(crate) topo: &'a T,
+    pub(crate) program: &'a P,
+    pub(crate) csr: &'a Csr,
+    pub(crate) cfg: &'a SimConfig,
+    /// `(shard, local index)` of every node.
+    pub(crate) home: &'a [(usize, usize)],
+}
+
+/// What one shard reports about one step; folded over shards (and over
+/// worker threads) with [`StepOut::merge`].
+#[derive(Default)]
+pub(crate) struct StepOut {
+    pub(crate) delivered: u64,
+    /// Messages resident in the shard after the step (inboxes + transit).
+    pub(crate) queued: u64,
+    pub(crate) halted: bool,
+    /// Some node is not idle; only meaningful while `queued == 0`.
+    pub(crate) busy: bool,
+    /// Lowest-key capacity violation: `(key, node, inbox length)`.
+    pub(crate) overflow: Option<(Key, NodeId, usize)>,
+    /// Lowest-node handler panic with its payload.
+    pub(crate) panic: Option<(NodeId, Box<dyn Any + Send>)>,
+}
+
+impl StepOut {
+    /// Folds another report in, keeping the canonical winners: the
+    /// overflow with the lowest delivery key, the panic of the lowest
+    /// node.
+    pub(crate) fn merge(&mut self, other: StepOut) {
+        self.delivered += other.delivered;
+        self.queued += other.queued;
+        self.halted |= other.halted;
+        self.busy |= other.busy;
+        if let Some(cand) = other.overflow {
+            if self.overflow.as_ref().is_none_or(|best| cand.0 < best.0) {
+                self.overflow = Some(cand);
+            }
+        }
+        if let Some(cand) = other.panic {
+            if self.panic.as_ref().is_none_or(|best| cand.0 < best.0) {
+                self.panic = Some(cand);
+            }
+        }
+    }
+}
+
+/// A shard's inboxes with the event-driven active set derived from
+/// them — one structure, so that a message can only enter an inbox
+/// through [`Inboxes::push`].
+pub(crate) struct Inboxes<M> {
+    pub(crate) queues: Vec<VecDeque<Envelope<M>>>,
+    /// Messages held in all queues.
+    held: u64,
+    /// Local indices with pending deliveries, in insertion order,
+    /// deduplicated by `mask` (`mask[li]` ⇔ `li ∈ active`). Derived state
+    /// — never checkpointed, rebuilt from queue occupancy.
+    active: Vec<usize>,
+    mask: Vec<bool>,
+    /// The step's lowest-key capacity violation so far.
+    overflow: Option<(Key, NodeId, usize)>,
+}
+
+impl<M> Inboxes<M> {
+    /// Appends `msg` to local inbox `li` (of node `msg.dst`): wakes the
+    /// node and checks the capacity bound. Callers push in ascending key
+    /// order (arrivals of a step carry earlier-step keys than its
+    /// sends), so the first violation found is the lowest-key one.
+    #[inline]
+    pub(crate) fn push(&mut self, capacity: Option<usize>, li: usize, key: Key, msg: Envelope<M>) {
+        let node = msg.dst;
+        let queue = &mut self.queues[li];
+        queue.push_back(msg);
+        if let Some(cap) = capacity {
+            if queue.len() > cap && self.overflow.is_none() {
+                self.overflow = Some((key, node, queue.len()));
+            }
+        }
+        self.held += 1;
+        self.wake(li);
+    }
+
+    /// Installs a restored queue; the active set follows its occupancy.
+    pub(crate) fn restore(&mut self, li: usize, queue: VecDeque<Envelope<M>>) {
+        self.held += queue.len() as u64;
+        if !queue.is_empty() {
+            self.wake(li);
+        }
+        self.queues[li] = queue;
+    }
+
+    /// Adds `li` to the active set (idempotent).
+    #[inline]
+    fn wake(&mut self, li: usize) {
+        if !self.mask[li] {
+            self.mask[li] = true;
+            self.active.push(li);
+        }
+    }
+}
+
+/// The nodes a shard owns: the arithmetic progression `first + li *
+/// stride` over its local indices `li` (stride 1 for a block, K for a
+/// stripe).
+#[derive(Clone, Copy)]
+struct Span {
+    first: NodeId,
+    stride: NodeId,
+}
+
+impl Span {
+    #[inline]
+    fn node(self, li: usize) -> NodeId {
+        self.first + li as NodeId * self.stride
+    }
+}
+
+/// One shard: a slice of the machine's state plus its own queues and
+/// instrumentation.
+pub(crate) struct Shard<P: NodeProgram> {
+    pub(crate) id: usize,
+    span: Span,
+    pub(crate) states: Vec<P::State>,
+    pub(crate) inboxes: Inboxes<P::Msg>,
+    /// Per-node staging buffers and delivery batches, reused across steps.
+    staged: Vec<Vec<Envelope<P::Msg>>>,
+    batches: Vec<Vec<Envelope<P::Msg>>>,
+    /// Routed in-flight messages positioned in this shard, sorted by key
+    /// (survivors keep their relative order, new entries enqueue with
+    /// strictly larger keys).
+    pub(crate) transit: Vec<Keyed<P::Msg>>,
+    /// The drained half of the transit double buffer.
+    survivors: Vec<Keyed<P::Msg>>,
+    /// This step's sorted work list; recycled across steps.
+    work: Vec<usize>,
+    /// Outgoing mail by destination shard. `out[id]` is this shard's
+    /// traffic to itself: it never leaves, and is merged with the
+    /// incoming mail by key.
+    pub(crate) out: Vec<Vec<Keyed<P::Msg>>>,
+    /// Incoming mail, filled by the driver between produce and absorb.
+    pub(crate) mail: Vec<Keyed<P::Msg>>,
+    /// Position in `work` of the node whose handlers are running.
+    cursor: usize,
+    /// This step's deliveries, halt request and lowest-node handler
+    /// panic, reported by [`Shard::finish`].
+    delivered: u64,
+    halted: bool,
+    panic: Option<(NodeId, Box<dyn Any + Send>)>,
+    pub(crate) metrics: SimMetrics,
+    pub(crate) trace: Vec<TraceEvent>,
+}
+
+impl<P: NodeProgram> Shard<P> {
+    /// An empty shard `id` of `shards`, owning the ascending progression
+    /// `nodes` (states are pushed by the machine in node order).
+    pub(crate) fn new(id: usize, shards: usize, nodes: &[NodeId], metrics: SimMetrics) -> Self {
+        let len = nodes.len();
+        let first = nodes.first().copied().unwrap_or(0);
+        let stride = nodes.get(1).map_or(1, |second| second - first);
+        let span = Span { first, stride };
+        debug_assert!((0..len).all(|li| nodes[li] == span.node(li)));
+        Shard {
+            id,
+            span,
+            states: Vec::with_capacity(len),
+            inboxes: Inboxes {
+                queues: (0..len).map(|_| VecDeque::new()).collect(),
+                held: 0,
+                active: Vec::new(),
+                mask: vec![false; len],
+                overflow: None,
+            },
+            staged: (0..len).map(|_| Vec::new()).collect(),
+            batches: (0..len).map(|_| Vec::new()).collect(),
+            transit: Vec::new(),
+            survivors: Vec::new(),
+            work: Vec::new(),
+            out: (0..shards).map(|_| Vec::new()).collect(),
+            mail: Vec::new(),
+            cursor: 0,
+            delivered: 0,
+            halted: false,
+            panic: None,
+            metrics,
+            trace: Vec::new(),
+        }
+    }
+
+    /// Whether this is the machine's only shard: nothing arrives from
+    /// elsewhere, so its traffic needs no merge — and local indices are
+    /// node ids.
+    pub(crate) fn alone(&self) -> bool {
+        self.out.len() == 1
+    }
+
+    /// Messages resident in this shard (inboxes + transit).
+    pub(crate) fn queued(&self) -> u64 {
+        self.inboxes.held + self.transit.len() as u64
+    }
+
+    /// Phase 1 (routed delivery only): advance this shard's in-flight
+    /// messages one hop. Survivors still positioned here stay in
+    /// transit; arrivals and shard-crossing survivors are addressed to
+    /// their new shard.
+    pub(crate) fn hop<T: Topology>(&mut self, env: &Env<'_, T, P>) {
+        let alone = self.alone();
+        for mut msg in self.transit.drain(..) {
+            let next = env.topo.next_hop(msg.at, msg.env.dst);
+            if next != msg.at {
+                msg.env.advance_hop();
+            }
+            msg.at = next;
+            let (shard, li) = env.home[next as usize];
+            if next != msg.env.dst && shard == self.id {
+                self.survivors.push(msg);
+            } else if alone {
+                self.inboxes
+                    .push(env.cfg.queue_capacity, li, msg.key, msg.env);
+            } else {
+                self.out[shard].push(msg);
+            }
+        }
+        // Survivors become the new transit queue; the drained old vector
+        // becomes next step's survivor buffer — no allocation either way.
+        std::mem::swap(&mut self.transit, &mut self.survivors);
+    }
+
+    /// Puts this shard's own traffic behind the mail it received and
+    /// restores global key order (every contribution is already sorted,
+    /// so this is a merge; a sort keeps the code obvious and the result
+    /// identical).
+    fn gather(&mut self) {
+        self.mail.append(&mut self.out[self.id]);
+        self.mail.sort_by_key(|msg| msg.key);
+    }
+
+    /// Phase 1 absorb: arrivals into inboxes, migrated messages into the
+    /// local transit queue, both in global key order.
+    pub(crate) fn absorb_hop<T>(&mut self, env: &Env<'_, T, P>) {
+        self.gather();
+        let resident = self.transit.len();
+        for msg in self.mail.drain(..) {
+            if msg.at == msg.env.dst {
+                let (_, li) = env.home[msg.at as usize];
+                self.inboxes
+                    .push(env.cfg.queue_capacity, li, msg.key, msg.env);
+            } else {
+                self.transit.push(msg);
+            }
+        }
+        if self.transit.len() > resident {
+            self.transit.sort_by_key(|msg| msg.key);
+        }
+    }
+
+    /// Phases 2 and 3 (local half): pop this step's batches, run the
+    /// handlers over the work list (containing panics), then key and
+    /// address the staged sends.
+    pub(crate) fn run<T: Topology>(&mut self, env: &Env<'_, T, P>, step: u64) {
+        let cfg = env.cfg;
+        let span = self.span;
+        // Phase-attributed profiling: `None` (one branch, no clock
+        // reads) unless an observer is attached and this step lands on
+        // the sampling grid.
+        let mut clock = cfg.obs.phase_clock(self.id, step);
+        let tick = matches!(cfg.tick_every, Some(k) if k > 0 && step.is_multiple_of(k));
+
+        // Build this step's work list in ascending node order: everyone
+        // on tick steps, otherwise exactly the active set. Nodes outside
+        // it have empty inboxes and nothing to run — skipping them is
+        // unobservable.
+        let inboxes = &mut self.inboxes;
+        self.work.clear();
+        if tick {
+            self.work.extend(0..self.states.len());
+            // Pending marks are subsumed and re-derived from inbox
+            // occupancy below.
+            inboxes.active.clear();
+        } else {
+            std::mem::swap(&mut self.work, &mut inboxes.active);
+            self.work.sort_unstable();
+        }
+
+        let budget = cfg.msgs_per_step as usize;
+        let mut delivered = 0u64;
+        for &li in &self.work {
+            let queue = &mut inboxes.queues[li];
+            let batch = &mut self.batches[li];
+            debug_assert!(batch.is_empty());
+            while batch.len() < budget {
+                let Some(msg) = queue.pop_front() else { break };
+                self.metrics.hop_histogram.record(msg.hops as u64);
+                if cfg.record_trace {
+                    self.trace.push(TraceEvent {
+                        step,
+                        kind: TraceKind::Deliver,
+                        src: msg.src,
+                        dst: msg.dst,
+                        hops: msg.hops,
+                    });
+                }
+                batch.push(msg);
+            }
+            delivered += batch.len() as u64;
+            if cfg.record_node_activity {
+                self.metrics.delivered_per_node[span.node(li) as usize] += batch.len() as u64;
+            }
+            // A worked node stays active iff its inbox still has a
+            // backlog. Work entries are unique and were swapped out of
+            // (or cleared from) `active`, so a plain push keeps the mask
+            // invariant.
+            let more = !queue.is_empty();
+            inboxes.mask[li] = more;
+            if more {
+                inboxes.active.push(li);
+            }
+        }
+        inboxes.held -= delivered;
+        self.delivered = delivered;
+        if delivered > 0 {
+            self.metrics.first_delivery_step.get_or_insert(step);
+            self.metrics.last_delivery_step = Some(step);
+            self.metrics.total_delivered += delivered;
+        }
+        if let Some(clock) = clock.as_mut() {
+            clock.lap(Phase::Delivery);
+        }
+
+        self.halted = false;
+        self.run_handlers(env, step, tick);
+        if let Some(clock) = clock.as_mut() {
+            clock.lap(Phase::Handler);
+        }
+
+        // Phase 3, local half: sends leave in (sender, emission) order.
+        // Only work nodes ran handlers, so only they staged anything.
+        let alone = self.alone();
+        for &li in &self.work {
+            let src = span.node(li);
+            for (emission, mut msg) in self.staged[li].drain(..).enumerate() {
+                if cfg.record_trace {
+                    self.trace.push(TraceEvent {
+                        step,
+                        kind: TraceKind::Send,
+                        src: msg.src,
+                        dst: msg.dst,
+                        hops: 0,
+                    });
+                }
+                if cfg.record_node_activity {
+                    self.metrics.sent_per_node[src as usize] += 1;
+                }
+                self.metrics.total_sent += 1;
+                let key: Key = (step, src, emission as u32);
+                // Self-loopback sends never enter the NoC: they are
+                // local-queue moves (zero links), not routed traffic.
+                if cfg.delivery == DeliveryModel::Routed
+                    && msg.src != msg.dst
+                    && !env.csr.are_adjacent(msg.src, msg.dst)
+                {
+                    // Enters the NoC at the sender's position — owned by
+                    // this shard, keyed above everything in transit.
+                    self.transit.push(Keyed {
+                        key,
+                        at: src,
+                        env: msg,
+                    });
+                } else {
+                    msg.complete_direct();
+                    let at = msg.dst;
+                    if alone {
+                        self.inboxes.push(cfg.queue_capacity, at as usize, key, msg);
+                    } else {
+                        self.out[env.home[at as usize].0].push(Keyed { key, at, env: msg });
+                    }
+                }
+            }
+        }
+        if let Some(clock) = clock.as_mut() {
+            // Addressing the staged fan-out is delivery work too; the
+            // work list is the shard's load signal.
+            clock.lap(Phase::Delivery);
+            cfg.obs.on_shard_active(self.id, self.work.len() as u64);
+        }
+    }
+
+    /// Runs the handlers over the work list. A panicking handler ends the
+    /// loop: its node and payload go into the step report, so sibling
+    /// shards finish the step instead of waiting at a barrier forever.
+    fn run_handlers<T>(&mut self, env: &Env<'_, T, P>, step: u64, tick: bool) {
+        self.cursor = 0;
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(env, step, tick)));
+        if let Err(payload) = outcome {
+            let faulted = &self.work[self.cursor..];
+            self.panic = Some((self.span.node(faulted[0]), payload));
+            // The run is aborting. Every popped batch — the faulting
+            // node's partially drained one and the skipped nodes'
+            // untouched ones — was already counted as delivered; drop
+            // them so a later resume sees empty batches and consistent
+            // accounting.
+            for &li in faulted {
+                self.batches[li].clear();
+            }
+        }
+    }
+
+    /// `on_message` for every popped message (and `on_tick` on tick
+    /// steps) of every work-list node, with `cursor` on the node being
+    /// served.
+    fn handle<T>(&mut self, env: &Env<'_, T, P>, step: u64, tick: bool) {
+        for (wi, &li) in self.work.iter().enumerate() {
+            self.cursor = wi;
+            let node = self.span.node(li);
+            let state = &mut self.states[li];
+            let mut outbox = Outbox {
+                node,
+                step,
+                src: node,
+                hops: 0,
+                neighbours: env.csr.neighbours(node),
+                topo_nodes: env.home.len(),
+                adjacent_only: env.cfg.delivery == DeliveryModel::AdjacentOnly,
+                staged: &mut self.staged[li],
+                halt: &mut self.halted,
+            };
+            for msg in self.batches[li].drain(..) {
+                (outbox.src, outbox.hops) = (msg.src, msg.hops);
+                env.program.on_message(state, msg.payload, &mut outbox);
+            }
+            if tick {
+                (outbox.src, outbox.hops) = (node, 0);
+                env.program.on_tick(state, &mut outbox);
+            }
+        }
+    }
+
+    /// Phase 3 absorb: sends into destination inboxes in global key
+    /// order.
+    pub(crate) fn absorb_sends<T>(&mut self, env: &Env<'_, T, P>) {
+        self.gather();
+        for msg in self.mail.drain(..) {
+            let (_, li) = env.home[msg.at as usize];
+            self.inboxes
+                .push(env.cfg.queue_capacity, li, msg.key, msg.env);
+        }
+    }
+
+    /// Whether every node of this shard reports idle. Only matters once
+    /// nothing is queued anywhere, so the per-node scan is skipped while
+    /// the shard still holds messages.
+    pub(crate) fn idle(&self, program: &P, cfg: &SimConfig) -> bool {
+        cfg.tick_every.is_none()
+            || (self.queued() == 0 && self.states.iter().all(|state| program.is_idle(state)))
+    }
+
+    /// Closes the step: folds this shard's results into `out` (field by
+    /// field — a `StepOut` built per shard per step shows in the
+    /// sparse-torus profile).
+    pub(crate) fn finish<T>(&mut self, env: &Env<'_, T, P>, out: &mut StepOut) {
+        out.delivered += self.delivered;
+        out.queued += self.queued();
+        out.halted |= self.halted;
+        out.busy |= !self.idle(env.program, env.cfg);
+        if self.inboxes.overflow.is_some() || self.panic.is_some() {
+            out.merge(StepOut {
+                overflow: self.inboxes.overflow.take(),
+                panic: self.panic.take(),
+                ..StepOut::default()
+            });
+        }
+    }
+}

@@ -204,18 +204,6 @@ proptest! {
             let tag = format!("[{backend}]");
             assert_reports_identical!(other, seq, tag);
         }
-
-        // The dense step loop joins the matrix: the engine's active set
-        // must be invisible to layer-4 optimisation state.
-        let dense = StackBuilder::new(BnbKnapsackProgram)
-            .topology(topo.clone())
-            .mapper(mapper.clone())
-            .objective(ObjectiveSpec::Maximise)
-            .prune(PruneSpec::incumbent())
-            .halt_on_root_reply(false)
-            .dense_stepping(true)
-            .run(BnbKnapsackTask::root(items.clone(), capacity), root);
-        assert_reports_identical!(dense, seq, "[dense]");
     }
 
     /// The TSP minimisation complement: optimum equals brute force and

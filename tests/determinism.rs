@@ -1,7 +1,7 @@
 //! Determinism and parallel-equivalence guarantees: identical
-//! configurations produce bit-identical runs, the thread-parallel
-//! stepper is indistinguishable from the sequential one, and the
-//! sharded backend's trace is invariant under its worker-thread count.
+//! configurations produce bit-identical runs, the `parallel` backend
+//! is indistinguishable from the sequential one, and the sharded
+//! backend's trace is invariant under its worker-thread count.
 
 use hyperspace::core::{
     BackendSpec, MapperSpec, PartitionSpec, RecRunReport, StackBuilder, TopologySpec,
@@ -10,7 +10,7 @@ use hyperspace::sat::{gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Ver
 use hyperspace::sim::record::TraceEvent;
 use hyperspace::sim::SimConfig;
 
-fn run(parallel: bool, seed: u64) -> RecRunReport<Verdict> {
+fn run(backend: BackendSpec, seed: u64) -> RecRunReport<Verdict> {
     let cnf = gen::uf20_91(seed);
     let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
     StackBuilder::new(program)
@@ -18,15 +18,15 @@ fn run(parallel: bool, seed: u64) -> RecRunReport<Verdict> {
         .mapper(MapperSpec::LeastBusy {
             status_period: None,
         })
-        .parallel(parallel)
+        .backend(backend)
         .halt_on_root_reply(false)
         .run(SubProblem::root(cnf), 0)
 }
 
 #[test]
 fn repeated_runs_are_identical() {
-    let a = run(false, 2017);
-    let b = run(false, 2017);
+    let a = run(BackendSpec::Sequential, 2017);
+    let b = run(BackendSpec::Sequential, 2017);
     assert_eq!(a.computation_time, b.computation_time);
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.metrics.total_sent, b.metrics.total_sent);
@@ -41,8 +41,8 @@ fn repeated_runs_are_identical() {
 #[test]
 fn parallel_stepper_matches_sequential_exactly() {
     for seed in [2017u64, 42] {
-        let seq = run(false, seed);
-        let par = run(true, seed);
+        let seq = run(BackendSpec::Sequential, seed);
+        let par = run(BackendSpec::Parallel, seed);
         assert_eq!(seq.steps, par.steps, "seed {seed}");
         assert_eq!(seq.computation_time, par.computation_time);
         assert_eq!(seq.metrics.total_sent, par.metrics.total_sent);
@@ -85,7 +85,7 @@ fn sharded_run(
             record_trace: true,
             ..SimConfig::default()
         })
-        .build_sharded();
+        .build();
     sim.inject(0, hyperspace::mapping::trigger(SubProblem::root(cnf)));
     let report = sim.run_to_quiescence().expect("sharded SAT run");
     let trace = sim.trace().to_vec();
@@ -135,8 +135,8 @@ fn sharded_trace_is_partition_and_shard_count_invariant() {
 #[test]
 fn different_seeds_differ() {
     // Sanity check that the workload generator actually varies.
-    let a = run(false, 1);
-    let b = run(false, 2);
+    let a = run(BackendSpec::Sequential, 1);
+    let b = run(BackendSpec::Sequential, 2);
     assert_ne!(
         (a.steps, a.metrics.total_sent),
         (b.steps, b.metrics.total_sent)

@@ -219,7 +219,7 @@ fn handler_panic_inside_bnb_search_surfaces_without_corrupting_incumbents() {
         .backend(BackendSpec::sharded(4))
         .objective(ObjectiveSpec::Maximise)
         .prune(PruneSpec::incumbent())
-        .build_sharded();
+        .build();
     sim.inject(
         0,
         hyperspace::mapping::trigger(BnbKnapsackTask::root(items, capacity)),

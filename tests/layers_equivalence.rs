@@ -2,19 +2,23 @@
 //! answer whether evaluated locally, over any topology, or under any
 //! mapping policy — the separation-of-concerns guarantee of §III-B1.
 //!
-//! The second half of this suite is the cross-*backend* trace-equivalence
-//! property: for random topology × program × seed, the sequential engine,
-//! the scoped-thread parallel stepper and the sharded backend (K ∈
-//! {1, 2, 7}, both partitioners) must produce bit-identical final states,
-//! [`hyperspace::sim::record::SimMetrics`] and event traces.
+//! The second half of this suite holds the one step kernel to its
+//! independent oracle: for random topology × program × seed × engine
+//! configuration, the kernel — as one shard inline and as K ∈ {2, 7}
+//! shards under both partitioners, inline and on worker threads — must
+//! reproduce [`hyperspace::sim::reference`]'s run: outcome or error,
+//! final states, every [`hyperspace::sim::record::SimMetrics`] field and
+//! the full event trace.
 
 use hyperspace::apps::fib::fib_reference;
 use hyperspace::apps::{FibProgram, NQueensProgram, QueensTask, SumProgram};
 use hyperspace::core::{BackendSpec, MapperSpec, PartitionSpec, StackBuilder, TopologySpec};
-use hyperspace::recursion::eval_local;
+use hyperspace::mapping::{trigger, MapConfig, MapState, MappingHost};
+use hyperspace::recursion::{eval_local, RecursionHost};
 use hyperspace::sim::threaded::{run_threaded, SimAdapter};
 use hyperspace::sim::{
-    InitCtx, NodeId, NodeProgram, Outbox, ShardedConfig, ShardedSimulation, SimConfig, Simulation,
+    reference, DeliveryModel, InitCtx, NodeId, NodeProgram, Outbox, Partition, RunOutcome,
+    ShardedConfig, ShardedSimulation, SimConfig, Simulation, Topology,
 };
 use proptest::prelude::*;
 
@@ -109,15 +113,21 @@ fn status_broadcasts_do_not_change_results() {
 }
 
 // ---------------------------------------------------------------------
-// Cross-backend trace equivalence
+// The kernel against the reference interpreter
 // ---------------------------------------------------------------------
 
 /// A deterministic layer-1 program driven purely by its message payload:
 /// every delivery folds a commutative hash into the node state (so even
-/// the clockless mpsc backend converges to the same states) and forwards
-/// a decremented TTL along payload-derived ports.
+/// the clockless mpsc demo converges to the same states) and forwards a
+/// decremented TTL along payload-derived ports — or, with `far`, to a
+/// payload-derived node anywhere on the machine. Each node also stays
+/// busy for `pulses` ticks, emitting on some of them, so a ticking run
+/// crosses dead steps between the flood's end and quiescence.
 #[derive(Clone)]
-struct SeededScatter;
+struct SeededScatter {
+    far: bool,
+    pulses: u32,
+}
 
 fn mix(v: u64) -> u64 {
     v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31) ^ v
@@ -125,23 +135,38 @@ fn mix(v: u64) -> u64 {
 
 impl NodeProgram for SeededScatter {
     type Msg = u64;
-    type State = u64;
+    type State = (u64, u32);
 
-    fn init(&self, node: NodeId, _ctx: &InitCtx) -> u64 {
-        mix(node as u64)
+    fn init(&self, node: NodeId, _ctx: &InitCtx) -> (u64, u32) {
+        (mix(node as u64), self.pulses)
     }
 
-    fn on_message(&self, state: &mut u64, msg: u64, ctx: &mut Outbox<'_, u64>) {
+    fn on_message(&self, state: &mut (u64, u32), msg: u64, ctx: &mut Outbox<'_, u64>) {
         // Commutative fold: independent of delivery order within a batch.
-        *state = state.wrapping_add(mix(msg));
+        state.0 = state.0.wrapping_add(mix(msg));
         let ttl = msg & 0xFF;
         if ttl > 0 {
             let degree = ctx.degree();
             ctx.send_port((msg >> 8) as usize % degree, msg - 1);
-            if ttl.is_multiple_of(3) {
+            if ttl.is_multiple_of(3) && self.far {
+                ctx.send(((msg >> 16) % ctx.num_nodes() as u64) as NodeId, msg - 1);
+            } else if ttl.is_multiple_of(3) {
                 ctx.send_port((msg >> 16) as usize % degree, msg - 1);
             }
         }
+    }
+
+    fn on_tick(&self, state: &mut (u64, u32), ctx: &mut Outbox<'_, u64>) {
+        if state.1 > 0 {
+            state.1 -= 1;
+            if (state.0 ^ ctx.step()).is_multiple_of(5) {
+                ctx.send_port(0, (state.0 & !0xFF) | 2);
+            }
+        }
+    }
+
+    fn is_idle(&self, state: &(u64, u32)) -> bool {
+        state.1 == 0
     }
 }
 
@@ -166,145 +191,133 @@ fn arb_mapper() -> impl Strategy<Value = MapperSpec> {
     ]
 }
 
-/// The sharded configurations every equivalence case must survive:
-/// K ∈ {1, 2, 7} with both partitioners and varying thread counts.
-fn sharded_matrix() -> Vec<ShardedConfig> {
-    use hyperspace::sim::Partition;
-    vec![
-        ShardedConfig {
-            shards: 1,
-            partition: Partition::Block,
-            threads: Some(1),
-        },
-        ShardedConfig {
-            shards: 2,
-            partition: Partition::RoundRobin,
-            threads: Some(2),
-        },
-        ShardedConfig {
-            shards: 7,
-            partition: Partition::Block,
-            threads: Some(3),
-        },
-        ShardedConfig {
-            shards: 7,
-            partition: Partition::RoundRobin,
-            threads: Some(7),
-        },
-    ]
+/// Every way the kernel can be driven: one shard inline (`seq`), and
+/// K ∈ {2, 7} × {block, rr} × T ∈ {1 (inline), 3 (worker threads)}.
+fn kernel_matrix() -> Vec<ShardedConfig> {
+    let mut matrix = vec![ShardedConfig::with_shards(1)];
+    for shards in [2, 7] {
+        for partition in [Partition::Block, Partition::RoundRobin] {
+            for threads in [1, 3] {
+                matrix.push(ShardedConfig {
+                    shards,
+                    partition,
+                    threads: Some(threads),
+                });
+            }
+        }
+    }
+    matrix
+}
+
+/// Runs `program` on the kernel under every configuration of
+/// [`kernel_matrix`] and demands the reference interpreter's run each
+/// time: outcome or error value, steps, every `SimMetrics` field, the
+/// full trace, and the states as `digest` renders them.
+fn assert_kernel_matches_reference<P, D>(
+    topo: &TopologySpec,
+    program: P,
+    cfg: &SimConfig,
+    injections: &[(NodeId, P::Msg)],
+    digest: impl Fn(&P::State) -> D,
+) where
+    P: NodeProgram + Clone,
+    D: PartialEq + std::fmt::Debug,
+{
+    let oracle = reference::run(&topo.build(), &program, cfg, injections.iter().cloned());
+    let expect: Vec<D> = oracle.states.iter().map(&digest).collect();
+    for scfg in kernel_matrix() {
+        let tag = format!(
+            "K={} {:?} T={:?}",
+            scfg.shards, scfg.partition, scfg.threads
+        );
+        let mut sim = ShardedSimulation::new(topo.build(), program.clone(), cfg.clone(), scfg);
+        for (node, msg) in injections {
+            sim.inject(*node, msg.clone());
+        }
+        match (sim.run_to_quiescence(), &oracle.result) {
+            (Ok(report), Ok(oracle_report)) => {
+                assert_eq!(report.outcome, oracle_report.outcome, "{tag}");
+                assert_eq!(report.steps, oracle_report.steps, "{tag}");
+                assert_eq!(
+                    report.computation_time, oracle_report.computation_time,
+                    "{}",
+                    tag
+                );
+                assert_eq!(sim.metrics(), &oracle.metrics, "{tag}");
+                assert_eq!(sim.trace(), oracle.trace.as_slice(), "{tag}");
+                let nodes = 0..sim.topology().num_nodes() as NodeId;
+                let states: Vec<D> = nodes.map(|node| digest(sim.state(node))).collect();
+                assert_eq!(&states, &expect, "{tag}");
+            }
+            (got, oracle_result) => {
+                assert_eq!(got.err(), oracle_result.clone().err(), "{tag}");
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Layer-1 equivalence on random machines and payloads: sequential,
-    /// parallel-stepping and sharded (K ∈ {1,2,7}) runs are bit-identical
-    /// — states, metrics *and* the full event trace; the clockless mpsc
-    /// threaded backend converges to the same states and message totals.
+    /// Layer 1 on random machines, payloads and engine configurations:
+    /// however the kernel is sharded and threaded, its run is the
+    /// reference interpreter's.
     #[test]
-    fn backends_are_trace_equivalent(
-        topo_spec in arb_topology(),
+    fn kernel_matches_the_reference_interpreter(
+        topo in arb_topology(),
         seed in any::<u64>(),
         root_seed in any::<u32>(),
-        budget in 1u32..3,
+        delivery in prop_oneof![
+            Just(DeliveryModel::AdjacentOnly),
+            Just(DeliveryModel::Routed),
+            Just(DeliveryModel::Direct),
+        ],
+        msgs_per_step in prop_oneof![Just(1u32), Just(3)],
+        tick_every in prop_oneof![Just(None), Just(Some(4u64))],
+        queue_capacity in prop_oneof![Just(None), (2usize..7).prop_map(Some)],
     ) {
-        let nodes = topo_spec.num_nodes();
-        let root = (root_seed as usize % nodes) as NodeId;
-        // Bounded TTL keeps the flood finite; upper bits steer the ports.
+        let root = (root_seed as usize % topo.num_nodes()) as NodeId;
+        // Bounded TTL keeps the flood finite; upper bits steer it.
         let payload = (seed & !0xFF) | 14;
         let cfg = SimConfig {
-            msgs_per_step: budget,
+            delivery,
+            msgs_per_step,
+            tick_every,
+            queue_capacity,
             record_trace: true,
             ..SimConfig::default()
         };
+        let program = SeededScatter {
+            far: delivery != DeliveryModel::AdjacentOnly,
+            pulses: 3,
+        };
+        assert_kernel_matches_reference(&topo, program, &cfg, &[(root, payload)], |s| *s);
+    }
 
-        // Sequential baseline.
-        let mut seq = Simulation::new(topo_spec.build(), SeededScatter, cfg.clone());
-        seq.inject(root, payload);
-        let report_seq = seq.run_to_quiescence().expect("sequential run");
-        let trace_seq = seq.trace().to_vec();
-        let (states_seq, metrics_seq) = seq.into_parts();
-
-        // Scoped-thread parallel stepper.
-        let mut par = Simulation::new(
-            topo_spec.build(),
-            SeededScatter,
-            SimConfig { parallel: true, ..cfg.clone() },
-        );
-        par.inject(root, payload);
-        let report_par = par.run_to_quiescence().expect("parallel run");
-        prop_assert_eq!(report_par.steps, report_seq.steps);
-        prop_assert_eq!(par.trace(), trace_seq.as_slice());
-        let (states_par, metrics_par) = par.into_parts();
-        prop_assert_eq!(&states_par, &states_seq);
-        prop_assert_eq!(&metrics_par.delivered_per_node, &metrics_seq.delivered_per_node);
-
-        // Dense baseline: disabling the event-driven active set must be
-        // bit-identical to the default sparse stepping.
-        let mut dense = Simulation::new(
-            topo_spec.build(),
-            SeededScatter,
-            SimConfig { dense_stepping: true, ..cfg.clone() },
-        );
-        dense.inject(root, payload);
-        let report_dense = dense.run_to_quiescence().expect("dense run");
-        prop_assert_eq!(report_dense.outcome, report_seq.outcome);
-        prop_assert_eq!(report_dense.steps, report_seq.steps);
-        prop_assert_eq!(dense.trace(), trace_seq.as_slice());
-        let (states_dense, metrics_dense) = dense.into_parts();
-        prop_assert_eq!(&states_dense, &states_seq);
-        prop_assert_eq!(&metrics_dense.delivered_per_node, &metrics_seq.delivered_per_node);
-        prop_assert_eq!(
-            metrics_dense.queued_series.as_slice(), metrics_seq.queued_series.as_slice()
-        );
-        prop_assert_eq!(&metrics_dense.hop_histogram, &metrics_seq.hop_histogram);
-
-        // Sharded backend, K ∈ {1, 2, 7}, both partitioners.
-        for scfg in sharded_matrix() {
-            let tag = format!("K={} {:?} T={:?}", scfg.shards, scfg.partition, scfg.threads);
-            let mut sharded = ShardedSimulation::new(
-                topo_spec.build(), SeededScatter, cfg.clone(), scfg,
-            );
-            sharded.inject(root, payload);
-            let report = sharded.run_to_quiescence().expect("sharded run");
-            prop_assert_eq!(report.outcome, report_seq.outcome, "{}", tag);
-            prop_assert_eq!(report.steps, report_seq.steps, "{}", tag);
-            prop_assert_eq!(
-                report.computation_time, report_seq.computation_time, "{}", tag
-            );
-            prop_assert_eq!(sharded.trace(), trace_seq.as_slice(), "{}", tag);
-            let (states, metrics) = sharded.into_parts();
-            prop_assert_eq!(&states, &states_seq, "{}", tag);
-            prop_assert_eq!(
-                &metrics.delivered_per_node, &metrics_seq.delivered_per_node, "{}", tag
-            );
-            prop_assert_eq!(&metrics.sent_per_node, &metrics_seq.sent_per_node, "{}", tag);
-            prop_assert_eq!(
-                metrics.queued_series.as_slice(), metrics_seq.queued_series.as_slice(),
-                "{}", tag
-            );
-            prop_assert_eq!(
-                metrics.delivered_series.as_slice(),
-                metrics_seq.delivered_series.as_slice(),
-                "{}", tag
-            );
-            prop_assert_eq!(&metrics.hop_histogram, &metrics_seq.hop_histogram, "{}", tag);
-            prop_assert_eq!(metrics.total_sent, metrics_seq.total_sent, "{}", tag);
-            prop_assert_eq!(metrics.total_delivered, metrics_seq.total_delivered, "{}", tag);
-        }
-
-        // The mpsc channel backend has no step clock, so only the
-        // converged states and conserved message totals can match.
+    /// The clockless mpsc demo has no step clock, so only its converged
+    /// states and conserved message totals can match the kernel's.
+    #[test]
+    fn the_mpsc_demo_converges_to_the_kernel_states(
+        topo_spec in arb_topology(),
+        seed in any::<u64>(),
+        root_seed in any::<u32>(),
+    ) {
+        let root = (root_seed as usize % topo_spec.num_nodes()) as NodeId;
+        let payload = (seed & !0xFF) | 14;
+        let program = SeededScatter { far: false, pulses: 0 };
+        let mut sim = Simulation::new(topo_spec.build(), program.clone(), SimConfig::default());
+        sim.inject(root, payload);
+        sim.run_to_quiescence().expect("kernel run");
         let topo = topo_spec.build();
-        let (states_thr, report_thr) =
-            run_threaded(&topo, &SimAdapter(SeededScatter), vec![(root, payload)], 3);
-        prop_assert_eq!(&states_thr, &states_seq);
-        prop_assert_eq!(report_thr.total_delivered, metrics_seq.total_delivered);
+        let (states, report) =
+            run_threaded(&topo, &SimAdapter(program), vec![(root, payload)], 3);
+        prop_assert_eq!(states.as_slice(), sim.states());
+        prop_assert_eq!(report.total_delivered, sim.metrics().total_delivered);
     }
 
     /// Full-stack equivalence on random machines, mappers and inputs:
     /// the recursive sum must produce identical reports — result, step
-    /// count, metrics — on every backend, K ∈ {1, 2, 7}.
+    /// count, metrics — on every backend spelling, K ∈ {1, 2, 7}.
     #[test]
     fn stack_backends_are_equivalent(
         topo in arb_topology(),
@@ -323,23 +336,6 @@ proptest! {
         };
         let seq = run(BackendSpec::Sequential);
         prop_assert_eq!(seq.result, Some(n * (n + 1) / 2));
-        // The dense step loop is part of the backend matrix too: the
-        // full stack must not notice the active set.
-        let dense = StackBuilder::new(SumProgram)
-            .topology(topo.clone())
-            .mapper(mapper.clone())
-            .dense_stepping(true)
-            .run(n, root);
-        prop_assert_eq!(dense.result, seq.result, "dense");
-        prop_assert_eq!(dense.steps, seq.steps, "dense");
-        prop_assert_eq!(dense.computation_time, seq.computation_time, "dense");
-        prop_assert_eq!(&dense.rec_totals, &seq.rec_totals, "dense");
-        prop_assert_eq!(
-            dense.metrics.queued_series.as_slice(),
-            seq.metrics.queued_series.as_slice(),
-            "dense"
-        );
-        prop_assert_eq!(dense.metrics.total_sent, seq.metrics.total_sent, "dense");
         for backend in [
             BackendSpec::Parallel,
             BackendSpec::sharded(1),
@@ -359,18 +355,80 @@ proptest! {
             prop_assert_eq!(other.steps, seq.steps, "{}", backend);
             prop_assert_eq!(other.computation_time, seq.computation_time, "{}", backend);
             prop_assert_eq!(&other.rec_totals, &seq.rec_totals, "{}", backend);
-            prop_assert_eq!(
-                &other.metrics.delivered_per_node, &seq.metrics.delivered_per_node,
-                "{}", backend
-            );
-            prop_assert_eq!(
-                other.metrics.queued_series.as_slice(),
-                seq.metrics.queued_series.as_slice(),
-                "{}", backend
-            );
-            prop_assert_eq!(other.metrics.total_sent, seq.metrics.total_sent, "{}", backend);
+            prop_assert_eq!(&other.metrics, &seq.metrics, "{}", backend);
         }
     }
+}
+
+/// The full five-layer stack through the reference interpreter: a
+/// least-busy mapper with a status period makes every 6th step a tick
+/// step on which all nodes broadcast, on top of the recursion's own
+/// traffic. Assembled by hand from public constructors so the very same
+/// layer-1 program runs on the interpreter and on the kernel, and tied
+/// back to what `StackBuilder::run` reports for the same job.
+#[test]
+fn the_full_stack_runs_identically_on_the_reference_interpreter() {
+    let topo = TopologySpec::Torus2D { w: 4, h: 4 };
+    let mapper = MapperSpec::LeastBusy {
+        status_period: Some(6),
+    };
+    let stack = || {
+        MappingHost::new(
+            RecursionHost::new(FibProgram),
+            mapper.factory(),
+            MapConfig {
+                status_period: mapper.status_period(),
+                halt_on_root_reply: true,
+            },
+        )
+    };
+    let cfg = SimConfig {
+        tick_every: mapper.status_period(),
+        record_trace: true,
+        ..SimConfig::default()
+    };
+    let oracle = reference::run(&topo.build(), &stack(), &cfg, [(5, trigger(11))]);
+    let report = oracle.result.clone().expect("reference run");
+    assert_eq!(report.outcome, RunOutcome::Halted);
+    assert_eq!(oracle.states[5].root_result(), Some(&fib_reference(11)));
+    assert!(
+        oracle.states.iter().all(|st| st.status_in > 0),
+        "ticks fired"
+    );
+
+    for scfg in kernel_matrix() {
+        let tag = format!(
+            "K={} {:?} T={:?}",
+            scfg.shards, scfg.partition, scfg.threads
+        );
+        let mut sim = ShardedSimulation::new(topo.build(), stack(), cfg.clone(), scfg);
+        sim.inject(5, trigger(11));
+        let got = sim.run_to_quiescence().expect("kernel run");
+        assert_eq!(
+            (got.outcome, got.steps),
+            (report.outcome, report.steps),
+            "{tag}"
+        );
+        assert_eq!(sim.metrics(), &oracle.metrics, "{tag}");
+        assert_eq!(sim.trace(), oracle.trace.as_slice(), "{tag}");
+        for (node, expect) in oracle.states.iter().enumerate() {
+            let st = sim.state(node as NodeId);
+            let digest =
+                |st: &MapState<_, _>| (st.received(), st.requests_in, st.replies_in, st.status_in);
+            assert_eq!(digest(st), digest(expect), "{tag}: node {node}");
+            assert_eq!(st.app.stats, expect.app.stats, "{tag}: node {node}");
+        }
+    }
+
+    let built = StackBuilder::new(FibProgram)
+        .topology(topo)
+        .mapper(mapper.clone())
+        .run(11, 5);
+    assert_eq!(built.result, Some(fib_reference(11)));
+    assert_eq!(built.steps, report.steps);
+    // `record_trace` aside the engine configuration is the same, so the
+    // metrics are too.
+    assert_eq!(built.metrics, oracle.metrics);
 }
 
 #[test]

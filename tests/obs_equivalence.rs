@@ -5,12 +5,13 @@
 //! summaries, portfolio reports — are identical, while the observer
 //! itself demonstrably saw the run (so the tests can't pass vacuously).
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use hyperspace::core::{
     BackendSpec, MapperSpec, PartitionSpec, PortfolioSpec, RecRunReport, StackBuilder, TopologySpec,
 };
-use hyperspace::obs::{JobProbe, ObsHandle};
+use hyperspace::obs::{JobProbe, ObsHandle, Observer};
 use hyperspace::obs::{Phase, TraceBuffer};
 use hyperspace::portfolio::{PortfolioReport, PortfolioRunner};
 use hyperspace::sat::{gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict};
@@ -26,7 +27,7 @@ fn probe() -> (Arc<JobProbe>, ObsHandle) {
     (p, h)
 }
 
-fn stack_run(obs: ObsHandle, seed: u64, parallel: bool) -> RecRunReport<Verdict> {
+fn stack_run(obs: ObsHandle, seed: u64, backend: BackendSpec) -> RecRunReport<Verdict> {
     let cnf = gen::uf20_91(seed);
     let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
     StackBuilder::new(program)
@@ -34,7 +35,7 @@ fn stack_run(obs: ObsHandle, seed: u64, parallel: bool) -> RecRunReport<Verdict>
         .mapper(MapperSpec::LeastBusy {
             status_period: None,
         })
-        .parallel(parallel)
+        .backend(backend)
         .halt_on_root_reply(false)
         .observer(obs)
         .run(SubProblem::root(cnf), 0)
@@ -59,11 +60,11 @@ fn assert_reports_identical(on: &RecRunReport<Verdict>, off: &RecRunReport<Verdi
 
 #[test]
 fn stack_reports_are_identical_with_observation_on_and_off() {
-    for parallel in [false, true] {
-        let off = stack_run(ObsHandle::off(), 2017, parallel);
+    for backend in [BackendSpec::Sequential, BackendSpec::Parallel] {
+        let off = stack_run(ObsHandle::off(), 2017, backend.clone());
         let (p, handle) = probe();
-        let on = stack_run(handle, 2017, parallel);
-        assert_reports_identical(&on, &off, &format!("parallel={parallel}"));
+        let on = stack_run(handle, 2017, backend.clone());
+        assert_reports_identical(&on, &off, &format!("{backend}"));
         // The probe genuinely watched the run it did not perturb.
         assert_eq!(p.steps(), off.steps, "probe saw every step");
         assert!(p.delivered() > 0, "probe saw deliveries");
@@ -129,33 +130,111 @@ fn checkpoint_bytes_are_identical_with_observation_on_and_off() {
     }
 }
 
+/// Records everything the step loop tells an observer, verbatim.
+#[derive(Default)]
+struct Recorder {
+    steps: Mutex<Vec<(u64, u64, u64)>>,
+    loads: Mutex<Vec<(usize, u64)>>,
+    phases: Mutex<BTreeSet<&'static str>>,
+}
+
+impl Observer for Recorder {
+    fn on_step(&self, step: u64, delivered: u64, queued: u64) {
+        self.steps.lock().unwrap().push((step, delivered, queued));
+    }
+    fn on_shard_active(&self, shard: usize, nodes: u64) {
+        self.loads.lock().unwrap().push((shard, nodes));
+    }
+    fn on_phase(&self, _shard: usize, phase: Phase, _nanos: u64) {
+        self.phases.lock().unwrap().insert(phase.as_str());
+    }
+}
+
 #[test]
-fn observer_sees_the_same_run_with_dense_and_active_set_stepping() {
-    // The observer's per-step feed is part of the bit-identity contract
-    // between stepping modes: the active-set fast-forward synthesises
-    // `on_step` for dead steps, so a probe cannot tell the modes apart.
-    let run = |dense_stepping| {
-        let (p, handle) = probe();
+fn the_observer_feed_does_not_depend_on_the_backend_spelling() {
+    // `seq` and `sharded:1` are the same machine, so an observer must be
+    // fed the same run: the per-step series (ticks and their dead-step
+    // fast-forward included), the per-shard load signal (nodes visited
+    // on each sampled step) and the set of phase labels — with no
+    // barrier wait and no exchange, because one worker waits for nobody.
+    // For K in {1, 3} the run itself must not notice the observer.
+    let run = |scfg: Option<ShardedConfig>, obs: ObsHandle| {
         let cfg = SimConfig {
-            obs: handle,
-            dense_stepping,
+            obs,
+            tick_every: Some(4),
             record_trace: true,
             ..SimConfig::default()
         };
-        let mut sim = Simulation::new(
-            hyperspace::topology::Torus::new_2d(5, 5),
-            SeededScatter,
-            cfg,
-        );
-        sim.inject(3, (0xABCDu64 << 8) | 14);
-        let report = sim.run_to_quiescence().expect("run");
-        let trace = sim.trace().to_vec();
-        (report.steps, p.steps(), p.delivered(), trace)
+        let topo = hyperspace::topology::Torus::new_2d(5, 5);
+        let payload = (0xABCDu64 << 8) | 14;
+        match scfg {
+            None => {
+                let mut sim = Simulation::new(topo, SeededScatter, cfg);
+                sim.inject(3, payload);
+                sim.set_max_steps(64);
+                sim.run_to_quiescence().expect("run");
+                (sim.snapshot().to_bytes(), sim.metrics().clone())
+            }
+            Some(scfg) => {
+                let mut sim = ShardedSimulation::new(topo, SeededScatter, cfg, scfg);
+                sim.inject(3, payload);
+                sim.set_max_steps(64);
+                sim.run_to_quiescence().expect("run");
+                (sim.snapshot().to_bytes(), sim.metrics().clone())
+            }
+        }
     };
-    let sparse = run(false);
-    let dense = run(true);
-    assert_eq!(sparse, dense, "probe view diverged between stepping modes");
-    assert_eq!(sparse.0, sparse.1, "probe saw every step");
+    let observed = |scfg: Option<ShardedConfig>| {
+        let recorder = Arc::new(Recorder::default());
+        let handle = ObsHandle::new(Arc::clone(&recorder) as _).with_phase_period(1);
+        let out = run(scfg, handle);
+        let recorder = Arc::into_inner(recorder).expect("the run dropped its handles");
+        (
+            out,
+            recorder.steps.into_inner().unwrap(),
+            recorder.loads.into_inner().unwrap(),
+            recorder.phases.into_inner().unwrap(),
+        )
+    };
+    let (seq_out, seq_steps, seq_loads, seq_phases) = observed(None);
+    let (k1_out, k1_steps, k1_loads, k1_phases) = observed(Some(ShardedConfig::with_shards(1)));
+    assert_eq!(seq_out, k1_out);
+    assert_eq!(seq_steps, k1_steps, "on_step series");
+    assert_eq!(seq_loads, k1_loads, "on_shard_active series");
+    assert_eq!(seq_phases, k1_phases, "phase labels");
+    assert_eq!(
+        seq_phases.into_iter().collect::<Vec<_>>(),
+        ["checkpoint_encode", "delivery", "handler"],
+        "a single worker has nothing to exchange and nobody to wait for"
+    );
+    // The feed is the run's own record: one `on_step` per step, equal to
+    // the recorded series; the load is the work list — every node on a
+    // tick step, the active set otherwise.
+    let metrics = &seq_out.1;
+    let recorded: Vec<_> = (metrics.delivered_series.as_slice().iter())
+        .zip(metrics.queued_series.as_slice())
+        .enumerate()
+        .map(|(i, (&delivered, &queued))| (i as u64 + 1, delivered, queued))
+        .collect();
+    assert_eq!(seq_steps, recorded);
+    assert!(seq_loads.iter().all(|&(shard, _)| shard == 0));
+    assert!(
+        seq_loads.contains(&(0, 25)),
+        "a tick step visits every node"
+    );
+    assert_eq!(seq_loads[0], (0, 1), "step 1 visits the injected node only");
+
+    for shards in [1usize, 3] {
+        let scfg = ShardedConfig {
+            shards,
+            partition: Partition::RoundRobin,
+            threads: Some(2),
+        };
+        let (on, steps, ..) = observed(Some(scfg.clone()));
+        assert_eq!(on, run(Some(scfg), ObsHandle::off()), "K={shards}");
+        assert_eq!(on, seq_out, "K={shards}");
+        assert_eq!(steps, seq_steps, "K={shards}: on_step series");
+    }
 }
 
 /// A probe with an attached trace buffer and every-step phase timing —
@@ -330,7 +409,7 @@ fn sharded_stack_reports_are_identical_with_observation_on_and_off() {
             })
             .halt_on_root_reply(false)
             .observer(obs)
-            .build_sharded();
+            .build();
         sim.inject(0, hyperspace::mapping::trigger(SubProblem::root(cnf)));
         let report = sim.run_to_quiescence().expect("sharded SAT run");
         (

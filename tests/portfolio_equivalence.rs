@@ -105,28 +105,6 @@ fn items_from(raw: Vec<(u32, u32)>) -> Vec<Item> {
     items
 }
 
-#[test]
-fn dense_stepping_members_report_identically() {
-    // Member engines run event-driven by default; forcing the dense
-    // visit-every-node loop must not move a single counter in the race
-    // report — the active set is invisible to the portfolio layer.
-    let cnf = gen::uf20_91(77);
-    let spec = sat_members();
-    let race = |dense: bool| -> PortfolioReport {
-        PortfolioRunner::new(spec.clone())
-            .topology(TopologySpec::Torus2D { w: 4, h: 4 })
-            .mapper(MapperSpec::RoundRobin)
-            .threads(2)
-            .dense_stepping(dense)
-            .run_sat(&cnf)
-    };
-    assert_eq!(
-        race(false),
-        race(true),
-        "portfolio report diverged under dense stepping"
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -9,7 +9,7 @@
 //! 2. Expression-driven races — including `limit(discrepancy, ...)`
 //!    scopes and `restart(luby:N, ...)` schedules — produce bit-identical
 //!    [`PortfolioReport`]s across member backends (seq / parallel /
-//!    sharded:{1,2,7}), driver-thread counts and dense/sparse stepping.
+//!    sharded:{1,2,7}) and driver-thread counts.
 //! 3. A legacy flat [`PortfolioSpec`] and its [`PortfolioSpec::to_expr`]
 //!    sugar race to the *same report*, member labels included.
 
@@ -60,13 +60,7 @@ fn criteria_expr() -> StrategyExpr {
 
 /// Races `expr` with every attempt's backend rewritten from the matrix
 /// (rotated by `choice` so one race mixes several backends at once).
-fn race_expr(
-    expr: &StrategyExpr,
-    choice: usize,
-    threads: usize,
-    dense: bool,
-    cnf: &Cnf,
-) -> PortfolioReport {
+fn race_expr(expr: &StrategyExpr, choice: usize, threads: usize, cnf: &Cnf) -> PortfolioReport {
     let matrix = backend_matrix();
     let mut plans = expr.members().expect("expression lowers");
     for (j, plan) in plans.iter_mut().enumerate() {
@@ -79,28 +73,25 @@ fn race_expr(
         .topology(TopologySpec::Torus2D { w: 4, h: 4 })
         .mapper(MapperSpec::RoundRobin)
         .threads(threads)
-        .dense_stepping(dense)
         .run_sat(cnf)
 }
 
 #[test]
 fn criteria_expression_races_identically_everywhere() {
-    // The full backend x threads x stepping matrix over the acceptance
+    // The full backend x threads matrix over the acceptance
     // expression: one reference run, every other configuration must
     // reproduce its report bit-for-bit.
     let cnf = gen::uf20_91(13);
     let expr = criteria_expr();
-    let reference = race_expr(&expr, 0, 1, false, &cnf);
+    let reference = race_expr(&expr, 0, 1, &cnf);
     assert!(reference.winner.is_some(), "race must end with a winner");
     for choice in 0..3 {
         for threads in [1usize, 2, 5] {
-            for dense in [false, true] {
-                let report = race_expr(&expr, choice, threads, dense, &cnf);
-                assert_eq!(
-                    report, reference,
-                    "backend rotation {choice} / threads {threads} / dense {dense} diverged"
-                );
-            }
+            let report = race_expr(&expr, choice, threads, &cnf);
+            assert_eq!(
+                report, reference,
+                "backend rotation {choice} / threads {threads} diverged"
+            );
         }
     }
 }
@@ -225,11 +216,11 @@ proptest! {
     fn random_instances_race_identically(seed in any::<u64>()) {
         let cnf = gen::random_ksat(seed, 8, 36, 3);
         let expr = criteria_expr();
-        let reference = race_expr(&expr, 0, 1, false, &cnf);
+        let reference = race_expr(&expr, 0, 1, &cnf);
         prop_assert!(reference.winner.is_some(), "race must end");
         for choice in 1..3 {
             for threads in [2usize, 5] {
-                let report = race_expr(&expr, choice, threads, false, &cnf);
+                let report = race_expr(&expr, choice, threads, &cnf);
                 prop_assert_eq!(
                     &report,
                     &reference,

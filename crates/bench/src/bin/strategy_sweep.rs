@@ -17,14 +17,14 @@
 
 use std::time::Instant;
 
-use hyperspace_core::{MapperSpec, PortfolioSpec, StrategyExpr, TopologySpec};
+use hyperspace_core::{MapperSpec, PortfolioSpec, TopologySpec};
 use hyperspace_obs::{pretty, JsonValue};
 use hyperspace_portfolio::{PortfolioReport, PortfolioRunner};
 use hyperspace_sat::{gen, Cnf};
 
 /// The expression under test: a discrepancy-limited heuristic probe, an
 /// iterative-deepening node-budget chain, and two restart-scheduled
-/// CDCL members — none of which the flat grammar can express.
+/// CDCL members — none of which the flat baseline's members carry.
 const EXPRESSION: &str = "portfolio(\
     limit(discrepancy,2,and(branch(dlis),value(neg))),\
     or(limit(nodes,256,mesh),limit(nodes,4096,mesh),mesh),\
@@ -91,15 +91,17 @@ fn main() {
             .collect()
     };
 
-    let expr: StrategyExpr = EXPRESSION.parse().expect("sweep expression parses");
-    let plans = expr.members().expect("sweep expression lowers");
+    let lowered = EXPRESSION
+        .parse::<PortfolioSpec>()
+        .expect("sweep expression parses and lowers")
+        .epoch(epoch);
     let flat = PortfolioSpec::diversified_sat(4).epoch(epoch);
 
     println!(
         "strategy sweep{} (ABL-X; expression portfolio vs flat diversified-4)",
         if smoke { " [smoke]" } else { "" }
     );
-    println!("expression: {expr}");
+    println!("expression: {EXPRESSION}");
     println!("baseline:   {}\n", flat.describe());
     println!(
         "{:<22} {:>12} {:>12} {:>10}   {:>12} {:>12} {:>10}",
@@ -110,10 +112,7 @@ fn main() {
     let (mut expr_nodes, mut expr_units) = (0u64, 0u64);
     let (mut flat_nodes, mut flat_units) = (0u64, 0u64);
     for (name, cnf) in &instances {
-        let (e, e_report) = race(
-            PortfolioRunner::new(PortfolioSpec::new(Vec::new()).epoch(epoch)).plans(plans.clone()),
-            cnf,
-        );
+        let (e, e_report) = race(PortfolioRunner::new(lowered.clone()), cnf);
         let (f, _) = race(PortfolioRunner::new(flat.clone()), cnf);
         println!(
             "{:<22} {:>12} {:>12} {:>10.1?}   {:>12} {:>12} {:>10.1?}",

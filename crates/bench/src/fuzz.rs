@@ -196,23 +196,24 @@ fn strategy_corpus() -> Vec<Vec<u8>> {
         "portfolio(limit(discrepancy,2,mesh),restart(luby:64,cdcl),mesh)",
         "and(prune(incumbent:40),backend(sharded:4),limit(nodes,512,or(mesh,cdcl)))",
         "limit(nodes,1,limit(nodes,2,limit(nodes,3,limit(nodes,4,mesh))))",
+        "epoch=32;len=8;lbd=8;mesh,h=dlis,pol=neg,seed=1|cdcl,restart=luby:8,seed=4",
+        "epoch=16;len=4;lbd=4;mesh,limit=nodes:64,backend=sharded:2>>mesh|mesh,limit=discrepancy:2",
     ]
     .into_iter()
     .map(|s| s.as_bytes().to_vec())
     .collect()
 }
 
-/// Decodes a strategy expression the way the service would: parse the
-/// grammar (bounded depth and token count), then lower to member plans
-/// — both halves must reject hostile text without panicking.
+/// Decodes portfolio text the way the service would: the one
+/// `PortfolioSpec` grammar, which takes the flat `epoch=...` form or a
+/// strategy expression (bounded depth and token count) and lowers the
+/// latter to member plans — every half must reject hostile text without
+/// panicking.
 fn decode_strategy(bytes: &[u8]) -> bool {
     let Ok(text) = std::str::from_utf8(bytes) else {
         return false;
     };
-    let Ok(expr) = text.parse::<hyperspace_core::StrategyExpr>() else {
-        return false;
-    };
-    expr.members().is_ok()
+    text.parse::<hyperspace_core::PortfolioSpec>().is_ok()
 }
 
 /// One decode surface under fuzz: a corpus of valid encodings and the

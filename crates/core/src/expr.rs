@@ -1,9 +1,9 @@
 //! The compositional strategy language: search combinators à la
 //! "Search Combinators" (Schrijvers et al.).
 //!
-//! [`StrategySpec`] is a flat bag of knobs; every new search behaviour
-//! used to mean another field threaded through five crates. This module
-//! replaces that with a small expression tree: *primitives* pick one
+//! [`StrategySpec`] is a flat bag of knobs; naming every one of them for
+//! every member gets long. This module is the input grammar in front of
+//! that bag: a small expression tree in which *primitives* pick one
 //! aspect of the search (`branch(dlis)` the branching order, `value(neg)`
 //! the polarity order, `probe(7)` the diversification seed, plus
 //! `simplify`/`prune`/`map`/`backend` passthroughs), and *combinators*
@@ -19,25 +19,28 @@
 //!   (limited-discrepancy search, per-node expansion budgets, logical
 //!   step/operation budgets);
 //! * `portfolio(e, ...)` — race the children as portfolio members with
-//!   knowledge sharing, exactly like [`PortfolioSpec`] members.
+//!   knowledge sharing: the members of a
+//!   [`PortfolioSpec`](crate::PortfolioSpec).
 //!
 //! Expressions round-trip through `Display`/`FromStr` like every other
 //! spec. The parser is a real recursive-descent parser with bounded
 //! depth *and* token count (untrusted input — same defensive posture as
 //! `obs::json`), and reports byte positions in its errors.
 //!
-//! Execution never interprets the tree directly: [`StrategyExpr::members`]
-//! *lowers* it into flat [`MemberPlan`]s — one per portfolio member, each
-//! a sequence of [`StrategySpec`] attempts — which the existing
-//! deterministic engines run unchanged. Legacy flat strategy strings are
-//! therefore sugar for single-attempt plans, and all the bit-identity
-//! guarantees (every backend spelling, any checkpoint slicing)
-//! carry over to expression-driven runs for free.
+//! The tree is never carried past the parse and never interpreted:
+//! [`StrategyExpr::members`] *lowers* it into flat [`MemberPlan`]s — one
+//! per portfolio member, each a sequence of [`StrategySpec`] attempts —
+//! and `"...".parse::<PortfolioSpec>()` does both steps at once. The
+//! [`PortfolioSpec`](crate::PortfolioSpec) is the value every layer above
+//! carries, validates, keys caches on and persists, so the same members
+//! are the same job whichever grammar spelled them, and all the
+//! bit-identity guarantees (every backend spelling, any checkpoint
+//! slicing) carry over to expression-driven runs for free.
 
 use hyperspace_sat::{Heuristic, Polarity, RestartPolicy, SimplifyMode};
 
 use crate::spec::{
-    BackendSpec, EngineSpec, MapperSpec, PortfolioSpec, PruneSpec, SpecParseError, StrategySpec,
+    BackendSpec, EngineSpec, MapperSpec, MemberPlan, PruneSpec, SpecParseError, StrategySpec,
 };
 
 /// Deepest combinator nesting the expression parser accepts. Same
@@ -198,7 +201,7 @@ pub enum StrategyExpr {
     /// Mapping-policy override.
     Map(MapperSpec),
     /// Execution backend. Backends are bit-identical, so this never
-    /// changes what is computed — [`StrategyExpr::describe`] strips it.
+    /// changes what is computed — [`MemberPlan::describe`] leaves it out.
     Backend(BackendSpec),
     /// All children applied to the same search.
     And(Vec<StrategyExpr>),
@@ -480,35 +483,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// One lowered portfolio member: a sequence of flat [`StrategySpec`]
-/// attempts, tried in order. A plan with one attempt is an ordinary
-/// member; multi-attempt plans come from `or(...)` and hand over to the
-/// next attempt when the current one exhausts its limits.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemberPlan {
-    /// The attempts, in trial order (never empty).
-    pub attempts: Vec<StrategySpec>,
-}
-
-impl MemberPlan {
-    /// A single-attempt plan (every legacy flat member is one).
-    pub fn single(spec: StrategySpec) -> MemberPlan {
-        MemberPlan {
-            attempts: vec![spec],
-        }
-    }
-
-    /// Canonical computation-identifying label (attempts via
-    /// [`StrategySpec::describe`], joined by `>>`).
-    pub fn describe(&self) -> String {
-        self.attempts
-            .iter()
-            .map(|a| a.describe())
-            .collect::<Vec<_>>()
-            .join(">>")
-    }
-}
-
 /// One attempt mid-lowering: the flat spec plus whether its engine was
 /// *explicitly* chosen (so `restart(...)` can reject `mesh` underneath
 /// it while silently upgrading the default engine to CDCL).
@@ -666,118 +640,6 @@ impl StrategyExpr {
             other => Ok(vec![finish(lower(other, vec![base()])?)?]),
         }
     }
-
-    /// The expression with every `backend(...)` primitive removed.
-    /// Backends are bit-identical, so two expressions differing only
-    /// there are the same computation. Returns `None` when nothing but
-    /// backend choice remains (i.e. the expression was pure backend
-    /// selection).
-    pub fn strip_backend(&self) -> Option<StrategyExpr> {
-        match self {
-            StrategyExpr::Backend(_) => None,
-            StrategyExpr::And(children) => {
-                let kept: Vec<StrategyExpr> =
-                    children.iter().filter_map(|c| c.strip_backend()).collect();
-                match kept.len() {
-                    0 => None,
-                    1 => Some(kept.into_iter().next().expect("one element")),
-                    _ => Some(StrategyExpr::And(kept)),
-                }
-            }
-            StrategyExpr::Or(children) => Some(StrategyExpr::Or(
-                children
-                    .iter()
-                    .map(|c| c.strip_backend().unwrap_or(StrategyExpr::Mesh))
-                    .collect(),
-            )),
-            StrategyExpr::Portfolio(children) => Some(StrategyExpr::Portfolio(
-                children
-                    .iter()
-                    .map(|c| c.strip_backend().unwrap_or(StrategyExpr::Mesh))
-                    .collect(),
-            )),
-            StrategyExpr::Restart(policy, inner) => Some(StrategyExpr::Restart(
-                *policy,
-                Box::new(inner.strip_backend().unwrap_or(StrategyExpr::Cdcl)),
-            )),
-            StrategyExpr::Limit(limit, inner) => Some(StrategyExpr::Limit(
-                *limit,
-                Box::new(inner.strip_backend().unwrap_or(StrategyExpr::Mesh)),
-            )),
-            other => Some(other.clone()),
-        }
-    }
-
-    /// Canonical *computation-identifying* rendering: the expression
-    /// minus backend selection (mirrors [`StrategySpec::describe`]).
-    /// This is what service cache keys use.
-    pub fn describe(&self) -> String {
-        self.strip_backend()
-            .unwrap_or(StrategyExpr::Mesh)
-            .to_string()
-    }
-}
-
-impl StrategySpec {
-    /// The expression this flat spec is sugar for: an `and(...)` of its
-    /// non-default knobs (engine first), wrapped in its limits.
-    /// `spec.to_expr().members()` lowers back to `spec` exactly.
-    pub fn to_expr(&self) -> StrategyExpr {
-        let defaults = StrategySpec::default();
-        let mut parts = Vec::new();
-        let restart = match self.engine {
-            EngineSpec::Mesh => None,
-            EngineSpec::Cdcl { restart } => {
-                if restart == RestartPolicy::Off {
-                    parts.push(StrategyExpr::Cdcl);
-                }
-                Some(restart).filter(|r| *r != RestartPolicy::Off)
-            }
-        };
-        if self.heuristic != defaults.heuristic {
-            parts.push(StrategyExpr::Branch(self.heuristic));
-        }
-        if self.simplify != defaults.simplify {
-            parts.push(StrategyExpr::Simplify(self.simplify));
-        }
-        if self.polarity != defaults.polarity {
-            parts.push(StrategyExpr::Value(self.polarity));
-        }
-        if self.seed != defaults.seed {
-            parts.push(StrategyExpr::Probe(self.seed));
-        }
-        if self.prune != defaults.prune {
-            parts.push(StrategyExpr::Prune(self.prune));
-        }
-        if let Some(mapper) = &self.mapper {
-            parts.push(StrategyExpr::Map(mapper.clone()));
-        }
-        if self.backend != defaults.backend {
-            parts.push(StrategyExpr::Backend(self.backend.clone()));
-        }
-        let mut expr = match (parts.len(), restart) {
-            (0, None) => StrategyExpr::Mesh,
-            (1, None) => parts.into_iter().next().expect("one part"),
-            (_, None) => StrategyExpr::And(parts),
-            (0, Some(r)) => StrategyExpr::Restart(r, Box::new(StrategyExpr::Cdcl)),
-            (1, Some(r)) => {
-                StrategyExpr::Restart(r, Box::new(parts.into_iter().next().expect("one part")))
-            }
-            (_, Some(r)) => StrategyExpr::Restart(r, Box::new(StrategyExpr::And(parts))),
-        };
-        for limit in &self.limits {
-            expr = StrategyExpr::Limit(*limit, Box::new(expr));
-        }
-        expr
-    }
-}
-
-impl PortfolioSpec {
-    /// The `portfolio(...)` expression this flat portfolio is sugar
-    /// for (members via [`StrategySpec::to_expr`]).
-    pub fn to_expr(&self) -> StrategyExpr {
-        StrategyExpr::Portfolio(self.members.iter().map(|m| m.to_expr()).collect())
-    }
 }
 
 #[cfg(test)]
@@ -869,19 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_primitives_sets_the_matching_knob() {
-        let expr = parse("and(branch(dlis),value(neg),probe(7),simplify(split-only))");
-        let members = expr.members().expect("lowers");
-        assert_eq!(members.len(), 1);
-        let expected = StrategySpec::mesh()
-            .with_heuristic(Heuristic::Dlis)
-            .with_polarity(Polarity::Negative)
-            .with_seed(7)
-            .with_simplify(SimplifyMode::SplitOnly);
-        assert_eq!(members[0], MemberPlan::single(expected));
-    }
-
-    #[test]
     fn or_builds_attempt_sequences_and_distributes_under_and() {
         let expr = parse("and(or(limit(nodes,8,mesh),mesh),value(neg))");
         let members = expr.members().expect("lowers");
@@ -939,71 +788,33 @@ mod tests {
     }
 
     #[test]
-    fn describe_strips_only_the_backend() {
-        let a = parse("and(branch(dlis),backend(sharded:4))");
-        let b = parse("and(branch(dlis),backend(parallel))");
-        assert_eq!(a.describe(), b.describe());
-        assert_eq!(a.describe(), "branch(dlis)");
-        assert_ne!(a.to_string(), b.to_string());
-        assert_eq!(parse("backend(sharded:4)").describe(), "mesh");
-        assert_eq!(
-            parse("or(backend(seq),branch(dlis))").describe(),
-            "or(mesh,branch(dlis))"
-        );
-        assert_eq!(
-            parse("restart(luby:8,backend(seq))").describe(),
-            "restart(luby:8,cdcl)"
-        );
-        assert_eq!(
-            parse("limit(nodes,4,backend(seq))").describe(),
-            "limit(nodes,4,mesh)"
-        );
-    }
-
-    #[test]
-    fn flat_specs_are_sugar_for_expressions() {
-        let specs = [
-            StrategySpec::mesh(),
-            StrategySpec::mesh()
-                .with_heuristic(Heuristic::Dlis)
-                .with_simplify(SimplifyMode::SplitOnly)
-                .with_polarity(Polarity::Negative)
-                .with_seed(7)
-                .with_prune(PruneSpec::Incumbent { initial: Some(40) })
-                .with_mapper(MapperSpec::Random { seed: 3 })
-                .with_backend(BackendSpec::sharded(2)),
-            StrategySpec::cdcl(RestartPolicy::Off),
-            StrategySpec::cdcl(RestartPolicy::Luby(64))
-                .with_polarity(Polarity::Negative)
-                .with_seed(3),
-            StrategySpec::mesh().with_limit(LimitSpec::nodes(128)),
-            StrategySpec::mesh()
-                .with_limit(LimitSpec::discrepancy(2))
-                .with_limit(LimitSpec::time(4096)),
-        ];
-        for spec in specs {
-            let expr = spec.to_expr();
-            // The sugar round-trips through the expression grammar...
-            assert_eq!(
-                expr.to_string().parse::<StrategyExpr>().expect("parses"),
-                expr
-            );
-            // ...and lowers back to exactly the flat spec.
-            let members = expr.members().unwrap_or_else(|e| {
-                panic!("{expr} failed to lower: {e}");
-            });
-            assert_eq!(members, vec![MemberPlan::single(spec)]);
-        }
-    }
-
-    #[test]
-    fn flat_portfolios_are_sugar_for_portfolio_expressions() {
-        let spec = PortfolioSpec::diversified_sat(6);
-        let expr = spec.to_expr();
-        let members = expr.members().expect("lowers");
-        assert_eq!(members.len(), 6);
-        for (plan, member) in members.iter().zip(&spec.members) {
-            assert_eq!(plan, &MemberPlan::single(member.clone()));
+    fn flat_and_expression_spellings_lower_to_the_same_plan() {
+        // (flat member text, expression text): one member, two grammars.
+        for (flat, expr) in [
+            ("mesh", "mesh"),
+            (
+                "mesh,h=dlis,s=split-only,pol=neg,seed=7,prune=incumbent:40,map=random:3,\
+                 backend=sharded:2",
+                "and(branch(dlis),simplify(split-only),value(neg),probe(7),\
+                 prune(incumbent:40),map(random:3),backend(sharded:2))",
+            ),
+            ("cdcl", "cdcl"),
+            (
+                "cdcl,restart=luby:64,pol=neg,seed=3",
+                "restart(luby:64,and(value(neg),probe(3)))",
+            ),
+            ("mesh,limit=nodes:128", "limit(nodes,128,mesh)"),
+            (
+                "mesh,limit=discrepancy:2,limit=time:4096",
+                "limit(time,4096,limit(discrepancy,2,mesh))",
+            ),
+            (
+                "mesh,limit=nodes:64>>mesh,h=dlis",
+                "or(limit(nodes,64,mesh),branch(dlis))",
+            ),
+        ] {
+            let plan: MemberPlan = flat.parse().expect("flat text parses");
+            assert_eq!(parse(expr).members().expect("lowers"), vec![plan], "{expr}");
         }
     }
 

@@ -35,11 +35,11 @@ mod slice;
 mod spec;
 mod stack;
 
-pub use expr::{LimitKind, LimitSpec, MemberPlan, StrategyExpr, MAX_EXPR_DEPTH, MAX_EXPR_TOKENS};
+pub use expr::{LimitKind, LimitSpec, StrategyExpr, MAX_EXPR_DEPTH, MAX_EXPR_TOKENS};
 pub use report::{IncumbentEvent, RecRunReport, RunSummary};
 pub use slice::{CheckpointMeta, RunSlice, SliceOutcome};
 pub use spec::{
-    BackendSpec, CheckpointSpec, EngineSpec, MapperSpec, ObjectiveSpec, PartitionSpec,
+    BackendSpec, CheckpointSpec, EngineSpec, MapperSpec, MemberPlan, ObjectiveSpec, PartitionSpec,
     PortfolioSpec, PruneSpec, SpecParseError, StrategySpec, TopologySpec,
 };
 pub use stack::{

@@ -1023,12 +1023,70 @@ impl std::str::FromStr for StrategySpec {
     }
 }
 
+/// One portfolio member: a sequence of flat [`StrategySpec`] attempts,
+/// tried in order. A plan with one attempt is an ordinary member (every
+/// flat [`StrategySpec`] converts into one); multi-attempt plans come
+/// from `or(...)` expressions and hand over to the next attempt when the
+/// current one exhausts its limits.
+///
+/// String form: the attempts' [`StrategySpec`] syntax joined by `>>`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MemberPlan {
+    /// The attempts, in trial order (never empty in a plan that runs:
+    /// parsing and lowering cannot produce an empty one, and the service
+    /// rejects hand-built ones at submission).
+    pub attempts: Vec<StrategySpec>,
+}
+
+impl From<StrategySpec> for MemberPlan {
+    fn from(spec: StrategySpec) -> MemberPlan {
+        MemberPlan {
+            attempts: vec![spec],
+        }
+    }
+}
+
+impl MemberPlan {
+    fn render(&self, attempt: fn(&StrategySpec) -> String) -> String {
+        let attempts: Vec<String> = self.attempts.iter().map(attempt).collect();
+        attempts.join(">>")
+    }
+
+    /// Canonical *computation-identifying* label (attempts via
+    /// [`StrategySpec::describe`], so backends are left out). This is
+    /// what report labels and service cache keys use.
+    pub fn describe(&self) -> String {
+        self.render(StrategySpec::describe)
+    }
+}
+
+impl std::fmt::Display for MemberPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.render(StrategySpec::to_string))
+    }
+}
+
+impl std::str::FromStr for MemberPlan {
+    type Err = SpecParseError;
+
+    /// Parses the [`Display`](std::fmt::Display) syntax:
+    /// `attempt>>attempt>>...`.
+    fn from_str(s: &str) -> Result<Self, SpecParseError> {
+        let attempts = s.split(">>").map(str::parse).collect::<Result<_, _>>()?;
+        Ok(MemberPlan { attempts })
+    }
+}
+
 /// A portfolio of diversified members racing the same job, synchronised
 /// at deterministic epochs where they exchange learned clauses (CDCL
-/// members) and incumbents (B&B members).
+/// members) and incumbents (B&B members). This is the one description of
+/// "what to race" every layer above `core` carries: a
+/// [`StrategyExpr`](crate::StrategyExpr) is an input grammar that lowers
+/// into it once, at parse time.
 ///
 /// String form: `epoch=E;len=L;lbd=B;member|member|...` (members use the
-/// [`StrategySpec`] syntax).
+/// [`MemberPlan`] syntax). Parsing also accepts a strategy expression,
+/// lowered under the default exchange budgets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortfolioSpec {
     /// Sync-epoch length, in simulated steps (mesh members) or search
@@ -1042,18 +1100,18 @@ pub struct PortfolioSpec {
     /// decision-negation clauses CDCL-lite learns).
     pub max_clause_lbd: u32,
     /// The members, raced in index order.
-    pub members: Vec<StrategySpec>,
+    pub members: Vec<MemberPlan>,
 }
 
 impl PortfolioSpec {
     /// A portfolio over the given members with the default exchange
     /// budgets (epoch 32, clause length/LBD ≤ 8).
-    pub fn new(members: Vec<StrategySpec>) -> PortfolioSpec {
+    pub fn new(members: Vec<impl Into<MemberPlan>>) -> PortfolioSpec {
         PortfolioSpec {
             epoch_steps: 32,
             max_clause_len: 8,
             max_clause_lbd: 8,
-            members,
+            members: members.into_iter().map(Into::into).collect(),
         }
     }
 
@@ -1073,7 +1131,7 @@ impl PortfolioSpec {
             Heuristic::MostFrequent,
             Heuristic::FirstUnassigned,
         ];
-        let members = (0..k.max(1))
+        let members: Vec<StrategySpec> = (0..k.max(1))
             .map(|i| {
                 if i >= 4 {
                     // Cap the shift so arbitrarily large member counts
@@ -1100,11 +1158,8 @@ impl PortfolioSpec {
         PortfolioSpec::new(members)
     }
 
-    /// Canonical *computation-identifying* rendering (members via
-    /// [`StrategySpec::describe`], so member backends do not split
-    /// service caches).
-    pub fn describe(&self) -> String {
-        let members: Vec<String> = self.members.iter().map(|m| m.describe()).collect();
+    fn render(&self, member: fn(&MemberPlan) -> String) -> String {
+        let members: Vec<String> = self.members.iter().map(member).collect();
         format!(
             "epoch={};len={};lbd={};{}",
             self.epoch_steps,
@@ -1113,28 +1168,34 @@ impl PortfolioSpec {
             members.join("|")
         )
     }
+
+    /// Canonical *computation-identifying* rendering (members via
+    /// [`MemberPlan::describe`], so member backends do not split
+    /// service caches).
+    pub fn describe(&self) -> String {
+        self.render(MemberPlan::describe)
+    }
 }
 
 impl std::fmt::Display for PortfolioSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let members: Vec<String> = self.members.iter().map(|m| m.to_string()).collect();
-        write!(
-            f,
-            "epoch={};len={};lbd={};{}",
-            self.epoch_steps,
-            self.max_clause_len,
-            self.max_clause_lbd,
-            members.join("|")
-        )
+        f.write_str(&self.render(MemberPlan::to_string))
     }
 }
 
 impl std::str::FromStr for PortfolioSpec {
     type Err = SpecParseError;
 
-    /// Parses the [`Display`](std::fmt::Display) syntax:
-    /// `epoch=E;len=L;lbd=B;member|member|...`.
+    /// Parses the [`Display`](std::fmt::Display) syntax
+    /// `epoch=E;len=L;lbd=B;member|member|...`, or — for text that does
+    /// not start with `epoch=`, which no combinator name shares — a
+    /// [`StrategyExpr`](crate::StrategyExpr), lowered into members under
+    /// the default budgets of [`PortfolioSpec::new`].
     fn from_str(s: &str) -> Result<Self, SpecParseError> {
+        if !s.starts_with("epoch=") {
+            let expr: crate::expr::StrategyExpr = s.parse()?;
+            return Ok(PortfolioSpec::new(expr.members()?));
+        }
         let parts: Vec<&str> = s.splitn(4, ';').collect();
         let [epoch, len, lbd, members] = parts.as_slice() else {
             return Err(SpecParseError(format!(
@@ -1157,7 +1218,7 @@ impl std::str::FromStr for PortfolioSpec {
         };
         let max_clause_len = narrow(field(len, "len")?, "len")?;
         let max_clause_lbd = narrow(field(lbd, "lbd")?, "lbd")?;
-        let members: Vec<StrategySpec> = members
+        let members: Vec<MemberPlan> = members
             .split('|')
             .filter(|m| !m.is_empty())
             .map(str::parse)
@@ -1638,6 +1699,10 @@ mod tests {
             ])
             .epoch(128),
             PortfolioSpec::diversified_sat(6),
+            // Born from an expression: an `or(...)` chain and a backend.
+            "portfolio(or(limit(nodes,64,backend(parallel)),mesh),restart(luby:64,cdcl))"
+                .parse()
+                .expect("expression lowers"),
         ];
         for spec in specs {
             let text = spec.to_string();
@@ -1646,6 +1711,33 @@ mod tests {
             });
             assert_eq!(parsed, spec, "round-trip through {text:?}");
         }
+    }
+
+    #[test]
+    fn member_plans_round_trip_and_describe_strips_only_the_backend() {
+        let text = "mesh,h=dlis,limit=nodes:64,backend=sharded:4>>cdcl,restart=luby:8";
+        let plan: MemberPlan = text.parse().expect("parses");
+        assert_eq!(plan.attempts.len(), 2);
+        assert_eq!(plan.to_string(), text);
+        assert_eq!(
+            plan.describe(),
+            "mesh,h=dlis,limit=nodes:64>>cdcl,restart=luby:8"
+        );
+        for bad in ["", "mesh>>", ">>mesh", "mesh>>warp"] {
+            assert!(bad.parse::<MemberPlan>().is_err(), "{bad:?} should fail");
+        }
+        // `backend(...)` in an expression changes the plan's Display, not
+        // its describe(): backends never split a cache.
+        let lower = |expr: &str| expr.parse::<PortfolioSpec>().expect("lowers");
+        let a = lower("and(branch(dlis),backend(sharded:4))");
+        let b = lower("and(branch(dlis),backend(parallel))");
+        assert_ne!(a.to_string(), b.to_string());
+        assert_eq!(a.describe(), b.describe());
+        assert_eq!(a.describe(), "epoch=32;len=8;lbd=8;mesh,h=dlis");
+        assert_eq!(
+            lower("backend(sharded:4)").describe(),
+            lower("mesh").describe()
+        );
     }
 
     #[test]
@@ -1659,6 +1751,8 @@ mod tests {
             // 2^32: must be rejected, not truncated to a zero budget.
             "epoch=32;len=4294967296;lbd=8;mesh",
             "epoch=32;len=8;lbd=4294967297;mesh",
+            // An expression that parses but does not lower.
+            "restart(luby:64,mesh)",
         ] {
             assert!(bad.parse::<PortfolioSpec>().is_err(), "{bad:?} should fail");
         }
@@ -1678,7 +1772,7 @@ mod tests {
         assert!(spec
             .members
             .iter()
-            .any(|m| matches!(m.engine, EngineSpec::Cdcl { .. })));
+            .any(|m| matches!(m.attempts[0].engine, EngineSpec::Cdcl { .. })));
     }
 
     #[test]

@@ -456,20 +456,17 @@ pub struct JobParams {
     pub root_node: NodeId,
     /// Cooperative stop/deadline control.
     pub stop: Option<StopHandle>,
-    /// Race a portfolio of diversified members instead of one stack.
-    /// Honoured by portfolio-aware runners (the solver service and
+    /// Race a portfolio of members instead of one stack — the one
+    /// description of *what to search* a job carries. Flat member lists
+    /// and strategy expressions both arrive here already lowered
+    /// (`"...".parse::<PortfolioSpec>()` accepts either grammar), so
+    /// nothing downstream interprets an expression. Honoured by
+    /// portfolio-aware runners (the solver service and
     /// `hyperspace-portfolio`'s `PortfolioRunner`); a plain
     /// [`ErasedStackJob::new`] job ignores it. Part of the computation —
     /// the member set changes the search — so services must key caches
-    /// on it.
+    /// on its `describe()`.
     pub portfolio: Option<crate::spec::PortfolioSpec>,
-    /// Run a strategy *expression* (see [`crate::StrategyExpr`]) instead
-    /// of the flat defaults. Like `portfolio`, honoured by
-    /// strategy-aware runners: `or`/`portfolio` alternatives become race
-    /// members, `limit`/`restart` scopes configure each member's stack. A
-    /// plain [`ErasedStackJob::new`] job ignores it. Part of the
-    /// computation — services must key caches on its `describe()`.
-    pub strategy: Option<crate::expr::StrategyExpr>,
     /// Passive telemetry sink threaded into the assembled stack. Like
     /// the checkpoint policy this never changes what is computed (the
     /// observer has no channel back into the run), so it is *not* part
@@ -493,7 +490,6 @@ impl Default for JobParams {
             root_node: 0,
             stop: None,
             portfolio: None,
-            strategy: None,
             obs: ObsHandle::off(),
         }
     }

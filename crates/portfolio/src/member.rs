@@ -1,8 +1,7 @@
 //! The erased member abstraction: anything that can race in epochs.
 
 use hyperspace_core::{
-    drive, summarise, LimitKind, MapperSpec, ObjectiveSpec, RunSummary, StackBuilder, StackSim,
-    StrategySpec, TopologySpec,
+    drive, summarise, JobParams, LimitKind, RunSummary, StackBuilder, StackSim, StrategySpec,
 };
 use hyperspace_recursion::{Objective, RecProgram};
 use hyperspace_sat::{cdcl, CdclConfig, CdclSolver, CdclStatus, Clause, Cnf, SatResult, Verdict};
@@ -79,46 +78,49 @@ impl<P: RecProgram> MeshMember<P>
 where
     P::Out: std::fmt::Debug,
 {
-    /// Assembles the member's stack (the member's strategy overrides the
-    /// portfolio-level mapper where it says so) and injects the root
-    /// problem.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles the member's stack and injects the root problem. This
+    /// is the one place a member's overrides meet the job's machine:
+    /// `params` supplies topology, objective, cancellation, step cap,
+    /// root placement and the base prune/mapping policies; `attempt`
+    /// diversifies on top.
     pub(crate) fn new(
         program: P,
         root_arg: P::Arg,
-        member: &StrategySpec,
-        topology: &TopologySpec,
-        mapper: &MapperSpec,
-        objective: ObjectiveSpec,
-        cancellation: bool,
-        max_steps: u64,
-        root: NodeId,
+        attempt: &StrategySpec,
+        params: &JobParams,
     ) -> Self {
         // A member-level logical-time limit tightens the race cap: the
         // member exhausts (and stops being driven) once it spends its
         // own budget, even if the race continues.
-        let max_steps = member
+        let max_steps = attempt
             .limits
             .iter()
             .filter(|l| l.kind == LimitKind::Time)
             .map(|l| l.n)
-            .fold(max_steps, u64::min);
+            .fold(params.max_steps, u64::min);
         let handle = StopHandle::new();
+        // A member prune of `Off` is the strategy default ("no opinion")
+        // and leaves the job-level policy set just before it in place;
+        // explicit member policies — warm starts in particular — win.
+        // The member seed is folded into seeded mappers so same-policy
+        // members explore different placements.
         let builder = StackBuilder::new(program)
-            .topology(topology.clone())
-            .mapper(mapper.clone())
-            .objective(objective)
-            .cancellation(cancellation)
-            .strategy(member)
+            .topology(params.topology.clone())
+            .objective(params.objective)
+            .cancellation(params.cancellation)
+            .prune(params.prune)
+            .strategy(attempt)
+            .mapper(attempt.seeded_mapper(&params.mapper))
             .max_steps(max_steps)
             .stop(handle.clone());
         let mut sim = builder.build();
+        let root = params.root_node;
         sim.inject(root, hyperspace_mapping::trigger(root_arg));
         MeshMember {
             sim,
             root,
             handle,
-            objective: objective.objective(),
+            objective: params.objective.objective(),
             max_steps,
             outcome: RunOutcome::MaxSteps,
             terminal: None,

@@ -10,88 +10,59 @@ use hyperspace_core::{
 };
 use hyperspace_recursion::RecProgram;
 use hyperspace_sat::{Cnf, DpllProgram, Lit, SubProblem, Verdict};
-use hyperspace_sim::{NodeId, ObsHandle, RunOutcome, StopHandle};
+use hyperspace_sim::{ObsHandle, RunOutcome, StopHandle};
 
 use crate::member::{cdcl_config, CdclMember, ChainMember, EpochStatus, MemberDrive, MeshMember};
 use crate::report::{MemberReport, PortfolioReport};
 
 /// Races a [`PortfolioSpec`]'s members over one job.
 ///
-/// Machine-level settings (topology, base mapper, root placement, step
-/// cap) are shared by every member; each member's [`StrategySpec`] then
-/// diversifies on top. The race advances in sync epochs and its full
-/// [`PortfolioReport`] is bit-identical across
+/// The runner is the spec (*what* to race), a [`JobParams`] (the machine
+/// every member shares: topology, base mapper and prune policy,
+/// objective, cancellation, step cap, root placement, stop handle,
+/// observer) and a driver-thread count; each attempt's [`StrategySpec`]
+/// diversifies on top of the machine. The race advances in sync epochs
+/// and its full [`PortfolioReport`] is bit-identical across
 /// [`PortfolioRunner::threads`] values and member backend choices.
 pub struct PortfolioRunner {
     spec: PortfolioSpec,
-    plans: Option<Vec<MemberPlan>>,
-    topology: TopologySpec,
-    mapper: MapperSpec,
-    objective: ObjectiveSpec,
-    prune: PruneSpec,
-    cancellation: bool,
-    max_steps: u64,
-    root_node: NodeId,
+    /// The shared machine. Its own `portfolio` slot stays empty (the
+    /// spec lives beside it); `backend` and `checkpoint` are not read —
+    /// members pick their own backends and races slice at epochs.
+    params: JobParams,
     threads: usize,
-    stop: Option<StopHandle>,
-    obs: ObsHandle,
 }
 
 impl PortfolioRunner {
-    /// A runner with the stack defaults: the paper's 14x14 torus,
-    /// adaptive least-busy mapping, a one-million step cap, root at
-    /// node 0, one driver thread per member (capped by the machine).
+    /// A runner with the stack defaults ([`JobParams::default`]: the
+    /// paper's 14x14 torus, adaptive least-busy mapping, a one-million
+    /// step cap, root at node 0) and one driver thread per member
+    /// (capped by the machine).
     pub fn new(spec: PortfolioSpec) -> PortfolioRunner {
-        let members = spec.members.len().max(1);
-        PortfolioRunner {
-            spec,
-            plans: None,
-            topology: TopologySpec::Torus2D { w: 14, h: 14 },
-            mapper: MapperSpec::LeastBusy {
-                status_period: None,
-            },
-            objective: ObjectiveSpec::Enumerate,
-            prune: PruneSpec::Off,
-            cancellation: false,
-            max_steps: 1_000_000,
-            root_node: 0,
-            threads: std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-                .min(members),
-            stop: None,
-            obs: ObsHandle::off(),
-        }
+        PortfolioRunner::on(spec, JobParams::default())
     }
 
-    /// A runner configured from a job's machine parameters (the service
-    /// path). Returns `None` when the params request neither a portfolio
-    /// nor a strategy expression. A flat [`JobParams::portfolio`] races
-    /// its members as before; a [`JobParams::strategy`] expression is
-    /// lowered to [`MemberPlan`]s (one per `or`/`portfolio` alternative)
-    /// raced under the default exchange budgets.
+    /// A runner configured from a job's parameters (the service path,
+    /// and the way to set machine knobs without a setter here —
+    /// cancellation, step cap, root placement): the job's portfolio on
+    /// the job's machine. Returns `None` when the params carry no
+    /// portfolio.
     pub fn from_params(params: &JobParams) -> Option<PortfolioRunner> {
-        let (spec, plans) = match (&params.portfolio, &params.strategy) {
-            (Some(spec), _) => (spec.clone(), None),
-            (None, Some(expr)) => (PortfolioSpec::new(Vec::new()), Some(expr.members().ok()?)),
-            (None, None) => return None,
-        };
-        let mut runner = PortfolioRunner::new(spec)
-            .topology(params.topology.clone())
-            .mapper(params.mapper.clone())
-            .objective(params.objective)
-            .prune(params.prune)
-            .cancellation(params.cancellation)
-            .max_steps(params.max_steps)
-            .root_node(params.root_node);
-        if let Some(stop) = params.stop.clone() {
-            runner = runner.stop(stop);
+        let mut params = params.clone();
+        let spec = params.portfolio.take()?;
+        Some(PortfolioRunner::on(spec, params))
+    }
+
+    fn on(spec: PortfolioSpec, params: JobParams) -> PortfolioRunner {
+        let threads = std::thread::available_parallelism()
+            .map(|t| t.get())
+            .unwrap_or(1)
+            .min(spec.members.len().max(1));
+        PortfolioRunner {
+            spec,
+            params,
+            threads,
         }
-        if let Some(plans) = plans {
-            runner = runner.plans(plans);
-        }
-        runner = runner.observer(params.obs.clone());
-        Some(runner)
     }
 
     /// The portfolio being raced.
@@ -99,59 +70,21 @@ impl PortfolioRunner {
         &self.spec
     }
 
-    /// Replaces the spec's flat member list with lowered expression
-    /// plans (see [`hyperspace_core::StrategyExpr::members`]); the
-    /// spec's epoch/bus budgets still apply.
-    pub fn plans(mut self, plans: Vec<MemberPlan>) -> Self {
-        self.threads = std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-            .min(plans.len().max(1));
-        self.plans = Some(plans);
-        self
-    }
-
-    /// The member plans this runner will race: explicit expression plans
-    /// when set, otherwise the spec's members as single-attempt plans.
-    fn effective_plans(&self) -> Vec<MemberPlan> {
-        match &self.plans {
-            Some(plans) => plans.clone(),
-            None => self
-                .spec
-                .members
-                .iter()
-                .map(|m| MemberPlan::single(m.clone()))
-                .collect(),
-        }
-    }
-
-    /// The shared per-member assembly context.
-    fn env(&self) -> MemberEnv {
-        MemberEnv {
-            topology: self.topology.clone(),
-            mapper: self.mapper.clone(),
-            prune: self.prune,
-            cancellation: self.cancellation,
-            max_steps: self.max_steps,
-            root_node: self.root_node,
-        }
-    }
-
     /// Selects the machine topology shared by all members.
     pub fn topology(mut self, spec: TopologySpec) -> Self {
-        self.topology = spec;
+        self.params.topology = spec;
         self
     }
 
     /// Selects the base mapping policy (members may override).
     pub fn mapper(mut self, spec: MapperSpec) -> Self {
-        self.mapper = spec;
+        self.params.mapper = spec;
         self
     }
 
     /// Selects the optimisation objective (enables the incumbent bus).
     pub fn objective(mut self, spec: ObjectiveSpec) -> Self {
-        self.objective = spec;
+        self.params.objective = spec;
         self
     }
 
@@ -160,27 +93,7 @@ impl PortfolioRunner {
     /// default, meaning "no opinion") inherit it; members with an
     /// explicit policy — warm starts in particular — keep theirs.
     pub fn prune(mut self, spec: PruneSpec) -> Self {
-        self.prune = spec;
-        self
-    }
-
-    /// Enables layer-4 cancellation of losing speculative branches
-    /// inside every member stack.
-    pub fn cancellation(mut self, on: bool) -> Self {
-        self.cancellation = on;
-        self
-    }
-
-    /// Caps every member's logical progress (simulated steps / search
-    /// operations).
-    pub fn max_steps(mut self, cap: u64) -> Self {
-        self.max_steps = cap;
-        self
-    }
-
-    /// Places every member's root trigger.
-    pub fn root_node(mut self, node: NodeId) -> Self {
-        self.root_node = node;
+        self.params.prune = spec;
         self
     }
 
@@ -195,7 +108,7 @@ impl PortfolioRunner {
     /// it trips, the race ends with [`RunOutcome::Stopped`] and every
     /// open member is cancelled.
     pub fn stop(mut self, handle: StopHandle) -> Self {
-        self.stop = Some(handle);
+        self.params.stop = Some(handle);
         self
     }
 
@@ -205,7 +118,7 @@ impl PortfolioRunner {
     /// with it on or off). Member engines run un-observed — a race's
     /// live signal is its epoch cadence, not member step noise.
     pub fn observer(mut self, obs: ObsHandle) -> Self {
-        self.obs = obs;
+        self.params.obs = obs;
         self
     }
 
@@ -223,14 +136,19 @@ impl PortfolioRunner {
     /// [`PortfolioRace`] advances epoch by epoch under the caller's
     /// control and can be suspended between epochs indefinitely.
     pub fn start_sat(&self, cnf: &Cnf) -> PortfolioRace {
-        let plans = self.effective_plans();
-        let env = self.env();
-        let members: Vec<Box<dyn MemberDrive>> = plans
+        // SAT is a decision problem: its mesh members always enumerate,
+        // whatever objective the job names for the incumbent bus.
+        let machine = JobParams {
+            objective: ObjectiveSpec::Enumerate,
+            ..self.params.clone()
+        };
+        let members = self
+            .spec
+            .members
             .iter()
-            .map(|plan| sat_plan_member(&env, cnf, plan))
+            .map(|plan| sat_plan_member(&machine, cnf, plan))
             .collect();
-        let labels = plans.iter().map(|p| p.describe()).collect();
-        self.begin(members, labels)
+        self.begin(members)
     }
 
     /// Races the portfolio over an arbitrary recursive program; `make`
@@ -259,8 +177,8 @@ impl PortfolioRunner {
     ///
     /// # Panics
     ///
-    /// If the spec contains a CDCL member — clause exchange needs a SAT
-    /// workload.
+    /// If the spec contains a CDCL member or an `or(...)` chain — clause
+    /// exchange and attempt hand-over need a SAT workload.
     pub fn start_mesh<P, F>(&self, make: F, root_arg: P::Arg) -> PortfolioRace
     where
         P: RecProgram,
@@ -268,24 +186,21 @@ impl PortfolioRunner {
         P::Out: std::fmt::Debug,
         F: Fn(usize, &StrategySpec) -> P,
     {
-        let plans = self.effective_plans();
-        let env = self.env();
-        let members: Vec<Box<dyn MemberDrive>> = plans
+        let members = self
+            .spec
+            .members
             .iter()
             .enumerate()
             .map(|(id, plan)| {
-                assert_eq!(
-                    plan.attempts.len(),
-                    1,
-                    "member {id} is an or(...) chain; only SAT portfolios race chains"
-                );
-                let member = &plan.attempts[0];
-                match member.engine {
-                    EngineSpec::Mesh => Box::new(env.mesh_member(
-                        make(id, member),
+                let [attempt] = plan.attempts.as_slice() else {
+                    panic!("member {id} is an or(...) chain; only SAT portfolios race chains");
+                };
+                match attempt.engine {
+                    EngineSpec::Mesh => Box::new(MeshMember::new(
+                        make(id, attempt),
                         root_arg.clone(),
-                        member,
-                        self.objective,
+                        attempt,
+                        &self.params,
                     )) as Box<dyn MemberDrive>,
                     EngineSpec::Cdcl { .. } => panic!(
                         "member {id} is a CDCL strategy; only SAT portfolios race CDCL members"
@@ -293,75 +208,26 @@ impl PortfolioRunner {
                 }
             })
             .collect();
-        let labels = plans.iter().map(|p| p.describe()).collect();
-        self.begin(members, labels)
+        self.begin(members)
     }
 
     /// Wraps freshly assembled members into a suspended race.
-    fn begin(&self, members: Vec<Box<dyn MemberDrive>>, strategies: Vec<String>) -> PortfolioRace {
+    fn begin(&self, members: Vec<Box<dyn MemberDrive>>) -> PortfolioRace {
         let n = members.len();
         assert!(n > 0, "a portfolio needs at least one member");
         PortfolioRace {
             epoch_len: self.spec.epoch_steps.max(1),
             max_len: self.spec.max_clause_len as usize,
             max_lbd: self.spec.max_clause_lbd as usize,
-            objective: self.objective,
-            max_steps: self.max_steps,
+            objective: self.params.objective,
+            max_steps: self.params.max_steps,
             threads: self.threads,
-            stop: self.stop.clone(),
-            obs: self.obs.clone(),
-            strategies,
+            stop: self.params.stop.clone(),
+            obs: self.params.obs.clone(),
+            strategies: self.spec.members.iter().map(|p| p.describe()).collect(),
             members: members.into_iter().map(Mutex::new).collect(),
             st: RaceState::new(n),
         }
-    }
-}
-
-/// Everything shared by every member's stack assembly — cloneable so
-/// `or(...)` chains can rebuild attempts lazily mid-race.
-#[derive(Clone)]
-struct MemberEnv {
-    topology: TopologySpec,
-    mapper: MapperSpec,
-    prune: PruneSpec,
-    cancellation: bool,
-    max_steps: u64,
-    root_node: NodeId,
-}
-
-impl MemberEnv {
-    fn mesh_member<P>(
-        &self,
-        program: P,
-        root_arg: P::Arg,
-        member: &StrategySpec,
-        objective: ObjectiveSpec,
-    ) -> MeshMember<P>
-    where
-        P: RecProgram,
-        P::Out: std::fmt::Debug,
-    {
-        // `Off` is the strategy default ("no opinion"): such members
-        // inherit the job-level policy; explicit member policies — warm
-        // starts in particular — win. The member seed is folded into
-        // seeded mappers here so same-policy members explore different
-        // placements.
-        let mut member = member.clone();
-        if member.prune == PruneSpec::Off {
-            member.prune = self.prune;
-        }
-        member.mapper = Some(member.seeded_mapper(&self.mapper));
-        MeshMember::new(
-            program,
-            root_arg,
-            &member,
-            &self.topology,
-            &self.mapper,
-            objective,
-            self.cancellation,
-            self.max_steps,
-            self.root_node,
-        )
     }
 }
 
@@ -369,7 +235,7 @@ impl MemberEnv {
 /// scope the root problem, any limit makes completion conditional on a
 /// `Sat` verdict) or a CDCL solver (time limits cap its operations,
 /// node limits its decisions).
-fn sat_attempt(env: &MemberEnv, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn MemberDrive> {
+fn sat_attempt(machine: &JobParams, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn MemberDrive> {
     match spec.engine {
         EngineSpec::Mesh => {
             let program = DpllProgram::new(spec.seeded_heuristic())
@@ -385,7 +251,7 @@ fn sat_attempt(env: &MemberEnv, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn Membe
             {
                 root = root.with_discrepancy(d);
             }
-            let member = env.mesh_member(program, root, spec, ObjectiveSpec::Enumerate);
+            let member = MeshMember::new(program, root, spec, machine);
             if spec.limits.is_empty() {
                 Box::new(member)
             } else {
@@ -400,7 +266,7 @@ fn sat_attempt(env: &MemberEnv, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn Membe
                 .iter()
                 .filter(|l| l.kind == LimitKind::Time)
                 .map(|l| l.n)
-                .fold(env.max_steps, u64::min);
+                .fold(machine.max_steps, u64::min);
             let max_decisions = spec
                 .limits
                 .iter()
@@ -415,18 +281,19 @@ fn sat_attempt(env: &MemberEnv, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn Membe
     }
 }
 
-/// Assembles one racing member from a lowered plan: single attempts run
-/// directly, `or(...)` chains wrap a lazy attempt factory.
-fn sat_plan_member(env: &MemberEnv, cnf: &Cnf, plan: &MemberPlan) -> Box<dyn MemberDrive> {
-    if plan.attempts.len() == 1 {
-        return sat_attempt(env, cnf, &plan.attempts[0]);
+/// Assembles one racing member from its plan: single attempts run
+/// directly, `or(...)` chains wrap a lazy attempt factory (which owns
+/// its inputs, since it rebuilds attempts mid-race).
+fn sat_plan_member(machine: &JobParams, cnf: &Cnf, plan: &MemberPlan) -> Box<dyn MemberDrive> {
+    if let [attempt] = plan.attempts.as_slice() {
+        return sat_attempt(machine, cnf, attempt);
     }
-    let env = env.clone();
+    let machine = machine.clone();
     let cnf = cnf.clone();
     let attempts = plan.attempts.clone();
     Box::new(ChainMember::new(
         attempts.len(),
-        Box::new(move |i| sat_attempt(&env, &cnf, &attempts[i])),
+        Box::new(move |i| sat_attempt(&machine, &cnf, &attempts[i])),
     ))
 }
 

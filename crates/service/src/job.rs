@@ -15,9 +15,9 @@ use hyperspace_apps::{
     NQueensProgram, QueensTask, SumProgram, TspInstance, TspProgram, TspTask,
 };
 use hyperspace_core::{
-    BackendSpec, CheckpointMeta, CheckpointSpec, ErasedStackJob, JobParams, MapperSpec,
-    ObjectiveSpec, PortfolioSpec, PruneSpec, RunSlice, RunSummary, SliceOutcome, StartedJob,
-    TopologySpec,
+    BackendSpec, CheckpointMeta, CheckpointSpec, EngineSpec, ErasedStackJob, JobParams, LimitKind,
+    MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, RunSlice, RunSummary, SliceOutcome,
+    StartedJob, TopologySpec,
 };
 use hyperspace_portfolio::{PortfolioRace, PortfolioRunner};
 use hyperspace_recursion::RecProgram;
@@ -266,57 +266,59 @@ impl JobKind {
     }
 
     /// Converts the workload into the uniform boxed job the pool runs.
-    /// With `portfolio` set, the job races the member set through a
-    /// [`PortfolioRunner`] (configured from the job's own params at
-    /// execution time) instead of assembling one stack; SAT portfolios
-    /// take their solver knobs from the member strategies, superseding
-    /// the kind-level heuristic/mode. Erased workloads are opaque and
-    /// always run single-stack.
-    pub(crate) fn into_erased(self, portfolio: bool) -> ErasedStackJob {
-        if portfolio {
-            return match self {
-                JobKind::Sat { cnf, .. } => ErasedStackJob::from_start_fn(move |params| {
-                    let runner = PortfolioRunner::from_params(params)
-                        .expect("portfolio jobs carry a portfolio spec");
-                    start_race(runner.start_sat(&cnf), params.checkpoint)
-                }),
-                JobKind::Knapsack { items, capacity } => {
-                    portfolio_mesh(KnapsackProgram, KnapsackTask::root(items, capacity))
-                }
-                JobKind::BnbKnapsack { items, capacity } => {
-                    portfolio_mesh(BnbKnapsackProgram, BnbKnapsackTask::root(items, capacity))
-                }
-                JobKind::Tsp { inst } => portfolio_mesh(TspProgram, TspTask::root(inst)),
-                JobKind::NQueens { n } => portfolio_mesh(NQueensProgram, QueensTask::root(n)),
-                JobKind::Fib { n } => portfolio_mesh(FibProgram, n),
-                JobKind::Sum { n } => portfolio_mesh(SumProgram, n),
-                JobKind::Erased { job, .. } => job,
-                JobKind::ErasedFactory { factory, .. } => factory(),
-            };
-        }
+    /// When the params it is started with carry a portfolio, the job
+    /// races that member set through a [`PortfolioRunner`] instead of
+    /// assembling one stack; SAT portfolios take their solver knobs from
+    /// the member strategies, superseding the kind-level heuristic/mode.
+    /// Erased workloads are opaque and always run single-stack.
+    pub(crate) fn into_erased(self) -> ErasedStackJob {
         match self {
             JobKind::Sat {
                 cnf,
                 heuristic,
                 mode,
-            } => ErasedStackJob::new(
-                DpllProgram::new(heuristic).with_mode(mode),
-                SubProblem::root(cnf),
-            ),
+            } => ErasedStackJob::from_start_fn(move |params| {
+                match PortfolioRunner::from_params(params) {
+                    Some(runner) => start_race(runner.start_sat(&cnf), params.checkpoint),
+                    None => ErasedStackJob::new(
+                        DpllProgram::new(heuristic).with_mode(mode),
+                        SubProblem::root(cnf),
+                    )
+                    .start(params),
+                }
+            }),
             JobKind::Knapsack { items, capacity } => {
-                ErasedStackJob::new(KnapsackProgram, KnapsackTask::root(items, capacity))
+                erase(KnapsackProgram, KnapsackTask::root(items, capacity))
             }
             JobKind::BnbKnapsack { items, capacity } => {
-                ErasedStackJob::new(BnbKnapsackProgram, BnbKnapsackTask::root(items, capacity))
+                erase(BnbKnapsackProgram, BnbKnapsackTask::root(items, capacity))
             }
-            JobKind::Tsp { inst } => ErasedStackJob::new(TspProgram, TspTask::root(inst)),
-            JobKind::NQueens { n } => ErasedStackJob::new(NQueensProgram, QueensTask::root(n)),
-            JobKind::Fib { n } => ErasedStackJob::new(FibProgram, n),
-            JobKind::Sum { n } => ErasedStackJob::new(SumProgram, n),
+            JobKind::Tsp { inst } => erase(TspProgram, TspTask::root(inst)),
+            JobKind::NQueens { n } => erase(NQueensProgram, QueensTask::root(n)),
+            JobKind::Fib { n } => erase(FibProgram, n),
+            JobKind::Sum { n } => erase(SumProgram, n),
             JobKind::Erased { job, .. } => job,
             JobKind::ErasedFactory { factory, .. } => factory(),
         }
     }
+}
+
+/// Boxes a mesh program as a uniform pool job: one stack, or — when the
+/// params it is started with carry a portfolio — a race of that member
+/// set.
+fn erase<P>(program: P, root_arg: P::Arg) -> ErasedStackJob
+where
+    P: RecProgram + Clone,
+    P::Arg: Clone,
+    P::Out: std::fmt::Debug,
+{
+    ErasedStackJob::from_start_fn(move |params| match PortfolioRunner::from_params(params) {
+        Some(runner) => {
+            let race = runner.start_mesh(|_, _| program.clone(), root_arg);
+            start_race(race, params.checkpoint)
+        }
+        None => ErasedStackJob::new(program, root_arg).start(params),
+    })
 }
 
 /// A portfolio race sliced at its existing sync-epoch barriers: the
@@ -380,102 +382,58 @@ fn start_race(race: PortfolioRace, checkpoint: CheckpointSpec) -> StartedJob {
     }
 }
 
-/// Checks a spec's portfolio request against its workload; returns the
-/// rejection reason for invalid combinations. CDCL members race learned
-/// clauses over a formula, so they are only meaningful on SAT jobs
-/// (erased workloads ignore the portfolio entirely and stay valid).
-pub(crate) fn validate_portfolio(spec: &JobSpec) -> Option<String> {
-    if spec.params.portfolio.is_some() && spec.params.strategy.is_some() {
-        return Some(
-            "spec sets both a portfolio and a strategy expression; \
-             pick one (a strategy expression already describes its member set)"
-                .into(),
-        );
+/// Decides whether a spec's portfolio fits its workload; returns the
+/// rejection reason when it does not. The one such check: `submit()`
+/// and `recover()` both call it, so nothing a worker would panic on —
+/// an empty member list or attempt chain, or a strategy only SAT
+/// workloads can execute (CDCL engines, discrepancy budgets and
+/// `or(...)` retry chains all manipulate the SAT search tree) on
+/// another workload — is ever queued. Erased workloads ignore the
+/// members and accept any well-formed portfolio.
+pub(crate) fn validate_portfolio(kind: &JobKind, params: &JobParams) -> Option<String> {
+    let folio = params.portfolio.as_ref()?;
+    if folio.members.is_empty() {
+        return Some("portfolio has no members; a race needs at least one".into());
     }
-    if let Some(reason) = validate_strategy(spec) {
-        return Some(reason);
-    }
-    let folio = spec.params.portfolio.as_ref()?;
-    if matches!(
-        spec.kind,
+    let sat_capable = matches!(
+        kind,
         JobKind::Sat { .. } | JobKind::Erased { .. } | JobKind::ErasedFactory { .. }
-    ) {
-        return None;
-    }
-    let cdcl = folio
-        .members
-        .iter()
-        .position(|m| matches!(m.engine, hyperspace_core::EngineSpec::Cdcl { .. }))?;
-    Some(format!(
-        "portfolio member {cdcl} is a CDCL strategy, but workload {:?} is not SAT; \
-         only SAT portfolios race CDCL members",
-        spec.kind.label()
-    ))
-}
-
-/// Checks a spec's strategy expression against its workload. Lowering
-/// errors (over-deep trees, CDCL under a discrepancy limit, nested
-/// portfolios) reject at submission rather than panicking on a worker,
-/// as do strategies that only SAT workloads can execute: CDCL engines,
-/// `limit(discrepancy, ...)` scopes and `or(...)` retry chains all
-/// manipulate the SAT search tree.
-pub(crate) fn validate_strategy(spec: &JobSpec) -> Option<String> {
-    let expr = spec.params.strategy.as_ref()?;
-    let plans = match expr.members() {
-        Ok(plans) => plans,
-        Err(e) => return Some(format!("invalid strategy expression: {e}")),
-    };
-    if matches!(
-        spec.kind,
-        JobKind::Sat { .. } | JobKind::Erased { .. } | JobKind::ErasedFactory { .. }
-    ) {
-        return None;
-    }
-    for (id, plan) in plans.iter().enumerate() {
-        if plan.attempts.len() > 1 {
+    );
+    let label = kind.label();
+    for (id, plan) in folio.members.iter().enumerate() {
+        if plan.attempts.is_empty() {
             return Some(format!(
-                "strategy member {id} is an or(...) retry chain, but workload {:?} \
-                 is not SAT; only SAT jobs re-run exhausted attempts",
-                spec.kind.label()
+                "portfolio member {id} has no attempts; a member needs at least one"
             ));
         }
-        for attempt in &plan.attempts {
-            if matches!(attempt.engine, hyperspace_core::EngineSpec::Cdcl { .. }) {
-                return Some(format!(
-                    "strategy member {id} is a CDCL strategy, but workload {:?} is \
-                     not SAT; only SAT portfolios race CDCL members",
-                    spec.kind.label()
-                ));
-            }
-            if let Some(l) = attempt
-                .limits
-                .iter()
-                .find(|l| l.kind == hyperspace_core::LimitKind::Discrepancy)
-            {
-                return Some(format!(
-                    "strategy member {id} scopes limit({l}), but workload {:?} is \
-                     not SAT; discrepancy budgets follow the SAT branching heuristic",
-                    spec.kind.label()
-                ));
-            }
+        if sat_capable {
+            continue;
+        }
+        if plan.attempts.len() > 1 {
+            return Some(format!(
+                "portfolio member {id} is an or(...) retry chain, but workload {label:?} \
+                 is not SAT; only SAT jobs re-run exhausted attempts"
+            ));
+        }
+        let attempt = &plan.attempts[0];
+        if matches!(attempt.engine, EngineSpec::Cdcl { .. }) {
+            return Some(format!(
+                "portfolio member {id} is a CDCL strategy, but workload {label:?} is \
+                 not SAT; only SAT portfolios race CDCL members"
+            ));
+        }
+        if let Some(l) = attempt
+            .limits
+            .iter()
+            .find(|l| l.kind == LimitKind::Discrepancy)
+        {
+            return Some(format!(
+                "portfolio member {id} scopes limit({l}), but workload {label:?} is \
+                 not SAT; discrepancy budgets follow the SAT branching heuristic"
+            ));
         }
     }
     None
-}
-
-/// Boxes a mesh-program portfolio race as a uniform pool job.
-fn portfolio_mesh<P>(program: P, root_arg: P::Arg) -> ErasedStackJob
-where
-    P: RecProgram + Clone,
-    P::Arg: Clone,
-    P::Out: std::fmt::Debug,
-{
-    ErasedStackJob::from_start_fn(move |params| {
-        let runner =
-            PortfolioRunner::from_params(params).expect("portfolio jobs carry a portfolio spec");
-        let race = runner.start_mesh(|_, _| program.clone(), root_arg.clone());
-        start_race(race, params.checkpoint)
-    })
 }
 
 impl std::fmt::Debug for JobKind {
@@ -561,27 +519,18 @@ impl JobSpec {
     /// Races a portfolio of diversified members instead of one stack:
     /// the first member to answer wins, losers are cancelled, and
     /// members exchange learned clauses / incumbents at deterministic
-    /// sync epochs. The full member set is part of the computation — and
-    /// of the cache key — though member *backends* are not (they are
-    /// bit-identical). Only the winner's summary is cached.
+    /// sync epochs. Build the spec from flat members
+    /// ([`PortfolioSpec::new`]) or parse it from text — the flat
+    /// `epoch=..;len=..;lbd=..;member|member` form or a strategy
+    /// expression such as `portfolio(or(limit(nodes,64,mesh),mesh),cdcl)`;
+    /// both spellings of one member set are the same spec, the same
+    /// verdict at submission and the same cache entry. The full member
+    /// set is part of the computation — and of the cache key,
+    /// superseding kind-level SAT knobs — though member *backends* are
+    /// not (they are bit-identical). Only the winner's summary is
+    /// cached.
     pub fn portfolio(mut self, spec: PortfolioSpec) -> Self {
         self.params.portfolio = Some(spec);
-        self
-    }
-
-    /// Races the member set described by a strategy expression instead
-    /// of one stack: `portfolio(...)` alternatives (and the branches of
-    /// a top-level `or(...)` distribution) become racing members, each
-    /// possibly an `or(...)` retry chain of limited attempts. The
-    /// expression is part of the computation — and of the cache key via
-    /// its backend-stripped [`StrategyExpr::describe`] rendering —
-    /// superseding kind-level SAT knobs exactly like
-    /// [`JobSpec::portfolio`]. Mutually exclusive with an explicit
-    /// portfolio spec.
-    ///
-    /// [`StrategyExpr::describe`]: hyperspace_core::StrategyExpr::describe
-    pub fn strategy(mut self, expr: hyperspace_core::StrategyExpr) -> Self {
-        self.params.strategy = Some(expr);
         self
     }
 
@@ -603,9 +552,9 @@ impl JobSpec {
     /// bit-identical, so a summary computed sequentially may be served
     /// to a sharded resubmission and vice versa.
     pub fn cache_key(&self) -> Option<String> {
-        let races = self.params.portfolio.is_some() || self.params.strategy.is_some();
-        self.kind.cache_token(races).map(|token| {
-            let mut key = format!(
+        let folio = self.params.portfolio.as_ref();
+        self.kind.cache_token(folio.is_some()).map(|token| {
+            format!(
                 "{token}|{}|{}|cancel={}|obj={}|prune={}|steps={}|root={}|portfolio={}",
                 self.params.topology,
                 self.params.mapper,
@@ -617,21 +566,8 @@ impl JobSpec {
                 // The member set changes the computation; member
                 // *backends* do not (describe() strips them), keeping the
                 // backend-never-splits-the-cache invariant.
-                self.params
-                    .portfolio
-                    .as_ref()
-                    .map(|p| p.describe())
-                    .unwrap_or_else(|| "none".into())
-            );
-            // Strategy expressions extend the key only when present, so
-            // every pre-expression spec keeps its exact legacy key (the
-            // cache stays warm across the upgrade). describe() strips
-            // member backends like the portfolio rendering above.
-            if let Some(expr) = &self.params.strategy {
-                key.push_str("|strategy=");
-                key.push_str(&expr.describe());
-            }
-            key
+                folio.map_or_else(|| "none".into(), |p| p.describe())
+            )
         })
     }
 }

@@ -27,7 +27,7 @@ use std::str::FromStr;
 use hyperspace_apps::{Item, TspInstance};
 use hyperspace_core::{
     BackendSpec, CheckpointSpec, JobParams, MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec,
-    StrategyExpr, TopologySpec,
+    TopologySpec,
 };
 use hyperspace_sat::{dimacs, Heuristic, SimplifyMode};
 use hyperspace_sim::codec::{Reader, Writer};
@@ -37,8 +37,11 @@ use crate::job::JobKind;
 
 /// Version of the record payload layout (independent of the manifest
 /// header version: the store frames bytes, this module fills them).
-/// Version 2 appended the optional strategy expression after the
-/// portfolio; version-1 records (no strategy field) still decode.
+/// Version 2 appended an optional strategy-expression slot after the
+/// portfolio; version-1 records (no such slot) still decode. The writer
+/// leaves the slot empty — expressions are lowered into the portfolio
+/// before they reach a record — and the reader lowers a filled one, so
+/// records written before that still decode to the same computation.
 pub const RECORD_VERSION: u32 = 2;
 
 /// Upper bound on a persisted TSP instance's city count. The decoder
@@ -149,11 +152,8 @@ pub fn encode_spec(priority: i32, kind: &JobKind, params: &JobParams) -> Option<
         .as_ref()
         .map(|p| p.to_string())
         .encode(&mut w);
-    params
-        .strategy
-        .as_ref()
-        .map(|e| e.to_string())
-        .encode(&mut w);
+    // The version-2 strategy slot: always empty now (see RECORD_VERSION).
+    None::<String>.encode(&mut w);
     Some(w.into_bytes())
 }
 
@@ -188,9 +188,13 @@ pub fn encode_record(
 
 /// Decodes a record payload back into a runnable job. Corruption-safe:
 /// every length is bounded by the input, every parsed spec string is
-/// validated through its `FromStr` grammar, and structurally impossible
-/// values (a TSP matrix that is not `n x n`, an unknown workload tag)
-/// error instead of panicking downstream.
+/// validated through its `FromStr` grammar — a strategy expression is
+/// also lowered, into [`JobParams::portfolio`] — and structurally
+/// impossible values (a TSP matrix that is not `n x n`, an unknown
+/// workload tag, an expression that does not lower, a record naming its
+/// members twice) error instead of panicking downstream. Whether the
+/// decoded portfolio fits the decoded workload is the service's
+/// submission check, which recovery runs on every decoded record.
 pub fn decode_record(payload: &[u8]) -> Result<RecoveredJob, CodecError> {
     let mut r = Reader::new(payload);
     let spec_bytes = r.get_bytes()?;
@@ -270,26 +274,30 @@ pub fn decode_record(payload: &[u8]) -> Result<RecoveredJob, CodecError> {
     let checkpoint_spec = get_parsed::<CheckpointSpec>(&mut r, "checkpoint")?;
     let max_steps = r.get_u64()?;
     let root_node = r.get_u32()?;
-    let portfolio = match Option::<String>::decode(&mut r)? {
-        Some(s) => Some(
-            s.parse::<PortfolioSpec>()
-                .map_err(|err| invalid(format!("portfolio `{s}`: {err}")))?,
-        ),
-        None => None,
+    // Both slots hold portfolio text in the one `PortfolioSpec` grammar
+    // (flat or expression; an expression is lowered by the parse).
+    let folio = |r: &mut Reader<'_>, what: &str| -> Result<Option<PortfolioSpec>, CodecError> {
+        Option::<String>::decode(r)?
+            .map(|s| {
+                s.parse()
+                    .map_err(|err| invalid(format!("{what} `{s}`: {err}")))
+            })
+            .transpose()
     };
-    // Version 1 records predate strategy expressions and simply end
-    // here; the field was appended, so earlier offsets are unchanged.
+    let portfolio = folio(&mut r, "portfolio")?;
+    // Version 1 records predate the strategy slot and simply end here;
+    // the slot was appended, so earlier offsets are unchanged.
     let strategy = if version >= 2 {
-        match Option::<String>::decode(&mut r)? {
-            Some(s) => Some(
-                s.parse::<StrategyExpr>()
-                    .map_err(|err| invalid(format!("strategy `{s}`: {err}")))?,
-            ),
-            None => None,
-        }
+        folio(&mut r, "strategy")?
     } else {
         None
     };
+    if portfolio.is_some() && strategy.is_some() {
+        return Err(invalid(
+            "record names its members twice: portfolio and strategy slots both filled",
+        ));
+    }
+    let portfolio = portfolio.or(strategy);
     let params = JobParams {
         topology,
         mapper,
@@ -301,7 +309,6 @@ pub fn decode_record(payload: &[u8]) -> Result<RecoveredJob, CodecError> {
         max_steps,
         root_node,
         portfolio,
-        strategy,
         ..JobParams::default()
     };
     if r.remaining() != 0 {
@@ -405,28 +412,21 @@ mod tests {
     }
 
     #[test]
-    fn strategy_expressions_survive_persistence() {
-        let expr: StrategyExpr = "portfolio(limit(discrepancy,2,mesh),restart(luby:64,cdcl))"
-            .parse()
-            .expect("valid expression");
+    fn expression_born_portfolios_survive_persistence() {
+        // `or(...)` lowers to a two-attempt chain, so the flat rendering
+        // the record carries has to keep `>>` and the member backend.
+        let folio: PortfolioSpec =
+            "portfolio(or(limit(discrepancy,2,backend(sharded:2)),mesh),restart(luby:64,cdcl))"
+                .parse()
+                .expect("valid expression");
         let kind = JobKind::sat(gen::uf20_91(4));
         let params = JobParams {
-            strategy: Some(expr.clone()),
+            portfolio: Some(folio.clone()),
             ..JobParams::default()
         };
         let spec = encode_spec(0, &kind, &params).expect("persistable");
         let back = decode_record(&encode_record(&spec, 0, None)).expect("decodes");
-        assert_eq!(back.params.strategy, Some(expr));
-        use crate::job::JobSpec;
-        let original = JobSpec {
-            kind: kind.try_clone().expect("clonable"),
-            params,
-        };
-        let recovered = JobSpec {
-            kind: back.kind,
-            params: back.params,
-        };
-        assert_eq!(original.cache_key(), recovered.cache_key());
+        assert_eq!(back.params.portfolio, Some(folio));
     }
 
     #[test]
@@ -441,7 +441,7 @@ mod tests {
         v1[0..4].copy_from_slice(&1u32.to_le_bytes());
         let back = decode_record(&encode_record(&v1, 64, None)).expect("v1 decodes");
         assert_eq!(back.priority, 7);
-        assert!(back.params.strategy.is_none());
+        assert!(back.params.portfolio.is_none());
         assert_eq!(back.params.max_steps, 123_456);
     }
 

@@ -317,8 +317,9 @@ impl SolverService {
     /// their original submission order, ahead of anything submitted to
     /// this incarnation). Each keeps its original id and replays
     /// deterministically to its last checkpoint barrier; corrupt
-    /// records are quarantined by the scan and counted as persist
-    /// errors. No-op without a store.
+    /// records — and records whose portfolio fails the submission
+    /// check — are quarantined and counted as persist errors. No-op
+    /// without a store.
     fn recover(&mut self) {
         let Some(store) = self.inner.store.clone() else {
             return;
@@ -327,11 +328,18 @@ impl SolverService {
         let mut persist_errors = outcome.corrupt.len() as u64;
         for manifest in outcome.jobs {
             let record = match persist::decode_record(&manifest.payload) {
-                Ok(record) => record,
-                Err(_) => {
-                    // Manifest framing was healthy but the job record
-                    // inside was not; quarantine it like the scan does
-                    // so the next restart is not haunted by it too.
+                Ok(record)
+                    if crate::job::validate_portfolio(&record.kind, &record.params).is_none() =>
+                {
+                    record
+                }
+                _ => {
+                    // Manifest framing was healthy (the CRC proves the
+                    // bytes are the ones written) but the job record
+                    // inside does not decode, or fails the check
+                    // `submit()` runs and would panic a worker;
+                    // quarantine it like the scan does so the next
+                    // restart is not haunted by it too.
                     let _ = store.remove(manifest.job_id);
                     persist_errors += 1;
                     continue;
@@ -346,13 +354,12 @@ impl SolverService {
             };
             let cache_key = spec.cache_key();
             let label = spec.kind.label();
-            let portfolio = spec.params.portfolio.is_some() || spec.params.strategy.is_some();
             let rebuild: Option<Box<dyn Fn() -> ErasedStackJob + Send>> =
                 spec.kind.try_clone().map(|kind| {
                     Box::new(move || {
                         kind.try_clone()
                             .expect("cloneable kinds stay cloneable")
-                            .into_erased(portfolio)
+                            .into_erased()
                     }) as Box<dyn Fn() -> ErasedStackJob + Send>
                 });
             let shared = JobShared::new(id);
@@ -390,7 +397,7 @@ impl SolverService {
                 },
                 cache_key,
                 label,
-                payload: Some(Payload::Start(spec.kind.into_erased(portfolio))),
+                payload: Some(Payload::Start(spec.kind.into_erased())),
                 shared,
                 rebuild,
                 attempt: 0,
@@ -481,9 +488,10 @@ impl SolverService {
     }
 
     /// Submits a job; returns immediately with a handle. Invalid
-    /// portfolio requests (CDCL members on a non-SAT workload — clause
-    /// exchange needs a formula) are rejected here with
-    /// [`JobOutcome::Failed`] rather than panicking a worker later.
+    /// portfolio requests (no members, or SAT-only strategies such as
+    /// CDCL members on a non-SAT workload — clause exchange needs a
+    /// formula) are rejected here with [`JobOutcome::Failed`] rather
+    /// than panicking a worker later.
     pub fn submit(&self, request: impl Into<JobRequest>) -> JobHandle {
         let request = request.into();
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
@@ -494,7 +502,9 @@ impl SolverService {
         let handle = JobHandle {
             shared: Arc::clone(&shared),
         };
-        if let Some(reason) = crate::job::validate_portfolio(&request.spec) {
+        if let Some(reason) =
+            crate::job::validate_portfolio(&request.spec.kind, &request.spec.params)
+        {
             shared.finish(JobResult {
                 id,
                 outcome: JobOutcome::Failed(reason),
@@ -514,8 +524,6 @@ impl SolverService {
             Event::new(EventKind::Submitted, Some(id), i64::from(request.priority))
                 .with_detail(label.clone()),
         );
-        let portfolio =
-            request.spec.params.portfolio.is_some() || request.spec.params.strategy.is_some();
         // Checkpoint restarts need a second copy of the job; build the
         // factory before the kind is consumed. Non-checkpointed jobs
         // never restart, so they skip the clone.
@@ -525,7 +533,7 @@ impl SolverService {
                     Box::new(move || {
                         kind.try_clone()
                             .expect("cloneable kinds stay cloneable")
-                            .into_erased(portfolio)
+                            .into_erased()
                     }) as Box<dyn Fn() -> ErasedStackJob + Send>
                 })
             } else {
@@ -553,7 +561,7 @@ impl SolverService {
             },
             cache_key,
             label,
-            payload: Some(Payload::Start(request.spec.kind.into_erased(portfolio))),
+            payload: Some(Payload::Start(request.spec.kind.into_erased())),
             shared,
             rebuild,
             attempt: 0,

@@ -42,7 +42,7 @@ fn with_backends(spec: &PortfolioSpec, choice: usize) -> PortfolioSpec {
     let matrix = backend_matrix();
     let mut spec = spec.clone();
     for (j, member) in spec.members.iter_mut().enumerate() {
-        member.backend = matrix[(choice + j) % matrix.len()].clone();
+        member.attempts[0].backend = matrix[(choice + j) % matrix.len()].clone();
     }
     spec
 }

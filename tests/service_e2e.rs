@@ -598,7 +598,7 @@ fn portfolio_jobs_complete_and_cache_winner_only() {
     // onto the sharded backend and hit the original entry.
     let mut sharded = PortfolioSpec::diversified_sat(4);
     for member in &mut sharded.members {
-        member.backend = BackendSpec::sharded(2);
+        member.attempts[0].backend = BackendSpec::sharded(2);
     }
     let fourth = service.submit(folio(sharded)).wait();
     assert!(
@@ -644,7 +644,7 @@ fn legacy_cache_keys_are_byte_for_byte_unchanged() {
     // pre-expression spec must keep its exact legacy key, byte for byte
     // — an upgraded service re-serves its warm cache. The snapshots
     // below are pinned from the pre-upgrade key format.
-    use hyperspace::core::{PortfolioSpec, StrategyExpr};
+    use hyperspace::core::PortfolioSpec;
 
     let sum = on_small_torus(JobKind::sum(5));
     assert_eq!(
@@ -667,21 +667,27 @@ fn legacy_cache_keys_are_byte_for_byte_unchanged() {
         ),
         "{key}"
     );
-    // A strategy expression only ever *appends* to the legacy key.
-    let expr: StrategyExpr = "limit(nodes,64,mesh)".parse().expect("valid");
-    let strategic = on_small_torus(JobKind::sum(5)).strategy(expr);
+    // An expression's key equals the key of the flat text it lowers to.
+    let lowered = |text: &str| {
+        on_small_torus(JobKind::sum(5)).portfolio(text.parse().expect("valid portfolio text"))
+    };
+    let strategic = lowered("limit(nodes,64,mesh)");
     assert_eq!(
         strategic.cache_key().as_deref(),
         Some(
             "sum/5|torus2d:4x4|least-busy|cancel=false|obj=enumerate|prune=off|\
-             steps=1000000|root=0|portfolio=none|strategy=limit(nodes,64,mesh)"
+             steps=1000000|root=0|portfolio=epoch=32;len=8;lbd=8;mesh,limit=nodes:64"
         )
+    );
+    assert_eq!(
+        strategic.cache_key(),
+        lowered("epoch=32;len=8;lbd=8;mesh,limit=nodes:64").cache_key()
     );
 }
 
 #[test]
 fn strategy_expression_jobs_complete_and_cache_on_describe() {
-    use hyperspace::core::StrategyExpr;
+    use hyperspace::core::{LimitSpec, PortfolioSpec, StrategySpec};
 
     let service = SolverService::with_workers(2);
     let cnf = gen::uf20_91(7);
@@ -690,7 +696,7 @@ fn strategy_expression_jobs_complete_and_cache_on_describe() {
             .mapper(MapperSpec::LeastBusy {
                 status_period: None,
             })
-            .strategy(text.parse::<StrategyExpr>().expect("valid expression"))
+            .portfolio(text.parse().expect("valid expression"))
     };
 
     let race = "portfolio(limit(discrepancy,2,mesh),restart(luby:64,cdcl),mesh)";
@@ -727,40 +733,50 @@ fn strategy_expression_jobs_complete_and_cache_on_describe() {
         .wait();
     assert!(fourth.from_cache, "backend nodes must not split the cache");
 
+    // One computation spelled twice is one entry: the flat members the
+    // third expression lowers to are served from its run.
+    let flat = PortfolioSpec::new(vec![
+        StrategySpec::mesh().with_limit(LimitSpec::discrepancy(4)),
+        StrategySpec::mesh(),
+    ]);
+    let fifth = service.submit(sub("mesh").portfolio(flat)).wait();
+    assert!(fifth.from_cache, "the flat spelling ran again");
+    assert_eq!(fifth.outcome.summary(), third.outcome.summary());
+
     let stats = service.shutdown();
-    assert_eq!(stats.completed, 4);
-    assert_eq!(stats.cache_hits, 2);
+    assert_eq!(stats.completed, 5);
+    assert_eq!(stats.cache_hits, 3);
 }
 
 #[test]
 fn invalid_strategy_requests_fail_at_submission() {
-    use hyperspace::core::{PortfolioSpec, StrategyExpr};
+    use hyperspace::core::{MemberPlan, PortfolioSpec, StrategySpec};
 
     let service = SolverService::with_workers(1);
-    // Portfolio and strategy together are ambiguous: rejected.
-    let both = on_small_torus(JobKind::sat(gen::uf20_91(1)))
-        .portfolio(PortfolioSpec::diversified_sat(2))
-        .strategy("mesh".parse::<StrategyExpr>().expect("valid"));
-    match service.submit(both).wait().outcome {
-        JobOutcome::Failed(reason) => assert!(reason.contains("both"), "{reason}"),
-        other => panic!("expected Failed, got {other:?}"),
-    }
-    // SAT-only combinators on a non-SAT workload: rejected.
-    let lds_on_queens = on_small_torus(JobKind::nqueens(5)).strategy(
-        "limit(discrepancy,2,mesh)"
-            .parse::<StrategyExpr>()
-            .expect("valid"),
-    );
-    match service.submit(lds_on_queens).wait().outcome {
-        JobOutcome::Failed(reason) => assert!(reason.contains("discrepancy"), "{reason}"),
-        other => panic!("expected Failed, got {other:?}"),
-    }
+    let rejection = |spec: JobSpec| match service.submit(spec).wait() {
+        result if result.worker.is_some() => panic!("reached a worker: {result:?}"),
+        result => match result.outcome {
+            JobOutcome::Failed(reason) => reason,
+            other => panic!("expected Failed, got {other:?}"),
+        },
+    };
+    let queens = |text: &str| {
+        on_small_torus(JobKind::nqueens(5)).portfolio(text.parse().expect("valid portfolio text"))
+    };
+    // SAT-only strategies on a non-SAT workload get one verdict however
+    // they are spelled: flat text and expression, same reason.
+    let flat = rejection(queens("epoch=32;len=8;lbd=8;mesh,limit=discrepancy:2"));
+    assert!(flat.contains("discrepancy"), "{flat}");
+    assert_eq!(rejection(queens("limit(discrepancy,2,mesh)")), flat);
+    // A race needs members, and a member needs attempts: rejected here,
+    // not by an assertion on a worker thread.
+    let no_members = PortfolioSpec::new(Vec::<StrategySpec>::new());
+    let reason = rejection(on_small_torus(JobKind::sat(gen::uf20_91(1))).portfolio(no_members));
+    assert!(reason.contains("no members"), "{reason}");
+    let no_attempts = PortfolioSpec::new(vec![MemberPlan { attempts: vec![] }]);
+    let reason = rejection(on_small_torus(JobKind::sat(gen::uf20_91(1))).portfolio(no_attempts));
+    assert!(reason.contains("no attempts"), "{reason}");
     // Node-limited mesh strategies on recursion workloads are fine.
-    let budgeted = on_small_torus(JobKind::nqueens(5)).strategy(
-        "limit(nodes,100000,mesh)"
-            .parse::<StrategyExpr>()
-            .expect("valid"),
-    );
-    let result = service.submit(budgeted).wait();
+    let result = service.submit(queens("limit(nodes,100000,mesh)")).wait();
     assert!(result.outcome.is_completed(), "{:?}", result.outcome);
 }

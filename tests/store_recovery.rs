@@ -17,9 +17,13 @@
 
 use std::time::{Duration, Instant};
 
-use hyperspace::core::{CheckpointSpec, TopologySpec};
+use hyperspace::core::{CheckpointSpec, JobParams, PortfolioSpec, TopologySpec};
 use hyperspace::obs::EventKind;
+use hyperspace::sat::gen;
+use hyperspace::service::persist::{decode_record, encode_record, encode_spec};
 use hyperspace::service::{JobKind, JobRequest, JobSpec, JobStatus, ServiceConfig, SolverService};
+use hyperspace::sim::codec::Writer;
+use hyperspace::sim::Codec;
 use hyperspace::store::JobStore;
 
 fn store_dir(tag: &str) -> std::path::PathBuf {
@@ -195,4 +199,125 @@ fn recovery_ignores_quarantined_garbage_and_still_recovers_the_rest() {
     assert!(!dir.join(".tmp-feedface").exists(), "torn temp swept");
     drop(revived);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `spec` (fresh [`encode_spec`] output, whose last byte is the empty
+/// strategy slot) with that slot filled — what a pre-lowering writer
+/// produced and today's writer no longer can.
+fn with_strategy_slot(spec: &[u8], expr: &str) -> Vec<u8> {
+    let (body, slot) = spec.split_at(spec.len() - 1);
+    assert_eq!(slot, [0], "encode_spec leaves the strategy slot empty");
+    let mut w = Writer::new();
+    Some(expr.to_string()).encode(&mut w);
+    [body, &w.into_bytes()].concat()
+}
+
+#[test]
+fn recovery_rejects_records_that_submission_would_reject() {
+    // Three records with healthy framing and CRCs that no worker can
+    // run: an expression that parses but does not lower, a record naming
+    // its members in both slots, and a CDCL member on a non-SAT job.
+    let small = |portfolio: Option<&str>| JobParams {
+        topology: TopologySpec::Torus2D { w: 4, h: 4 },
+        checkpoint: CheckpointSpec::every(64),
+        portfolio: portfolio.map(|text| text.parse().expect("valid portfolio text")),
+        ..JobParams::default()
+    };
+    let sat = JobKind::sat(gen::uf20_91(1));
+    let plain = encode_spec(0, &sat, &small(None)).expect("persistable");
+    let folio =
+        encode_spec(0, &sat, &small(Some("epoch=32;len=8;lbd=8;mesh"))).expect("persistable");
+    let specs = [
+        with_strategy_slot(&plain, "restart(luby:64,mesh)"),
+        with_strategy_slot(&folio, "mesh"),
+        encode_spec(
+            0,
+            &JobKind::nqueens(5),
+            &small(Some("epoch=32;len=8;lbd=8;cdcl")),
+        )
+        .expect("persistable"),
+    ];
+    let dir = store_dir("unrunnable");
+    {
+        let store = JobStore::open(&dir).expect("open");
+        for (id, spec) in specs.iter().enumerate() {
+            store
+                .put(id as u64, 0, &encode_record(spec, 0, None))
+                .expect("put");
+        }
+        assert_eq!(store.scan().expect("scan").jobs.len(), 3, "all CRC-valid");
+    }
+
+    let revived = SolverService::new(ServiceConfig {
+        max_restarts: 2,
+        ..config(&dir)
+    });
+    assert!(
+        revived.recovered().is_empty(),
+        "nothing runnable to recover"
+    );
+    revived.drain();
+    let stats = revived.stats();
+    assert_eq!(stats.persist_errors, 3);
+    assert_eq!(stats.restarts, 0, "no worker ever saw the records");
+    let events = revived.observe().registry().recorder().snapshot();
+    assert!(events.iter().all(|e| e.kind != EventKind::Crashed));
+    let scan = JobStore::open(&dir).expect("open").scan().expect("scan");
+    assert!(scan.jobs.is_empty(), "rejected records are removed");
+    drop(revived);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn golden_job_records_decode_key_and_run_as_at_the_parent() {
+    // Written by the commit before portfolios became the one strategy
+    // carrier: a version-1 and a version-2 record of a flat
+    // `diversified_sat(6)` job and a version-2 record whose strategy
+    // slot holds `portfolio(or(limit(nodes,64,mesh),mesh),
+    // restart(luby:64,cdcl))`, with the cache keys and summaries that
+    // commit produced for them.
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let expected = std::fs::read_to_string(golden.join("job_records.expected")).expect("pins");
+    let pin = |name: &str, what: &str| {
+        let prefix = format!("{name} {what} ");
+        expected.lines().find_map(|l| l.strip_prefix(&prefix))
+    };
+    let service = SolverService::new(ServiceConfig {
+        workers: 1,
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    });
+    for name in [
+        "job_record_v1_portfolio",
+        "job_record_v2_portfolio",
+        "job_record_v2_strategy",
+    ] {
+        let payload = std::fs::read(golden.join(format!("{name}.bin"))).expect("golden record");
+        let job = decode_record(&payload).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let folio: PortfolioSpec = job.params.portfolio.clone().expect("lowered");
+        // Re-encoding writes the flat rendering; nothing is lost.
+        let again = encode_spec(job.priority, &job.kind, &job.params).expect("persistable");
+        let again = decode_record(&encode_record(&again, 0, None)).expect("re-decodes");
+        assert_eq!(again.params.portfolio.as_ref(), Some(&folio), "{name}");
+        let spec = JobSpec {
+            kind: job.kind,
+            params: job.params,
+        };
+        // The strategy record's key changed by design (it now equals its
+        // flat spelling's); the portfolio records' keys may not.
+        if let Some(key) = pin(name, "key") {
+            assert_eq!(format!("{:?}", spec.cache_key().expect("cacheable")), key);
+        } else {
+            assert_eq!(
+                folio.describe(),
+                "epoch=32;len=8;lbd=8;mesh,limit=nodes:64>>mesh|cdcl,restart=luby:64"
+            );
+        }
+        let result = service.submit(spec).wait();
+        let summary = result.outcome.summary().expect("completes");
+        assert_eq!(
+            format!("{summary:?}"),
+            pin(name, "summary").expect("pinned")
+        );
+    }
 }

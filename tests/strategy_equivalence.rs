@@ -4,14 +4,17 @@
 //! machinery as flat strategy specs, so three contracts hold:
 //!
 //! 1. `Display`/`FromStr` round-trip exactly over *random* expression
-//!    trees (proptest) — the canonical rendering is the wire format the
-//!    service persists and caches on.
+//!    trees (proptest) — the language's own contract — and every tree
+//!    that lowers yields a [`PortfolioSpec`] whose flat rendering (the
+//!    wire format the service persists and caches on) parses back to an
+//!    equal value, `>>` chains and member backends included.
 //! 2. Expression-driven races — including `limit(discrepancy, ...)`
 //!    scopes and `restart(luby:N, ...)` schedules — produce bit-identical
 //!    [`PortfolioReport`]s across member backends (seq / parallel /
 //!    sharded:{1,2,7}) and driver-thread counts.
-//! 3. A legacy flat [`PortfolioSpec`] and its [`PortfolioSpec::to_expr`]
-//!    sugar race to the *same report*, member labels included.
+//! 3. A flat [`PortfolioSpec`] and the expression text naming the same
+//!    members are *equal values*, so they race identically by
+//!    construction.
 
 use hyperspace::core::{
     BackendSpec, LimitSpec, MapperSpec, PartitionSpec, PortfolioSpec, StrategyExpr, StrategySpec,
@@ -62,14 +65,13 @@ fn criteria_expr() -> StrategyExpr {
 /// (rotated by `choice` so one race mixes several backends at once).
 fn race_expr(expr: &StrategyExpr, choice: usize, threads: usize, cnf: &Cnf) -> PortfolioReport {
     let matrix = backend_matrix();
-    let mut plans = expr.members().expect("expression lowers");
-    for (j, plan) in plans.iter_mut().enumerate() {
+    let mut spec = PortfolioSpec::new(expr.members().expect("expression lowers")).epoch(16);
+    for (j, plan) in spec.members.iter_mut().enumerate() {
         for attempt in plan.attempts.iter_mut() {
             attempt.backend = matrix[(choice + j) % matrix.len()].clone();
         }
     }
-    PortfolioRunner::new(PortfolioSpec::new(Vec::new()).epoch(16))
-        .plans(plans)
+    PortfolioRunner::new(spec)
         .topology(TopologySpec::Torus2D { w: 4, h: 4 })
         .mapper(MapperSpec::RoundRobin)
         .threads(threads)
@@ -97,9 +99,7 @@ fn criteria_expression_races_identically_everywhere() {
 }
 
 #[test]
-fn flat_portfolios_and_their_expression_sugar_race_identically() {
-    // A legacy flat spec and its to_expr() lowering must be the same
-    // computation: same winner, same counters, same member labels.
+fn flat_portfolios_equal_the_expression_naming_the_same_members() {
     let flat = PortfolioSpec::new(vec![
         StrategySpec::mesh().with_heuristic(Heuristic::JeroslowWang),
         StrategySpec::mesh()
@@ -107,22 +107,14 @@ fn flat_portfolios_and_their_expression_sugar_race_identically() {
             .with_polarity(Polarity::Negative)
             .with_simplify(SimplifyMode::SinglePass),
         StrategySpec::cdcl(RestartPolicy::Luby(4)).with_seed(3),
-    ])
-    .epoch(16);
-    let cnf = gen::uf20_91(29);
-    let run = |runner: PortfolioRunner| {
-        runner
-            .topology(TopologySpec::Torus2D { w: 4, h: 4 })
-            .mapper(MapperSpec::RoundRobin)
-            .threads(2)
-            .run_sat(&cnf)
-    };
-    let direct = run(PortfolioRunner::new(flat.clone()));
-    let via_expr = run(
-        PortfolioRunner::new(PortfolioSpec::new(Vec::new()).epoch(16))
-            .plans(flat.to_expr().members().expect("sugar lowers")),
-    );
-    assert_eq!(via_expr, direct, "expression sugar changed the race");
+    ]);
+    let expr: PortfolioSpec = "portfolio(\
+           mesh,\
+           and(branch(dlis),value(neg),simplify(single-pass)),\
+           restart(luby:4,probe(3)))"
+        .parse()
+        .expect("expression lowers");
+    assert_eq!(expr, flat);
 }
 
 /// One random leaf primitive, built from its canonical text (the same
@@ -204,6 +196,24 @@ proptest! {
         let back: StrategyExpr = text.parse()
             .unwrap_or_else(|e| panic!("{text:?} failed to re-parse: {e}"));
         prop_assert_eq!(back, expr, "{}", text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every random tree that lowers yields a plan whose flat text
+    /// parses back to an equal plan — the wire format of the *plan*
+    /// loses nothing, `>>` chains and member backends included.
+    #[test]
+    fn lowered_plans_display_round_trip(expr in ArbExpr) {
+        if let Ok(members) = expr.members() {
+            let spec = PortfolioSpec::new(members);
+            let text = spec.to_string();
+            let back: PortfolioSpec = text.parse()
+                .unwrap_or_else(|e| panic!("{text:?} failed to re-parse: {e}"));
+            prop_assert_eq!(back, spec, "{} lowered to {}", expr, text);
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperspace_sat::heuristics::ALL_HEURISTICS;
 use hyperspace_sat::simplify::{simplify_with, SimplifyMode};
-use hyperspace_sat::{cdcl, dpll, gen, Assignment, Var};
+use hyperspace_sat::{cdcl, dpll, gen, Assignment, Heuristic, Var};
 
 fn bench_sequential_solver(c: &mut Criterion) {
     let cnf = gen::uf20_91(2017);
@@ -64,19 +64,47 @@ fn bench_generator(c: &mut Criterion) {
     group.finish();
 }
 
+/// Layer 5's other share of an activation: `simplify_with` on residual
+/// formulas a search meets, in every mode. A formula `name@d` is `name`
+/// after its first `d` variables took their values in a model, so nothing
+/// it forces conflicts: `@1` forces nothing (the quiescent early exit),
+/// `uf20-91@7` 13 units, `ksat-40-182@11` 5 units and a pure literal,
+/// `ksat-40-182@12` 23 units and 3 pure literals (1 under `single-pass`).
+/// A call takes well under a microsecond on the early exits, so each
+/// sample is 100 calls.
 fn bench_simplify(c: &mut Criterion) {
-    let cnf = gen::uf20_91(2017);
-    let assigned = cnf.assign(hyperspace_sat::Var(0), true);
     let mut group = c.benchmark_group("simplify");
     group.sample_size(50);
-    for mode in [SimplifyMode::Fixpoint, SimplifyMode::SinglePass] {
-        group.bench_function(BenchmarkId::from_parameter(mode.to_string()), |b| {
-            b.iter(|| {
-                let mut f = assigned.clone();
-                let mut a = Assignment::new(f.num_vars());
-                simplify_with(&mut f, &mut a, mode)
-            })
-        });
+    let formulas = [
+        ("uf20-91", gen::uf20_91(2017), &[1, 7][..]),
+        (
+            "ksat-40-182",
+            gen::satisfiable_ksat(2017, 40, 182, 3),
+            &[1, 11, 12],
+        ),
+    ];
+    for (name, cnf, depths) in &formulas {
+        let (result, _) = dpll::solve(cnf, Heuristic::JeroslowWang);
+        let model = result.model().expect("satisfiable by construction");
+        for &depth in *depths {
+            let residual = (0..depth).fold(cnf.clone(), |f, v| f.assign(Var(v), model[v as usize]));
+            for mode in [
+                SimplifyMode::Fixpoint,
+                SimplifyMode::SinglePass,
+                SimplifyMode::SplitOnly,
+            ] {
+                let id = BenchmarkId::new(mode.to_string(), format!("{name}@{depth}"));
+                group.bench_function(id, |b| {
+                    b.iter(|| {
+                        for _ in 0..100 {
+                            let mut f = std::hint::black_box(&residual).clone();
+                            let mut a = Assignment::new(f.num_vars());
+                            std::hint::black_box(simplify_with(&mut f, &mut a, mode));
+                        }
+                    })
+                });
+            }
+        }
     }
     group.finish();
 }

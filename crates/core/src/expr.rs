@@ -598,16 +598,7 @@ fn lower(expr: &StrategyExpr, acc: Vec<Plan>) -> Result<Vec<Plan>, SpecParseErro
 fn finish(plans: Vec<Plan>) -> Result<MemberPlan, SpecParseError> {
     let mut attempts = Vec::with_capacity(plans.len());
     for p in plans {
-        if matches!(p.spec.engine, EngineSpec::Cdcl { .. })
-            && p.spec
-                .limits
-                .iter()
-                .any(|l| l.kind == LimitKind::Discrepancy)
-        {
-            return Err(conflict(
-                "limit(discrepancy,...): expected a mesh search underneath, got cdcl",
-            ));
-        }
+        p.spec.check_limits_fit_engine()?;
         attempts.push(p.spec);
     }
     Ok(MemberPlan { attempts })

@@ -1,6 +1,6 @@
 //! Runtime-selectable topology, mapper and backend configurations.
 
-use crate::expr::LimitSpec;
+use crate::expr::{LimitKind, LimitSpec};
 use hyperspace_mapping::{
     GlobalRandomMapper, LeastBusyMapper, Mapper, MapperFactory, RandomMapper, RoundRobinMapper,
     WeightAwareMapper,
@@ -881,6 +881,24 @@ impl StrategySpec {
         self
     }
 
+    /// Rejects the one knob combination that is a contradiction rather
+    /// than inert: a discrepancy budget counts deviations from the mesh
+    /// search's branching order, which a CDCL engine does not have. Both
+    /// grammars end here — the flat member parser below and the
+    /// lowering of a [`StrategyExpr`](crate::StrategyExpr) — so a
+    /// strategy gets one verdict however it is spelled; whoever accepts
+    /// hand-built specs whose rendering must parse again later (a durable
+    /// job record) asks too.
+    pub fn check_limits_fit_engine(&self) -> Result<(), SpecParseError> {
+        let discrepancy = |l: &LimitSpec| l.kind == LimitKind::Discrepancy;
+        if matches!(self.engine, EngineSpec::Cdcl { .. }) && self.limits.iter().any(discrepancy) {
+            return Err(SpecParseError::new(
+                "limit(discrepancy,...): expected a mesh search underneath, got cdcl",
+            ));
+        }
+        Ok(())
+    }
+
     /// The branching heuristic with the member seed folded in (seeded
     /// heuristics only; deterministic ones are returned unchanged).
     pub fn seeded_heuristic(&self) -> Heuristic {
@@ -976,7 +994,7 @@ impl std::str::FromStr for StrategySpec {
     /// docs). Every knob key is accepted for every engine (mirroring
     /// the renderer — knobs irrelevant to the engine are simply inert);
     /// only `restart` is engine-bound, since it lives inside the CDCL
-    /// engine itself.
+    /// engine itself, and a `limit=discrepancy:N` is refused on `cdcl`.
     fn from_str(s: &str) -> Result<Self, SpecParseError> {
         let mut parts = s.split(',');
         let engine = parts.next().unwrap_or_default();
@@ -1019,6 +1037,7 @@ impl std::str::FromStr for StrategySpec {
                 }
             }
         }
+        spec.check_limits_fit_engine()?;
         Ok(spec)
     }
 }
@@ -1638,6 +1657,8 @@ mod tests {
     fn parse_errors_share_the_expected_got_shape() {
         // The normalised error contract: `invalid spec: "<spec>":
         // expected ..., got ...` across every spec grammar.
+        let no_discrepancy_on_cdcl =
+            "invalid spec: limit(discrepancy,...): expected a mesh search underneath, got cdcl";
         for (err, want) in [
             (
                 "mobius:4".parse::<TopologySpec>().unwrap_err().to_string(),
@@ -1683,6 +1704,35 @@ mod tests {
                 "fuel:9".parse::<LimitSpec>().unwrap_err().to_string(),
                 "invalid spec: \"fuel:9\": expected limit kind discrepancy, nodes or time, \
                  got \"fuel\"",
+            ),
+            // One rule, one message, whichever grammar spells the member.
+            (
+                "cdcl,limit=discrepancy:2"
+                    .parse::<StrategySpec>()
+                    .unwrap_err()
+                    .to_string(),
+                no_discrepancy_on_cdcl,
+            ),
+            (
+                "mesh>>cdcl,restart=luby:8,limit=nodes:9,limit=discrepancy:0"
+                    .parse::<MemberPlan>()
+                    .unwrap_err()
+                    .to_string(),
+                no_discrepancy_on_cdcl,
+            ),
+            (
+                "epoch=32;len=8;lbd=8;mesh|cdcl,limit=discrepancy:2"
+                    .parse::<PortfolioSpec>()
+                    .unwrap_err()
+                    .to_string(),
+                no_discrepancy_on_cdcl,
+            ),
+            (
+                "limit(discrepancy,2,cdcl)"
+                    .parse::<PortfolioSpec>()
+                    .unwrap_err()
+                    .to_string(),
+                no_discrepancy_on_cdcl,
             ),
         ] {
             assert_eq!(err, want);

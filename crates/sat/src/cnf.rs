@@ -239,7 +239,7 @@ impl Cnf {
     }
 
     /// Clause lengths, in order.
-    fn clause_lens(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn clause_lens(&self) -> impl Iterator<Item = u32> + '_ {
         let mut start = 0;
         self.ends
             .iter()
@@ -249,12 +249,6 @@ impl Cnf {
     /// `exist_empty_clause(problem)` from Listing 4 line 4.
     pub fn has_empty_clause(&self) -> bool {
         self.clause_lens().any(|len| len == 0)
-    }
-
-    /// The literal of the first unit clause, if any (Listing 4 line 7).
-    pub(crate) fn first_unit(&self) -> Option<Lit> {
-        let i = self.clause_lens().position(|len| len == 1)?;
-        Some(self.clause(i)[0])
     }
 
     /// Applies `var := value`: satisfied clauses vanish, falsified literals
@@ -329,30 +323,29 @@ impl Cnf {
         }
     }
 
-    /// [`Cnf::assign`] compacting this formula's own buffers. Every
-    /// literal occurrence that leaves the formula — a falsified literal,
-    /// or any literal of a satisfied clause — is reported to `dropped`.
-    pub(crate) fn assign_in_place(&mut self, var: Var, value: bool, mut dropped: impl FnMut(Lit)) {
-        let satisfied = Lit::with_polarity(var, value);
-        let falsified = satisfied.negated();
+    /// Compacts this formula's own buffers, in order: clause `i` stays if
+    /// `keep_clause(i)`, and of a clause that stays, the literals
+    /// `keep_lit` accepts (none of them: an empty clause).
+    pub(crate) fn retain(
+        &mut self,
+        mut keep_clause: impl FnMut(usize) -> bool,
+        mut keep_lit: impl FnMut(Lit) -> bool,
+    ) {
         let (mut start, mut lits_len, mut ends_len) = (0, 0, 0);
         for i in 0..self.ends.len() {
             let end = self.ends[i] as usize;
-            let is_satisfied = self.lits[start..end].contains(&satisfied);
-            for r in start..end {
-                let lit = self.lits[r];
-                if is_satisfied || lit == falsified {
-                    dropped(lit);
-                } else {
-                    self.lits[lits_len] = lit;
-                    lits_len += 1;
+            if keep_clause(i) {
+                for r in start..end {
+                    let lit = self.lits[r];
+                    if keep_lit(lit) {
+                        self.lits[lits_len] = lit;
+                        lits_len += 1;
+                    }
                 }
-            }
-            start = end;
-            if !is_satisfied {
                 self.ends[ends_len] = lits_len as u32;
                 ends_len += 1;
             }
+            start = end;
         }
         self.lits.truncate(lits_len);
         self.ends.truncate(ends_len);
@@ -423,7 +416,6 @@ mod tests {
         // First clause satisfied; second loses !x1.
         assert_eq!(after.num_clauses(), 2);
         assert_eq!(after.clause(0), [lit(3)]);
-        assert_eq!(after.first_unit(), Some(lit(3)));
 
         let contradiction = after.assign(Var(2), false);
         assert!(contradiction.has_empty_clause());
@@ -491,30 +483,6 @@ mod tests {
         assert_eq!(cnf.clause(2), [lit(3)]);
         assert_eq!(cnf.iter_lits().count(), 3);
         assert!(cnf.has_empty_clause());
-        assert_eq!(cnf.first_unit(), Some(lit(3)));
-    }
-
-    #[test]
-    fn in_place_assign_matches_copying_assign() {
-        let cnf = Cnf::new(
-            3,
-            vec![
-                Clause::new(vec![lit(1), lit(2)]),
-                Clause::new(vec![lit(-1), lit(3), lit(-1)]),
-                Clause::new(vec![lit(-1)]),
-                Clause::new(vec![lit(2), lit(3)]),
-            ],
-        );
-        for value in [true, false] {
-            let mut in_place = cnf.clone();
-            let mut dropped = Vec::new();
-            in_place.assign_in_place(Var(0), value, |l| dropped.push(l));
-            assert_eq!(in_place, cnf.assign(Var(0), value));
-            assert_eq!(
-                in_place.iter_lits().count() + dropped.len(),
-                cnf.iter_lits().count()
-            );
-        }
     }
 
     #[test]

@@ -16,13 +16,19 @@
 //!   [`Cnf::assign`] — one forward pass, two allocations whatever the
 //!   clause count — is the single-branch primitive, [`Cnf::split`] builds
 //!   both polarities of a branching variable from one pass where a split
-//!   spawns both (each half equal to the `assign` it stands for), and
-//!   [`simplify`] reduces a formula by compacting those buffers in place;
+//!   spawns both (each half equal to the `assign` it stands for);
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, and a planted-solution generator for larger instances;
 //! * [`simplify`] — unit propagation and pure-literal assignment
-//!   (Listing 4 lines 6–11);
+//!   (Listing 4 lines 6–11), the other half of an activation's cost and,
+//!   with `Fixpoint` the default mode, the larger half wherever formulas
+//!   propagate (portfolio races, service SAT jobs, sequential [`dpll`]).
+//!   It is counter-based: one remaining-occurrence counter per clause and
+//!   one occurrence list per literal are built per call, a forced literal
+//!   visits only the clauses it occurs in, and the two buffers are
+//!   compacted in place once, on the way out; a call that forces nothing
+//!   builds no table;
 //! * [`heuristics`] — branching-variable selection (first-unassigned,
 //!   most-frequent, DLIS, Jeroslow-Wang, seeded random);
 //! * [`dpll`] — the sequential reference solver with search statistics;

@@ -388,8 +388,10 @@ fn start_race(race: PortfolioRace, checkpoint: CheckpointSpec) -> StartedJob {
 /// an empty member list or attempt chain, or a strategy only SAT
 /// workloads can execute (CDCL engines, discrepancy budgets and
 /// `or(...)` retry chains all manipulate the SAT search tree) on
-/// another workload — is ever queued. Erased workloads ignore the
-/// members and accept any well-formed portfolio.
+/// another workload — is ever queued, and nothing the spec grammar
+/// refuses (a hand-built CDCL attempt under a discrepancy budget) is
+/// persisted in a rendering recovery could not read back. Erased
+/// workloads ignore the members and accept any well-formed portfolio.
 pub(crate) fn validate_portfolio(kind: &JobKind, params: &JobParams) -> Option<String> {
     let folio = params.portfolio.as_ref()?;
     if folio.members.is_empty() {
@@ -405,6 +407,13 @@ pub(crate) fn validate_portfolio(kind: &JobKind, params: &JobParams) -> Option<S
             return Some(format!(
                 "portfolio member {id} has no attempts; a member needs at least one"
             ));
+        }
+        if let Some(err) = plan
+            .attempts
+            .iter()
+            .find_map(|a| a.check_limits_fit_engine().err())
+        {
+            return Some(format!("portfolio member {id}: {err}"));
         }
         if sat_capable {
             continue;

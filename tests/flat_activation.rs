@@ -19,8 +19,8 @@ use hyperspace::portfolio::PortfolioRunner;
 use hyperspace::recursion::{FnProgram, FrontierSnapshot, Rec, RecStats};
 use hyperspace::sat::simplify::{simplify_with, Simplified};
 use hyperspace::sat::{
-    gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, SimplifyMode, SubProblem, Var,
-    Verdict,
+    dpll, gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, SimplifyMode, SolveStats,
+    SubProblem, Var, Verdict,
 };
 use proptest::prelude::*;
 
@@ -104,6 +104,51 @@ fn arb_formula() -> impl Strategy<Value = (u32, Naive)> {
     })
 }
 
+/// Formulas of the sizes the simplification kernel runs at — up to 40
+/// variables and 120 clauses of 1 to 6 literals — in two mixes. Every
+/// variable has a preferred polarity. Unit-dense: one clause in eight is a
+/// unit in its variable's preferred polarity (so conflicts come from
+/// propagation chains, not from two opposed units), every other literal
+/// takes the polarity drawn. Pure-dense: one clause in sixteen is a unit
+/// and five literals in eight take the preferred polarity, so most
+/// variables are pure or become so. Over 4000 draws `Fixpoint` ends
+/// `Sat`/`Unsat`/`Undecided` 44/37/19 % of the time and forces 4.7 units
+/// and 5.7 pure literals a formula; an undecided residual keeps 12
+/// clauses on average.
+fn arb_kernel_formula() -> impl Strategy<Value = (u32, Naive)> {
+    // (variable, polarity drawn, sixteenths draw: preferred polarity below
+    // the mix's threshold).
+    let lit = (0u32..1 << 16, any::<bool>(), 0u8..16);
+    // (literals, sixteenths draw: cut to a unit below the mix's threshold).
+    let clause = (proptest::collection::vec(lit, 2..7), 0u8..16);
+    let clauses = proptest::collection::vec(clause, 1..121);
+    (2u32..41, clauses, any::<bool>(), any::<u64>()).prop_map(
+        |(num_vars, clauses, unit_dense, preferred)| {
+            let (unit_below, preferred_below) = if unit_dense { (2, 0) } else { (1, 10) };
+            let formula = clauses
+                .into_iter()
+                .map(|(mut lits, unit_draw)| {
+                    let unit = unit_draw < unit_below;
+                    if unit {
+                        lits.truncate(1);
+                    }
+                    let lit = |(v, positive, draw): (u32, bool, u8)| {
+                        let var = v % num_vars;
+                        let positive = if draw < preferred_below || (unit && unit_dense) {
+                            preferred >> var & 1 == 1
+                        } else {
+                            positive
+                        };
+                        Lit::with_polarity(Var(var), positive)
+                    };
+                    lits.into_iter().map(lit).collect()
+                })
+                .collect();
+            (num_vars, formula)
+        },
+    )
+}
+
 fn flat(num_vars: u32, formula: &Naive) -> Cnf {
     let clauses = formula.iter().map(|c| Clause::new(c.clone())).collect();
     Cnf::new(num_vars, clauses)
@@ -158,7 +203,9 @@ proptest! {
     }
 
     #[test]
-    fn in_place_simplification_equals_the_nested_reference(case in arb_formula()) {
+    fn in_place_simplification_equals_the_nested_reference(
+        case in prop_oneof![arb_formula(), arb_kernel_formula()],
+    ) {
         let (num_vars, formula) = case;
         for mode in [SimplifyMode::Fixpoint, SimplifyMode::SinglePass, SimplifyMode::SplitOnly] {
             let mut cnf = flat(num_vars, &formula);
@@ -251,6 +298,164 @@ fn portfolio_race_reproduces_the_nested_layout_pin() {
         winner.as_deref(),
         Some("1111011111110001011111100001101100000010")
     );
+}
+
+#[test]
+fn propagating_mesh_runs_reproduce_the_per_literal_compaction_pins() {
+    use Heuristic::{Dlis, JeroslowWang};
+    use SimplifyMode::{Fixpoint, SinglePass};
+    // (seed, mode, heuristic, activations, steps, delivered, model)
+    // recorded at the parent commit (one whole-formula compaction per
+    // forced literal).
+    let pins = [
+        (
+            1,
+            Fixpoint,
+            JeroslowWang,
+            53,
+            21,
+            107,
+            "1000111100101110110000101110110100010110",
+        ),
+        (
+            2,
+            Fixpoint,
+            Dlis,
+            79,
+            25,
+            159,
+            "0110100001101011011101110100000010010100",
+        ),
+        (
+            3,
+            Fixpoint,
+            JeroslowWang,
+            81,
+            27,
+            163,
+            "0101110001001011011100011111010011000100",
+        ),
+        (
+            4,
+            SinglePass,
+            Dlis,
+            231,
+            27,
+            463,
+            "1010100000110001000000101100001100011000",
+        ),
+        (
+            5,
+            SinglePass,
+            JeroslowWang,
+            65,
+            24,
+            131,
+            "1000010110011010100000000000110011011111",
+        ),
+    ];
+    for (seed, mode, heuristic, activations, steps, delivered, model) in pins {
+        let cnf = gen::satisfiable_ksat(seed, 40, 182, 3);
+        let program = DpllProgram::new(heuristic).with_mode(mode);
+        let report = mesh_14x14(program).run(SubProblem::root(cnf), 0);
+        let (stats, got_steps, got_delivered) = counters(&report);
+        assert_eq!(
+            (
+                stats.started,
+                got_steps,
+                got_delivered,
+                answer(&report).as_str()
+            ),
+            (activations, steps, delivered, model),
+            "seed {seed}, {mode}, {heuristic}"
+        );
+    }
+}
+
+#[test]
+fn sequential_dpll_reproduces_the_per_literal_compaction_stats() {
+    // The unit and pure counts witness the order literals are forced in:
+    // full `SolveStats` of `dpll::solve` on uf20-91 seeds 1 to 5, recorded
+    // at the parent commit as (decisions, unit_props, pure_assigns, nodes,
+    // max_depth, model).
+    let stats = |decisions, unit_props, pure_assigns, nodes, max_depth| SolveStats {
+        decisions,
+        unit_props,
+        pure_assigns,
+        nodes,
+        max_depth,
+    };
+    let pins = [
+        (
+            1,
+            Heuristic::JeroslowWang,
+            stats(3, 13, 0, 4, 3),
+            "10110100000010110101",
+        ),
+        (
+            1,
+            Heuristic::FirstUnassigned,
+            stats(6, 10, 0, 7, 6),
+            "10110100000010110101",
+        ),
+        (
+            2,
+            Heuristic::JeroslowWang,
+            stats(9, 45, 6, 16, 7),
+            "11001000010100001010",
+        ),
+        (
+            2,
+            Heuristic::FirstUnassigned,
+            stats(8, 40, 0, 14, 5),
+            "01011011110110001000",
+        ),
+        (
+            3,
+            Heuristic::JeroslowWang,
+            stats(8, 9, 2, 9, 8),
+            "11000001100111011111",
+        ),
+        (
+            3,
+            Heuristic::FirstUnassigned,
+            stats(6, 10, 4, 7, 6),
+            "11000100000110011001",
+        ),
+        (
+            4,
+            Heuristic::JeroslowWang,
+            stats(6, 12, 1, 7, 6),
+            "01110100010010000100",
+        ),
+        (
+            4,
+            Heuristic::FirstUnassigned,
+            stats(6, 12, 1, 7, 6),
+            "01110100010011110100",
+        ),
+        (
+            5,
+            Heuristic::JeroslowWang,
+            stats(7, 27, 0, 10, 6),
+            "11101000011100110001",
+        ),
+        (
+            5,
+            Heuristic::FirstUnassigned,
+            stats(4, 28, 4, 7, 4),
+            "11101000011100110001",
+        ),
+    ];
+    for (seed, heuristic, expected, model) in pins {
+        let (result, got) = dpll::solve(&gen::uf20_91(seed), heuristic);
+        let got_model = bits(result.model().expect("uf20-91 instances are satisfiable"));
+        assert_eq!(
+            (got, got_model.as_str()),
+            (expected, model),
+            "seed {seed}, {heuristic}"
+        );
+    }
 }
 
 /// What a run pins beside its answer: the layer-4 counters summed over

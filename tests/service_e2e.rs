@@ -750,7 +750,8 @@ fn strategy_expression_jobs_complete_and_cache_on_describe() {
 
 #[test]
 fn invalid_strategy_requests_fail_at_submission() {
-    use hyperspace::core::{MemberPlan, PortfolioSpec, StrategySpec};
+    use hyperspace::core::{LimitSpec, MemberPlan, PortfolioSpec, StrategySpec};
+    use hyperspace::sat::RestartPolicy;
 
     let service = SolverService::with_workers(1);
     let rejection = |spec: JobSpec| match service.submit(spec).wait() {
@@ -776,6 +777,18 @@ fn invalid_strategy_requests_fail_at_submission() {
     let no_attempts = PortfolioSpec::new(vec![MemberPlan { attempts: vec![] }]);
     let reason = rejection(on_small_torus(JobKind::sat(gen::uf20_91(1))).portfolio(no_attempts));
     assert!(reason.contains("no attempts"), "{reason}");
+    // What neither grammar can spell any more is refused when hand-built
+    // too, or a durable job could be accepted here and dropped by the
+    // recovery that re-reads its rendering.
+    let contradictory =
+        StrategySpec::cdcl(RestartPolicy::Off).with_limit(LimitSpec::discrepancy(2));
+    let contradictory = PortfolioSpec::new(vec![contradictory]);
+    assert!(contradictory.to_string().parse::<PortfolioSpec>().is_err());
+    let reason = rejection(on_small_torus(JobKind::sat(gen::uf20_91(1))).portfolio(contradictory));
+    assert!(
+        reason.contains("expected a mesh search underneath, got cdcl"),
+        "{reason}"
+    );
     // Node-limited mesh strategies on recursion workloads are fine.
     let result = service.submit(queens("limit(nodes,100000,mesh)")).wait();
     assert!(result.outcome.is_completed(), "{:?}", result.outcome);

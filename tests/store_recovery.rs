@@ -17,9 +17,11 @@
 
 use std::time::{Duration, Instant};
 
-use hyperspace::core::{CheckpointSpec, JobParams, PortfolioSpec, TopologySpec};
+use hyperspace::core::{
+    CheckpointSpec, JobParams, LimitSpec, PortfolioSpec, StrategySpec, TopologySpec,
+};
 use hyperspace::obs::EventKind;
-use hyperspace::sat::gen;
+use hyperspace::sat::{gen, RestartPolicy};
 use hyperspace::service::persist::{decode_record, encode_record, encode_spec};
 use hyperspace::service::{JobKind, JobRequest, JobSpec, JobStatus, ServiceConfig, SolverService};
 use hyperspace::sim::codec::Writer;
@@ -214,9 +216,11 @@ fn with_strategy_slot(spec: &[u8], expr: &str) -> Vec<u8> {
 
 #[test]
 fn recovery_rejects_records_that_submission_would_reject() {
-    // Three records with healthy framing and CRCs that no worker can
+    // Four records with healthy framing and CRCs that no worker can
     // run: an expression that parses but does not lower, a record naming
-    // its members in both slots, and a CDCL member on a non-SAT job.
+    // its members in both slots, a CDCL member on a non-SAT job, and the
+    // flat spelling of a CDCL member under a discrepancy budget (which
+    // only a hand-built spec can still render).
     let small = |portfolio: Option<&str>| JobParams {
         topology: TopologySpec::Torus2D { w: 4, h: 4 },
         checkpoint: CheckpointSpec::every(64),
@@ -236,6 +240,18 @@ fn recovery_rejects_records_that_submission_would_reject() {
             &small(Some("epoch=32;len=8;lbd=8;cdcl")),
         )
         .expect("persistable"),
+        encode_spec(
+            0,
+            &sat,
+            &JobParams {
+                portfolio: Some(PortfolioSpec::new(vec![StrategySpec::cdcl(
+                    RestartPolicy::Off,
+                )
+                .with_limit(LimitSpec::discrepancy(2))])),
+                ..small(None)
+            },
+        )
+        .expect("persistable"),
     ];
     let dir = store_dir("unrunnable");
     {
@@ -245,7 +261,7 @@ fn recovery_rejects_records_that_submission_would_reject() {
                 .put(id as u64, 0, &encode_record(spec, 0, None))
                 .expect("put");
         }
-        assert_eq!(store.scan().expect("scan").jobs.len(), 3, "all CRC-valid");
+        assert_eq!(store.scan().expect("scan").jobs.len(), 4, "all CRC-valid");
     }
 
     let revived = SolverService::new(ServiceConfig {
@@ -258,7 +274,7 @@ fn recovery_rejects_records_that_submission_would_reject() {
     );
     revived.drain();
     let stats = revived.stats();
-    assert_eq!(stats.persist_errors, 3);
+    assert_eq!(stats.persist_errors, 4);
     assert_eq!(stats.restarts, 0, "no worker ever saw the records");
     let events = revived.observe().registry().recorder().snapshot();
     assert!(events.iter().all(|e| e.kind != EventKind::Crashed));

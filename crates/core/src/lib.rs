@@ -43,7 +43,7 @@ pub use spec::{
     PortfolioSpec, PruneSpec, SpecParseError, StrategySpec, TopologySpec,
 };
 pub use stack::{
-    drive, summarise, ErasedStackJob, JobParams, StackBuilder, StackProgram, StackSim, StartedJob,
+    drive, summarise, ErasedStackJob, JobParams, StackBuilder, StackProgram, StackSim,
 };
 
 pub use hyperspace_sim::{ObsHandle, Observer, StopHandle};

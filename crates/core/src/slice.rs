@@ -100,8 +100,8 @@ impl<P: RecProgram> StackSlice<P> {
         }
     }
 
-    /// Drives slice after slice to a terminal outcome — the monolithic
-    /// execution path, crossing the same barriers a suspended run would.
+    /// Drives slice after slice to a terminal outcome, crossing the same
+    /// barriers a suspended run would ([`crate::StackBuilder::run`]).
     pub(crate) fn run_to_terminal(&mut self) -> RunOutcome {
         loop {
             if let Some(outcome) = self.advance() {

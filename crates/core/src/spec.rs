@@ -505,8 +505,8 @@ impl std::str::FromStr for PruneSpec {
 /// part of service cache keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CheckpointSpec {
-    /// No checkpoints: the run executes monolithically (not
-    /// suspendable, not preemptible).
+    /// No checkpoints: the run is one slice spanning the whole step
+    /// cap — it has no barrier to suspend or preempt it at.
     #[default]
     Off,
     /// Checkpoint every `steps` simulated steps.

@@ -495,26 +495,21 @@ impl Default for JobParams {
     }
 }
 
-/// How a job began executing: either it ran to a terminal outcome in
-/// one piece, or — under an enabled [`CheckpointSpec`] — it is handed
-/// back as a suspendable [`RunSlice`] after assembly, before any step
-/// has run.
-pub enum StartedJob {
-    /// The job ran monolithically; here is its summary.
-    Finished(RunSummary),
-    /// The job is suspendable; drive it with [`RunSlice::run_slice`].
-    Sliced(Box<dyn RunSlice>),
-}
-
 /// A type-erased solver job: any [`RecProgram`] plus its root argument,
-/// boxed behind one uniform "run with these parameters" closure.
+/// boxed behind one uniform "start with these parameters" closure.
 ///
 /// This is what lets a single worker pool host SAT, knapsack, n-queens
 /// and arbitrary user programs side by side: the pool sees only
-/// `ErasedStackJob`s and [`RunSummary`]s.
+/// `ErasedStackJob`s, the [`RunSlice`]s they start as, and
+/// [`RunSummary`]s. Every job is a slice from start to finish — without
+/// a checkpoint interval it is one slice spanning the whole step cap.
 pub struct ErasedStackJob {
-    start: Box<dyn FnOnce(&JobParams) -> StartedJob + Send + 'static>,
+    start: Box<StartFn>,
 }
+
+/// Assembles a job's stack (or race) under the given parameters and
+/// hands it back suspended at step zero.
+type StartFn = dyn FnOnce(&JobParams) -> Box<dyn RunSlice> + Send;
 
 impl ErasedStackJob {
     /// Erases `program(root_arg)` into a uniform job.
@@ -523,68 +518,52 @@ impl ErasedStackJob {
         P: RecProgram,
         P::Out: std::fmt::Debug,
     {
-        ErasedStackJob {
-            start: Box::new(move |params: &JobParams| {
-                let mut builder = StackBuilder::new(program)
-                    .topology(params.topology.clone())
-                    .mapper(params.mapper.clone())
-                    .backend(params.backend.clone())
-                    .cancellation(params.cancellation)
-                    .objective(params.objective)
-                    .prune(params.prune)
-                    .checkpoint(params.checkpoint)
-                    .max_steps(params.max_steps)
-                    .observer(params.obs.clone());
-                if let Some(stop) = params.stop.clone() {
-                    builder = builder.stop(stop);
-                }
-                if params.checkpoint.is_enabled() {
-                    StartedJob::Sliced(builder.start(root_arg, params.root_node))
-                } else {
-                    StartedJob::Finished(builder.run(root_arg, params.root_node).summary())
-                }
-            }),
-        }
+        ErasedStackJob::from_start_fn(move |params: &JobParams| {
+            let mut builder = StackBuilder::new(program)
+                .topology(params.topology.clone())
+                .mapper(params.mapper.clone())
+                .backend(params.backend.clone())
+                .cancellation(params.cancellation)
+                .objective(params.objective)
+                .prune(params.prune)
+                .checkpoint(params.checkpoint)
+                .max_steps(params.max_steps)
+                .observer(params.obs.clone());
+            if let Some(stop) = params.stop.clone() {
+                builder = builder.stop(stop);
+            }
+            builder.start(root_arg, params.root_node)
+        })
     }
 
-    /// Erases an arbitrary runner closure into a uniform job — the
-    /// escape hatch portfolio-aware services use to put multi-member
-    /// races on the same worker pools as single-stack solves. Such jobs
-    /// run monolithically; use [`ErasedStackJob::from_start_fn`] for
-    /// suspendable ones.
-    pub fn from_fn(run: impl FnOnce(&JobParams) -> RunSummary + Send + 'static) -> Self {
-        ErasedStackJob {
-            start: Box::new(move |params| StartedJob::Finished(run(params))),
-        }
-    }
-
-    /// Erases a closure that decides for itself whether to run
-    /// monolithically or hand back a suspendable [`RunSlice`] (the
-    /// portfolio runner's epoch-sliced races take this path).
-    pub fn from_start_fn(start: impl FnOnce(&JobParams) -> StartedJob + Send + 'static) -> Self {
+    /// Erases a closure that assembles the run itself — the hook
+    /// portfolio-aware services use to put multi-member races (whose
+    /// slices end at sync-epoch barriers) on the same worker pools as
+    /// single-stack solves.
+    pub fn from_start_fn(
+        start: impl FnOnce(&JobParams) -> Box<dyn RunSlice> + Send + 'static,
+    ) -> Self {
         ErasedStackJob {
             start: Box::new(start),
         }
     }
 
-    /// Begins executing the job: monolithic jobs run to completion
-    /// inside this call, suspendable ones come back as
-    /// [`StartedJob::Sliced`] without having stepped yet.
-    pub fn start(self, params: &JobParams) -> StartedJob {
+    /// Assembles the job and hands it back suspended at step zero,
+    /// without executing anything; drive it with
+    /// [`RunSlice::run_slice`].
+    pub fn start(self, params: &JobParams) -> Box<dyn RunSlice> {
         (self.start)(params)
     }
 
-    /// Assembles the stack and runs the job to completion (driving any
-    /// suspendable job slice by slice — bit-identical either way).
+    /// Assembles the job and drives it slice by slice to completion —
+    /// bit-identical whatever the checkpoint interval.
     pub fn run(self, params: &JobParams) -> RunSummary {
-        match self.start(params) {
-            StartedJob::Finished(summary) => summary,
-            StartedJob::Sliced(mut slice) => loop {
-                match slice.run_slice() {
-                    SliceOutcome::Finished(summary) => break summary,
-                    SliceOutcome::Yielded(next) => slice = next,
-                }
-            },
+        let mut slice = self.start(params);
+        loop {
+            match slice.run_slice() {
+                SliceOutcome::Finished(summary) => break summary,
+                SliceOutcome::Yielded(next) => slice = next,
+            }
         }
     }
 }
@@ -825,19 +804,30 @@ mod tests {
         // Driven whole.
         let sliced = ErasedStackJob::new(sum_program(), 10).run(&params);
         assert_eq!(sliced, monolithic);
-        // Driven manually through the started-job surface.
-        match ErasedStackJob::new(sum_program(), 10).start(&params) {
-            StartedJob::Finished(_) => panic!("checkpointed jobs must come back sliced"),
-            StartedJob::Sliced(mut slice) => {
-                let summary = loop {
-                    match slice.run_slice() {
-                        SliceOutcome::Finished(summary) => break summary,
-                        SliceOutcome::Yielded(next) => slice = next,
-                    }
-                };
-                assert_eq!(summary, monolithic);
-            }
+        // Without an interval the whole run is one slice.
+        let whole = ErasedStackJob::new(sum_program(), 10).start(&JobParams {
+            checkpoint: CheckpointSpec::Off,
+            ..params.clone()
+        });
+        match whole.run_slice() {
+            SliceOutcome::Finished(summary) => assert_eq!(summary, monolithic),
+            SliceOutcome::Yielded(_) => panic!("`Off` has no barrier to yield at"),
         }
+        // Driven manually, slice by slice, from a suspended start.
+        let mut slice = ErasedStackJob::new(sum_program(), 10).start(&params);
+        assert_eq!(slice.steps_done(), 0, "start() must not execute steps");
+        let mut yields = 0u32;
+        let summary = loop {
+            match slice.run_slice() {
+                SliceOutcome::Finished(summary) => break summary,
+                SliceOutcome::Yielded(next) => {
+                    yields += 1;
+                    slice = next;
+                }
+            }
+        };
+        assert!(yields > 0, "a 3-step interval must cut the run");
+        assert_eq!(summary, monolithic);
     }
 
     #[test]

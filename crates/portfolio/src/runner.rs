@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use hyperspace_core::{
-    EngineSpec, JobParams, LimitKind, MapperSpec, MemberPlan, ObjectiveSpec, PortfolioSpec,
-    PruneSpec, StrategySpec, TopologySpec,
+    CheckpointMeta, EngineSpec, JobParams, LimitKind, MapperSpec, MemberPlan, ObjectiveSpec,
+    PortfolioSpec, PruneSpec, RunSlice, SliceOutcome, StrategySpec, TopologySpec,
 };
 use hyperspace_recursion::RecProgram;
 use hyperspace_sat::{Cnf, DpllProgram, Lit, SubProblem, Verdict};
@@ -27,8 +27,8 @@ use crate::report::{MemberReport, PortfolioReport};
 pub struct PortfolioRunner {
     spec: PortfolioSpec,
     /// The shared machine. Its own `portfolio` slot stays empty (the
-    /// spec lives beside it); `backend` and `checkpoint` are not read —
-    /// members pick their own backends and races slice at epochs.
+    /// spec lives beside it); `backend` is not read — members pick their
+    /// own backends — and `checkpoint` only sizes the race's slices.
     params: JobParams,
     threads: usize,
 }
@@ -215,8 +215,17 @@ impl PortfolioRunner {
     fn begin(&self, members: Vec<Box<dyn MemberDrive>>) -> PortfolioRace {
         let n = members.len();
         assert!(n > 0, "a portfolio needs at least one member");
+        let epoch_len = self.spec.epoch_steps.max(1);
+        // One checkpoint interval's worth of whole epochs per slice; `Off`
+        // is one slice spanning the whole race — the very
+        // `run_epochs(u64::MAX)` call `run_sat` makes.
+        let epochs_per_slice = match self.params.checkpoint.interval() {
+            Some(steps) => steps.div_ceil(epoch_len).max(1),
+            None => u64::MAX,
+        };
         PortfolioRace {
-            epoch_len: self.spec.epoch_steps.max(1),
+            epoch_len,
+            epochs_per_slice,
             max_len: self.spec.max_clause_len as usize,
             max_lbd: self.spec.max_clause_lbd as usize,
             objective: self.params.objective,
@@ -354,9 +363,11 @@ impl RaceState {
 /// [`PortfolioRunner::run_sat`]/[`PortfolioRunner::run_mesh`] call: the
 /// same winner, the same bus counters (enforced by the checkpoint
 /// equivalence suite). This is what makes whole portfolio races
-/// suspendable/preemptible service jobs.
+/// suspendable/preemptible service jobs: the race *is* a [`RunSlice`],
+/// each slice one checkpoint interval's worth of epochs.
 pub struct PortfolioRace {
     epoch_len: u64,
+    epochs_per_slice: u64,
     max_len: usize,
     max_lbd: usize,
     objective: ObjectiveSpec,
@@ -370,23 +381,6 @@ pub struct PortfolioRace {
 }
 
 impl PortfolioRace {
-    /// Sync epochs executed so far.
-    pub fn epochs(&self) -> u64 {
-        self.st.epochs
-    }
-
-    /// The configured sync-epoch length, in member units.
-    pub fn epoch_len(&self) -> u64 {
-        self.epoch_len
-    }
-
-    /// Whether the race has been decided (winner found, every member
-    /// closed, or the stop handle tripped). A decided race does no
-    /// further work; [`PortfolioRace::finish`] folds the report.
-    pub fn decided(&self) -> bool {
-        self.st.decided
-    }
-
     /// The best incumbent any member currently holds (optimisation
     /// portfolios; `None` otherwise). Callable between epochs.
     pub fn best_incumbent(&self) -> Option<i64> {
@@ -682,6 +676,29 @@ impl PortfolioRace {
             bounds_imported: st.bus_bound_deliveries,
             members: reports,
         }
+    }
+}
+
+impl RunSlice for PortfolioRace {
+    fn run_slice(mut self: Box<Self>) -> SliceOutcome {
+        if self.run_epochs(self.epochs_per_slice) {
+            SliceOutcome::Finished(self.finish().into_summary())
+        } else {
+            SliceOutcome::Yielded(self)
+        }
+    }
+
+    fn steps_done(&self) -> u64 {
+        self.st.epochs.saturating_mul(self.epoch_len)
+    }
+
+    fn checkpoint(&self) -> CheckpointMeta {
+        let mut meta = CheckpointMeta {
+            steps: self.steps_done(),
+            ..CheckpointMeta::default()
+        };
+        meta.frontier.incumbent = self.best_incumbent();
+        meta
     }
 }
 

@@ -221,11 +221,7 @@ fn member_panics_propagate_without_deadlocking_the_drivers() {
             runner.run_mesh(|_, _| bomb(), 5u64)
         }));
         let payload = result.expect_err("the fault must propagate");
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let message = hyperspace_sim::panic_message(payload.as_ref(), "");
         assert!(
             message.contains("injected portfolio fault"),
             "threads {threads}: {message}"

@@ -106,8 +106,8 @@ impl JobHandle {
     /// where it stopped — once it reaches the head of the queue again.
     /// One-shot: the request is consumed when honoured. Only
     /// checkpointed jobs (a [`hyperspace_core::CheckpointSpec`]
-    /// interval on the spec) have barriers to suspend at; for
-    /// monolithic jobs this is a no-op.
+    /// interval on the spec) have barriers to suspend at; any other job
+    /// is one slice with no barrier inside it, and this is a no-op.
     pub fn suspend(&self) {
         self.shared.suspend.store(true, Ordering::SeqCst);
     }

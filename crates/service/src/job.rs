@@ -15,11 +15,10 @@ use hyperspace_apps::{
     NQueensProgram, QueensTask, SumProgram, TspInstance, TspProgram, TspTask,
 };
 use hyperspace_core::{
-    BackendSpec, CheckpointMeta, CheckpointSpec, EngineSpec, ErasedStackJob, JobParams, LimitKind,
-    MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, RunSlice, RunSummary, SliceOutcome,
-    StartedJob, TopologySpec,
+    BackendSpec, CheckpointSpec, EngineSpec, ErasedStackJob, JobParams, LimitKind, MapperSpec,
+    ObjectiveSpec, PortfolioSpec, PruneSpec, RunSummary, TopologySpec,
 };
-use hyperspace_portfolio::{PortfolioRace, PortfolioRunner};
+use hyperspace_portfolio::PortfolioRunner;
 use hyperspace_recursion::RecProgram;
 use hyperspace_sat::{dimacs, Cnf, DpllProgram, Heuristic, SimplifyMode, SubProblem};
 
@@ -270,8 +269,10 @@ impl JobKind {
     /// races that member set through a [`PortfolioRunner`] instead of
     /// assembling one stack; SAT portfolios take their solver knobs from
     /// the member strategies, superseding the kind-level heuristic/mode.
-    /// Erased workloads are opaque and always run single-stack.
-    pub(crate) fn into_erased(self) -> ErasedStackJob {
+    /// Erased workloads are opaque and always run single-stack. A
+    /// factory-backed kind runs its factory here — user code, so the
+    /// service calls this on a worker, inside its panic guard.
+    pub fn into_erased(self) -> ErasedStackJob {
         match self {
             JobKind::Sat {
                 cnf,
@@ -279,7 +280,7 @@ impl JobKind {
                 mode,
             } => ErasedStackJob::from_start_fn(move |params| {
                 match PortfolioRunner::from_params(params) {
-                    Some(runner) => start_race(runner.start_sat(&cnf), params.checkpoint),
+                    Some(runner) => Box::new(runner.start_sat(&cnf)),
                     None => ErasedStackJob::new(
                         DpllProgram::new(heuristic).with_mode(mode),
                         SubProblem::root(cnf),
@@ -305,7 +306,8 @@ impl JobKind {
 
 /// Boxes a mesh program as a uniform pool job: one stack, or — when the
 /// params it is started with carry a portfolio — a race of that member
-/// set.
+/// set. Either way the started job is a slice, cut at the params'
+/// checkpoint interval (a race at the sync-epoch barriers inside it).
 fn erase<P>(program: P, root_arg: P::Arg) -> ErasedStackJob
 where
     P: RecProgram + Clone,
@@ -313,73 +315,9 @@ where
     P::Out: std::fmt::Debug,
 {
     ErasedStackJob::from_start_fn(move |params| match PortfolioRunner::from_params(params) {
-        Some(runner) => {
-            let race = runner.start_mesh(|_, _| program.clone(), root_arg);
-            start_race(race, params.checkpoint)
-        }
+        Some(runner) => Box::new(runner.start_mesh(|_, _| program.clone(), root_arg)),
         None => ErasedStackJob::new(program, root_arg).start(params),
     })
-}
-
-/// A portfolio race sliced at its existing sync-epoch barriers: the
-/// whole race — live member machines plus bus bookkeeping — parks in
-/// the slice between epochs, making portfolio jobs suspendable and
-/// preemptible like any checkpointed single-stack job.
-struct PortfolioSlice {
-    race: Option<PortfolioRace>,
-    epochs_per_slice: u64,
-}
-
-impl PortfolioSlice {
-    fn race(&self) -> &PortfolioRace {
-        self.race.as_ref().expect("race present until finished")
-    }
-}
-
-impl RunSlice for PortfolioSlice {
-    fn run_slice(mut self: Box<Self>) -> SliceOutcome {
-        let race = self.race.as_mut().expect("race present until finished");
-        if race.run_epochs(self.epochs_per_slice) {
-            let race = self.race.take().expect("present");
-            SliceOutcome::Finished(race.finish().into_summary())
-        } else {
-            SliceOutcome::Yielded(self)
-        }
-    }
-
-    fn steps_done(&self) -> u64 {
-        let race = self.race();
-        race.epochs().saturating_mul(race.epoch_len())
-    }
-
-    fn checkpoint(&self) -> CheckpointMeta {
-        let mut meta = CheckpointMeta {
-            steps: self.steps_done(),
-            ..CheckpointMeta::default()
-        };
-        meta.frontier.incumbent = self.race().best_incumbent();
-        meta
-    }
-}
-
-/// Starts a race monolithically or — under an enabled checkpoint spec —
-/// sliced at epoch barriers, one checkpoint interval's worth of epochs
-/// per slice.
-fn start_race(race: PortfolioRace, checkpoint: CheckpointSpec) -> StartedJob {
-    match checkpoint.interval() {
-        None => {
-            let mut race = race;
-            race.run_epochs(u64::MAX);
-            StartedJob::Finished(race.finish().into_summary())
-        }
-        Some(interval) => {
-            let epochs_per_slice = interval.div_ceil(race.epoch_len()).max(1);
-            StartedJob::Sliced(Box::new(PortfolioSlice {
-                race: Some(race),
-                epochs_per_slice,
-            }))
-        }
-    }
 }
 
 /// Decides whether a spec's portfolio fits its workload; returns the
@@ -517,9 +455,9 @@ impl JobSpec {
     /// Selects the checkpoint policy. `interval:N` makes the job
     /// suspendable/preemptible at every `N`-step barrier and eligible
     /// for checkpoint restarts after a worker crash. Like the backend
-    /// it never changes what is computed (sliced runs are bit-identical
-    /// to monolithic ones), so it is *not* part of
-    /// [`JobSpec::cache_key`].
+    /// it never changes what is computed (a run cut into many slices
+    /// is bit-identical to the same run as one slice, which is what
+    /// `off` is), so it is *not* part of [`JobSpec::cache_key`].
     pub fn checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.params.checkpoint = spec;
         self

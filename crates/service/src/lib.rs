@@ -21,6 +21,14 @@
 //!   engine's [`hyperspace_sim::StopHandle`] hook, yielding
 //!   [`JobOutcome::TimedOut`] / [`JobOutcome::Cancelled`] without
 //!   stalling the pool;
+//! * **one job lifecycle**: every started job is a
+//!   [`hyperspace_core::RunSlice`] (one stack or a whole race; one slice
+//!   spanning the step cap, or many cut at checkpoint barriers), so first
+//!   start, resume after preemption, restart after a worker crash and
+//!   recovery after process death are one loop; everything a workload
+//!   supplies runs on a worker inside one panic guard, and every job
+//!   leaves through one door that writes its result, counters, terminal
+//!   event and durable-record removal;
 //! * a keyed **result cache**: [`JobSpec::cache_key`] normalises a job
 //!   into a canonical string, and repeated identical submissions are
 //!   answered with the cached [`hyperspace_core::RunSummary`] without

@@ -6,45 +6,57 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hyperspace_core::{ErasedStackJob, JobParams, RunSlice, RunSummary, SliceOutcome, StartedJob};
+use hyperspace_core::{JobParams, RunSlice, RunSummary, SliceOutcome};
 use hyperspace_obs::{
     saturating_nanos, Event, EventKind, Gauge, ObsHandle, Observer, Phase, Registry,
 };
-use hyperspace_sim::RunOutcome;
+use hyperspace_sim::{panic_message, RunOutcome};
 use hyperspace_store::JobStore;
 
 use crate::handle::{JobHandle, JobShared};
-use crate::job::{JobOutcome, JobRequest, JobResult, JobSpec};
+use crate::job::{JobKind, JobOutcome, JobRequest, JobResult, JobSpec};
 use crate::observe::ServiceObserver;
 use crate::persist;
 use crate::stats::{saturating_i64, saturating_micros, ServiceStats, StatsInner};
 
-/// What a queued entry carries: a job not yet started, or a running job
-/// suspended at a checkpoint barrier (preemption / explicit suspend)
-/// waiting to resume exactly where it stopped.
-enum Payload {
-    /// Not yet started.
-    Start(ErasedStackJob),
-    /// Suspended mid-run; resuming is bit-identical to never stopping.
-    Resume(Box<dyn RunSlice>),
+/// Unwraps a lock or condvar-wait result on one of the service's own
+/// mutexes (`queue`, `cache`, `stats`) — the one place the service's
+/// lock-poisoning policy is written down: **fail-stop**.
+///
+/// Nothing a workload supplies runs under these locks (factories, stack
+/// assembly and handlers execute inside `process_job`'s panic guard, on
+/// a worker, holding none of them), so poison can only mean the
+/// service's *own* bookkeeping panicked half-way through an update. What
+/// the locks guard carries cross-field invariants that a half-applied
+/// update breaks silently — `finished() <= submitted`, `jobs_by_kind`
+/// summing to `finished()`, `running` matching the workers that hold a
+/// job, the cache's map/order pair — so recovering the guard with
+/// `PoisonError::into_inner` would keep scheduling and reporting from a
+/// state nobody can vouch for. Panicking surfaces the bug at once.
+fn unpoisoned<G>(guard: std::sync::LockResult<G>) -> G {
+    guard.expect("service lock poisoned: the service's own bookkeeping panicked mid-update")
 }
 
-/// A job as it sits in the priority queue.
+/// A job as it sits in the priority queue: its description plus, while
+/// it is parked at a checkpoint barrier, its live run.
 struct QueuedJob {
     priority: i32,
     seq: u64,
     submitted_at: Instant,
     deadline_at: Option<Instant>,
     params: JobParams,
-    /// `None` only transiently while a worker holds the job.
-    payload: Option<Payload>,
+    /// The workload, until a run consumes it: a checkpoint-enabled job
+    /// whose kind duplicates ([`JobKind::try_clone`]) starts from a copy
+    /// and keeps the original, which is what lets a crashed attempt be
+    /// dropped and started afresh; every other job gives its kind away.
+    kind: Option<JobKind>,
+    /// The live run of a job suspended at a checkpoint barrier
+    /// (preemption / explicit suspend); resuming it is bit-identical to
+    /// never stopping. `None` until started and while a worker runs it.
+    slice: Option<Box<dyn RunSlice>>,
     cache_key: Option<String>,
     label: String,
     shared: Arc<JobShared>,
-    /// Re-creates the job from its spec — the checkpoint-restart path
-    /// for crashed workers. Present only for checkpoint-enabled jobs
-    /// whose workload is rebuildable ([`crate::JobKind::try_clone`]).
-    rebuild: Option<Box<dyn Fn() -> ErasedStackJob + Send>>,
     /// Crash-recovery attempts consumed.
     attempt: u32,
     /// Steps completed at the last observed checkpoint barrier.
@@ -69,6 +81,44 @@ struct QueuedJob {
     /// resets — across recovery, so a record's freshness is always
     /// comparable.
     persist_seq: u64,
+}
+
+impl QueuedJob {
+    /// A job that has not run yet: no durable encoding and no progress
+    /// (`submit` and `recover` fill those in).
+    fn new(
+        shared: Arc<JobShared>,
+        priority: i32,
+        spec: JobSpec,
+        deadline: Option<Duration>,
+    ) -> QueuedJob {
+        let now = Instant::now();
+        QueuedJob {
+            priority,
+            seq: 0, // assigned under the queue lock, in `enqueue`
+            submitted_at: now,
+            deadline_at: deadline.map(|d| now + d),
+            cache_key: spec.cache_key(),
+            label: spec.kind.label(),
+            params: JobParams {
+                // Any caller-provided stop handle is replaced by the
+                // job's own (installed at execution time).
+                stop: None,
+                ..spec.params
+            },
+            kind: Some(spec.kind),
+            slice: None,
+            shared,
+            attempt: 0,
+            checkpoint_steps: 0,
+            resume_floor: 0,
+            first_wait: None,
+            exec_seq: None,
+            solve_so_far: Duration::ZERO,
+            spec_bytes: None,
+            persist_seq: 0,
+        }
+    }
 }
 
 impl PartialEq for QueuedJob {
@@ -348,83 +398,45 @@ impl SolverService {
             let id = manifest.job_id;
             let next = self.inner.next_id.load(Ordering::Relaxed).max(id + 1);
             self.inner.next_id.store(next, Ordering::Relaxed);
-            let spec = JobSpec {
-                kind: record.kind,
-                params: record.params,
-            };
-            let cache_key = spec.cache_key();
-            let label = spec.kind.label();
-            let rebuild: Option<Box<dyn Fn() -> ErasedStackJob + Send>> =
-                spec.kind.try_clone().map(|kind| {
-                    Box::new(move || {
-                        kind.try_clone()
-                            .expect("cloneable kinds stay cloneable")
-                            .into_erased()
-                    }) as Box<dyn Fn() -> ErasedStackJob + Send>
-                });
             let shared = JobShared::new(id);
             self.recovered.push(JobHandle {
                 shared: Arc::clone(&shared),
             });
             {
-                let mut stats = self.inner.stats.lock().expect("stats poisoned");
+                let mut stats = unpoisoned(self.inner.stats.lock());
                 stats.submitted += 1;
                 stats.recovered += 1;
             }
+            let spec = JobSpec {
+                kind: record.kind,
+                params: record.params,
+            };
+            // Deadlines are wall-clock budgets from the original
+            // submission; after a restart of unknown delay they are
+            // meaningless, so recovered jobs run without one.
+            let mut job = QueuedJob::new(shared, record.priority, spec, None);
             // Through the job's probe, not the registry directly: the
             // probe counts the recovery (see `JobProbe::recovers`) and
             // forwards the event to the shared flight recorder.
-            self.inner.registry.probe(id, &label).on_event(
+            self.inner.registry.probe(id, &job.label).on_event(
                 &Event::new(
                     EventKind::Recovered,
                     Some(id),
                     saturating_i64(record.checkpoint_steps),
                 )
-                .with_detail(label.clone()),
+                .with_detail(job.label.clone()),
             );
-            let now = Instant::now();
-            let queued = QueuedJob {
-                priority: record.priority,
-                seq: 0, // assigned under the queue lock below
-                submitted_at: now,
-                // Deadlines are wall-clock budgets from the original
-                // submission; after a restart of unknown delay they are
-                // meaningless, so recovered jobs run without one.
-                deadline_at: None,
-                params: JobParams {
-                    stop: None,
-                    ..spec.params
-                },
-                cache_key,
-                label,
-                payload: Some(Payload::Start(spec.kind.into_erased())),
-                shared,
-                rebuild,
-                attempt: 0,
-                checkpoint_steps: record.checkpoint_steps,
-                // Replay deterministically to the last durable barrier
-                // before preemption checks resume — the cross-process
-                // "restore from checkpoint".
-                resume_floor: record.checkpoint_steps,
-                first_wait: None,
-                exec_seq: None,
-                solve_so_far: Duration::ZERO,
-                spec_bytes: Some(Arc::new(record.spec_bytes)),
-                persist_seq: manifest.job_seq + 1,
-            };
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
-            let mut queued = queued;
-            queued.seq = q.next_seq;
-            q.next_seq += 1;
-            q.heap.push(queued);
-            self.inner.depth.set(q.heap.len() as u64);
+            job.checkpoint_steps = record.checkpoint_steps;
+            // Replay deterministically to the last durable barrier
+            // before preemption checks resume — the cross-process
+            // "restore from checkpoint".
+            job.resume_floor = record.checkpoint_steps;
+            job.spec_bytes = Some(Arc::new(record.spec_bytes));
+            job.persist_seq = manifest.job_seq + 1;
+            admit(&self.inner, job);
         }
         if persist_errors > 0 {
-            self.inner
-                .stats
-                .lock()
-                .expect("stats poisoned")
-                .persist_errors += persist_errors;
+            unpoisoned(self.inner.stats.lock()).persist_errors += persist_errors;
         }
     }
 
@@ -441,8 +453,9 @@ impl SolverService {
     /// the pool *without* draining the queue, without finishing
     /// outstanding handles, and without touching the durable store.
     /// Running checkpointed jobs stop at their next barrier — their
-    /// latest durable record stays on disk — while monolithic jobs run
-    /// to completion (there is no barrier to stop them at). A new
+    /// latest durable record stays on disk — while a job without a
+    /// checkpoint interval is one slice and runs it to completion (there
+    /// is no barrier to stop it at). A new
     /// service opened over the same [`ServiceConfig::store_dir`]
     /// recovers everything still in flight.
     pub fn kill(self) {
@@ -497,7 +510,7 @@ impl SolverService {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         // Count the submission before the job becomes poppable so no
         // stats snapshot can observe completed > submitted.
-        self.inner.stats.lock().expect("stats poisoned").submitted += 1;
+        unpoisoned(self.inner.stats.lock()).submitted += 1;
         let shared = JobShared::new(id);
         let handle = JobHandle {
             shared: Arc::clone(&shared),
@@ -505,108 +518,34 @@ impl SolverService {
         if let Some(reason) =
             crate::job::validate_portfolio(&request.spec.kind, &request.spec.params)
         {
-            shared.finish(JobResult {
-                id,
-                outcome: JobOutcome::Failed(reason),
-                from_cache: false,
-                queue_wait: Duration::ZERO,
-                solve_time: Duration::ZERO,
-                worker: None,
-                exec_seq: None,
-            });
-            self.inner.stats.lock().expect("stats poisoned").failed += 1;
+            // Refused at the door: never queued, so no `Submitted` event
+            // and no durable record.
+            let job = QueuedJob::new(shared, request.priority, request.spec, None);
+            retire(&self.inner, job, JobOutcome::Failed(reason), None);
             return handle;
         }
-        let now = Instant::now();
-        let cache_key = request.spec.cache_key();
-        let label = request.spec.kind.label();
-        self.inner.registry.record(
-            Event::new(EventKind::Submitted, Some(id), i64::from(request.priority))
-                .with_detail(label.clone()),
-        );
-        // Checkpoint restarts need a second copy of the job; build the
-        // factory before the kind is consumed. Non-checkpointed jobs
-        // never restart, so they skip the clone.
-        let rebuild: Option<Box<dyn Fn() -> ErasedStackJob + Send>> =
-            if request.spec.params.checkpoint.is_enabled() {
-                request.spec.kind.try_clone().map(|kind| {
-                    Box::new(move || {
-                        kind.try_clone()
-                            .expect("cloneable kinds stay cloneable")
-                            .into_erased()
-                    }) as Box<dyn Fn() -> ErasedStackJob + Send>
-                })
+        // Persistable = checkpoint-enabled + a workload the spec grammar
+        // can serialise (closure-backed kinds cannot cross a process
+        // boundary; every kind that serialises also clones, so it can
+        // restart). Encoded once, here.
+        let spec_bytes =
+            if self.inner.store.is_some() && request.spec.params.checkpoint.is_enabled() {
+                persist::encode_spec(request.priority, &request.spec.kind, &request.spec.params)
+                    .map(Arc::new)
             } else {
                 None
             };
-        // Persistable = rebuildable + checkpoint-enabled + a workload
-        // the spec grammar can serialise (closure-backed kinds cannot
-        // cross a process boundary). Encoded once, here.
-        let spec_bytes = if self.inner.store.is_some() && rebuild.is_some() {
-            persist::encode_spec(request.priority, &request.spec.kind, &request.spec.params)
-                .map(Arc::new)
-        } else {
-            None
-        };
-        let mut queued = QueuedJob {
-            priority: request.priority,
-            seq: 0, // assigned under the queue lock below
-            submitted_at: now,
-            deadline_at: request.deadline.map(|d| now + d),
-            params: JobParams {
-                // Any caller-provided stop handle is replaced by the
-                // job's own (installed at execution time).
-                stop: None,
-                ..request.spec.params
-            },
-            cache_key,
-            label,
-            payload: Some(Payload::Start(request.spec.kind.into_erased())),
-            shared,
-            rebuild,
-            attempt: 0,
-            checkpoint_steps: 0,
-            resume_floor: 0,
-            first_wait: None,
-            exec_seq: None,
-            solve_so_far: Duration::ZERO,
-            spec_bytes,
-            persist_seq: 0,
-        };
+        let mut job = QueuedJob::new(shared, request.priority, request.spec, request.deadline);
+        job.spec_bytes = spec_bytes;
+        self.inner.registry.record(
+            Event::new(EventKind::Submitted, Some(id), i64::from(request.priority))
+                .with_detail(job.label.clone()),
+        );
         // Make the submission durable *before* it becomes poppable: a
         // process killed the instant submit() returns must still
         // recover this job.
-        persist_job(&self.inner, &mut queued, None);
-        let queued = queued;
-        {
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
-            if q.shutdown {
-                drop(q);
-                // Rejected, so the record written above is dead weight.
-                if queued.spec_bytes.is_some() {
-                    if let Some(store) = self.inner.store.as_ref() {
-                        let _ = store.remove(id);
-                    }
-                }
-                queued.shared.finish(JobResult {
-                    id,
-                    outcome: JobOutcome::Failed("service is shut down".into()),
-                    from_cache: false,
-                    queue_wait: Duration::ZERO,
-                    solve_time: Duration::ZERO,
-                    worker: None,
-                    exec_seq: None,
-                });
-                self.inner.stats.lock().expect("stats poisoned").failed += 1;
-                return handle;
-            }
-            let mut queued = queued;
-            queued.seq = q.next_seq;
-            q.next_seq += 1;
-            q.heap.push(queued);
-            self.inner.depth.set(q.heap.len() as u64);
-        }
-        self.inner.available.notify_one();
+        persist_job(&self.inner, &mut job, None);
+        admit(&self.inner, job);
         handle
     }
 
@@ -622,14 +561,14 @@ impl SolverService {
 
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().expect("queue poisoned").heap.len()
+        unpoisoned(self.inner.queue.lock()).heap.len()
     }
 
     /// A snapshot of the service's operational metrics.
     pub fn stats(&self) -> ServiceStats {
         let queue_depth = self.queue_depth();
-        let cache_entries = self.inner.cache.lock().expect("cache poisoned").len();
-        let stats = self.inner.stats.lock().expect("stats poisoned");
+        let cache_entries = unpoisoned(self.inner.cache.lock()).len();
+        let stats = unpoisoned(self.inner.stats.lock());
         let mut jobs_by_kind: Vec<(String, u64)> = stats
             .jobs_by_kind
             .iter()
@@ -672,7 +611,7 @@ impl SolverService {
     /// On a [`paused`](SolverService::paused) service with jobs queued:
     /// no worker exists to drain them, so the wait could never end.
     pub fn drain(&self) {
-        let mut q = self.inner.queue.lock().expect("queue poisoned");
+        let mut q = unpoisoned(self.inner.queue.lock());
         if self.threads.is_empty() && !(q.heap.is_empty() && q.running == 0) {
             // Release the lock before panicking so the Drop path can
             // still abort the queued jobs.
@@ -683,7 +622,7 @@ impl SolverService {
             );
         }
         while !(q.heap.is_empty() && q.running == 0) {
-            q = self.inner.drained.wait(q).expect("queue poisoned");
+            q = unpoisoned(self.inner.drained.wait(q));
         }
     }
 
@@ -702,7 +641,7 @@ impl SolverService {
     /// the caller has already drained or aborted them.
     fn halt_workers(&mut self) {
         {
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
+            let mut q = unpoisoned(self.inner.queue.lock());
             q.shutdown = true;
         }
         self.inner.available.notify_all();
@@ -721,45 +660,13 @@ impl SolverService {
             return;
         }
         let jobs: Vec<QueuedJob> = {
-            let mut q = self.inner.queue.lock().expect("queue poisoned");
+            let mut q = unpoisoned(self.inner.queue.lock());
             q.shutdown = true;
             self.inner.depth.set(0);
             std::mem::take(&mut q.heap).into_vec()
         };
-        if jobs.is_empty() {
-            return;
-        }
-        let mut stats = self.inner.stats.lock().expect("stats poisoned");
         for job in jobs {
-            stats.cancelled += 1;
-            // A graceful shutdown resolves the job as cancelled; its
-            // durable record must not resurrect it in the next
-            // incarnation (only a kill leaves records behind).
-            if job.spec_bytes.is_some() {
-                if let Some(store) = self.inner.store.as_ref() {
-                    let _ = store.remove(job.shared.id);
-                }
-            }
-            self.inner
-                .registry
-                .record(Event::new(EventKind::Cancelled, Some(job.shared.id), 0));
-            // A job cancelled while queued still waited in the queue:
-            // its wait belongs in the distribution like everyone
-            // else's (recorded here unless a worker already recorded
-            // it at first pickup).
-            let queue_wait = job.first_wait.unwrap_or_else(|| job.submitted_at.elapsed());
-            if job.first_wait.is_none() {
-                stats.queue_wait_us.record(saturating_micros(queue_wait));
-            }
-            job.shared.finish(JobResult {
-                id: job.shared.id,
-                outcome: JobOutcome::Cancelled,
-                from_cache: false,
-                queue_wait,
-                solve_time: job.solve_so_far,
-                worker: None,
-                exec_seq: job.exec_seq,
-            });
+            retire(&self.inner, job, JobOutcome::Cancelled, None);
         }
     }
 }
@@ -774,7 +681,7 @@ impl Drop for SolverService {
 fn worker_loop(inner: Arc<ServiceInner>, wid: usize) {
     loop {
         let job = {
-            let mut q = inner.queue.lock().expect("queue poisoned");
+            let mut q = unpoisoned(inner.queue.lock());
             loop {
                 if inner.killed.load(Ordering::SeqCst) {
                     // Simulated process death: stop without popping —
@@ -789,12 +696,12 @@ fn worker_loop(inner: Arc<ServiceInner>, wid: usize) {
                 if q.shutdown {
                     return;
                 }
-                q = inner.available.wait(q).expect("queue poisoned");
+                q = unpoisoned(inner.available.wait(q));
             }
         };
         process_job(&inner, wid, job);
         {
-            let mut q = inner.queue.lock().expect("queue poisoned");
+            let mut q = unpoisoned(inner.queue.lock());
             q.running -= 1;
         }
         inner.drained.notify_all();
@@ -806,13 +713,39 @@ fn worker_loop(inner: Arc<ServiceInner>, wid: usize) {
 /// only: equal-priority work waits its FIFO turn, so two long jobs can
 /// never ping-pong each other.
 fn higher_priority_waiting(inner: &ServiceInner, priority: i32) -> bool {
-    inner
-        .queue
-        .lock()
-        .expect("queue poisoned")
+    unpoisoned(inner.queue.lock())
         .heap
         .peek()
         .is_some_and(|job| job.priority > priority)
+}
+
+/// Pushes `job` onto the heap — the only place that does — or hands it
+/// back when the queue is shut down. With `fresh_seq` it takes the next
+/// submission `seq` and so enters at the back of its priority class;
+/// without, it keeps the one it has.
+fn enqueue(inner: &ServiceInner, mut job: QueuedJob, fresh_seq: bool) -> Option<QueuedJob> {
+    let mut q = unpoisoned(inner.queue.lock());
+    if q.shutdown {
+        return Some(job);
+    }
+    if fresh_seq {
+        job.seq = q.next_seq;
+        q.next_seq += 1;
+    }
+    q.heap.push(job);
+    inner.depth.set(q.heap.len() as u64);
+    drop(q);
+    inner.available.notify_one();
+    None
+}
+
+/// Queues a new or recovered job. A service that is already shut down
+/// refuses it instead, so no handle waits forever.
+fn admit(inner: &ServiceInner, job: QueuedJob) {
+    if let Some(job) = enqueue(inner, job, true) {
+        let refusal = JobOutcome::Failed("service is shut down".into());
+        retire(inner, job, refusal, None);
+    }
 }
 
 /// Puts a suspended or restarted job back into the priority queue. With
@@ -821,39 +754,11 @@ fn higher_priority_waiting(inner: &ServiceInner, priority: i32) -> bool {
 /// priority; with `to_back` true (explicit [`JobHandle::suspend`]) it
 /// takes a fresh `seq` and re-enters at the back of its priority class,
 /// letting already-queued peers overtake. On a shutting-down service the
-/// job is finished as cancelled instead, so no handle waits forever.
-fn requeue(inner: &ServiceInner, mut job: QueuedJob, to_back: bool) {
-    {
-        let mut q = inner.queue.lock().expect("queue poisoned");
-        if !q.shutdown {
-            if to_back {
-                job.seq = q.next_seq;
-                q.next_seq += 1;
-            }
-            q.heap.push(job);
-            inner.depth.set(q.heap.len() as u64);
-            drop(q);
-            inner.available.notify_one();
-            return;
-        }
+/// job is retired as cancelled instead, so no handle waits forever.
+fn requeue(inner: &ServiceInner, job: QueuedJob, to_back: bool) {
+    if let Some(job) = enqueue(inner, job, to_back) {
+        retire(inner, job, JobOutcome::Cancelled, None);
     }
-    inner.stats.lock().expect("stats poisoned").cancelled += 1;
-    // Resolved as cancelled at shutdown: drop the durable record so the
-    // next incarnation does not resurrect an already-answered job.
-    if job.spec_bytes.is_some() {
-        if let Some(store) = inner.store.as_ref() {
-            let _ = store.remove(job.shared.id);
-        }
-    }
-    job.shared.finish(JobResult {
-        id: job.shared.id,
-        outcome: JobOutcome::Cancelled,
-        from_cache: false,
-        queue_wait: job.first_wait.unwrap_or_default(),
-        solve_time: job.solve_so_far,
-        worker: None,
-        exec_seq: job.exec_seq,
-    });
 }
 
 /// Writes `job`'s current durable record — its pre-encoded spec, its
@@ -879,7 +784,7 @@ fn persist_job(inner: &ServiceInner, job: &mut QueuedJob, checkpoint: Option<&[u
     match result {
         Ok(()) => {
             job.persist_seq += 1;
-            inner.stats.lock().expect("stats poisoned").persisted += 1;
+            unpoisoned(inner.stats.lock()).persisted += 1;
             probe.on_event(&Event::new(
                 EventKind::Persisted,
                 Some(job.shared.id),
@@ -887,7 +792,7 @@ fn persist_job(inner: &ServiceInner, job: &mut QueuedJob, checkpoint: Option<&[u
             ));
         }
         Err(err) => {
-            inner.stats.lock().expect("stats poisoned").persist_errors += 1;
+            unpoisoned(inner.stats.lock()).persist_errors += 1;
             probe.on_event(
                 &Event::new(EventKind::Persisted, Some(job.shared.id), -1)
                     .with_detail(format!("persist failed: {err}")),
@@ -896,19 +801,12 @@ fn persist_job(inner: &ServiceInner, job: &mut QueuedJob, checkpoint: Option<&[u
     }
 }
 
-fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    panic
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| panic.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "job panicked".into())
-}
-
-/// A worker crashed (panicked) mid-solve. If the job carries a rebuild
-/// factory and restart budget, re-queue a fresh copy that will replay
-/// deterministically to the last checkpoint barrier (`resume_floor`)
-/// and continue — returning `None`. Otherwise hand the job back with
-/// the failure message.
+/// A worker crashed (panicked) mid-solve. If the job still holds its
+/// workload and has restart budget, re-queue it *without* a run — the
+/// next pickup starts it afresh and replays deterministically to the
+/// last checkpoint barrier (`resume_floor`) — returning `None`; no
+/// workload code runs here. Otherwise hand the job back with the
+/// failure message.
 fn crash(inner: &ServiceInner, mut job: QueuedJob, message: String) -> Option<(QueuedJob, String)> {
     // Record the crash, then preserve the flight recorder's tail so the
     // dump includes the crash event itself and the lead-up to it.
@@ -922,31 +820,24 @@ fn crash(inner: &ServiceInner, mut job: QueuedJob, message: String) -> Option<(Q
         .with_detail(message.clone()),
     );
     inner.registry.dump_crash(id, message.clone());
-    if let Some(rebuild) = job
-        .rebuild
-        .as_ref()
-        .filter(|_| job.attempt < inner.max_restarts)
-    {
-        let fresh = rebuild();
-        job.attempt += 1;
-        job.resume_floor = job.checkpoint_steps;
-        // The restart replays from step zero and re-times everything up
-        // to the floor; keeping the pre-crash slice time would count
-        // every replayed step twice in the job's reported solve time.
-        job.solve_so_far = Duration::ZERO;
-        job.payload = Some(Payload::Start(fresh));
-        job.shared.set_queued();
-        inner.stats.lock().expect("stats poisoned").restarts += 1;
-        inner.registry.record(Event::new(
-            EventKind::Restarted,
-            Some(id),
-            saturating_i64(job.resume_floor),
-        ));
-        requeue(inner, job, false);
-        None
-    } else {
-        Some((job, message))
+    if job.kind.is_none() || job.attempt >= inner.max_restarts {
+        return Some((job, message));
     }
+    job.attempt += 1;
+    job.resume_floor = job.checkpoint_steps;
+    // The restart replays from step zero and re-times everything up to
+    // the floor; keeping the pre-crash slice time would count every
+    // replayed step twice in the job's reported solve time.
+    job.solve_so_far = Duration::ZERO;
+    job.shared.set_queued();
+    unpoisoned(inner.stats.lock()).restarts += 1;
+    inner.registry.record(Event::new(
+        EventKind::Restarted,
+        Some(id),
+        saturating_i64(job.resume_floor),
+    ));
+    requeue(inner, job, false);
+    None
 }
 
 /// Maps a finished run's summary to a job outcome, caching completed
@@ -962,220 +853,35 @@ fn summary_outcome(inner: &ServiceInner, job: &QueuedJob, summary: RunSummary) -
         }
         _ => {
             if let Some(key) = &job.cache_key {
-                inner
-                    .cache
-                    .lock()
-                    .expect("cache poisoned")
-                    .insert(key, summary.clone());
+                unpoisoned(inner.cache.lock()).insert(key, summary.clone());
             }
             JobOutcome::Completed(summary)
         }
     }
 }
 
-fn process_job(inner: &ServiceInner, wid: usize, mut job: QueuedJob) {
-    // One timestamp anchors both measurements: everything before it is
-    // queue wait, everything after it is solve time. (Taking separate
-    // `elapsed()` readings here used to leak the stats-lock acquisition
-    // into neither/both, depending on contention.)
-    let picked_up = Instant::now();
-    let wait_now = picked_up.saturating_duration_since(job.submitted_at);
-    if job.first_wait.is_none() {
-        // First pickup: this is the job's queue wait — later re-queues
-        // from preemption are scheduling churn, not queue wait.
-        job.first_wait = Some(wait_now);
-        job.exec_seq = Some(inner.exec_seq.fetch_add(1, Ordering::SeqCst));
-        inner
-            .stats
-            .lock()
-            .expect("stats poisoned")
-            .queue_wait_us
-            .record(saturating_micros(wait_now));
-    }
+/// The worker's share of a retirement: which worker held the job when
+/// it ended, how long its last attempt ran there (`None`: decided at
+/// pickup, nothing executed), and whether the cache answered.
+struct Attempt {
+    wid: usize,
+    ran_for: Option<Duration>,
+    from_cache: bool,
+}
 
-    let mut from_cache = false;
-    let mut executed = false;
-    let outcome = 'decide: {
-        if job.shared.cancelled.load(Ordering::SeqCst) {
-            break 'decide JobOutcome::Cancelled;
-        }
-        if job.deadline_at.is_some_and(|d| picked_up >= d) {
-            // Expired while queued: reject without occupying the worker.
-            break 'decide JobOutcome::TimedOut;
-        }
-        if matches!(job.payload, Some(Payload::Start(_))) {
-            if let Some(hit) = job
-                .cache_key
-                .as_ref()
-                .and_then(|key| inner.cache.lock().expect("cache poisoned").get(key))
-            {
-                from_cache = true;
-                break 'decide JobOutcome::Completed(hit);
-            }
-        }
-
-        job.shared.set_running();
-        executed = true;
-        inner.registry.record(Event::new(
-            EventKind::Started,
-            Some(job.shared.id),
-            saturating_i64(wid as u64),
-        ));
-        let mut slice: Box<dyn RunSlice> = match job.payload.take().expect("payload present") {
-            Payload::Resume(slice) => slice,
-            Payload::Start(erased) => {
-                let mut params = job.params.clone();
-                // The per-job probe rides with the engine for its whole
-                // life (restarts re-use the same probe: step counters
-                // only move forward through deterministic replay).
-                let probe = inner.registry.probe(job.shared.id, &job.label);
-                params.obs = ObsHandle::new(probe as Arc<dyn Observer>);
-                let mut stop = job.shared.stop.clone();
-                if let Some(deadline) = job.deadline_at {
-                    // Absolute, so a resumed job keeps its original
-                    // budget: the handle travels with the suspended sim.
-                    stop = stop.until(deadline);
-                }
-                params.stop = Some(stop);
-                let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    erased.start(&params)
-                }));
-                match started {
-                    Ok(StartedJob::Finished(summary)) => {
-                        break 'decide summary_outcome(inner, &job, summary);
-                    }
-                    Ok(StartedJob::Sliced(slice)) => slice,
-                    Err(panic) => {
-                        let busy = picked_up.elapsed();
-                        match crash(inner, job, panic_message(panic)) {
-                            None => {
-                                // Restarting from the checkpoint. The
-                                // crashed attempt still occupied this
-                                // worker; the terminal accounting below
-                                // never runs for it, so bill the busy
-                                // time here.
-                                inner
-                                    .stats
-                                    .lock()
-                                    .expect("stats poisoned")
-                                    .per_worker_busy_us[wid] += saturating_micros(busy);
-                                return;
-                            }
-                            Some((returned, msg)) => {
-                                job = returned;
-                                break 'decide JobOutcome::Failed(msg);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-
-        // The slice loop: advance one checkpoint interval at a time; at
-        // every barrier honour cancellation, explicit suspension, and
-        // priority preemption.
-        loop {
-            let stepped =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || slice.run_slice()));
-            match stepped {
-                Err(panic) => {
-                    let busy = picked_up.elapsed();
-                    match crash(inner, job, panic_message(panic)) {
-                        None => {
-                            // Restarting from the checkpoint; bill the
-                            // crashed attempt's busy time (see above).
-                            inner
-                                .stats
-                                .lock()
-                                .expect("stats poisoned")
-                                .per_worker_busy_us[wid] += saturating_micros(busy);
-                            return;
-                        }
-                        Some((returned, msg)) => {
-                            job = returned;
-                            break 'decide JobOutcome::Failed(msg);
-                        }
-                    }
-                }
-                Ok(SliceOutcome::Finished(summary)) => {
-                    break 'decide summary_outcome(inner, &job, summary);
-                }
-                Ok(SliceOutcome::Yielded(next)) => {
-                    slice = next;
-                    job.checkpoint_steps = slice.steps_done();
-                    inner.registry.record(Event::new(
-                        EventKind::SliceYielded,
-                        Some(job.shared.id),
-                        saturating_i64(job.checkpoint_steps),
-                    ));
-                    if job.checkpoint_steps > job.resume_floor {
-                        // A new durable barrier (replay below the floor
-                        // re-derives state the store already has).
-                        persist_job(inner, &mut job, slice.checkpoint_bytes().as_deref());
-                    }
-                    if inner.killed.load(Ordering::SeqCst) {
-                        // Simulated process death: stop here, leaving
-                        // the barrier record durable and the handle
-                        // unfinished — recovery owns this job now.
-                        return;
-                    }
-                    if job.shared.cancelled.load(Ordering::SeqCst) {
-                        break 'decide JobOutcome::Cancelled;
-                    }
-                    if slice.steps_done() < job.resume_floor {
-                        // Crash recovery: replay to the last checkpoint
-                        // before anything may interleave again.
-                        continue;
-                    }
-                    let suspend = job.shared.suspend.swap(false, Ordering::SeqCst);
-                    if !suspend && !higher_priority_waiting(inner, job.priority) {
-                        continue;
-                    }
-                    // Preempted: park the live run back in the queue and
-                    // free this worker for the higher-priority job. One
-                    // reading of the clock feeds both the worker's busy
-                    // counter and the job's accumulated solve time —
-                    // separate `elapsed()` calls drifted apart.
-                    let busy = picked_up.elapsed();
-                    {
-                        let mut stats = inner.stats.lock().expect("stats poisoned");
-                        if suspend {
-                            stats.suspensions += 1;
-                        } else {
-                            stats.preemptions += 1;
-                        }
-                        stats.per_worker_busy_us[wid] += saturating_micros(busy);
-                    }
-                    job.solve_so_far += busy;
-                    job.payload = Some(Payload::Resume(slice));
-                    job.shared.set_queued();
-                    inner.registry.record(Event::new(
-                        if suspend {
-                            EventKind::Suspended
-                        } else {
-                            EventKind::Preempted
-                        },
-                        Some(job.shared.id),
-                        saturating_i64(job.checkpoint_steps),
-                    ));
-                    requeue(inner, job, suspend);
-                    return;
-                }
-            }
-        }
+/// The one way out of the service, whoever decides the job is over: a
+/// worker (`attempt`), `submit` refusing it, or a shutting-down service
+/// cancelling what is queued or parked. The only writer of [`JobResult`],
+/// the terminal counters, label count and event, and the durable-record
+/// removal — so every exit leaves the same records.
+fn retire(inner: &ServiceInner, job: QueuedJob, outcome: JobOutcome, attempt: Option<Attempt>) {
+    let (worker, ran_for, from_cache) = match attempt {
+        Some(a) => (Some(a.wid), a.ran_for, a.from_cache),
+        None => (None, None, false),
     };
-
-    // One reading of the clock for the final attempt: both the job's
-    // total solve time and the worker's busy counter are derived from
-    // it, so they cannot drift apart.
-    let ran_for = picked_up.elapsed();
-    let solve_time = if executed {
-        job.solve_so_far + ran_for
-    } else {
-        job.solve_so_far
-    };
-    {
-        let mut stats = inner.stats.lock().expect("stats poisoned");
+    let solve_time = job.solve_so_far + ran_for.unwrap_or_default();
+    let queue_wait = {
+        let mut stats = unpoisoned(inner.stats.lock());
         match &outcome {
             JobOutcome::Completed(_) => {
                 stats.completed += 1;
@@ -1190,12 +896,27 @@ fn process_job(inner: &ServiceInner, wid: usize, mut job: QueuedJob) {
         if !from_cache && solve_time > Duration::ZERO {
             stats.solve_time_us.record(saturating_micros(solve_time));
         }
-        stats.per_worker_jobs[wid] += 1;
-        if executed {
-            stats.per_worker_busy_us[wid] += saturating_micros(ran_for);
+        if let Some(wid) = worker {
+            stats.per_worker_jobs[wid] += 1;
+            stats.per_worker_busy_us[wid] += saturating_micros(ran_for.unwrap_or_default());
         }
         *stats.jobs_by_kind.entry(job.label.clone()).or_insert(0) += 1;
-    }
+        match (job.first_wait, &outcome) {
+            // Recorded by the worker at first pickup.
+            (Some(wait), _) => wait,
+            // A failure no worker saw is a refusal at the door: the job
+            // never waited in the queue, so it adds no sample.
+            (None, JobOutcome::Failed(_)) => Duration::ZERO,
+            // Left the queue without reaching a worker (drop, shutdown):
+            // it still waited there, and its wait belongs in the
+            // distribution like everyone else's.
+            (None, _) => {
+                let wait = job.submitted_at.elapsed();
+                stats.queue_wait_us.record(saturating_micros(wait));
+                wait
+            }
+        }
+    };
     // Terminal lifecycle event (failures were already recorded as
     // `Crashed`, with the flight-recorder tail dumped, in `crash`).
     let terminal = match &outcome {
@@ -1211,23 +932,202 @@ fn process_job(inner: &ServiceInner, wid: usize, mut job: QueuedJob) {
             saturating_i64(saturating_micros(solve_time)),
         ));
     }
-
-    // A terminal job no longer needs a durable record.
+    // A terminal job no longer needs a durable record — and one retired
+    // at a graceful shutdown must not be resurrected by the next
+    // incarnation (only a kill leaves records behind).
     if job.spec_bytes.is_some() {
         if let Some(store) = inner.store.as_ref() {
             let _ = store.remove(job.shared.id);
         }
     }
-
     job.shared.finish(JobResult {
         id: job.shared.id,
         outcome,
         from_cache,
-        queue_wait: job.first_wait.unwrap_or(wait_now),
+        queue_wait,
         solve_time,
-        worker: Some(wid),
+        worker,
         exec_seq: job.exec_seq,
     });
+}
+
+fn process_job(inner: &ServiceInner, wid: usize, mut job: QueuedJob) {
+    // One timestamp anchors both measurements: everything before it is
+    // queue wait, everything after it is solve time. (Taking separate
+    // `elapsed()` readings here used to leak the stats-lock acquisition
+    // into neither/both, depending on contention.)
+    let picked_up = Instant::now();
+    if job.first_wait.is_none() {
+        // First pickup: this is the job's queue wait — later re-queues
+        // from preemption are scheduling churn, not queue wait.
+        let wait = picked_up.saturating_duration_since(job.submitted_at);
+        job.first_wait = Some(wait);
+        job.exec_seq = Some(inner.exec_seq.fetch_add(1, Ordering::SeqCst));
+        unpoisoned(inner.stats.lock())
+            .queue_wait_us
+            .record(saturating_micros(wait));
+    }
+
+    let mut from_cache = false;
+    let mut executed = false;
+    let outcome = 'decide: {
+        if job.shared.cancelled.load(Ordering::SeqCst) {
+            break 'decide JobOutcome::Cancelled;
+        }
+        if job.deadline_at.is_some_and(|d| picked_up >= d) {
+            // Expired while queued: reject without occupying the worker.
+            break 'decide JobOutcome::TimedOut;
+        }
+        if job.slice.is_none() {
+            if let Some(hit) = job
+                .cache_key
+                .as_ref()
+                .and_then(|key| unpoisoned(inner.cache.lock()).get(key))
+            {
+                from_cache = true;
+                break 'decide JobOutcome::Completed(hit);
+            }
+        }
+
+        job.shared.set_running();
+        executed = true;
+        inner.registry.record(Event::new(
+            EventKind::Started,
+            Some(job.shared.id),
+            saturating_i64(wid as u64),
+        ));
+        // What runs next under the guard: the parked slice, or — first
+        // start, crash restart and recovery alike — a run assembled afresh.
+        let mut run: Box<dyn FnOnce() -> SliceOutcome> = match job.slice.take() {
+            Some(slice) => Box::new(move || slice.run_slice()),
+            None => {
+                // A checkpoint-enabled job runs a copy of its workload and
+                // keeps the original for a restart after a crash; every
+                // other job never restarts, so it skips the clone.
+                let copy = match &job.kind {
+                    Some(kind) if job.params.checkpoint.is_enabled() => kind.try_clone(),
+                    _ => None,
+                };
+                let kind = copy.or_else(|| job.kind.take());
+                let mut params = job.params.clone();
+                // The per-job probe rides with the engine for its whole
+                // life (restarts re-use the same probe: step counters
+                // only move forward through deterministic replay).
+                let probe = inner.registry.probe(job.shared.id, &job.label);
+                params.obs = ObsHandle::new(probe as Arc<dyn Observer>);
+                let mut stop = job.shared.stop.clone();
+                if let Some(deadline) = job.deadline_at {
+                    // Absolute, so a resumed job keeps its original
+                    // budget: the handle travels with the suspended sim.
+                    stop = stop.until(deadline);
+                }
+                params.stop = Some(stop);
+                Box::new(move || {
+                    let kind = kind.expect("a job without a live run still holds its workload");
+                    kind.into_erased().start(&params).run_slice()
+                })
+            }
+        };
+
+        // The slice loop: advance one checkpoint interval at a time; at
+        // every barrier honour cancellation, explicit suspension, and
+        // priority preemption. Everything a workload supplies (factory,
+        // assembly, handlers) runs inside this one guard, holding no lock.
+        loop {
+            let slice = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Err(panic) => {
+                    let busy = picked_up.elapsed();
+                    match crash(inner, job, panic_message(panic.as_ref(), "job panicked")) {
+                        None => {
+                            // Restarting from the checkpoint. The crashed
+                            // attempt still occupied this worker; the
+                            // terminal accounting never runs for it, so
+                            // bill the busy time here.
+                            unpoisoned(inner.stats.lock()).per_worker_busy_us[wid] +=
+                                saturating_micros(busy);
+                            return;
+                        }
+                        Some((returned, msg)) => {
+                            job = returned;
+                            break 'decide JobOutcome::Failed(msg);
+                        }
+                    }
+                }
+                Ok(SliceOutcome::Finished(summary)) => {
+                    break 'decide summary_outcome(inner, &job, summary);
+                }
+                Ok(SliceOutcome::Yielded(slice)) => slice,
+            };
+            job.checkpoint_steps = slice.steps_done();
+            inner.registry.record(Event::new(
+                EventKind::SliceYielded,
+                Some(job.shared.id),
+                saturating_i64(job.checkpoint_steps),
+            ));
+            if job.checkpoint_steps > job.resume_floor {
+                // A new durable barrier (replay below the floor
+                // re-derives state the store already has).
+                persist_job(inner, &mut job, slice.checkpoint_bytes().as_deref());
+            }
+            if inner.killed.load(Ordering::SeqCst) {
+                // Simulated process death: stop here, leaving the
+                // barrier record durable and the handle unfinished —
+                // recovery owns this job now.
+                return;
+            }
+            if job.shared.cancelled.load(Ordering::SeqCst) {
+                break 'decide JobOutcome::Cancelled;
+            }
+            // Crash recovery: replay to the last checkpoint before
+            // anything may interleave again (a suspend request made
+            // meanwhile stays pending).
+            let replaying = job.checkpoint_steps < job.resume_floor;
+            let suspend = !replaying && job.shared.suspend.swap(false, Ordering::SeqCst);
+            if replaying || !(suspend || higher_priority_waiting(inner, job.priority)) {
+                run = Box::new(move || slice.run_slice());
+                continue;
+            }
+            // Preempted: park the live run back in the queue and free
+            // this worker for the higher-priority job. One reading of
+            // the clock feeds both the worker's busy counter and the
+            // job's accumulated solve time — separate `elapsed()` calls
+            // drifted apart.
+            let busy = picked_up.elapsed();
+            {
+                let mut stats = unpoisoned(inner.stats.lock());
+                if suspend {
+                    stats.suspensions += 1;
+                } else {
+                    stats.preemptions += 1;
+                }
+                stats.per_worker_busy_us[wid] += saturating_micros(busy);
+            }
+            job.solve_so_far += busy;
+            job.slice = Some(slice);
+            job.shared.set_queued();
+            inner.registry.record(Event::new(
+                if suspend {
+                    EventKind::Suspended
+                } else {
+                    EventKind::Preempted
+                },
+                Some(job.shared.id),
+                saturating_i64(job.checkpoint_steps),
+            ));
+            requeue(inner, job, suspend);
+            return;
+        }
+    };
+
+    // One reading of the clock for the final attempt: both the job's
+    // total solve time and the worker's busy counter are derived from
+    // it, so they cannot drift apart.
+    let attempt = Attempt {
+        wid,
+        ran_for: executed.then(|| picked_up.elapsed()),
+        from_cache,
+    };
+    retire(inner, job, outcome, Some(attempt));
 }
 
 #[cfg(test)]
@@ -1401,6 +1301,18 @@ mod tests {
             )
             .wait();
         assert!(ok.outcome.is_completed());
+    }
+
+    #[test]
+    fn a_panic_without_a_message_fails_the_job_as_job_panicked() {
+        // The service's default text for non-string payloads, pinned
+        // (the kernel's own is "handler panicked").
+        let service = SolverService::with_workers(1);
+        let mute = JobKind::erased_with_factory("mute", || -> hyperspace_core::ErasedStackJob {
+            std::panic::panic_any(7u32)
+        });
+        let result = service.submit(small(mute)).wait();
+        assert_eq!(result.outcome, JobOutcome::Failed("job panicked".into()));
     }
 
     #[test]

@@ -154,6 +154,17 @@ pub enum SimError {
     },
 }
 
+/// Renders a caught panic payload: the message when the panic carried
+/// one (`panic!` yields a `&str` or a `String`), `default` for any other
+/// payload type. The one payload-to-text ladder — the kernel's
+/// [`SimError::HandlerPanic`] and the services that catch whole jobs
+/// both read payloads through it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send), default: &str) -> String {
+    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| default.to_string())
+}
+
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -75,7 +75,8 @@ pub use checkpoint::SimCheckpoint;
 pub use codec::{Codec, CodecError};
 pub use control::StopHandle;
 pub use engine::{
-    DeliveryModel, RunOutcome, RunReport, SimConfig, SimError, Simulation, StepReport,
+    panic_message, DeliveryModel, RunOutcome, RunReport, SimConfig, SimError, Simulation,
+    StepReport,
 };
 pub use envelope::Envelope;
 pub use program::{InitCtx, NodeProgram, Outbox};

@@ -266,9 +266,7 @@ impl Clock {
         self.idle = !out.busy;
         let step = self.step;
         if let Some((node, payload)) = out.panic.take() {
-            let message = (payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "handler panicked".to_string());
+            let message = crate::panic_message(payload.as_ref(), "handler panicked");
             let error = SimError::HandlerPanic {
                 node,
                 step,
@@ -1250,6 +1248,39 @@ mod tests {
             let report = sim.run_to_quiescence().expect("resume completes");
             assert_eq!(report.outcome, RunOutcome::Quiescent, "{tag}");
             assert_eq!(sim.queued(), 0, "{tag}");
+        }
+    }
+
+    #[test]
+    fn panic_payloads_render_through_one_ladder_with_the_callers_default() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("panics");
+        let text = |f: fn()| crate::panic_message(caught(f).as_ref(), "fallback");
+        assert_eq!(text(|| panic!("static text")), "static text");
+        assert_eq!(text(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(text(|| std::panic::panic_any(7u32)), "fallback");
+
+        // The kernel's own default, pinned: a handler whose payload is
+        // not a string reports as "handler panicked".
+        #[derive(Clone)]
+        struct Mute;
+        impl NodeProgram for Mute {
+            type Msg = ();
+            type State = ();
+            fn init(&self, _n: NodeId, _c: &InitCtx) {}
+            fn on_message(&self, _s: &mut (), _m: (), _ctx: &mut Outbox<'_, ()>) {
+                std::panic::panic_any(7u32);
+            }
+        }
+        let mut sim = ShardedSimulation::new(
+            Torus::new_2d(3, 3),
+            Mute,
+            SimConfig::default(),
+            ShardedConfig::with_shards(1),
+        );
+        sim.inject(0, ());
+        match sim.run_to_quiescence().unwrap_err() {
+            SimError::HandlerPanic { message, .. } => assert_eq!(message, "handler panicked"),
+            other => panic!("expected HandlerPanic, got {other:?}"),
         }
     }
 

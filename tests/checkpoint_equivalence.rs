@@ -18,11 +18,15 @@
 //!   machine instead of serialising it);
 //! * **resumed portfolio races ≡ uninterrupted races**: same winner,
 //!   same bus counters, per-member reports equal, whatever the epoch
-//!   chunking.
+//!   chunking — and whether the chunks are cut by hand or by driving the
+//!   race as the [`RunSlice`] it is;
+//! * **every job kind, sliced or whole, served or direct** reproduces
+//!   the summaries recorded at the commit before the service's job
+//!   lifecycle was unified (`tests/golden/job_matrix.expected`).
 
 use hyperspace::core::{
-    BackendSpec, CheckpointSpec, MapperSpec, PortfolioSpec, SliceOutcome, StackBuilder,
-    TopologySpec,
+    BackendSpec, CheckpointSpec, JobParams, MapperSpec, PortfolioSpec, RunSlice, RunSummary,
+    SliceOutcome, StackBuilder, TopologySpec,
 };
 use hyperspace::sat::gen;
 use hyperspace::sim::{
@@ -347,18 +351,68 @@ proptest! {
     }
 }
 
+/// Drives a started race as the [`RunSlice`] it is, to its summary;
+/// every yield must land on a whole number of `chunk`-epoch slices.
+fn drive_slices(race: hyperspace::portfolio::PortfolioRace, slice_steps: u64) -> (RunSummary, u64) {
+    let mut slice: Box<dyn RunSlice> = Box::new(race);
+    let mut yields = 0u64;
+    loop {
+        match slice.run_slice() {
+            SliceOutcome::Finished(summary) => return (summary, yields),
+            SliceOutcome::Yielded(next) => {
+                yields += 1;
+                assert_eq!(next.steps_done(), yields * slice_steps);
+                assert_eq!(next.checkpoint().steps, next.steps_done());
+                slice = next;
+            }
+        }
+    }
+}
+
+/// The checkpoint spec under which a race of `epoch`-step epochs cuts
+/// its slices every `chunk` epochs (`u64::MAX`: one slice, the whole
+/// race).
+fn every_epochs(chunk: u64, epoch: u64) -> CheckpointSpec {
+    match chunk {
+        u64::MAX => CheckpointSpec::Off,
+        n => CheckpointSpec::every(n * epoch),
+    }
+}
+
 /// A resumed portfolio race picks the same winner with identical bus
 /// counters: driving the race in chunks of 1, 2 or 5 epochs (suspending
-/// between chunks) equals the uninterrupted run, member for member.
+/// between chunks) equals the uninterrupted run, member for member —
+/// and so does driving it through `run_slice` under a checkpoint spec
+/// worth 1, 3 or all of its epochs.
 #[test]
 fn resumed_portfolio_races_pick_the_same_winner_with_identical_bus_counters() {
     use hyperspace::portfolio::PortfolioRunner;
     for seed in [7u64, 21] {
         let cnf = gen::uf20_91(seed);
-        let runner = PortfolioRunner::new(PortfolioSpec::diversified_sat(5))
+        // Two-step epochs: these races run five and six of them (one, at
+        // the default thirty-two), so every chunking below really cuts.
+        let runner = PortfolioRunner::new(PortfolioSpec::diversified_sat(5).epoch(2))
             .topology(TopologySpec::Torus2D { w: 6, h: 6 })
             .threads(2);
         let reference = runner.run_sat(&cnf);
+        assert!(reference.epochs >= 5, "seed={seed}");
+        for chunk in [1u64, 3, u64::MAX] {
+            let epoch = runner.spec().epoch_steps;
+            let params = JobParams {
+                topology: TopologySpec::Torus2D { w: 6, h: 6 },
+                checkpoint: every_epochs(chunk, epoch),
+                portfolio: Some(runner.spec().clone()),
+                ..JobParams::default()
+            };
+            let sliced = PortfolioRunner::from_params(&params)
+                .expect("the params carry a portfolio")
+                .threads(2);
+            let (summary, yields) =
+                drive_slices(sliced.start_sat(&cnf), chunk.saturating_mul(epoch));
+            let tag = format!("seed={seed} run_slice chunk={chunk}");
+            assert_eq!(summary, reference.clone().into_summary(), "{tag}");
+            assert_eq!(yields, (reference.epochs - 1) / chunk, "{tag}");
+        }
         for chunk in [1u64, 2, 5] {
             let mut race = runner.start_sat(&cnf);
             let mut chunks = 0u64;
@@ -421,7 +475,7 @@ fn resumed_bnb_portfolio_race_matches_the_uninterrupted_incumbent_flow() {
     let reference = runner.run_mesh(make, BnbKnapsackTask::root(items.clone(), capacity));
     assert_eq!(reference.best_incumbent, Some(oracle));
 
-    let mut race = runner.start_mesh(make, BnbKnapsackTask::root(items, capacity));
+    let mut race = runner.start_mesh(make, BnbKnapsackTask::root(items.clone(), capacity));
     while !race.run_epochs(1) {}
     let resumed = race.finish();
     assert_eq!(resumed.winner, reference.winner);
@@ -429,4 +483,108 @@ fn resumed_bnb_portfolio_race_matches_the_uninterrupted_incumbent_flow() {
     assert_eq!(resumed.bounds_shared, reference.bounds_shared);
     assert_eq!(resumed.bounds_imported, reference.bounds_imported);
     assert_eq!(resumed.epochs, reference.epochs);
+
+    // The same race driven as a `RunSlice`, its slices 1, 3 or all of
+    // its epochs long, folds to the uninterrupted summary.
+    let epoch = runner.spec().epoch_steps;
+    for chunk in [1u64, 3, u64::MAX] {
+        let params = JobParams {
+            topology: TopologySpec::Torus2D { w: 4, h: 4 },
+            objective: ObjectiveSpec::Maximise,
+            checkpoint: every_epochs(chunk, epoch),
+            portfolio: Some(runner.spec().clone()),
+            ..JobParams::default()
+        };
+        let sliced = PortfolioRunner::from_params(&params).expect("the params carry a portfolio");
+        let race = sliced.start_mesh(make, BnbKnapsackTask::root(items.clone(), capacity));
+        let (summary, yields) = drive_slices(race, chunk.saturating_mul(epoch));
+        assert_eq!(summary, reference.clone().into_summary(), "chunk={chunk}");
+        assert_eq!(yields, (reference.epochs - 1) / chunk, "chunk={chunk}");
+    }
+}
+
+/// The fixed job matrix behind `tests/golden/job_matrix.expected`: every
+/// persistable [`JobKind`], plus the SAT job under a flat and under an
+/// expression portfolio.
+fn job_matrix() -> Vec<(&'static str, hyperspace::service::JobSpec)> {
+    use hyperspace::apps::{seeded_items, sort_by_density, TspInstance};
+    use hyperspace::core::{ObjectiveSpec, PruneSpec};
+    use hyperspace::service::{JobKind, JobSpec};
+    let mut items = seeded_items(13, 8, 14, 22);
+    sort_by_density(&mut items);
+    let capacity = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+    let sat = || JobSpec::new(JobKind::sat(gen::uf20_91(3)));
+    let expression = "portfolio(or(limit(nodes,64,mesh),mesh),cdcl)";
+    vec![
+        ("sat", sat()),
+        (
+            "knapsack",
+            JobSpec::new(JobKind::knapsack(items.clone(), capacity)),
+        ),
+        (
+            "bnb-knapsack",
+            JobSpec::new(JobKind::bnb_knapsack(items, capacity))
+                .objective(ObjectiveSpec::Maximise)
+                .prune(PruneSpec::incumbent()),
+        ),
+        (
+            "tsp",
+            JobSpec::new(JobKind::tsp(TspInstance::random(1, 5, 10)))
+                .objective(ObjectiveSpec::Minimise)
+                .prune(PruneSpec::incumbent()),
+        ),
+        ("nqueens", JobSpec::new(JobKind::nqueens(6))),
+        ("fib", JobSpec::new(JobKind::fib(10))),
+        ("sum", JobSpec::new(JobKind::sum(20))),
+        (
+            "sat-diversified4",
+            sat().portfolio(PortfolioSpec::diversified_sat(4)),
+        ),
+        (
+            "sat-expression",
+            sat().portfolio(expression.parse().expect("valid expression")),
+        ),
+    ]
+}
+
+/// Sliced or whole, one stack or a race, through a two-worker service or
+/// through `into_erased().run(..)`: every cell of the matrix renders the
+/// `RunSummary` recorded at commit 516ff1e, the last one where a job
+/// changed shape four times between `submit()` and its result (the
+/// recorder printed exactly the lines this test rebuilds).
+#[test]
+fn job_matrix_reproduces_the_parent_recorded_summaries_served_and_direct() {
+    use hyperspace::service::{JobSpec, ServiceConfig, SolverService};
+    let golden = std::fs::read_to_string("tests/golden/job_matrix.expected").expect("golden file");
+    // No cache: each cell must really run (the cache key ignores the
+    // checkpoint spec, so the sliced cell would be served the whole one).
+    let service = SolverService::new(ServiceConfig {
+        workers: 2,
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    });
+    let mut lines = Vec::new();
+    for (name, spec) in job_matrix() {
+        for checkpoint in [CheckpointSpec::Off, CheckpointSpec::every(7)] {
+            let cell = || {
+                let kind = spec.kind.try_clone().expect("data-carrying kinds clone");
+                let params = spec.params.clone();
+                JobSpec { kind, params }
+                    .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+                    .checkpoint(checkpoint)
+            };
+            let served = service.submit(cell()).wait();
+            assert!(!served.from_cache, "{name} {checkpoint}");
+            let served = served.outcome.summary().expect("completed").clone();
+            let direct = cell();
+            let direct = direct.kind.into_erased().run(&direct.params);
+            lines.push(format!("{name} {checkpoint} service {served:?}"));
+            lines.push(format!("{name} {checkpoint} direct {direct:?}"));
+        }
+    }
+    let golden: Vec<&str> = golden.lines().collect();
+    assert_eq!(lines.len(), golden.len());
+    for (line, expected) in lines.iter().zip(golden) {
+        assert_eq!(line, expected);
+    }
 }

@@ -255,9 +255,7 @@ fn handler_panic_inside_bnb_search_surfaces_without_corrupting_incumbents() {
 
 #[test]
 fn worker_panic_dumps_the_flight_recorder_tail_for_the_failing_job() {
-    use hyperspace::core::ErasedStackJob;
     use hyperspace::obs::{EventKind, CRASH_DUMP_TAIL};
-    use hyperspace::recursion::{FnProgram, Rec};
     use hyperspace::service::{JobKind, JobOutcome, JobSpec, SolverService};
 
     let on_torus =
@@ -274,21 +272,7 @@ fn worker_panic_dumps_the_flight_recorder_tail_for_the_failing_job() {
     }
     // Then a job whose handler detonates mid-recursion (no checkpoint
     // spec, so the crash is terminal rather than restarted).
-    let doomed = JobKind::erased_with_factory("detonator", || {
-        ErasedStackJob::new(
-            FnProgram::new(|n: u64| -> Rec<u64, u64> {
-                if n == 3 {
-                    panic!("injected worker crash");
-                }
-                if n < 1 {
-                    Rec::done(0)
-                } else {
-                    Rec::call(n - 1).then(move |total| Rec::done(total + n))
-                }
-            }),
-            20,
-        )
-    });
+    let doomed = JobKind::erased_with_factory("detonator", detonating_sum);
     let failed = service.submit(on_torus(doomed)).wait();
     let crashed_id = failed.id;
     match failed.outcome {
@@ -329,6 +313,128 @@ fn worker_panic_dumps_the_flight_recorder_tail_for_the_failing_job() {
     for pair in dump.events.windows(2) {
         assert!(pair[0].seq < pair[1].seq);
     }
+}
+
+/// The recursive sum that detonates at `n == 3`, the doomed workload of
+/// the worker-crash tests.
+fn detonating_sum() -> hyperspace::core::ErasedStackJob {
+    use hyperspace::recursion::{FnProgram, Rec};
+    hyperspace::core::ErasedStackJob::new(
+        FnProgram::new(|n: u64| -> Rec<u64, u64> {
+            if n == 3 {
+                panic!("injected worker crash");
+            }
+            if n < 1 {
+                Rec::done(0)
+            } else {
+                Rec::call(n - 1).then(move |total| Rec::done(total + n))
+            }
+        }),
+        20,
+    )
+}
+
+#[test]
+fn a_factory_panicking_on_restart_fails_the_job_and_leaves_the_pool_alive() {
+    // A workload's own code — here the factory the service re-invokes
+    // for a checkpoint restart — must not be able to kill a worker: it
+    // runs on the worker, inside the panic guard, like the handlers.
+    use hyperspace::core::CheckpointSpec;
+    use hyperspace::obs::EventKind;
+    use hyperspace::service::{JobKind, JobOutcome, JobSpec, ServiceConfig, SolverService};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    let on_torus =
+        |kind: JobKind| JobSpec::new(kind).topology(TopologySpec::Torus2D { w: 4, h: 4 });
+    let service = SolverService::new(ServiceConfig {
+        workers: 1,
+        max_restarts: 2,
+        ..ServiceConfig::default()
+    });
+    let observer = service.observe();
+    // Threads the factory ran on, in call order.
+    let calls = Arc::new(Mutex::new(Vec::<String>::new()));
+    let doomed = {
+        let calls = Arc::clone(&calls);
+        JobKind::erased_with_factory("refuser", move || {
+            let mut calls = calls.lock().unwrap();
+            calls.push(std::thread::current().name().unwrap_or("?").to_string());
+            if calls.len() > 1 {
+                drop(calls); // the panic below must not poison the test's own log
+                panic!("factory refuses to rebuild");
+            }
+            detonating_sum()
+        })
+    };
+    let failed = service
+        .submit(on_torus(doomed).checkpoint(CheckpointSpec::Interval { steps: 4 }))
+        .wait_timeout(Duration::from_secs(60))
+        .expect("a panicking factory must fail the job, not hang its handle");
+    match &failed.outcome {
+        JobOutcome::Failed(reason) => {
+            assert!(reason.contains("factory refuses to rebuild"), "{reason}")
+        }
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    // First start plus one call per restart, every one on the worker.
+    assert_eq!(*calls.lock().unwrap(), ["hyperspace-worker-0"; 3]);
+    let stats = service.stats();
+    assert_eq!((stats.restarts, stats.failed), (2, 1), "{stats}");
+    assert_eq!(stats.submitted, stats.finished(), "{stats}");
+    let crashed = observer.registry().recorder().snapshot();
+    let crashed = crashed.iter().filter(|e| e.kind == EventKind::Crashed);
+    assert_eq!(crashed.count(), 3, "the handler once, the factory twice");
+    assert_eq!(observer.crashes().len(), 3);
+
+    // The pool survived and none of the service's locks is poisoned:
+    // further submissions run, the cache answers, stats read.
+    let served = || {
+        service
+            .submit(on_torus(JobKind::sum(10)))
+            .wait_timeout(Duration::from_secs(60))
+            .expect("the worker must still be serving")
+    };
+    let after = served();
+    assert!(after.outcome.is_completed(), "{:?}", after.outcome);
+    assert!(served().from_cache, "the cache lock must still be usable");
+    assert_eq!(service.stats().completed, 2);
+    // `shutdown()` drains and joins; a dead worker would block it forever.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(service.shutdown());
+    });
+    let stats = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("shutdown() must return");
+    assert_eq!(stats.submitted, stats.finished(), "{stats}");
+}
+
+#[test]
+fn a_factory_panicking_on_its_first_call_fails_the_job_through_the_handle() {
+    // The first factory call used to happen inside `submit()`, on the
+    // submitter's thread: the panic unwound the caller and left the
+    // submission counted but never finished.
+    use hyperspace::service::{JobKind, JobOutcome, JobSpec, SolverService};
+    let service = SolverService::with_workers(1);
+    let handle = service.submit(
+        JobSpec::new(JobKind::erased_with_factory(
+            "stillborn",
+            || -> hyperspace::core::ErasedStackJob { panic!("factory never builds") },
+        ))
+        .topology(TopologySpec::Torus2D { w: 4, h: 4 }),
+    );
+    let failed = handle
+        .wait_timeout(std::time::Duration::from_secs(60))
+        .expect("the failure must reach the handle");
+    match &failed.outcome {
+        JobOutcome::Failed(reason) => assert!(reason.contains("never builds"), "{reason}"),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    assert_eq!(failed.worker, Some(0), "the factory ran on the worker");
+    let stats = service.shutdown();
+    assert_eq!((stats.failed, stats.restarts), (1, 0), "{stats}");
+    assert_eq!(stats.submitted, stats.finished(), "{stats}");
 }
 
 #[test]

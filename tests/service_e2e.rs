@@ -793,3 +793,151 @@ fn invalid_strategy_requests_fail_at_submission() {
     let result = service.submit(queens("limit(nodes,100000,mesh)")).wait();
     assert!(result.outcome.is_completed(), "{:?}", result.outcome);
 }
+
+/// The lifecycle trail of every job the recorder saw entering the
+/// service (a `submitted` or `recovered` event) must end in exactly one
+/// way out: its last lifecycle event is terminal, and at most one of
+/// `completed`/`timed_out`/`cancelled` was ever written for it.
+fn assert_every_trail_ends_in_one_way_out(events: &[hyperspace::obs::Event]) {
+    use hyperspace::obs::EventKind::*;
+    let mut trails = std::collections::BTreeMap::<u64, Vec<_>>::new();
+    for event in events {
+        // Persist/checkpoint/epoch events are telemetry, not lifecycle.
+        if let (Some(id), false) = (
+            event.job,
+            matches!(event.kind, Persisted | Checkpoint | Epoch),
+        ) {
+            trails.entry(id).or_default().push(event.kind);
+        }
+    }
+    for (id, trail) in trails {
+        if !trail.iter().any(|k| matches!(k, Submitted | Recovered)) {
+            continue;
+        }
+        let last = trail.last().expect("non-empty");
+        assert!(
+            matches!(last, Completed | TimedOut | Cancelled | Crashed),
+            "job {id} ends in {last:?}: {trail:?}"
+        );
+        let ways_out = trail
+            .iter()
+            .filter(|k| matches!(k, Completed | TimedOut | Cancelled));
+        assert!(ways_out.count() <= 1, "job {id} left twice: {trail:?}");
+    }
+}
+
+#[test]
+fn every_way_out_of_the_service_leaves_the_same_records() {
+    use hyperspace::core::{PortfolioSpec, StrategySpec};
+    use hyperspace::obs::EventKind;
+    use hyperspace::service::{ServiceConfig, ServiceStats};
+    use hyperspace::store::JobStore;
+
+    let dir = std::env::temp_dir().join(format!("hyperspace-ways-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = |start_workers: bool| ServiceConfig {
+        workers: 1,
+        start_workers,
+        store_dir: Some(dir.clone()),
+        // Roomy enough that two-step slices cannot push a job's
+        // `submitted` event out of the ring.
+        flight_recorder_capacity: 1 << 16,
+        ..ServiceConfig::default()
+    };
+    let durable = |kind: JobKind| on_small_torus(kind).checkpoint(CheckpointSpec::every(8));
+    let resolved = |handle: &hyperspace::service::JobHandle| {
+        handle
+            .wait_timeout(Duration::from_secs(60))
+            .expect("every handle gets a result")
+    };
+    let by_kind_sums_to_finished = |stats: &ServiceStats| {
+        let by_kind: u64 = stats.jobs_by_kind.iter().map(|(_, n)| n).sum();
+        assert_eq!(by_kind, stats.finished(), "{stats}");
+    };
+
+    let service = SolverService::new(config(true));
+    let observer = service.observe();
+    // Completes; hits the cache.
+    let done = resolved(&service.submit(durable(JobKind::sum(10))));
+    assert!(done.outcome.is_completed() && !done.from_cache);
+    assert!(resolved(&service.submit(durable(JobKind::sum(10)))).from_cache);
+    // Refused at submission: a race without members, a CDCL member on a
+    // workload that has no clauses to learn. Never queued: no wait, no
+    // queue-wait sample.
+    let waits = service.stats().queue_wait_us.count();
+    let no_members = PortfolioSpec::new(Vec::<StrategySpec>::new());
+    for refused in [
+        durable(JobKind::sat(gen::uf20_91(1))).portfolio(no_members),
+        durable(JobKind::nqueens(5)).portfolio(PortfolioSpec::diversified_sat(6)),
+    ] {
+        let refused = resolved(&service.submit(refused));
+        assert!(
+            matches!(refused.outcome, JobOutcome::Failed(_)),
+            "{refused:?}"
+        );
+        assert_eq!((refused.worker, refused.queue_wait), (None, Duration::ZERO));
+    }
+    assert_eq!(service.stats().queue_wait_us.count(), waits);
+    by_kind_sums_to_finished(&service.stats());
+    // Behind a running blocker: one job times out in the queue, one is
+    // cancelled there; then the blocker is cancelled mid-run.
+    let blocker = service.submit(JobRequest::new(endless_checkpointed()).priority(10));
+    while blocker.status() != JobStatus::Running {
+        std::thread::yield_now();
+    }
+    let starved = service
+        .submit(JobRequest::new(durable(JobKind::sum(5))).deadline(Duration::from_millis(1)));
+    let unwanted = service.submit(durable(JobKind::sum(9)));
+    unwanted.cancel();
+    std::thread::sleep(Duration::from_millis(5));
+    blocker.cancel();
+    assert_eq!(resolved(&blocker).outcome, JobOutcome::Cancelled);
+    assert_eq!(resolved(&starved).outcome, JobOutcome::TimedOut);
+    assert_eq!(resolved(&unwanted).outcome, JobOutcome::Cancelled);
+    let stats = service.stats();
+    assert_eq!(stats.finished(), stats.submitted, "{stats}");
+    by_kind_sums_to_finished(&stats);
+    // A long job, a barrier every two steps, suspended just before the
+    // service is dropped: it parks into a queue that is shutting down.
+    // (Should the worker honour the request before the drop begins, the
+    // job resumes and completes instead — every assertion below holds
+    // either way.)
+    let long = service.submit(
+        on_small_torus(JobKind::nqueens(8)).checkpoint(CheckpointSpec::Interval { steps: 2 }),
+    );
+    while long.status() != JobStatus::Running {
+        std::thread::yield_now();
+    }
+    long.suspend();
+    drop(service);
+    let long = resolved(&long);
+    let events = observer.registry().recorder().snapshot();
+    if long.outcome == JobOutcome::Cancelled {
+        let trail: Vec<_> = events.iter().filter(|e| e.job == Some(long.id)).collect();
+        let [.., parked, left] = trail.as_slice() else {
+            panic!("{trail:?}")
+        };
+        assert_eq!(
+            (parked.kind, left.kind),
+            (EventKind::Suspended, EventKind::Cancelled)
+        );
+    } else {
+        assert!(long.outcome.is_completed(), "{long:?}");
+    }
+    assert_every_trail_ends_in_one_way_out(&events);
+
+    // Still queued when a paused service is dropped.
+    let paused = SolverService::new(config(false));
+    assert!(paused.recovered().is_empty(), "every record was retired");
+    let observer = paused.observe();
+    let queued = paused.submit(durable(JobKind::sum(7)));
+    assert_eq!(paused.stats().persisted, 1, "durable at submission");
+    drop(paused);
+    assert_eq!(resolved(&queued).outcome, JobOutcome::Cancelled);
+    assert_every_trail_ends_in_one_way_out(&observer.registry().recorder().snapshot());
+
+    // No finished job left a durable record behind.
+    let left = JobStore::open(&dir).expect("open").scan().expect("scan");
+    assert!(left.jobs.is_empty() && left.corrupt.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}

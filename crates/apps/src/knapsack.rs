@@ -83,7 +83,7 @@ pub fn fractional_bound(items: &[Item], next: usize, capacity: u32, value: u32) 
 /// `1..=max_weight` and values in `1..=max_value`, density-sorted
 /// ([`sort_by_density`]) so relaxation bounds are tight. The single
 /// instance generator shared by the conformance suites, the anytime
-/// tests and the `prune_scaling` sweep.
+/// tests and the `portfolio_race` sweep.
 pub fn seeded_items(seed: u64, n: usize, max_weight: u32, max_value: u32) -> Vec<Item> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut draw = |modulus: u32| {

@@ -1,12 +1,15 @@
 //! Layer-1 engine microbenchmarks: message throughput of the one step
 //! kernel stepped inline as a single shard (`seq`) versus cut into one
 //! shard per core on as many worker threads (`parallel`), on light
-//! (flood-fill) and heavy (DPLL activation) handlers.
+//! (flood-fill) and heavy (DPLL activation) handlers. The heavy group
+//! is also the K-sweep the sharding work is judged on: `sequential`
+//! pays no barrier, lock or atomic, so every `sharded:K` id beside it
+//! shows what the exchange and the barriers cost or buy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperspace_apps::traversal::FloodFill;
 use hyperspace_bench::experiments::{run_sat, SatRunConfig};
-use hyperspace_core::{BackendSpec, MapperSpec, TopologySpec};
+use hyperspace_core::{BackendSpec, MapperSpec, PartitionSpec, TopologySpec};
 use hyperspace_sat::gen;
 use hyperspace_sim::{ShardedConfig, ShardedSimulation, SimConfig};
 use hyperspace_topology::Torus;
@@ -43,10 +46,19 @@ fn bench_sat_stepper(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim-sat-14x14");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
-    for (name, backend) in [
-        ("sequential", BackendSpec::Sequential),
-        ("parallel", BackendSpec::Parallel),
-    ] {
+    let sharded = [2, 4, 8].map(|shards| {
+        let backend = BackendSpec::Sharded {
+            shards,
+            partition: PartitionSpec::Block,
+            threads: None,
+        };
+        (format!("sharded:{shards}"), backend)
+    });
+    let backends = [
+        ("sequential".to_string(), BackendSpec::Sequential),
+        ("parallel".to_string(), BackendSpec::Parallel),
+    ];
+    for (name, backend) in backends.into_iter().chain(sharded) {
         let mut cfg = SatRunConfig::new(
             TopologySpec::Torus2D { w: 14, h: 14 },
             MapperSpec::LeastBusy {

@@ -5,9 +5,8 @@
 //! them. This ablation measures both configurations on the Figure 5
 //! machine. Writes `results/ablation_cancellation.csv`.
 
-use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
+use hyperspace_bench::experiments::{paper_suite, suite_means, write_results_csv, SatRunConfig};
 use hyperspace_core::{MapperSpec, TopologySpec};
-use hyperspace_metrics::Stats;
 
 fn main() {
     let suite = paper_suite();
@@ -27,31 +26,19 @@ fn main() {
                 },
             );
             cfg.cancellation = cancel;
-            let mut times = Vec::new();
-            let mut msgs = Vec::new();
-            let mut acts = Vec::new();
-            let mut cancelled = Vec::new();
-            for cnf in &suite {
-                let report = run_sat(cnf, &cfg);
-                times.push(report.computation_time as f64);
-                msgs.push(report.metrics.total_sent as f64);
-                acts.push(report.rec_totals.started as f64);
-                cancelled.push(report.rec_totals.cancelled as f64);
-            }
-            let (t, m, a, c) = (
-                Stats::from_slice(&times).mean,
-                Stats::from_slice(&msgs).mean,
-                Stats::from_slice(&acts).mean,
-                Stats::from_slice(&cancelled).mean,
-            );
+            let [t, m, a, c] = suite_means(&suite, &cfg, |report| {
+                [
+                    report.computation_time as f64,
+                    report.metrics.total_sent as f64,
+                    report.rec_totals.started as f64,
+                    report.rec_totals.cancelled as f64,
+                ]
+            });
             println!("{cores:>8} {cancel:>10} {t:>14.1} {m:>14.1} {a:>14.1} {c:>12.1}");
             csv.push_str(&format!("{cores},{cancel},{t:.3},{m:.3},{a:.3},{c:.3}\n"));
         }
     }
-    match write_results_csv("ablation_cancellation.csv", &csv) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("ablation_cancellation.csv", &csv);
     println!(
         "\nExpected: cancellation prunes losing sub-trees, cutting messages\n\
          and drain time, most visibly on small congested machines."

@@ -5,9 +5,10 @@
 //! computation time on the Figure 5 machine. Writes
 //! `results/ablation_heuristics.csv`.
 
-use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
+use hyperspace_bench::experiments::{
+    column_means, paper_suite, suite_means, write_results_csv, SatRunConfig,
+};
 use hyperspace_core::{MapperSpec, TopologySpec};
-use hyperspace_metrics::Stats;
 use hyperspace_sat::heuristics::ALL_HEURISTICS;
 use hyperspace_sat::{cdcl, dpll, SimplifyMode};
 
@@ -25,53 +26,36 @@ fn main() {
     let mut csv =
         String::from("heuristic,seq_nodes_mean,seq_decisions_mean,mesh_time_mean,mesh_msgs_mean\n");
     for h in ALL_HEURISTICS {
-        let mut seq_nodes = Vec::new();
-        let mut seq_decisions = Vec::new();
-        let mut mesh_times = Vec::new();
-        let mut mesh_msgs = Vec::new();
-        for cnf in &suite {
+        let [n, d] = column_means(suite.iter().map(|cnf| {
             let (result, stats) = dpll::solve(cnf, h);
             assert!(result.is_sat());
-            seq_nodes.push(stats.nodes as f64);
-            seq_decisions.push(stats.decisions as f64);
-
-            let mut cfg = SatRunConfig::new(topo.clone(), mapper.clone());
-            cfg.heuristic = h;
-            cfg.mode = SimplifyMode::Fixpoint; // heuristics matter most with the real solver
-            let report = run_sat(cnf, &cfg);
-            mesh_times.push(report.computation_time as f64);
-            mesh_msgs.push(report.metrics.total_sent as f64);
-        }
-        let (n, d, t, m) = (
-            Stats::from_slice(&seq_nodes).mean,
-            Stats::from_slice(&seq_decisions).mean,
-            Stats::from_slice(&mesh_times).mean,
-            Stats::from_slice(&mesh_msgs).mean,
-        );
+            [stats.nodes as f64, stats.decisions as f64]
+        }));
+        let mut cfg = SatRunConfig::new(topo.clone(), mapper.clone());
+        cfg.heuristic = h;
+        cfg.mode = SimplifyMode::Fixpoint; // heuristics matter most with the real solver
+        let [t, m] = suite_means(&suite, &cfg, |report| {
+            [
+                report.computation_time as f64,
+                report.metrics.total_sent as f64,
+            ]
+        });
         println!(
             "{:>16} {n:>12.1} {d:>12.1} {t:>14.1} {m:>14.1}",
             h.to_string()
         );
         csv.push_str(&format!("{h},{n:.3},{d:.3},{t:.3},{m:.3}\n"));
     }
-    match write_results_csv("ablation_heuristics.csv", &csv) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("ablation_heuristics.csv", &csv);
 
     // Solver-strength footnote: the clause-learning baseline the paper's
     // barebone DPLL deliberately omits (§V-B).
-    let mut cdcl_decisions = Vec::new();
-    let mut cdcl_learned = Vec::new();
-    for cnf in &suite {
+    let [decisions, learned] = column_means(suite.iter().map(|cnf| {
         let (r, stats) = cdcl::solve(cnf);
         assert!(r.is_sat());
-        cdcl_decisions.push(stats.decisions as f64);
-        cdcl_learned.push(stats.learned as f64);
-    }
+        [stats.decisions as f64, stats.learned as f64]
+    }));
     println!(
-        "\nCDCL-lite baseline (sequential): {:.1} decisions, {:.1} learned clauses (mean)",
-        Stats::from_slice(&cdcl_decisions).mean,
-        Stats::from_slice(&cdcl_learned).mean,
+        "\nCDCL-lite baseline (sequential): {decisions:.1} decisions, {learned:.1} learned clauses (mean)"
     );
 }

@@ -7,9 +7,8 @@
 //! Fibonacci (hint = argument). Writes `results/ablation_hints.csv`.
 
 use hyperspace_apps::FibProgram;
-use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
+use hyperspace_bench::experiments::{paper_suite, suite_means, write_results_csv, SatRunConfig};
 use hyperspace_core::{MapperSpec, StackBuilder, TopologySpec};
-use hyperspace_metrics::Stats;
 
 fn fib_time(mapper: MapperSpec, n: u64) -> f64 {
     let report = StackBuilder::new(FibProgram)
@@ -53,24 +52,18 @@ fn main() {
     );
     let mut csv = String::from("mapper,sat_time_mean,sat_msgs_mean,fib17_time\n");
     for (name, mapper) in mappers {
-        let mut times = Vec::new();
-        let mut msgs = Vec::new();
-        for cnf in &suite {
-            let cfg = SatRunConfig::new(topo.clone(), mapper.clone());
-            let report = run_sat(cnf, &cfg);
-            times.push(report.computation_time as f64);
-            msgs.push(report.metrics.total_sent as f64);
-        }
-        let t = Stats::from_slice(&times).mean;
-        let m = Stats::from_slice(&msgs).mean;
+        let cfg = SatRunConfig::new(topo.clone(), mapper.clone());
+        let [t, m] = suite_means(&suite, &cfg, |report| {
+            [
+                report.computation_time as f64,
+                report.metrics.total_sent as f64,
+            ]
+        });
         let f = fib_time(mapper.clone(), 17);
         println!("{name:>18} {t:>16.1} {m:>16.1} {f:>14.1}");
         csv.push_str(&format!("{name},{t:.3},{m:.3},{f:.3}\n"));
     }
-    match write_results_csv("ablation_hints.csv", &csv) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("ablation_hints.csv", &csv);
     println!(
         "\nFinding: because sub-problems are self-contained messages, keeping\n\
          work local still costs a (loopback) queue slot, so message totals do\n\

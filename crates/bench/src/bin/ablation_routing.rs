@@ -11,9 +11,8 @@
 //!
 //! Writes `results/ablation_routing.csv`.
 
-use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
+use hyperspace_bench::experiments::{paper_suite, suite_means, write_results_csv, SatRunConfig};
 use hyperspace_core::{MapperSpec, TopologySpec};
-use hyperspace_metrics::Stats;
 
 fn main() {
     let suite = paper_suite();
@@ -46,23 +45,17 @@ fn main() {
         ];
         for (name, topo, mapper) in configs {
             let cfg = SatRunConfig::new(topo, mapper);
-            let mut times = Vec::new();
-            let mut hops = Vec::new();
-            for cnf in &suite {
-                let report = run_sat(cnf, &cfg);
-                times.push(report.computation_time as f64);
-                hops.push(report.metrics.hop_histogram.mean());
-            }
-            let t = Stats::from_slice(&times).mean;
-            let h = Stats::from_slice(&hops).mean;
+            let [t, h] = suite_means(&suite, &cfg, |report| {
+                [
+                    report.computation_time as f64,
+                    report.metrics.hop_histogram.mean(),
+                ]
+            });
             println!("{cores:>8} {name:>28} {t:>14.1} {h:>12.2}");
             csv.push_str(&format!("{cores},{name},{t:.3},{h:.3}\n"));
         }
     }
-    match write_results_csv("ablation_routing.csv", &csv) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("ablation_routing.csv", &csv);
     println!(
         "\nReading: global-random mapping buys fully-connected-like load\n\
          spreading at the cost of multi-hop transit latency; the gap to the\n\

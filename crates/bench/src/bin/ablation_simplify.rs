@@ -7,9 +7,8 @@
 //! reproduces the message volumes visible in the paper's Figure 5. Writes
 //! `results/ablation_simplify.csv`.
 
-use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
+use hyperspace_bench::experiments::{paper_suite, suite_means, write_results_csv, SatRunConfig};
 use hyperspace_core::{MapperSpec, TopologySpec};
-use hyperspace_metrics::Stats;
 use hyperspace_sat::SimplifyMode;
 
 fn main() {
@@ -36,20 +35,13 @@ fn main() {
                 },
             );
             cfg.mode = mode;
-            let mut times = Vec::new();
-            let mut acts = Vec::new();
-            let mut peaks = Vec::new();
-            for cnf in &suite {
-                let report = run_sat(cnf, &cfg);
-                times.push(report.computation_time as f64);
-                acts.push(report.rec_totals.started as f64);
-                peaks.push(report.metrics.peak_queued() as f64);
-            }
-            let (t, a, p) = (
-                Stats::from_slice(&times).mean,
-                Stats::from_slice(&acts).mean,
-                Stats::from_slice(&peaks).mean,
-            );
+            let [t, a, p] = suite_means(&suite, &cfg, |report| {
+                [
+                    report.computation_time as f64,
+                    report.rec_totals.started as f64,
+                    report.metrics.peak_queued() as f64,
+                ]
+            });
             if cores == machines[0] {
                 first_time = t;
             }
@@ -68,8 +60,5 @@ fn main() {
             csv.push_str(&format!("{mode},{cores},{t:.3},{a:.3},{p:.3}\n"));
         }
     }
-    match write_results_csv("ablation_simplify.csv", &csv) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("ablation_simplify.csv", &csv);
 }

@@ -5,9 +5,8 @@
 //! period. This sweep quantifies the trade-off between estimate freshness
 //! and interconnect overhead. Writes `results/ablation_status.csv`.
 
-use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
+use hyperspace_bench::experiments::{paper_suite, suite_means, write_results_csv, SatRunConfig};
 use hyperspace_core::{MapperSpec, TopologySpec};
-use hyperspace_metrics::Stats;
 
 fn main() {
     let suite = paper_suite();
@@ -33,29 +32,19 @@ fn main() {
                 },
             );
             cfg.halt_on_root = true;
-            let mut times = Vec::new();
-            let mut msgs = Vec::new();
-            let mut status = Vec::new();
-            for cnf in &suite {
-                let report = run_sat(cnf, &cfg);
-                times.push(report.computation_time as f64);
-                msgs.push(report.metrics.total_sent as f64);
-                status.push(report.status_total as f64);
-            }
-            let (t, m, s) = (
-                Stats::from_slice(&times).mean,
-                Stats::from_slice(&msgs).mean,
-                Stats::from_slice(&status).mean,
-            );
+            let [t, m, s] = suite_means(&suite, &cfg, |report| {
+                [
+                    report.computation_time as f64,
+                    report.metrics.total_sent as f64,
+                    report.status_total as f64,
+                ]
+            });
             let period_str = period.map_or("off".to_string(), |p| p.to_string());
             println!("{cores:>8} {period_str:>10} {t:>14.1} {m:>14.1} {s:>14.1}");
             csv.push_str(&format!("{cores},{period_str},{t:.3},{m:.3},{s:.3}\n"));
         }
     }
-    match write_results_csv("ablation_status.csv", &csv) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("ablation_status.csv", &csv);
     println!(
         "\nExpected: aggressive broadcasting (period 2) floods small machines\n\
          with status traffic; piggy-backing alone (off) is close to optimal."

@@ -27,8 +27,9 @@
 
 use std::time::{Duration, Instant};
 
+use hyperspace_bench::harness::{emit, Args};
 use hyperspace_core::{CheckpointSpec, TopologySpec};
-use hyperspace_obs::{pretty, JsonValue};
+use hyperspace_obs::JsonValue;
 use hyperspace_service::{JobKind, JobRequest, JobSpec, JobStatus, ServiceConfig, SolverService};
 use hyperspace_store::JobStore;
 
@@ -147,13 +148,8 @@ fn measure(n: u64, interval: u64) -> Sample {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::from_env();
+    let smoke = args.smoke();
     let n: u64 = if smoke { 20_000 } else { 120_000 };
     let intervals: &[u64] = if smoke {
         &[200, 2_000, 20_000]
@@ -172,35 +168,27 @@ fn main() {
         samples.push(s);
     }
 
-    if let Some(path) = out_path {
-        let json = JsonValue::object([
-            ("workload", JsonValue::str(format!("sum({n}) torus 4x4"))),
+    let sweep = samples.iter().map(|s| {
+        JsonValue::object([
+            ("interval", JsonValue::UInt(s.interval)),
             (
-                "sweep",
-                JsonValue::Array(
-                    samples
-                        .iter()
-                        .map(|s| {
-                            JsonValue::object([
-                                ("interval", JsonValue::UInt(s.interval)),
-                                (
-                                    "uninterrupted_us",
-                                    JsonValue::UInt(s.uninterrupted.as_micros() as u64),
-                                ),
-                                ("durable_us", JsonValue::UInt(s.durable.as_micros() as u64)),
-                                (
-                                    "recovery_us",
-                                    JsonValue::UInt(s.recovery.as_micros() as u64),
-                                ),
-                                ("floor_steps", JsonValue::UInt(s.floor_steps)),
-                                ("persists", JsonValue::UInt(s.persists)),
-                            ])
-                        })
-                        .collect(),
-                ),
+                "uninterrupted_us",
+                JsonValue::UInt(s.uninterrupted.as_micros() as u64),
             ),
-        ]);
-        std::fs::write(&path, pretty(&json)).expect("write ABL-D baseline");
-        println!("  wrote {path}");
-    }
+            ("durable_us", JsonValue::UInt(s.durable.as_micros() as u64)),
+            (
+                "recovery_us",
+                JsonValue::UInt(s.recovery.as_micros() as u64),
+            ),
+            ("floor_steps", JsonValue::UInt(s.floor_steps)),
+            ("persists", JsonValue::UInt(s.persists)),
+        ])
+    });
+    emit(
+        &args,
+        &JsonValue::object([
+            ("workload", JsonValue::str(format!("sum({n}) torus 4x4"))),
+            ("sweep", JsonValue::Array(sweep.collect())),
+        ]),
+    );
 }

@@ -70,10 +70,7 @@ fn main() {
 
     check_shape(&table);
 
-    match write_results_csv("fig4_scaling.csv", &csv_out) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    write_results_csv("fig4_scaling.csv", &csv_out);
 }
 
 /// The qualitative claims of §V-D, asserted against the measured data.

@@ -94,7 +94,7 @@ fn main() {
             }
             csv_q.push('\n');
         }
-        let _ = write_results_csv(&format!("fig5_queues_{tag}.csv"), &csv_q);
+        write_results_csv(&format!("fig5_queues_{tag}.csv"), &csv_q);
 
         let mut csv_h = String::from("x,y,delivered\n");
         for y in 0..SIDE as usize {
@@ -102,10 +102,9 @@ fn main() {
                 csv_h.push_str(&format!("{x},{y},{}\n", heatmap.get(x, y)));
             }
         }
-        let _ = write_results_csv(&format!("fig5_heatmap_{tag}.csv"), &csv_h);
+        write_results_csv(&format!("fig5_heatmap_{tag}.csv"), &csv_h);
     }
 
-    println!("wrote results/fig5_queues_*.csv and results/fig5_heatmap_*.csv");
     println!(
         "\nExpected shape (§V-E): least-busy-neighbour unfolds work across\n\
          more of the mesh (lower heatmap spread) and drains queues sooner\n\

@@ -14,59 +14,15 @@
 //!
 //! `--smoke` runs tiny instances so CI can keep the binary honest.
 
-use std::time::Instant;
-
 use hyperspace_apps::{
     knapsack_reference, seeded_items, tsp_reference, BnbKnapsackProgram, BnbKnapsackTask, Item,
     TspInstance, TspProgram, TspTask,
 };
-use hyperspace_core::{
-    MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, StrategySpec, TopologySpec,
-};
+use hyperspace_bench::experiments::{race, RaceCost};
+use hyperspace_bench::harness::Args;
+use hyperspace_core::{MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, StrategySpec};
 use hyperspace_portfolio::{PortfolioReport, PortfolioRunner};
 use hyperspace_sat::{gen, Heuristic, Polarity, RestartPolicy, SimplifyMode};
-
-/// One configuration's outcome, solo or portfolio.
-struct Timing {
-    label: String,
-    nodes: u64,
-    first_units: u64,
-    wall: std::time::Duration,
-}
-
-fn runner(spec: PortfolioSpec, objective: ObjectiveSpec) -> PortfolioRunner {
-    PortfolioRunner::new(spec)
-        .topology(TopologySpec::Torus2D { w: 6, h: 6 })
-        .mapper(MapperSpec::LeastBusy {
-            status_period: None,
-        })
-        .objective(objective)
-}
-
-/// Runs one member set and extracts the race's cost/latency numbers.
-fn race(
-    label: &str,
-    spec: PortfolioSpec,
-    objective: ObjectiveSpec,
-    run: &dyn Fn(PortfolioRunner) -> PortfolioReport,
-) -> (Timing, PortfolioReport) {
-    let start = Instant::now();
-    let report = run(runner(spec, objective));
-    let wall = start.elapsed();
-    let first_units = report
-        .winner
-        .and_then(|id| report.members[id].finish_units)
-        .expect("race must produce an answer");
-    (
-        Timing {
-            label: label.to_string(),
-            nodes: report.total_expanded(),
-            first_units,
-            wall,
-        },
-        report,
-    )
-}
 
 /// Solo baselines (each strategy as a one-member portfolio — identical
 /// accounting) followed by the shared-knowledge portfolio race.
@@ -82,24 +38,20 @@ fn sweep(
         "  {:<44} {:>10} {:>12} {:>10}",
         "configuration", "nodes", "first-units", "wall"
     );
-    let mut singles: Vec<Timing> = Vec::new();
-    for member in &members {
-        let label = format!("solo {}", member.describe());
-        let spec = PortfolioSpec::new(vec![member.clone()]).epoch(epoch);
-        let (t, _) = race(&label, spec, objective, run);
+    let race_of = |label: String, members: Vec<StrategySpec>| {
+        let spec = PortfolioSpec::new(members).epoch(epoch);
+        let (cost, report) = race(PortfolioRunner::new(spec).objective(objective), run);
         println!(
-            "  {:<44} {:>10} {:>12} {:>10.1?}",
-            t.label, t.nodes, t.first_units, t.wall
+            "  {label:<44} {:>10} {:>12} {:>10.1?}",
+            cost.nodes, cost.first_units, cost.wall
         );
-        singles.push(t);
-    }
-    let k = members.len();
-    let spec = PortfolioSpec::new(members).epoch(epoch);
-    let (folio, report) = race(&format!("portfolio-of-{k}"), spec, objective, run);
-    println!(
-        "  {:<44} {:>10} {:>12} {:>10.1?}",
-        folio.label, folio.nodes, folio.first_units, folio.wall
-    );
+        (cost, report)
+    };
+    let singles: Vec<RaceCost> = members
+        .iter()
+        .map(|member| race_of(format!("solo {}", member.describe()), vec![member.clone()]).0)
+        .collect();
+    let (folio, report) = race_of(format!("portfolio-of-{}", members.len()), members);
     println!(
         "  winner: member {} ({}); epochs {}; clauses shared/imported {}/{}; bounds {}/{}",
         report.winner.expect("winner"),
@@ -143,7 +95,7 @@ struct Wins {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = Args::from_env().smoke();
     println!(
         "portfolio race sweep{} (ABL-F; solo baselines share no knowledge)\n",
         if smoke { " [smoke]" } else { "" }

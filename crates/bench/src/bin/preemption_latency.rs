@@ -22,6 +22,7 @@
 
 use std::time::{Duration, Instant};
 
+use hyperspace_bench::harness::Args;
 use hyperspace_core::{CheckpointSpec, TopologySpec};
 use hyperspace_service::{JobKind, JobRequest, JobSpec, ServiceConfig, SolverService};
 
@@ -120,7 +121,7 @@ fn report(label: &str, waits: &[Duration]) -> (Duration, Duration) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = Args::from_env().smoke();
     let scenario = if smoke {
         Scenario {
             long_jobs: 3,

@@ -11,33 +11,16 @@
 //! allocation, ever.
 //!
 //! Deterministic by construction: a failure reproduces from the printed
-//! `(seed, iteration)` pair. `--smoke` runs the 10k-input CI tier;
-//! the full run is 200k inputs. `--out PATH` writes the machine-readable
-//! summary (`BENCH_store.json` keeps the committed baseline diffable).
+//! `(seed, iteration)` pair (`--seed N`, `--iters N`). `--smoke` runs
+//! the 10k-input CI tier; the full run is 200k inputs.
 
 use hyperspace_bench::fuzz;
-use hyperspace_obs::{pretty, JsonValue};
+use hyperspace_bench::harness::Args;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("--seed takes a u64"))
-        .unwrap_or(0xD15C_0DE5);
-    let iterations = args
-        .iter()
-        .position(|a| a == "--iters")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.parse().expect("--iters takes a u64"))
-        .unwrap_or(if smoke { 10_000 } else { 200_000 });
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::from_env();
+    let seed = args.u64_or("--seed", 0xD15C_0DE5);
+    let iterations = args.u64_or("--iters", if args.smoke() { 10_000 } else { 200_000 });
 
     let surfaces: Vec<&'static str> = fuzz::targets().iter().map(|t| t.name).collect();
     println!(
@@ -65,20 +48,4 @@ fn main() {
         "  zero panics | {} rejected cleanly ({pct:.1}%) | {} mutations survived as valid",
         report.rejected, report.accepted
     );
-
-    if let Some(path) = out_path {
-        let json = JsonValue::object([
-            ("seed", JsonValue::UInt(seed)),
-            ("iterations", JsonValue::UInt(report.iterations)),
-            ("accepted", JsonValue::UInt(report.accepted)),
-            ("rejected", JsonValue::UInt(report.rejected)),
-            ("panics", JsonValue::UInt(0)),
-            (
-                "surfaces",
-                JsonValue::Array(surfaces.into_iter().map(JsonValue::str).collect()),
-            ),
-        ]);
-        std::fs::write(&path, pretty(&json)).expect("write fuzz baseline");
-        println!("  wrote {path}");
-    }
 }

@@ -15,11 +15,11 @@
 //! `--smoke` runs tiny instances so CI can keep the binary honest;
 //! `--out PATH` writes the machine-readable `BENCH_strategy.json`.
 
-use std::time::Instant;
-
-use hyperspace_core::{MapperSpec, PortfolioSpec, TopologySpec};
-use hyperspace_obs::{pretty, JsonValue};
-use hyperspace_portfolio::{PortfolioReport, PortfolioRunner};
+use hyperspace_bench::experiments::race;
+use hyperspace_bench::harness::{emit, Args};
+use hyperspace_core::PortfolioSpec;
+use hyperspace_obs::JsonValue;
+use hyperspace_portfolio::PortfolioRunner;
 use hyperspace_sat::{gen, Cnf};
 
 /// The expression under test: a discrepancy-limited heuristic probe, an
@@ -35,44 +35,9 @@ const EXPRESSION: &str = "portfolio(\
 /// beats", with 10% headroom for epoch-rounding noise).
 const BUDGET_RATIO: f64 = 1.10;
 
-/// One side's outcome on one instance.
-struct Timing {
-    nodes: u64,
-    first_units: u64,
-    wall: std::time::Duration,
-}
-
-fn race(runner: PortfolioRunner, cnf: &Cnf) -> (Timing, PortfolioReport) {
-    let start = Instant::now();
-    let report = runner
-        .topology(TopologySpec::Torus2D { w: 6, h: 6 })
-        .mapper(MapperSpec::LeastBusy {
-            status_period: None,
-        })
-        .run_sat(cnf);
-    let wall = start.elapsed();
-    let first_units = report
-        .winner
-        .and_then(|id| report.members[id].finish_units)
-        .expect("race must produce an answer");
-    (
-        Timing {
-            nodes: report.total_expanded(),
-            first_units,
-            wall,
-        },
-        report,
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args = Args::from_env();
+    let smoke = args.smoke();
 
     let epoch = 16u64;
     let instances: Vec<(String, Cnf)> = if smoke {
@@ -112,8 +77,8 @@ fn main() {
     let (mut expr_nodes, mut expr_units) = (0u64, 0u64);
     let (mut flat_nodes, mut flat_units) = (0u64, 0u64);
     for (name, cnf) in &instances {
-        let (e, e_report) = race(PortfolioRunner::new(lowered.clone()), cnf);
-        let (f, _) = race(PortfolioRunner::new(flat.clone()), cnf);
+        let (e, e_report) = race(PortfolioRunner::new(lowered.clone()), |r| r.run_sat(cnf));
+        let (f, _) = race(PortfolioRunner::new(flat.clone()), |r| r.run_sat(cnf));
         println!(
             "{:<22} {:>12} {:>12} {:>10.1?}   {:>12} {:>12} {:>10.1?}",
             name, e.nodes, e.first_units, e.wall, f.nodes, f.first_units, f.wall
@@ -173,12 +138,7 @@ fn main() {
         ("budget_ratio", JsonValue::Float(BUDGET_RATIO)),
         ("pass", JsonValue::Bool(pass)),
     ]);
-    let rendered = pretty(&json);
-    println!("{rendered}");
-    if let Some(path) = out_path {
-        std::fs::write(&path, &rendered).expect("write benchmark baseline");
-        println!("wrote {path}");
-    }
+    emit(&args, &json);
 
     assert!(
         pass,

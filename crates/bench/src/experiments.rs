@@ -1,7 +1,10 @@
 //! Shared experiment plumbing.
 
+use std::time::{Duration, Instant};
+
 use hyperspace_core::{BackendSpec, MapperSpec, RecRunReport, StackBuilder, TopologySpec};
 use hyperspace_metrics::Stats;
+use hyperspace_portfolio::{PortfolioReport, PortfolioRunner};
 use hyperspace_sat::{Cnf, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict};
 use hyperspace_sim::NodeId;
 
@@ -84,6 +87,26 @@ pub fn suite_performance(suite: &[Cnf], cfg: &SatRunConfig) -> (Stats, Vec<f64>)
     (Stats::from_slice(&perfs), perfs)
 }
 
+/// Column-wise means of fixed-width rows, each column averaged by
+/// [`Stats`] exactly as a hand-collected `Vec` of it would be.
+pub fn column_means<const N: usize>(rows: impl Iterator<Item = [f64; N]>) -> [f64; N] {
+    let rows: Vec<[f64; N]> = rows.collect();
+    std::array::from_fn(|c| {
+        let column: Vec<f64> = rows.iter().map(|row| row[c]).collect();
+        Stats::from_slice(&column).mean
+    })
+}
+
+/// Solves every instance of `suite` under `cfg` and averages the
+/// `columns` picked out of each report — one ablation table row.
+pub fn suite_means<const N: usize>(
+    suite: &[Cnf],
+    cfg: &SatRunConfig,
+    columns: impl Fn(&RecRunReport<Verdict>) -> [f64; N],
+) -> [f64; N] {
+    column_means(suite.iter().map(|cnf| columns(&run_sat(cnf, cfg))))
+}
+
 /// The Figure 4 x-axis: target core counts, log-spaced 16..1024.
 pub const FIG4_CORE_COUNTS: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
 
@@ -126,11 +149,50 @@ pub fn paper_suite() -> Vec<Cnf> {
     hyperspace_sat::gen::uf20_91_suite(2017, 20)
 }
 
-/// Writes a CSV file under `results/`, creating the directory.
-pub fn write_results_csv(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
+/// Writes a CSV file under `results/`, creating the directory, and
+/// says where (or why not: a read-only checkout still gets the tables).
+pub fn write_results_csv(name: &str, content: &str) {
     let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    std::fs::write(&path, content)?;
-    Ok(path)
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, content)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write CSV: {e}"),
+    }
+}
+
+/// What one portfolio race cost.
+pub struct RaceCost {
+    /// Search nodes expanded (layer-4 activations for mesh members,
+    /// decisions for CDCL), summed over the members.
+    pub nodes: u64,
+    /// Logical units until the winner's first solution.
+    pub first_units: u64,
+    /// Wall time of the whole race.
+    pub wall: Duration,
+}
+
+/// Runs one race on the portfolio sweeps' machine (6x6 torus,
+/// least-busy mapping) and extracts its cost/latency numbers.
+pub fn race(
+    runner: PortfolioRunner,
+    run: impl FnOnce(PortfolioRunner) -> PortfolioReport,
+) -> (RaceCost, PortfolioReport) {
+    let runner = runner
+        .topology(TopologySpec::Torus2D { w: 6, h: 6 })
+        .mapper(MapperSpec::LeastBusy {
+            status_period: None,
+        });
+    let start = Instant::now();
+    let report = run(runner);
+    let wall = start.elapsed();
+    let first_units = report
+        .winner
+        .and_then(|id| report.members[id].finish_units)
+        .expect("race must produce an answer");
+    let cost = RaceCost {
+        nodes: report.total_expanded(),
+        first_units,
+        wall,
+    };
+    (cost, report)
 }

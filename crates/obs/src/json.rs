@@ -1,5 +1,5 @@
 //! A self-contained JSON value and writer (no serde: the workspace is
-//! dependency-free by policy). Snapshots and `BENCH_*.json` baselines
+//! dependency-free by policy). Snapshots and the bench bins' reports
 //! render through `Display`, which emits valid, deterministic JSON —
 //! object fields keep insertion order.
 

@@ -16,8 +16,8 @@
 //! The second invariant is **bounded overhead**: every hook sits behind
 //! an [`ObsHandle`] that is a single `Option` branch when disabled (no
 //! clock reads, no allocation), and the instrumented hot paths update
-//! relaxed atomics only. `bench/bin/obs_overhead.rs` measures the
-//! instrumented-vs-bare steps/sec ratio and asserts the budget.
+//! relaxed atomics only. `bench/bin/l1_budgets.rs` measures the
+//! probed-vs-bare steps/sec ratio and asserts the budget.
 
 mod export;
 mod json;

@@ -1,7 +1,7 @@
 //! The service-wide metric registry: named counters/gauges/spans, the
 //! shared flight recorder, per-job probes, and crash dumps.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::json::JsonValue;
@@ -38,6 +38,20 @@ impl CrashDump {
 /// (configurable per registry via [`Registry::with_limits`]).
 pub const CRASH_DUMP_TAIL: usize = 32;
 
+/// The probes the registry still holds: every running job's, plus the
+/// most recently finished ones up to the flight recorder's capacity —
+/// the service is long-running, so a probe per job ever run would grow
+/// without bound. An evicted probe leaves its monotone counters behind
+/// in the totals, so lifetime sums never go backwards.
+#[derive(Default)]
+struct Probes {
+    by_id: BTreeMap<u64, Arc<JobProbe>>,
+    /// Ids of the held probes whose job has finished, oldest first.
+    finished: VecDeque<u64>,
+    evicted_steps: u64,
+    evicted_incumbent_updates: u64,
+}
+
 /// A registry of named metrics plus per-job probes. Names are interned
 /// `&'static str`s in sorted maps, so JSON snapshots are deterministic.
 /// All accessors hand out shared cells — callers cache them and update
@@ -47,7 +61,7 @@ pub struct Registry {
     counters: Mutex<BTreeMap<&'static str, Counter>>,
     gauges: Mutex<BTreeMap<&'static str, Gauge>>,
     spans: Mutex<BTreeMap<&'static str, Arc<SpanStat>>>,
-    probes: Mutex<BTreeMap<u64, Arc<JobProbe>>>,
+    probes: Mutex<Probes>,
     crashes: Mutex<Vec<CrashDump>>,
     recorder: Arc<FlightRecorder>,
     crash_tail: usize,
@@ -70,7 +84,7 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             spans: Mutex::new(BTreeMap::new()),
-            probes: Mutex::new(BTreeMap::new()),
+            probes: Mutex::new(Probes::default()),
             crashes: Mutex::new(Vec::new()),
             recorder: Arc::new(FlightRecorder::new(capacity)),
             crash_tail: crash_tail.clamp(1, capacity),
@@ -128,19 +142,51 @@ impl Registry {
         self.probes
             .lock()
             .expect("registry poisoned")
+            .by_id
             .entry(id)
             .or_insert_with(|| Arc::new(JobProbe::new(id, label, Some(self.recorder.clone()))))
             .clone()
     }
 
-    /// All registered probes, ordered by job id.
+    /// Job `id` has finished (call once per job): its probe, if it ever
+    /// got one, stays readable until as many later jobs as the flight
+    /// recorder holds events have finished after it, then is dropped.
+    pub fn retire_probe(&self, id: u64) {
+        let mut probes = self.probes.lock().expect("registry poisoned");
+        if !probes.by_id.contains_key(&id) {
+            return;
+        }
+        probes.finished.push_back(id);
+        while probes.finished.len() > self.recorder.capacity() {
+            let oldest = probes.finished.pop_front().expect("nonempty");
+            if let Some(probe) = probes.by_id.remove(&oldest) {
+                probes.evicted_steps += probe.steps();
+                probes.evicted_incumbent_updates += probe.incumbent_updates();
+            }
+        }
+    }
+
+    /// The held probes (see [`Registry::retire_probe`]), ordered by job
+    /// id.
     pub fn probes(&self) -> Vec<Arc<JobProbe>> {
         self.probes
             .lock()
             .expect("registry poisoned")
+            .by_id
             .values()
             .cloned()
             .collect()
+    }
+
+    /// `(steps, incumbent updates)` over every job the registry has ever
+    /// probed, evicted ones included — read under one lock, so a probe
+    /// evicted meanwhile is counted exactly once.
+    pub fn lifetime_totals(&self) -> (u64, u64) {
+        let probes = self.probes.lock().expect("registry poisoned");
+        probes.by_id.values().fold(
+            (probes.evicted_steps, probes.evicted_incumbent_updates),
+            |(steps, updates), p| (steps + p.steps(), updates + p.incumbent_updates()),
+        )
     }
 
     /// Preserves the flight recorder's tail as a crash dump for `job`.
@@ -276,6 +322,23 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         a.on_step(5, 1, 0);
         assert_eq!(r.probes()[0].steps(), 5);
+    }
+
+    #[test]
+    fn finished_probes_are_bounded_and_their_totals_kept() {
+        let r = Registry::new(2);
+        for id in 0..5 {
+            r.probe(id, "sum").on_step(10, 1, 0);
+        }
+        // Job 0 keeps running; 1..=4 finish in order.
+        for id in 1..5 {
+            r.retire_probe(id);
+        }
+        let held: Vec<u64> = r.probes().iter().map(|p| p.id()).collect();
+        assert_eq!(held, vec![0, 3, 4], "running + the two newest finished");
+        assert_eq!(r.lifetime_totals().0, 50, "evicted steps still count");
+        r.retire_probe(99); // never probed: nothing to hold
+        assert_eq!(r.probes().len(), 3);
     }
 
     #[test]

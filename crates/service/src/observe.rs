@@ -71,7 +71,9 @@ impl ServiceObserver {
         &self.registry
     }
 
-    /// Per-job probes, ordered by job id.
+    /// Probes of the running jobs and of the most recently finished
+    /// ones (as many as the flight recorder holds events), ordered by
+    /// job id.
     pub fn probes(&self) -> Vec<Arc<JobProbe>> {
         self.registry.probes()
     }
@@ -84,7 +86,7 @@ impl ServiceObserver {
 
     /// Engine steps executed across every job the service has run.
     pub fn total_steps(&self) -> u64 {
-        self.registry.probes().iter().map(|p| p.steps()).sum()
+        self.registry.lifetime_totals().0
     }
 
     /// Jobs currently waiting in the queue (the service keeps this
@@ -99,9 +101,8 @@ impl ServiceObserver {
     /// on whatever cadence the display or scheduler wants — the solver
     /// threads never pay for it.
     pub fn sample(&self) -> f64 {
+        let (steps, improvements) = self.registry.lifetime_totals();
         let probes = self.registry.probes();
-        let steps: u64 = probes.iter().map(|p| p.steps()).sum();
-        let improvements: u64 = probes.iter().map(|p| p.incumbent_updates()).sum();
         let frontier: u64 = probes.iter().map(|p| p.open_records()).sum();
         let depth = self.queue_depth();
         // Per-shard active-set loads pooled across every job's profiler:

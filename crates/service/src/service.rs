@@ -257,9 +257,10 @@ pub struct ServiceConfig {
     /// persistence entirely.
     pub store_dir: Option<PathBuf>,
     /// Capacity of the service-wide flight recorder (events kept in the
-    /// ring). Bounds-checked on service construction: values are clamped
-    /// into `[1, 2^20]`, so a zero capacity keeps the most recent event
-    /// rather than silently recording nothing.
+    /// ring, and finished jobs whose probes stay readable). Bounds-checked
+    /// on service construction: values are clamped into `[1, 2^20]`, so a
+    /// zero capacity keeps the most recent event rather than silently
+    /// recording nothing.
     pub flight_recorder_capacity: usize,
     /// How many trailing flight-recorder events a crash dump preserves.
     /// Clamped into `[1, flight_recorder_capacity]`.
@@ -932,6 +933,7 @@ fn retire(inner: &ServiceInner, job: QueuedJob, outcome: JobOutcome, attempt: Op
             saturating_i64(saturating_micros(solve_time)),
         ));
     }
+    inner.registry.retire_probe(job.shared.id);
     // A terminal job no longer needs a durable record — and one retired
     // at a graceful shutdown must not be resurrected by the next
     // incarnation (only a kill leaves records behind).

@@ -3,9 +3,9 @@
 //! The paper's runs always execute to quiescence, but a solver *service*
 //! needs to bound work: jobs carry deadlines, and callers can withdraw a
 //! running job. A [`StopHandle`] is a cheap cloneable token checked by
-//! the step loop ([`crate::Simulation::run_to_quiescence`]) and by the
-//! threaded backend's worker loops; when it trips, the run ends with
-//! [`crate::RunOutcome::Stopped`] instead of running to completion.
+//! the step loop ([`crate::Simulation::run_to_quiescence`]), inline or
+//! on the sharded driver's worker threads; when it trips, the run ends
+//! with [`crate::RunOutcome::Stopped`] instead of running to completion.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

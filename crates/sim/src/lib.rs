@@ -18,10 +18,6 @@
 //!   visits every node every step and shares no queue code with the
 //!   kernel: the oracle of the equivalence suites and the dense baseline
 //!   of the stepping benchmark.
-//! * [`threaded`] — a clockless multi-threaded demo built on mpsc
-//!   channels, showing that programs written against layer 1 run
-//!   unchanged on a genuinely concurrent substrate (same converged
-//!   states, not the same trace).
 //!
 //! Instrumentation matches §V-C: per-step queued-message totals
 //! (*interconnect activity*), per-node delivered counts (*node activity*)
@@ -69,7 +65,6 @@ pub mod record;
 pub mod reference;
 mod shard;
 pub mod sharded;
-pub mod threaded;
 
 pub use checkpoint::SimCheckpoint;
 pub use codec::{Codec, CodecError};

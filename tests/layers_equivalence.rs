@@ -15,10 +15,9 @@ use hyperspace::apps::{FibProgram, NQueensProgram, QueensTask, SumProgram};
 use hyperspace::core::{BackendSpec, MapperSpec, PartitionSpec, StackBuilder, TopologySpec};
 use hyperspace::mapping::{trigger, MapConfig, MapState, MappingHost};
 use hyperspace::recursion::{eval_local, RecursionHost};
-use hyperspace::sim::threaded::{run_threaded, SimAdapter};
 use hyperspace::sim::{
     reference, DeliveryModel, InitCtx, NodeId, NodeProgram, Outbox, Partition, RunOutcome,
-    ShardedConfig, ShardedSimulation, SimConfig, Simulation, Topology,
+    ShardedConfig, ShardedSimulation, SimConfig, Topology,
 };
 use proptest::prelude::*;
 
@@ -117,12 +116,11 @@ fn status_broadcasts_do_not_change_results() {
 // ---------------------------------------------------------------------
 
 /// A deterministic layer-1 program driven purely by its message payload:
-/// every delivery folds a commutative hash into the node state (so even
-/// the clockless mpsc demo converges to the same states) and forwards a
-/// decremented TTL along payload-derived ports — or, with `far`, to a
-/// payload-derived node anywhere on the machine. Each node also stays
-/// busy for `pulses` ticks, emitting on some of them, so a ticking run
-/// crosses dead steps between the flood's end and quiescence.
+/// every delivery folds a commutative hash into the node state and
+/// forwards a decremented TTL along payload-derived ports — or, with
+/// `far`, to a payload-derived node anywhere on the machine. Each node
+/// also stays busy for `pulses` ticks, emitting on some of them, so a
+/// ticking run crosses dead steps between the flood's end and quiescence.
 #[derive(Clone)]
 struct SeededScatter {
     far: bool,
@@ -292,27 +290,6 @@ proptest! {
             pulses: 3,
         };
         assert_kernel_matches_reference(&topo, program, &cfg, &[(root, payload)], |s| *s);
-    }
-
-    /// The clockless mpsc demo has no step clock, so only its converged
-    /// states and conserved message totals can match the kernel's.
-    #[test]
-    fn the_mpsc_demo_converges_to_the_kernel_states(
-        topo_spec in arb_topology(),
-        seed in any::<u64>(),
-        root_seed in any::<u32>(),
-    ) {
-        let root = (root_seed as usize % topo_spec.num_nodes()) as NodeId;
-        let payload = (seed & !0xFF) | 14;
-        let program = SeededScatter { far: false, pulses: 0 };
-        let mut sim = Simulation::new(topo_spec.build(), program.clone(), SimConfig::default());
-        sim.inject(root, payload);
-        sim.run_to_quiescence().expect("kernel run");
-        let topo = topo_spec.build();
-        let (states, report) =
-            run_threaded(&topo, &SimAdapter(program), vec![(root, payload)], 3);
-        prop_assert_eq!(states.as_slice(), sim.states());
-        prop_assert_eq!(report.total_delivered, sim.metrics().total_delivered);
     }
 
     /// Full-stack equivalence on random machines, mappers and inputs:

@@ -941,3 +941,37 @@ fn every_way_out_of_the_service_leaves_the_same_records() {
     assert!(left.jobs.is_empty() && left.corrupt.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn finished_probes_are_bounded_by_the_flight_recorder_capacity() {
+    use hyperspace::service::ServiceConfig;
+
+    // The same forty tiny jobs through a service that may hold eight
+    // finished probes and through one that may hold them all.
+    let run = |flight_recorder_capacity: usize| {
+        let service = SolverService::new(ServiceConfig {
+            workers: 2,
+            cache_capacity: 0, // every job runs, so every job gets a probe
+            flight_recorder_capacity,
+            ..ServiceConfig::default()
+        });
+        let handles: Vec<_> = (0..40u64)
+            .map(|i| service.submit(on_small_torus(JobKind::sum(3 + i % 5))))
+            .collect();
+        for handle in &handles {
+            assert!(handle.wait().outcome.is_completed());
+        }
+        let newest = handles.iter().map(|h| h.id()).max().expect("forty jobs");
+        (service.observe(), newest)
+    };
+    let (bounded, newest) = run(8);
+    let (roomy, _) = run(1 << 16);
+
+    let held: Vec<u64> = bounded.probes().iter().map(|p| p.id()).collect();
+    assert!(held.len() <= 8, "finished probes pile up: {held:?}");
+    assert!(held.contains(&newest), "the newest job's probe is held");
+    assert_eq!(roomy.probes().len(), 40);
+    // An evicted probe's steps stay in the lifetime total.
+    assert!(bounded.total_steps() > 0);
+    assert_eq!(bounded.total_steps(), roomy.total_steps());
+}

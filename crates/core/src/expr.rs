@@ -179,8 +179,9 @@ impl LimitSpec {
     }
 }
 
-/// A search-strategy expression: primitives composed by combinators.
-/// See the [module docs](self) for the language.
+/// A search-strategy expression: primitives composed by combinators,
+/// one variant per form of the language (each renders as its lower-case
+/// name applied to its arguments, e.g. `limit(nodes,64,branch(dlis))`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StrategyExpr {
     /// The five-layer mesh engine (the default).

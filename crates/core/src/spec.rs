@@ -881,6 +881,14 @@ impl StrategySpec {
         self
     }
 
+    /// The tightest (smallest) budget among this member's limits of
+    /// `kind`, or `None` when it carries none — the one reader of
+    /// [`StrategySpec::limits`]; callers apply their own default.
+    pub fn tightest(&self, kind: LimitKind) -> Option<u64> {
+        let of_kind = |l: &&LimitSpec| l.kind == kind;
+        self.limits.iter().filter(of_kind).map(|l| l.n).min()
+    }
+
     /// Rejects the one knob combination that is a contradiction rather
     /// than inert: a discrepancy budget counts deviations from the mesh
     /// search's branching order, which a CDCL engine does not have. Both

@@ -6,6 +6,7 @@ use hyperspace_sim::{
     NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, SimError, StopHandle, Topology,
 };
 
+use crate::expr::LimitKind;
 use crate::report::{IncumbentEvent, RecRunReport, RunSummary};
 use crate::slice::{RunSlice, SliceOutcome, StackSlice};
 use crate::spec::{
@@ -64,6 +65,27 @@ impl<P: RecProgram> StackBuilder<P> {
             logical_cap: None,
             sim: SimConfig::default(),
         }
+    }
+
+    /// Starts a builder on a job's machine: every [`JobParams`] field a
+    /// single stack reads (`root_node` goes to [`StackBuilder::run`] /
+    /// [`StackBuilder::start`]; `portfolio` is the race's concern). The
+    /// one path from job parameters to a stack — erased jobs and
+    /// portfolio members both assemble through it, then apply their own
+    /// overrides with the setters below.
+    pub fn from_params(program: P, params: &JobParams) -> Self {
+        let mut builder = StackBuilder::new(program);
+        builder.topology = params.topology.clone();
+        builder.mapper = params.mapper.clone();
+        builder.backend = params.backend.clone();
+        builder.cancellation = params.cancellation;
+        builder.objective = params.objective;
+        builder.prune = params.prune;
+        builder.checkpoint = params.checkpoint;
+        builder.sim.max_steps = params.max_steps;
+        builder.sim.stop = params.stop.clone();
+        builder.sim.obs = params.obs.clone();
+        builder
     }
 
     /// Selects the machine topology.
@@ -161,15 +183,14 @@ impl<P: RecProgram> StackBuilder<P> {
         if let Some(mapper) = &member.mapper {
             self.mapper = mapper.clone();
         }
-        for limit in &member.limits {
-            match limit.kind {
-                crate::expr::LimitKind::Nodes => self = self.node_budget(limit.n),
-                crate::expr::LimitKind::Time => self = self.logical_cap(limit.n),
-                // Discrepancy limits scope the *root argument* of a search
-                // (e.g. `SubProblem::with_discrepancy`), which the caller
-                // constructs; the machine layers have nothing to apply.
-                crate::expr::LimitKind::Discrepancy => {}
-            }
+        // Discrepancy limits scope the *root argument* of a search (e.g.
+        // `SubProblem::with_discrepancy`), which the caller constructs;
+        // the machine layers have nothing to apply.
+        if let Some(budget) = member.tightest(LimitKind::Nodes) {
+            self = self.node_budget(budget);
+        }
+        if let Some(cap) = member.tightest(LimitKind::Time) {
+            self = self.logical_cap(cap);
         }
         self
     }
@@ -519,20 +540,7 @@ impl ErasedStackJob {
         P::Out: std::fmt::Debug,
     {
         ErasedStackJob::from_start_fn(move |params: &JobParams| {
-            let mut builder = StackBuilder::new(program)
-                .topology(params.topology.clone())
-                .mapper(params.mapper.clone())
-                .backend(params.backend.clone())
-                .cancellation(params.cancellation)
-                .objective(params.objective)
-                .prune(params.prune)
-                .checkpoint(params.checkpoint)
-                .max_steps(params.max_steps)
-                .observer(params.obs.clone());
-            if let Some(stop) = params.stop.clone() {
-                builder = builder.stop(stop);
-            }
-            builder.start(root_arg, params.root_node)
+            StackBuilder::from_params(program, params).start(root_arg, params.root_node)
         })
     }
 

@@ -459,4 +459,27 @@ mod tests {
         assert_eq!(h.time_phase(0, Phase::Fsync, || "io"), "io");
         assert_eq!(obs.phases.load(Ordering::Relaxed), 1);
     }
+
+    #[test]
+    fn saturating_micros_is_exact_below_the_cap() {
+        assert_eq!(saturating_micros(Duration::ZERO), 0);
+        assert_eq!(saturating_micros(Duration::from_micros(1)), 1);
+        assert_eq!(saturating_micros(Duration::from_millis(7)), 7_000);
+        assert_eq!(saturating_micros(Duration::from_secs(3)), 3_000_000);
+        // Sub-microsecond remainders truncate toward zero.
+        assert_eq!(saturating_micros(Duration::from_nanos(999)), 0);
+    }
+
+    #[test]
+    fn saturating_micros_saturates_instead_of_wrapping() {
+        // u64::MAX seconds is ~10^19 s; in microseconds that exceeds
+        // u64::MAX by a factor of 10^6 — `as u64` would silently wrap.
+        let huge = Duration::new(u64::MAX, 999_999_999);
+        assert_eq!(saturating_micros(huge), u64::MAX);
+        // The exact boundary: u64::MAX microseconds still fits.
+        let edge = Duration::from_micros(u64::MAX);
+        assert_eq!(saturating_micros(edge), u64::MAX);
+        let over = edge + Duration::from_micros(1);
+        assert_eq!(saturating_micros(over), u64::MAX);
+    }
 }

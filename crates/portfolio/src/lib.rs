@@ -6,19 +6,21 @@
 //! and the search-combinator view of Schrijvers et al.). This crate is
 //! that orchestration layer on top of the repo's five-layer stacks:
 //!
-//! * a [`PortfolioRunner`] launches one member per
-//!   [`StrategySpec`](hyperspace_core::StrategySpec) — mesh stacks with
-//!   different heuristics, simplification strengths, branch polarities,
-//!   mapper placements, prune warm starts and backends, plus (for SAT)
-//!   sequential CDCL solvers on restart schedules;
+//! * a [`PortfolioRunner`] launches one member per [`StrategySpec`] —
+//!   mesh stacks with different heuristics, simplification strengths,
+//!   branch polarities, mapper placements, prune warm starts and
+//!   backends, plus (for SAT) sequential CDCL solvers on restart
+//!   schedules;
 //! * members advance in lock-step **sync epochs** (a fixed budget of
-//!   simulated steps / search operations per epoch) and meet at a
-//!   barrier where knowledge is exchanged: CDCL members export the
-//!   clauses they learned (bounded by length/LBD budgets) onto a
-//!   deduplicating bus and import every sibling's lemmas, while
-//!   branch-and-bound members publish their incumbents, which are
-//!   re-injected into trailing members through the ordinary
-//!   `MapPayload::Bound` gossip channel;
+//!   simulated steps / search operations per epoch). An epoch is one
+//!   fork-join over the race's owned members — disjoint chunks stepped
+//!   on up to [`PortfolioRunner::threads`] scoped threads — and the join
+//!   is the epoch barrier where knowledge is exchanged, on the calling
+//!   thread alone: CDCL members export the clauses they learned (bounded
+//!   by length/LBD budgets) onto a deduplicating bus and import every
+//!   sibling's lemmas, while branch-and-bound members publish their
+//!   incumbents, which are re-injected into trailing members through
+//!   the ordinary `MapPayload::Bound` gossip channel;
 //! * the first member to answer wins; losers are cancelled through the
 //!   existing [`StopHandle`](hyperspace_sim::StopHandle) machinery and
 //!   the whole race is folded into a [`PortfolioReport`].
@@ -28,9 +30,11 @@
 //! Everything the race decides — the winner, every member's counters,
 //! how many clauses and bounds crossed the bus — is keyed on *logical*
 //! progress (simulated steps, search operations), never wall clock.
-//! Members only interact at barriers, each member's engine is itself
-//! bit-identical across execution backends, and barrier bookkeeping runs
-//! in member-id order. The resulting [`PortfolioReport`] is therefore
+//! Members only interact at epoch barriers (no thread but the caller's
+//! is alive there), each member's engine is itself bit-identical across
+//! execution backends, and barrier bookkeeping runs in member-id order —
+//! down to which member's panic a faulting race re-raises (the lowest
+//! id's). The resulting [`PortfolioReport`] is therefore
 //! bit-identical for every runner thread count and every member backend
 //! choice — the same contract the layer-1 backends honour, lifted one
 //! layer up. The equivalence suite (`tests/portfolio_equivalence.rs`)

@@ -5,7 +5,7 @@ use hyperspace_core::{
 };
 use hyperspace_recursion::{Objective, RecProgram};
 use hyperspace_sat::{cdcl, CdclConfig, CdclSolver, CdclStatus, Clause, Cnf, SatResult, Verdict};
-use hyperspace_sim::{NodeId, RunOutcome, StopHandle};
+use hyperspace_sim::{NodeId, ObsHandle, RunOutcome, StopHandle};
 
 /// What one epoch of driving did to a member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,23 +92,18 @@ where
         // A member-level logical-time limit tightens the race cap: the
         // member exhausts (and stops being driven) once it spends its
         // own budget, even if the race continues.
-        let max_steps = attempt
-            .limits
-            .iter()
-            .filter(|l| l.kind == LimitKind::Time)
-            .map(|l| l.n)
-            .fold(params.max_steps, u64::min);
+        let time = attempt.tightest(LimitKind::Time).unwrap_or(u64::MAX);
+        let max_steps = time.min(params.max_steps);
         let handle = StopHandle::new();
         // A member prune of `Off` is the strategy default ("no opinion")
         // and leaves the job-level policy set just before it in place;
         // explicit member policies — warm starts in particular — win.
         // The member seed is folded into seeded mappers so same-policy
         // members explore different placements.
-        let builder = StackBuilder::new(program)
-            .topology(params.topology.clone())
-            .objective(params.objective)
-            .cancellation(params.cancellation)
-            .prune(params.prune)
+        // Member engines run un-observed and stop through their own
+        // handle: the race polls the job's at its epoch barriers.
+        let builder = StackBuilder::from_params(program, params)
+            .observer(ObsHandle::off())
             .strategy(attempt)
             .mapper(attempt.seeded_mapper(&params.mapper))
             .max_steps(max_steps)

@@ -1,8 +1,6 @@
 //! The epoch-synchronised race loop and knowledge bus.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use hyperspace_core::{
     CheckpointMeta, EngineSpec, JobParams, LimitKind, MapperSpec, MemberPlan, ObjectiveSpec,
@@ -20,7 +18,7 @@ use crate::report::{MemberReport, PortfolioReport};
 /// The runner is the spec (*what* to race), a [`JobParams`] (the machine
 /// every member shares: topology, base mapper and prune policy,
 /// objective, cancellation, step cap, root placement, stop handle,
-/// observer) and a driver-thread count; each attempt's [`StrategySpec`]
+/// observer) and a thread count; each attempt's [`StrategySpec`]
 /// diversifies on top of the machine. The race advances in sync epochs
 /// and its full [`PortfolioReport`] is bit-identical across
 /// [`PortfolioRunner::threads`] values and member backend choices.
@@ -36,8 +34,8 @@ pub struct PortfolioRunner {
 impl PortfolioRunner {
     /// A runner with the stack defaults ([`JobParams::default`]: the
     /// paper's 14x14 torus, adaptive least-busy mapping, a one-million
-    /// step cap, root at node 0) and one driver thread per member
-    /// (capped by the machine).
+    /// step cap, root at node 0) and one thread per member (capped by
+    /// the machine).
     pub fn new(spec: PortfolioSpec) -> PortfolioRunner {
         PortfolioRunner::on(spec, JobParams::default())
     }
@@ -97,8 +95,9 @@ impl PortfolioRunner {
         self
     }
 
-    /// Driver threads stepping members within an epoch. Any value
-    /// produces the same report; this only trades wall-clock for cores.
+    /// How many threads an epoch's fork-join steps the members on (the
+    /// caller's included; `1` spawns nothing). Any value produces the
+    /// same report; this only trades wall-clock for cores.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -234,7 +233,7 @@ impl PortfolioRunner {
             stop: self.params.stop.clone(),
             obs: self.params.obs.clone(),
             strategies: self.spec.members.iter().map(|p| p.describe()).collect(),
-            members: members.into_iter().map(Mutex::new).collect(),
+            members,
             st: RaceState::new(n),
         }
     }
@@ -251,13 +250,7 @@ fn sat_attempt(machine: &JobParams, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn M
                 .with_mode(spec.simplify)
                 .with_polarity(spec.polarity);
             let mut root = SubProblem::root(cnf.clone());
-            if let Some(d) = spec
-                .limits
-                .iter()
-                .filter(|l| l.kind == LimitKind::Discrepancy)
-                .map(|l| l.n)
-                .min()
-            {
+            if let Some(d) = spec.tightest(LimitKind::Discrepancy) {
                 root = root.with_discrepancy(d);
             }
             let member = MeshMember::new(program, root, spec, machine);
@@ -270,21 +263,11 @@ fn sat_attempt(machine: &JobParams, cnf: &Cnf, spec: &StrategySpec) -> Box<dyn M
             }
         }
         EngineSpec::Cdcl { restart } => {
-            let max_ops = spec
-                .limits
-                .iter()
-                .filter(|l| l.kind == LimitKind::Time)
-                .map(|l| l.n)
-                .fold(machine.max_steps, u64::min);
-            let max_decisions = spec
-                .limits
-                .iter()
-                .filter(|l| l.kind == LimitKind::Nodes)
-                .map(|l| l.n)
-                .min();
+            let time = spec.tightest(LimitKind::Time).unwrap_or(u64::MAX);
+            let max_ops = time.min(machine.max_steps);
             Box::new(
                 CdclMember::new(cnf, cdcl_config(spec, restart), max_ops)
-                    .with_max_decisions(max_decisions),
+                    .with_max_decisions(spec.tightest(LimitKind::Nodes)),
             )
         }
     }
@@ -376,7 +359,7 @@ pub struct PortfolioRace {
     stop: Option<StopHandle>,
     obs: ObsHandle,
     strategies: Vec<String>,
-    members: Vec<Mutex<Box<dyn MemberDrive>>>,
+    members: Vec<Box<dyn MemberDrive>>,
     st: RaceState,
 }
 
@@ -387,229 +370,166 @@ impl PortfolioRace {
         let obj = self.objective.objective()?;
         self.members
             .iter()
-            .filter_map(|m| m.lock().expect("member lock poisoned").best_incumbent())
+            .filter_map(|m| m.best_incumbent())
             .reduce(|a, b| obj.better(a, b))
     }
 
     /// Advances the race by up to `budget` sync epochs (or until it is
-    /// decided) and returns whether it is now decided. Epochs step
-    /// members concurrently on scoped driver threads and meet at
-    /// barriers where completion is checked and knowledge exchanged, in
-    /// member-id order; `threads == 1` degenerates to a spawn-free
-    /// inline loop through the same code.
+    /// decided) and returns whether it is now decided. Between epochs the
+    /// race is plain owned data, resumable at any later time.
     pub fn run_epochs(&mut self, budget: u64) -> bool {
-        if self.st.decided || budget == 0 {
-            return self.st.decided;
-        }
-        let n = self.members.len();
-        let threads = self.threads.clamp(1, n);
-        let chunk = n.div_ceil(threads);
-        // Recompute the driver count from the chunking (`n = 5,
-        // threads = 4` yields only 3 non-empty chunks; the barrier must
-        // match exactly).
-        let drivers = n.div_ceil(chunk);
-        let shared = DriverShared {
-            barrier: Barrier::new(drivers),
-            cap: AtomicU64::new(0),
-            done: AtomicBool::new(false),
-            statuses: (0..n)
-                .map(|_| AtomicU8::new(status_code(EpochStatus::Running)))
-                .collect(),
-            panic: Mutex::new(None),
-        };
-        let members = &self.members;
-        let st = &mut self.st;
-        let epoch_len = self.epoch_len;
-        let max_len = self.max_len;
-        let max_lbd = self.max_lbd;
-        let objective = self.objective.objective();
-        let max_steps = self.max_steps;
-        let stop = self.stop.as_ref();
-        let obs = &self.obs;
-        std::thread::scope(|scope| {
-            for d in 1..drivers {
-                let shared = &shared;
-                let range = d * chunk..((d + 1) * chunk).min(n);
-                scope.spawn(move || drive_members(members, shared, range));
+        for _ in 0..budget {
+            if self.st.decided {
+                break;
             }
-            let own = 0..chunk.min(n);
-            let lock = |id: usize| members[id].lock().expect("member lock poisoned");
-            let mut ran = 0u64;
-            loop {
-                if ran >= budget {
-                    break; // suspended at an epoch barrier, resumable
-                }
-                if stop.is_some_and(|s| s.should_stop()) {
-                    st.race_outcome = RunOutcome::Stopped;
-                    st.decided = true;
-                    break;
-                }
-                let cap = st
-                    .epochs
-                    .saturating_add(1)
-                    .saturating_mul(epoch_len)
-                    .min(max_steps);
-                shared.cap.store(cap, Ordering::SeqCst);
-                shared.barrier.wait(); // start of epoch: cap visible everywhere
-                drive_range(members, &shared, own.clone());
-                shared.barrier.wait(); // end of epoch: statuses published
-                if shared.panic.lock().expect("panic slot").is_some() {
-                    break;
-                }
-                st.epochs += 1;
-                ran += 1;
-                for (id, slot) in shared.statuses.iter().enumerate() {
-                    if !st.open[id] {
-                        continue;
-                    }
-                    match status_from(slot.load(Ordering::SeqCst)) {
-                        EpochStatus::Running => {}
-                        EpochStatus::Finished => {
-                            st.open[id] = false;
-                            st.finished_epoch[id] = Some(st.epochs - 1);
-                            st.finished.push((lock(id).units(), id));
-                        }
-                        EpochStatus::Exhausted | EpochStatus::Stopped => st.open[id] = false,
-                    }
-                }
-                // Per-epoch observation captures each member's progress
-                // plus what *this* epoch's bus moved (deltas of the
-                // cumulative export counters). Purely passive: nothing
-                // flows back into the race.
-                let before = obs
-                    .enabled()
-                    .then(|| (st.clauses_exported.clone(), st.bounds_exported.clone()));
-                if !st.finished.is_empty() || st.open.iter().all(|o| !o) {
-                    st.decided = true;
-                    if obs.enabled() {
-                        // Decided at the barrier: no bus ran this epoch,
-                        // so the traffic deltas are zero by definition.
-                        for id in 0..n {
-                            obs.on_epoch(st.epochs, id, lock(id).units(), 0, 0);
-                        }
-                    }
-                    break;
-                }
-
-                // Knowledge bus, in member-id order (drivers are parked
-                // at the epoch barrier, so the locks are uncontended).
-                // Learned clauses first: collect fresh (bus-unseen)
-                // lemmas from every open member...
-                let mut fresh: Vec<(usize, hyperspace_sat::Clause)> = Vec::new();
-                for id in 0..n {
-                    if !st.open[id] {
-                        continue;
-                    }
-                    for clause in lock(id).export_clauses(max_len, max_lbd) {
-                        let mut key: Vec<Lit> = clause.lits().to_vec();
-                        key.sort_unstable();
-                        key.dedup();
-                        if st.seen_clauses.insert(key) {
-                            st.clauses_exported[id] += 1;
-                            st.bus_clauses += 1;
-                            fresh.push((id, clause));
-                        }
-                    }
-                }
-                // ...then fan each lemma out to every *other* open
-                // member.
-                if !fresh.is_empty() {
-                    for id in 0..n {
-                        if !st.open[id] {
-                            continue;
-                        }
-                        let batch: Vec<&hyperspace_sat::Clause> = fresh
-                            .iter()
-                            .filter(|(src, _)| *src != id)
-                            .map(|(_, c)| c)
-                            .collect();
-                        let absorbed = lock(id).import_clauses(&batch);
-                        st.clauses_imported[id] += absorbed;
-                        st.bus_clause_deliveries += absorbed;
-                    }
-                }
-
-                // Incumbent bus (optimisation jobs): publish the best
-                // value any member holds, then re-inject it into
-                // trailing members.
-                if let Some(obj) = objective {
-                    let mut best: Option<(i64, usize)> = None;
-                    for (id, _) in st.open.iter().enumerate().filter(|(_, o)| **o) {
-                        if let Some(v) = lock(id).best_incumbent() {
-                            best = Some(match best {
-                                None => (v, id),
-                                Some((b, _)) if obj.improves(v, b) => (v, id),
-                                Some(keep) => keep,
-                            });
-                        }
-                    }
-                    if let Some((value, contributor)) = best {
-                        let improved = match st.bus_best {
-                            None => true,
-                            Some(b) => obj.improves(value, b),
-                        };
-                        if improved {
-                            st.bus_best = Some(value);
-                            st.bus_bounds += 1;
-                            st.bounds_exported[contributor] += 1;
-                        }
-                        for id in 0..n {
-                            if !st.open[id] {
-                                continue;
-                            }
-                            let mut member = lock(id);
-                            let trailing = match member.best_incumbent() {
-                                None => true,
-                                Some(mine) => obj.improves(value, mine),
-                            };
-                            if trailing {
-                                member.inject_bound(value);
-                                st.bounds_imported[id] += 1;
-                                st.bus_bound_deliveries += 1;
-                            }
-                        }
-                    }
-                }
-
-                if let Some((clauses0, bounds0)) = before {
-                    for id in 0..n {
-                        obs.on_epoch(
-                            st.epochs,
-                            id,
-                            lock(id).units(),
-                            st.clauses_exported[id] - clauses0[id],
-                            st.bounds_exported[id] - bounds0[id],
-                        );
-                    }
-                }
-            }
-            // Release the parked drivers whatever happened.
-            shared.done.store(true, Ordering::SeqCst);
-            shared.barrier.wait();
-        });
-        // Re-raise any contained member panic exactly like a direct
-        // single-stack run would.
-        if let Some(payload) = shared.panic.lock().expect("panic slot").take() {
-            std::panic::resume_unwind(payload);
-        }
-        if self.st.decided {
-            self.settle();
+            self.run_epoch();
         }
         self.st.decided
     }
 
-    /// The race is decided: order the finishers (earliest answer wins,
+    /// One sync epoch: members step concurrently to the epoch's cap
+    /// ([`step_members`]), then completion is checked and knowledge
+    /// exchanged on this thread alone, in member-id order.
+    fn run_epoch(&mut self) {
+        if self.stop.as_ref().is_some_and(|s| s.should_stop()) {
+            self.st.race_outcome = RunOutcome::Stopped;
+            return self.settle();
+        }
+        let cap = self
+            .st
+            .epochs
+            .saturating_add(1)
+            .saturating_mul(self.epoch_len)
+            .min(self.max_steps);
+        let statuses = step_members(&mut self.members, self.threads, cap);
+        let st = &mut self.st;
+        st.epochs += 1;
+        for (id, status) in statuses.into_iter().enumerate() {
+            if !st.open[id] {
+                continue;
+            }
+            match status {
+                EpochStatus::Running => {}
+                EpochStatus::Finished => {
+                    st.open[id] = false;
+                    st.finished_epoch[id] = Some(st.epochs - 1);
+                    st.finished.push((self.members[id].units(), id));
+                }
+                EpochStatus::Exhausted | EpochStatus::Stopped => st.open[id] = false,
+            }
+        }
+        // Per-epoch observation captures each member's progress plus
+        // what *this* epoch's bus moved (deltas of the cumulative export
+        // counters; zero when the race is decided at the barrier and no
+        // bus runs). Purely passive: nothing flows back into the race.
+        let before = self
+            .obs
+            .enabled()
+            .then(|| (st.clauses_exported.clone(), st.bounds_exported.clone()));
+        let decided = !st.finished.is_empty() || st.open.iter().all(|o| !o);
+        if !decided {
+            self.exchange_clauses();
+            self.exchange_incumbents();
+        }
+        if let Some((clauses0, bounds0)) = before {
+            for (id, member) in self.members.iter().enumerate() {
+                self.obs.on_epoch(
+                    self.st.epochs,
+                    id,
+                    member.units(),
+                    self.st.clauses_exported[id] - clauses0[id],
+                    self.st.bounds_exported[id] - bounds0[id],
+                );
+            }
+        }
+        if decided {
+            self.settle();
+        }
+    }
+
+    /// The clause bus: collect fresh (bus-unseen) lemmas from every open
+    /// member, then fan each out to every *other* open member.
+    fn exchange_clauses(&mut self) {
+        let st = &mut self.st;
+        let mut fresh: Vec<(usize, hyperspace_sat::Clause)> = Vec::new();
+        for (id, member) in self.members.iter_mut().enumerate() {
+            if !st.open[id] {
+                continue;
+            }
+            for clause in member.export_clauses(self.max_len, self.max_lbd) {
+                let mut key: Vec<Lit> = clause.lits().to_vec();
+                key.sort_unstable();
+                key.dedup();
+                if st.seen_clauses.insert(key) {
+                    st.clauses_exported[id] += 1;
+                    st.bus_clauses += 1;
+                    fresh.push((id, clause));
+                }
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        for (id, member) in self.members.iter_mut().enumerate() {
+            if !st.open[id] {
+                continue;
+            }
+            let batch: Vec<&hyperspace_sat::Clause> = fresh
+                .iter()
+                .filter(|(src, _)| *src != id)
+                .map(|(_, c)| c)
+                .collect();
+            let absorbed = member.import_clauses(&batch);
+            st.clauses_imported[id] += absorbed;
+            st.bus_clause_deliveries += absorbed;
+        }
+    }
+
+    /// The incumbent bus (optimisation jobs): publish the best value any
+    /// open member holds, then re-inject it into trailing members.
+    fn exchange_incumbents(&mut self) {
+        let Some(obj) = self.objective.objective() else {
+            return;
+        };
+        let st = &mut self.st;
+        let mut best: Option<(i64, usize)> = None;
+        for (id, member) in self.members.iter().enumerate() {
+            if !st.open[id] {
+                continue;
+            }
+            if let Some(v) = member.best_incumbent() {
+                if best.is_none_or(|(b, _)| obj.improves(v, b)) {
+                    best = Some((v, id));
+                }
+            }
+        }
+        let Some((value, contributor)) = best else {
+            return;
+        };
+        if st.bus_best.is_none_or(|b| obj.improves(value, b)) {
+            st.bus_best = Some(value);
+            st.bus_bounds += 1;
+            st.bounds_exported[contributor] += 1;
+        }
+        for (id, member) in self.members.iter_mut().enumerate() {
+            let trailing = |mine: i64| obj.improves(value, mine);
+            if st.open[id] && member.best_incumbent().is_none_or(trailing) {
+                member.inject_bound(value);
+                st.bounds_imported[id] += 1;
+                st.bus_bound_deliveries += 1;
+            }
+        }
+    }
+
+    /// Decides the race: order the finishers (earliest answer wins,
     /// lowest id on ties) and cancel every still-open member through its
     /// stop handle.
     fn settle(&mut self) {
+        self.st.decided = true;
         self.st.finished.sort_unstable();
-        for (id, still_open) in self.st.open.iter_mut().enumerate() {
-            if *still_open {
-                self.members[id]
-                    .lock()
-                    .expect("member lock poisoned")
-                    .cancel();
-                *still_open = false;
+        for (member, still_open) in self.members.iter_mut().zip(&mut self.st.open) {
+            if std::mem::take(still_open) {
+                member.cancel();
             }
         }
     }
@@ -621,7 +541,6 @@ impl PortfolioRace {
     pub fn finish(mut self) -> PortfolioReport {
         if !self.st.decided {
             self.st.race_outcome = RunOutcome::Stopped;
-            self.st.decided = true;
             self.settle();
         }
         let PortfolioRace {
@@ -635,7 +554,6 @@ impl PortfolioRace {
         let objective = objective.objective();
         let mut reports: Vec<MemberReport> = Vec::with_capacity(members.len());
         for (id, member) in members.into_iter().enumerate() {
-            let member = member.into_inner().expect("member lock poisoned");
             let units = member.units();
             let summary = member.finish();
             let finish_units = st.finished_epoch[id].map(|_| units);
@@ -702,87 +620,56 @@ impl RunSlice for PortfolioRace {
     }
 }
 
-/// Epoch-synchronised state shared by the coordinator and its driver
-/// threads.
-struct DriverShared {
-    /// Two waits per epoch: start (cap published) and end (statuses
-    /// published).
-    barrier: Barrier,
-    /// Absolute unit cap of the current epoch.
-    cap: AtomicU64,
-    /// Raised once the race is over; drivers parked at the start
-    /// barrier exit.
-    done: AtomicBool,
-    /// Per-member epoch statuses (encoded [`EpochStatus`]).
-    statuses: Vec<AtomicU8>,
-    /// First member panic, re-raised by the owning thread after the
-    /// drivers shut down (a member panicking must fail the race the way
-    /// it would fail a direct run — not deadlock a barrier).
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
+/// What a faulting member leaves behind: its caught panic payload.
+type Fault = Box<dyn std::any::Any + Send>;
 
-fn status_code(status: EpochStatus) -> u8 {
-    match status {
-        EpochStatus::Running => 0,
-        EpochStatus::Finished => 1,
-        EpochStatus::Exhausted => 2,
-        EpochStatus::Stopped => 3,
-    }
-}
-
-fn status_from(code: u8) -> EpochStatus {
-    match code {
-        0 => EpochStatus::Running,
-        1 => EpochStatus::Finished,
-        2 => EpochStatus::Exhausted,
-        _ => EpochStatus::Stopped,
-    }
-}
-
-/// One long-lived driver thread: parked at the epoch barrier, steps its
-/// member chunk when the coordinator opens an epoch, exits when the
-/// race ends.
-fn drive_members(
-    members: &[Mutex<Box<dyn MemberDrive>>],
-    shared: &DriverShared,
-    range: std::ops::Range<usize>,
-) {
-    loop {
-        shared.barrier.wait(); // start of epoch (or shutdown)
-        if shared.done.load(Ordering::SeqCst) {
-            return;
-        }
-        drive_range(members, shared, range.clone());
-        shared.barrier.wait(); // end of epoch
-    }
-}
-
-/// Steps one chunk of members to the current epoch cap, containing
-/// member panics so sibling drivers never deadlock at the barrier.
-fn drive_range(
-    members: &[Mutex<Box<dyn MemberDrive>>],
-    shared: &DriverShared,
-    range: std::ops::Range<usize>,
-) {
-    let cap = shared.cap.load(Ordering::SeqCst);
-    for id in range {
-        if shared.panic.lock().expect("panic slot").is_some() {
-            return; // a sibling faulted: the race is aborting
-        }
-        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            members[id]
-                .lock()
-                .expect("member lock poisoned")
-                .run_epoch(cap)
-        }));
-        match stepped {
-            Ok(status) => shared.statuses[id].store(status_code(status), Ordering::SeqCst),
-            Err(payload) => {
-                let mut slot = shared.panic.lock().expect("panic slot");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
+/// Steps every member to the absolute unit `cap` as one fork-join and
+/// returns their statuses in member-id order. Members, status slots and
+/// one fault slot per chunk are split into disjoint slices: chunk 0 runs
+/// on the calling thread, the others on scoped threads (`threads == 1`
+/// spawns nothing), and the scope's own end-of-scope wait is the
+/// rendezvous. A member panic is contained in its chunk — the chunk
+/// stops there, siblings finish their epoch — and the *lowest* chunk's
+/// payload is re-raised afterwards with its original message, exactly as
+/// a direct single-stack run would fail, so which fault a race reports
+/// never depends on `threads` or on wall-clock arrival.
+fn step_members(
+    members: &mut [Box<dyn MemberDrive>],
+    threads: usize,
+    cap: u64,
+) -> Vec<EpochStatus> {
+    fn step_chunk(
+        members: &mut [Box<dyn MemberDrive>],
+        statuses: &mut [EpochStatus],
+        fault: &mut Option<Fault>,
+        cap: u64,
+    ) {
+        *fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for (member, status) in members.iter_mut().zip(statuses) {
+                *status = member.run_epoch(cap);
             }
-        }
+        }))
+        .err();
     }
+    let n = members.len();
+    let chunk = n.div_ceil(threads.clamp(1, n));
+    let mut statuses = vec![EpochStatus::Running; n];
+    let mut faults: Vec<Option<Fault>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let mut chunks = members
+            .chunks_mut(chunk)
+            .zip(statuses.chunks_mut(chunk))
+            .zip(&mut faults);
+        let own = chunks.next();
+        for ((members, statuses), fault) in chunks {
+            scope.spawn(move || step_chunk(members, statuses, fault, cap));
+        }
+        if let Some(((members, statuses), fault)) = own {
+            step_chunk(members, statuses, fault, cap);
+        }
+    });
+    if let Some(payload) = faults.into_iter().flatten().next() {
+        std::panic::resume_unwind(payload);
+    }
+    statuses
 }

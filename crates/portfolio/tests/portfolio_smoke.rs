@@ -199,8 +199,8 @@ fn single_member_portfolio_reduces_to_its_member() {
 #[test]
 fn member_panics_propagate_without_deadlocking_the_drivers() {
     // A booby-trapped member program must surface its panic from the
-    // race (as a direct run would) instead of deadlocking the parked
-    // driver threads at an epoch barrier.
+    // race (as a direct run would), original message intact, whatever
+    // thread stepped it.
     use hyperspace_recursion::{FnProgram, Rec};
     let bomb = || {
         FnProgram::new(|n: u64| -> Rec<u64, u64> {
@@ -224,6 +224,36 @@ fn member_panics_propagate_without_deadlocking_the_drivers() {
         let message = hyperspace_sim::panic_message(payload.as_ref(), "");
         assert!(
             message.contains("injected portfolio fault"),
+            "threads {threads}: {message}"
+        );
+    }
+}
+
+#[test]
+fn the_lowest_members_panic_is_the_one_reported() {
+    // Which fault a race re-raises is a function of member ids, never of
+    // wall-clock arrival or the thread count: members 1.. fault on their
+    // first activation, member 0 hundreds of calls later in the same
+    // epoch, and member 0's message is the one that surfaces.
+    use hyperspace_recursion::{FnProgram, Rec};
+    let make = |id: usize, _: &StrategySpec| {
+        FnProgram::new(move |n: u64| -> Rec<u64, u64> {
+            if id > 0 || n == 0 {
+                panic!("fault in member {id}");
+            }
+            Rec::call(n - 1).then(move |total| Rec::done(total + n))
+        })
+    };
+    for threads in [1usize, 2, 4] {
+        let spec = PortfolioSpec::new(vec![StrategySpec::mesh(); 4]).epoch(4096);
+        let runner = small_runner(spec).threads(threads);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runner.run_mesh(make, 300u64)
+        }));
+        let payload = result.expect_err("the fault must propagate");
+        let message = hyperspace_sim::panic_message(payload.as_ref(), "");
+        assert!(
+            message.ends_with("fault in member 0"),
             "threads {threads}: {message}"
         );
     }

@@ -14,9 +14,12 @@
 //! scheduling freedom the paper assigns to this layer. Processes may spawn
 //! further processes, exchange zero-cost local messages, and exit.
 //!
-//! The mapping and recursion layers above run as processes; applications
-//! may also use this layer directly (e.g. the portfolio-solver example runs
-//! several independent SAT solvers as competing processes per node).
+//! Assembled stacks do not pass through this layer: `hyperspace-core`'s
+//! `StackProgram` is the mapping host over the recursion host straight on
+//! layer 1 (the mapping host *is* the node's single process).
+//! Applications that need several processes per node use this layer
+//! directly (e.g. the portfolio-solver example runs several independent
+//! SAT solvers as competing processes per node).
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 
 use hyperspace_core::{JobParams, RunSlice, RunSummary, SliceOutcome};
 use hyperspace_obs::{
-    saturating_nanos, Event, EventKind, Gauge, ObsHandle, Observer, Phase, Registry,
+    saturating_micros, saturating_nanos, Event, EventKind, Gauge, ObsHandle, Observer, Phase,
+    Registry,
 };
 use hyperspace_sim::{panic_message, RunOutcome};
 use hyperspace_store::JobStore;
@@ -17,7 +18,7 @@ use crate::handle::{JobHandle, JobShared};
 use crate::job::{JobKind, JobOutcome, JobRequest, JobResult, JobSpec};
 use crate::observe::ServiceObserver;
 use crate::persist;
-use crate::stats::{saturating_i64, saturating_micros, ServiceStats, StatsInner};
+use crate::stats::{saturating_i64, ServiceStats, StatsInner};
 
 /// Unwraps a lock or condvar-wait result on one of the service's own
 /// mutexes (`queue`, `cache`, `stats`) — the one place the service's

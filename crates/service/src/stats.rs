@@ -4,15 +4,6 @@ use std::time::Duration;
 
 use hyperspace_metrics::Histogram;
 
-/// Converts a duration to whole microseconds, saturating at `u64::MAX`
-/// instead of silently truncating the `u128` (`as u64` would wrap a
-/// pathological ~584-millennium wait into a tiny number, corrupting
-/// every histogram and busy-time counter downstream). All
-/// duration-to-micros conversions in the service go through this.
-pub(crate) fn saturating_micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
 /// Converts an unsigned counter (step counts, byte sizes, microsecond
 /// totals) to the flight recorder's signed `value` field, saturating at
 /// `i64::MAX` instead of wrapping negative (`as i64` would turn a
@@ -269,29 +260,6 @@ mod tests {
         // worker count from an older snapshot).
         assert_eq!(stats.worker_utilization(2), 0.0);
         assert_eq!(stats.worker_utilization(usize::MAX), 0.0);
-    }
-
-    #[test]
-    fn saturating_micros_is_exact_below_the_cap() {
-        assert_eq!(saturating_micros(Duration::ZERO), 0);
-        assert_eq!(saturating_micros(Duration::from_micros(1)), 1);
-        assert_eq!(saturating_micros(Duration::from_millis(7)), 7_000);
-        assert_eq!(saturating_micros(Duration::from_secs(3)), 3_000_000);
-        // Sub-microsecond remainders truncate toward zero, as before.
-        assert_eq!(saturating_micros(Duration::from_nanos(999)), 0);
-    }
-
-    #[test]
-    fn saturating_micros_saturates_instead_of_wrapping() {
-        // u64::MAX seconds is ~10^19 s; in microseconds that exceeds
-        // u64::MAX by a factor of 10^6 — `as u64` would silently wrap.
-        let huge = Duration::new(u64::MAX, 999_999_999);
-        assert_eq!(saturating_micros(huge), u64::MAX);
-        // The exact boundary: u64::MAX microseconds still fits.
-        let edge = Duration::from_micros(u64::MAX);
-        assert_eq!(saturating_micros(edge), u64::MAX);
-        let over = edge + Duration::from_micros(1);
-        assert_eq!(saturating_micros(over), u64::MAX);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   any instrumentation (the phase profiler reads the clock on sampled
 //!   steps only — see `ObsHandle::phase_period` — because of it).
 //! * **dense** — one message in flight per node: the active set
-//!   degenerates to the full node list, so its bookkeeping must be close
-//!   to free (≥ 0.9× the reference interpreter); steps are long, so a
+//!   degenerates to the full node list, which its bitmap drains in node
+//!   order without a sort, so the kernel must still beat the reference
+//!   interpreter's plain scan clearly (≥ 1.4×); steps are long, so a
 //!   probe cost that scales with *work* rather than steps shows here.
 //!
 //! Two questions per machine: *stepping* — kernel against
@@ -77,7 +78,7 @@ fn main() {
             question: Question::Stepping,
             flood: dense(),
             steps: if smoke { 20_000 } else { 60_000 },
-            floor: 0.9,
+            floor: 1.4,
         },
         Row {
             question: Question::Probe,
@@ -165,7 +166,7 @@ fn main() {
         missed.join("; ")
     );
     println!(
-        "layer-1 budgets hold: kernel >= 5x the reference on sparse work and >= 0.9x on dense; \
+        "layer-1 budgets hold: kernel >= 5x the reference on sparse work and >= 1.4x on dense; \
          a probed kernel >= 0.9x bare on both"
     );
 }

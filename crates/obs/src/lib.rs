@@ -69,6 +69,11 @@ pub fn saturating_micros(d: Duration) -> u64 {
 pub trait Observer: Send + Sync {
     /// One engine step completed: messages delivered during the step
     /// and messages still queued (inboxes + transit) after it.
+    ///
+    /// One writer: for a given observer, only the engine's coordinator
+    /// thread calls this, one step after another — never two threads at
+    /// once. Implementations may update their per-step counters with
+    /// plain load + store instead of locked read-modify-writes.
     fn on_step(&self, step: u64, delivered: u64, queued: u64) {
         let _ = (step, delivered, queued);
     }

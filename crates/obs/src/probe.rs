@@ -220,10 +220,15 @@ impl JobProbe {
 
 impl Observer for JobProbe {
     fn on_step(&self, step: u64, delivered: u64, queued: u64) {
-        // `fetch_max`, not `store`: a restarted/resumed engine re-runs
-        // from an earlier step; the probe tracks the furthest point.
-        self.steps.fetch_max(step, Ordering::Relaxed);
-        self.delivered.fetch_add(delivered, Ordering::Relaxed);
+        // One writer (see `Observer::on_step`), so plain loads and
+        // stores suffice: no locked read-modify-write on the step path.
+        // A restarted/resumed engine re-runs from an earlier step; the
+        // probe tracks the furthest point.
+        if step > self.steps.load(Ordering::Relaxed) {
+            self.steps.store(step, Ordering::Relaxed);
+        }
+        let total = self.delivered.load(Ordering::Relaxed) + delivered;
+        self.delivered.store(total, Ordering::Relaxed);
         self.queued.store(queued, Ordering::Relaxed);
     }
 

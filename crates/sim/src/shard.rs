@@ -99,6 +99,63 @@ impl StepOut {
     }
 }
 
+/// A set of local indices as a two-level bitmap: bit `li` of `words`,
+/// and bit `w` of `summary` for every non-zero `words[w]`. Inserting is
+/// two idempotent ORs; draining visits only the non-zero words and
+/// yields the members in ascending order, so the work list needs no
+/// sort — a step costs O(summary words + non-empty words + members),
+/// not O(k log k), and a summary word covers 4,096 indices.
+struct ActiveSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl ActiveSet {
+    /// An empty set over local indices `0..len`.
+    fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        ActiveSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    // Plain `#[inline]`: `inline(always)` on `insert` and `drain_into`
+    // read ~1 % faster on `l1_dense` but ~1 % slower on `l1_sparse`.
+    /// Adds `li` (idempotent).
+    #[inline]
+    fn insert(&mut self, li: usize) {
+        let w = li / 64;
+        self.words[w] |= 1 << (li % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Appends every member to `out` in ascending order and leaves the
+    /// set empty.
+    #[inline]
+    fn drain_into(&mut self, out: &mut Vec<usize>) {
+        let ActiveSet { words, summary } = self;
+        for (si, flags) in summary.iter_mut().enumerate() {
+            let mut flags = std::mem::take(flags);
+            while flags != 0 {
+                let w = si * 64 + flags.trailing_zeros() as usize;
+                flags &= flags - 1;
+                let mut bits = std::mem::take(&mut words[w]);
+                while bits != 0 {
+                    out.push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+
+    /// Empties the set.
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.summary.fill(0);
+    }
+}
+
 /// A shard's inboxes with the event-driven active set derived from
 /// them — one structure, so that a message can only enter an inbox
 /// through [`Inboxes::push`].
@@ -106,11 +163,9 @@ pub(crate) struct Inboxes<M> {
     pub(crate) queues: Vec<VecDeque<Envelope<M>>>,
     /// Messages held in all queues.
     held: u64,
-    /// Local indices with pending deliveries, in insertion order,
-    /// deduplicated by `mask` (`mask[li]` ⇔ `li ∈ active`). Derived state
-    /// — never checkpointed, rebuilt from queue occupancy.
-    active: Vec<usize>,
-    mask: Vec<bool>,
+    /// Local indices with pending deliveries. Derived state — never
+    /// checkpointed, rebuilt from queue occupancy.
+    active: ActiveSet,
     /// The step's lowest-key capacity violation so far.
     overflow: Option<(Key, NodeId, usize)>,
 }
@@ -131,25 +186,16 @@ impl<M> Inboxes<M> {
             }
         }
         self.held += 1;
-        self.wake(li);
+        self.active.insert(li);
     }
 
     /// Installs a restored queue; the active set follows its occupancy.
     pub(crate) fn restore(&mut self, li: usize, queue: VecDeque<Envelope<M>>) {
         self.held += queue.len() as u64;
         if !queue.is_empty() {
-            self.wake(li);
+            self.active.insert(li);
         }
         self.queues[li] = queue;
-    }
-
-    /// Adds `li` to the active set (idempotent).
-    #[inline]
-    fn wake(&mut self, li: usize) {
-        if !self.mask[li] {
-            self.mask[li] = true;
-            self.active.push(li);
-        }
     }
 }
 
@@ -185,7 +231,8 @@ pub(crate) struct Shard<P: NodeProgram> {
     pub(crate) transit: Vec<Keyed<P::Msg>>,
     /// The drained half of the transit double buffer.
     survivors: Vec<Keyed<P::Msg>>,
-    /// This step's sorted work list; recycled across steps.
+    /// This step's work list in ascending local index (the drained
+    /// active set, or every node on a tick step); recycled across steps.
     work: Vec<usize>,
     /// Outgoing mail by destination shard. `out[id]` is this shard's
     /// traffic to itself: it never leaves, and is merged with the
@@ -220,8 +267,7 @@ impl<P: NodeProgram> Shard<P> {
             inboxes: Inboxes {
                 queues: (0..len).map(|_| VecDeque::new()).collect(),
                 held: 0,
-                active: Vec::new(),
-                mask: vec![false; len],
+                active: ActiveSet::new(len),
                 overflow: None,
             },
             staged: (0..len).map(|_| Vec::new()).collect(),
@@ -320,9 +366,9 @@ impl<P: NodeProgram> Shard<P> {
         let tick = matches!(cfg.tick_every, Some(k) if k > 0 && step.is_multiple_of(k));
 
         // Build this step's work list in ascending node order: everyone
-        // on tick steps, otherwise exactly the active set. Nodes outside
-        // it have empty inboxes and nothing to run — skipping them is
-        // unobservable.
+        // on tick steps, otherwise exactly the active set, which drains
+        // in order. Nodes outside it have empty inboxes and nothing to
+        // run — skipping them is unobservable.
         let inboxes = &mut self.inboxes;
         self.work.clear();
         if tick {
@@ -331,8 +377,7 @@ impl<P: NodeProgram> Shard<P> {
             // occupancy below.
             inboxes.active.clear();
         } else {
-            std::mem::swap(&mut self.work, &mut inboxes.active);
-            self.work.sort_unstable();
+            inboxes.active.drain_into(&mut self.work);
         }
 
         let budget = cfg.msgs_per_step as usize;
@@ -359,14 +404,10 @@ impl<P: NodeProgram> Shard<P> {
             if cfg.record_node_activity {
                 self.metrics.delivered_per_node[span.node(li) as usize] += batch.len() as u64;
             }
-            // A worked node stays active iff its inbox still has a
-            // backlog. Work entries are unique and were swapped out of
-            // (or cleared from) `active`, so a plain push keeps the mask
-            // invariant.
-            let more = !queue.is_empty();
-            inboxes.mask[li] = more;
-            if more {
-                inboxes.active.push(li);
+            // The set was drained (or cleared) above: a worked node
+            // stays active iff its inbox still has a backlog.
+            if !queue.is_empty() {
+                inboxes.active.insert(li);
             }
         }
         inboxes.held -= delivered;
@@ -521,6 +562,69 @@ impl<P: NodeProgram> Shard<P> {
                 panic: self.panic.take(),
                 ..StepOut::default()
             });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ActiveSet;
+    use std::collections::BTreeSet;
+
+    /// Lengths around one word and one summary word (64 × 64 indices).
+    const LENS: [usize; 8] = [1, 63, 64, 65, 4095, 4096, 4097, 70_000];
+
+    fn drain(set: &mut ActiveSet) -> Vec<usize> {
+        let mut out = Vec::new();
+        set.drain_into(&mut out);
+        out
+    }
+
+    #[test]
+    fn random_inserts_drain_ascending_and_deduplicated() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize % bound
+        };
+        for len in LENS {
+            let mut set = ActiveSet::new(len);
+            // Few, many and far more inserts than members, with
+            // duplicates and both ends of the range, reusing one set.
+            for inserts in [1, len / 3 + 1, 3 * len] {
+                let mut oracle = BTreeSet::from([0, len - 1]);
+                set.insert(0);
+                set.insert(len - 1);
+                for _ in 0..inserts {
+                    let li = next(len);
+                    set.insert(li);
+                    set.insert(li);
+                    oracle.insert(li);
+                }
+                let got = drain(&mut set);
+                assert_eq!(got, oracle.into_iter().collect::<Vec<_>>(), "len {len}");
+                assert!(
+                    drain(&mut set).is_empty(),
+                    "len {len}: a drain empties the set"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clear_empties_the_set() {
+        for len in LENS {
+            let mut set = ActiveSet::new(len);
+            for li in (0..len).step_by(61) {
+                set.insert(li);
+            }
+            set.insert(len - 1);
+            set.clear();
+            assert!(drain(&mut set).is_empty(), "len {len}");
+            set.insert(len / 2);
+            assert_eq!(drain(&mut set), [len / 2], "len {len}");
         }
     }
 }

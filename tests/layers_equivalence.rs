@@ -337,6 +337,29 @@ proptest! {
     }
 }
 
+/// A machine larger than 64 × 64 nodes, so one shard's active set spans
+/// more than one summary word: walkers placed on both sides of the
+/// 4,096-node boundary, routed far sends and ticks that visit everyone.
+#[test]
+fn a_shard_of_more_than_4096_nodes_matches_the_reference_interpreter() {
+    let topo = TopologySpec::Torus2D { w: 72, h: 72 };
+    let cfg = SimConfig {
+        delivery: DeliveryModel::Routed,
+        tick_every: Some(4),
+        record_trace: true,
+        ..SimConfig::default()
+    };
+    let program = SeededScatter {
+        far: true,
+        pulses: 2,
+    };
+    let walkers: Vec<(NodeId, u64)> = [0, 63, 4_095, 4_096, 4_160, 5_183]
+        .into_iter()
+        .map(|node| (node, (mix(node as u64) & !0xFF) | 14))
+        .collect();
+    assert_kernel_matches_reference(&topo, program, &cfg, &walkers, |s| *s);
+}
+
 /// The full five-layer stack through the reference interpreter: a
 /// least-busy mapper with a status period makes every 6th step a tick
 /// step on which all nodes broadcast, on top of the recursion's own

@@ -72,13 +72,23 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` samples of `value` — the same histogram as `n` calls
+    /// of [`Histogram::record`]; `n = 0` records nothing.
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = Self::bucket_of(value);
         if b >= self.buckets.len() {
             self.buckets.resize(b + 1, 0);
         }
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.buckets[b] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -267,6 +277,23 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, c);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let mut one_by_one = Histogram::new();
+        let mut batched = Histogram::new();
+        for (value, n) in [(3u64, 4u64), (0, 2), (900, 1), (7, 0), (3, 5)] {
+            for _ in 0..n {
+                one_by_one.record(value);
+            }
+            batched.record_n(value, n);
+        }
+        assert_eq!(batched, one_by_one);
+        // Zero samples leave an empty histogram empty, sentinel and all.
+        let mut empty = Histogram::new();
+        empty.record_n(5, 0);
+        assert_eq!(empty, Histogram::new());
     }
 
     #[test]

@@ -27,10 +27,11 @@ use crate::metric::SpanStat;
 /// attributes lands in exactly one of these.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
-    /// Moving messages: routed transit hops, inbox batch pops, and
-    /// staged-send delivery (engine phases 1 and 3).
+    /// Moving messages: routed transit hops, counting each step's
+    /// deliveries, and staged-send delivery (engine phases 1 and 3).
     Delivery,
-    /// Running node handlers over the delivered batches (phase 2).
+    /// Running node handlers, each popping its delivered messages from
+    /// its inbox (phase 2).
     Handler,
     /// A shard worker blocked at a step barrier.
     BarrierWait,

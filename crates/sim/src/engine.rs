@@ -136,13 +136,15 @@ pub enum SimError {
         len: usize,
     },
     /// A node's handler panicked. The kernel always contains the panic:
-    /// every shard finishes the step, workers shut down cleanly, and the
-    /// machine stays consistent and resumable. What the caller sees is
-    /// decided once per face: a [`crate::ShardedSimulation`] — whatever
-    /// its shard and thread counts — returns this error; a
-    /// [`Simulation`] resumes the unwind with the handler's own payload;
-    /// stack runs in `hyperspace-core` re-raise this error's `Display`
-    /// text, which ends in the original message.
+    /// the faulting node drops the rest of its step, every other node
+    /// finishes it, workers shut down cleanly, and the machine stays
+    /// consistent, resumable and the same for every sharding. What the
+    /// caller sees is decided once per face: a
+    /// [`crate::ShardedSimulation`] — whatever its shard and thread
+    /// counts — returns this error; a [`Simulation`] resumes the unwind
+    /// with the handler's own payload; stack runs in `hyperspace-core`
+    /// re-raise this error's `Display` text, which ends in the original
+    /// message.
     HandlerPanic {
         /// Node whose handler panicked (lowest id if several did in the
         /// same step).
@@ -421,6 +423,43 @@ mod tests {
         let report = sim.run_to_quiescence().unwrap();
         assert_eq!(report.steps, 2);
         assert_eq!(*sim.state(0), 8);
+    }
+
+    #[test]
+    fn staged_count_counts_the_current_invocation_only() {
+        // Nodes 0 and 1 each handle three messages in one step and send
+        // one per message: every invocation has staged exactly one so
+        // far, whatever earlier invocations — its own node's or another
+        // node's — left in the staging buffer.
+        struct CountStaged;
+        impl NodeProgram for CountStaged {
+            type Msg = bool;
+            type State = Vec<usize>;
+            fn init(&self, _n: NodeId, _c: &InitCtx) -> Vec<usize> {
+                Vec::new()
+            }
+            fn on_message(&self, counts: &mut Vec<usize>, first: bool, ctx: &mut Outbox<'_, bool>) {
+                if first {
+                    ctx.send_port(0, false);
+                    counts.push(ctx.staged_count());
+                }
+            }
+        }
+        let cfg = SimConfig {
+            msgs_per_step: 3,
+            ..SimConfig::default()
+        };
+        let injections = [
+            (0, true),
+            (0, true),
+            (0, true),
+            (1, true),
+            (1, true),
+            (1, true),
+        ];
+        let (_, states, _) = assert_matches_reference(Ring::new(4), CountStaged, cfg, &injections);
+        assert_eq!(states[0], [1, 1, 1]);
+        assert_eq!(states[1], [1, 1, 1]);
     }
 
     #[test]

@@ -84,6 +84,9 @@ pub struct Outbox<'a, M> {
     pub(crate) neighbours: &'a [NodeId],
     pub(crate) topo_nodes: usize,
     pub(crate) adjacent_only: bool,
+    /// `staged.len()` when the current handler invocation began: the
+    /// buffer may already hold earlier invocations' sends.
+    pub(crate) base: usize,
     pub(crate) staged: &'a mut Vec<Envelope<M>>,
     pub(crate) halt: &'a mut bool,
 }
@@ -190,6 +193,6 @@ impl<'a, M> Outbox<'a, M> {
 
     /// Number of messages staged by this handler invocation so far.
     pub fn staged_count(&self) -> usize {
-        self.staged.len()
+        self.staged.len() - self.base
     }
 }

@@ -150,15 +150,18 @@ pub fn run<T: Topology, P: NodeProgram>(
                 neighbours: csr.neighbours(node as NodeId),
                 topo_nodes: n,
                 adjacent_only: cfg.delivery == DeliveryModel::AdjacentOnly,
+                base: 0,
                 staged: &mut staged[node],
                 halt: &mut halted,
             };
             for msg in batches[node].drain(..) {
                 (outbox.src, outbox.hops) = (msg.src, msg.hops);
+                outbox.base = outbox.staged.len();
                 program.on_message(&mut states[node], msg.payload, &mut outbox);
             }
             if tick {
                 (outbox.src, outbox.hops) = (node as NodeId, 0);
+                outbox.base = outbox.staged.len();
                 program.on_tick(&mut states[node], &mut outbox);
             }
         }

@@ -9,12 +9,17 @@
 //!    advances one link along its deterministic minimal route;
 //! 2. [`Shard::absorb_hop`]: arrivals join their destination inbox,
 //!    messages whose position moved shards join the local transit queue;
-//! 3. [`Shard::run`]: every node of the work list pops up to
-//!    `msgs_per_step` messages (the paper pops exactly one), runs the
-//!    program's `receive` handler on them, and its staged sends are
-//!    keyed and addressed;
+//! 3. [`Shard::run`]: every node of the work list takes up to
+//!    `msgs_per_step` messages (the paper takes exactly one): a delivery
+//!    pass counts and records them in place, then each node's handler
+//!    pops them straight from its inbox and runs the program's `receive`
+//!    on each, staging sends in one shard-wide buffer that is then keyed
+//!    and addressed;
 //! 4. [`Shard::absorb_sends`]: sends join their destination inbox,
 //!    visible from the next step on.
+//!
+//! A delivered envelope is moved twice: from the staging buffer into an
+//! inbox, and from the inbox into its handler.
 //!
 //! Between a producing call and its absorb the driver (see
 //! [`crate::sharded`]) carries every `out[d]` buffer to shard `d`'s
@@ -222,9 +227,10 @@ pub(crate) struct Shard<P: NodeProgram> {
     span: Span,
     pub(crate) states: Vec<P::State>,
     pub(crate) inboxes: Inboxes<P::Msg>,
-    /// Per-node staging buffers and delivery batches, reused across steps.
-    staged: Vec<Vec<Envelope<P::Msg>>>,
-    batches: Vec<Vec<Envelope<P::Msg>>>,
+    /// This step's sends, recycled across steps. Handlers run in
+    /// ascending node order, so the buffer is in `(sender, emission)`
+    /// order — the key order the send pass needs.
+    sends: Vec<Envelope<P::Msg>>,
     /// Routed in-flight messages positioned in this shard, sorted by key
     /// (survivors keep their relative order, new entries enqueue with
     /// strictly larger keys).
@@ -242,11 +248,17 @@ pub(crate) struct Shard<P: NodeProgram> {
     pub(crate) mail: Vec<Keyed<P::Msg>>,
     /// Position in `work` of the node whose handlers are running.
     cursor: usize,
+    /// Messages that node still has to pop this step: counted as
+    /// delivered already, and dropped if its handler panics.
+    to_pop: usize,
     /// This step's deliveries, halt request and lowest-node handler
     /// panic, reported by [`Shard::finish`].
     delivered: u64,
     halted: bool,
     panic: Option<(NodeId, Box<dyn Any + Send>)>,
+    /// Deliveries by hop count for counts below 64, not yet in
+    /// `metrics.hop_histogram` (see [`Shard::fold_hops`]).
+    hops: [u64; 64],
     pub(crate) metrics: SimMetrics,
     pub(crate) trace: Vec<TraceEvent>,
 }
@@ -270,17 +282,18 @@ impl<P: NodeProgram> Shard<P> {
                 active: ActiveSet::new(len),
                 overflow: None,
             },
-            staged: (0..len).map(|_| Vec::new()).collect(),
-            batches: (0..len).map(|_| Vec::new()).collect(),
+            sends: Vec::new(),
             transit: Vec::new(),
             survivors: Vec::new(),
             work: Vec::new(),
             out: (0..shards).map(|_| Vec::new()).collect(),
             mail: Vec::new(),
             cursor: 0,
+            to_pop: 0,
             delivered: 0,
             halted: false,
             panic: None,
+            hops: [0; 64],
             metrics,
             trace: Vec::new(),
         }
@@ -296,6 +309,16 @@ impl<P: NodeProgram> Shard<P> {
     /// Messages resident in this shard (inboxes + transit).
     pub(crate) fn queued(&self) -> u64 {
         self.inboxes.held + self.transit.len() as u64
+    }
+
+    /// Moves the hop tally into `metrics.hop_histogram`. The delivery
+    /// pass counts a hop below 64 with one add; the driver folds the
+    /// tally in before anyone reads the metrics.
+    pub(crate) fn fold_hops(&mut self) {
+        let histogram = &mut self.metrics.hop_histogram;
+        for (hops, count) in self.hops.iter_mut().enumerate() {
+            histogram.record_n(hops as u64, std::mem::take(count));
+        }
     }
 
     /// Phase 1 (routed delivery only): advance this shard's in-flight
@@ -353,9 +376,9 @@ impl<P: NodeProgram> Shard<P> {
         }
     }
 
-    /// Phases 2 and 3 (local half): pop this step's batches, run the
-    /// handlers over the work list (containing panics), then key and
-    /// address the staged sends.
+    /// Phases 2 and 3 (local half): count and record this step's
+    /// deliveries, run the handlers over the work list (containing
+    /// panics), then key and address the staged sends.
     pub(crate) fn run<T: Topology>(&mut self, env: &Env<'_, T, P>, step: u64) {
         let cfg = env.cfg;
         let span = self.span;
@@ -380,15 +403,19 @@ impl<P: NodeProgram> Shard<P> {
             inboxes.active.drain_into(&mut self.work);
         }
 
+        // The delivery pass: a node takes the first `take` messages of
+        // its inbox. They are counted and recorded where they lie; its
+        // handlers pop exactly that many.
         let budget = cfg.msgs_per_step as usize;
         let mut delivered = 0u64;
         for &li in &self.work {
-            let queue = &mut inboxes.queues[li];
-            let batch = &mut self.batches[li];
-            debug_assert!(batch.is_empty());
-            while batch.len() < budget {
-                let Some(msg) = queue.pop_front() else { break };
-                self.metrics.hop_histogram.record(msg.hops as u64);
+            let queue = &inboxes.queues[li];
+            let take = queue.len().min(budget);
+            for msg in queue.range(..take) {
+                match self.hops.get_mut(msg.hops as usize) {
+                    Some(count) => *count += 1,
+                    None => self.metrics.hop_histogram.record(msg.hops as u64),
+                }
                 if cfg.record_trace {
                     self.trace.push(TraceEvent {
                         step,
@@ -398,15 +425,14 @@ impl<P: NodeProgram> Shard<P> {
                         hops: msg.hops,
                     });
                 }
-                batch.push(msg);
             }
-            delivered += batch.len() as u64;
+            delivered += take as u64;
             if cfg.record_node_activity {
-                self.metrics.delivered_per_node[span.node(li) as usize] += batch.len() as u64;
+                self.metrics.delivered_per_node[span.node(li) as usize] += take as u64;
             }
             // The set was drained (or cleared) above: a worked node
-            // stays active iff its inbox still has a backlog.
-            if !queue.is_empty() {
+            // stays active iff its inbox keeps a backlog.
+            if queue.len() > take {
                 inboxes.active.insert(li);
             }
         }
@@ -427,47 +453,48 @@ impl<P: NodeProgram> Shard<P> {
             clock.lap(Phase::Handler);
         }
 
-        // Phase 3, local half: sends leave in (sender, emission) order.
-        // Only work nodes ran handlers, so only they staged anything.
+        // Phase 3, local half: sends leave in (sender, emission) order,
+        // the buffer's order; the emission index restarts per sender.
         let alone = self.alone();
-        for &li in &self.work {
-            let src = span.node(li);
-            for (emission, mut msg) in self.staged[li].drain(..).enumerate() {
-                if cfg.record_trace {
-                    self.trace.push(TraceEvent {
-                        step,
-                        kind: TraceKind::Send,
-                        src: msg.src,
-                        dst: msg.dst,
-                        hops: 0,
-                    });
-                }
-                if cfg.record_node_activity {
-                    self.metrics.sent_per_node[src as usize] += 1;
-                }
-                self.metrics.total_sent += 1;
-                let key: Key = (step, src, emission as u32);
-                // Self-loopback sends never enter the NoC: they are
-                // local-queue moves (zero links), not routed traffic.
-                if cfg.delivery == DeliveryModel::Routed
-                    && msg.src != msg.dst
-                    && !env.csr.are_adjacent(msg.src, msg.dst)
-                {
-                    // Enters the NoC at the sender's position — owned by
-                    // this shard, keyed above everything in transit.
-                    self.transit.push(Keyed {
-                        key,
-                        at: src,
-                        env: msg,
-                    });
+        let (mut sender, mut emission) = (None, 0u32);
+        for mut msg in self.sends.drain(..) {
+            let src = msg.src;
+            emission = if sender == Some(src) { emission + 1 } else { 0 };
+            sender = Some(src);
+            if cfg.record_trace {
+                self.trace.push(TraceEvent {
+                    step,
+                    kind: TraceKind::Send,
+                    src,
+                    dst: msg.dst,
+                    hops: 0,
+                });
+            }
+            if cfg.record_node_activity {
+                self.metrics.sent_per_node[src as usize] += 1;
+            }
+            self.metrics.total_sent += 1;
+            let key: Key = (step, src, emission);
+            // Self-loopback sends never enter the NoC: they are
+            // local-queue moves (zero links), not routed traffic.
+            if cfg.delivery == DeliveryModel::Routed
+                && src != msg.dst
+                && !env.csr.are_adjacent(src, msg.dst)
+            {
+                // Enters the NoC at the sender's position — owned by
+                // this shard, keyed above everything in transit.
+                self.transit.push(Keyed {
+                    key,
+                    at: src,
+                    env: msg,
+                });
+            } else {
+                msg.complete_direct();
+                let at = msg.dst;
+                if alone {
+                    self.inboxes.push(cfg.queue_capacity, at as usize, key, msg);
                 } else {
-                    msg.complete_direct();
-                    let at = msg.dst;
-                    if alone {
-                        self.inboxes.push(cfg.queue_capacity, at as usize, key, msg);
-                    } else {
-                        self.out[env.home[at as usize].0].push(Keyed { key, at, env: msg });
-                    }
+                    self.out[env.home[at as usize].0].push(Keyed { key, at, env: msg });
                 }
             }
         }
@@ -479,34 +506,37 @@ impl<P: NodeProgram> Shard<P> {
         }
     }
 
-    /// Runs the handlers over the work list. A panicking handler ends the
-    /// loop: its node and payload go into the step report, so sibling
-    /// shards finish the step instead of waiting at a barrier forever.
+    /// Runs the handlers over the work list. A panicking handler costs
+    /// only its own node the rest of its step: its remaining messages
+    /// (already counted as delivered) are dropped, its node and payload
+    /// go into the step report — the first one, which is the lowest
+    /// node — and every later node still runs. So the machine's state
+    /// after a fault is the same for every sharding, and sibling shards
+    /// finish the step instead of waiting at a barrier forever.
     fn run_handlers<T>(&mut self, env: &Env<'_, T, P>, step: u64, tick: bool) {
-        self.cursor = 0;
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.handle(env, step, tick)));
-        if let Err(payload) = outcome {
-            let faulted = &self.work[self.cursor..];
-            self.panic = Some((self.span.node(faulted[0]), payload));
-            // The run is aborting. Every popped batch — the faulting
-            // node's partially drained one and the skipped nodes'
-            // untouched ones — was already counted as delivered; drop
-            // them so a later resume sees empty batches and consistent
-            // accounting.
-            for &li in faulted {
-                self.batches[li].clear();
-            }
+        let mut from = 0;
+        while let Err(payload) =
+            catch_unwind(AssertUnwindSafe(|| self.handle(env, step, tick, from)))
+        {
+            let li = self.work[self.cursor];
+            self.inboxes.queues[li].drain(..self.to_pop);
+            self.to_pop = 0;
+            self.panic.get_or_insert((self.span.node(li), payload));
+            from = self.cursor + 1;
         }
     }
 
-    /// `on_message` for every popped message (and `on_tick` on tick
-    /// steps) of every work-list node, with `cursor` on the node being
-    /// served.
-    fn handle<T>(&mut self, env: &Env<'_, T, P>, step: u64, tick: bool) {
-        for (wi, &li) in self.work.iter().enumerate() {
+    /// Serves the work list from position `from` on: each node pops the
+    /// messages the delivery pass counted for it and runs `on_message`
+    /// on each (then `on_tick` on tick steps), with `cursor` on the node
+    /// being served and `to_pop` its messages still to pop.
+    fn handle<T>(&mut self, env: &Env<'_, T, P>, step: u64, tick: bool, from: usize) {
+        let budget = env.cfg.msgs_per_step as usize;
+        for (wi, &li) in self.work.iter().enumerate().skip(from) {
             self.cursor = wi;
             let node = self.span.node(li);
             let state = &mut self.states[li];
+            let queue = &mut self.inboxes.queues[li];
             let mut outbox = Outbox {
                 node,
                 step,
@@ -515,15 +545,21 @@ impl<P: NodeProgram> Shard<P> {
                 neighbours: env.csr.neighbours(node),
                 topo_nodes: env.home.len(),
                 adjacent_only: env.cfg.delivery == DeliveryModel::AdjacentOnly,
-                staged: &mut self.staged[li],
+                base: 0,
+                staged: &mut self.sends,
                 halt: &mut self.halted,
             };
-            for msg in self.batches[li].drain(..) {
+            self.to_pop = queue.len().min(budget);
+            while self.to_pop > 0 {
+                self.to_pop -= 1;
+                let msg = queue.pop_front().expect("the delivery pass counted it");
                 (outbox.src, outbox.hops) = (msg.src, msg.hops);
+                outbox.base = outbox.staged.len();
                 env.program.on_message(state, msg.payload, &mut outbox);
             }
             if tick {
                 (outbox.src, outbox.hops) = (node, 0);
+                outbox.base = outbox.staged.len();
                 env.program.on_tick(state, &mut outbox);
             }
         }

@@ -29,9 +29,11 @@
 //! # Failure containment
 //!
 //! A panicking node handler would leave sibling shards waiting at a
-//! barrier forever. The kernel catches it, every shard finishes the
-//! step, and the coordinator reports the first panic in node order as
-//! [`SimError::HandlerPanic`] — every worker exits cleanly.
+//! barrier forever. The kernel catches it: the faulting node drops the
+//! rest of its step, every other node finishes it — so the machine left
+//! behind does not depend on the sharding — and the coordinator reports
+//! the first panic in node order as [`SimError::HandlerPanic`]. Every
+//! worker exits cleanly.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -622,8 +624,12 @@ impl<T: Topology, P: NodeProgram> ShardedSimulation<T, P> {
         })
     }
 
-    /// Folds the shards' instrumentation into the machine-wide view.
+    /// Folds the shards' instrumentation into the machine-wide view —
+    /// first each shard's hop tally into its own histogram, which a
+    /// single shard's metrics are read from in place. Every run, step
+    /// and restore returns through here.
     fn refresh_merged(&mut self) {
+        self.shards.iter_mut().for_each(Shard::fold_hops);
         let Some((metrics, trace)) = &mut self.merged else {
             return;
         };
@@ -742,10 +748,11 @@ where
 {
     /// Serialises the machine's complete logical state at the current
     /// step barrier. Valid between steps only (which is whenever the
-    /// caller can observe `&self`): staging buffers are drained every
-    /// step, so a checkpoint never holds half a step. The bytes are a
-    /// pure function of the logical state — identical whatever the shard
-    /// count, partitioner or thread count — and restore under any other.
+    /// caller can observe `&self`): the staging buffers are drained
+    /// every step and the hop tallies folded after every run, so a
+    /// checkpoint never holds half a step. The bytes are a pure function
+    /// of the logical state — identical whatever the shard count,
+    /// partitioner or thread count — and restore under any other.
     pub fn snapshot(&self) -> SimCheckpoint {
         let n = self.home.len();
         // Each shard's transit queue is key-sorted; the union in key

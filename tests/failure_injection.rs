@@ -149,6 +149,74 @@ fn panic_error_is_deterministic_across_shard_layouts() {
     }
 }
 
+/// Re-broadcasts every delivery; node 9 panics on its second message.
+#[derive(Clone)]
+struct SecondTouchOfNine;
+
+impl NodeProgram for SecondTouchOfNine {
+    type Msg = ();
+    type State = u32;
+    fn init(&self, _node: NodeId, _ctx: &InitCtx) -> u32 {
+        0
+    }
+    fn on_message(&self, seen: &mut u32, _msg: (), ctx: &mut Outbox<'_, ()>) {
+        *seen += 1;
+        if ctx.node() == 9 && *seen == 2 {
+            panic!("second touch of node 9");
+        }
+        ctx.broadcast(());
+    }
+}
+
+#[test]
+fn a_faulted_step_leaves_the_same_machine_for_every_sharding() {
+    // Node 9 faults with messages of its own still to handle, and other
+    // nodes of its shard still to run. The faulting node loses the rest
+    // of its step, nobody else does — so the machine left behind, and
+    // every step resumed from it, is the same whatever the sharding.
+    let cfg = SimConfig {
+        msgs_per_step: 3,
+        ..SimConfig::default()
+    };
+    let run = |shards: usize, partition: Partition, threads: usize| {
+        let mut sim = ShardedSimulation::new(
+            hyperspace::topology::Torus::new_2d(5, 5),
+            SecondTouchOfNine,
+            cfg.clone(),
+            ShardedConfig {
+                shards,
+                partition,
+                threads: Some(threads),
+            },
+        );
+        sim.inject(0, ());
+        sim.inject(12, ());
+        let err = sim.run_to_quiescence().expect_err("node 9 faults");
+        let after_fault = sim.snapshot().to_bytes();
+        sim.set_max_steps(sim.current_step() + 3);
+        let resumed = sim.run_to_quiescence().expect("the machine resumes");
+        assert_eq!(resumed.outcome, RunOutcome::MaxSteps);
+        (err, after_fault, sim.snapshot().to_bytes())
+    };
+    let expect = run(1, Partition::Block, 1);
+    assert!(
+        matches!(expect.0, SimError::HandlerPanic { node: 9, .. }),
+        "{:?}",
+        expect.0
+    );
+    for shards in [1, 3, 4, 7] {
+        for partition in [Partition::Block, Partition::RoundRobin] {
+            for threads in [1, 3] {
+                let got = run(shards, partition, threads);
+                let tag = format!("K={shards} {partition:?} T={threads}");
+                assert_eq!(got.0, expect.0, "{tag}: the error");
+                assert!(got.1 == expect.1, "{tag}: the machine after the fault");
+                assert!(got.2 == expect.2, "{tag}: the machine after resuming");
+            }
+        }
+    }
+}
+
 /// [`BnbKnapsackProgram`] with a booby trap: expanding the specific
 /// take-take prefix task detonates. The trap sits two levels deep, so
 /// the panic fires from inside a pruning-enabled search.

@@ -3,9 +3,10 @@
 //! (both residual formulas of a branching variable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hyperspace_recursion::RecProgram;
 use hyperspace_sat::heuristics::ALL_HEURISTICS;
 use hyperspace_sat::simplify::{simplify_with, SimplifyMode};
-use hyperspace_sat::{cdcl, dpll, gen, Assignment, Heuristic, Var};
+use hyperspace_sat::{cdcl, dpll, gen, Assignment, Cnf, DpllProgram, Heuristic, SubProblem, Var};
 
 fn bench_sequential_solver(c: &mut Criterion) {
     let cnf = gen::uf20_91(2017);
@@ -84,10 +85,8 @@ fn bench_simplify(c: &mut Criterion) {
         ),
     ];
     for (name, cnf, depths) in &formulas {
-        let (result, _) = dpll::solve(cnf, Heuristic::JeroslowWang);
-        let model = result.model().expect("satisfiable by construction");
         for &depth in *depths {
-            let residual = (0..depth).fold(cnf.clone(), |f, v| f.assign(Var(v), model[v as usize]));
+            let residual = on_a_model_path(cnf, depth);
             for mode in [
                 SimplifyMode::Fixpoint,
                 SimplifyMode::SinglePass,
@@ -109,8 +108,22 @@ fn bench_simplify(c: &mut Criterion) {
     group.finish();
 }
 
+/// `cnf` after its first `depth` variables took their values in a model.
+fn on_a_model_path(cnf: &Cnf, depth: u32) -> Cnf {
+    let (result, _) = dpll::solve(cnf, Heuristic::JeroslowWang);
+    let model = result.model().expect("satisfiable by construction");
+    (0..depth).fold(cnf.clone(), |f, v| f.assign(Var(v), model[v as usize]))
+}
+
 /// Layer 5's share of a mesh activation: both children of a split, by two
-/// `assign` scans and by the one `split` scan.
+/// `assign` scans and by the one `split` scan. Then a propagating
+/// activation with its children's lines 6–11, two ways (`Fixpoint`,
+/// Jeroslow–Wang, on `ksat-40-182@1` and `@11` as in the `simplify`
+/// group): `split+simplify×2` is the activation simplifying, choosing and
+/// splitting, then each child's `simplify_with` of its own copy; `born` is
+/// `DpllProgram::start`, whose split writes both children already
+/// simplified. Both include the activation's own `simplify_with` and
+/// choice, and produce the same children.
 fn bench_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("split");
     group.sample_size(50);
@@ -126,6 +139,30 @@ fn bench_split(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("split", name), |b| {
             b.iter(|| cnf.split(var))
+        });
+    }
+    let ksat = gen::satisfiable_ksat(2017, 40, 182, 3);
+    let program = DpllProgram::new(Heuristic::JeroslowWang);
+    for depth in [1, 11] {
+        let parent = on_a_model_path(&ksat, depth);
+        let name = format!("ksat-40-182@{depth}");
+        group.bench_function(BenchmarkId::new("split+simplify×2", &name), |b| {
+            b.iter(|| {
+                let mut f = std::hint::black_box(&parent).clone();
+                let mut a = Assignment::new(f.num_vars());
+                simplify_with(&mut f, &mut a, SimplifyMode::Fixpoint);
+                let var = Heuristic::JeroslowWang.select(&f).expect("undecided").var();
+                let (when_true, when_false) = f.split(var);
+                [(when_true, true), (when_false, false)].map(|(mut child, value)| {
+                    let mut path = a.clone();
+                    path.assign(var, value);
+                    simplify_with(&mut child, &mut path, SimplifyMode::Fixpoint);
+                    (child, path)
+                })
+            })
+        });
+        group.bench_function(BenchmarkId::new("born", &name), |b| {
+            b.iter(|| program.start(SubProblem::root(std::hint::black_box(&parent).clone())))
         });
     }
     group.finish();

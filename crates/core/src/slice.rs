@@ -1,8 +1,12 @@
 //! Suspendable stack execution: drive a solve in bounded step slices.
 //!
-//! Node states hold live continuations (boxed closures), so a running
-//! stack cannot be serialised the way a raw [`hyperspace_sim`] program
-//! can — instead it is *suspended in place*: the simulation object
+//! A running stack's node states have no byte encoding yet: there is no
+//! `Codec` for layer 4's `RecState`, layer 3's `MapState` or a mapper's
+//! state, nor for the programs' `Arg`/`Out` types. (What a record saves
+//! is plain data — every built-in program's frame is `()` or a small
+//! struct; only an `FnProgram` continuation is a closure.) So a stack
+//! cannot be serialised the way a raw [`hyperspace_sim`] program can —
+//! instead it is *suspended in place*: the simulation object
 //! survives between slices, each slice advancing it by one checkpoint
 //! interval through the engine's epoch-stepping API (`set_max_steps` +
 //! re-entrant `run_to_quiescence`). Because the engine is bit-exact
@@ -56,8 +60,9 @@ pub trait RunSlice: Send {
 
     /// Serialised engine state at the current barrier, if this run's
     /// state can round-trip through bytes. Stack runs return `None`:
-    /// their node states hold live continuations, so a crashed process
-    /// re-derives them by deterministic replay instead. Slices whose
+    /// their node states have no `Codec` yet (`RecState`, `MapState`,
+    /// mapper state and the program's `Arg`/`Out` lack one), so a crashed
+    /// process re-derives them by deterministic replay instead. Slices whose
     /// state does serialise may override this to let a durable store
     /// skip the replay.
     fn checkpoint_bytes(&self) -> Option<Vec<u8>> {

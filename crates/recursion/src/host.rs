@@ -198,11 +198,13 @@ impl<P: RecProgram> RecState<P> {
 
     /// Captures this node's search frontier for a checkpoint: how many
     /// activations are suspended (with how many sub-calls outstanding)
-    /// and what the node's incumbent view is. The saved continuations
-    /// themselves are opaque closures — they are preserved by suspending
-    /// the live machine (or re-derived by deterministic replay), never
-    /// serialised — so this summary is what checkpoint metadata and
-    /// observability surfaces carry.
+    /// and what the node's incumbent view is. The saved records themselves
+    /// are plain data (a built-in program's frame is `()` or a small
+    /// struct; only an [`FnProgram`](crate::FnProgram) frame holds a
+    /// closure), but `RecState` has no `Codec` yet, so they are preserved
+    /// by suspending the live machine (or re-derived by deterministic
+    /// replay), never serialised — and this summary is what checkpoint
+    /// metadata and observability surfaces carry.
     pub fn frontier(&self) -> FrontierSnapshot {
         let mut snapshot = FrontierSnapshot {
             incumbent: self.incumbent,

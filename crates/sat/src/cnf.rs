@@ -323,6 +323,40 @@ impl Cnf {
         }
     }
 
+    /// One empty clause over `num_vars` variables: an unsatisfiable
+    /// formula that owns no literal buffer.
+    pub(crate) fn falsum(num_vars: u32) -> Cnf {
+        Cnf {
+            num_vars,
+            lits: Vec::new(),
+            ends: vec![0],
+        }
+    }
+
+    /// [`Cnf::retain`] into a new formula sized for `clauses` clauses of
+    /// `lits` literals in all, leaving this one as it is.
+    pub(crate) fn retained(
+        &self,
+        clauses: usize,
+        lits: usize,
+        mut keep_clause: impl FnMut(usize) -> bool,
+        mut keep_lit: impl FnMut(Lit) -> bool,
+    ) -> Cnf {
+        let mut out = Cnf {
+            num_vars: self.num_vars,
+            lits: Vec::with_capacity(lits),
+            ends: Vec::with_capacity(clauses),
+        };
+        for (i, clause) in self.clauses().enumerate() {
+            if keep_clause(i) {
+                out.lits
+                    .extend(clause.iter().copied().filter(|&lit| keep_lit(lit)));
+                out.ends.push(out.lits.len() as u32);
+            }
+        }
+        out
+    }
+
     /// Compacts this formula's own buffers, in order: clause `i` stays if
     /// `keep_clause(i)`, and of a clause that stays, the literals
     /// `keep_lit` accepts (none of them: an empty clause).

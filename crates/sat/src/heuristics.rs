@@ -92,30 +92,44 @@ impl Heuristic {
     pub fn select(&self, cnf: &Cnf) -> Option<Lit> {
         match self {
             Heuristic::FirstUnassigned => cnf.iter_lits().next(),
-            Heuristic::MostFrequent => most_frequent_var(cnf),
-            Heuristic::Dlis => best_lit_by_score(cnf, |_, count| count as f64),
+            Heuristic::MostFrequent => most_frequent_var(&occurrence_counts(cnf)),
+            Heuristic::Dlis => most_frequent_lit(&occurrence_counts(cnf)),
             Heuristic::JeroslowWang => jeroslow_wang(cnf),
             Heuristic::Random(seed) => random_lit(cnf, *seed),
+        }
+    }
+
+    /// [`Heuristic::select`] given `cnf`'s [`occurrence_counts`], which the
+    /// counting heuristics read instead of recounting.
+    pub(crate) fn select_counted(&self, cnf: &Cnf, counts: &[u32]) -> Option<Lit> {
+        match self {
+            Heuristic::MostFrequent => most_frequent_var(counts),
+            Heuristic::Dlis => most_frequent_lit(counts),
+            _ => self.select(cnf),
         }
     }
 }
 
 /// Occurrences of each literal, indexed by [`Lit::index`].
 pub(crate) fn occurrence_counts(cnf: &Cnf) -> Vec<u32> {
-    let mut counts = vec![0u32; cnf.num_vars() as usize * 2];
+    occurrence_counts_with_room(cnf, 0)
+}
+
+/// [`occurrence_counts`] in a buffer with room for `room` more values.
+pub(crate) fn occurrence_counts_with_room(cnf: &Cnf, room: usize) -> Vec<u32> {
+    let lits = cnf.num_vars() as usize * 2;
+    let mut counts = Vec::with_capacity(lits + room);
+    counts.resize(lits, 0);
     for lit in cnf.iter_lits() {
         counts[lit.index()] += 1;
     }
     counts
 }
 
-fn most_frequent_var(cnf: &Cnf) -> Option<Lit> {
-    let counts = occurrence_counts(cnf);
-    let n = cnf.num_vars() as usize;
+fn most_frequent_var(counts: &[u32]) -> Option<Lit> {
     let mut best: Option<(u32, Var, bool)> = None;
-    for v in 0..n {
-        let pos = counts[v * 2];
-        let neg = counts[v * 2 + 1];
+    for (v, c) in counts.chunks_exact(2).enumerate() {
+        let (pos, neg) = (c[0], c[1]);
         let total = pos + neg;
         if total == 0 {
             continue;
@@ -127,27 +141,42 @@ fn most_frequent_var(cnf: &Cnf) -> Option<Lit> {
     best.map(|(_, var, positive)| Lit::with_polarity(var, positive))
 }
 
-fn best_lit_by_score(cnf: &Cnf, score: impl Fn(Lit, u32) -> f64) -> Option<Lit> {
-    let counts = occurrence_counts(cnf);
-    let mut best: Option<(f64, usize)> = None;
+/// The literal with the most occurrences, the lowest index on a tie.
+fn most_frequent_lit(counts: &[u32]) -> Option<Lit> {
+    let mut best: Option<(u32, usize)> = None;
     for (idx, &count) in counts.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let lit = lit_from_index(idx);
-        let s = score(lit, count);
-        if best.is_none_or(|(b, _)| s > b) {
-            best = Some((s, idx));
+        if count != 0 && best.is_none_or(|(b, _)| count > b) {
+            best = Some((count, idx));
         }
     }
     best.map(|(_, idx)| lit_from_index(idx))
+}
+
+/// `2^-len` for every clause length below 64, each exact: what `powi`
+/// returns for a power of two, without the call.
+const POW2_NEG: [f64; 64] = {
+    let mut table = [1.0; 64];
+    let mut len = 1;
+    while len < 64 {
+        table[len] = table[len - 1] * 0.5;
+        len += 1;
+    }
+    table
+};
+
+/// The Jeroslow–Wang weight `2^-len` of a clause of `len` literals.
+fn jw_weight(len: usize) -> f64 {
+    match POW2_NEG.get(len) {
+        Some(&w) => w,
+        None => 2.0f64.powi(-(len as i32)),
+    }
 }
 
 fn jeroslow_wang(cnf: &Cnf) -> Option<Lit> {
     let mut scores = vec![0.0f64; cnf.num_vars() as usize * 2];
     let mut seen = false;
     for clause in cnf.clauses() {
-        let w = (2.0f64).powi(-(clause.len() as i32));
+        let w = jw_weight(clause.len());
         for lit in clause {
             scores[lit.index()] += w;
             seen = true;
@@ -238,6 +267,14 @@ mod tests {
         // 4-clauses = 0.125. Pick x3.
         let f = cnf(&[&[3, 2], &[3, -2], &[1, -2, 4, 5], &[1, 2, -4, -5]], 5);
         assert_eq!(Heuristic::JeroslowWang.select(&f), Some(lit(3)));
+    }
+
+    #[test]
+    fn the_weight_table_is_powi_bit_for_bit() {
+        for len in 0..80 {
+            let w = 2.0f64.powi(-(len as i32));
+            assert_eq!(jw_weight(len).to_bits(), w.to_bits(), "{len}");
+        }
     }
 
     #[test]

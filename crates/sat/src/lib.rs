@@ -25,10 +25,19 @@
 //!   with `Fixpoint` the default mode, the larger half wherever formulas
 //!   propagate (portfolio races, service SAT jobs, sequential [`dpll`]).
 //!   It is counter-based: one remaining-occurrence counter per clause and
-//!   one occurrence list per literal are built per call, a forced literal
-//!   visits only the clauses it occurs in, and the two buffers are
-//!   compacted in place once, on the way out; a call that forces nothing
-//!   builds no table;
+//!   one occurrence list per literal, a forced literal visits only the
+//!   clauses it occurs in, and the formula is compacted once, on the way
+//!   out. [`simplify::simplify_with`] builds those tables per call
+//!   (none when nothing is forced) and compacts in place. In a
+//!   propagating mesh search only the root calls it: every split builds
+//!   the tables once over its parent's formula and runs both children's
+//!   lines 6–11 there, on copies of the counters, so a child ships
+//!   already reduced — a conflicting one as one empty clause, a
+//!   satisfied one as the empty formula — and its activation reads its
+//!   verdict in O(1). The counts that build the tables also feed the
+//!   counting heuristics. Observably nothing moved: the same messages,
+//!   steps, mapping hints and verdicts as every activation simplifying
+//!   its own sub-problem;
 //! * [`heuristics`] — branching-variable selection (first-unassigned,
 //!   most-frequent, DLIS, Jeroslow-Wang, seeded random);
 //! * [`dpll`] — the sequential reference solver with search statistics;

@@ -18,13 +18,23 @@
 //! joined by non-deterministic choice: whichever returns SAT first resumes
 //! the activation "without waiting for [the] other result" (§V-B); if both
 //! return UNSAT the activation is UNSAT.
+//!
+//! Where the simplification runs is not observable: under `Fixpoint` and
+//! `SinglePass` a child's lines 6–11 run at its parent, which builds one
+//! set of occurrence lists per split and ships each child already reduced
+//! (a child that hit a conflict ships as one empty clause, a satisfied one
+//! as the empty formula). The child's activation reads its verdict off
+//! that formula and goes straight to line 12. Only the root simplifies its
+//! own formula; `SplitOnly`, which propagates nothing, splits with
+//! [`Cnf::split`]. Messages, steps, mapping hints and verdicts are those
+//! of every activation simplifying its own sub-problem.
 
 use hyperspace_mapping::Weight;
 use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
 
-use crate::cnf::{Assignment, Cnf, Model};
+use crate::cnf::{Assignment, Cnf, Lit, Model};
 use crate::heuristics::Heuristic;
-use crate::simplify::{simplify_with, Simplified, SimplifyMode};
+use crate::simplify::{simplify_with, Child, Simplified, SimplifyMode, Split};
 
 /// A self-contained DPLL sub-problem, as shipped between nodes: the
 /// residual formula plus the assignment accumulated on the path to it.
@@ -33,7 +43,9 @@ pub struct SubProblem {
     /// Residual formula (satisfied clauses and falsified literals already
     /// removed).
     pub cnf: Cnf,
-    /// Assignments made so far (decision + forced), full-width.
+    /// Assignments made so far (decision + forced), full-width — except
+    /// in a child its parent already found conflicting (`cnf` one empty
+    /// clause), whose verdict needs none and which ships it empty.
     pub assign: Assignment,
     /// Remaining discrepancy budget (limited-discrepancy search): how many
     /// more times this path may deviate from the heuristic's preferred
@@ -44,6 +56,12 @@ pub struct SubProblem {
     /// denied discrepancy), which the portfolio layer reports as an
     /// exhausted attempt rather than a verdict.
     pub discrepancy: Option<u64>,
+    /// Set when the parent's split wrote `cnf` already simplified (which
+    /// must not happen twice: `SinglePass` would fix a second pure
+    /// literal), to the clause count the formula had before its
+    /// simplification — the mapping hint [`DpllProgram`] reports. `None`:
+    /// `cnf` is as given, to be simplified by its own activation.
+    born: Option<Weight>,
 }
 
 impl SubProblem {
@@ -54,6 +72,41 @@ impl SubProblem {
             cnf,
             assign,
             discrepancy: None,
+            born: None,
+        }
+    }
+
+    /// A child of a split: `cnf` still to be simplified.
+    fn unborn(cnf: Cnf, assign: Assignment, discrepancy: Option<u64>) -> SubProblem {
+        SubProblem {
+            cnf,
+            assign,
+            discrepancy,
+            born: None,
+        }
+    }
+
+    /// A child a [`Split`] wrote simplified.
+    fn born(child: Child, discrepancy: Option<u64>) -> SubProblem {
+        SubProblem {
+            cnf: child.cnf,
+            assign: child.assign,
+            discrepancy,
+            born: Some(child.clauses_before),
+        }
+    }
+
+    /// Lines 2–11: the verdict of this sub-problem's formula once
+    /// simplified, which a born sub-problem's already is — the empty
+    /// formula, one empty clause, or a residual without an empty clause.
+    fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
+        if self.born.is_none() {
+            return simplify_with(&mut self.cnf, &mut self.assign, mode).0;
+        }
+        match self.cnf.clauses().next() {
+            None => Simplified::Sat,
+            Some([]) => Simplified::Unsat,
+            Some(_) => Simplified::Undecided,
         }
     }
 
@@ -164,6 +217,61 @@ impl DpllProgram {
     pub fn polarity(&self) -> Polarity {
         self.polarity
     }
+
+    /// The first branch's literal (line 12), from the heuristic's choice.
+    fn branch(&self, selected: Option<Lit>) -> Lit {
+        let lit = selected.expect("undecided formula has literals");
+        match self.polarity {
+            Polarity::Positive => lit,
+            Polarity::Negative => lit.negated(),
+        }
+    }
+
+    /// Lines 12–16 under `SplitOnly`: both children copied by one
+    /// [`Cnf::split`] scan (by [`Cnf::assign`] when the preferred branch
+    /// spawns alone), each to be simplified by its own activation.
+    fn split_only(&self, sub: SubProblem) -> Vec<SubProblem> {
+        let lit = self.branch(self.heuristic.select(&sub.cnf));
+        let (var, value) = (lit.var(), lit.demanded_value());
+        let mut assign_true = sub.assign.clone();
+        assign_true.assign(var, value);
+        if sub.discrepancy == Some(0) {
+            let cnf = sub.cnf.assign(var, value);
+            return vec![SubProblem::unborn(cnf, assign_true, sub.discrepancy)];
+        }
+        let (when_true, when_false) = sub.cnf.split(var);
+        let (cnf1, cnf2) = if value {
+            (when_true, when_false)
+        } else {
+            (when_false, when_true)
+        };
+        let mut assign_false = sub.assign;
+        assign_false.assign(var, !value);
+        vec![
+            // Following the heuristic costs no discrepancy; going against
+            // it spends one.
+            SubProblem::unborn(cnf1, assign_true, sub.discrepancy),
+            SubProblem::unborn(cnf2, assign_false, sub.discrepancy.map(|d| d - 1)),
+        ]
+    }
+
+    /// Lines 12–16 under a propagating mode: one count of the formula
+    /// feeds the heuristic and the split's occurrence lists, and each
+    /// child is born simplified.
+    fn split_propagating(&self, sub: SubProblem) -> Vec<SubProblem> {
+        let split = Split::new(&sub.cnf, self.mode);
+        let lit = self.branch(self.heuristic.select_counted(&sub.cnf, split.counts()));
+        if sub.discrepancy == Some(0) {
+            let child = split.last_child(lit, sub.assign);
+            return vec![SubProblem::born(child, sub.discrepancy)];
+        }
+        let first = split.child(lit, &sub.assign);
+        let second = split.last_child(lit.negated(), sub.assign);
+        vec![
+            SubProblem::born(first, sub.discrepancy),
+            SubProblem::born(second, sub.discrepancy.map(|d| d - 1)),
+        ]
+    }
 }
 
 impl RecProgram for DpllProgram {
@@ -174,63 +282,21 @@ impl RecProgram for DpllProgram {
     type Frame = ();
 
     fn start(&self, mut sub: SubProblem) -> Step<Self> {
-        let (state, _) = simplify_with(&mut sub.cnf, &mut sub.assign, self.mode);
-        match state {
+        match sub.simplify(self.mode) {
             Simplified::Sat => return Step::Done(Verdict::Sat(sub.assign.complete())),
             Simplified::Unsat => return Step::Done(Verdict::Unsat),
             Simplified::Undecided => {}
         }
-        let mut lit = self
-            .heuristic
-            .select(&sub.cnf)
-            .expect("undecided formula has literals");
-        if self.polarity == Polarity::Negative {
-            lit = lit.negated();
-        }
-
-        let (var, value) = (lit.var(), lit.demanded_value());
-        let mut assign_true = sub.assign.clone();
-        assign_true.assign(var, value);
-
-        // The preferred branch alone when the discrepancy budget is spent:
-        // deviating would cost a discrepancy we no longer have.
-        if sub.discrepancy == Some(0) {
-            let subp1 = SubProblem {
-                cnf: sub.cnf.assign(var, value),
-                assign: assign_true,
-                discrepancy: sub.discrepancy,
-            };
-            return Step::Spawn(Spawn {
-                calls: vec![subp1],
-                join: Join::Any(|v: &Verdict| v.is_sat()),
-                frame: (),
-            });
-        }
-
-        // Both branches spawn: one scan of the parent builds both halves.
-        let (when_true, when_false) = sub.cnf.split(var);
-        let (cnf1, cnf2) = if value {
-            (when_true, when_false)
+        // Both branches spawn, or the preferred one alone when the
+        // discrepancy budget is spent: deviating would cost a discrepancy
+        // we no longer have.
+        let calls = if self.mode == SimplifyMode::SplitOnly {
+            self.split_only(sub)
         } else {
-            (when_false, when_true)
+            self.split_propagating(sub)
         };
-        let subp1 = SubProblem {
-            cnf: cnf1,
-            assign: assign_true,
-            // Following the heuristic costs no discrepancy.
-            discrepancy: sub.discrepancy,
-        };
-        let mut assign_false = sub.assign;
-        assign_false.assign(var, !value);
-        let subp2 = SubProblem {
-            cnf: cnf2,
-            assign: assign_false,
-            // Going against the heuristic spends one discrepancy.
-            discrepancy: sub.discrepancy.map(|d| d - 1),
-        };
-
         Step::Spawn(Spawn {
-            calls: vec![subp1, subp2],
+            calls,
             join: Join::Any(|v: &Verdict| v.is_sat()),
             frame: (),
         })
@@ -245,9 +311,10 @@ impl RecProgram for DpllProgram {
     }
 
     /// Cross-layer hint (§III-B3): residual clause count approximates the
-    /// work a sub-problem represents.
+    /// work a sub-problem represents. The count before simplification,
+    /// which a born sub-problem carries beside its reduced formula.
     fn weight(&self, arg: &SubProblem) -> Weight {
-        arg.cnf.num_clauses() as Weight
+        arg.born.unwrap_or(arg.cnf.num_clauses() as Weight)
     }
 
     /// A subtree denied by a budget (e.g. the strategy language's

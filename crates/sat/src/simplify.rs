@@ -1,8 +1,14 @@
 //! Problem simplification: unit propagation and pure-literal assignment
 //! (Listing 4, lines 6–11).
+//!
+//! Two entry points share one propagation loop: [`simplify_with`] reduces
+//! a formula in place (the root of a mesh search, the sequential
+//! [`dpll`](crate::dpll) solver), and a split of an already simplified
+//! formula writes both children reduced, from one set of occurrence lists
+//! over the parent (every other activation of a propagating mesh search).
 
 use crate::cnf::{Assignment, Cnf, Lit, Var};
-use crate::heuristics::occurrence_counts;
+use crate::heuristics::{occurrence_counts, occurrence_counts_with_room};
 
 /// Outcome of simplifying a sub-problem to fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,30 +109,16 @@ pub fn simplify_with(
     if mode == SimplifyMode::SplitOnly {
         return (Simplified::Undecided, stats);
     }
-    let counts = occurrence_counts(cnf);
+    let counts = Residual::counts_with_room(cnf);
     if cnf.clause_lens().all(|len| len != 1) && lowest_pure_literal(&counts).is_none() {
         return (Simplified::Undecided, stats);
     }
+    let occurrences = Occurrences::new(cnf, &counts);
     let mut residual = Residual::new(cnf, counts);
-    // Unit propagation (lines 6–8): drain every unit clause reachable from
-    // the current formula, lowest clause first.
-    while let Some(unit) = residual.first_unit(cnf) {
-        assignment.assign(unit.var(), unit.demanded_value());
-        stats.unit_props += 1;
-        if residual.force(cnf, unit) {
-            return (Simplified::Unsat, stats);
-        }
-    }
-    // Pure-literal assignment (lines 9–11): a variable occurring with a
-    // single polarity can be fixed to satisfy all its clauses. Fixing one
-    // only removes clauses, so no unit and no conflict can follow.
-    while let Some(pure) = lowest_pure_literal(&residual.counts) {
-        assignment.assign(pure.var(), pure.demanded_value());
-        stats.pure_assigns += 1;
-        residual.force(cnf, pure);
-        if mode == SimplifyMode::SinglePass {
-            break;
-        }
+    let conflict = residual.propagate(&occurrences, cnf, mode, &mut stats);
+    residual.record(assignment);
+    if conflict {
+        return (Simplified::Unsat, stats);
     }
     residual.compact(cnf);
     let outcome = if cnf.is_trivially_sat() {
@@ -137,116 +129,306 @@ pub fn simplify_with(
     (outcome, stats)
 }
 
-/// The residual of a formula under the literals forced so far in one
-/// [`simplify_with`] call, kept as counters over the untouched formula.
-struct Residual {
-    /// Live occurrences of each literal, indexed by [`Lit::index`]; both
-    /// counts of an assigned variable are zero.
-    counts: Vec<u32>,
-    /// The clauses each literal occurs in, ascending, once per occurrence:
-    /// literal `l`'s run of `occurs` ends (exclusively) at
-    /// `occur_ends[l]` and starts where `l - 1`'s ends.
-    occur_ends: Vec<u32>,
-    occurs: Vec<u32>,
-    /// Occurrences not yet falsified in each clause, [`SATISFIED`] once
-    /// the clause has left the formula. Occurrences, not distinct
-    /// literals: `x ∨ x` counts two and is not a unit.
-    remaining: Vec<u32>,
-    /// Variables assigned by this call. The path's [`Assignment`] is not
-    /// consulted: it may hold variables the formula no longer mentions.
-    assigned: Vec<bool>,
+/// Both children of one DPLL split, born simplified: one set of
+/// occurrence lists over the parent's formula, and each child's Listing 4
+/// lines 6–11 run on its own copy of the parent's counters. A child is
+/// exactly `simplify_with(parent.assign(branch), mode)` — the same
+/// literals forced in the same order, the same residual — without either
+/// formula being built first: a surviving child is written compacted, in
+/// one pass over the parent's clauses.
+pub(crate) struct Split<'a> {
+    cnf: &'a Cnf,
+    occurrences: Occurrences,
+    residual: Residual,
+    mode: SimplifyMode,
 }
 
-/// [`Residual::remaining`] of a clause some forced literal satisfied.
-const SATISFIED: u32 = u32::MAX;
+/// A child formula a [`Split`] wrote, with the assignment on its path.
+pub(crate) struct Child {
+    /// The simplified formula: empty when satisfied, one empty clause (no
+    /// literal buffer) when a conflict cut the propagation short.
+    pub(crate) cnf: Cnf,
+    /// The parent's assignment plus the branch literal and every literal
+    /// the child's propagation forced; empty (no buffer) for a child that
+    /// hit a conflict, whose verdict needs none.
+    pub(crate) assign: Assignment,
+    /// Clauses the child had before its simplification: those of the
+    /// `assign` it stands for.
+    pub(crate) clauses_before: u32,
+}
 
-impl Residual {
-    /// Tables for `cnf`, whose literal occurrence counts are `counts`.
-    fn new(cnf: &Cnf, counts: Vec<u32>) -> Residual {
-        // Each run is filled through its own end offset, which therefore
-        // starts at the run's start and arrives at its end.
-        let mut occur_ends = Vec::with_capacity(counts.len());
-        let mut total = 0;
-        for &count in &counts {
-            occur_ends.push(total);
-            total += count;
-        }
-        let mut occurs = vec![0; total as usize];
-        for (i, clause) in cnf.clauses().enumerate() {
-            for lit in clause {
-                let end = &mut occur_ends[lit.index()];
-                occurs[*end as usize] = i as u32;
-                *end += 1;
-            }
-        }
-        Residual {
-            counts,
-            occur_ends,
-            occurs,
-            remaining: cnf.clause_lens().collect(),
-            assigned: vec![false; cnf.num_vars() as usize],
+impl<'a> Split<'a> {
+    /// The tables of a split of `cnf`, which holds no empty clause (it is
+    /// a simplified, undecided formula).
+    pub(crate) fn new(cnf: &'a Cnf, mode: SimplifyMode) -> Split<'a> {
+        debug_assert!(mode != SimplifyMode::SplitOnly && !cnf.has_empty_clause());
+        let counts = Residual::counts_with_room(cnf);
+        Split {
+            cnf,
+            occurrences: Occurrences::new(cnf, &counts),
+            residual: Residual::new(cnf, counts),
+            mode,
         }
     }
 
+    /// The parent formula's occurrences of each literal, indexed by
+    /// [`Lit::index`]: its `occurrence_counts`, for the heuristic.
+    pub(crate) fn counts(&self) -> &[u32] {
+        self.residual.live_counts()
+    }
+
+    /// The child in which `branch` holds, on a copy of the counters;
+    /// `assign` is the parent's assignment.
+    pub(crate) fn child(&self, branch: Lit, assign: &Assignment) -> Child {
+        self.grow(self.residual.clone(), branch, || assign.clone())
+    }
+
+    /// [`Split::child`] for the split's last child, on the counters
+    /// themselves.
+    pub(crate) fn last_child(mut self, branch: Lit, assign: Assignment) -> Child {
+        let residual = std::mem::take(&mut self.residual);
+        self.grow(residual, branch, || assign)
+    }
+
+    fn grow(
+        &self,
+        mut residual: Residual,
+        branch: Lit,
+        assign: impl FnOnce() -> Assignment,
+    ) -> Child {
+        let (occurrences, cnf) = (&self.occurrences, self.cnf);
+        let conflict = residual.force(occurrences, cnf, branch);
+        let clauses_before = residual.live;
+        let mut stats = SimplifyStats::default();
+        if conflict || residual.propagate(occurrences, cnf, self.mode, &mut stats) {
+            return Child {
+                cnf: Cnf::falsum(cnf.num_vars()),
+                assign: Assignment::default(),
+                clauses_before,
+            };
+        }
+        let mut assign = assign();
+        residual.record(&mut assign);
+        Child {
+            cnf: residual.compacted(cnf),
+            assign,
+            clauses_before,
+        }
+    }
+}
+
+/// The clauses each literal of a formula occurs in, ascending, once per
+/// occurrence, in one buffer: `2n + 1` offsets, then the lists. Literal
+/// `l`'s list runs from offset `l` to offset `l + 1`.
+struct Occurrences {
+    lists: Vec<u32>,
+}
+
+impl Occurrences {
+    /// The lists of `cnf`, whose literal occurrence counts are `counts`.
+    fn new(cnf: &Cnf, counts: &[u32]) -> Occurrences {
+        let total: u32 = counts.iter().sum();
+        let mut lists = Vec::with_capacity(counts.len() + 1 + total as usize);
+        // Offset `l + 1` starts where literal `l`'s list starts and is the
+        // cursor that fills it, so it arrives where the list ends.
+        let mut start = counts.len() as u32 + 1;
+        lists.push(start);
+        for &count in counts {
+            lists.push(start);
+            start += count;
+        }
+        lists.resize(start as usize, 0);
+        for (i, clause) in cnf.clauses().enumerate() {
+            for lit in clause {
+                let cursor = lit.index() + 1;
+                let at = lists[cursor] as usize;
+                lists[at] = i as u32;
+                lists[cursor] += 1;
+            }
+        }
+        Occurrences { lists }
+    }
+
     /// The clauses `lit` occurs in, live or not.
-    fn occurrences(&self, lit: Lit) -> std::ops::Range<usize> {
-        let start = match lit.index() {
-            0 => 0,
-            i => self.occur_ends[i - 1],
-        };
-        start as usize..self.occur_ends[lit.index()] as usize
+    fn of(&self, lit: Lit) -> &[u32] {
+        let i = lit.index();
+        &self.lists[self.lists[i] as usize..self.lists[i + 1] as usize]
+    }
+}
+
+/// The residual of a formula under the literals forced so far, kept as
+/// counters over the untouched formula and its [`Occurrences`].
+#[derive(Clone, Default)]
+struct Residual {
+    /// Three tables in one buffer, so that a [`Split`] child's copy is one
+    /// allocation:
+    /// - `[..clauses_at]`, the live occurrences of each literal, indexed
+    ///   by [`Lit::index`] (both counts of an assigned variable are zero);
+    /// - `[clauses_at..vars_at]`, the occurrences not yet falsified in each
+    ///   clause, [`SATISFIED`] once the clause has left the formula.
+    ///   Occurrences, not distinct literals: `x ∨ x` counts two and is not
+    ///   a unit;
+    /// - `[vars_at..]`, what this residual forced on each variable:
+    ///   [`FREE`], [`FORCED_TRUE`] or [`FORCED_FALSE`]. The path's
+    ///   [`Assignment`] is not consulted: it may hold variables the formula
+    ///   no longer mentions.
+    state: Vec<u32>,
+    clauses_at: usize,
+    vars_at: usize,
+    /// Clauses not yet satisfied.
+    live: u32,
+}
+
+/// What a residual forced on a variable: nothing, `true` or `false`.
+const FREE: u32 = 0;
+const FORCED_TRUE: u32 = 1;
+const FORCED_FALSE: u32 = 2;
+
+/// The remaining count of a clause some forced literal satisfied.
+const SATISFIED: u32 = u32::MAX;
+
+impl Residual {
+    /// `cnf`'s occurrences of each literal, indexed by [`Lit::index`], in a
+    /// buffer with room for the rest of a residual's state.
+    fn counts_with_room(cnf: &Cnf) -> Vec<u32> {
+        occurrence_counts_with_room(cnf, cnf.num_clauses() + cnf.num_vars() as usize)
+    }
+
+    /// Counters for `cnf`, whose [`Residual::counts_with_room`] are
+    /// `counts`.
+    fn new(cnf: &Cnf, mut counts: Vec<u32>) -> Residual {
+        let clauses_at = counts.len();
+        counts.extend(cnf.clause_lens());
+        let vars_at = counts.len();
+        counts.resize(vars_at + cnf.num_vars() as usize, FREE);
+        Residual {
+            state: counts,
+            clauses_at,
+            vars_at,
+            live: cnf.num_clauses() as u32,
+        }
+    }
+
+    /// Live occurrences of each literal, indexed by [`Lit::index`].
+    fn live_counts(&self) -> &[u32] {
+        &self.state[..self.clauses_at]
+    }
+
+    /// Occurrences of each clause not yet falsified, or [`SATISFIED`].
+    fn remaining(&self) -> &[u32] {
+        &self.state[self.clauses_at..self.vars_at]
     }
 
     /// Whether `lit`'s variable is still unassigned: in a clause that is
     /// still in the formula, whether that occurrence is.
     fn is_free(&self, lit: Lit) -> bool {
-        !self.assigned[lit.var().0 as usize]
+        self.state[self.vars_at + lit.var().0 as usize] == FREE
+    }
+
+    /// Writes every value this residual forced into `assignment`.
+    fn record(&self, assignment: &mut Assignment) {
+        for (var, &value) in self.state[self.vars_at..].iter().enumerate() {
+            if value != FREE {
+                assignment.assign(Var(var as u32), value == FORCED_TRUE);
+            }
+        }
+    }
+
+    /// Listing 4 lines 6–11 from the current counters. Returns whether a
+    /// clause lost its last occurrence, which ends the propagation where
+    /// it stands.
+    fn propagate(
+        &mut self,
+        occurrences: &Occurrences,
+        cnf: &Cnf,
+        mode: SimplifyMode,
+        stats: &mut SimplifyStats,
+    ) -> bool {
+        // Unit propagation (lines 6–8): drain every unit clause reachable
+        // from the current formula, lowest clause first.
+        while let Some(unit) = self.first_unit(cnf) {
+            stats.unit_props += 1;
+            if self.force(occurrences, cnf, unit) {
+                return true;
+            }
+        }
+        // Pure-literal assignment (lines 9–11): a variable occurring with
+        // a single polarity can be fixed to satisfy all its clauses. Fixing
+        // one only removes clauses, so no unit and no conflict can follow.
+        while let Some(pure) = lowest_pure_literal(self.live_counts()) {
+            stats.pure_assigns += 1;
+            self.force(occurrences, cnf, pure);
+            if mode == SimplifyMode::SinglePass {
+                break;
+            }
+        }
+        false
     }
 
     /// The literal of the first unit clause, if any (Listing 4 line 7).
     fn first_unit(&self, cnf: &Cnf) -> Option<Lit> {
-        let i = self.remaining.iter().position(|&left| left == 1)?;
+        let i = self.remaining().iter().position(|&left| left == 1)?;
         let unit = cnf.clause(i).iter().find(|&&lit| self.is_free(lit));
         Some(*unit.expect("a clause with an occurrence left shows it"))
     }
 
     /// Applies `lit` to every clause it occurs in: a clause showing it
-    /// leaves the formula and gives its live occurrences back to
-    /// `counts`, a clause showing its negation loses that occurrence.
+    /// leaves the formula and gives its live occurrences back to the
+    /// counts, a clause showing its negation loses that occurrence.
     /// Returns whether some clause lost its last one.
-    fn force(&mut self, cnf: &Cnf, lit: Lit) -> bool {
+    fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> bool {
         let var = lit.var().0 as usize;
-        debug_assert!(!self.assigned[var]);
-        for at in self.occurrences(lit) {
-            let i = self.occurs[at] as usize;
-            if std::mem::replace(&mut self.remaining[i], SATISFIED) == SATISFIED {
+        debug_assert!(self.is_free(lit));
+        for &i in occurrences.of(lit) {
+            let i = i as usize;
+            let left = &mut self.state[self.clauses_at + i];
+            if std::mem::replace(left, SATISFIED) == SATISFIED {
                 continue;
             }
+            self.live -= 1;
             for &other in cnf.clause(i) {
                 // `var` itself is not marked yet: `x ∨ ¬x` returns both.
                 if self.is_free(other) {
-                    self.counts[other.index()] -= 1;
+                    self.state[other.index()] -= 1;
                 }
             }
         }
         let mut conflict = false;
-        for at in self.occurrences(lit.negated()) {
-            let left = &mut self.remaining[self.occurs[at] as usize];
+        let negated = lit.negated();
+        for &i in occurrences.of(negated) {
+            let left = &mut self.state[self.clauses_at + i as usize];
             if *left != SATISFIED {
                 *left -= 1;
                 conflict |= *left == 0;
-                self.counts[lit.negated().index()] -= 1;
+                self.state[negated.index()] -= 1;
             }
         }
-        self.assigned[var] = true;
-        debug_assert_eq!(self.counts[var * 2..var * 2 + 2], [0, 0]);
+        self.state[self.vars_at + var] = if lit.demanded_value() {
+            FORCED_TRUE
+        } else {
+            FORCED_FALSE
+        };
+        debug_assert_eq!(self.live_counts()[var * 2..var * 2 + 2], [0, 0]);
         conflict
     }
 
     /// Writes the residual back into `cnf`: satisfied clauses and
     /// falsified literals go, everything else keeps its order.
     fn compact(&self, cnf: &mut Cnf) {
-        cnf.retain(|i| self.remaining[i] != SATISFIED, |lit| self.is_free(lit));
+        let remaining = self.remaining();
+        cnf.retain(|i| remaining[i] != SATISFIED, |lit| self.is_free(lit));
+    }
+
+    /// [`Residual::compact`] into a new formula, leaving `cnf` as it is.
+    fn compacted(&self, cnf: &Cnf) -> Cnf {
+        let remaining = self.remaining();
+        let lits = self.live_counts().iter().sum::<u32>() as usize;
+        cnf.retained(
+            self.live as usize,
+            lits,
+            |i| remaining[i] != SATISFIED,
+            |lit| self.is_free(lit),
+        )
     }
 }
 
@@ -333,14 +515,22 @@ mod tests {
         let original = cnf(&[&[1, 2, 1], &[-1, 3, -1], &[-1], &[2, 3], &[1, -1, 2]], 3);
         for value in [true, false] {
             let mut f = original.clone();
-            let mut residual = Residual::new(&f, occurrence_counts(&f));
-            let conflict = residual.force(&f, Lit::with_polarity(Var(0), value));
+            let (occurrences, mut residual) = tables(&f);
+            let conflict = residual.force(&occurrences, &f, Lit::with_polarity(Var(0), value));
+            let copy = residual.compacted(&f);
             residual.compact(&mut f);
             assert_eq!(f, original.assign(Var(0), value));
+            assert_eq!(copy, f);
             assert_eq!(conflict, f.has_empty_clause());
             assert_eq!(conflict, value);
-            assert_eq!(residual.counts, occurrence_counts(&f));
+            assert_eq!(residual.live_counts(), occurrence_counts(&f));
+            assert_eq!(residual.live as usize, f.num_clauses());
         }
+    }
+
+    fn tables(f: &Cnf) -> (Occurrences, Residual) {
+        let counts = occurrence_counts(f);
+        (Occurrences::new(f, &counts), Residual::new(f, counts))
     }
 
     #[test]
@@ -350,13 +540,38 @@ mod tests {
         let mut a = Assignment::new(2);
         let (out, stats) = simplify(&mut f, &mut a);
         assert_eq!((out, stats.unit_props), (Simplified::Undecided, 0));
-        let mut residual = Residual::new(&f, occurrence_counts(&f));
+        let (occurrences, mut residual) = tables(&f);
         assert_eq!(residual.first_unit(&f), None);
-        assert!(residual.force(&f, lit(-1)));
+        assert!(residual.force(&occurrences, &f, lit(-1)));
         // `¬x ∨ ¬x ∨ y` becomes the unit `y` when `x` holds.
-        let mut residual = Residual::new(&f, occurrence_counts(&f));
-        assert!(!residual.force(&f, lit(1)));
+        let (occurrences, mut residual) = tables(&f);
+        assert!(!residual.force(&occurrences, &f, lit(1)));
         assert_eq!(residual.first_unit(&f), Some(lit(2)));
+    }
+
+    #[test]
+    fn a_single_pass_child_assigns_exactly_one_of_two_pure_literals() {
+        // Branching on x1 leaves x2 and x3 pure in both children, and x4,
+        // x5 in both polarities.
+        let parent = cnf(&[&[1, 2, 4], &[-1, 2, 4], &[3, 4, 5], &[-4, -5, 3]], 5);
+        for branch in [lit(1), lit(-1)] {
+            let split = Split::new(&parent, SimplifyMode::SinglePass);
+            assert_eq!(split.counts(), occurrence_counts(&parent));
+            let child = split.last_child(branch, Assignment::new(5));
+            let pure = [Var(1), Var(2)].map(|v| child.assign.value(v).is_some());
+            assert_eq!(pure, [true, false], "{branch:?}");
+            // The same as splitting, then simplifying the child.
+            let mut expected = parent.assign(branch.var(), branch.demanded_value());
+            let mut a = Assignment::new(5);
+            a.assign(branch.var(), branch.demanded_value());
+            let clauses_before = expected.num_clauses() as u32;
+            let (out, stats) = simplify_with(&mut expected, &mut a, SimplifyMode::SinglePass);
+            assert_eq!((out, stats.pure_assigns), (Simplified::Undecided, 1));
+            assert_eq!(
+                (child.cnf, child.assign, child.clauses_before),
+                (expected, a, clauses_before)
+            );
+        }
     }
 
     #[test]

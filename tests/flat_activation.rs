@@ -6,6 +6,9 @@
 //! ticket-keyed record table before it: limited-discrepancy, cancelling
 //! and branch-and-bound runs, and a program that keeps a closed record
 //! beside its successor, against values recorded at that parent commit.
+//! Likewise the children a split writes already simplified: each against
+//! the split-then-simplify reference, and hint-reading mesh runs against
+//! values recorded while every child still simplified its own formula.
 
 use std::hash::{BuildHasher, BuildHasherDefault};
 
@@ -16,11 +19,12 @@ use hyperspace::core::{
 };
 use hyperspace::mapping::{trigger, Ticket, TicketHasher};
 use hyperspace::portfolio::PortfolioRunner;
-use hyperspace::recursion::{FnProgram, FrontierSnapshot, Rec, RecStats};
+use hyperspace::recursion::{FnProgram, FrontierSnapshot, Rec, RecProgram, RecStats, Step};
+use hyperspace::sat::heuristics::ALL_HEURISTICS;
 use hyperspace::sat::simplify::{simplify_with, Simplified};
 use hyperspace::sat::{
-    dpll, gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, SimplifyMode, SolveStats,
-    SubProblem, Var, Verdict,
+    dpll, gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, Polarity, SimplifyMode,
+    SolveStats, SubProblem, Var, Verdict,
 };
 use proptest::prelude::*;
 
@@ -226,6 +230,91 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn born_children_equal_split_then_simplify(
+        case in prop_oneof![arb_formula(), arb_kernel_formula()],
+        heuristic in 0..ALL_HEURISTICS.len(),
+    ) {
+        let (num_vars, formula) = case;
+        for mode in [SimplifyMode::Fixpoint, SimplifyMode::SinglePass, SimplifyMode::SplitOnly] {
+            for polarity in [Polarity::Positive, Polarity::Negative] {
+                for discrepancy in [None, Some(0), Some(2)] {
+                    let program = DpllProgram::new(ALL_HEURISTICS[heuristic])
+                        .with_mode(mode)
+                        .with_polarity(polarity);
+                    let mut root = SubProblem::root(flat(num_vars, &formula));
+                    root.discrepancy = discrepancy;
+                    let reached = lines_2_to_11(root.cnf.clone(), root.assign.clone(), mode);
+                    check_activation(&program, root, reached, 3);
+                }
+            }
+        }
+    }
+}
+
+/// What an activation reaches after Listing 4 lines 2–11 when it
+/// simplifies its own formula: the outcome, the residual and the
+/// assignment.
+fn lines_2_to_11(
+    mut cnf: Cnf,
+    mut assign: Assignment,
+    mode: SimplifyMode,
+) -> (Simplified, Cnf, Assignment) {
+    let (outcome, _) = simplify_with(&mut cnf, &mut assign, mode);
+    (outcome, cnf, assign)
+}
+
+/// Starts `sub`, whose activation must reach `reached`, and checks every
+/// child it spawns against the reference — `Cnf::assign` of the
+/// activation's residual, then the child's own `simplify_with` — then, for
+/// `depth - 1` more levels, the children themselves.
+fn check_activation(
+    program: &DpllProgram,
+    sub: SubProblem,
+    reached: (Simplified, Cnf, Assignment),
+    depth: u32,
+) {
+    let (outcome, cnf, assign) = reached;
+    let discrepancy = sub.discrepancy;
+    let calls = match (program.start(sub), outcome) {
+        (Step::Done(Verdict::Sat(model)), Simplified::Sat) => {
+            return assert_eq!(model, assign.complete());
+        }
+        (Step::Done(Verdict::Unsat), Simplified::Unsat) => return,
+        (Step::Spawn(spawn), Simplified::Undecided) => spawn.calls,
+        (_, outcome) => panic!("the activation did not end {outcome:?}"),
+    };
+    let selected = program.heuristic().select(&cnf).expect("undecided");
+    let lit = match program.polarity() {
+        Polarity::Positive => selected,
+        Polarity::Negative => selected.negated(),
+    };
+    let branches = match discrepancy {
+        Some(0) => vec![(lit, discrepancy)],
+        _ => vec![
+            (lit, discrepancy),
+            (lit.negated(), discrepancy.map(|d| d - 1)),
+        ],
+    };
+    assert_eq!(calls.len(), branches.len());
+    for (call, (branch, budget)) in calls.into_iter().zip(branches) {
+        let before = cnf.assign(branch.var(), branch.demanded_value());
+        let mut path = assign.clone();
+        path.assign(branch.var(), branch.demanded_value());
+        let expected = lines_2_to_11(before.clone(), path, program.mode());
+        assert_eq!(program.weight(&call), before.num_clauses() as u32);
+        assert_eq!(call.discrepancy, budget);
+        if expected.0 == Simplified::Unsat {
+            assert!(call.cnf.has_empty_clause(), "{branch:?}");
+        } else {
+            assert_eq!(call.cnf, expected.1, "{branch:?}");
+            assert_eq!(call.assign, expected.2, "{branch:?}");
+        }
+        if depth > 1 {
+            check_activation(program, call, expected, depth - 1);
+        }
+    }
 }
 
 /// A model as a bit string, variable 0 first.
@@ -368,6 +457,100 @@ fn propagating_mesh_runs_reproduce_the_per_literal_compaction_pins() {
             ),
             (activations, steps, delivered, model),
             "seed {seed}, {mode}, {heuristic}"
+        );
+    }
+}
+
+#[test]
+fn weight_aware_mesh_runs_reproduce_the_self_simplifying_pins() {
+    use Heuristic::{Dlis, FirstUnassigned, JeroslowWang, MostFrequent};
+    use SimplifyMode::{Fixpoint, SinglePass};
+    // The mapper keeps a sub-problem lighter than the threshold on its
+    // node, so these runs read every hint: (seed, mode, heuristic,
+    // threshold, activations, steps, delivered, model), recorded at the
+    // parent commit (each child simplified its own formula).
+    let pins = [
+        (
+            1,
+            Fixpoint,
+            JeroslowWang,
+            64,
+            53,
+            27,
+            107,
+            "1000111100101110110000101110110100010110",
+        ),
+        (
+            2,
+            Fixpoint,
+            Dlis,
+            120,
+            79,
+            57,
+            159,
+            "0110100001101011011101110100000010010100",
+        ),
+        (
+            3,
+            SinglePass,
+            MostFrequent,
+            64,
+            107,
+            25,
+            215,
+            "0001110001001011011100011111010011000100",
+        ),
+        (
+            4,
+            SinglePass,
+            JeroslowWang,
+            120,
+            109,
+            41,
+            219,
+            "1010100000110001000000101100001100011000",
+        ),
+        (
+            5,
+            Fixpoint,
+            FirstUnassigned,
+            150,
+            97,
+            65,
+            195,
+            "1000010110011010000000000100110011011111",
+        ),
+        (
+            6,
+            SinglePass,
+            Dlis,
+            150,
+            101,
+            90,
+            203,
+            "0110010101101101111001101101011110110100",
+        ),
+    ];
+    for (seed, mode, heuristic, threshold, activations, steps, delivered, model) in pins {
+        let cnf = gen::satisfiable_ksat(seed, 40, 182, 3);
+        let report = StackBuilder::new(DpllProgram::new(heuristic).with_mode(mode))
+            .topology(TopologySpec::Torus2D { w: 14, h: 14 })
+            .mapper(MapperSpec::WeightAware {
+                local_threshold: threshold,
+                status_period: None,
+            })
+            .halt_on_root_reply(false)
+            .run(SubProblem::root(cnf), 0);
+        let (stats, got_steps, got_delivered) = counters(&report);
+        assert_eq!(
+            (
+                stats.started,
+                got_steps,
+                got_delivered,
+                answer(&report).as_str()
+            ),
+            (activations, steps, delivered, model),
+            "seed {seed}, {mode}, {heuristic}, threshold {threshold}"
         );
     }
 }

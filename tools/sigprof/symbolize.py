@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Turns a sigprof.so dump into two tables of sample shares.
+"""Turns a sigprof.so dump into tables of sample shares.
 
-    python3 symbolize.py prof.txt [--top N]
+    python3 symbolize.py prof.txt [--top N] [--pairs]
 
 The executable (the first file mapped) is resolved with
 `addr2line -a -i -f -C` after subtracting its load base, which gives every
@@ -13,6 +13,10 @@ nearest `nm -D` symbol below them — "past NAME" when the sample lies
 beyond that symbol's size, in code libc does not export (its allocator's
 internals sit past `__default_morecore`, its AVX memmove/memset family
 past `__nss_database_lookup`).
+
+`--pairs` adds a third table keyed by "innermost <= outermost", so that a
+helper inlined into several callers (`Vec::extend`, `ptr::write`, ...)
+is split by the symbol it was inlined into.
 """
 
 import bisect
@@ -81,6 +85,9 @@ def dynamic_symbols(lib):
 def main():
     args = sys.argv[1:]
     top = 25
+    pairs = "--pairs" in args
+    if pairs:
+        args.remove("--pairs")
     if "--top" in args:
         at = args.index("--top")
         top = int(args[at + 1])
@@ -113,9 +120,11 @@ def main():
             elsewhere[(owner[3], None)] += count  # [vdso], [stack], ...
 
     innermost, outermost = collections.Counter(), collections.Counter()
+    both = collections.Counter()
     for address, names in resolve_executable(exe, sorted(in_exe)).items():
         innermost[names[0]] += in_exe[address]
         outermost[names[1]] += in_exe[address]
+        both[f"{names[0]} <= {names[1]}"] += in_exe[address]
     tables = {}
     for (path, address), count in elsewhere.items():
         label = path.rsplit("/", 1)[-1]
@@ -129,13 +138,17 @@ def main():
                 label = f"{label}:{past}{name}"
         innermost[label] += count
         outermost[label] += count
+        both[label] += count
 
     total = len(samples)
     print(f"{total} samples, {sum(in_exe.values())} in {exe}")
-    for title, table in (
+    reports = [
         ("innermost inlined function", innermost),
         ("outermost symbol", outermost),
-    ):
+    ]
+    if pairs:
+        reports.append(("innermost <= outermost", both))
+    for title, table in reports:
         print(f"\n-- by {title}")
         for name, count in table.most_common(top):
             print(f"{100 * count / total:6.2f} %  {count:7d}  {name}")

@@ -112,14 +112,7 @@ impl Heuristic {
 
 /// Occurrences of each literal, indexed by [`Lit::index`].
 pub(crate) fn occurrence_counts(cnf: &Cnf) -> Vec<u32> {
-    occurrence_counts_with_room(cnf, 0)
-}
-
-/// [`occurrence_counts`] in a buffer with room for `room` more values.
-pub(crate) fn occurrence_counts_with_room(cnf: &Cnf, room: usize) -> Vec<u32> {
-    let lits = cnf.num_vars() as usize * 2;
-    let mut counts = Vec::with_capacity(lits + room);
-    counts.resize(lits, 0);
+    let mut counts = vec![0u32; cnf.num_vars() as usize * 2];
     for lit in cnf.iter_lits() {
         counts[lit.index()] += 1;
     }
@@ -152,31 +145,11 @@ fn most_frequent_lit(counts: &[u32]) -> Option<Lit> {
     best.map(|(_, idx)| lit_from_index(idx))
 }
 
-/// `2^-len` for every clause length below 64, each exact: what `powi`
-/// returns for a power of two, without the call.
-const POW2_NEG: [f64; 64] = {
-    let mut table = [1.0; 64];
-    let mut len = 1;
-    while len < 64 {
-        table[len] = table[len - 1] * 0.5;
-        len += 1;
-    }
-    table
-};
-
-/// The Jeroslow–Wang weight `2^-len` of a clause of `len` literals.
-fn jw_weight(len: usize) -> f64 {
-    match POW2_NEG.get(len) {
-        Some(&w) => w,
-        None => 2.0f64.powi(-(len as i32)),
-    }
-}
-
 fn jeroslow_wang(cnf: &Cnf) -> Option<Lit> {
     let mut scores = vec![0.0f64; cnf.num_vars() as usize * 2];
     let mut seen = false;
     for clause in cnf.clauses() {
-        let w = jw_weight(clause.len());
+        let w = (2.0f64).powi(-(clause.len() as i32));
         for lit in clause {
             scores[lit.index()] += w;
             seen = true;
@@ -267,14 +240,6 @@ mod tests {
         // 4-clauses = 0.125. Pick x3.
         let f = cnf(&[&[3, 2], &[3, -2], &[1, -2, 4, 5], &[1, 2, -4, -5]], 5);
         assert_eq!(Heuristic::JeroslowWang.select(&f), Some(lit(3)));
-    }
-
-    #[test]
-    fn the_weight_table_is_powi_bit_for_bit() {
-        for len in 0..80 {
-            let w = 2.0f64.powi(-(len as i32));
-            assert_eq!(jw_weight(len).to_bits(), w.to_bits(), "{len}");
-        }
     }
 
     #[test]

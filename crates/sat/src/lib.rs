@@ -28,7 +28,7 @@
 //!   one occurrence list per literal, a forced literal visits only the
 //!   clauses it occurs in, and the formula is compacted once, on the way
 //!   out. [`simplify::simplify_with`] builds those tables per call
-//!   (none when nothing is forced) and compacts in place. In a
+//!   (only the counts when nothing is forced) and compacts in place. In a
 //!   propagating mesh search only the root calls it: every split builds
 //!   the tables once over its parent's formula and runs both children's
 //!   lines 6–11 there, on copies of the counters, so a child ships

@@ -8,7 +8,7 @@
 //! over the parent (every other activation of a propagating mesh search).
 
 use crate::cnf::{Assignment, Cnf, Lit, Var};
-use crate::heuristics::{occurrence_counts, occurrence_counts_with_room};
+use crate::heuristics::occurrence_counts;
 
 /// Outcome of simplifying a sub-problem to fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,8 +92,9 @@ pub fn simplify(cnf: &mut Cnf, assignment: &mut Assignment) -> (Simplified, Simp
 /// [`simplify`] with an explicit [`SimplifyMode`].
 ///
 /// Counter-based: a forced literal visits the clauses it occurs in, not the
-/// formula, and the formula is compacted once, on the way out. An
-/// activation that forces nothing returns before any table is built.
+/// formula, and the formula is compacted in place once, on the way out.
+/// An activation that forces nothing returns after counting, before the
+/// occurrence lists are built.
 pub fn simplify_with(
     cnf: &mut Cnf,
     assignment: &mut Assignment,
@@ -109,12 +110,12 @@ pub fn simplify_with(
     if mode == SimplifyMode::SplitOnly {
         return (Simplified::Undecided, stats);
     }
-    let counts = Residual::counts_with_room(cnf);
-    if cnf.clause_lens().all(|len| len != 1) && lowest_pure_literal(&counts).is_none() {
+    let mut residual = Residual::new(cnf);
+    let counts = residual.live_counts();
+    if cnf.clause_lens().all(|len| len != 1) && lowest_pure_literal(counts).is_none() {
         return (Simplified::Undecided, stats);
     }
-    let occurrences = Occurrences::new(cnf, &counts);
-    let mut residual = Residual::new(cnf, counts);
+    let occurrences = Occurrences::new(cnf, counts);
     let conflict = residual.propagate(&occurrences, cnf, mode, &mut stats);
     residual.record(assignment);
     if conflict {
@@ -162,11 +163,11 @@ impl<'a> Split<'a> {
     /// a simplified, undecided formula).
     pub(crate) fn new(cnf: &'a Cnf, mode: SimplifyMode) -> Split<'a> {
         debug_assert!(mode != SimplifyMode::SplitOnly && !cnf.has_empty_clause());
-        let counts = Residual::counts_with_room(cnf);
+        let residual = Residual::new(cnf);
         Split {
             cnf,
-            occurrences: Occurrences::new(cnf, &counts),
-            residual: Residual::new(cnf, counts),
+            occurrences: Occurrences::new(cnf, residual.live_counts()),
+            residual,
             mode,
         }
     }
@@ -288,21 +289,21 @@ const FORCED_FALSE: u32 = 2;
 const SATISFIED: u32 = u32::MAX;
 
 impl Residual {
-    /// `cnf`'s occurrences of each literal, indexed by [`Lit::index`], in a
-    /// buffer with room for the rest of a residual's state.
-    fn counts_with_room(cnf: &Cnf) -> Vec<u32> {
-        occurrence_counts_with_room(cnf, cnf.num_clauses() + cnf.num_vars() as usize)
-    }
-
-    /// Counters for `cnf`, whose [`Residual::counts_with_room`] are
-    /// `counts`.
-    fn new(cnf: &Cnf, mut counts: Vec<u32>) -> Residual {
-        let clauses_at = counts.len();
-        counts.extend(cnf.clause_lens());
-        let vars_at = counts.len();
-        counts.resize(vars_at + cnf.num_vars() as usize, FREE);
+    /// Counters for `cnf`, nothing forced yet: its [`occurrence_counts`]
+    /// and clause lengths, written into one allocation of the final size.
+    fn new(cnf: &Cnf) -> Residual {
+        let num_vars = cnf.num_vars() as usize;
+        let clauses_at = num_vars * 2;
+        let vars_at = clauses_at + cnf.num_clauses();
+        let mut state = Vec::with_capacity(vars_at + num_vars);
+        state.resize(clauses_at, 0);
+        for lit in cnf.iter_lits() {
+            state[lit.index()] += 1;
+        }
+        state.extend(cnf.clause_lens());
+        state.resize(vars_at + num_vars, FREE);
         Residual {
-            state: counts,
+            state,
             clauses_at,
             vars_at,
             live: cnf.num_clauses() as u32,
@@ -413,13 +414,17 @@ impl Residual {
     }
 
     /// Writes the residual back into `cnf`: satisfied clauses and
-    /// falsified literals go, everything else keeps its order.
+    /// falsified literals go, everything else keeps its order. In place,
+    /// not `*cnf = self.compacted(cnf)`: with that copy and the counts
+    /// grown into the state by a second allocation, sequential
+    /// `dpll::solve` ran 5–11 % slower (see EXPERIMENTS.md).
     fn compact(&self, cnf: &mut Cnf) {
         let remaining = self.remaining();
         cnf.retain(|i| remaining[i] != SATISFIED, |lit| self.is_free(lit));
     }
 
-    /// [`Residual::compact`] into a new formula, leaving `cnf` as it is.
+    /// [`Residual::compact`] into a new formula, sized exactly, leaving
+    /// `cnf` as it is.
     fn compacted(&self, cnf: &Cnf) -> Cnf {
         let remaining = self.remaining();
         let lits = self.live_counts().iter().sum::<u32>() as usize;
@@ -529,8 +534,8 @@ mod tests {
     }
 
     fn tables(f: &Cnf) -> (Occurrences, Residual) {
-        let counts = occurrence_counts(f);
-        (Occurrences::new(f, &counts), Residual::new(f, counts))
+        let residual = Residual::new(f);
+        (Occurrences::new(f, residual.live_counts()), residual)
     }
 
     #[test]

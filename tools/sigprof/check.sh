@@ -1,8 +1,8 @@
 #!/bin/sh
 # Builds the sampler, profiles a one-second `mesh_sat` run of the
 # benchmark binary with it and checks that the report, with its
-# `--pairs` table, names the known hot spot of that workload. Skips
-# (exit 0) where the toolchain is missing.
+# "innermost <= outermost" table, names the known hot spot of that
+# workload. Skips (exit 0) where the toolchain is missing.
 set -eu
 cd "$(dirname "$0")"
 for tool in gcc addr2line nm python3; do
@@ -17,6 +17,6 @@ bench="${CARGO_TARGET_DIR:-$PWD/../../benchmark/target}/release/hyperspace-bench
 # samples itself and writes $PROF_OUT when it exits.
 PROF_OUT="$out/prof.txt" LD_PRELOAD="$out/sigprof.so" \
     "$bench" --workload mesh_sat --seed 1 --seconds 1 --trace 0 >/dev/null
-python3 symbolize.py "$out/prof.txt" --top 10 --pairs | tee "$out/report.txt"
+python3 symbolize.py "$out/prof.txt" --top 10 | tee "$out/report.txt"
 grep -q 'Cnf::split' "$out/report.txt"
 grep -q -- '-- by innermost <= outermost' "$out/report.txt"

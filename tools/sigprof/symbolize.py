@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turns a sigprof.so dump into tables of sample shares.
 
-    python3 symbolize.py prof.txt [--top N] [--pairs]
+    python3 symbolize.py prof.txt [--top N]
 
 The executable (the first file mapped) is resolved with
 `addr2line -a -i -f -C` after subtracting its load base, which gives every
@@ -14,9 +14,9 @@ beyond that symbol's size, in code libc does not export (its allocator's
 internals sit past `__default_morecore`, its AVX memmove/memset family
 past `__nss_database_lookup`).
 
-`--pairs` adds a third table keyed by "innermost <= outermost", so that a
-helper inlined into several callers (`Vec::extend`, `ptr::write`, ...)
-is split by the symbol it was inlined into.
+A third table is keyed by "innermost <= outermost", so that a helper
+inlined into several callers (`Vec::extend`, `ptr::write`, ...) is split
+by the symbol it was inlined into.
 """
 
 import bisect
@@ -85,9 +85,6 @@ def dynamic_symbols(lib):
 def main():
     args = sys.argv[1:]
     top = 25
-    pairs = "--pairs" in args
-    if pairs:
-        args.remove("--pairs")
     if "--top" in args:
         at = args.index("--top")
         top = int(args[at + 1])
@@ -145,9 +142,8 @@ def main():
     reports = [
         ("innermost inlined function", innermost),
         ("outermost symbol", outermost),
+        ("innermost <= outermost", both),
     ]
-    if pairs:
-        reports.append(("innermost <= outermost", both))
     for title, table in reports:
         print(f"\n-- by {title}")
         for name, count in table.most_common(top):

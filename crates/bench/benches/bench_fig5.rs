@@ -27,7 +27,7 @@ fn bench_fig5(c: &mut Criterion) {
                 // The instrumented artefacts Figure 5 is drawn from:
                 (
                     report.metrics.queued_series.len(),
-                    report.metrics.heatmap(14, 14).spread().to_bits(),
+                    report.metrics.activity_spread().to_bits(),
                 )
             })
         });

@@ -12,7 +12,16 @@
 use hyperspace_bench::experiments::{
     fig4_curves, paper_suite, suite_performance, write_results_csv, SatRunConfig, FIG4_CORE_COUNTS,
 };
-use hyperspace_metrics::{ascii, csv};
+use hyperspace_obs::ascii;
+
+/// A CSV cell: six decimals, `nan` for NaN.
+fn fmt_f64(v: f64) -> String {
+    if v.is_nan() {
+        "nan".to_string()
+    } else {
+        format!("{v:.6}")
+    }
+}
 
 fn main() {
     let suite = paper_suite();
@@ -38,9 +47,9 @@ fn main() {
                 FIG4_CORE_COUNTS[i],
                 topo.name(),
                 mapper.name(),
-                csv::fmt_f64(stats.mean),
-                csv::fmt_f64(stats.std),
-                csv::fmt_f64(mean_time),
+                fmt_f64(stats.mean),
+                fmt_f64(stats.std),
+                fmt_f64(mean_time),
             ));
             eprint!(".");
         }
@@ -128,5 +137,14 @@ fn check_shape(table: &[(String, Vec<f64>)]) {
     }
     if !all_ok {
         println!("  (see EXPERIMENTS.md for discussion of deviations)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn csv_cells_have_six_decimals_and_spell_nan() {
+        assert_eq!(super::fmt_f64(0.5), "0.500000");
+        assert_eq!(super::fmt_f64(f64::NAN), "nan");
     }
 }

@@ -11,7 +11,7 @@
 
 use hyperspace_bench::experiments::{paper_suite, run_sat, write_results_csv, SatRunConfig};
 use hyperspace_core::{MapperSpec, TopologySpec};
-use hyperspace_metrics::{ascii, Heatmap};
+use hyperspace_obs::ascii;
 
 const SIDE: u32 = 14; // 14 x 14 = 196 cores, the Figure 5 machine
 
@@ -32,19 +32,20 @@ fn main() {
     for (label, tag, mapper) in mappers {
         let cfg = SatRunConfig::new(topo.clone(), mapper);
         let mut traces: Vec<Vec<f64>> = Vec::with_capacity(suite.len());
-        let mut heatmap: Option<Heatmap> = None;
+        let mut first = None;
         let mut peaks = Vec::new();
         let mut times = Vec::new();
         for (i, cnf) in suite.iter().enumerate() {
             let report = run_sat(cnf, &cfg);
             times.push(report.computation_time);
             peaks.push(report.metrics.peak_queued());
-            traces.push(report.metrics.queued_series.to_f64());
+            let queued = &report.metrics.queued_series;
+            traces.push(queued.iter().map(|&q| q as f64).collect());
             if i == 0 {
-                heatmap = Some(report.metrics.heatmap(SIDE as usize, SIDE as usize));
+                first = Some(report.metrics);
             }
         }
-        let heatmap = heatmap.expect("at least one instance");
+        let first = first.expect("at least one instance");
 
         // Temporal unfolding: all traces superimposed (Figure 5 top).
         println!("== {label} ==");
@@ -73,9 +74,10 @@ fn main() {
         // Spatial unfolding: heatmap of deliveries (Figure 5 bottom).
         println!(
             "total messages delivered per node (problem 0), spread={:.3}:",
-            heatmap.spread()
+            first.activity_spread()
         );
-        println!("{}", ascii::render_heatmap(&heatmap));
+        let side = SIDE as usize;
+        println!("{}", ascii::render_heatmap(&first.delivered_per_node, side));
 
         // CSVs: queue traces (column per problem) and the heatmap.
         let max_len = traces.iter().map(|t| t.len()).max().unwrap_or(0);
@@ -97,10 +99,8 @@ fn main() {
         write_results_csv(&format!("fig5_queues_{tag}.csv"), &csv_q);
 
         let mut csv_h = String::from("x,y,delivered\n");
-        for y in 0..SIDE as usize {
-            for x in 0..SIDE as usize {
-                csv_h.push_str(&format!("{x},{y},{}\n", heatmap.get(x, y)));
-            }
+        for (i, delivered) in first.delivered_per_node.iter().enumerate() {
+            csv_h.push_str(&format!("{},{},{delivered}\n", i % side, i / side));
         }
         write_results_csv(&format!("fig5_heatmap_{tag}.csv"), &csv_h);
     }

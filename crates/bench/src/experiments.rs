@@ -3,7 +3,6 @@
 use std::time::{Duration, Instant};
 
 use hyperspace_core::{BackendSpec, MapperSpec, RecRunReport, StackBuilder, TopologySpec};
-use hyperspace_metrics::Stats;
 use hyperspace_portfolio::{PortfolioReport, PortfolioRunner};
 use hyperspace_sat::{Cnf, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict};
 use hyperspace_sim::NodeId;
@@ -66,6 +65,31 @@ pub fn run_sat(cnf: &Cnf, cfg: &SatRunConfig) -> RecRunReport<Verdict> {
         .backend(cfg.backend.clone())
         .halt_on_root_reply(cfg.halt_on_root)
         .run(SubProblem::root(cnf.clone()), cfg.root)
+}
+
+/// Mean and spread of a sample set. Figure 4's data points are means
+/// over 20 benchmark problems; the harness also reports the spread so
+/// runs can be compared honestly.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Stats {
+    /// Arithmetic mean.
+    pub mean: f64,
+    /// Population standard deviation.
+    pub std: f64,
+}
+
+impl Stats {
+    /// Computes the mean and spread. Panics on an empty slice.
+    pub fn from_slice(samples: &[f64]) -> Stats {
+        assert!(!samples.is_empty(), "Stats::from_slice on empty input");
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+        Stats {
+            mean,
+            std: var.sqrt(),
+        }
+    }
 }
 
 /// Mean performance (1/computation-time) over a suite of instances — one

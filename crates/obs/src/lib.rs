@@ -18,8 +18,15 @@
 //! clock reads, no allocation), and the instrumented hot paths update
 //! relaxed atomics only. `bench/bin/l1_budgets.rs` measures the
 //! probed-vs-bare steps/sec ratio and asserts the budget.
+//!
+//! The post-hoc side lives here too: the log2-bucketed [`Histogram`]
+//! the simulation log tallies hop counts into (and the service its
+//! queue-wait and solve times), and the [`ascii`] charts the figure
+//! binaries, the examples and the service dashboard print.
 
+pub mod ascii;
 mod export;
+mod histogram;
 mod json;
 mod metric;
 mod phase;
@@ -29,6 +36,7 @@ mod registry;
 mod series;
 
 pub use export::{chrome_trace, prometheus};
+pub use histogram::Histogram;
 pub use json::{pretty, JsonValue};
 pub use metric::{Counter, Gauge, SpanStat, SpanTimer};
 pub use phase::{Phase, PhaseProfiler, PhaseSample, ShardPhases, TraceBuffer};

@@ -34,7 +34,7 @@
 //!   answered with the cached [`hyperspace_core::RunSummary`] without
 //!   re-solving;
 //! * a [`ServiceStats`] report: throughput, queue-wait and solve-time
-//!   histograms (via `hyperspace-metrics`), cache hit rate, and
+//!   histograms (`hyperspace_obs::Histogram`), cache hit rate, and
 //!   per-worker utilization;
 //! * a **live observability layer** ([`SolverService::observe`] →
 //!   [`ServiceObserver`]): per-job progress probes fed from inside the

@@ -11,9 +11,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hyperspace_metrics::ascii::render_multi_chart;
 use hyperspace_obs::{
-    pretty, CrashDump, EwmaRate, JobProbe, JsonValue, Registry, RingSeries, Signals,
+    ascii::render_multi_chart, pretty, CrashDump, EwmaRate, JobProbe, JsonValue, Registry,
+    RingSeries, Signals,
 };
 
 /// Samples each dashboard ring series retains.

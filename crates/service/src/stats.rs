@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use hyperspace_metrics::Histogram;
+use hyperspace_obs::Histogram;
 
 /// Converts an unsigned counter (step counts, byte sizes, microsecond
 /// totals) to the flight recorder's signed `value` field, saturating at
@@ -205,11 +205,11 @@ impl std::fmt::Display for ServiceStats {
         }
         render_histogram(f, "queue wait", &self.queue_wait_us)?;
         render_histogram(f, "solve time", &self.solve_time_us)?;
-        for (w, jobs) in self.per_worker_jobs.iter().enumerate() {
+        let workers = self.per_worker_jobs.iter().zip(&self.per_worker_busy);
+        for (w, (jobs, busy)) in workers.enumerate() {
             writeln!(
                 f,
-                "  worker {w}: {jobs} jobs, busy {:.2?} ({:.0}% utilised)",
-                self.per_worker_busy[w],
+                "  worker {w}: {jobs} jobs, busy {busy:.2?} ({:.0}% utilised)",
                 self.worker_utilization(w) * 100.0
             )?;
         }
@@ -229,9 +229,8 @@ impl std::fmt::Display for ServiceStats {
 mod tests {
     use super::*;
 
-    #[test]
-    fn worker_utilization_is_zero_for_unknown_workers() {
-        let stats = ServiceStats {
+    fn two_worker_snapshot() -> ServiceStats {
+        ServiceStats {
             workers: 2,
             uptime: Duration::from_secs(10),
             submitted: 0,
@@ -253,13 +252,29 @@ mod tests {
             per_worker_jobs: vec![1, 2],
             per_worker_busy: vec![Duration::from_secs(5), Duration::from_secs(1)],
             jobs_by_kind: Vec::new(),
-        };
+        }
+    }
+
+    #[test]
+    fn worker_utilization_is_zero_for_unknown_workers() {
+        let stats = two_worker_snapshot();
         assert!((stats.worker_utilization(0) - 0.5).abs() < 1e-9);
         assert!((stats.worker_utilization(1) - 0.1).abs() < 1e-9);
         // Out-of-range ids must not panic (a dashboard may poll with a
         // worker count from an older snapshot).
         assert_eq!(stats.worker_utilization(2), 0.0);
         assert_eq!(stats.worker_utilization(usize::MAX), 0.0);
+    }
+
+    #[test]
+    fn display_survives_per_worker_vectors_of_different_lengths() {
+        // Both vectors are public, so a hand-built or stale snapshot can
+        // disagree on the worker count; printing it must not panic.
+        let mut stats = two_worker_snapshot();
+        stats.per_worker_busy.pop();
+        let text = stats.to_string();
+        assert!(text.contains("worker 0: 1 jobs, busy 5.00s (50% utilised)"));
+        assert!(!text.contains("worker 1"));
     }
 
     #[test]

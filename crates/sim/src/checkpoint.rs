@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::envelope::Envelope;
 use crate::record::{SimMetrics, TraceEvent, TraceKind};
-use hyperspace_metrics::Histogram;
+use hyperspace_obs::Histogram;
 use hyperspace_topology::NodeId;
 
 /// The exchange-ordering key of a routed in-flight message:
@@ -339,8 +339,8 @@ impl Codec for Histogram {
 
 impl Codec for SimMetrics {
     fn encode(&self, w: &mut Writer) {
-        self.queued_series.as_slice().to_vec().encode(w);
-        self.delivered_series.as_slice().to_vec().encode(w);
+        self.queued_series.encode(w);
+        self.delivered_series.encode(w);
         self.delivered_per_node.encode(w);
         self.sent_per_node.encode(w);
         self.hop_histogram.encode(w);
@@ -352,8 +352,8 @@ impl Codec for SimMetrics {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(SimMetrics {
-            queued_series: Vec::<u64>::decode(r)?.into_iter().collect(),
-            delivered_series: Vec::<u64>::decode(r)?.into_iter().collect(),
+            queued_series: Vec::<u64>::decode(r)?,
+            delivered_series: Vec::<u64>::decode(r)?,
             delivered_per_node: Vec::<u64>::decode(r)?,
             sent_per_node: Vec::<u64>::decode(r)?,
             hop_histogram: Histogram::decode(r)?,

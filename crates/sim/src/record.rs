@@ -1,16 +1,23 @@
 //! Simulation instrumentation: the quantities §V-C extracts from logs.
+//!
+//! *Computation time* is [`SimMetrics::computation_time`];
+//! *interconnect activity* is the per-step [`SimMetrics::queued_series`]
+//! (Figure 5, top); *node activity* is
+//! [`SimMetrics::delivered_per_node`] (Figure 5, bottom), summarised by
+//! [`SimMetrics::activity_spread`]. The charts that draw them are
+//! `hyperspace_obs::ascii`.
 
-use hyperspace_metrics::{Heatmap, Histogram, TimeSeries};
+use hyperspace_obs::Histogram;
 use hyperspace_topology::NodeId;
 
 /// Aggregated measurements of one simulation run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SimMetrics {
     /// Total messages queued across the mesh after each step
-    /// (*interconnect activity*, Figure 5 top).
-    pub queued_series: TimeSeries<u64>,
+    /// (*interconnect activity*, Figure 5 top); entry `i` is step `i`.
+    pub queued_series: Vec<u64>,
     /// Messages delivered on each step.
-    pub delivered_series: TimeSeries<u64>,
+    pub delivered_series: Vec<u64>,
     /// Total messages delivered to each node (*node activity*, Figure 5
     /// bottom).
     pub delivered_per_node: Vec<u64>,
@@ -56,15 +63,35 @@ impl SimMetrics {
         }
     }
 
-    /// Node-activity heatmap for a `width x height` machine (row-major node
-    /// numbering, dimension 0 fastest — the torus convention).
-    pub fn heatmap(&self, width: usize, height: usize) -> Heatmap {
-        Heatmap::from_counts(width, height, &self.delivered_per_node)
+    /// Coefficient of variation (std/mean) of [`Self::delivered_per_node`]:
+    /// a scalar measure of how *unevenly* activity spread across the mesh.
+    /// Lower is more uniform; the paper's least-busy-neighbour mapping
+    /// yields visibly lower spread than round-robin (Figure 5 bottom).
+    /// Zero when nothing was recorded or delivered.
+    pub fn activity_spread(&self) -> f64 {
+        let counts = &self.delivered_per_node;
+        let n = counts.len() as f64;
+        if n == 0.0 {
+            return 0.0;
+        }
+        let mean = counts.iter().sum::<u64>() as f64 / n;
+        if mean == 0.0 {
+            return 0.0;
+        }
+        let var = counts
+            .iter()
+            .map(|&v| {
+                let d = v as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / n;
+        var.sqrt() / mean
     }
 
     /// Peak number of simultaneously queued messages.
     pub fn peak_queued(&self) -> u64 {
-        self.queued_series.max().unwrap_or(0)
+        self.queued_series.iter().copied().max().unwrap_or(0)
     }
 
     /// Merges one shard's measurements into this aggregate: per-node
@@ -181,11 +208,18 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_from_node_activity() {
+    fn uniform_activity_has_zero_spread() {
         let mut m = SimMetrics::new(4, true);
-        m.delivered_per_node = vec![1, 2, 3, 4];
-        let h = m.heatmap(2, 2);
-        assert_eq!(h.get(0, 0), 1);
-        assert_eq!(h.get(1, 1), 4);
+        assert_eq!(m.activity_spread(), 0.0, "nothing delivered");
+        m.delivered_per_node = vec![5, 5, 5, 5];
+        assert_eq!(m.activity_spread(), 0.0);
+        assert_eq!(SimMetrics::new(4, false).activity_spread(), 0.0);
+    }
+
+    #[test]
+    fn skewed_activity_has_spread_above_one() {
+        let mut m = SimMetrics::new(4, true);
+        m.delivered_per_node = vec![20, 0, 0, 0];
+        assert!(m.activity_spread() > 1.0);
     }
 }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example sat_mesh [seed]`
 
 use hyperspace::core::{MapperSpec, StackBuilder, TopologySpec};
-use hyperspace::metrics::ascii;
+use hyperspace::obs::ascii;
 use hyperspace::sat::{
     check_model, gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict,
 };
@@ -55,14 +55,14 @@ fn main() {
             report.rec_totals.started,
             report.rec_totals.speculative_wins,
         );
-        let series = report.metrics.queued_series.to_f64();
+        let metrics = &report.metrics;
+        let series: Vec<f64> = metrics.queued_series.iter().map(|&q| q as f64).collect();
         println!("interconnect activity (queued messages vs step):");
         println!("{}", ascii::render_line_chart(&series, 60, 10));
-        let heatmap = report.metrics.heatmap(14, 14);
         println!(
             "node activity (messages delivered per core), spread {:.3}:",
-            heatmap.spread()
+            metrics.activity_spread()
         );
-        println!("{}", ascii::render_heatmap(&heatmap));
+        println!("{}", ascii::render_heatmap(&metrics.delivered_per_node, 14));
     }
 }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example traversal`
 
 use hyperspace::apps::traversal::{DistanceLabel, FloodFill};
-use hyperspace::metrics::ascii;
+use hyperspace::obs::ascii;
 use hyperspace::sim::{SimConfig, Simulation};
 use hyperspace::topology::{Hypercube, Topology, Torus};
 
@@ -28,7 +28,8 @@ fn main() {
     let topo = Torus::new_2d(16, 16);
     let ok = (0..256u32).all(|n| sim.state(n).unwrap() == topo.distance(0, n));
     println!("labels match Topology::distance: {ok}");
-    let series = sim.metrics().queued_series.to_f64();
+    let queued = &sim.metrics().queued_series;
+    let series: Vec<f64> = queued.iter().map(|&q| q as f64).collect();
     println!("queued messages while the wavefront expands and drains:");
     println!("{}", ascii::render_line_chart(&series, 60, 10));
 }

@@ -18,8 +18,10 @@
 //!
 //! [`core`] assembles the layers; [`service`] turns assembled stacks
 //! into a multi-tenant solver service (worker pool, priority queue,
-//! deadlines, result cache); `hyperspace-bench` regenerates every
-//! figure of the paper (see EXPERIMENTS.md).
+//! deadlines, result cache); [`obs`] holds the live telemetry, the
+//! run-log [`obs::Histogram`] and the [`obs::ascii`] charts;
+//! `hyperspace-bench` regenerates every figure of the paper (see
+//! EXPERIMENTS.md).
 //!
 //! ## Quickstart
 //!
@@ -45,7 +47,6 @@
 pub use hyperspace_apps as apps;
 pub use hyperspace_core as core;
 pub use hyperspace_mapping as mapping;
-pub use hyperspace_metrics as metrics;
 pub use hyperspace_obs as obs;
 pub use hyperspace_portfolio as portfolio;
 pub use hyperspace_recursion as recursion;

@@ -1,15 +1,15 @@
 //! The bench harness, pinned: the flood delivers the same traffic on the
 //! kernel and on the reference interpreter, the interleaved loop judges
-//! the cleanest pair, `suite_means` is `Stats` column by column, and the
-//! command line parses once.
+//! the cleanest pair, `suite_means` is `Stats` column by column, the
+//! command line parses once, and the figures' charts and Figure 5's
+//! readings are the ones recorded at `a2d8419`.
 
 use std::cell::Cell;
 
 use hyperspace::core::{MapperSpec, RecRunReport, TopologySpec};
-use hyperspace::metrics::Stats;
-use hyperspace::obs::ObsHandle;
+use hyperspace::obs::{ascii, ObsHandle};
 use hyperspace::sat::{gen, Verdict};
-use hyperspace_bench::experiments::{run_sat, suite_means, SatRunConfig};
+use hyperspace_bench::experiments::{paper_suite, run_sat, suite_means, SatRunConfig, Stats};
 use hyperspace_bench::harness::{interleaved, Args, Flood};
 
 #[test]
@@ -90,6 +90,10 @@ fn suite_means_is_stats_mean_column_by_column() {
     ];
     // Bit for bit: this is what keeps the committed CSVs byte-identical.
     assert_eq!(means.map(f64::to_bits), expected.map(f64::to_bits));
+    // The spread is the population standard deviation.
+    let s = Stats::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+    assert_eq!((s.mean, s.std), (2.5, 1.25f64.sqrt()));
+    assert_eq!(Stats::from_slice(&[7.5]).std, 0.0);
 }
 
 #[test]
@@ -111,4 +115,77 @@ fn args_parse_flags_once() {
 #[should_panic(expected = "--iters takes a u64")]
 fn a_malformed_number_panics_naming_the_flag() {
     Args::new(["--iters", "x"]).u64_or("--iters", 7);
+}
+
+#[test]
+fn the_charts_render_the_parent_recorded_strings() {
+    let line: Vec<f64> = (0..30).map(|v| ((v * 7) % 11) as f64).collect();
+    assert_eq!(
+        ascii::render_line_chart(&line, 12, 5),
+        "      8.00 |          * \n           | *   *  *   \n           |  **   *   *\n\
+         \x20          |*     *  *  \n      2.00 |    *       \n"
+    );
+    assert_eq!(
+        ascii::render_line_chart(&[5.0; 3], 6, 3),
+        "      5.00 |      \n           |      \n      5.00 |******\n"
+    );
+    assert_eq!(ascii::render_line_chart(&[], 6, 3), "(empty series)\n");
+
+    let up: Vec<f64> = (0..20).map(|v| v as f64).collect();
+    let wave: Vec<f64> = (0..13).map(|v| ((v * 5) % 9) as f64 + 0.5).collect();
+    assert_eq!(
+        ascii::render_multi_chart(&[("up", &up), ("wave", &wave)], 16, 6),
+        "     19.00 |               *\n           |           **** \n\
+         \x20          |        ***     \n           |    o**o o     o\n\
+         \x20          |  o**oo o oo o  \n      0.00 |oo o        o o \n\
+         \x20          +----------------\n            * up   o wave\n"
+    );
+
+    let table = ascii::render_loglog_table(
+        "cores",
+        &[16, 64, 256],
+        &[("a", &[0.5, f64::NAN, 2.25][..]), ("b", &[1.0][..])],
+    );
+    assert_eq!(
+        table,
+        "       cores                   a                   b\n\
+         \x20         16            0.500000            1.000000\n\
+         \x20         64                   -                   -\n\
+         \x20        256            2.250000                   -\n"
+    );
+
+    let counts = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144];
+    assert_eq!(
+        ascii::render_heatmap(&counts, 4),
+        "|    |\n| ...|\n|:-*@|\n"
+    );
+}
+
+#[test]
+fn figure5_instance0_reads_the_parent_recorded_spread_and_queues() {
+    // (activity spread bits, peak queued, steps recorded) on the Figure 5
+    // machine, recorded at `a2d8419` through `heatmap(14, 14).spread()`.
+    let cnf = &paper_suite()[0];
+    for (mapper, expected) in [
+        (MapperSpec::RoundRobin, (0x3ff69f6b06ee26d5, 277, 107)),
+        (
+            MapperSpec::LeastBusy {
+                status_period: None,
+            },
+            (0x3fe26d1b46ef3c85, 328, 80),
+        ),
+    ] {
+        let cfg = SatRunConfig::new(TopologySpec::Torus2D { w: 14, h: 14 }, mapper);
+        let metrics = run_sat(cnf, &cfg).metrics;
+        assert_eq!(
+            (
+                metrics.activity_spread().to_bits(),
+                metrics.peak_queued(),
+                metrics.queued_series.len()
+            ),
+            expected,
+            "{:?}",
+            cfg.mapper
+        );
+    }
 }

@@ -24,18 +24,6 @@ pub fn solve(cnf: &Cnf) -> SatResult {
     SatResult::Unsat
 }
 
-/// Counts the formula's models (for stronger test assertions).
-pub fn count_models(cnf: &Cnf) -> u64 {
-    assert!(cnf.num_vars() <= MAX_VARS);
-    let n = cnf.num_vars();
-    (0u64..(1u64 << n))
-        .filter(|bits| {
-            let model: Model = (0..n).map(|v| bits >> v & 1 == 1).collect();
-            cnf.eval(&model)
-        })
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,16 +43,6 @@ mod tests {
     fn oracle_agrees_on_basics() {
         assert!(solve(&cnf(&[&[1]], 1)).is_sat());
         assert_eq!(solve(&cnf(&[&[1], &[-1]], 1)), SatResult::Unsat);
-    }
-
-    #[test]
-    fn model_counting() {
-        // x1 | x2 has 3 models over 2 vars.
-        assert_eq!(count_models(&cnf(&[&[1, 2]], 2)), 3);
-        // A tautology-free empty formula has all 4.
-        assert_eq!(count_models(&cnf(&[], 2)), 4);
-        // Contradiction has none.
-        assert_eq!(count_models(&cnf(&[&[1], &[-1]], 2)), 0);
     }
 
     #[test]

@@ -129,9 +129,22 @@ impl FromIterator<Lit> for Clause {
 pub type Model = Vec<bool>;
 
 /// A partial truth assignment.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Assignment {
     values: Vec<Option<bool>>,
+}
+
+impl Clone for Assignment {
+    fn clone(&self) -> Assignment {
+        Assignment {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Overwrites this assignment in its own buffer.
+    fn clone_from(&mut self, source: &Assignment) {
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl Assignment {
@@ -158,14 +171,9 @@ impl Assignment {
         *slot = Some(value);
     }
 
-    /// Number of assigned variables.
-    pub fn assigned_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// Number of unassigned variables.
-    pub fn unassigned_count(&self) -> usize {
-        self.values.len() - self.assigned_count()
+    /// Empties the assignment, keeping its buffer.
+    pub(crate) fn clear(&mut self) {
+        self.values.clear();
     }
 
     /// Completes the assignment into a [`Model`], defaulting free variables
@@ -174,19 +182,17 @@ impl Assignment {
     pub fn complete(&self) -> Model {
         self.values.iter().map(|v| v.unwrap_or(false)).collect()
     }
-
-    /// Whether a literal is satisfied/falsified/unassigned under this
-    /// assignment.
-    pub fn lit_status(&self, lit: Lit) -> Option<bool> {
-        self.value(lit.var()).map(|v| v == lit.demanded_value())
-    }
 }
 
 /// A CNF formula in one flat compressed-row layout: every clause's
 /// literals back to back in `lits`, clause `i` ending (exclusively) at
-/// `ends[i]`. A residual formula is copied, reduced and dropped once per
-/// DPLL activation, so the layout keeps that at two buffers regardless of
-/// the clause count.
+/// `ends[i]`. A mesh search writes a residual formula per DPLL child, so
+/// the layout keeps a formula at two buffers whatever its clause count,
+/// and a split can write its children into the buffers of a formula a
+/// finished activation left behind (a recycled [`SubProblem`] body): a
+/// child that fits them allocates nothing.
+///
+/// [`SubProblem`]: crate::SubProblem
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Cnf {
     num_vars: u32,
@@ -255,9 +261,16 @@ impl Cnf {
     /// are deleted (the `assign(problem, L, v)` of Listing 4 lines 13–14).
     /// One forward pass, two allocations.
     pub fn assign(&self, var: Var, value: bool) -> Cnf {
+        let mut out = Cnf::default();
+        self.assign_into(var, value, &mut out);
+        out
+    }
+
+    /// [`Cnf::assign`], written into `out`'s buffers whatever `out` held.
+    pub(crate) fn assign_into(&self, var: Var, value: bool, out: &mut Cnf) {
         let satisfied = Lit::with_polarity(var, value);
         let falsified = satisfied.negated();
-        let mut out = self.empty_child();
+        out.clear_for(self);
         for clause in self.clauses() {
             // Copy optimistically; a satisfied clause rolls its copy back.
             let mark = out.lits.len();
@@ -273,17 +286,25 @@ impl Cnf {
             }
             out.close_clause(mark, satisfied_clause);
         }
-        out
     }
 
     /// Both polarities of one DPLL split, `(assign(var, true), assign(var,
     /// false))`, from a single scan of this formula instead of two
-    /// (Listing 4 lines 13–14 back to back). A literal of another variable
-    /// is copied into both children; a clause that showed `var` positively
+    /// (Listing 4 lines 13–14 back to back).
+    pub fn split(&self, var: Var) -> (Cnf, Cnf) {
+        let (mut when_true, mut when_false) = (Cnf::default(), Cnf::default());
+        self.split_into(var, &mut when_true, &mut when_false);
+        (when_true, when_false)
+    }
+
+    /// [`Cnf::split`], written into the buffers of `when_true` and
+    /// `when_false` whatever they held. A literal of another variable is
+    /// copied into both children; a clause that showed `var` positively
     /// rolls its copy back in the `true` child, one that showed it
     /// negatively in the `false` child (one that showed both, in both).
-    pub fn split(&self, var: Var) -> (Cnf, Cnf) {
-        let (mut when_true, mut when_false) = (self.empty_child(), self.empty_child());
+    pub(crate) fn split_into(&self, var: Var, when_true: &mut Cnf, when_false: &mut Cnf) {
+        when_true.clear_for(self);
+        when_false.clear_for(self);
         for clause in self.clauses() {
             let (mark_true, mark_false) = (when_true.lits.len(), when_false.lits.len());
             let (mut saw_pos, mut saw_neg) = (false, false);
@@ -300,17 +321,16 @@ impl Cnf {
             when_true.close_clause(mark_true, saw_pos);
             when_false.close_clause(mark_false, saw_neg);
         }
-        (when_true, when_false)
     }
 
-    /// A formula over the same variables with no clauses yet and room for
-    /// all of this one's.
-    fn empty_child(&self) -> Cnf {
-        Cnf {
-            num_vars: self.num_vars,
-            lits: Vec::with_capacity(self.lits.len()),
-            ends: Vec::with_capacity(self.ends.len()),
-        }
+    /// Empties this formula into one over `parent`'s variables with room
+    /// for all of `parent`'s clauses.
+    fn clear_for(&mut self, parent: &Cnf) {
+        self.num_vars = parent.num_vars;
+        self.lits.clear();
+        self.lits.reserve_exact(parent.lits.len());
+        self.ends.clear();
+        self.ends.reserve_exact(parent.ends.len());
     }
 
     /// Ends the clause being copied since `mark`: dropped if `satisfied`,
@@ -323,30 +343,31 @@ impl Cnf {
         }
     }
 
-    /// One empty clause over `num_vars` variables: an unsatisfiable
-    /// formula that owns no literal buffer.
-    pub(crate) fn falsum(num_vars: u32) -> Cnf {
-        Cnf {
-            num_vars,
-            lits: Vec::new(),
-            ends: vec![0],
-        }
+    /// Makes this formula one empty clause over `num_vars` variables: an
+    /// unsatisfiable formula with no literal.
+    pub(crate) fn set_falsum(&mut self, num_vars: u32) {
+        self.num_vars = num_vars;
+        self.lits.clear();
+        self.ends.clear();
+        self.ends.push(0);
     }
 
-    /// [`Cnf::retain`] into a new formula sized for `clauses` clauses of
-    /// `lits` literals in all, leaving this one as it is.
-    pub(crate) fn retained(
+    /// [`Cnf::retain`] into `out`'s buffers, whatever `out` held, with room
+    /// for `clauses` clauses of `lits` literals in all, leaving this
+    /// formula as it is.
+    pub(crate) fn retained_into(
         &self,
+        out: &mut Cnf,
         clauses: usize,
         lits: usize,
         mut keep_clause: impl FnMut(usize) -> bool,
         mut keep_lit: impl FnMut(Lit) -> bool,
-    ) -> Cnf {
-        let mut out = Cnf {
-            num_vars: self.num_vars,
-            lits: Vec::with_capacity(lits),
-            ends: Vec::with_capacity(clauses),
-        };
+    ) {
+        out.num_vars = self.num_vars;
+        out.lits.clear();
+        out.lits.reserve_exact(lits);
+        out.ends.clear();
+        out.ends.reserve_exact(clauses);
         for (i, clause) in self.clauses().enumerate() {
             if keep_clause(i) {
                 out.lits
@@ -354,7 +375,6 @@ impl Cnf {
                 out.ends.push(out.lits.len() as u32);
             }
         }
-        out
     }
 
     /// Compacts this formula's own buffers, in order: clause `i` stays if
@@ -473,16 +493,11 @@ mod tests {
     #[test]
     fn assignment_bookkeeping() {
         let mut a = Assignment::new(4);
-        assert_eq!(a.unassigned_count(), 4);
         a.assign(Var(1), true);
         a.assign(Var(3), false);
-        assert_eq!(a.assigned_count(), 2);
         assert_eq!(a.value(Var(1)), Some(true));
         assert_eq!(a.value(Var(0)), None);
         assert_eq!(a.complete(), vec![false, true, false, false]);
-        assert_eq!(a.lit_status(lit(2)), Some(true));
-        assert_eq!(a.lit_status(lit(-2)), Some(false));
-        assert_eq!(a.lit_status(lit(1)), None);
     }
 
     #[test]

@@ -26,20 +26,38 @@
 //! as the empty formula). The child's activation reads its verdict off
 //! that formula and goes straight to line 12. Only the root simplifies its
 //! own formula; `SplitOnly`, which propagates nothing, splits with
-//! [`Cnf::split`]. Messages, steps, mapping hints and verdicts are those
-//! of every activation simplifying its own sub-problem.
+//! [`Cnf::split_into`]. Messages, steps, mapping hints and verdicts are
+//! those of every activation simplifying its own sub-problem.
+//!
+//! A [`SubProblem`] travels as a handle: one pointer to a
+//! [`SubProblemBody`], so the mesh moves an 8-byte payload however large
+//! the formula. Bodies are recycled through a bounded free list per
+//! thread: dropping a sub-problem returns its body with its buffers, and
+//! [`SubProblem::root`], `clone` and every split take one. A split writes
+//! its children into their bodies' own formula and assignment buffers,
+//! which finished activations left behind, so a child that fits them
+//! allocates nothing.
+
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
 
 use hyperspace_mapping::Weight;
 use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
 
 use crate::cnf::{Assignment, Cnf, Lit, Model};
 use crate::heuristics::Heuristic;
-use crate::simplify::{simplify_with, Child, Simplified, SimplifyMode, Split};
+use crate::simplify::{simplify_with, Simplified, SimplifyMode, Split};
 
-/// A self-contained DPLL sub-problem, as shipped between nodes: the
-/// residual formula plus the assignment accumulated on the path to it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubProblem {
+/// A self-contained DPLL sub-problem, as shipped between nodes: a handle
+/// to its [`SubProblemBody`], whose fields it dereferences to
+/// (`sub.cnf`, `sub.assign`, `sub.discrepancy`).
+#[derive(Debug, PartialEq, Eq)]
+pub struct SubProblem(Option<Box<SubProblemBody>>);
+
+/// What a [`SubProblem`] holds: the residual formula plus the assignment
+/// accumulated on the path to it.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct SubProblemBody {
     /// Residual formula (satisfied clauses and falsified literals already
     /// removed).
     pub cnf: Cnf,
@@ -64,46 +82,64 @@ pub struct SubProblem {
     born: Option<Weight>,
 }
 
+/// How many bodies a thread's free list keeps. A recycled body keeps its
+/// largest buffers, and a thread may drop more bodies than it takes (a
+/// race's caller drops what its per-epoch workers built), so the list is
+/// bounded.
+const FREE_BODIES: usize = 64;
+
+thread_local! {
+    /// Bodies this thread's dropped sub-problems returned. Boxed: the
+    /// allocation a handle points to is what is recycled.
+    #[allow(clippy::vec_box)]
+    static FREE: RefCell<Vec<Box<SubProblemBody>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl SubProblem {
     /// The root sub-problem of a formula (unlimited discrepancies).
     pub fn root(cnf: Cnf) -> SubProblem {
         let assign = Assignment::new(cnf.num_vars());
-        SubProblem {
-            cnf,
-            assign,
-            discrepancy: None,
-            born: None,
-        }
+        let mut sub = SubProblem::recycled(None);
+        sub.cnf = cnf;
+        sub.assign = assign;
+        sub
     }
 
-    /// A child of a split: `cnf` still to be simplified.
-    fn unborn(cnf: Cnf, assign: Assignment, discrepancy: Option<u64>) -> SubProblem {
-        SubProblem {
-            cnf,
-            assign,
-            discrepancy,
-            born: None,
-        }
+    /// A handle to a body off this thread's free list (a new one if the
+    /// list is empty), with `discrepancy` and no hint: its formula and
+    /// assignment are whatever the body's last owner left, for the caller
+    /// to overwrite.
+    fn recycled(discrepancy: Option<u64>) -> SubProblem {
+        let mut body = FREE
+            .with(|free| free.borrow_mut().pop())
+            .unwrap_or_default();
+        body.discrepancy = discrepancy;
+        body.born = None;
+        SubProblem(Some(body))
     }
 
-    /// A child a [`Split`] wrote simplified.
-    fn born(child: Child, discrepancy: Option<u64>) -> SubProblem {
-        SubProblem {
-            cnf: child.cnf,
-            assign: child.assign,
-            discrepancy,
-            born: Some(child.clauses_before),
-        }
+    /// A child a [`Split`] writes simplified into a recycled body: `grow`
+    /// writes its formula and assignment and returns the clause count
+    /// before the simplification.
+    fn born(
+        discrepancy: Option<u64>,
+        grow: impl FnOnce(&mut Cnf, &mut Assignment) -> Weight,
+    ) -> SubProblem {
+        let mut sub = SubProblem::recycled(discrepancy);
+        let body = &mut *sub;
+        body.born = Some(grow(&mut body.cnf, &mut body.assign));
+        sub
     }
 
     /// Lines 2–11: the verdict of this sub-problem's formula once
     /// simplified, which a born sub-problem's already is — the empty
     /// formula, one empty clause, or a residual without an empty clause.
     fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
-        if self.born.is_none() {
-            return simplify_with(&mut self.cnf, &mut self.assign, mode).0;
+        let body = &mut **self;
+        if body.born.is_none() {
+            return simplify_with(&mut body.cnf, &mut body.assign, mode).0;
         }
-        match self.cnf.clauses().next() {
+        match body.cnf.clauses().next() {
             None => Simplified::Sat,
             Some([]) => Simplified::Unsat,
             Some(_) => Simplified::Undecided,
@@ -114,6 +150,47 @@ impl SubProblem {
     pub fn with_discrepancy(mut self, budget: u64) -> SubProblem {
         self.discrepancy = Some(budget);
         self
+    }
+}
+
+impl Deref for SubProblem {
+    type Target = SubProblemBody;
+
+    fn deref(&self) -> &SubProblemBody {
+        self.0.as_deref().expect("a live sub-problem has its body")
+    }
+}
+
+impl DerefMut for SubProblem {
+    fn deref_mut(&mut self) -> &mut SubProblemBody {
+        self.0
+            .as_deref_mut()
+            .expect("a live sub-problem has its body")
+    }
+}
+
+/// Returns the body to this thread's free list, unless the list is full
+/// (or the thread is exiting), in which case the body is freed.
+impl Drop for SubProblem {
+    fn drop(&mut self) {
+        if let Some(body) = self.0.take() {
+            let _ = FREE.try_with(|free| {
+                let mut free = free.borrow_mut();
+                if free.len() < FREE_BODIES {
+                    free.push(body);
+                }
+            });
+        }
+    }
+}
+
+impl Clone for SubProblem {
+    fn clone(&self) -> SubProblem {
+        let mut sub = SubProblem::recycled(self.discrepancy);
+        sub.cnf.clone_from(&self.cnf);
+        sub.assign.clone_from(&self.assign);
+        sub.born = self.born;
+        sub
     }
 }
 
@@ -227,50 +304,59 @@ impl DpllProgram {
         }
     }
 
-    /// Lines 12–16 under `SplitOnly`: both children copied by one
-    /// [`Cnf::split`] scan (by [`Cnf::assign`] when the preferred branch
-    /// spawns alone), each to be simplified by its own activation.
-    fn split_only(&self, sub: SubProblem) -> Vec<SubProblem> {
+    /// Lines 12–16 under `SplitOnly`: both children written into
+    /// recycled bodies by one [`Cnf::split_into`] scan (by
+    /// [`Cnf::assign_into`] when the preferred branch spawns alone), each
+    /// to be simplified by its own activation. The second child takes the
+    /// parent's assignment buffer; the parent's body returns to the free
+    /// list when `sub` drops.
+    fn split_only(&self, mut sub: SubProblem) -> Vec<SubProblem> {
         let lit = self.branch(self.heuristic.select(&sub.cnf));
         let (var, value) = (lit.var(), lit.demanded_value());
-        let mut assign_true = sub.assign.clone();
-        assign_true.assign(var, value);
-        if sub.discrepancy == Some(0) {
-            let cnf = sub.cnf.assign(var, value);
-            return vec![SubProblem::unborn(cnf, assign_true, sub.discrepancy)];
+        let parent = &mut *sub;
+        // Following the heuristic costs no discrepancy; going against it
+        // spends one.
+        let mut first = SubProblem::recycled(parent.discrepancy);
+        first.assign.clone_from(&parent.assign);
+        first.assign.assign(var, value);
+        if parent.discrepancy == Some(0) {
+            parent.cnf.assign_into(var, value, &mut first.cnf);
+            return vec![first];
         }
-        let (when_true, when_false) = sub.cnf.split(var);
-        let (cnf1, cnf2) = if value {
-            (when_true, when_false)
+        let mut second = SubProblem::recycled(parent.discrepancy.map(|d| d - 1));
+        std::mem::swap(&mut second.assign, &mut parent.assign);
+        second.assign.assign(var, !value);
+        let (when_true, when_false) = if value {
+            (&mut first.cnf, &mut second.cnf)
         } else {
-            (when_false, when_true)
+            (&mut second.cnf, &mut first.cnf)
         };
-        let mut assign_false = sub.assign;
-        assign_false.assign(var, !value);
-        vec![
-            // Following the heuristic costs no discrepancy; going against
-            // it spends one.
-            SubProblem::unborn(cnf1, assign_true, sub.discrepancy),
-            SubProblem::unborn(cnf2, assign_false, sub.discrepancy.map(|d| d - 1)),
-        ]
+        parent.cnf.split_into(var, when_true, when_false);
+        vec![first, second]
     }
 
     /// Lines 12–16 under a propagating mode: one count of the formula
     /// feeds the heuristic and the split's occurrence lists, and each
-    /// child is born simplified.
-    fn split_propagating(&self, sub: SubProblem) -> Vec<SubProblem> {
-        let split = Split::new(&sub.cnf, self.mode);
-        let lit = self.branch(self.heuristic.select_counted(&sub.cnf, split.counts()));
-        if sub.discrepancy == Some(0) {
-            let child = split.last_child(lit, sub.assign);
-            return vec![SubProblem::born(child, sub.discrepancy)];
+    /// child is born simplified into a recycled body. A surviving last
+    /// child takes the parent's assignment buffer.
+    fn split_propagating(&self, mut sub: SubProblem) -> Vec<SubProblem> {
+        let parent = &mut *sub;
+        let split = Split::new(&parent.cnf, self.mode);
+        let lit = self.branch(self.heuristic.select_counted(&parent.cnf, split.counts()));
+        let discrepancy = parent.discrepancy;
+        let path = &mut parent.assign;
+        if discrepancy == Some(0) {
+            return vec![SubProblem::born(discrepancy, |cnf, assign| {
+                split.last_child(lit, path, cnf, assign)
+            })];
         }
-        let first = split.child(lit, &sub.assign);
-        let second = split.last_child(lit.negated(), sub.assign);
-        vec![
-            SubProblem::born(first, sub.discrepancy),
-            SubProblem::born(second, sub.discrepancy.map(|d| d - 1)),
-        ]
+        let first = SubProblem::born(discrepancy, |cnf, assign| {
+            split.child(lit, path, cnf, assign)
+        });
+        let second = SubProblem::born(discrepancy.map(|d| d - 1), |cnf, assign| {
+            split.last_child(lit.negated(), path, cnf, assign)
+        });
+        vec![first, second]
     }
 }
 
@@ -351,6 +437,44 @@ mod tests {
                 assert!(check_model(&cnf, &model), "seed {seed}: invalid model");
             }
         }
+    }
+
+    /// A handle to a body built in place, bypassing the free list.
+    fn handle(
+        cnf: Cnf,
+        assign: Assignment,
+        discrepancy: Option<u64>,
+        born: Option<Weight>,
+    ) -> SubProblem {
+        SubProblem(Some(Box::new(SubProblemBody {
+            cnf,
+            assign,
+            discrepancy,
+            born,
+        })))
+    }
+
+    #[test]
+    fn a_recycled_body_carries_nothing_into_a_root() {
+        FREE.with(|free| free.borrow_mut().clear());
+        let mut assign = Assignment::new(12);
+        assign.assign(crate::Var(4), true);
+        drop(handle(
+            gen::random_ksat(1, 12, 50, 3),
+            assign,
+            Some(3),
+            Some(50),
+        ));
+        assert_eq!(FREE.with(|free| free.borrow().len()), 1);
+        let cnf = gen::random_ksat(2, 8, 20, 3);
+        let fresh = handle(cnf.clone(), Assignment::new(8), None, None);
+        let root = SubProblem::root(cnf);
+        assert_eq!(
+            FREE.with(|free| free.borrow().len()),
+            0,
+            "the root took the dirty body"
+        );
+        assert_eq!(root, fresh);
     }
 
     #[test]

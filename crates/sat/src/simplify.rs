@@ -8,7 +8,6 @@
 //! over the parent (every other activation of a propagating mesh search).
 
 use crate::cnf::{Assignment, Cnf, Lit, Var};
-use crate::heuristics::occurrence_counts;
 
 /// Outcome of simplifying a sub-problem to fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,20 +143,6 @@ pub(crate) struct Split<'a> {
     mode: SimplifyMode,
 }
 
-/// A child formula a [`Split`] wrote, with the assignment on its path.
-pub(crate) struct Child {
-    /// The simplified formula: empty when satisfied, one empty clause (no
-    /// literal buffer) when a conflict cut the propagation short.
-    pub(crate) cnf: Cnf,
-    /// The parent's assignment plus the branch literal and every literal
-    /// the child's propagation forced; empty (no buffer) for a child that
-    /// hit a conflict, whose verdict needs none.
-    pub(crate) assign: Assignment,
-    /// Clauses the child had before its simplification: those of the
-    /// `assign` it stands for.
-    pub(crate) clauses_before: u32,
-}
-
 impl<'a> Split<'a> {
     /// The tables of a split of `cnf`, which holds no empty clause (it is
     /// a simplified, undecided formula).
@@ -178,43 +163,64 @@ impl<'a> Split<'a> {
         self.residual.live_counts()
     }
 
-    /// The child in which `branch` holds, on a copy of the counters;
-    /// `assign` is the parent's assignment.
-    pub(crate) fn child(&self, branch: Lit, assign: &Assignment) -> Child {
-        self.grow(self.residual.clone(), branch, || assign.clone())
+    /// Writes the child in which `branch` holds, on a copy of the
+    /// counters, into `cnf` and `assign` whatever they held; `parent` is
+    /// the parent's assignment. The formula is left empty when the child
+    /// is satisfied and one empty clause when a conflict cut the
+    /// propagation short; the assignment is the parent's plus the branch
+    /// literal and every literal the propagation forced, or empty for a
+    /// child that hit a conflict, whose verdict needs none. Returns the
+    /// clauses the child had before its simplification: those of the
+    /// `assign` it stands for.
+    pub(crate) fn child(
+        &self,
+        branch: Lit,
+        parent: &Assignment,
+        cnf: &mut Cnf,
+        assign: &mut Assignment,
+    ) -> u32 {
+        self.grow(self.residual.clone(), branch, cnf, assign, |path| {
+            path.clone_from(parent)
+        })
     }
 
     /// [`Split::child`] for the split's last child, on the counters
-    /// themselves.
-    pub(crate) fn last_child(mut self, branch: Lit, assign: Assignment) -> Child {
+    /// themselves. A surviving child swaps `assign` with `parent` instead
+    /// of copying it.
+    pub(crate) fn last_child(
+        mut self,
+        branch: Lit,
+        parent: &mut Assignment,
+        cnf: &mut Cnf,
+        assign: &mut Assignment,
+    ) -> u32 {
         let residual = std::mem::take(&mut self.residual);
-        self.grow(residual, branch, || assign)
+        self.grow(residual, branch, cnf, assign, |path| {
+            std::mem::swap(path, parent)
+        })
     }
 
     fn grow(
         &self,
         mut residual: Residual,
         branch: Lit,
-        assign: impl FnOnce() -> Assignment,
-    ) -> Child {
-        let (occurrences, cnf) = (&self.occurrences, self.cnf);
-        let conflict = residual.force(occurrences, cnf, branch);
+        cnf: &mut Cnf,
+        assign: &mut Assignment,
+        path: impl FnOnce(&mut Assignment),
+    ) -> u32 {
+        let (occurrences, parent) = (&self.occurrences, self.cnf);
+        let conflict = residual.force(occurrences, parent, branch);
         let clauses_before = residual.live;
         let mut stats = SimplifyStats::default();
-        if conflict || residual.propagate(occurrences, cnf, self.mode, &mut stats) {
-            return Child {
-                cnf: Cnf::falsum(cnf.num_vars()),
-                assign: Assignment::default(),
-                clauses_before,
-            };
+        if conflict || residual.propagate(occurrences, parent, self.mode, &mut stats) {
+            cnf.set_falsum(parent.num_vars());
+            assign.clear();
+            return clauses_before;
         }
-        let mut assign = assign();
-        residual.record(&mut assign);
-        Child {
-            cnf: residual.compacted(cnf),
-            assign,
-            clauses_before,
-        }
+        path(assign);
+        residual.record(assign);
+        residual.compact_into(parent, cnf);
+        clauses_before
     }
 }
 
@@ -289,7 +295,8 @@ const FORCED_FALSE: u32 = 2;
 const SATISFIED: u32 = u32::MAX;
 
 impl Residual {
-    /// Counters for `cnf`, nothing forced yet: its [`occurrence_counts`]
+    /// Counters for `cnf`, nothing forced yet: its
+    /// [`occurrence_counts`](crate::heuristics::occurrence_counts)
     /// and clause lengths, written into one allocation of the final size.
     fn new(cnf: &Cnf) -> Residual {
         let num_vars = cnf.num_vars() as usize;
@@ -415,32 +422,27 @@ impl Residual {
 
     /// Writes the residual back into `cnf`: satisfied clauses and
     /// falsified literals go, everything else keeps its order. In place,
-    /// not `*cnf = self.compacted(cnf)`: with that copy and the counts
-    /// grown into the state by a second allocation, sequential
+    /// not compacted into a second formula swapped in: with that copy and
+    /// the counts grown into the state by a second allocation, sequential
     /// `dpll::solve` ran 5–11 % slower (see EXPERIMENTS.md).
     fn compact(&self, cnf: &mut Cnf) {
         let remaining = self.remaining();
         cnf.retain(|i| remaining[i] != SATISFIED, |lit| self.is_free(lit));
     }
 
-    /// [`Residual::compact`] into a new formula, sized exactly, leaving
-    /// `cnf` as it is.
-    fn compacted(&self, cnf: &Cnf) -> Cnf {
+    /// [`Residual::compact`] into `out`'s buffers, leaving `cnf` as it
+    /// is.
+    fn compact_into(&self, cnf: &Cnf, out: &mut Cnf) {
         let remaining = self.remaining();
         let lits = self.live_counts().iter().sum::<u32>() as usize;
-        cnf.retained(
+        cnf.retained_into(
+            out,
             self.live as usize,
             lits,
             |i| remaining[i] != SATISFIED,
             |lit| self.is_free(lit),
         )
     }
-}
-
-/// Finds a literal whose variable occurs with only one polarity, if any
-/// (the lowest-numbered such variable).
-pub fn find_pure_literal(cnf: &Cnf) -> Option<Lit> {
-    lowest_pure_literal(&occurrence_counts(cnf))
 }
 
 /// The pure literal of the lowest-numbered variable in a table of
@@ -456,6 +458,7 @@ fn lowest_pure_literal(counts: &[u32]) -> Option<Lit> {
 mod tests {
     use super::*;
     use crate::cnf::check_model;
+    use crate::heuristics::occurrence_counts;
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)
@@ -522,7 +525,9 @@ mod tests {
             let mut f = original.clone();
             let (occurrences, mut residual) = tables(&f);
             let conflict = residual.force(&occurrences, &f, Lit::with_polarity(Var(0), value));
-            let copy = residual.compacted(&f);
+            // Into a dirty formula: nothing of it may survive.
+            let mut copy = original.assign(Var(1), true);
+            residual.compact_into(&f, &mut copy);
             residual.compact(&mut f);
             assert_eq!(f, original.assign(Var(0), value));
             assert_eq!(copy, f);
@@ -562,8 +567,9 @@ mod tests {
         for branch in [lit(1), lit(-1)] {
             let split = Split::new(&parent, SimplifyMode::SinglePass);
             assert_eq!(split.counts(), occurrence_counts(&parent));
-            let child = split.last_child(branch, Assignment::new(5));
-            let pure = [Var(1), Var(2)].map(|v| child.assign.value(v).is_some());
+            let (mut child, mut path) = (Cnf::default(), Assignment::default());
+            let clauses = split.last_child(branch, &mut Assignment::new(5), &mut child, &mut path);
+            let pure = [Var(1), Var(2)].map(|v| path.value(v).is_some());
             assert_eq!(pure, [true, false], "{branch:?}");
             // The same as splitting, then simplifying the child.
             let mut expected = parent.assign(branch.var(), branch.demanded_value());
@@ -572,10 +578,7 @@ mod tests {
             let clauses_before = expected.num_clauses() as u32;
             let (out, stats) = simplify_with(&mut expected, &mut a, SimplifyMode::SinglePass);
             assert_eq!((out, stats.pure_assigns), (Simplified::Undecided, 1));
-            assert_eq!(
-                (child.cnf, child.assign, child.clauses_before),
-                (expected, a, clauses_before)
-            );
+            assert_eq!((child, path, clauses), (expected, a, clauses_before));
         }
     }
 
@@ -590,17 +593,5 @@ mod tests {
         assert_eq!(f, cnf(&[&[4, -5, 6]], 6));
         assert_eq!(a.value(Var(2)), Some(true));
         assert_eq!(a.value(Var(3)), None);
-    }
-
-    #[test]
-    fn find_pure_none_when_mixed() {
-        let f = cnf(&[&[1, -2], &[-1, 2]], 2);
-        assert_eq!(find_pure_literal(&f), None);
-    }
-
-    #[test]
-    fn find_pure_negative_polarity() {
-        let f = cnf(&[&[-1, 2], &[-1, -2]], 2);
-        assert_eq!(find_pure_literal(&f), Some(lit(-1)));
     }
 }

@@ -71,18 +71,6 @@ impl<Out> RecRunReport<Out> {
     pub fn nodes_pruned(&self) -> u64 {
         self.rec_totals.pruned
     }
-
-    /// Fraction of considered subtrees cut before expansion:
-    /// `pruned / (pruned + expanded)`. Zero outside B&B mode (nothing
-    /// is ever cut).
-    pub fn pruning_efficiency(&self) -> f64 {
-        let considered = self.rec_totals.pruned + self.rec_totals.started;
-        if considered == 0 {
-            0.0
-        } else {
-            self.rec_totals.pruned as f64 / considered as f64
-        }
-    }
 }
 
 impl<Out: std::fmt::Debug> RecRunReport<Out> {
@@ -135,13 +123,6 @@ pub struct RunSummary {
     pub best_incumbent: Option<i64>,
 }
 
-impl RunSummary {
-    /// Whether the run produced a root result.
-    pub fn has_result(&self) -> bool {
-        self.result.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn pruning_efficiency_is_cut_fraction() {
+    fn summary_carries_the_pruning_counters() {
         let mut report = RecRunReport::<u32> {
             result: Some(1),
             outcome: RunOutcome::Halted,
@@ -197,10 +178,8 @@ mod tests {
             }],
         };
         assert_eq!(report.nodes_pruned(), 10);
-        assert!((report.pruning_efficiency() - 0.25).abs() < 1e-12);
+        assert_eq!(report.summary().nodes_pruned, 10);
         report.rec_totals.pruned = 0;
-        report.rec_totals.started = 0;
-        assert_eq!(report.pruning_efficiency(), 0.0);
         let summary = report.summary();
         assert_eq!(summary.nodes_pruned, 0);
         assert_eq!(summary.best_incumbent, Some(99));

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-use hyperspace_sim::{InitCtx, NodeId, NodeProgram, Outbox, SimConfig};
+use hyperspace_sim::{InitCtx, NodeId, NodeProgram, Outbox};
 
 use crate::policy::SchedPolicy;
 use crate::process::{ProcAddr, ProcCtx, Process};
@@ -24,22 +24,6 @@ pub struct SchedMsg<M> {
     pub inner: M,
 }
 
-/// When the host services pending activations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ServiceMode {
-    /// Service one activation per delivered message — the paper's §V-A
-    /// "pop one message per step" semantics. Arrival order dominates, so
-    /// policies only affect backlog produced by local sends.
-    #[default]
-    ArrivalDriven,
-    /// Only enqueue on delivery; service `service_budget` activations on
-    /// each engine tick. Combine with an unbounded `msgs_per_step` and
-    /// `tick_every = 1` (see [`SchedulerHost::recommended_sim_config`]) to
-    /// model a node whose network interface outpaces its CPU — the regime
-    /// where scheduling policy genuinely matters.
-    TickDriven,
-}
-
 /// Node-local bookkeeping action recorded during a handler run and applied
 /// when it returns.
 pub(crate) enum LocalAction<M> {
@@ -57,7 +41,6 @@ pub struct NodeSched<P: Process> {
     fifo: VecDeque<(u32, ProcAddr, P::Msg)>,
     rr_cursor: usize,
     next_proc_id: u32,
-    pending: usize,
     /// Messages dropped because their target process had exited.
     pub dropped: u64,
     /// Handler activations executed on this node.
@@ -73,20 +56,9 @@ impl<P: Process> NodeSched<P> {
             fifo: VecDeque::new(),
             rr_cursor: 0,
             next_proc_id: n as u32,
-            pending: 0,
             dropped: 0,
             serviced: 0,
         }
-    }
-
-    /// Number of live processes.
-    pub fn live_processes(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Messages waiting in mailboxes.
-    pub fn pending(&self) -> usize {
-        self.pending
     }
 
     /// Immutable access to process `id` if alive.
@@ -111,7 +83,6 @@ impl<P: Process> NodeSched<P> {
             SchedPolicy::Fifo => self.fifo.push_back((proc, src, msg)),
             _ => self.mailboxes[proc as usize].push_back((src, msg)),
         }
-        self.pending += 1;
     }
 
     /// Selects the next activation per policy. Returns `None` when no live
@@ -120,7 +91,6 @@ impl<P: Process> NodeSched<P> {
         match policy {
             SchedPolicy::Fifo => loop {
                 let (proc, src, msg) = self.fifo.pop_front()?;
-                self.pending -= 1;
                 if self.slots[proc as usize].is_some() {
                     return Some((proc, src, msg));
                 }
@@ -132,12 +102,10 @@ impl<P: Process> NodeSched<P> {
                     let i = (self.rr_cursor + off) % n;
                     if self.slots[i].is_none() {
                         self.dropped += self.mailboxes[i].len() as u64;
-                        self.pending -= self.mailboxes[i].len();
                         self.mailboxes[i].clear();
                         continue;
                     }
                     if let Some((src, msg)) = self.mailboxes[i].pop_front() {
-                        self.pending -= 1;
                         self.rr_cursor = (i + 1) % n;
                         return Some((i as u32, src, msg));
                     }
@@ -149,12 +117,10 @@ impl<P: Process> NodeSched<P> {
                 for i in 0..self.mailboxes.len() {
                     if self.slots[i].is_none() {
                         self.dropped += self.mailboxes[i].len() as u64;
-                        self.pending -= self.mailboxes[i].len();
                         self.mailboxes[i].clear();
                         continue;
                     }
                     if let Some((src, msg)) = self.mailboxes[i].pop_front() {
-                        self.pending -= 1;
                         return Some((i as u32, src, msg));
                     }
                 }
@@ -230,8 +196,6 @@ impl<P: Process> NodeSched<P> {
 pub struct SchedulerHost<P, F> {
     factory: F,
     policy: SchedPolicy,
-    mode: ServiceMode,
-    service_budget: u32,
     _marker: PhantomData<fn() -> P>,
 }
 
@@ -240,33 +204,14 @@ where
     P: Process,
     F: Fn(NodeId, &InitCtx) -> Vec<P> + Sync,
 {
-    /// Creates a host with the paper-faithful arrival-driven service mode.
+    /// Creates a host that services every arrival at once (the paper's
+    /// §V-A "pop one message per step" semantics); the policy orders the
+    /// backlog that local sends build up within one activation.
     pub fn new(factory: F, policy: SchedPolicy) -> Self {
         SchedulerHost {
             factory,
             policy,
-            mode: ServiceMode::ArrivalDriven,
-            service_budget: 1,
             _marker: PhantomData,
-        }
-    }
-
-    /// Switches to tick-driven servicing of `budget` activations per step.
-    pub fn tick_driven(mut self, budget: u32) -> Self {
-        self.mode = ServiceMode::TickDriven;
-        self.service_budget = budget.max(1);
-        self
-    }
-
-    /// The engine configuration matching this host's service mode.
-    pub fn recommended_sim_config(&self) -> SimConfig {
-        match self.mode {
-            ServiceMode::ArrivalDriven => SimConfig::default(),
-            ServiceMode::TickDriven => SimConfig {
-                msgs_per_step: u32::MAX,
-                tick_every: Some(1),
-                ..SimConfig::default()
-            },
         }
     }
 
@@ -275,11 +220,9 @@ where
         state: &mut NodeSched<P>,
         node: NodeId,
         outbox: &mut Outbox<'_, SchedMsg<P::Msg>>,
-        mut budget: u32,
     ) {
         let mut activations = 0u32;
-        while budget > 0 && state.service_one(self.policy, node, outbox) {
-            budget -= 1;
+        while state.service_one(self.policy, node, outbox) {
             activations += 1;
             assert!(
                 activations < LOCAL_ACTIVATION_CAP,
@@ -310,22 +253,9 @@ where
         let node = ctx.node();
         let src = ProcAddr::new(ctx.sender(), msg.src_proc);
         state.enqueue(self.policy, msg.dst_proc, src, msg.inner);
-        if self.mode == ServiceMode::ArrivalDriven {
-            // Service the arrival plus any local follow-on messages it
-            // generates: local communication models within-node computation
-            // and is free of interconnect cost.
-            self.drain_local(state, node, ctx, u32::MAX);
-        }
-    }
-
-    fn on_tick(&self, state: &mut NodeSched<P>, ctx: &mut Outbox<'_, Self::Msg>) {
-        if self.mode == ServiceMode::TickDriven {
-            let node = ctx.node();
-            self.drain_local(state, node, ctx, self.service_budget);
-        }
-    }
-
-    fn is_idle(&self, state: &NodeSched<P>) -> bool {
-        state.pending == 0
+        // Service the arrival plus any local follow-on messages it
+        // generates: local communication models within-node computation
+        // and is free of interconnect cost.
+        self.drain_local(state, node, ctx);
     }
 }

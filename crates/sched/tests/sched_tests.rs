@@ -73,7 +73,7 @@ fn messages_to_dead_processes_are_dropped() {
     );
     sim.run_to_quiescence().unwrap();
     let sched = sim.state(0);
-    assert_eq!(sched.live_processes(), 0);
+    assert!(sched.process(0).is_none(), "the one process exited");
     assert_eq!(sched.serviced, 1);
     assert_eq!(sched.dropped, 1);
 }
@@ -108,7 +108,7 @@ fn spawn_creates_addressable_processes() {
     );
     sim.run_to_quiescence().unwrap();
     let sched = sim.state(2);
-    assert_eq!(sched.live_processes(), 2);
+    assert!(sched.process(0).is_some() && sched.process(2).is_none());
     assert_eq!(sched.process(1).unwrap().child_payload, 42);
 }
 
@@ -147,10 +147,10 @@ fn remote_ping_pong_between_processes() {
     assert_eq!(sim.state(1).process(0).unwrap().seen, vec![4, 2, 0]);
 }
 
-/// Builds a tick-driven host scenario where node 0's process mailboxes fill
-/// faster than its service rate (all six messages arrive on step one, one
-/// activation runs per tick), exposing the policy's choice order. Messages
-/// arrive for processes in the order 2, 1, 0, 2, 1, 0.
+/// Builds a backlog on node 0 that one activation cannot serve: a
+/// dispatcher (process 3) sends six local messages for processes 2, 1, 0,
+/// 2, 1, 0 from inside its handler, and the host drains them before the
+/// step ends, in the policy's choice order.
 fn service_order(policy: SchedPolicy) -> Vec<u32> {
     use std::sync::{Arc, Mutex};
     #[derive(Clone)]
@@ -160,44 +160,48 @@ fn service_order(policy: SchedPolicy) -> Vec<u32> {
     impl Process for Shared {
         type Msg = u32;
         fn on_message(&mut self, _msg: u32, ctx: &mut ProcCtx<'_, '_, '_, Self>) {
-            self.order.lock().unwrap().push(ctx.self_addr().proc);
+            let me = ctx.self_addr();
+            if me.proc == 3 {
+                for round in 0..2u32 {
+                    for proc in [2, 1, 0] {
+                        ctx.send(ProcAddr::new(me.node, proc), round);
+                    }
+                }
+            } else {
+                self.order.lock().unwrap().push(me.proc);
+            }
         }
     }
     let order = Arc::new(Mutex::new(Vec::new()));
     let order_clone = Arc::clone(&order);
     let host = SchedulerHost::new(
         move |_n, _c| {
-            (0..3)
+            (0..4)
                 .map(|_| Shared {
                     order: Arc::clone(&order_clone),
                 })
                 .collect()
         },
         policy,
-    )
-    .tick_driven(1);
-    let cfg = host.recommended_sim_config();
+    );
     let mut sim = Simulation::new(
         FullyConnected::new(2),
         host,
         SimConfig {
             delivery: DeliveryModel::Direct,
-            ..cfg
+            ..SimConfig::default()
         },
     );
-    for round in 0..2u32 {
-        for proc in [2, 1, 0] {
-            sim.inject(
-                0,
-                SchedMsg {
-                    src_proc: 0,
-                    dst_proc: proc,
-                    inner: round,
-                },
-            )
-        }
-    }
-    sim.run_to_quiescence().unwrap();
+    sim.inject(
+        0,
+        SchedMsg {
+            src_proc: 0,
+            dst_proc: 3,
+            inner: 0,
+        },
+    );
+    let report = sim.run_to_quiescence().unwrap();
+    assert_eq!(report.steps, 1, "the whole backlog drains in one step");
     let got = order.lock().unwrap().clone();
     got
 }

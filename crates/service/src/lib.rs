@@ -22,13 +22,13 @@
 //!   [`JobOutcome::TimedOut`] / [`JobOutcome::Cancelled`] without
 //!   stalling the pool;
 //! * **one job lifecycle**: every started job is a
-//!   [`hyperspace_core::RunSlice`] (one stack or a whole race; one slice
-//!   spanning the step cap, or many cut at checkpoint barriers), so first
-//!   start, resume after preemption, restart after a worker crash and
-//!   recovery after process death are one loop; everything a workload
-//!   supplies runs on a worker inside one panic guard, and every job
-//!   leaves through one door that writes its result, counters, terminal
-//!   event and durable-record removal;
+//!   [`hyperspace_core::RunSlice`] (one stack or a whole race, one slice
+//!   or many cut at checkpoint barriers), and every decision about it —
+//!   admit, pick up, preempt, suspend, restart, retire, recover — is an
+//!   event on one clock-free, thread-free [`scheduler::Scheduler`] behind
+//!   one mutex; the worker pool only drives it, running slices, store
+//!   writes and handle wake-ups outside that lock, and every job leaves
+//!   through one door;
 //! * a keyed **result cache**: [`JobSpec::cache_key`] normalises a job
 //!   into a canonical string, and repeated identical submissions are
 //!   answered with the cached [`hyperspace_core::RunSummary`] without
@@ -77,6 +77,7 @@ mod handle;
 mod job;
 mod observe;
 pub mod persist;
+pub mod scheduler;
 mod service;
 mod stats;
 

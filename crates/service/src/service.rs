@@ -1,233 +1,110 @@
-//! [`SolverService`]: the multi-tenant worker pool.
+//! [`SolverService`]: the multi-tenant worker pool — a driver around one
+//! [`Scheduler`] behind one mutex.
 
-use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hyperspace_core::{JobParams, RunSlice, RunSummary, SliceOutcome};
+use hyperspace_core::{JobParams, RunSlice, SliceOutcome};
 use hyperspace_obs::{
     saturating_micros, saturating_nanos, Event, EventKind, Gauge, ObsHandle, Observer, Phase,
     Registry,
 };
-use hyperspace_sim::{panic_message, RunOutcome};
+use hyperspace_sim::panic_message;
 use hyperspace_store::JobStore;
 
 use crate::handle::{JobHandle, JobShared};
-use crate::job::{JobKind, JobOutcome, JobRequest, JobResult, JobSpec};
+use crate::job::{JobKind, JobOutcome, JobRequest, JobSpec};
 use crate::observe::ServiceObserver;
 use crate::persist;
-use crate::stats::{saturating_i64, ServiceStats, StatsInner};
+use crate::scheduler::{Barrier, Crash, Exit, Job, Pickup, Scheduler};
+use crate::stats::{saturating_i64, ServiceStats};
 
-/// Unwraps a lock or condvar-wait result on one of the service's own
-/// mutexes (`queue`, `cache`, `stats`) — the one place the service's
-/// lock-poisoning policy is written down: **fail-stop**.
-///
-/// Nothing a workload supplies runs under these locks (factories, stack
-/// assembly and handlers execute inside `process_job`'s panic guard, on
-/// a worker, holding none of them), so poison can only mean the
-/// service's *own* bookkeeping panicked half-way through an update. What
-/// the locks guard carries cross-field invariants that a half-applied
-/// update breaks silently — `finished() <= submitted`, `jobs_by_kind`
-/// summing to `finished()`, `running` matching the workers that hold a
-/// job, the cache's map/order pair — so recovering the guard with
-/// `PoisonError::into_inner` would keep scheduling and reporting from a
-/// state nobody can vouch for. Panicking surfaces the bug at once.
+/// Unwraps a lock or condvar-wait result on the scheduler's mutex — the
+/// service's lock-poisoning policy: **fail-stop**. No workload code and
+/// no store I/O runs under the lock, so poison means a [`Scheduler`]
+/// event panicked half-way. Every cross-field invariant
+/// (`finished() <= submitted`, `jobs_by_kind` summing to `finished()`,
+/// queue, running count, cache) lives in that one value, so recovering
+/// the guard would schedule and report from a state nobody can vouch for.
 fn unpoisoned<G>(guard: std::sync::LockResult<G>) -> G {
-    guard.expect("service lock poisoned: the service's own bookkeeping panicked mid-update")
+    guard.expect("service lock poisoned: the scheduler panicked mid-event")
 }
 
-/// A job as it sits in the priority queue: its description plus, while
-/// it is parked at a checkpoint barrier, its live run.
-struct QueuedJob {
-    priority: i32,
-    seq: u64,
-    submitted_at: Instant,
-    deadline_at: Option<Instant>,
-    params: JobParams,
-    /// The workload, until a run consumes it: a checkpoint-enabled job
-    /// whose kind duplicates ([`JobKind::try_clone`]) starts from a copy
-    /// and keeps the original, which is what lets a crashed attempt be
-    /// dropped and started afresh; every other job gives its kind away.
-    kind: Option<JobKind>,
-    /// The live run of a job suspended at a checkpoint barrier
-    /// (preemption / explicit suspend); resuming it is bit-identical to
-    /// never stopping. `None` until started and while a worker runs it.
-    slice: Option<Box<dyn RunSlice>>,
-    cache_key: Option<String>,
-    label: String,
+/// What the driver parks with each [`Job`]; the scheduler never reads it.
+struct Work {
     shared: Arc<JobShared>,
-    /// Crash-recovery attempts consumed.
-    attempt: u32,
-    /// Steps completed at the last observed checkpoint barrier.
-    checkpoint_steps: u64,
-    /// After a crash restart: replay (deterministically) to this step
-    /// before preemption checks resume — the logical "restore from the
-    /// last checkpoint".
-    resume_floor: u64,
-    /// Queue wait to the *first* pickup (re-queues from preemption are
-    /// scheduling churn, not queue wait).
-    first_wait: Option<Duration>,
-    /// Execution sequence number assigned at first pickup.
-    exec_seq: Option<u64>,
-    /// Solve time accumulated over earlier slices of this job.
-    solve_so_far: Duration,
-    /// The job's durable spec encoding — present iff the service has a
-    /// store and the workload is persistable. Encoded exactly once (at
-    /// submission or recovery) and reused verbatim by every barrier
-    /// persist.
-    spec_bytes: Option<Arc<Vec<u8>>>,
-    /// Sequence number of the job's next durable write; resumes — not
-    /// resets — across recovery, so a record's freshness is always
-    /// comparable.
-    persist_seq: u64,
+    params: JobParams,
+    /// The workload, until a run consumes it (a checkpoint-enabled job
+    /// whose kind duplicates runs a copy and keeps this for a restart).
+    kind: Option<JobKind>,
+    /// A run parked at a barrier; resuming it equals never stopping.
+    slice: Option<Box<dyn RunSlice>>,
+    /// The durable spec encoding, made once; present iff the service has
+    /// a store and the workload is persistable.
+    spec_bytes: Option<Vec<u8>>,
 }
 
-impl QueuedJob {
-    /// A job that has not run yet: no durable encoding and no progress
-    /// (`submit` and `recover` fill those in).
-    fn new(
-        shared: Arc<JobShared>,
-        priority: i32,
-        spec: JobSpec,
-        deadline: Option<Duration>,
-    ) -> QueuedJob {
-        let now = Instant::now();
-        QueuedJob {
-            priority,
-            seq: 0, // assigned under the queue lock, in `enqueue`
-            submitted_at: now,
-            deadline_at: deadline.map(|d| now + d),
-            cache_key: spec.cache_key(),
-            label: spec.kind.label(),
-            params: JobParams {
-                // Any caller-provided stop handle is replaced by the
-                // job's own (installed at execution time).
-                stop: None,
-                ..spec.params
-            },
-            kind: Some(spec.kind),
-            slice: None,
-            shared,
-            attempt: 0,
-            checkpoint_steps: 0,
-            resume_floor: 0,
-            first_wait: None,
-            exec_seq: None,
-            solve_so_far: Duration::ZERO,
-            spec_bytes: None,
-            persist_seq: 0,
-        }
-    }
-}
-
-impl PartialEq for QueuedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.priority == other.priority && self.seq == other.seq
-    }
-}
-
-impl Eq for QueuedJob {}
-
-impl PartialOrd for QueuedJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueuedJob {
-    /// Max-heap order: higher priority first; FIFO within a priority.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct QueueInner {
-    heap: BinaryHeap<QueuedJob>,
-    next_seq: u64,
-    running: usize,
-    shutdown: bool,
-}
-
-/// Bounded FIFO result cache: when full, the oldest entry is evicted.
-/// Bounded because the service is long-running and keys embed full
-/// problem renderings — an unbounded map would grow without limit under
-/// a stream of distinct jobs.
-struct ResultCache {
-    map: HashMap<String, RunSummary>,
-    order: std::collections::VecDeque<String>,
-    capacity: usize,
-}
-
-impl ResultCache {
-    fn new(capacity: usize) -> ResultCache {
-        ResultCache {
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-            capacity,
-        }
-    }
-
-    fn get(&self, key: &str) -> Option<RunSummary> {
-        self.map.get(key).cloned()
-    }
-
-    fn insert(&mut self, key: &str, summary: RunSummary) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.contains_key(key) {
-            return; // identical computation; keep the original entry
-        }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.map.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        self.map.insert(key.to_string(), summary);
-        self.order.push_back(key.to_string());
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
+/// A handle and its job, submitted now.
+fn new_job(
+    id: u64,
+    priority: i32,
+    spec: JobSpec,
+    deadline: Option<Duration>,
+    spec_bytes: Option<Vec<u8>>,
+) -> (JobHandle, Job<Work>) {
+    let now = Instant::now();
+    let (key, label) = (spec.cache_key(), spec.kind.label());
+    let deadline_at = deadline.map(|d| now + d);
+    let shared = JobShared::new(id);
+    let work = Work {
+        shared: Arc::clone(&shared),
+        // The job's own stop handle replaces any caller-provided one.
+        params: JobParams {
+            stop: None,
+            ..spec.params
+        },
+        kind: Some(spec.kind),
+        slice: None,
+        spec_bytes,
+    };
+    let job = Job::new(id, priority, now, deadline_at, key, label, work);
+    (JobHandle { shared }, job)
 }
 
 struct ServiceInner {
-    queue: Mutex<QueueInner>,
+    scheduler: Mutex<Scheduler<Work>>,
     /// Signalled on push and on shutdown; workers wait here.
     available: Condvar,
-    /// Signalled when a worker finishes a job; drain waiters wait here.
+    /// Signalled when a worker releases a job; drain waiters wait here.
     drained: Condvar,
-    cache: Mutex<ResultCache>,
-    stats: Mutex<StatsInner>,
-    next_id: AtomicU64,
-    exec_seq: AtomicU64,
-    started: Instant,
     workers: usize,
-    max_restarts: u32,
     /// Live telemetry: per-job probes, lifecycle flight recorder, crash
     /// dumps. Strictly one-way — nothing read from here feeds back into
-    /// scheduling or solving, so results stay bit-identical whether
-    /// anyone is watching or not.
+    /// scheduling or solving.
     registry: Arc<Registry>,
-    /// Cached `queue.depth` gauge cell (skips the registry name lookup
-    /// on every push/pop).
+    /// Cached `queue.depth` gauge cell.
     depth: Gauge,
-    /// The durable on-disk job store, when configured
-    /// ([`ServiceConfig::store_dir`]).
+    /// The durable on-disk job store ([`ServiceConfig::store_dir`]).
     store: Option<Arc<JobStore>>,
-    /// Set by [`SolverService::kill`]: simulate abrupt process death.
-    /// Workers stop at their next barrier without finishing handles,
-    /// and durable records are left in place for the next service to
-    /// recover.
-    killed: AtomicBool,
+}
+
+impl ServiceInner {
+    /// Applies one scheduler event under the lock; republishes the queue
+    /// depth.
+    fn with<R>(&self, event: impl FnOnce(&mut Scheduler<Work>) -> R) -> R {
+        let mut scheduler = unpoisoned(self.scheduler.lock());
+        let decision = event(&mut scheduler);
+        self.depth.set(scheduler.queue_depth() as u64);
+        decision
+    }
+
+    /// Records a lifecycle event of job `id` in the flight recorder.
+    fn record(&self, kind: EventKind, id: u64, value: u64) {
+        let event = Event::new(kind, Some(id), saturating_i64(value));
+        self.registry.record(event);
+    }
 }
 
 /// Configuration of a [`SolverService`].
@@ -330,27 +207,14 @@ impl SolverService {
             cfg.flight_recorder_capacity.clamp(1, 1 << 20),
             cfg.crash_dump_tail,
         ));
-        let depth = registry.gauge("queue.depth");
         let inner = Arc::new(ServiceInner {
-            queue: Mutex::new(QueueInner {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                running: 0,
-                shutdown: false,
-            }),
+            scheduler: Mutex::new(Scheduler::new(&cfg, Instant::now())),
             available: Condvar::new(),
             drained: Condvar::new(),
-            cache: Mutex::new(ResultCache::new(cfg.cache_capacity)),
-            stats: Mutex::new(StatsInner::new(cfg.workers)),
-            next_id: AtomicU64::new(0),
-            exec_seq: AtomicU64::new(0),
-            started: Instant::now(),
             workers: cfg.workers,
-            max_restarts: cfg.max_restarts,
+            depth: registry.gauge("queue.depth"),
             registry,
-            depth,
             store,
-            killed: AtomicBool::new(false),
         });
         let mut service = SolverService {
             inner,
@@ -364,20 +228,17 @@ impl SolverService {
         service
     }
 
-    /// Scans the durable store and re-queues every in-flight job it
-    /// finds, before the workers start (so recovered jobs re-enter in
-    /// their original submission order, ahead of anything submitted to
-    /// this incarnation). Each keeps its original id and replays
-    /// deterministically to its last checkpoint barrier; corrupt
-    /// records — and records whose portfolio fails the submission
-    /// check — are quarantined and counted as persist errors. No-op
-    /// without a store.
+    /// Re-queues every in-flight job in the durable store, in submission
+    /// order and before the workers start, under its original id; it
+    /// replays to its last checkpoint barrier. Corrupt records, and those
+    /// whose portfolio fails the submission check, are quarantined and
+    /// counted as persist errors.
     fn recover(&mut self) {
         let Some(store) = self.inner.store.clone() else {
             return;
         };
         let outcome = store.scan().expect("scan the durable job store");
-        let mut persist_errors = outcome.corrupt.len() as u64;
+        let mut quarantined = outcome.corrupt.len() as u64;
         for manifest in outcome.jobs {
             let record = match persist::decode_record(&manifest.payload) {
                 Ok(record)
@@ -386,67 +247,46 @@ impl SolverService {
                     record
                 }
                 _ => {
-                    // Manifest framing was healthy (the CRC proves the
-                    // bytes are the ones written) but the job record
-                    // inside does not decode, or fails the check
-                    // `submit()` runs and would panic a worker;
-                    // quarantine it like the scan does so the next
-                    // restart is not haunted by it too.
+                    // The manifest's CRC held, but the record inside does
+                    // not decode, or fails the check `submit()` runs and
+                    // would panic a worker: quarantine it like the scan
+                    // does, so the next restart is not haunted by it too.
                     let _ = store.remove(manifest.job_id);
-                    persist_errors += 1;
+                    quarantined += 1;
                     continue;
                 }
             };
-            let id = manifest.job_id;
-            let next = self.inner.next_id.load(Ordering::Relaxed).max(id + 1);
-            self.inner.next_id.store(next, Ordering::Relaxed);
-            let shared = JobShared::new(id);
-            self.recovered.push(JobHandle {
-                shared: Arc::clone(&shared),
-            });
-            {
-                let mut stats = unpoisoned(self.inner.stats.lock());
-                stats.submitted += 1;
-                stats.recovered += 1;
-            }
+            let (id, steps) = (manifest.job_id, record.checkpoint_steps);
             let spec = JobSpec {
                 kind: record.kind,
                 params: record.params,
             };
             // Deadlines are wall-clock budgets from the original
-            // submission; after a restart of unknown delay they are
-            // meaningless, so recovered jobs run without one.
-            let mut job = QueuedJob::new(shared, record.priority, spec, None);
-            // Through the job's probe, not the registry directly: the
-            // probe counts the recovery (see `JobProbe::recovers`) and
-            // forwards the event to the shared flight recorder.
-            self.inner.registry.probe(id, &job.label).on_event(
-                &Event::new(
-                    EventKind::Recovered,
-                    Some(id),
-                    saturating_i64(record.checkpoint_steps),
-                )
-                .with_detail(job.label.clone()),
-            );
-            job.checkpoint_steps = record.checkpoint_steps;
-            // Replay deterministically to the last durable barrier
-            // before preemption checks resume — the cross-process
-            // "restore from checkpoint".
-            job.resume_floor = record.checkpoint_steps;
-            job.spec_bytes = Some(Arc::new(record.spec_bytes));
+            // submission, meaningless after a restart of unknown delay.
+            let (handle, mut job) =
+                new_job(id, record.priority, spec, None, Some(record.spec_bytes));
+            // Through the job's probe, which counts the recovery and
+            // forwards the event to the flight recorder.
+            let event = Event::new(EventKind::Recovered, Some(id), saturating_i64(steps));
+            let probe = self.inner.registry.probe(id, &job.label);
+            probe.on_event(&event.with_detail(job.label.clone()));
+            // Replay deterministically to the last durable barrier before
+            // preemption checks resume — the cross-process "restore from
+            // checkpoint".
+            (job.checkpoint_steps, job.resume_floor) = (steps, steps);
             job.persist_seq = manifest.job_seq + 1;
-            admit(&self.inner, job);
+            self.inner.with(|s| s.recover(job));
+            self.recovered.push(handle);
         }
-        if persist_errors > 0 {
-            unpoisoned(self.inner.stats.lock()).persist_errors += persist_errors;
-        }
+        self.inner.with(|s| s.quarantined(quarantined));
     }
 
     /// Handles of the jobs recovered from the durable store when this
     /// service started (empty without a [`ServiceConfig::store_dir`]).
     /// Recovered jobs replay deterministically to their last durable
-    /// checkpoint barrier, so their eventual [`RunSummary`]s are
-    /// bit-identical to an uninterrupted run.
+    /// checkpoint barrier, so their eventual
+    /// [`hyperspace_core::RunSummary`]s are bit-identical to an
+    /// uninterrupted run.
     pub fn recovered(&self) -> &[JobHandle] {
         &self.recovered
     }
@@ -461,9 +301,8 @@ impl SolverService {
     /// service opened over the same [`ServiceConfig::store_dir`]
     /// recovers everything still in flight.
     pub fn kill(self) {
-        self.inner.killed.store(true, Ordering::SeqCst);
-        // Drop does the rest: with the killed flag set it skips
-        // aborting queued jobs and just stops and joins the workers.
+        // Drop does the rest: a killed scheduler retires nothing.
+        self.inner.with(|s| s.kill());
     }
 
     /// A running service with `workers` worker threads.
@@ -508,46 +347,36 @@ impl SolverService {
     /// formula) are rejected here with [`JobOutcome::Failed`] rather
     /// than panicking a worker later.
     pub fn submit(&self, request: impl Into<JobRequest>) -> JobHandle {
-        let request = request.into();
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        // Count the submission before the job becomes poppable so no
-        // stats snapshot can observe completed > submitted.
-        unpoisoned(self.inner.stats.lock()).submitted += 1;
-        let shared = JobShared::new(id);
-        let handle = JobHandle {
-            shared: Arc::clone(&shared),
-        };
-        if let Some(reason) =
-            crate::job::validate_portfolio(&request.spec.kind, &request.spec.params)
-        {
-            // Refused at the door: never queued, so no `Submitted` event
-            // and no durable record.
-            let job = QueuedJob::new(shared, request.priority, request.spec, None);
-            retire(&self.inner, job, JobOutcome::Failed(reason), None);
-            return handle;
-        }
+        let JobRequest {
+            spec,
+            priority,
+            deadline,
+        } = request.into();
+        let inner = &self.inner;
+        let refusal = crate::job::validate_portfolio(&spec.kind, &spec.params);
         // Persistable = checkpoint-enabled + a workload the spec grammar
         // can serialise (closure-backed kinds cannot cross a process
         // boundary; every kind that serialises also clones, so it can
-        // restart). Encoded once, here.
-        let spec_bytes =
-            if self.inner.store.is_some() && request.spec.params.checkpoint.is_enabled() {
-                persist::encode_spec(request.priority, &request.spec.kind, &request.spec.params)
-                    .map(Arc::new)
-            } else {
-                None
-            };
-        let mut job = QueuedJob::new(shared, request.priority, request.spec, request.deadline);
-        job.spec_bytes = spec_bytes;
-        self.inner.registry.record(
-            Event::new(EventKind::Submitted, Some(id), i64::from(request.priority))
-                .with_detail(job.label.clone()),
-        );
-        // Make the submission durable *before* it becomes poppable: a
-        // process killed the instant submit() returns must still
-        // recover this job.
-        persist_job(&self.inner, &mut job, None);
-        admit(&self.inner, job);
+        // restart).
+        let durable =
+            refusal.is_none() && inner.store.is_some() && spec.params.checkpoint.is_enabled();
+        let spec_bytes = durable
+            .then(|| persist::encode_spec(priority, &spec.kind, &spec.params))
+            .flatten();
+        let id = inner.with(|s| s.issue_id());
+        let (handle, mut job) = new_job(id, priority, spec, deadline, spec_bytes);
+        // Refused at the door: never queued, no `Submitted` event, no
+        // durable record. Otherwise durable *before* it becomes poppable:
+        // a process killed the instant submit() returns still recovers it.
+        if refusal.is_none() {
+            let event = Event::new(EventKind::Submitted, Some(id), i64::from(priority));
+            inner.registry.record(event.with_detail(job.label.clone()));
+            persist_job(inner, &mut job, None);
+        }
+        match inner.with(|s| s.submit(Instant::now(), job, refusal)) {
+            Some(exit) => leave(inner, exit),
+            None => inner.available.notify_one(),
+        }
         handle
     }
 
@@ -563,47 +392,13 @@ impl SolverService {
 
     /// Jobs currently waiting in the queue.
     pub fn queue_depth(&self) -> usize {
-        unpoisoned(self.inner.queue.lock()).heap.len()
+        self.inner.with(|s| s.queue_depth())
     }
 
-    /// A snapshot of the service's operational metrics.
+    /// A snapshot of the service's operational metrics, taken under one
+    /// lock: every counter in it describes the same moment.
     pub fn stats(&self) -> ServiceStats {
-        let queue_depth = self.queue_depth();
-        let cache_entries = unpoisoned(self.inner.cache.lock()).len();
-        let stats = unpoisoned(self.inner.stats.lock());
-        let mut jobs_by_kind: Vec<(String, u64)> = stats
-            .jobs_by_kind
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        jobs_by_kind.sort();
-        ServiceStats {
-            workers: self.inner.workers,
-            uptime: self.inner.started.elapsed(),
-            submitted: stats.submitted,
-            completed: stats.completed,
-            timed_out: stats.timed_out,
-            cancelled: stats.cancelled,
-            failed: stats.failed,
-            cache_hits: stats.cache_hits,
-            preemptions: stats.preemptions,
-            suspensions: stats.suspensions,
-            restarts: stats.restarts,
-            persisted: stats.persisted,
-            recovered: stats.recovered,
-            persist_errors: stats.persist_errors,
-            cache_entries,
-            queue_depth,
-            queue_wait_us: stats.queue_wait_us.clone(),
-            solve_time_us: stats.solve_time_us.clone(),
-            per_worker_jobs: stats.per_worker_jobs.clone(),
-            per_worker_busy: stats
-                .per_worker_busy_us
-                .iter()
-                .map(|&us| Duration::from_micros(us))
-                .collect(),
-            jobs_by_kind,
-        }
+        self.inner.with(|s| s.stats(Instant::now()))
     }
 
     /// Blocks until every queued and running job has finished.
@@ -613,18 +408,19 @@ impl SolverService {
     /// On a [`paused`](SolverService::paused) service with jobs queued:
     /// no worker exists to drain them, so the wait could never end.
     pub fn drain(&self) {
-        let mut q = unpoisoned(self.inner.queue.lock());
-        if self.threads.is_empty() && !(q.heap.is_empty() && q.running == 0) {
+        let idle = |s: &Scheduler<Work>| s.queue_depth() == 0 && s.running() == 0;
+        let mut s = unpoisoned(self.inner.scheduler.lock());
+        if self.threads.is_empty() && !idle(&s) {
             // Release the lock before panicking so the Drop path can
             // still abort the queued jobs.
-            drop(q);
+            drop(s);
             panic!(
                 "drain() on a paused service with queued jobs would block forever; \
                  call start() first"
             );
         }
-        while !(q.heap.is_empty() && q.running == 0) {
-            q = unpoisoned(self.inner.drained.wait(q));
+        while !idle(&s) {
+            s = unpoisoned(self.inner.drained.wait(s));
         }
     }
 
@@ -634,503 +430,203 @@ impl SolverService {
     pub fn shutdown(mut self) -> ServiceStats {
         self.start();
         self.drain();
-        let stats = self.stats();
-        self.halt_workers();
-        stats
+        self.stats() // Drop stops and joins the workers
     }
+}
 
-    /// Stops workers and joins them; queued jobs are *not* drained —
-    /// the caller has already drained or aborted them.
-    fn halt_workers(&mut self) {
-        {
-            let mut q = unpoisoned(self.inner.queue.lock());
-            q.shutdown = true;
+impl Drop for SolverService {
+    /// Cancels every still-queued job, so no handle waits forever (a
+    /// killed service leaves them to recovery), then stops and joins the
+    /// workers.
+    fn drop(&mut self) {
+        for exit in self.inner.with(|s| s.shutdown(Instant::now())) {
+            leave(&self.inner, exit);
         }
         self.inner.available.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
-
-    /// Marks every still-queued job cancelled (used on drop so no
-    /// handle waits forever).
-    fn abort_queued(&self) {
-        if self.inner.killed.load(Ordering::SeqCst) {
-            // Simulated process death: queued jobs keep their durable
-            // records and their handles deliberately never finish —
-            // recovery by the next service incarnation owns them now.
-            return;
-        }
-        let jobs: Vec<QueuedJob> = {
-            let mut q = unpoisoned(self.inner.queue.lock());
-            q.shutdown = true;
-            self.inner.depth.set(0);
-            std::mem::take(&mut q.heap).into_vec()
-        };
-        for job in jobs {
-            retire(&self.inner, job, JobOutcome::Cancelled, None);
-        }
-    }
-}
-
-impl Drop for SolverService {
-    fn drop(&mut self) {
-        self.abort_queued();
-        self.halt_workers();
-    }
 }
 
 fn worker_loop(inner: Arc<ServiceInner>, wid: usize) {
+    let cancelled = |w: &Work| w.shared.cancelled.load(Ordering::SeqCst);
     loop {
-        let job = {
-            let mut q = unpoisoned(inner.queue.lock());
-            loop {
-                if inner.killed.load(Ordering::SeqCst) {
-                    // Simulated process death: stop without popping —
-                    // whatever is queued belongs to recovery.
-                    return;
-                }
-                if let Some(job) = q.heap.pop() {
-                    q.running += 1;
-                    inner.depth.set(q.heap.len() as u64);
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = unpoisoned(inner.available.wait(q));
+        let mut s = unpoisoned(inner.scheduler.lock());
+        let next = loop {
+            match s.pickup(Instant::now(), wid, cancelled) {
+                Pickup::Wait => s = unpoisoned(inner.available.wait(s)),
+                Pickup::Stop => return,
+                Pickup::Run(job) => break Ok(job),
+                Pickup::Leave(exit) => break Err(exit),
             }
         };
-        process_job(&inner, wid, job);
-        {
-            let mut q = unpoisoned(inner.queue.lock());
-            q.running -= 1;
+        inner.depth.set(s.queue_depth() as u64);
+        drop(s);
+        match next {
+            Ok(job) => run_job(&inner, wid, job),
+            Err(exit) => leave(&inner, exit),
         }
+        inner.with(|s| s.release());
         inner.drained.notify_all();
     }
 }
 
-/// Whether the queue holds work that should preempt a running job of
-/// `priority` at its next checkpoint barrier. Strictly higher priority
-/// only: equal-priority work waits its FIFO turn, so two long jobs can
-/// never ping-pong each other.
-fn higher_priority_waiting(inner: &ServiceInner, priority: i32) -> bool {
-    unpoisoned(inner.queue.lock())
-        .heap
-        .peek()
-        .is_some_and(|job| job.priority > priority)
-}
-
-/// Pushes `job` onto the heap — the only place that does — or hands it
-/// back when the queue is shut down. With `fresh_seq` it takes the next
-/// submission `seq` and so enters at the back of its priority class;
-/// without, it keeps the one it has.
-fn enqueue(inner: &ServiceInner, mut job: QueuedJob, fresh_seq: bool) -> Option<QueuedJob> {
-    let mut q = unpoisoned(inner.queue.lock());
-    if q.shutdown {
-        return Some(job);
-    }
-    if fresh_seq {
-        job.seq = q.next_seq;
-        q.next_seq += 1;
-    }
-    q.heap.push(job);
-    inner.depth.set(q.heap.len() as u64);
-    drop(q);
-    inner.available.notify_one();
-    None
-}
-
-/// Queues a new or recovered job. A service that is already shut down
-/// refuses it instead, so no handle waits forever.
-fn admit(inner: &ServiceInner, job: QueuedJob) {
-    if let Some(job) = enqueue(inner, job, true) {
-        let refusal = JobOutcome::Failed("service is shut down".into());
-        retire(inner, job, refusal, None);
-    }
-}
-
-/// Puts a suspended or restarted job back into the priority queue. With
-/// `to_back` false (preemption, crash restarts) it keeps its original
-/// submission `seq` and so resumes ahead of later arrivals at the same
-/// priority; with `to_back` true (explicit [`JobHandle::suspend`]) it
-/// takes a fresh `seq` and re-enters at the back of its priority class,
-/// letting already-queued peers overtake. On a shutting-down service the
-/// job is retired as cancelled instead, so no handle waits forever.
-fn requeue(inner: &ServiceInner, job: QueuedJob, to_back: bool) {
-    if let Some(job) = enqueue(inner, job, to_back) {
-        retire(inner, job, JobOutcome::Cancelled, None);
-    }
-}
-
-/// Writes `job`'s current durable record — its pre-encoded spec, its
-/// progress floor, and (when the slice's state is byte-serialisable)
-/// its checkpoint bytes — and bumps the persist sequence. No-op for
-/// jobs without a store or spec encoding. Persist failures are counted
-/// and recorded, never fatal: the job keeps running, it just loses
-/// crash durability back to its previous record.
-fn persist_job(inner: &ServiceInner, job: &mut QueuedJob, checkpoint: Option<&[u8]>) {
-    let (Some(store), Some(spec)) = (inner.store.as_ref(), job.spec_bytes.as_ref()) else {
+/// Writes `job`'s durable record — its spec encoding, progress floor and
+/// (when the slice's state is byte-serialisable) checkpoint bytes — and
+/// reports the outcome to the scheduler; a no-op without a store or spec
+/// encoding. A failure is recorded, never fatal: the job keeps running,
+/// it just loses crash durability back to its previous record.
+fn persist_job(inner: &ServiceInner, job: &mut Job<Work>, checkpoint: Option<&[u8]>) {
+    let (Some(store), Some(spec)) = (&inner.store, &job.payload.spec_bytes) else {
         return;
     };
     let payload = persist::encode_record(spec, job.checkpoint_steps, checkpoint);
-    // The store's put is temp-file + fsync + rename; attribute its wall
-    // time to the job's fsync phase and the service-wide persist span.
-    // Events route through the probe so persist/recover counters tick.
-    let probe = inner.registry.probe(job.shared.id, &job.label);
+    // The put is temp-file + fsync + rename: its wall time goes to the
+    // job's fsync phase and the service-wide persist span, its event
+    // through the probe so the persist counters tick.
+    let probe = inner.registry.probe(job.id, &job.label);
     let started = Instant::now();
-    let result = store.put(job.shared.id, job.persist_seq, &payload);
+    let result = store.put(job.id, job.persist_seq, &payload);
     let nanos = saturating_nanos(started.elapsed());
     probe.on_phase(0, Phase::Fsync, nanos);
     inner.registry.span("store.persist").record(nanos);
-    match result {
-        Ok(()) => {
-            job.persist_seq += 1;
-            unpoisoned(inner.stats.lock()).persisted += 1;
-            probe.on_event(&Event::new(
-                EventKind::Persisted,
-                Some(job.shared.id),
-                saturating_i64(job.checkpoint_steps),
-            ));
-        }
-        Err(err) => {
-            unpoisoned(inner.stats.lock()).persist_errors += 1;
-            probe.on_event(
-                &Event::new(EventKind::Persisted, Some(job.shared.id), -1)
-                    .with_detail(format!("persist failed: {err}")),
-            );
-        }
-    }
-}
-
-/// A worker crashed (panicked) mid-solve. If the job still holds its
-/// workload and has restart budget, re-queue it *without* a run — the
-/// next pickup starts it afresh and replays deterministically to the
-/// last checkpoint barrier (`resume_floor`) — returning `None`; no
-/// workload code runs here. Otherwise hand the job back with the
-/// failure message.
-fn crash(inner: &ServiceInner, mut job: QueuedJob, message: String) -> Option<(QueuedJob, String)> {
-    // Record the crash, then preserve the flight recorder's tail so the
-    // dump includes the crash event itself and the lead-up to it.
-    let id = job.shared.id;
-    inner.registry.record(
-        Event::new(
-            EventKind::Crashed,
-            Some(id),
-            saturating_i64(job.checkpoint_steps),
-        )
-        .with_detail(message.clone()),
-    );
-    inner.registry.dump_crash(id, message.clone());
-    if job.kind.is_none() || job.attempt >= inner.max_restarts {
-        return Some((job, message));
-    }
-    job.attempt += 1;
-    job.resume_floor = job.checkpoint_steps;
-    // The restart replays from step zero and re-times everything up to
-    // the floor; keeping the pre-crash slice time would count every
-    // replayed step twice in the job's reported solve time.
-    job.solve_so_far = Duration::ZERO;
-    job.shared.set_queued();
-    unpoisoned(inner.stats.lock()).restarts += 1;
-    inner.registry.record(Event::new(
-        EventKind::Restarted,
-        Some(id),
-        saturating_i64(job.resume_floor),
-    ));
-    requeue(inner, job, false);
-    None
-}
-
-/// Maps a finished run's summary to a job outcome, caching completed
-/// results.
-fn summary_outcome(inner: &ServiceInner, job: &QueuedJob, summary: RunSummary) -> JobOutcome {
-    match summary.outcome {
-        RunOutcome::Stopped => {
-            if job.shared.cancelled.load(Ordering::SeqCst) {
-                JobOutcome::Cancelled
-            } else {
-                JobOutcome::TimedOut
-            }
-        }
-        _ => {
-            if let Some(key) = &job.cache_key {
-                unpoisoned(inner.cache.lock()).insert(key, summary.clone());
-            }
-            JobOutcome::Completed(summary)
-        }
-    }
-}
-
-/// The worker's share of a retirement: which worker held the job when
-/// it ended, how long its last attempt ran there (`None`: decided at
-/// pickup, nothing executed), and whether the cache answered.
-struct Attempt {
-    wid: usize,
-    ran_for: Option<Duration>,
-    from_cache: bool,
-}
-
-/// The one way out of the service, whoever decides the job is over: a
-/// worker (`attempt`), `submit` refusing it, or a shutting-down service
-/// cancelling what is queued or parked. The only writer of [`JobResult`],
-/// the terminal counters, label count and event, and the durable-record
-/// removal — so every exit leaves the same records.
-fn retire(inner: &ServiceInner, job: QueuedJob, outcome: JobOutcome, attempt: Option<Attempt>) {
-    let (worker, ran_for, from_cache) = match attempt {
-        Some(a) => (Some(a.wid), a.ran_for, a.from_cache),
-        None => (None, None, false),
+    let steps = saturating_i64(job.checkpoint_steps);
+    let event = match &result {
+        Ok(()) => Event::new(EventKind::Persisted, Some(job.id), steps),
+        Err(err) => Event::new(EventKind::Persisted, Some(job.id), -1)
+            .with_detail(format!("persist failed: {err}")),
     };
-    let solve_time = job.solve_so_far + ran_for.unwrap_or_default();
-    let queue_wait = {
-        let mut stats = unpoisoned(inner.stats.lock());
-        match &outcome {
-            JobOutcome::Completed(_) => {
-                stats.completed += 1;
-                if from_cache {
-                    stats.cache_hits += 1;
-                }
-            }
-            JobOutcome::TimedOut => stats.timed_out += 1,
-            JobOutcome::Cancelled => stats.cancelled += 1,
-            JobOutcome::Failed(_) => stats.failed += 1,
-        }
-        if !from_cache && solve_time > Duration::ZERO {
-            stats.solve_time_us.record(saturating_micros(solve_time));
-        }
-        if let Some(wid) = worker {
-            stats.per_worker_jobs[wid] += 1;
-            stats.per_worker_busy_us[wid] += saturating_micros(ran_for.unwrap_or_default());
-        }
-        *stats.jobs_by_kind.entry(job.label.clone()).or_insert(0) += 1;
-        match (job.first_wait, &outcome) {
-            // Recorded by the worker at first pickup.
-            (Some(wait), _) => wait,
-            // A failure no worker saw is a refusal at the door: the job
-            // never waited in the queue, so it adds no sample.
-            (None, JobOutcome::Failed(_)) => Duration::ZERO,
-            // Left the queue without reaching a worker (drop, shutdown):
-            // it still waited there, and its wait belongs in the
-            // distribution like everyone else's.
-            (None, _) => {
-                let wait = job.submitted_at.elapsed();
-                stats.queue_wait_us.record(saturating_micros(wait));
-                wait
-            }
-        }
-    };
-    // Terminal lifecycle event (failures were already recorded as
-    // `Crashed`, with the flight-recorder tail dumped, in `crash`).
-    let terminal = match &outcome {
+    probe.on_event(&event);
+    inner.with(|s| s.persisted(job, result.is_ok()));
+}
+
+/// Requeues a parked or restarting job (retiring it once shut down); its
+/// handle reads `Queued` before another worker can pop it.
+fn requeue(inner: &ServiceInner, job: Job<Work>) {
+    job.payload.shared.set_queued();
+    match inner.with(|s| s.requeue(Instant::now(), job)) {
+        Some(exit) => leave(inner, exit),
+        None => inner.available.notify_one(),
+    }
+}
+
+/// The driver's share of every way out, after the scheduler counted it:
+/// terminal event, durable-record removal, the handle's result.
+fn leave(inner: &ServiceInner, Exit { job, result }: Exit<Work>) {
+    // Failures were already recorded as `Crashed`, with the flight
+    // recorder's tail dumped.
+    let terminal = match &result.outcome {
         JobOutcome::Completed(_) => Some(EventKind::Completed),
         JobOutcome::TimedOut => Some(EventKind::TimedOut),
         JobOutcome::Cancelled => Some(EventKind::Cancelled),
         JobOutcome::Failed(_) => None,
     };
     if let Some(kind) = terminal {
-        inner.registry.record(Event::new(
-            kind,
-            Some(job.shared.id),
-            saturating_i64(saturating_micros(solve_time)),
-        ));
+        inner.record(kind, job.id, saturating_micros(result.solve_time));
     }
-    inner.registry.retire_probe(job.shared.id);
-    // A terminal job no longer needs a durable record — and one retired
-    // at a graceful shutdown must not be resurrected by the next
-    // incarnation (only a kill leaves records behind).
-    if job.spec_bytes.is_some() {
-        if let Some(store) = inner.store.as_ref() {
-            let _ = store.remove(job.shared.id);
-        }
+    inner.registry.retire_probe(job.id);
+    // A terminal job needs no durable record — and one retired at a
+    // graceful shutdown must not be resurrected (only a kill leaves
+    // records behind).
+    if let (Some(store), Some(_)) = (&inner.store, &job.payload.spec_bytes) {
+        let _ = store.remove(job.id);
     }
-    job.shared.finish(JobResult {
-        id: job.shared.id,
-        outcome,
-        from_cache,
-        queue_wait,
-        solve_time,
-        worker,
-        exec_seq: job.exec_seq,
-    });
+    job.payload.shared.finish(result);
 }
 
-fn process_job(inner: &ServiceInner, wid: usize, mut job: QueuedJob) {
-    // One timestamp anchors both measurements: everything before it is
-    // queue wait, everything after it is solve time. (Taking separate
-    // `elapsed()` readings here used to leak the stats-lock acquisition
-    // into neither/both, depending on contention.)
-    let picked_up = Instant::now();
-    if job.first_wait.is_none() {
-        // First pickup: this is the job's queue wait — later re-queues
-        // from preemption are scheduling churn, not queue wait.
-        let wait = picked_up.saturating_duration_since(job.submitted_at);
-        job.first_wait = Some(wait);
-        job.exec_seq = Some(inner.exec_seq.fetch_add(1, Ordering::SeqCst));
-        unpoisoned(inner.stats.lock())
-            .queue_wait_us
-            .record(saturating_micros(wait));
-    }
-
-    let mut from_cache = false;
-    let mut executed = false;
-    let outcome = 'decide: {
-        if job.shared.cancelled.load(Ordering::SeqCst) {
-            break 'decide JobOutcome::Cancelled;
-        }
-        if job.deadline_at.is_some_and(|d| picked_up >= d) {
-            // Expired while queued: reject without occupying the worker.
-            break 'decide JobOutcome::TimedOut;
-        }
-        if job.slice.is_none() {
-            if let Some(hit) = job
-                .cache_key
-                .as_ref()
-                .and_then(|key| unpoisoned(inner.cache.lock()).get(key))
-            {
-                from_cache = true;
-                break 'decide JobOutcome::Completed(hit);
-            }
-        }
-
-        job.shared.set_running();
-        executed = true;
-        inner.registry.record(Event::new(
-            EventKind::Started,
-            Some(job.shared.id),
-            saturating_i64(wid as u64),
-        ));
-        // What runs next under the guard: the parked slice, or — first
-        // start, crash restart and recovery alike — a run assembled afresh.
-        let mut run: Box<dyn FnOnce() -> SliceOutcome> = match job.slice.take() {
-            Some(slice) => Box::new(move || slice.run_slice()),
-            None => {
-                // A checkpoint-enabled job runs a copy of its workload and
-                // keeps the original for a restart after a crash; every
-                // other job never restarts, so it skips the clone.
-                let copy = match &job.kind {
-                    Some(kind) if job.params.checkpoint.is_enabled() => kind.try_clone(),
-                    _ => None,
-                };
-                let kind = copy.or_else(|| job.kind.take());
-                let mut params = job.params.clone();
-                // The per-job probe rides with the engine for its whole
-                // life (restarts re-use the same probe: step counters
-                // only move forward through deterministic replay).
-                let probe = inner.registry.probe(job.shared.id, &job.label);
-                params.obs = ObsHandle::new(probe as Arc<dyn Observer>);
-                let mut stop = job.shared.stop.clone();
-                if let Some(deadline) = job.deadline_at {
-                    // Absolute, so a resumed job keeps its original
-                    // budget: the handle travels with the suspended sim.
-                    stop = stop.until(deadline);
-                }
-                params.stop = Some(stop);
-                Box::new(move || {
-                    let kind = kind.expect("a job without a live run still holds its workload");
-                    kind.into_erased().start(&params).run_slice()
-                })
-            }
-        };
-
-        // The slice loop: advance one checkpoint interval at a time; at
-        // every barrier honour cancellation, explicit suspension, and
-        // priority preemption. Everything a workload supplies (factory,
-        // assembly, handlers) runs inside this one guard, holding no lock.
-        loop {
-            let slice = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-                Err(panic) => {
-                    let busy = picked_up.elapsed();
-                    match crash(inner, job, panic_message(panic.as_ref(), "job panicked")) {
-                        None => {
-                            // Restarting from the checkpoint. The crashed
-                            // attempt still occupied this worker; the
-                            // terminal accounting never runs for it, so
-                            // bill the busy time here.
-                            unpoisoned(inner.stats.lock()).per_worker_busy_us[wid] +=
-                                saturating_micros(busy);
-                            return;
-                        }
-                        Some((returned, msg)) => {
-                            job = returned;
-                            break 'decide JobOutcome::Failed(msg);
-                        }
-                    }
-                }
-                Ok(SliceOutcome::Finished(summary)) => {
-                    break 'decide summary_outcome(inner, &job, summary);
-                }
-                Ok(SliceOutcome::Yielded(slice)) => slice,
+/// Runs a picked-up job slice by slice; at every barrier the scheduler
+/// decides whether it continues, parks, leaves or stops. Everything a
+/// workload supplies (factory, assembly, handlers) runs inside one panic
+/// guard, holding no lock.
+fn run_job(inner: &ServiceInner, wid: usize, mut job: Job<Work>) {
+    let shared = Arc::clone(&job.payload.shared);
+    shared.set_running();
+    inner.record(EventKind::Started, job.id, wid as u64);
+    // The parked slice, or — first start, crash restart and recovery
+    // alike — a run assembled afresh.
+    let mut run: Box<dyn FnOnce() -> SliceOutcome> = match job.payload.slice.take() {
+        Some(slice) => Box::new(move || slice.run_slice()),
+        None => {
+            let work = &mut job.payload;
+            let copy = match &work.kind {
+                Some(kind) if work.params.checkpoint.is_enabled() => kind.try_clone(),
+                _ => None,
             };
-            job.checkpoint_steps = slice.steps_done();
-            inner.registry.record(Event::new(
-                EventKind::SliceYielded,
-                Some(job.shared.id),
-                saturating_i64(job.checkpoint_steps),
-            ));
-            if job.checkpoint_steps > job.resume_floor {
-                // A new durable barrier (replay below the floor
-                // re-derives state the store already has).
-                persist_job(inner, &mut job, slice.checkpoint_bytes().as_deref());
-            }
-            if inner.killed.load(Ordering::SeqCst) {
-                // Simulated process death: stop here, leaving the
-                // barrier record durable and the handle unfinished —
-                // recovery owns this job now.
+            let kind = copy.or_else(|| work.kind.take());
+            let mut params = work.params.clone();
+            // The per-job probe rides with the engine for its whole life
+            // (a restart re-uses it: step counters only move forward
+            // through deterministic replay).
+            let probe = inner.registry.probe(job.id, &job.label);
+            params.obs = ObsHandle::new(probe as Arc<dyn Observer>);
+            // An absolute deadline, so a resumed job keeps its budget.
+            let stop = shared.stop.clone();
+            params.stop = Some(match job.deadline_at {
+                Some(deadline) => stop.until(deadline),
+                None => stop,
+            });
+            Box::new(move || {
+                let kind = kind.expect("a job without a live run still holds its workload");
+                kind.into_erased().start(&params).run_slice()
+            })
+        }
+    };
+    let cancelled = || shared.cancelled.load(Ordering::SeqCst);
+    loop {
+        let slice = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+            Err(panic) => {
+                let message = panic_message(panic.as_ref(), "job panicked");
+                // Record the crash, then dump the flight recorder's tail,
+                // crash event included.
+                let steps = saturating_i64(job.checkpoint_steps);
+                let event = Event::new(EventKind::Crashed, Some(job.id), steps);
+                inner.registry.record(event.with_detail(message.clone()));
+                inner.registry.dump_crash(job.id, message.clone());
+                let can_restart = job.payload.kind.is_some();
+                match inner.with(|s| s.crashed(Instant::now(), job, can_restart, message)) {
+                    Crash::Restart(job) => {
+                        inner.record(EventKind::Restarted, job.id, job.resume_floor);
+                        requeue(inner, job);
+                    }
+                    Crash::Fail(exit) => leave(inner, exit),
+                }
                 return;
             }
-            if job.shared.cancelled.load(Ordering::SeqCst) {
-                break 'decide JobOutcome::Cancelled;
+            Ok(SliceOutcome::Finished(summary)) => {
+                let exit = inner.with(|s| s.finished(Instant::now(), job, summary, cancelled()));
+                return leave(inner, exit);
             }
-            // Crash recovery: replay to the last checkpoint before
-            // anything may interleave again (a suspend request made
-            // meanwhile stays pending).
-            let replaying = job.checkpoint_steps < job.resume_floor;
-            let suspend = !replaying && job.shared.suspend.swap(false, Ordering::SeqCst);
-            if replaying || !(suspend || higher_priority_waiting(inner, job.priority)) {
-                run = Box::new(move || slice.run_slice());
-                continue;
-            }
-            // Preempted: park the live run back in the queue and free
-            // this worker for the higher-priority job. One reading of
-            // the clock feeds both the worker's busy counter and the
-            // job's accumulated solve time — separate `elapsed()` calls
-            // drifted apart.
-            let busy = picked_up.elapsed();
-            {
-                let mut stats = unpoisoned(inner.stats.lock());
-                if suspend {
-                    stats.suspensions += 1;
-                } else {
-                    stats.preemptions += 1;
-                }
-                stats.per_worker_busy_us[wid] += saturating_micros(busy);
-            }
-            job.solve_so_far += busy;
-            job.slice = Some(slice);
-            job.shared.set_queued();
-            inner.registry.record(Event::new(
-                if suspend {
-                    EventKind::Suspended
-                } else {
-                    EventKind::Preempted
-                },
-                Some(job.shared.id),
-                saturating_i64(job.checkpoint_steps),
-            ));
-            requeue(inner, job, suspend);
-            return;
+            Ok(SliceOutcome::Yielded(slice)) => slice,
+        };
+        let fresh = job.reach(slice.steps_done());
+        inner.record(EventKind::SliceYielded, job.id, job.checkpoint_steps);
+        if fresh {
+            persist_job(inner, &mut job, slice.checkpoint_bytes().as_deref());
         }
-    };
-
-    // One reading of the clock for the final attempt: both the job's
-    // total solve time and the worker's busy counter are derived from
-    // it, so they cannot drift apart.
-    let attempt = Attempt {
-        wid,
-        ran_for: executed.then(|| picked_up.elapsed()),
-        from_cache,
-    };
-    retire(inner, job, outcome, Some(attempt));
+        let suspend = || shared.suspend.swap(false, Ordering::SeqCst);
+        let decision = inner.with(|s| s.barrier(Instant::now(), job, cancelled(), suspend));
+        job = match decision {
+            Barrier::Continue(job) => job,
+            Barrier::Park { mut job, suspended } => {
+                job.payload.slice = Some(slice);
+                let kind = match suspended {
+                    true => EventKind::Suspended,
+                    false => EventKind::Preempted,
+                };
+                inner.record(kind, job.id, job.checkpoint_steps);
+                return requeue(inner, job);
+            }
+            Barrier::Leave(exit) => {
+                drop(slice);
+                return leave(inner, exit);
+            }
+            // Simulated process death: the barrier's record stays durable
+            // and the handle unfinished — recovery owns this job now.
+            Barrier::Stop(_) => return,
+        };
+        run = Box::new(move || slice.run_slice());
+    }
 }
 
 #[cfg(test)]
@@ -1195,37 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn result_cache_is_bounded_and_evicts_fifo() {
-        let mut cache = ResultCache::new(2);
-        let summary = |n: u64| RunSummary {
-            result: Some(n.to_string()),
-            outcome: RunOutcome::Halted,
-            steps: n,
-            computation_time: n,
-            total_sent: 0,
-            total_delivered: 0,
-            activations_started: 0,
-            activations_completed: 0,
-            nodes_pruned: 0,
-            best_incumbent: None,
-        };
-        cache.insert("a", summary(1));
-        cache.insert("b", summary(2));
-        assert_eq!(cache.len(), 2);
-        cache.insert("c", summary(3)); // evicts "a"
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("a").is_none());
-        assert!(cache.get("b").is_some() && cache.get("c").is_some());
-        // Re-inserting an existing key neither grows nor reorders.
-        cache.insert("b", summary(9));
-        assert_eq!(cache.get("b").unwrap().steps, 2);
-        // Capacity 0 disables caching.
-        let mut off = ResultCache::new(0);
-        off.insert("x", summary(1));
-        assert_eq!(off.len(), 0);
-    }
-
-    #[test]
     fn cache_capacity_zero_disables_hits_end_to_end() {
         let service = SolverService::new(ServiceConfig {
             workers: 1,
@@ -1269,6 +734,13 @@ mod tests {
             assert!(
                 s.finished() <= s.submitted,
                 "finished {} > submitted {}",
+                s.finished(),
+                s.submitted
+            );
+            assert!(
+                s.queue_depth as u64 + s.finished() <= s.submitted,
+                "queued {} + finished {} > submitted {}",
+                s.queue_depth,
                 s.finished(),
                 s.submitted
             );
@@ -1337,7 +809,7 @@ mod tests {
         assert_eq!(late.outcome, JobOutcome::Cancelled);
         assert_eq!(other.wait().outcome, JobOutcome::Cancelled);
         // Cancelled-in-queue jobs still record their queue wait.
-        let stats = inner.stats.lock().expect("stats poisoned");
+        let stats = inner.with(|s| s.stats(Instant::now()));
         assert_eq!(stats.cancelled, 2);
         assert_eq!(
             stats.queue_wait_us.count(),
@@ -1373,16 +845,6 @@ mod tests {
         for key in ["counters", "gauges", "jobs", "events", "crashes"] {
             assert!(json.contains(&format!("\"{key}\"")), "{key} in {json}");
         }
-    }
-
-    #[test]
-    fn submit_after_shutdown_fails_cleanly() {
-        let mut service = SolverService::paused(1);
-        service.start();
-        let inner = Arc::clone(&service.inner);
-        drop(service);
-        let q = inner.queue.lock().unwrap();
-        assert!(q.shutdown);
     }
 
     #[test]

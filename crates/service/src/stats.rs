@@ -14,40 +14,8 @@ pub(crate) fn saturating_i64(v: u64) -> i64 {
     i64::try_from(v).unwrap_or(i64::MAX)
 }
 
-/// Mutable counters behind the service's stats mutex.
-#[derive(Debug, Default)]
-pub(crate) struct StatsInner {
-    pub submitted: u64,
-    pub completed: u64,
-    pub timed_out: u64,
-    pub cancelled: u64,
-    pub failed: u64,
-    pub cache_hits: u64,
-    pub preemptions: u64,
-    pub suspensions: u64,
-    pub restarts: u64,
-    pub persisted: u64,
-    pub recovered: u64,
-    pub persist_errors: u64,
-    pub queue_wait_us: Histogram,
-    pub solve_time_us: Histogram,
-    pub per_worker_jobs: Vec<u64>,
-    pub per_worker_busy_us: Vec<u64>,
-    pub jobs_by_kind: std::collections::HashMap<String, u64>,
-}
-
-impl StatsInner {
-    pub(crate) fn new(workers: usize) -> StatsInner {
-        StatsInner {
-            per_worker_jobs: vec![0; workers],
-            per_worker_busy_us: vec![0; workers],
-            ..StatsInner::default()
-        }
-    }
-}
-
 /// A point-in-time snapshot of the service's operational metrics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServiceStats {
     /// Worker pool size.
     pub workers: usize,
@@ -233,25 +201,9 @@ mod tests {
         ServiceStats {
             workers: 2,
             uptime: Duration::from_secs(10),
-            submitted: 0,
-            completed: 0,
-            timed_out: 0,
-            cancelled: 0,
-            failed: 0,
-            cache_hits: 0,
-            preemptions: 0,
-            suspensions: 0,
-            restarts: 0,
-            persisted: 0,
-            recovered: 0,
-            persist_errors: 0,
-            cache_entries: 0,
-            queue_depth: 0,
-            queue_wait_us: Histogram::default(),
-            solve_time_us: Histogram::default(),
             per_worker_jobs: vec![1, 2],
             per_worker_busy: vec![Duration::from_secs(5), Duration::from_secs(1)],
-            jobs_by_kind: Vec::new(),
+            ..ServiceStats::default()
         }
     }
 

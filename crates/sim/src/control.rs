@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A cloneable token that asks a running backend to stop cooperatively.
 ///
@@ -36,11 +36,6 @@ impl StopHandle {
         }
     }
 
-    /// A handle that trips `budget` from now.
-    pub fn deadline_in(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
-    }
-
     /// Tightens the deadline on this handle: the effective deadline is
     /// the *earlier* of any existing one and `deadline`, so composing
     /// budgets can only shorten a run, never quietly extend it. Only
@@ -57,11 +52,6 @@ impl StopHandle {
     /// Trips the explicit stop flag on every clone of this handle.
     pub fn stop(&self) {
         self.flag.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether the explicit flag was raised (deadline not consulted).
-    pub fn flag_raised(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
     }
 
     /// The wall-clock deadline, if one is set.
@@ -84,6 +74,7 @@ impl StopHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn explicit_stop_is_shared_across_clones() {
@@ -91,15 +82,15 @@ mod tests {
         let b = a.clone();
         assert!(!a.should_stop() && !b.should_stop());
         b.stop();
-        assert!(a.should_stop() && a.flag_raised());
+        assert!(a.should_stop() && a.flag.load(Ordering::SeqCst));
     }
 
     #[test]
     fn deadline_trips_without_flag() {
         let h = StopHandle::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(h.should_stop());
-        assert!(!h.flag_raised());
-        let later = StopHandle::deadline_in(Duration::from_secs(3600));
+        assert!(!h.flag.load(Ordering::SeqCst));
+        let later = StopHandle::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!later.should_stop());
     }
 
@@ -110,7 +101,7 @@ mod tests {
         assert!(b.should_stop());
         assert!(!a.should_stop());
         a.stop();
-        assert!(b.flag_raised());
+        assert!(b.flag.load(Ordering::SeqCst));
     }
 
     #[test]

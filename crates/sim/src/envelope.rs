@@ -19,12 +19,6 @@ pub struct Envelope<M> {
 }
 
 impl<M> Envelope<M> {
-    /// Queueing delay experienced so far, in steps, if delivered at
-    /// `now`.
-    pub fn age(&self, now: u64) -> u64 {
-        now.saturating_sub(self.sent_step)
-    }
-
     /// Records one *topology link* traversal (a routed hop-by-hop
     /// advance). This is the only operation that may grow `hops`: being
     /// handed between backend shards or worker threads is not a link
@@ -54,19 +48,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn age_is_saturating() {
-        let e = Envelope {
-            src: 0,
-            dst: 1,
-            sent_step: 10,
-            hops: 1,
-            payload: (),
-        };
-        assert_eq!(e.age(15), 5);
-        assert_eq!(e.age(5), 0);
-    }
-
-    #[test]
     fn hop_accounting_counts_links_not_shard_handoffs() {
         let mut e = Envelope {
             src: 3,
@@ -81,12 +62,11 @@ mod tests {
         e.advance_hop();
         assert_eq!(e.hops, 3);
         // A shard handoff is a plain move/clone of the envelope: both hop
-        // count and the enqueue step (hence `age`) must be preserved so a
-        // sharded backend reports the same latency as the sequential one.
+        // count and the enqueue step must be preserved so a sharded
+        // backend reports the same latency as the sequential one.
         let handed_off = e.clone();
         assert_eq!(handed_off, e);
-        assert_eq!(handed_off.hops, 3);
-        assert_eq!(handed_off.age(10), e.age(10));
+        assert_eq!((handed_off.hops, handed_off.sent_step), (3, 4));
     }
 
     #[test]
@@ -145,7 +125,5 @@ mod tests {
         // Idempotent: re-marking on a second handoff cannot inflate it.
         e.complete_direct();
         assert_eq!(e.hops, 1);
-        // Age is a function of the enqueue step alone, never of hops.
-        assert_eq!(e.age(3), 1);
     }
 }

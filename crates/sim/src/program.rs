@@ -63,9 +63,9 @@ pub trait NodeProgram: Sync {
     /// Whether this node has no internal pending work.
     ///
     /// Only consulted when `tick_every` is configured: a run is quiescent
-    /// once no messages are queued *and* every node reports idle, so
-    /// tick-driven programs (e.g. a scheduler draining internal mailboxes)
-    /// keep receiving ticks until their backlogs empty.
+    /// once no messages are queued *and* every node reports idle, so a
+    /// program that works through an internal backlog on its ticks keeps
+    /// receiving them until the backlog empties.
     fn is_idle(&self, _state: &Self::State) -> bool {
         true
     }

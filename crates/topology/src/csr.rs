@@ -60,12 +60,6 @@ impl Csr {
     pub fn are_adjacent(&self, a: NodeId, b: NodeId) -> bool {
         self.neighbours(a).contains(&b)
     }
-
-    /// Total directed edge count (twice the link count for undirected graphs).
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.targets.len()
-    }
 }
 
 #[cfg(test)]
@@ -96,12 +90,5 @@ mod tests {
     #[test]
     fn csr_matches_trait_full() {
         check_matches(&FullyConnected::new(9));
-    }
-
-    #[test]
-    fn edge_count() {
-        let t = Torus::new_2d(4, 4);
-        let csr = Csr::build(&t);
-        assert_eq!(csr.num_edges(), 2 * t.num_links());
     }
 }

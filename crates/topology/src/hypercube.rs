@@ -26,13 +26,6 @@ impl Hypercube {
     pub fn dim(&self) -> u32 {
         self.dim
     }
-
-    /// The smallest hypercube holding at least `n` nodes.
-    pub fn fitting(n: usize) -> Self {
-        assert!(n >= 2);
-        let dim = (usize::BITS - (n - 1).leading_zeros()).max(1);
-        Hypercube::new(dim)
-    }
 }
 
 impl Topology for Hypercube {
@@ -96,16 +89,6 @@ mod tests {
         let h = Hypercube::new(4);
         assert_eq!(h.next_hop(0b0000, 0b1010), 0b0010);
         assert_eq!(h.next_hop(0b0010, 0b1010), 0b1010);
-    }
-
-    #[test]
-    fn fitting_picks_minimal_dimension() {
-        assert_eq!(Hypercube::fitting(2).dim(), 1);
-        assert_eq!(Hypercube::fitting(3).dim(), 2);
-        assert_eq!(Hypercube::fitting(4).dim(), 2);
-        assert_eq!(Hypercube::fitting(5).dim(), 3);
-        assert_eq!(Hypercube::fitting(1000).dim(), 10);
-        assert_eq!(Hypercube::fitting(1024).dim(), 10);
     }
 
     #[test]

@@ -115,32 +115,17 @@ fn on_a_model_path(cnf: &Cnf, depth: u32) -> Cnf {
     (0..depth).fold(cnf.clone(), |f, v| f.assign(Var(v), model[v as usize]))
 }
 
-/// Layer 5's share of a mesh activation: both children of a split, by two
-/// `assign` scans and by the one `split` scan. Then a propagating
-/// activation with its children's lines 6–11, two ways (`Fixpoint`,
-/// Jeroslow–Wang, on `ksat-40-182@1` and `@11` as in the `simplify`
-/// group): `split+simplify×2` is the activation simplifying, choosing and
-/// splitting, then each child's `simplify_with` of its own copy; `born` is
+/// Layer 5's share of a propagating mesh activation with its children's
+/// lines 6–11, two ways (`Fixpoint`, Jeroslow–Wang, on `ksat-40-182@1`
+/// and `@11` as in the `simplify` group): `split+simplify×2` is the
+/// activation simplifying, choosing and assigning each polarity, then
+/// each child's `simplify_with` of its own copy; `born` is
 /// `DpllProgram::start`, whose split writes both children already
 /// simplified. Both include the activation's own `simplify_with` and
 /// choice, and produce the same children.
 fn bench_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("split");
     group.sample_size(50);
-    let formulas = [
-        ("uf20-91", gen::uf20_91(2017)),
-        ("ksat-30-136", gen::satisfiable_ksat(2017, 30, 136, 3)),
-    ];
-    for (name, cnf) in &formulas {
-        // A mid-formula variable, so clauses on both sides of it move.
-        let var = Var(cnf.num_vars() / 2);
-        group.bench_function(BenchmarkId::new("assign-twice", name), |b| {
-            b.iter(|| (cnf.assign(var, true), cnf.assign(var, false)))
-        });
-        group.bench_function(BenchmarkId::new("split", name), |b| {
-            b.iter(|| cnf.split(var))
-        });
-    }
     let ksat = gen::satisfiable_ksat(2017, 40, 182, 3);
     let program = DpllProgram::new(Heuristic::JeroslowWang);
     for depth in [1, 11] {
@@ -152,8 +137,8 @@ fn bench_split(c: &mut Criterion) {
                 let mut a = Assignment::new(f.num_vars());
                 simplify_with(&mut f, &mut a, SimplifyMode::Fixpoint);
                 let var = Heuristic::JeroslowWang.select(&f).expect("undecided").var();
-                let (when_true, when_false) = f.split(var);
-                [(when_true, true), (when_false, false)].map(|(mut child, value)| {
+                [true, false].map(|value| {
+                    let mut child = f.assign(var, value);
                     let mut path = a.clone();
                     path.assign(var, value);
                     simplify_with(&mut child, &mut path, SimplifyMode::Fixpoint);

@@ -186,11 +186,11 @@ impl Assignment {
 
 /// A CNF formula in one flat compressed-row layout: every clause's
 /// literals back to back in `lits`, clause `i` ending (exclusively) at
-/// `ends[i]`. A mesh search writes a residual formula per DPLL child, so
-/// the layout keeps a formula at two buffers whatever its clause count,
-/// and a split can write its children into the buffers of a formula a
-/// finished activation left behind (a recycled [`SubProblem`] body): a
-/// child that fits them allocates nothing.
+/// `ends[i]`. A propagating mesh search writes a residual formula per
+/// DPLL child, so the layout keeps a formula at two buffers whatever its
+/// clause count, and a split can write its children into the buffers of
+/// a formula a finished activation left behind (a recycled [`SubProblem`]
+/// body): a child that fits them allocates nothing.
 ///
 /// [`SubProblem`]: crate::SubProblem
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -238,6 +238,11 @@ impl Cnf {
         self.ends.len()
     }
 
+    /// Number of literal occurrences, over all clauses.
+    pub(crate) fn num_lits(&self) -> usize {
+        self.lits.len()
+    }
+
     /// `consistent(problem)` from Listing 4 line 2: an empty clause set is
     /// trivially satisfied.
     pub fn is_trivially_sat(&self) -> bool {
@@ -261,16 +266,13 @@ impl Cnf {
     /// are deleted (the `assign(problem, L, v)` of Listing 4 lines 13–14).
     /// One forward pass, two allocations.
     pub fn assign(&self, var: Var, value: bool) -> Cnf {
-        let mut out = Cnf::default();
-        self.assign_into(var, value, &mut out);
-        out
-    }
-
-    /// [`Cnf::assign`], written into `out`'s buffers whatever `out` held.
-    pub(crate) fn assign_into(&self, var: Var, value: bool, out: &mut Cnf) {
         let satisfied = Lit::with_polarity(var, value);
         let falsified = satisfied.negated();
-        out.clear_for(self);
+        let mut out = Cnf {
+            num_vars: self.num_vars,
+            lits: Vec::with_capacity(self.lits.len()),
+            ends: Vec::with_capacity(self.ends.len()),
+        };
         for clause in self.clauses() {
             // Copy optimistically; a satisfied clause rolls its copy back.
             let mark = out.lits.len();
@@ -284,63 +286,21 @@ impl Cnf {
                     out.lits.push(lit);
                 }
             }
-            out.close_clause(mark, satisfied_clause);
-        }
-    }
-
-    /// Both polarities of one DPLL split, `(assign(var, true), assign(var,
-    /// false))`, from a single scan of this formula instead of two
-    /// (Listing 4 lines 13–14 back to back).
-    pub fn split(&self, var: Var) -> (Cnf, Cnf) {
-        let (mut when_true, mut when_false) = (Cnf::default(), Cnf::default());
-        self.split_into(var, &mut when_true, &mut when_false);
-        (when_true, when_false)
-    }
-
-    /// [`Cnf::split`], written into the buffers of `when_true` and
-    /// `when_false` whatever they held. A literal of another variable is
-    /// copied into both children; a clause that showed `var` positively
-    /// rolls its copy back in the `true` child, one that showed it
-    /// negatively in the `false` child (one that showed both, in both).
-    pub(crate) fn split_into(&self, var: Var, when_true: &mut Cnf, when_false: &mut Cnf) {
-        when_true.clear_for(self);
-        when_false.clear_for(self);
-        for clause in self.clauses() {
-            let (mark_true, mark_false) = (when_true.lits.len(), when_false.lits.len());
-            let (mut saw_pos, mut saw_neg) = (false, false);
-            for &lit in clause {
-                if lit.var() != var {
-                    when_true.lits.push(lit);
-                    when_false.lits.push(lit);
-                } else if lit.is_pos() {
-                    saw_pos = true;
-                } else {
-                    saw_neg = true;
-                }
+            if satisfied_clause {
+                out.lits.truncate(mark);
+            } else {
+                out.ends.push(out.lits.len() as u32);
             }
-            when_true.close_clause(mark_true, saw_pos);
-            when_false.close_clause(mark_false, saw_neg);
         }
+        out
     }
 
-    /// Empties this formula into one over `parent`'s variables with room
-    /// for all of `parent`'s clauses.
-    fn clear_for(&mut self, parent: &Cnf) {
-        self.num_vars = parent.num_vars;
+    /// Makes this formula the empty formula over no variable, keeping its
+    /// buffers.
+    pub(crate) fn clear(&mut self) {
+        self.num_vars = 0;
         self.lits.clear();
-        self.lits.reserve_exact(parent.lits.len());
         self.ends.clear();
-        self.ends.reserve_exact(parent.ends.len());
-    }
-
-    /// Ends the clause being copied since `mark`: dropped if `satisfied`,
-    /// kept otherwise.
-    fn close_clause(&mut self, mark: usize, satisfied: bool) {
-        if satisfied {
-            self.lits.truncate(mark);
-        } else {
-            self.ends.push(self.lits.len() as u32);
-        }
     }
 
     /// Makes this formula one empty clause over `num_vars` variables: an

@@ -11,15 +11,14 @@
 //!   offset per clause) read through borrowed `&[Lit]` views
 //!   ([`Cnf::clauses`], [`Cnf::clause`]); the owned [`Clause`] is what
 //!   formulas are built from and what the CDCL solver learns and exports.
-//!   The mesh ships a residual formula with every sub-problem, so the
-//!   scan that builds one is the hot loop of the whole stack:
 //!   [`Cnf::assign`] — one forward pass, two buffers whatever the clause
-//!   count — is the single-branch primitive, [`Cnf::split`] builds both
-//!   polarities of a branching variable from one pass where a split
-//!   spawns both (each half equal to the `assign` it stands for). A
+//!   count — is the branching primitive of sequential [`dpll`]. A
 //!   [`SubProblem`] is a handle to a body recycled through a per-thread
-//!   free list, and a mesh search writes each child into the buffers of
-//!   one that already finished;
+//!   free list. A propagating mesh search writes each child's residual
+//!   into the buffers of a body that already finished; a split-only one
+//!   copies no formula: a child travels as its path, an `Arc` to the
+//!   [`RootFormula`] the search started from plus its assignment, read
+//!   off the split variable's occurrence lists in O(occurrences);
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, and a planted-solution generator for larger instances;
@@ -67,5 +66,5 @@ pub use cdcl::{CdclConfig, CdclSolver, CdclStatus, RestartPolicy};
 pub use cnf::{check_model, Assignment, Clause, Cnf, Lit, Model, Var};
 pub use dpll::{SatResult, SolveStats};
 pub use heuristics::{Heuristic, SatSpecParseError};
-pub use program::{DpllProgram, Polarity, SubProblem, SubProblemBody, Verdict};
+pub use program::{DpllProgram, Polarity, RootFormula, SubProblem, SubProblemBody, Verdict};
 pub use simplify::{Simplified, SimplifyMode};

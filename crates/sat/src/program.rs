@@ -25,44 +25,62 @@
 //! (a child that hit a conflict ships as one empty clause, a satisfied one
 //! as the empty formula). The child's activation reads its verdict off
 //! that formula and goes straight to line 12. Only the root simplifies its
-//! own formula; `SplitOnly`, which propagates nothing, splits with
-//! [`Cnf::split_into`]. Messages, steps, mapping hints and verdicts are
-//! those of every activation simplifying its own sub-problem.
+//! own formula. Messages, steps, mapping hints and verdicts are those of
+//! every activation simplifying its own sub-problem.
+//!
+//! `SplitOnly` propagates nothing, so a child's residual is the formula
+//! the search started from under the child's assignment, and a child
+//! travels as that *path* instead of a copy of the residual (the guiding
+//! paths of distributed SAT solvers): a shared [`RootFormula`], which the
+//! first split-only activation builds from the formula its sub-problem
+//! carries, the assignment, and three things the parent reads off the
+//! clauses the split variable occurs in — the residual's clause count
+//! (the mapping hint), its first clause and whether some clause lost its
+//! last literal. A split costs the occurrences of one variable, not two
+//! copies of the formula. `first` branches on the first free literal of
+//! the first clause; the counting heuristics have the activation write
+//! its residual once, into its own buffer, and select on that.
 //!
 //! A [`SubProblem`] travels as a handle: one pointer to a
 //! [`SubProblemBody`], so the mesh moves an 8-byte payload however large
 //! the formula. Bodies are recycled through a bounded free list per
-//! thread: dropping a sub-problem returns its body with its buffers, and
-//! [`SubProblem::root`], `clone` and every split take one. A split writes
-//! its children into their bodies' own formula and assignment buffers,
-//! which finished activations left behind, so a child that fits them
-//! allocates nothing.
+//! thread: dropping a sub-problem returns its body with its buffers (but
+//! not its root formula), and [`SubProblem::root`], `clone` and every
+//! split take one. A propagating split writes its children into their
+//! bodies' own formula and assignment buffers, which finished activations
+//! left behind, so a child that fits them allocates nothing.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use hyperspace_mapping::Weight;
 use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
 
 use crate::cnf::{Assignment, Cnf, Lit, Model};
-use crate::heuristics::Heuristic;
-use crate::simplify::{simplify_with, Simplified, SimplifyMode, Split};
+use crate::heuristics::{occurrence_counts, Heuristic};
+use crate::simplify::{simplify_with, Occurrences, Simplified, SimplifyMode, Split};
 
 /// A self-contained DPLL sub-problem, as shipped between nodes: a handle
-/// to its [`SubProblemBody`], whose fields it dereferences to
-/// (`sub.cnf`, `sub.assign`, `sub.discrepancy`).
+/// to its [`SubProblemBody`], whose public fields it dereferences to
+/// (`sub.assign`, `sub.discrepancy`).
 #[derive(Debug, PartialEq, Eq)]
 pub struct SubProblem(Option<Box<SubProblemBody>>);
 
-/// What a [`SubProblem`] holds: the residual formula plus the assignment
-/// accumulated on the path to it.
+/// What a [`SubProblem`] holds: its residual formula, as a formula or as
+/// a path from a shared root, plus the assignment accumulated on the path
+/// to it.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct SubProblemBody {
-    /// Residual formula (satisfied clauses and falsified literals already
-    /// removed).
-    pub cnf: Cnf,
+    /// The formula this sub-problem carries (satisfied clauses and
+    /// falsified literals already removed): a root's, or a propagating
+    /// child's residual. A split-only child carries its [`Path`] instead
+    /// and leaves this empty, as its activation's scratch buffer. Read
+    /// through [`SubProblemBody::residual`].
+    cnf: Cnf,
     /// Assignments made so far (decision + forced), full-width — except
-    /// in a child its parent already found conflicting (`cnf` one empty
+    /// in a child its parent already found conflicting (one empty
     /// clause), whose verdict needs none and which ships it empty.
     pub assign: Assignment,
     /// Remaining discrepancy budget (limited-discrepancy search): how many
@@ -80,6 +98,173 @@ pub struct SubProblemBody {
     /// simplification — the mapping hint [`DpllProgram`] reports. `None`:
     /// `cnf` is as given, to be simplified by its own activation.
     born: Option<Weight>,
+    /// A split-only child's residual, as the root formula under `assign`.
+    path: Option<Path>,
+}
+
+impl SubProblemBody {
+    /// The residual formula: the one this body carries, or a split-only
+    /// child's, written from its path — equal to the `Cnf::assign` chain
+    /// from the root it stands for.
+    pub fn residual(&self) -> Cow<'_, Cnf> {
+        match &self.path {
+            None => Cow::Borrowed(&self.cnf),
+            Some(path) => {
+                let mut cnf = Cnf::default();
+                path.residual_into(&self.assign, &mut cnf);
+                Cow::Owned(cnf)
+            }
+        }
+    }
+
+    /// The root formula a split-only child's path starts from; `None` for
+    /// a sub-problem that carries its formula.
+    pub fn root_formula(&self) -> Option<&Arc<RootFormula>> {
+        self.path.as_ref().map(|path| &path.root)
+    }
+}
+
+/// The formula a split-only search started from, with the clauses each
+/// literal occurs in: shared by every sub-problem on its paths, which
+/// read their residuals against it. It mentions no variable the root's
+/// assignment holds.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RootFormula {
+    cnf: Cnf,
+    occurrences: Occurrences,
+}
+
+/// Where a split-only sub-problem stands: its residual is the root
+/// formula under the body's assignment, and these are what its
+/// activation reads of that residual without writing it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Path {
+    root: Arc<RootFormula>,
+    /// Clauses no assigned literal satisfies: the residual's clause count.
+    open: Weight,
+    /// No clause before this one is open; unless `empty` or `open` is 0,
+    /// this one is.
+    first_open: u32,
+    /// Some open clause has no free literal left: an empty clause.
+    empty: bool,
+}
+
+/// Whether `assign` makes `lit` true.
+#[inline]
+fn satisfies(assign: &Assignment, lit: Lit) -> bool {
+    assign.value(lit.var()) == Some(lit.demanded_value())
+}
+
+impl Path {
+    /// The path of `cnf`'s root sub-problem, whose assignment is `assign`:
+    /// every clause open, the first one first.
+    fn root(cnf: Cnf, assign: &Assignment) -> Path {
+        debug_assert!(
+            cnf.iter_lits().all(|lit| assign.value(lit.var()).is_none()),
+            "a root formula mentions an assigned variable"
+        );
+        let (open, empty) = (cnf.num_clauses() as Weight, cnf.has_empty_clause());
+        let occurrences = Occurrences::new(&cnf, &occurrence_counts(&cnf));
+        Path {
+            root: Arc::new(RootFormula { cnf, occurrences }),
+            open,
+            first_open: 0,
+            empty,
+        }
+    }
+
+    /// Lines 2–4: an empty clause, then an empty formula.
+    fn verdict(&self) -> Simplified {
+        if self.empty {
+            Simplified::Unsat
+        } else if self.open == 0 {
+            Simplified::Sat
+        } else {
+            Simplified::Undecided
+        }
+    }
+
+    /// The first free literal of the first open clause: the first literal
+    /// of the residual, which `first` branches on.
+    fn first_free(&self, assign: &Assignment) -> Lit {
+        let clause = self.root.cnf.clause(self.first_open as usize);
+        let free = clause.iter().find(|lit| assign.value(lit.var()).is_none());
+        *free.expect("an undecided path's first open clause has a free literal")
+    }
+
+    /// Writes the residual into `out`'s buffers, whatever `out` held.
+    fn residual_into(&self, assign: &Assignment, out: &mut Cnf) {
+        let (cnf, first) = (&self.root.cnf, self.first_open as usize);
+        cnf.retained_into(
+            out,
+            self.open as usize,
+            cnf.num_lits(),
+            |i| i >= first && !cnf.clause(i).iter().any(|&lit| satisfies(assign, lit)),
+            |lit| assign.value(lit.var()).is_none(),
+        );
+    }
+
+    /// The two children of a split on `lit`'s variable, `lit` holding in
+    /// the first and failing in the second, where `assign` is this path's
+    /// assignment: a clause showing the literal that holds closes, one
+    /// showing the other loses it. Reads each clause the variable occurs in once per
+    /// occurrence, and clauses past the first open one only in a child
+    /// that closed it.
+    fn children(&self, lit: Lit, assign: &Assignment) -> [Path; 2] {
+        let (cnf, occurrences) = (&self.root.cnf, &self.root.occurrences);
+        let var = lit.var();
+        let shown = [lit, lit.negated()];
+        let (mut open, mut empty) = ([self.open; 2], [false; 2]);
+        for k in 0..2 {
+            let mut previous = None;
+            for &i in occurrences.of(shown[k]) {
+                // A clause shows a duplicated literal once per occurrence.
+                if previous.replace(i) == Some(i) {
+                    continue;
+                }
+                // Whether the clause keeps a literal in the other child:
+                // a free one, or the other literal of `var`, which closes
+                // it there.
+                let (mut satisfied, mut kept) = (false, false);
+                for &other in cnf.clause(i as usize) {
+                    if other.var() == var {
+                        kept |= other != shown[k];
+                    } else {
+                        match assign.value(other.var()) {
+                            None => kept = true,
+                            Some(value) if value == other.demanded_value() => {
+                                satisfied = true;
+                                break;
+                            }
+                            Some(_) => {}
+                        }
+                    }
+                }
+                if !satisfied {
+                    open[k] -= 1;
+                    empty[1 - k] |= !kept;
+                }
+            }
+        }
+        [0, 1].map(|k| {
+            let mut first_open = self.first_open as usize;
+            if !empty[k] && open[k] > 0 {
+                let closed = |i: usize| {
+                    let mut clause = cnf.clause(i).iter();
+                    clause.any(|&other| other == shown[k] || satisfies(assign, other))
+                };
+                while closed(first_open) {
+                    first_open += 1;
+                }
+            }
+            Path {
+                root: Arc::clone(&self.root),
+                open: open[k],
+                first_open: first_open as u32,
+                empty: empty[k],
+            }
+        })
+    }
 }
 
 /// How many bodies a thread's free list keeps. A recycled body keeps its
@@ -118,6 +303,15 @@ impl SubProblem {
         SubProblem(Some(body))
     }
 
+    /// A split-only child on `path` in a recycled body, its assignment the
+    /// body's last owner's for the caller to overwrite.
+    fn on_path(discrepancy: Option<u64>, path: Path) -> SubProblem {
+        let mut sub = SubProblem::recycled(discrepancy);
+        sub.cnf.clear();
+        sub.path = Some(path);
+        sub
+    }
+
     /// A child a [`Split`] writes simplified into a recycled body: `grow`
     /// writes its formula and assignment and returns the clause count
     /// before the simplification.
@@ -134,8 +328,13 @@ impl SubProblem {
     /// Lines 2–11: the verdict of this sub-problem's formula once
     /// simplified, which a born sub-problem's already is — the empty
     /// formula, one empty clause, or a residual without an empty clause.
+    /// A path, which `SplitOnly` never simplifies, reads it off its flag
+    /// and count.
     fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
         let body = &mut **self;
+        if let Some(path) = &body.path {
+            return path.verdict();
+        }
         if body.born.is_none() {
             return simplify_with(&mut body.cnf, &mut body.assign, mode).0;
         }
@@ -173,7 +372,9 @@ impl DerefMut for SubProblem {
 /// (or the thread is exiting), in which case the body is freed.
 impl Drop for SubProblem {
     fn drop(&mut self) {
-        if let Some(body) = self.0.take() {
+        if let Some(mut body) = self.0.take() {
+            // No free list keeps a root formula alive.
+            body.path = None;
             let _ = FREE.try_with(|free| {
                 let mut free = free.borrow_mut();
                 if free.len() < FREE_BODIES {
@@ -190,6 +391,7 @@ impl Clone for SubProblem {
         sub.cnf.clone_from(&self.cnf);
         sub.assign.clone_from(&self.assign);
         sub.born = self.born;
+        sub.path.clone_from(&self.path);
         sub
     }
 }
@@ -304,34 +506,37 @@ impl DpllProgram {
         }
     }
 
-    /// Lines 12–16 under `SplitOnly`: both children written into
-    /// recycled bodies by one [`Cnf::split_into`] scan (by
-    /// [`Cnf::assign_into`] when the preferred branch spawns alone), each
-    /// to be simplified by its own activation. The second child takes the
-    /// parent's assignment buffer; the parent's body returns to the free
-    /// list when `sub` drops.
+    /// Lines 12–16 under `SplitOnly`: each child on its parent's path
+    /// with one more literal assigned (the root's path built first if
+    /// this is the search's first split), to be decided by its own
+    /// activation. The second child takes the parent's assignment buffer;
+    /// the parent's body returns to the free list when `sub` drops.
     fn split_only(&self, mut sub: SubProblem) -> Vec<SubProblem> {
-        let lit = self.branch(self.heuristic.select(&sub.cnf));
-        let (var, value) = (lit.var(), lit.demanded_value());
         let parent = &mut *sub;
+        let path = match parent.path.take() {
+            Some(path) => path,
+            None => Path::root(std::mem::take(&mut parent.cnf), &parent.assign),
+        };
+        let selected = if self.heuristic == Heuristic::FirstUnassigned {
+            Some(path.first_free(&parent.assign))
+        } else {
+            path.residual_into(&parent.assign, &mut parent.cnf);
+            self.heuristic.select(&parent.cnf)
+        };
+        let lit = self.branch(selected);
+        let (var, value) = (lit.var(), lit.demanded_value());
+        let [first_path, second_path] = path.children(lit, &parent.assign);
         // Following the heuristic costs no discrepancy; going against it
         // spends one.
-        let mut first = SubProblem::recycled(parent.discrepancy);
+        let mut first = SubProblem::on_path(parent.discrepancy, first_path);
         first.assign.clone_from(&parent.assign);
         first.assign.assign(var, value);
         if parent.discrepancy == Some(0) {
-            parent.cnf.assign_into(var, value, &mut first.cnf);
             return vec![first];
         }
-        let mut second = SubProblem::recycled(parent.discrepancy.map(|d| d - 1));
+        let mut second = SubProblem::on_path(parent.discrepancy.map(|d| d - 1), second_path);
         std::mem::swap(&mut second.assign, &mut parent.assign);
         second.assign.assign(var, !value);
-        let (when_true, when_false) = if value {
-            (&mut first.cnf, &mut second.cnf)
-        } else {
-            (&mut second.cnf, &mut first.cnf)
-        };
-        parent.cnf.split_into(var, when_true, when_false);
         vec![first, second]
     }
 
@@ -398,9 +603,13 @@ impl RecProgram for DpllProgram {
 
     /// Cross-layer hint (§III-B3): residual clause count approximates the
     /// work a sub-problem represents. The count before simplification,
-    /// which a born sub-problem carries beside its reduced formula.
+    /// which a born sub-problem carries beside its reduced formula; a
+    /// split-only child's path counts its open clauses.
     fn weight(&self, arg: &SubProblem) -> Weight {
-        arg.born.unwrap_or(arg.cnf.num_clauses() as Weight)
+        match &arg.path {
+            Some(path) => path.open,
+            None => arg.born.unwrap_or(arg.cnf.num_clauses() as Weight),
+        }
     }
 
     /// A subtree denied by a budget (e.g. the strategy language's
@@ -451,6 +660,7 @@ mod tests {
             assign,
             discrepancy,
             born,
+            path: None,
         })))
     }
 

@@ -227,13 +227,14 @@ impl<'a> Split<'a> {
 /// The clauses each literal of a formula occurs in, ascending, once per
 /// occurrence, in one buffer: `2n + 1` offsets, then the lists. Literal
 /// `l`'s list runs from offset `l` to offset `l + 1`.
-struct Occurrences {
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Occurrences {
     lists: Vec<u32>,
 }
 
 impl Occurrences {
     /// The lists of `cnf`, whose literal occurrence counts are `counts`.
-    fn new(cnf: &Cnf, counts: &[u32]) -> Occurrences {
+    pub(crate) fn new(cnf: &Cnf, counts: &[u32]) -> Occurrences {
         let total: u32 = counts.iter().sum();
         let mut lists = Vec::with_capacity(counts.len() + 1 + total as usize);
         // Offset `l + 1` starts where literal `l`'s list starts and is the
@@ -257,7 +258,7 @@ impl Occurrences {
     }
 
     /// The clauses `lit` occurs in, live or not.
-    fn of(&self, lit: Lit) -> &[u32] {
+    pub(crate) fn of(&self, lit: Lit) -> &[u32] {
         let i = lit.index();
         &self.lists[self.lists[i] as usize..self.lists[i + 1] as usize]
     }

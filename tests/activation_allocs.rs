@@ -1,15 +1,17 @@
 //! A DPLL sub-problem travels as a handle to a recycled body: the
 //! envelope a mesh step moves stays small, a `SplitOnly` activation
-//! allocates no more than recorded here, and a recycled body carries
-//! nothing from one solve into the next.
+//! allocates no more than recorded here, a recycled body carries nothing
+//! from one solve into the next, and no free list keeps a split-only
+//! search's root formula alive.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
+use std::sync::Arc;
 
 use hyperspace::core::{BackendSpec, MapperSpec, RecRunReport, StackBuilder, TopologySpec};
 use hyperspace::mapping::MapMsg;
-use hyperspace::recursion::RecStats;
+use hyperspace::recursion::{eval_local, RecProgram, RecStats, Step};
 use hyperspace::sat::{gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict};
 use hyperspace::sim::Envelope;
 
@@ -83,10 +85,11 @@ fn a_split_only_activation_allocates_at_most_the_recorded_count() {
     // While every split allocated its children's buffers and the
     // sub-problem travelled inline, this solve made 3.64 allocations per
     // activation (3.47 over ten `mesh_sat` pool formulas). With recycled
-    // bodies it makes 1.62: the spawn's call vector, the models of
+    // bodies it made 1.62. With each child on its path from one shared
+    // root formula it makes 1.32: the spawn's call vector, the models of
     // satisfied leaves, layers 3-4 and the run's own setup.
     assert!(
-        per_activation <= 1.75,
+        per_activation <= 1.35,
         "{allocs} allocations, {per_activation:.3} per activation"
     );
 }
@@ -118,4 +121,24 @@ fn recycled_bodies_carry_nothing_into_the_next_solve() {
         let after = outcome(mesh_sat(mode).run(second(), 0));
         assert_eq!(after, alone, "{mode} after {warm}");
     }
+}
+
+#[test]
+fn a_body_back_on_the_free_list_holds_no_root_formula() {
+    let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
+    let root = SubProblem::root(gen::satisfiable_ksat(3, 30, 136, 3));
+    let Step::Spawn(spawn) = program.start(root) else {
+        panic!("the root splits");
+    };
+    let [first, second]: [SubProblem; 2] = spawn.calls.try_into().expect("two branches");
+    let formula = Arc::clone(first.root_formula().expect("a split-only child is a path"));
+    assert!(Arc::ptr_eq(&formula, second.root_formula().unwrap()));
+    assert_eq!(Arc::strong_count(&formula), 3);
+    // One branch solved on this thread, the other on the mesh: every
+    // sub-problem of both drops, and the bodies that go back on the free
+    // lists hold no root.
+    eval_local(&program, first);
+    assert_eq!(Arc::strong_count(&formula), 2);
+    mesh_sat(SimplifyMode::SplitOnly).run(second, 0);
+    assert_eq!(Arc::strong_count(&formula), 1);
 }

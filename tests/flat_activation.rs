@@ -1,6 +1,6 @@
 //! The flat-layout activation path reproduces the nested-`Vec` one bit for
-//! bit: `Cnf::assign`, the one-scan `Cnf::split` and in-place
-//! simplification against a naive reference, whole mesh runs and a
+//! bit: `Cnf::assign` and in-place simplification against a naive
+//! reference, whole mesh runs and a
 //! portfolio race against values recorded before the layout changed.
 //! Likewise the call-record slab and the ticket-keyed record table before
 //! it: limited-discrepancy, cancelling and branch-and-bound runs, and a
@@ -8,7 +8,9 @@
 //! values recorded at that parent commit. Likewise the children a split
 //! writes already simplified: each against the split-then-simplify
 //! reference, and hint-reading mesh runs against values recorded while
-//! every child still simplified its own formula.
+//! every child still simplified its own formula. Likewise a split-only
+//! child travelling as its path: its residual against the `Cnf::assign`
+//! chain it stands for, for every heuristic, polarity and budget.
 
 use hyperspace::apps::{seeded_items, BnbKnapsackProgram, BnbKnapsackTask};
 use hyperspace::core::{
@@ -191,20 +193,6 @@ proptest! {
     }
 
     #[test]
-    fn one_scan_split_equals_the_two_reference_assigns(case in arb_formula(), pick in 0u32..9) {
-        // Nine picks over at most eight variables: the last one names a
-        // variable outside the formula (absent, but inside the universe).
-        let (num_vars, formula) = case;
-        let (num_vars, var) = (num_vars + 1, Var(pick % (num_vars + 1)));
-        let cnf = flat(num_vars, &formula);
-        let (when_true, when_false) = cnf.split(var);
-        assert_same(&when_true, &naive_assign(&formula, Lit::pos(var)));
-        assert_same(&when_false, &naive_assign(&formula, Lit::neg(var)));
-        prop_assert_eq!(&when_true, &cnf.assign(var, true));
-        prop_assert_eq!(&when_false, &cnf.assign(var, false));
-    }
-
-    #[test]
     fn in_place_simplification_equals_the_nested_reference(
         case in prop_oneof![arb_formula(), arb_kernel_formula()],
     ) {
@@ -243,11 +231,77 @@ proptest! {
                         .with_polarity(polarity);
                     let mut root = SubProblem::root(flat(num_vars, &formula));
                     root.discrepancy = discrepancy;
-                    let reached = lines_2_to_11(root.cnf.clone(), root.assign.clone(), mode);
+                    let reached = lines_2_to_11(root.residual().into_owned(), root.assign.clone(), mode);
                     check_activation(&program, root, reached, 3);
                 }
             }
         }
+    }
+
+    #[test]
+    fn split_only_paths_equal_the_assign_chain(
+        case in prop_oneof![arb_formula(), arb_kernel_formula()],
+    ) {
+        let (num_vars, formula) = case;
+        check_split_only_paths(num_vars, &formula, 5);
+    }
+}
+
+/// Every heuristic, polarity and discrepancy budget under `SplitOnly`,
+/// `depth` levels deep from the root of `formula`: each child's residual,
+/// read off its path, against the `Cnf::assign` chain.
+fn check_split_only_paths(num_vars: u32, formula: &Naive, depth: u32) {
+    for heuristic in ALL_HEURISTICS {
+        for polarity in [Polarity::Positive, Polarity::Negative] {
+            for discrepancy in [None, Some(0), Some(2)] {
+                let program = DpllProgram::new(heuristic)
+                    .with_mode(SimplifyMode::SplitOnly)
+                    .with_polarity(polarity);
+                let mut root = SubProblem::root(flat(num_vars, formula));
+                root.discrepancy = discrepancy;
+                let reached = lines_2_to_11(
+                    flat(num_vars, formula),
+                    Assignment::new(num_vars),
+                    SimplifyMode::SplitOnly,
+                );
+                check_activation(&program, root, reached, depth);
+            }
+        }
+    }
+}
+
+#[test]
+fn split_only_paths_read_awkward_clauses_like_the_assign_chain() {
+    let formula = |clauses: &[&[i32]]| -> Naive {
+        let lits = |c: &&[i32]| c.iter().map(|&d| Lit::from_dimacs(d)).collect();
+        clauses.iter().map(lits).collect()
+    };
+    let cases = [
+        // Duplicate literals: `x ∨ x` is no unit, and `¬x ∨ ¬x` empties in
+        // one assignment.
+        formula(&[
+            &[1, 2, 1],
+            &[-1, -1],
+            &[-2, 3, -2],
+            &[2, -3, 4],
+            &[-4, -4, 1],
+        ]),
+        // A literal beside its negation: closed by either value.
+        formula(&[
+            &[1, -1, 2],
+            &[-2, 3],
+            &[3, -3],
+            &[-1, -3, 4],
+            &[2, 4, -2, -4],
+        ]),
+        // An empty root clause: the root is `Unsat` before any split.
+        formula(&[&[1, 2], &[], &[-1, 3]]),
+        // A unit the first branch of `first` falsifies, and a variable
+        // that occurs nowhere.
+        formula(&[&[2], &[-2, 3], &[-3, 4, 1], &[-4, -1], &[3, 4]]),
+    ];
+    for clauses in &cases {
+        check_split_only_paths(6, clauses, 6);
     }
 }
 
@@ -304,9 +358,9 @@ fn check_activation(
         assert_eq!(program.weight(&call), before.num_clauses() as u32);
         assert_eq!(call.discrepancy, budget);
         if expected.0 == Simplified::Unsat {
-            assert!(call.cnf.has_empty_clause(), "{branch:?}");
+            assert!(call.residual().has_empty_clause(), "{branch:?}");
         } else {
-            assert_eq!(call.cnf, expected.1, "{branch:?}");
+            assert_eq!(*call.residual(), expected.1, "{branch:?}");
             assert_eq!(call.assign, expected.2, "{branch:?}");
         }
         if depth > 1 {

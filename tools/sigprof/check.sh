@@ -18,5 +18,5 @@ bench="${CARGO_TARGET_DIR:-$PWD/../../benchmark/target}/release/hyperspace-bench
 PROF_OUT="$out/prof.txt" LD_PRELOAD="$out/sigprof.so" \
     "$bench" --workload mesh_sat --seed 1 --seconds 1 --trace 0 >/dev/null
 python3 symbolize.py "$out/prof.txt" --top 10 | tee "$out/report.txt"
-grep -q 'Cnf::split' "$out/report.txt"
+grep -q 'hyperspace_sat::program' "$out/report.txt"
 grep -q -- '-- by innermost <= outermost' "$out/report.txt"

@@ -1,9 +1,9 @@
 //! SAT substrate microbenchmarks: sequential solver per heuristic,
 //! instance generation, the simplification pipeline, and one DPLL split
-//! (both residual formulas of a branching variable).
+//! (both children of a branching variable, simplified).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hyperspace_recursion::RecProgram;
+use hyperspace_recursion::{RecProgram, Step};
 use hyperspace_sat::heuristics::ALL_HEURISTICS;
 use hyperspace_sat::simplify::{simplify_with, SimplifyMode};
 use hyperspace_sat::{cdcl, dpll, gen, Assignment, Cnf, DpllProgram, Heuristic, SubProblem, Var};
@@ -116,13 +116,14 @@ fn on_a_model_path(cnf: &Cnf, depth: u32) -> Cnf {
 }
 
 /// Layer 5's share of a propagating mesh activation with its children's
-/// lines 6–11, two ways (`Fixpoint`, Jeroslow–Wang, on `ksat-40-182@1`
-/// and `@11` as in the `simplify` group): `split+simplify×2` is the
-/// activation simplifying, choosing and assigning each polarity, then
-/// each child's `simplify_with` of its own copy; `born` is
-/// `DpllProgram::start`, whose split writes both children already
-/// simplified. Both include the activation's own `simplify_with` and
-/// choice, and produce the same children.
+/// lines 6–11 (`Fixpoint`, Jeroslow–Wang, from `ksat-40-182@1` and `@11`
+/// as in the `simplify` group). `split+simplify×2` is that formula's root
+/// activation done the self-simplifying way: simplifying, choosing and
+/// assigning each polarity, then each child's `simplify_with` of its own
+/// copy. `path` is a mid-search activation: `DpllProgram::start` on the
+/// root's first child, cloned per iteration, whose split runs both of its
+/// children's lines 6–11 on counters over the root formula the search
+/// shares. Only at `@1`: at `@11` the propagation decides both children.
 fn bench_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("split");
     group.sample_size(50);
@@ -146,8 +147,16 @@ fn bench_split(c: &mut Criterion) {
                 })
             })
         });
-        group.bench_function(BenchmarkId::new("born", &name), |b| {
-            b.iter(|| program.start(SubProblem::root(std::hint::black_box(&parent).clone())))
+        if depth > 1 {
+            continue;
+        }
+        let Step::Spawn(spawn) = program.start(SubProblem::root(parent.clone())) else {
+            panic!("{name} is undecided at its root");
+        };
+        let child = spawn.calls.into_iter().next().expect("a first child");
+        assert!(matches!(program.start(child.clone()), Step::Spawn(_)));
+        group.bench_function(BenchmarkId::new("path", &name), |b| {
+            b.iter(|| program.start(std::hint::black_box(&child).clone()))
         });
     }
     group.finish();

@@ -171,11 +171,6 @@ impl Assignment {
         *slot = Some(value);
     }
 
-    /// Empties the assignment, keeping its buffer.
-    pub(crate) fn clear(&mut self) {
-        self.values.clear();
-    }
-
     /// Completes the assignment into a [`Model`], defaulting free variables
     /// to `false` (safe once the reduced formula is empty: no remaining
     /// clause constrains them).
@@ -186,11 +181,11 @@ impl Assignment {
 
 /// A CNF formula in one flat compressed-row layout: every clause's
 /// literals back to back in `lits`, clause `i` ending (exclusively) at
-/// `ends[i]`. A propagating mesh search writes a residual formula per
-/// DPLL child, so the layout keeps a formula at two buffers whatever its
-/// clause count, and a split can write its children into the buffers of
-/// a formula a finished activation left behind (a recycled [`SubProblem`]
-/// body): a child that fits them allocates nothing.
+/// `ends[i]`. The layout keeps a formula at two buffers whatever its
+/// clause count, so an activation that writes its residual out for a
+/// heuristic writes it into the buffers of a formula a finished
+/// activation left behind (a recycled [`SubProblem`] body): a residual
+/// that fits them allocates nothing.
 ///
 /// [`SubProblem`]: crate::SubProblem
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -301,15 +296,6 @@ impl Cnf {
         self.num_vars = 0;
         self.lits.clear();
         self.ends.clear();
-    }
-
-    /// Makes this formula one empty clause over `num_vars` variables: an
-    /// unsatisfiable formula with no literal.
-    pub(crate) fn set_falsum(&mut self, num_vars: u32) {
-        self.num_vars = num_vars;
-        self.lits.clear();
-        self.ends.clear();
-        self.ends.push(0);
     }
 
     /// [`Cnf::retain`] into `out`'s buffers, whatever `out` held, with room

@@ -94,18 +94,12 @@ impl Heuristic {
             Heuristic::FirstUnassigned => cnf.iter_lits().next(),
             Heuristic::MostFrequent => most_frequent_var(&occurrence_counts(cnf)),
             Heuristic::Dlis => most_frequent_lit(&occurrence_counts(cnf)),
-            Heuristic::JeroslowWang => jeroslow_wang(cnf),
+            Heuristic::JeroslowWang => jeroslow_wang(
+                cnf.num_vars(),
+                cnf.clauses()
+                    .map(|clause| (clause.len(), clause.iter().copied())),
+            ),
             Heuristic::Random(seed) => random_lit(cnf, *seed),
-        }
-    }
-
-    /// [`Heuristic::select`] given `cnf`'s [`occurrence_counts`], which the
-    /// counting heuristics read instead of recounting.
-    pub(crate) fn select_counted(&self, cnf: &Cnf, counts: &[u32]) -> Option<Lit> {
-        match self {
-            Heuristic::MostFrequent => most_frequent_var(counts),
-            Heuristic::Dlis => most_frequent_lit(counts),
-            _ => self.select(cnf),
         }
     }
 }
@@ -119,7 +113,8 @@ pub(crate) fn occurrence_counts(cnf: &Cnf) -> Vec<u32> {
     counts
 }
 
-fn most_frequent_var(counts: &[u32]) -> Option<Lit> {
+/// `MostFrequent` from a formula's [`occurrence_counts`].
+pub(crate) fn most_frequent_var(counts: &[u32]) -> Option<Lit> {
     let mut best: Option<(u32, Var, bool)> = None;
     for (v, c) in counts.chunks_exact(2).enumerate() {
         let (pos, neg) = (c[0], c[1]);
@@ -134,8 +129,9 @@ fn most_frequent_var(counts: &[u32]) -> Option<Lit> {
     best.map(|(_, var, positive)| Lit::with_polarity(var, positive))
 }
 
-/// The literal with the most occurrences, the lowest index on a tie.
-fn most_frequent_lit(counts: &[u32]) -> Option<Lit> {
+/// `Dlis` from a formula's [`occurrence_counts`]: the literal with the
+/// most occurrences, the lowest index on a tie.
+pub(crate) fn most_frequent_lit(counts: &[u32]) -> Option<Lit> {
     let mut best: Option<(u32, usize)> = None;
     for (idx, &count) in counts.iter().enumerate() {
         if count != 0 && best.is_none_or(|(b, _)| count > b) {
@@ -145,12 +141,19 @@ fn most_frequent_lit(counts: &[u32]) -> Option<Lit> {
     best.map(|(_, idx)| lit_from_index(idx))
 }
 
-fn jeroslow_wang(cnf: &Cnf) -> Option<Lit> {
-    let mut scores = vec![0.0f64; cnf.num_vars() as usize * 2];
+/// `JeroslowWang` over a formula over `num_vars` variables given as its
+/// clauses in order, each as its length and its literals: a [`Cnf`]'s,
+/// or a residual read off counters without writing it. The scores sum in
+/// clause order, so both read the same formula alike to the last bit.
+pub(crate) fn jeroslow_wang<C: Iterator<Item = Lit>>(
+    num_vars: u32,
+    clauses: impl Iterator<Item = (usize, C)>,
+) -> Option<Lit> {
+    let mut scores = vec![0.0f64; num_vars as usize * 2];
     let mut seen = false;
-    for clause in cnf.clauses() {
-        let w = (2.0f64).powi(-(clause.len() as i32));
-        for lit in clause {
+    for (len, lits) in clauses {
+        let w = (2.0f64).powi(-(len as i32));
+        for lit in lits {
             scores[lit.index()] += w;
             seen = true;
         }

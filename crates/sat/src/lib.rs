@@ -14,11 +14,10 @@
 //!   [`Cnf::assign`] — one forward pass, two buffers whatever the clause
 //!   count — is the branching primitive of sequential [`dpll`]. A
 //!   [`SubProblem`] is a handle to a body recycled through a per-thread
-//!   free list. A propagating mesh search writes each child's residual
-//!   into the buffers of a body that already finished; a split-only one
-//!   copies no formula: a child travels as its path, an `Arc` to the
-//!   [`RootFormula`] the search started from plus its assignment, read
-//!   off the split variable's occurrence lists in O(occurrences);
+//!   free list. Below the root a sub-problem copies no formula: it
+//!   travels as its path, an `Arc` to the [`RootFormula`] the search
+//!   started from plus its assignment (and, in a propagating search, its
+//!   residual as counters over that formula);
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, and a planted-solution generator for larger instances;
@@ -31,13 +30,12 @@
 //!   clauses it occurs in, and the formula is compacted once, on the way
 //!   out. [`simplify::simplify_with`] builds those tables per call
 //!   (only the counts when nothing is forced) and compacts in place. In a
-//!   propagating mesh search only the root calls it: every split builds
-//!   the tables once over its parent's formula and runs both children's
-//!   lines 6–11 there, on copies of the counters, so a child ships
-//!   already reduced — a conflicting one as one empty clause, a
-//!   satisfied one as the empty formula — and its activation reads its
-//!   verdict in O(1). The counts that build the tables also feed the
-//!   counting heuristics. Observably nothing moved: the same messages,
+//!   propagating mesh search only the root calls it, and the root's
+//!   reduced formula gets its tables once: every split copies its
+//!   parent's counters and runs both children's lines 6–11 on them
+//!   against the root's occurrence lists, so a child arrives decided or
+//!   not and its activation reads its verdict in O(1). The same counters
+//!   feed the heuristics. Observably nothing moved: the same messages,
 //!   steps, mapping hints and verdicts as every activation simplifying
 //!   its own sub-problem;
 //! * [`heuristics`] — branching-variable selection (first-unassigned,

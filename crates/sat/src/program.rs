@@ -19,36 +19,47 @@
 //! the activation "without waiting for [the] other result" (§V-B); if both
 //! return UNSAT the activation is UNSAT.
 //!
-//! Where the simplification runs is not observable: under `Fixpoint` and
-//! `SinglePass` a child's lines 6–11 run at its parent, which builds one
-//! set of occurrence lists per split and ships each child already reduced
-//! (a child that hit a conflict ships as one empty clause, a satisfied one
-//! as the empty formula). The child's activation reads its verdict off
-//! that formula and goes straight to line 12. Only the root simplifies its
-//! own formula. Messages, steps, mapping hints and verdicts are those of
-//! every activation simplifying its own sub-problem.
+//! An activation below the root travels as its *path* from the formula
+//! the search started from (the guiding paths of distributed SAT
+//! solvers), not as a copy of its residual formula: a shared
+//! [`RootFormula`], which the root activation builds from its own formula
+//! once it has simplified it, and the assignment on the path. The
+//! residual is the root formula under that assignment, in the root's
+//! clause order.
 //!
-//! `SplitOnly` propagates nothing, so a child's residual is the formula
-//! the search started from under the child's assignment, and a child
-//! travels as that *path* instead of a copy of the residual (the guiding
-//! paths of distributed SAT solvers): a shared [`RootFormula`], which the
-//! first split-only activation builds from the formula its sub-problem
-//! carries, the assignment, and three things the parent reads off the
-//! clauses the split variable occurs in — the residual's clause count
-//! (the mapping hint), its first clause and whether some clause lost its
-//! last literal. A split costs the occurrences of one variable, not two
-//! copies of the formula. `first` branches on the first free literal of
-//! the first clause; the counting heuristics have the activation write
-//! its residual once, into its own buffer, and select on that.
+//! Under `Fixpoint` and `SinglePass` a path also carries its residual as
+//! counters over the root: the live occurrences of each literal, the
+//! remaining occurrences of each clause and which variables are forced
+//! (their values are in the assignment). A split
+//! copies the parent's counters into the first child and moves them into
+//! the last, and runs each child's lines 6–11 on them against the root's
+//! occurrence lists; no formula is written. A child arrives decided or
+//! not (a conflict flag, its live clause count), with its mapping hint
+//! (the clauses live once its branch literal holds) and its assignment,
+//! and its activation goes straight to line 12. Where the simplification
+//! runs is not observable: messages, steps, mapping hints and verdicts
+//! are those of every activation simplifying its own sub-problem.
+//!
+//! `SplitOnly` propagates nothing, so a path there carries no counters:
+//! the parent reads the residual's clause count (the mapping hint), its
+//! first open clause and whether some clause lost its last literal off
+//! the clauses the split variable occurs in — the occurrences of one
+//! variable, not two copies of the formula.
+//!
+//! `first` branches on the first free literal of the first open clause.
+//! On a propagating path DLIS and most-frequent read the live counts and
+//! Jeroslow–Wang reads the counters clause by clause, in the root's
+//! order; every other choice has the activation write its residual once,
+//! into its own buffer, and select on that.
 //!
 //! A [`SubProblem`] travels as a handle: one pointer to a
 //! [`SubProblemBody`], so the mesh moves an 8-byte payload however large
 //! the formula. Bodies are recycled through a bounded free list per
 //! thread: dropping a sub-problem returns its body with its buffers (but
 //! not its root formula), and [`SubProblem::root`], `clone` and every
-//! split take one. A propagating split writes its children into their
-//! bodies' own formula and assignment buffers, which finished activations
-//! left behind, so a child that fits them allocates nothing.
+//! split take one. A split writes its children's counters and
+//! assignments into the buffers finished activations left behind, so a
+//! child that fits them allocates nothing.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -59,8 +70,8 @@ use hyperspace_mapping::Weight;
 use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
 
 use crate::cnf::{Assignment, Cnf, Lit, Model};
-use crate::heuristics::{occurrence_counts, Heuristic};
-use crate::simplify::{simplify_with, Occurrences, Simplified, SimplifyMode, Split};
+use crate::heuristics::{jeroslow_wang, most_frequent_lit, most_frequent_var, Heuristic};
+use crate::simplify::{simplify_with, Occurrences, Residual, Simplified, SimplifyMode};
 
 /// A self-contained DPLL sub-problem, as shipped between nodes: a handle
 /// to its [`SubProblemBody`], whose public fields it dereferences to
@@ -68,20 +79,16 @@ use crate::simplify::{simplify_with, Occurrences, Simplified, SimplifyMode, Spli
 #[derive(Debug, PartialEq, Eq)]
 pub struct SubProblem(Option<Box<SubProblemBody>>);
 
-/// What a [`SubProblem`] holds: its residual formula, as a formula or as
-/// a path from a shared root, plus the assignment accumulated on the path
-/// to it.
+/// What a [`SubProblem`] holds: a root's formula, or a path from a shared
+/// root, plus the assignment accumulated on the path to it.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct SubProblemBody {
-    /// The formula this sub-problem carries (satisfied clauses and
-    /// falsified literals already removed): a root's, or a propagating
-    /// child's residual. A split-only child carries its [`Path`] instead
-    /// and leaves this empty, as its activation's scratch buffer. Read
-    /// through [`SubProblemBody::residual`].
+    /// A root's formula, as given, for its own activation to simplify. A
+    /// sub-problem below the root carries its [`Path`] instead and leaves
+    /// this empty, as its activation's scratch buffer. Read through
+    /// [`SubProblemBody::residual`].
     cnf: Cnf,
-    /// Assignments made so far (decision + forced), full-width — except
-    /// in a child its parent already found conflicting (one empty
-    /// clause), whose verdict needs none and which ships it empty.
+    /// Assignments made so far (decision + forced), full-width.
     pub assign: Assignment,
     /// Remaining discrepancy budget (limited-discrepancy search): how many
     /// more times this path may deviate from the heuristic's preferred
@@ -92,20 +99,20 @@ pub struct SubProblemBody {
     /// denied discrepancy), which the portfolio layer reports as an
     /// exhausted attempt rather than a verdict.
     pub discrepancy: Option<u64>,
-    /// Set when the parent's split wrote `cnf` already simplified (which
-    /// must not happen twice: `SinglePass` would fix a second pure
-    /// literal), to the clause count the formula had before its
-    /// simplification — the mapping hint [`DpllProgram`] reports. `None`:
-    /// `cnf` is as given, to be simplified by its own activation.
-    born: Option<Weight>,
-    /// A split-only child's residual, as the root formula under `assign`.
+    /// A sub-problem's residual below the root, as the root formula under
+    /// `assign`.
     path: Option<Path>,
+    /// Under `Fixpoint` and `SinglePass`, a path's residual as counters
+    /// over its root formula, which its split copies into its children.
+    /// Otherwise empty, a buffer kept for a later owner.
+    counters: Residual,
 }
 
 impl SubProblemBody {
-    /// The residual formula: the one this body carries, or a split-only
-    /// child's, written from its path — equal to the `Cnf::assign` chain
-    /// from the root it stands for.
+    /// The residual formula: the one a root carries, or one written from
+    /// the path of a sub-problem below it — equal to the `Cnf::assign`
+    /// chain from the root it stands for, simplified as its mode
+    /// simplifies.
     pub fn residual(&self) -> Cow<'_, Cnf> {
         match &self.path {
             None => Cow::Borrowed(&self.cnf),
@@ -117,29 +124,32 @@ impl SubProblemBody {
         }
     }
 
-    /// The root formula a split-only child's path starts from; `None` for
-    /// a sub-problem that carries its formula.
+    /// The root formula a sub-problem's path starts from; `None` for a
+    /// root, which carries its formula.
     pub fn root_formula(&self) -> Option<&Arc<RootFormula>> {
         self.path.as_ref().map(|path| &path.root)
     }
 }
 
-/// The formula a split-only search started from, with the clauses each
-/// literal occurs in: shared by every sub-problem on its paths, which
-/// read their residuals against it. It mentions no variable the root's
-/// assignment holds.
+/// The formula a mesh search started from, once its root activation
+/// simplified it, with the clauses each literal occurs in: shared by
+/// every sub-problem on its paths, which read their residuals against it.
+/// It mentions no variable the root's assignment holds.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RootFormula {
     cnf: Cnf,
     occurrences: Occurrences,
 }
 
-/// Where a split-only sub-problem stands: its residual is the root
+/// Where a sub-problem below the root stands: its residual is the root
 /// formula under the body's assignment, and these are what its
 /// activation reads of that residual without writing it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Path {
     root: Arc<RootFormula>,
+    /// The residual's clause count once the split's literal holds, before
+    /// the sub-problem's own propagation: the mapping hint.
+    weight: Weight,
     /// Clauses no assigned literal satisfies: the residual's clause count.
     open: Weight,
     /// No clause before this one is open; unless `empty` or `open` is 0,
@@ -156,17 +166,19 @@ fn satisfies(assign: &Assignment, lit: Lit) -> bool {
 }
 
 impl Path {
-    /// The path of `cnf`'s root sub-problem, whose assignment is `assign`:
-    /// every clause open, the first one first.
-    fn root(cnf: Cnf, assign: &Assignment) -> Path {
+    /// The path of `cnf`'s root sub-problem, whose assignment is `assign`
+    /// and whose literal occurrence counts are `counts`: every clause
+    /// open, the first one first.
+    fn root(cnf: Cnf, assign: &Assignment, counts: &[u32]) -> Path {
         debug_assert!(
             cnf.iter_lits().all(|lit| assign.value(lit.var()).is_none()),
             "a root formula mentions an assigned variable"
         );
         let (open, empty) = (cnf.num_clauses() as Weight, cnf.has_empty_clause());
-        let occurrences = Occurrences::new(&cnf, &occurrence_counts(&cnf));
+        let occurrences = Occurrences::new(&cnf, counts);
         Path {
             root: Arc::new(RootFormula { cnf, occurrences }),
+            weight: open,
             open,
             first_open: 0,
             empty,
@@ -204,12 +216,12 @@ impl Path {
         );
     }
 
-    /// The two children of a split on `lit`'s variable, `lit` holding in
-    /// the first and failing in the second, where `assign` is this path's
-    /// assignment: a clause showing the literal that holds closes, one
-    /// showing the other loses it. Reads each clause the variable occurs in once per
-    /// occurrence, and clauses past the first open one only in a child
-    /// that closed it.
+    /// The two children of a split-only split on `lit`'s variable, `lit`
+    /// holding in the first and failing in the second, where `assign` is
+    /// this path's assignment: a clause showing the literal that holds
+    /// closes, one showing the other loses it. Reads each clause the
+    /// variable occurs in once per occurrence, and clauses past the first
+    /// open one only in a child that closed it.
     fn children(&self, lit: Lit, assign: &Assignment) -> [Path; 2] {
         let (cnf, occurrences) = (&self.root.cnf, &self.root.occurrences);
         let var = lit.var();
@@ -259,6 +271,7 @@ impl Path {
             }
             Path {
                 root: Arc::clone(&self.root),
+                weight: open[k],
                 open: open[k],
                 first_open: first_open as u32,
                 empty: empty[k],
@@ -291,7 +304,7 @@ impl SubProblem {
     }
 
     /// A handle to a body off this thread's free list (a new one if the
-    /// list is empty), with `discrepancy` and no hint: its formula and
+    /// list is empty), with `discrepancy` and no counters: its formula and
     /// assignment are whatever the body's last owner left, for the caller
     /// to overwrite.
     fn recycled(discrepancy: Option<u64>) -> SubProblem {
@@ -299,7 +312,7 @@ impl SubProblem {
             .with(|free| free.borrow_mut().pop())
             .unwrap_or_default();
         body.discrepancy = discrepancy;
-        body.born = None;
+        body.counters.clear();
         SubProblem(Some(body))
     }
 
@@ -312,36 +325,42 @@ impl SubProblem {
         sub
     }
 
-    /// A child a [`Split`] writes simplified into a recycled body: `grow`
-    /// writes its formula and assignment and returns the clause count
-    /// before the simplification.
-    fn born(
+    /// The child of a propagating split on `parent` in which `lit` holds,
+    /// in a recycled body: `fill` writes the parent's counters and
+    /// assignment into the body's buffers, then `lit` is forced and the
+    /// child's lines 6–11 run on them, recording every value forced.
+    fn propagated(
+        parent: &Path,
+        lit: Lit,
+        mode: SimplifyMode,
         discrepancy: Option<u64>,
-        grow: impl FnOnce(&mut Cnf, &mut Assignment) -> Weight,
+        fill: impl FnOnce(&mut Residual, &mut Assignment),
     ) -> SubProblem {
         let mut sub = SubProblem::recycled(discrepancy);
         let body = &mut *sub;
-        body.born = Some(grow(&mut body.cnf, &mut body.assign));
+        body.cnf.clear();
+        fill(&mut body.counters, &mut body.assign);
+        let (root, counters) = (&parent.root, &mut body.counters);
+        let (weight, empty) =
+            counters.branch(&root.occurrences, &root.cnf, lit, mode, &mut body.assign);
+        body.path = Some(Path {
+            root: Arc::clone(root),
+            weight,
+            open: counters.live(),
+            first_open: counters.first_live(parent.first_open as usize) as u32,
+            empty,
+        });
         sub
     }
 
-    /// Lines 2–11: the verdict of this sub-problem's formula once
-    /// simplified, which a born sub-problem's already is — the empty
-    /// formula, one empty clause, or a residual without an empty clause.
-    /// A path, which `SplitOnly` never simplifies, reads it off its flag
-    /// and count.
+    /// Lines 2–11: a root simplifies its formula; a path, whose split
+    /// already ran them (or, under `SplitOnly`, which none runs), reads
+    /// its verdict off its flag and count.
     fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
         let body = &mut **self;
-        if let Some(path) = &body.path {
-            return path.verdict();
-        }
-        if body.born.is_none() {
-            return simplify_with(&mut body.cnf, &mut body.assign, mode).0;
-        }
-        match body.cnf.clauses().next() {
-            None => Simplified::Sat,
-            Some([]) => Simplified::Unsat,
-            Some(_) => Simplified::Undecided,
+        match &body.path {
+            Some(path) => path.verdict(),
+            None => simplify_with(&mut body.cnf, &mut body.assign, mode).0,
         }
     }
 
@@ -390,8 +409,8 @@ impl Clone for SubProblem {
         let mut sub = SubProblem::recycled(self.discrepancy);
         sub.cnf.clone_from(&self.cnf);
         sub.assign.clone_from(&self.assign);
-        sub.born = self.born;
         sub.path.clone_from(&self.path);
+        sub.counters.clone_from(&self.counters);
         sub
     }
 }
@@ -506,63 +525,82 @@ impl DpllProgram {
         }
     }
 
-    /// Lines 12–16 under `SplitOnly`: each child on its parent's path
-    /// with one more literal assigned (the root's path built first if
-    /// this is the search's first split), to be decided by its own
-    /// activation. The second child takes the parent's assignment buffer;
-    /// the parent's body returns to the free list when `sub` drops.
-    fn split_only(&self, mut sub: SubProblem) -> Vec<SubProblem> {
+    /// Lines 12–16: the heuristic's choice on the parent's path (the
+    /// root's path built first if this is the search's first split), then
+    /// a child on that path for each branch to spawn. The last child takes
+    /// the parent's assignment buffer (and a propagating one its
+    /// counters); the parent's body returns to the free list when `sub`
+    /// drops.
+    fn split(&self, mut sub: SubProblem) -> Vec<SubProblem> {
         let parent = &mut *sub;
+        let propagating = self.mode != SimplifyMode::SplitOnly;
         let path = match parent.path.take() {
             Some(path) => path,
-            None => Path::root(std::mem::take(&mut parent.cnf), &parent.assign),
+            None => {
+                let cnf = std::mem::take(&mut parent.cnf);
+                parent.counters = Residual::new(&cnf);
+                Path::root(cnf, &parent.assign, parent.counters.live_counts())
+            }
         };
-        let selected = if self.heuristic == Heuristic::FirstUnassigned {
-            Some(path.first_free(&parent.assign))
-        } else {
-            path.residual_into(&parent.assign, &mut parent.cnf);
-            self.heuristic.select(&parent.cnf)
+        let (root, counters) = (&path.root.cnf, &parent.counters);
+        let selected = match self.heuristic {
+            Heuristic::FirstUnassigned => Some(path.first_free(&parent.assign)),
+            Heuristic::MostFrequent if propagating => most_frequent_var(counters.live_counts()),
+            Heuristic::Dlis if propagating => most_frequent_lit(counters.live_counts()),
+            Heuristic::JeroslowWang if propagating => {
+                jeroslow_wang(root.num_vars(), counters.clauses(root))
+            }
+            heuristic => {
+                path.residual_into(&parent.assign, &mut parent.cnf);
+                heuristic.select(&parent.cnf)
+            }
         };
         let lit = self.branch(selected);
-        let (var, value) = (lit.var(), lit.demanded_value());
-        let [first_path, second_path] = path.children(lit, &parent.assign);
-        // Following the heuristic costs no discrepancy; going against it
-        // spends one.
-        let mut first = SubProblem::on_path(parent.discrepancy, first_path);
-        first.assign.clone_from(&parent.assign);
-        first.assign.assign(var, value);
-        if parent.discrepancy == Some(0) {
-            return vec![first];
+        if !propagating {
+            return split_only_children(&path, lit, parent);
         }
-        let mut second = SubProblem::on_path(parent.discrepancy.map(|d| d - 1), second_path);
-        std::mem::swap(&mut second.assign, &mut parent.assign);
-        second.assign.assign(var, !value);
-        vec![first, second]
-    }
-
-    /// Lines 12–16 under a propagating mode: one count of the formula
-    /// feeds the heuristic and the split's occurrence lists, and each
-    /// child is born simplified into a recycled body. A surviving last
-    /// child takes the parent's assignment buffer.
-    fn split_propagating(&self, mut sub: SubProblem) -> Vec<SubProblem> {
-        let parent = &mut *sub;
-        let split = Split::new(&parent.cnf, self.mode);
-        let lit = self.branch(self.heuristic.select_counted(&parent.cnf, split.counts()));
+        // Each child is decided here: the first on a copy of the parent's
+        // counters, the last on the counters themselves. Following the
+        // heuristic costs no discrepancy; going against it spends one.
         let discrepancy = parent.discrepancy;
-        let path = &mut parent.assign;
+        let last = |lit, discrepancy, parent: &mut SubProblemBody| {
+            SubProblem::propagated(&path, lit, self.mode, discrepancy, |counters, assign| {
+                std::mem::swap(counters, &mut parent.counters);
+                std::mem::swap(assign, &mut parent.assign);
+            })
+        };
         if discrepancy == Some(0) {
-            return vec![SubProblem::born(discrepancy, |cnf, assign| {
-                split.last_child(lit, path, cnf, assign)
-            })];
+            return vec![last(lit, discrepancy, parent)];
         }
-        let first = SubProblem::born(discrepancy, |cnf, assign| {
-            split.child(lit, path, cnf, assign)
-        });
-        let second = SubProblem::born(discrepancy.map(|d| d - 1), |cnf, assign| {
-            split.last_child(lit.negated(), path, cnf, assign)
-        });
-        vec![first, second]
+        let first =
+            SubProblem::propagated(&path, lit, self.mode, discrepancy, |counters, assign| {
+                counters.clone_from(&parent.counters);
+                assign.clone_from(&parent.assign);
+            });
+        vec![
+            first,
+            last(lit.negated(), discrepancy.map(|d| d - 1), parent),
+        ]
     }
+}
+
+/// The children of a split-only split on `lit`, each on its parent's path
+/// with one more literal assigned, to be decided by its own activation.
+fn split_only_children(path: &Path, lit: Lit, parent: &mut SubProblemBody) -> Vec<SubProblem> {
+    let (var, value) = (lit.var(), lit.demanded_value());
+    let [first_path, second_path] = path.children(lit, &parent.assign);
+    // Following the heuristic costs no discrepancy; going against it
+    // spends one.
+    let mut first = SubProblem::on_path(parent.discrepancy, first_path);
+    first.assign.clone_from(&parent.assign);
+    first.assign.assign(var, value);
+    if parent.discrepancy == Some(0) {
+        return vec![first];
+    }
+    let mut second = SubProblem::on_path(parent.discrepancy.map(|d| d - 1), second_path);
+    std::mem::swap(&mut second.assign, &mut parent.assign);
+    second.assign.assign(var, !value);
+    vec![first, second]
 }
 
 impl RecProgram for DpllProgram {
@@ -581,13 +619,8 @@ impl RecProgram for DpllProgram {
         // Both branches spawn, or the preferred one alone when the
         // discrepancy budget is spent: deviating would cost a discrepancy
         // we no longer have.
-        let calls = if self.mode == SimplifyMode::SplitOnly {
-            self.split_only(sub)
-        } else {
-            self.split_propagating(sub)
-        };
         Step::Spawn(Spawn {
-            calls,
+            calls: self.split(sub),
             join: Join::Any(|v: &Verdict| v.is_sat()),
             frame: (),
         })
@@ -602,13 +635,12 @@ impl RecProgram for DpllProgram {
     }
 
     /// Cross-layer hint (§III-B3): residual clause count approximates the
-    /// work a sub-problem represents. The count before simplification,
-    /// which a born sub-problem carries beside its reduced formula; a
-    /// split-only child's path counts its open clauses.
+    /// work a sub-problem represents. The count before the sub-problem's
+    /// own simplification, which a path carries beside its verdict.
     fn weight(&self, arg: &SubProblem) -> Weight {
         match &arg.path {
-            Some(path) => path.open,
-            None => arg.born.unwrap_or(arg.cnf.num_clauses() as Weight),
+            Some(path) => path.weight,
+            None => arg.cnf.num_clauses() as Weight,
         }
     }
 
@@ -653,14 +685,14 @@ mod tests {
         cnf: Cnf,
         assign: Assignment,
         discrepancy: Option<u64>,
-        born: Option<Weight>,
+        counters: Residual,
     ) -> SubProblem {
         SubProblem(Some(Box::new(SubProblemBody {
             cnf,
             assign,
             discrepancy,
-            born,
             path: None,
+            counters,
         })))
     }
 
@@ -669,15 +701,12 @@ mod tests {
         FREE.with(|free| free.borrow_mut().clear());
         let mut assign = Assignment::new(12);
         assign.assign(crate::Var(4), true);
-        drop(handle(
-            gen::random_ksat(1, 12, 50, 3),
-            assign,
-            Some(3),
-            Some(50),
-        ));
+        let dirty = gen::random_ksat(1, 12, 50, 3);
+        let counters = Residual::new(&dirty);
+        drop(handle(dirty, assign, Some(3), counters));
         assert_eq!(FREE.with(|free| free.borrow().len()), 1);
         let cnf = gen::random_ksat(2, 8, 20, 3);
-        let fresh = handle(cnf.clone(), Assignment::new(8), None, None);
+        let fresh = handle(cnf.clone(), Assignment::new(8), None, Residual::default());
         let root = SubProblem::root(cnf);
         assert_eq!(
             FREE.with(|free| free.borrow().len()),

@@ -3,9 +3,10 @@
 //!
 //! Two entry points share one propagation loop: [`simplify_with`] reduces
 //! a formula in place (the root of a mesh search, the sequential
-//! [`dpll`](crate::dpll) solver), and a split of an already simplified
-//! formula writes both children reduced, from one set of occurrence lists
-//! over the parent (every other activation of a propagating mesh search).
+//! [`dpll`](crate::dpll) solver), and a propagating mesh search keeps
+//! every other sub-problem as counters over the root's reduced formula,
+//! which a split copies and runs the loop on against the root's
+//! occurrence lists, writing no formula.
 
 use crate::cnf::{Assignment, Cnf, Lit, Var};
 
@@ -115,8 +116,7 @@ pub fn simplify_with(
         return (Simplified::Undecided, stats);
     }
     let occurrences = Occurrences::new(cnf, counts);
-    let conflict = residual.propagate(&occurrences, cnf, mode, &mut stats);
-    residual.record(assignment);
+    let conflict = residual.propagate(&occurrences, cnf, mode, assignment, &mut stats);
     if conflict {
         return (Simplified::Unsat, stats);
     }
@@ -127,101 +127,6 @@ pub fn simplify_with(
         Simplified::Undecided
     };
     (outcome, stats)
-}
-
-/// Both children of one DPLL split, born simplified: one set of
-/// occurrence lists over the parent's formula, and each child's Listing 4
-/// lines 6–11 run on its own copy of the parent's counters. A child is
-/// exactly `simplify_with(parent.assign(branch), mode)` — the same
-/// literals forced in the same order, the same residual — without either
-/// formula being built first: a surviving child is written compacted, in
-/// one pass over the parent's clauses.
-pub(crate) struct Split<'a> {
-    cnf: &'a Cnf,
-    occurrences: Occurrences,
-    residual: Residual,
-    mode: SimplifyMode,
-}
-
-impl<'a> Split<'a> {
-    /// The tables of a split of `cnf`, which holds no empty clause (it is
-    /// a simplified, undecided formula).
-    pub(crate) fn new(cnf: &'a Cnf, mode: SimplifyMode) -> Split<'a> {
-        debug_assert!(mode != SimplifyMode::SplitOnly && !cnf.has_empty_clause());
-        let residual = Residual::new(cnf);
-        Split {
-            cnf,
-            occurrences: Occurrences::new(cnf, residual.live_counts()),
-            residual,
-            mode,
-        }
-    }
-
-    /// The parent formula's occurrences of each literal, indexed by
-    /// [`Lit::index`]: its `occurrence_counts`, for the heuristic.
-    pub(crate) fn counts(&self) -> &[u32] {
-        self.residual.live_counts()
-    }
-
-    /// Writes the child in which `branch` holds, on a copy of the
-    /// counters, into `cnf` and `assign` whatever they held; `parent` is
-    /// the parent's assignment. The formula is left empty when the child
-    /// is satisfied and one empty clause when a conflict cut the
-    /// propagation short; the assignment is the parent's plus the branch
-    /// literal and every literal the propagation forced, or empty for a
-    /// child that hit a conflict, whose verdict needs none. Returns the
-    /// clauses the child had before its simplification: those of the
-    /// `assign` it stands for.
-    pub(crate) fn child(
-        &self,
-        branch: Lit,
-        parent: &Assignment,
-        cnf: &mut Cnf,
-        assign: &mut Assignment,
-    ) -> u32 {
-        self.grow(self.residual.clone(), branch, cnf, assign, |path| {
-            path.clone_from(parent)
-        })
-    }
-
-    /// [`Split::child`] for the split's last child, on the counters
-    /// themselves. A surviving child swaps `assign` with `parent` instead
-    /// of copying it.
-    pub(crate) fn last_child(
-        mut self,
-        branch: Lit,
-        parent: &mut Assignment,
-        cnf: &mut Cnf,
-        assign: &mut Assignment,
-    ) -> u32 {
-        let residual = std::mem::take(&mut self.residual);
-        self.grow(residual, branch, cnf, assign, |path| {
-            std::mem::swap(path, parent)
-        })
-    }
-
-    fn grow(
-        &self,
-        mut residual: Residual,
-        branch: Lit,
-        cnf: &mut Cnf,
-        assign: &mut Assignment,
-        path: impl FnOnce(&mut Assignment),
-    ) -> u32 {
-        let (occurrences, parent) = (&self.occurrences, self.cnf);
-        let conflict = residual.force(occurrences, parent, branch);
-        let clauses_before = residual.live;
-        let mut stats = SimplifyStats::default();
-        if conflict || residual.propagate(occurrences, parent, self.mode, &mut stats) {
-            cnf.set_falsum(parent.num_vars());
-            assign.clear();
-            return clauses_before;
-        }
-        path(assign);
-        residual.record(assign);
-        residual.compact_into(parent, cnf);
-        clauses_before
-    }
 }
 
 /// The clauses each literal of a formula occurs in, ascending, once per
@@ -265,21 +170,23 @@ impl Occurrences {
 }
 
 /// The residual of a formula under the literals forced so far, kept as
-/// counters over the untouched formula and its [`Occurrences`].
-#[derive(Clone, Default)]
-struct Residual {
-    /// Three tables in one buffer, so that a [`Split`] child's copy is one
-    /// allocation:
+/// counters over the untouched formula and its [`Occurrences`]: a
+/// [`simplify_with`] call's, or a propagating mesh sub-problem's over the
+/// search's root formula, which a split copies into each child.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Residual {
+    /// Three tables in one buffer, so that a child's copy is one copy into
+    /// a buffer a finished sub-problem left behind:
     /// - `[..clauses_at]`, the live occurrences of each literal, indexed
     ///   by [`Lit::index`] (both counts of an assigned variable are zero);
     /// - `[clauses_at..vars_at]`, the occurrences not yet falsified in each
     ///   clause, [`SATISFIED`] once the clause has left the formula.
     ///   Occurrences, not distinct literals: `x ∨ x` counts two and is not
     ///   a unit;
-    /// - `[vars_at..]`, what this residual forced on each variable:
-    ///   [`FREE`], [`FORCED_TRUE`] or [`FORCED_FALSE`]. The path's
-    ///   [`Assignment`] is not consulted: it may hold variables the formula
-    ///   no longer mentions.
+    /// - `[vars_at..]`, whether this residual forced each variable:
+    ///   [`FREE`] or [`FORCED`] (the value goes to the caller's
+    ///   [`Assignment`], which is not consulted: it may hold variables the
+    ///   formula no longer mentions).
     state: Vec<u32>,
     clauses_at: usize,
     vars_at: usize,
@@ -287,10 +194,25 @@ struct Residual {
     live: u32,
 }
 
-/// What a residual forced on a variable: nothing, `true` or `false`.
+impl Clone for Residual {
+    fn clone(&self) -> Residual {
+        Residual {
+            state: self.state.clone(),
+            ..*self
+        }
+    }
+
+    /// Overwrites these counters in their own buffer.
+    fn clone_from(&mut self, source: &Residual) {
+        self.state.clone_from(&source.state);
+        (self.clauses_at, self.vars_at, self.live) =
+            (source.clauses_at, source.vars_at, source.live);
+    }
+}
+
+/// Whether a residual forced a variable: no, or yes.
 const FREE: u32 = 0;
-const FORCED_TRUE: u32 = 1;
-const FORCED_FALSE: u32 = 2;
+const FORCED: u32 = 1;
 
 /// The remaining count of a clause some forced literal satisfied.
 const SATISFIED: u32 = u32::MAX;
@@ -299,7 +221,7 @@ impl Residual {
     /// Counters for `cnf`, nothing forced yet: its
     /// [`occurrence_counts`](crate::heuristics::occurrence_counts)
     /// and clause lengths, written into one allocation of the final size.
-    fn new(cnf: &Cnf) -> Residual {
+    pub(crate) fn new(cnf: &Cnf) -> Residual {
         let num_vars = cnf.num_vars() as usize;
         let clauses_at = num_vars * 2;
         let vars_at = clauses_at + cnf.num_clauses();
@@ -318,8 +240,20 @@ impl Residual {
         }
     }
 
-    /// Live occurrences of each literal, indexed by [`Lit::index`].
-    fn live_counts(&self) -> &[u32] {
+    /// Counters of no formula, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.state.clear();
+        (self.clauses_at, self.vars_at, self.live) = (0, 0, 0);
+    }
+
+    /// Clauses not yet satisfied: the residual's clause count.
+    pub(crate) fn live(&self) -> u32 {
+        self.live
+    }
+
+    /// Live occurrences of each literal, indexed by [`Lit::index`]: the
+    /// residual's [`occurrence_counts`](crate::heuristics::occurrence_counts).
+    pub(crate) fn live_counts(&self) -> &[u32] {
         &self.state[..self.clauses_at]
     }
 
@@ -334,29 +268,72 @@ impl Residual {
         self.state[self.vars_at + lit.var().0 as usize] == FREE
     }
 
-    /// Writes every value this residual forced into `assignment`.
-    fn record(&self, assignment: &mut Assignment) {
-        for (var, &value) in self.state[self.vars_at..].iter().enumerate() {
-            if value != FREE {
-                assignment.assign(Var(var as u32), value == FORCED_TRUE);
-            }
-        }
+    /// The residual formula's clauses, in order, over `cnf` (the formula
+    /// these counters are over): each clause still in the formula as its
+    /// length and its free literals.
+    pub(crate) fn clauses<'a>(
+        &'a self,
+        cnf: &'a Cnf,
+    ) -> impl Iterator<Item = (usize, impl Iterator<Item = Lit> + 'a)> + 'a {
+        let live = self.remaining().iter().enumerate();
+        live.filter(|&(_, &left)| left != SATISFIED)
+            .map(move |(i, &left)| {
+                let free = cnf
+                    .clause(i)
+                    .iter()
+                    .copied()
+                    .filter(|&lit| self.is_free(lit));
+                (left as usize, free)
+            })
     }
 
-    /// Listing 4 lines 6–11 from the current counters. Returns whether a
-    /// clause lost its last occurrence, which ends the propagation where
-    /// it stands.
+    /// The first clause from `from` on that is still in the formula, or
+    /// the clause count if none is.
+    pub(crate) fn first_live(&self, from: usize) -> usize {
+        let remaining = &self.remaining()[from..];
+        let live = remaining.iter().position(|&left| left != SATISFIED);
+        from + live.unwrap_or(remaining.len())
+    }
+
+    /// A split's child on these counters: forces `branch`, then runs
+    /// Listing 4 lines 6–11 under `mode`, recording each literal forced
+    /// in `assignment`. Returns the clauses live once `branch` holds,
+    /// before the propagation (the child's mapping hint), and whether some
+    /// clause lost its last occurrence.
+    pub(crate) fn branch(
+        &mut self,
+        occurrences: &Occurrences,
+        cnf: &Cnf,
+        branch: Lit,
+        mode: SimplifyMode,
+        assignment: &mut Assignment,
+    ) -> (u32, bool) {
+        assignment.assign(branch.var(), branch.demanded_value());
+        let conflict = self.force(occurrences, cnf, branch);
+        let live = self.live;
+        let mut stats = SimplifyStats::default();
+        (
+            live,
+            conflict || self.propagate(occurrences, cnf, mode, assignment, &mut stats),
+        )
+    }
+
+    /// Listing 4 lines 6–11 from the current counters, recording each
+    /// literal forced in `assignment`. Returns whether a clause lost its
+    /// last occurrence, which ends the propagation where it stands.
     fn propagate(
         &mut self,
         occurrences: &Occurrences,
         cnf: &Cnf,
         mode: SimplifyMode,
+        assignment: &mut Assignment,
         stats: &mut SimplifyStats,
     ) -> bool {
         // Unit propagation (lines 6–8): drain every unit clause reachable
         // from the current formula, lowest clause first.
         while let Some(unit) = self.first_unit(cnf) {
             stats.unit_props += 1;
+            assignment.assign(unit.var(), unit.demanded_value());
             if self.force(occurrences, cnf, unit) {
                 return true;
             }
@@ -366,6 +343,7 @@ impl Residual {
         // one only removes clauses, so no unit and no conflict can follow.
         while let Some(pure) = lowest_pure_literal(self.live_counts()) {
             stats.pure_assigns += 1;
+            assignment.assign(pure.var(), pure.demanded_value());
             self.force(occurrences, cnf, pure);
             if mode == SimplifyMode::SinglePass {
                 break;
@@ -412,11 +390,7 @@ impl Residual {
                 self.state[negated.index()] -= 1;
             }
         }
-        self.state[self.vars_at + var] = if lit.demanded_value() {
-            FORCED_TRUE
-        } else {
-            FORCED_FALSE
-        };
+        self.state[self.vars_at + var] = FORCED;
         debug_assert_eq!(self.live_counts()[var * 2..var * 2 + 2], [0, 0]);
         conflict
     }
@@ -429,20 +403,6 @@ impl Residual {
     fn compact(&self, cnf: &mut Cnf) {
         let remaining = self.remaining();
         cnf.retain(|i| remaining[i] != SATISFIED, |lit| self.is_free(lit));
-    }
-
-    /// [`Residual::compact`] into `out`'s buffers, leaving `cnf` as it
-    /// is.
-    fn compact_into(&self, cnf: &Cnf, out: &mut Cnf) {
-        let remaining = self.remaining();
-        let lits = self.live_counts().iter().sum::<u32>() as usize;
-        cnf.retained_into(
-            out,
-            self.live as usize,
-            lits,
-            |i| remaining[i] != SATISFIED,
-            |lit| self.is_free(lit),
-        )
     }
 }
 
@@ -526,12 +486,8 @@ mod tests {
             let mut f = original.clone();
             let (occurrences, mut residual) = tables(&f);
             let conflict = residual.force(&occurrences, &f, Lit::with_polarity(Var(0), value));
-            // Into a dirty formula: nothing of it may survive.
-            let mut copy = original.assign(Var(1), true);
-            residual.compact_into(&f, &mut copy);
             residual.compact(&mut f);
             assert_eq!(f, original.assign(Var(0), value));
-            assert_eq!(copy, f);
             assert_eq!(conflict, f.has_empty_clause());
             assert_eq!(conflict, value);
             assert_eq!(residual.live_counts(), occurrence_counts(&f));
@@ -562,15 +518,31 @@ mod tests {
 
     #[test]
     fn a_single_pass_child_assigns_exactly_one_of_two_pure_literals() {
-        // Branching on x1 leaves x2 and x3 pure in both children, and x4,
-        // x5 in both polarities.
-        let parent = cnf(&[&[1, 2, 4], &[-1, 2, 4], &[3, 4, 5], &[-4, -5, 3]], 5);
-        for branch in [lit(1), lit(-1)] {
-            let split = Split::new(&parent, SimplifyMode::SinglePass);
-            assert_eq!(split.counts(), occurrence_counts(&parent));
-            let (mut child, mut path) = (Cnf::default(), Assignment::default());
-            let clauses = split.last_child(branch, &mut Assignment::new(5), &mut child, &mut path);
-            let pure = [Var(1), Var(2)].map(|v| path.value(v).is_some());
+        use crate::heuristics::Heuristic;
+        use crate::program::{DpllProgram, SubProblem};
+        use hyperspace_recursion::{RecProgram, Step};
+
+        // Nothing to force at the root. Branching on x1 (the first
+        // literal) leaves x2 and x3 pure in both children, and x4, x5 in
+        // both polarities.
+        let parent = cnf(
+            &[
+                &[1, 2, 4],
+                &[-1, -2, 4],
+                &[1, 3, 5],
+                &[-1, -3, 5],
+                &[-4, -5],
+            ],
+            5,
+        );
+        let program =
+            DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SinglePass);
+        let Step::Spawn(spawn) = program.start(SubProblem::root(parent.clone())) else {
+            panic!("the root splits");
+        };
+        assert_eq!(spawn.calls.len(), 2);
+        for (child, branch) in spawn.calls.iter().zip([lit(1), lit(-1)]) {
+            let pure = [Var(1), Var(2)].map(|v| child.assign.value(v).is_some());
             assert_eq!(pure, [true, false], "{branch:?}");
             // The same as splitting, then simplifying the child.
             let mut expected = parent.assign(branch.var(), branch.demanded_value());
@@ -579,7 +551,12 @@ mod tests {
             let clauses_before = expected.num_clauses() as u32;
             let (out, stats) = simplify_with(&mut expected, &mut a, SimplifyMode::SinglePass);
             assert_eq!((out, stats.pure_assigns), (Simplified::Undecided, 1));
-            assert_eq!((child, path, clauses), (expected, a, clauses_before));
+            let got = (
+                child.residual().into_owned(),
+                &child.assign,
+                program.weight(child),
+            );
+            assert_eq!(got, (expected, &a, clauses_before));
         }
     }
 

@@ -1,7 +1,7 @@
 //! A DPLL sub-problem travels as a handle to a recycled body: the
-//! envelope a mesh step moves stays small, a `SplitOnly` activation
-//! allocates no more than recorded here, a recycled body carries nothing
-//! from one solve into the next, and no free list keeps a split-only
+//! envelope a mesh step moves stays small, a `SplitOnly` or `Fixpoint`
+//! activation allocates no more than recorded here, a recycled body
+//! carries nothing from one solve into the next, and no free list keeps a
 //! search's root formula alive.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,6 +94,53 @@ fn a_split_only_activation_allocates_at_most_the_recorded_count() {
     );
 }
 
+/// A `portfolio_sat` member's machine under `heuristic`: a 6x6 torus, the
+/// least-busy mapper, the sequential engine, drained to quiescence.
+fn member(heuristic: Heuristic) -> StackBuilder<DpllProgram> {
+    StackBuilder::new(DpllProgram::new(heuristic))
+        .topology(TopologySpec::Torus2D { w: 6, h: 6 })
+        .mapper(MapperSpec::LeastBusy {
+            status_period: None,
+        })
+        .backend(BackendSpec::Sequential)
+        .halt_on_root_reply(false)
+}
+
+#[test]
+fn a_fixpoint_activation_allocates_at_most_the_recorded_count() {
+    // Allocations per activation over ten `portfolio_sat` pool formulas,
+    // solved one after another on one thread. While each child was born
+    // simplified (its formula written compacted from a split's own
+    // occurrence lists and counters) they were 7.10 (Jeroslow–Wang), 5.67
+    // (DLIS), 6.06 (most-frequent) and 4.52 (first). With each child on
+    // its path, as counters over one shared root formula, they are 5.55,
+    // 4.13, 4.55 and 3.00: the spawn's call vector, Jeroslow–Wang's
+    // scores, the models of satisfied leaves, layers 3-4 and each run's
+    // own setup.
+    let bounds = [
+        (Heuristic::JeroslowWang, 5.6),
+        (Heuristic::Dlis, 4.2),
+        (Heuristic::MostFrequent, 4.6),
+        (Heuristic::FirstUnassigned, 3.05),
+    ];
+    for (heuristic, bound) in bounds {
+        let (mut allocs, mut activations) = (0, 0);
+        for s in 1..=10 {
+            let (machine, root) = (member(heuristic), gen::satisfiable_ksat(s, 40, 182, 3));
+            let root = SubProblem::root(root);
+            let before = ALLOCS.with(Cell::get);
+            let report = machine.run(root, 0);
+            allocs += ALLOCS.with(Cell::get) - before;
+            activations += report.rec_totals.started;
+        }
+        let per_activation = allocs as f64 / activations as f64;
+        assert!(
+            per_activation <= bound,
+            "{heuristic}: {allocs} allocations, {per_activation:.3} per activation"
+        );
+    }
+}
+
 /// The parts of a run a recycled body could disturb.
 fn outcome(report: RecRunReport<Verdict>) -> (Option<Verdict>, u64, RecStats, u64) {
     (
@@ -109,7 +156,7 @@ fn recycled_bodies_carry_nothing_into_the_next_solve() {
     // A first solve over more variables, in the other mode, leaves this
     // thread's free list full of wider formulas and assignments than the
     // second one needs, and of bodies last used as the other mode's
-    // children (born simplified or not).
+    // children (paths with counters or without).
     let first = || SubProblem::root(gen::satisfiable_ksat(7, 40, 182, 3));
     let second = || SubProblem::root(gen::satisfiable_ksat(2, 30, 136, 3));
     use SimplifyMode::{Fixpoint, SplitOnly};
@@ -125,20 +172,22 @@ fn recycled_bodies_carry_nothing_into_the_next_solve() {
 
 #[test]
 fn a_body_back_on_the_free_list_holds_no_root_formula() {
-    let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
-    let root = SubProblem::root(gen::satisfiable_ksat(3, 30, 136, 3));
-    let Step::Spawn(spawn) = program.start(root) else {
-        panic!("the root splits");
-    };
-    let [first, second]: [SubProblem; 2] = spawn.calls.try_into().expect("two branches");
-    let formula = Arc::clone(first.root_formula().expect("a split-only child is a path"));
-    assert!(Arc::ptr_eq(&formula, second.root_formula().unwrap()));
-    assert_eq!(Arc::strong_count(&formula), 3);
-    // One branch solved on this thread, the other on the mesh: every
-    // sub-problem of both drops, and the bodies that go back on the free
-    // lists hold no root.
-    eval_local(&program, first);
-    assert_eq!(Arc::strong_count(&formula), 2);
-    mesh_sat(SimplifyMode::SplitOnly).run(second, 0);
-    assert_eq!(Arc::strong_count(&formula), 1);
+    for mode in [SimplifyMode::SplitOnly, SimplifyMode::Fixpoint] {
+        let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(mode);
+        let root = SubProblem::root(gen::satisfiable_ksat(3, 30, 136, 3));
+        let Step::Spawn(spawn) = program.start(root) else {
+            panic!("{mode}: the root splits");
+        };
+        let [first, second]: [SubProblem; 2] = spawn.calls.try_into().expect("two branches");
+        let formula = Arc::clone(first.root_formula().expect("a child is a path"));
+        assert!(Arc::ptr_eq(&formula, second.root_formula().unwrap()));
+        assert_eq!(Arc::strong_count(&formula), 3, "{mode}");
+        // One branch solved on this thread, the other on the mesh: every
+        // sub-problem of both drops, and the bodies that go back on the
+        // free lists hold no root.
+        eval_local(&program, first);
+        assert_eq!(Arc::strong_count(&formula), 2, "{mode}");
+        mesh_sat(mode).run(second, 0);
+        assert_eq!(Arc::strong_count(&formula), 1, "{mode}");
+    }
 }

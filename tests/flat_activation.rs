@@ -6,11 +6,12 @@
 //! it: limited-discrepancy, cancelling and branch-and-bound runs, and a
 //! program that keeps a closed record beside its successor, against
 //! values recorded at that parent commit. Likewise the children a split
-//! writes already simplified: each against the split-then-simplify
+//! decides before they run: each against the split-then-simplify
 //! reference, and hint-reading mesh runs against values recorded while
-//! every child still simplified its own formula. Likewise a split-only
-//! child travelling as its path: its residual against the `Cnf::assign`
-//! chain it stands for, for every heuristic, polarity and budget.
+//! every child still simplified its own formula. Likewise a child
+//! travelling as its path from the root formula, in every mode: its
+//! residual against the `Cnf::assign` chain it stands for, simplified as
+//! the mode simplifies, for every heuristic, polarity and budget.
 
 use hyperspace::apps::{seeded_items, BnbKnapsackProgram, BnbKnapsackTask};
 use hyperspace::core::{
@@ -232,7 +233,7 @@ proptest! {
                     let mut root = SubProblem::root(flat(num_vars, &formula));
                     root.discrepancy = discrepancy;
                     let reached = lines_2_to_11(root.residual().into_owned(), root.assign.clone(), mode);
-                    check_activation(&program, root, reached, 3);
+                    check_activation(&program, root, reached, 5);
                 }
             }
         }
@@ -243,27 +244,25 @@ proptest! {
         case in prop_oneof![arb_formula(), arb_kernel_formula()],
     ) {
         let (num_vars, formula) = case;
-        check_split_only_paths(num_vars, &formula, 5);
+        check_paths(num_vars, &formula, SimplifyMode::SplitOnly, 5);
     }
 }
 
-/// Every heuristic, polarity and discrepancy budget under `SplitOnly`,
-/// `depth` levels deep from the root of `formula`: each child's residual,
-/// read off its path, against the `Cnf::assign` chain.
-fn check_split_only_paths(num_vars: u32, formula: &Naive, depth: u32) {
+/// Every heuristic, polarity and discrepancy budget under `mode`, `depth`
+/// levels deep from the root of `formula`: each child's residual, read
+/// off its path, against the `Cnf::assign` chain simplified as `mode`
+/// simplifies.
+fn check_paths(num_vars: u32, formula: &Naive, mode: SimplifyMode, depth: u32) {
     for heuristic in ALL_HEURISTICS {
         for polarity in [Polarity::Positive, Polarity::Negative] {
             for discrepancy in [None, Some(0), Some(2)] {
                 let program = DpllProgram::new(heuristic)
-                    .with_mode(SimplifyMode::SplitOnly)
+                    .with_mode(mode)
                     .with_polarity(polarity);
                 let mut root = SubProblem::root(flat(num_vars, formula));
                 root.discrepancy = discrepancy;
-                let reached = lines_2_to_11(
-                    flat(num_vars, formula),
-                    Assignment::new(num_vars),
-                    SimplifyMode::SplitOnly,
-                );
+                let reached =
+                    lines_2_to_11(flat(num_vars, formula), Assignment::new(num_vars), mode);
                 check_activation(&program, root, reached, depth);
             }
         }
@@ -271,7 +270,7 @@ fn check_split_only_paths(num_vars: u32, formula: &Naive, depth: u32) {
 }
 
 #[test]
-fn split_only_paths_read_awkward_clauses_like_the_assign_chain() {
+fn paths_read_awkward_clauses_like_the_assign_chain_in_every_mode() {
     let formula = |clauses: &[&[i32]]| -> Naive {
         let lits = |c: &&[i32]| c.iter().map(|&d| Lit::from_dimacs(d)).collect();
         clauses.iter().map(lits).collect()
@@ -296,12 +295,19 @@ fn split_only_paths_read_awkward_clauses_like_the_assign_chain() {
         ]),
         // An empty root clause: the root is `Unsat` before any split.
         formula(&[&[1, 2], &[], &[-1, 3]]),
-        // A unit the first branch of `first` falsifies, and a variable
-        // that occurs nowhere.
+        // A unit, which the first branch of `first` falsifies under
+        // `SplitOnly` and the root forces under the propagating modes, and
+        // a variable that occurs nowhere.
         formula(&[&[2], &[-2, 3], &[-3, 4, 1], &[-4, -1], &[3, 4]]),
     ];
     for clauses in &cases {
-        check_split_only_paths(6, clauses, 6);
+        for mode in [
+            SimplifyMode::Fixpoint,
+            SimplifyMode::SinglePass,
+            SimplifyMode::SplitOnly,
+        ] {
+            check_paths(6, clauses, mode, 6);
+        }
     }
 }
 

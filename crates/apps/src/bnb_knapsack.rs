@@ -10,7 +10,7 @@
 //! incumbent before expanding any frame. Cross-checked against the
 //! [`crate::knapsack_reference`] DP oracle by the conformance suite.
 
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 use crate::knapsack::{fractional_bound, Item};
 
@@ -63,7 +63,7 @@ impl RecProgram for BnbKnapsackProgram {
             return Step::Done(task.value as u64);
         }
         let item = task.items[task.next];
-        let mut calls = Vec::with_capacity(2);
+        let mut calls = Calls::new();
         if item.weight <= task.capacity {
             let mut take = task.clone();
             take.next += 1;

@@ -4,7 +4,7 @@
 //! a mapping layer, since every activation immediately forks two more. Used
 //! by the benchmarks to stress mapping policies independently of SAT.
 
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 /// `fib(n) = fib(n-1) + fib(n-2)`, branching on every `n >= 2`.
 #[derive(Clone, Copy)]
@@ -20,7 +20,7 @@ impl RecProgram for FibProgram {
             Step::Done(n)
         } else {
             Step::Spawn(Spawn {
-                calls: vec![n - 1, n - 2],
+                calls: Calls::two(n - 1, n - 2),
                 join: Join::All,
                 frame: (),
             })

@@ -7,7 +7,7 @@
 //! "lazy evaluation functions to prune the search space" the paper says
 //! can double as sub-problem size estimates for the mapping layer.
 
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 /// A knapsack item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,7 +129,7 @@ impl RecProgram for KnapsackProgram {
             return Step::Done(task.value as u64);
         }
         let item = task.items[task.next];
-        let mut calls = Vec::with_capacity(2);
+        let mut calls = Calls::new();
         if item.weight <= task.capacity {
             let mut take = task.clone();
             take.next += 1;

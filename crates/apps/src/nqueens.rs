@@ -4,7 +4,7 @@
 //! sub-call per safe column and summing the counts with an `All` join —
 //! the counting complement to SAT's `Any`-joined decision search.
 
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 /// A partial placement: `cols[r]` is the column of the queen in row `r`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,7 +47,7 @@ impl RecProgram for NQueensProgram {
         if task.cols.len() == task.n as usize {
             return Step::Done(1);
         }
-        let calls: Vec<QueensTask> = (0..task.n)
+        let calls: Calls<QueensTask> = (0..task.n)
             .filter(|&c| task.safe(c))
             .map(|c| {
                 let mut next = task.clone();

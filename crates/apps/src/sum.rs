@@ -4,7 +4,7 @@
 //! module is the defunctionalised twin, useful where a nameable, zero-
 //! allocation frame type matters.
 
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 /// The paper's running example: sum of `1..=n` by linear recursion.
 #[derive(Clone, Copy)]
@@ -26,7 +26,7 @@ impl RecProgram for SumProgram {
             Step::Done(0)
         } else {
             Step::Spawn(Spawn {
-                calls: vec![n - 1],
+                calls: Calls::one(n - 1),
                 join: Join::All,
                 frame: SumFrame { n },
             })

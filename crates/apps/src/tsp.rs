@@ -10,7 +10,7 @@
 //! each unvisited one), the cheapest edge it could possibly use. Layer 4
 //! compares that bound against the gossiped incumbent before expanding.
 
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 /// Sentinel cost of an infeasible/pruned subtree: loses every `min`
 /// fold and is never a solution value.
@@ -95,29 +95,20 @@ impl TspTask {
     /// uses exactly one outgoing edge in any completion, so the sum
     /// never exceeds the true completion cost.
     pub fn lower_bound(&self) -> u64 {
-        let remaining: Vec<usize> = self.unvisited().collect();
-        if remaining.is_empty() {
-            return self.cost + self.inst.d(self.last as usize, 0);
-        }
-        let mut bound = self.cost;
+        let last = self.last as usize;
         // The current city departs towards some unvisited city.
-        bound += remaining
-            .iter()
-            .map(|&c| self.inst.d(self.last as usize, c))
-            .min()
-            .unwrap_or(0);
+        let Some(departs) = self.unvisited().map(|c| self.inst.d(last, c)).min() else {
+            return self.cost + self.inst.d(last, 0);
+        };
         // Every unvisited city departs towards another unvisited city
         // or closes the tour at 0.
-        for &c in &remaining {
-            bound += remaining
-                .iter()
-                .filter(|&&o| o != c)
-                .map(|&o| self.inst.d(c, o))
-                .chain(std::iter::once(self.inst.d(c, 0)))
-                .min()
-                .unwrap_or(0);
-        }
-        bound
+        let onwards = self.unvisited().map(|c| {
+            self.unvisited()
+                .filter(|&o| o != c)
+                .map(|o| self.inst.d(c, o))
+                .fold(self.inst.d(c, 0), u64::min)
+        });
+        self.cost + departs + onwards.sum::<u64>()
     }
 }
 
@@ -136,7 +127,7 @@ impl RecProgram for TspProgram {
         if task.visited.count_ones() as usize == n {
             return Step::Done(task.cost + task.inst.d(task.last as usize, 0));
         }
-        let calls: Vec<TspTask> = task
+        let calls: Calls<TspTask> = task
             .unvisited()
             .map(|c| {
                 let mut next = task.clone();
@@ -233,6 +224,56 @@ mod tests {
             let opt = tsp_reference(&inst);
             let root = TspTask::root(inst);
             assert!(root.lower_bound() <= opt, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn lower_bound_equals_the_collecting_formula() {
+        // The bound as it was written over a collected `Vec` of the
+        // unvisited cities.
+        fn collected(task: &TspTask) -> u64 {
+            let remaining: Vec<usize> = task.unvisited().collect();
+            if remaining.is_empty() {
+                return task.cost + task.inst.d(task.last as usize, 0);
+            }
+            let mut bound = task.cost;
+            bound += remaining
+                .iter()
+                .map(|&c| task.inst.d(task.last as usize, c))
+                .min()
+                .unwrap_or(0);
+            for &c in &remaining {
+                bound += remaining
+                    .iter()
+                    .filter(|&&o| o != c)
+                    .map(|&o| task.inst.d(c, o))
+                    .chain(std::iter::once(task.inst.d(c, 0)))
+                    .min()
+                    .unwrap_or(0);
+            }
+            bound
+        }
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % bound
+        };
+        for seed in 0..200 {
+            let n = 2 + next(9) as usize;
+            let inst = TspInstance::random(seed, n, 1 + next(60));
+            // City 0 and any others visited, the tour ending at one of them.
+            let visited = 1 | (next(1 << n) as u32);
+            let visited_cities: Vec<usize> = (0..n).filter(|c| visited & (1 << c) != 0).collect();
+            let last = visited_cities[next(visited_cities.len() as u64) as usize] as u8;
+            let task = TspTask {
+                inst,
+                visited,
+                last,
+                cost: next(500),
+            };
+            assert_eq!(task.lower_bound(), collected(&task), "{task:?}");
         }
     }
 

@@ -22,6 +22,7 @@
 //! ```
 
 use crate::program::{Join, RecProgram, Resumed, Spawn, Step};
+use crate::Calls;
 
 /// The continuation type saved across suspensions.
 type Cont<A, R> = Box<dyn FnOnce(Resumed<R>) -> Rec<A, R> + Send>;
@@ -34,7 +35,7 @@ pub enum Rec<A, R> {
     /// after the `yield Sync()`.
     Suspend {
         /// Sub-call arguments.
-        calls: Vec<A>,
+        calls: Calls<A>,
         /// Join mode.
         join: Join<R>,
         /// Code to run with the join's results.
@@ -50,27 +51,30 @@ impl<A, R> Rec<A, R> {
 
     /// Issues a single sub-call; chain with [`Pending::then`].
     pub fn call(arg: A) -> Pending<A, R, R> {
-        Pending::build(vec![arg], Join::All)
+        Pending::build(Calls::one(arg), Join::All)
     }
 
     /// Issues a batch of sub-calls joined with [`Join::All`]; chain with
     /// [`Pending::then_all`] receiving the `Vec` of results in call order.
-    pub fn call_all(args: Vec<A>) -> Pending<A, R, Vec<R>> {
-        Pending::build(args, Join::All)
+    pub fn call_all(args: impl Into<Calls<A>>) -> Pending<A, R, Vec<R>> {
+        Pending::build(args.into(), Join::All)
     }
 
     /// Issues a batch of speculative sub-calls with non-deterministic
     /// choice (§IV-C): the continuation receives the first result that
     /// satisfies `is_valid`, or `None` if none does.
-    pub fn call_any(args: Vec<A>, is_valid: fn(&R) -> bool) -> Pending<A, R, Option<R>> {
-        Pending::build(args, Join::Any(is_valid))
+    pub fn call_any(
+        args: impl Into<Calls<A>>,
+        is_valid: fn(&R) -> bool,
+    ) -> Pending<A, R, Option<R>> {
+        Pending::build(args.into(), Join::Any(is_valid))
     }
 }
 
 /// A suspension under construction: sub-calls issued, continuation not yet
 /// attached. `T` is the shape of results the continuation will receive.
 pub struct Pending<A, R, T> {
-    calls: Vec<A>,
+    calls: Calls<A>,
     join: Join<R>,
     // T records which `then` shape applies; phantom keeps the builder
     // type-safe.
@@ -78,7 +82,7 @@ pub struct Pending<A, R, T> {
 }
 
 impl<A, R, T> Pending<A, R, T> {
-    fn build(calls: Vec<A>, join: Join<R>) -> Self {
+    fn build(calls: Calls<A>, join: Join<R>) -> Self {
         Pending {
             calls,
             join,

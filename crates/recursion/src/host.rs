@@ -2,18 +2,23 @@
 //! interface, maintaining the paper's *call records* (Figure 3).
 //!
 //! Every suspended activation becomes a [`CallRecord`] holding the saved
-//! frame, one result slot per sub-call and the join mode. Sub-calls are
-//! issued through [`CallCtx::call_hint`]; their tickets index back into the
-//! records. When a join completes the frame is resumed, possibly producing
-//! more records, until the activation finishes and its result is replied to
-//! the parent ticket.
+//! frame, the join mode, a count of its outstanding sub-calls and, for an
+//! `All` join, one result slot per sub-call. Sub-calls are issued through
+//! [`CallCtx::call_hint`]; their tickets index back into the records. When
+//! a join completes the frame is resumed, possibly producing more records,
+//! until the activation finishes and its result is replied to the parent
+//! ticket.
 //!
 //! The records of a node form a slab: a `Vec` of rows plus a free list,
 //! found through a vector indexed by the sub-call ticket's
-//! [`Ticket::slot`]. A suspension takes a vacant row, buffers and all, and
-//! the reply that completes the join gives it back, so in steady state a
-//! sub-call costs two vector indexings and an activation allocates
-//! nothing of its own. The slab counts its open and closed rows and their
+//! [`Ticket::slot`]. A suspension takes a vacant row and the reply that
+//! completes the join gives it back. A row lists no pending calls: a reply
+//! decrements the row's count of them, and the tickets a cancelling host
+//! may have to withdraw sit in the row as a [`Calls`] batch, inline for up
+//! to two (a wider batch's spilled buffer stays with the row, as do an
+//! `All` join's result slots). So in steady state a sub-call costs two
+//! vector indexings, and neither a spawn of up to two calls nor its record
+//! allocates. The slab counts its open and closed rows and their
 //! pending sub-calls, so [`RecState::frontier`] is O(1). Rows are *not*
 //! keyed by the parent ticket: an activation resumed early by an `Any`
 //! join may suspend again while its first record still waits for the
@@ -25,6 +30,7 @@ use hyperspace_mapping::{CallCtx, Ticket, TicketHandler};
 use hyperspace_sim::NodeId;
 
 use crate::program::{Join, Objective, RecProgram, Resumed, Spawn, Step};
+use crate::Calls;
 
 /// Branch-and-bound configuration of a [`RecursionHost`].
 ///
@@ -67,8 +73,9 @@ pub struct IncumbentEvent {
 /// One suspended activation (a row of Figure 3's call-record table).
 ///
 /// Rows live in a slab ([`RecState`]'s `records`): a row whose activation
-/// is over becomes [`Row::Vacant`] and is handed, `results` and `pending`
-/// buffers included, to the next activation that suspends on this node.
+/// is over becomes [`Row::Vacant`] and is handed, with its `results`
+/// buffer and any spilled `tickets`, to the next activation that suspends
+/// on this node.
 struct CallRecord<P: RecProgram> {
     /// Where this activation's final result must be sent.
     parent: Ticket,
@@ -79,8 +86,12 @@ struct CallRecord<P: RecProgram> {
     /// Result slots of an `All` join, one per sub-call, in issue order
     /// (an `Any` join keeps no results).
     results: Vec<Option<P::Out>>,
-    /// Sub-call tickets still outstanding.
-    pending: Vec<Ticket>,
+    /// Sub-calls not yet answered or withdrawn.
+    pending: u32,
+    /// Every sub-call's ticket, in issue order, for withdrawing the ones
+    /// still live ([`SubCalls`] knows which) when a cancelling host closes
+    /// the row. Answered ones stay listed until the row is vacated.
+    tickets: Calls<Ticket>,
     /// Whether the row is in use, and how.
     row: Row,
 }
@@ -225,6 +236,14 @@ impl SubCalls {
         let entry = self.0.get_mut(ticket.slot())?;
         let (_, row, slot) = entry.take_if(|(live, ..)| *live == ticket)?;
         Some((row, slot))
+    }
+
+    /// Forgets `ticket` if it is still live as the `slot`-th sub-call of
+    /// `row`. Layer 3 reissues an answered call's ticket unchanged, so the
+    /// same ticket may by now name another row's call.
+    fn withdraw(&mut self, ticket: Ticket, row: u32, slot: u32) -> bool {
+        let entry = self.0.get_mut(ticket.slot());
+        entry.is_some_and(|entry| entry.take_if(|live| *live == (ticket, row, slot)).is_some())
     }
 }
 
@@ -394,26 +413,29 @@ impl<P: RecProgram> RecursionHost<P> {
                             frame: None,
                             join: Join::All,
                             results: Vec::new(),
-                            pending: Vec::new(),
+                            pending: 0,
+                            tickets: Calls::new(),
                             row: Row::Vacant,
                         });
                         (state.records.len() - 1) as u32
                     });
                     let rec = &mut state.records[row as usize];
+                    let width = calls.len();
                     for (slot, arg) in calls.into_iter().enumerate() {
                         let hint = self.program.weight(&arg);
                         let t = ctx.call_hint(arg, hint);
                         state.sub_calls.insert(t, row, slot as u32);
-                        rec.pending.push(t);
+                        rec.tickets.push(t);
                     }
                     if let Join::All = join {
-                        rec.results.resize_with(rec.pending.len(), || None);
+                        rec.results.resize_with(width, || None);
                     }
                     rec.parent = parent;
                     rec.frame = Some(frame);
                     rec.join = join;
                     rec.row = Row::Open;
-                    state.pending_calls += rec.pending.len() as u64;
+                    rec.pending = width as u32;
+                    state.pending_calls += width as u64;
                     if self.cancel_losers {
                         state.parent_index.insert(parent, row);
                     }
@@ -423,17 +445,31 @@ impl<P: RecProgram> RecursionHost<P> {
         }
     }
 
+    /// Withdraws the sub-calls of `row` still outstanding, in issue order.
+    fn withdraw(&self, state: &mut RecState<P>, row: u32, ctx: &mut dyn CallCtx<P::Arg, P::Out>) {
+        let rec = &mut state.records[row as usize];
+        for (slot, &t) in rec.tickets.iter().enumerate() {
+            if state.sub_calls.withdraw(t, row, slot as u32) {
+                ctx.cancel(t);
+                state.stats.cancels_sent += 1;
+                rec.pending -= 1;
+            }
+        }
+        debug_assert_eq!(rec.pending, 0);
+    }
+
     /// Returns `row`, whose activation is over and whose sub-calls are all
     /// answered or withdrawn, to the free list.
     fn vacate(&self, state: &mut RecState<P>, row: u32) {
         let rec = &mut state.records[row as usize];
-        debug_assert!(rec.row != Row::Vacant && rec.pending.is_empty());
+        debug_assert!(rec.row != Row::Vacant && rec.pending == 0);
         if rec.row == Row::Closed {
             state.closed_records -= 1;
         }
         rec.row = Row::Vacant;
         rec.frame = None;
         rec.results.clear();
+        rec.tickets.clear();
         // The parent ticket may by now name a successor: an activation
         // resumed by an `Any` win suspends again under the same ticket
         // while this row still waits for its stragglers.
@@ -496,13 +532,11 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
             return;
         };
         let rec = &mut state.records[row as usize];
-        if let Some(at) = rec.pending.iter().position(|t| *t == ticket) {
-            rec.pending.remove(at);
-        }
+        rec.pending -= 1;
 
         if rec.row == Row::Closed {
             state.stats.stale_replies += 1;
-            if rec.pending.is_empty() {
+            if rec.pending == 0 {
                 self.vacate(state, row);
             }
             return;
@@ -512,7 +546,7 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         match rec.join {
             Join::All => {
                 rec.results[slot as usize] = Some(resp);
-                if rec.pending.is_empty() {
+                if rec.pending == 0 {
                     let results: Vec<P::Out> = rec
                         .results
                         .drain(..)
@@ -530,25 +564,21 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
                     // First valid result wins; ignore (or cancel) the rest.
                     rec.row = Row::Closed;
                     state.closed_records += 1;
-                    state.pending_calls -= rec.pending.len() as u64;
-                    if !rec.pending.is_empty() {
+                    state.pending_calls -= rec.pending as u64;
+                    if rec.pending > 0 {
                         state.stats.speculative_wins += 1;
                     }
                     let frame = rec.frame.take().expect("frame present until resumed");
                     let parent = rec.parent;
                     if self.cancel_losers {
-                        for t in rec.pending.drain(..) {
-                            state.sub_calls.take(t);
-                            ctx.cancel(t);
-                            state.stats.cancels_sent += 1;
-                        }
+                        self.withdraw(state, row, ctx);
                     }
-                    if rec.pending.is_empty() {
+                    if state.records[row as usize].pending == 0 {
                         self.vacate(state, row);
                     }
                     let step = self.program.resume(frame, Resumed::Any(Some(resp)));
                     self.drive(state, step, parent, ctx);
-                } else if rec.pending.is_empty() {
+                } else if rec.pending == 0 {
                     // Everything returned, nothing valid: null result.
                     let frame = rec.frame.take().expect("frame present until resumed");
                     let parent = rec.parent;
@@ -575,13 +605,8 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
             return;
         };
         state.stats.cancelled += 1;
-        let pending = &mut state.records[row as usize].pending;
-        state.pending_calls -= pending.len() as u64;
-        for t in pending.drain(..) {
-            state.sub_calls.take(t);
-            ctx.cancel(t);
-            state.stats.cancels_sent += 1;
-        }
+        state.pending_calls -= state.records[row as usize].pending as u64;
+        self.withdraw(state, row, ctx);
         self.vacate(state, row);
     }
 
@@ -596,6 +621,7 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
 mod tests {
     use super::*;
     use crate::cps::{FnProgram, Rec};
+    use crate::program::eval_local;
     use hyperspace_mapping::{trigger, LeastBusyMapper, MapConfig, MappingHost, RoundRobinMapper};
     use hyperspace_sim::{SimConfig, Simulation};
     use hyperspace_topology::{Hypercube, Torus};
@@ -660,7 +686,7 @@ mod tests {
                 Step::Done(1)
             } else {
                 Step::Spawn(Spawn {
-                    calls: vec![n - 1, n - 1],
+                    calls: Calls::two(n - 1, n - 1),
                     join: Join::All,
                     frame: (),
                 })
@@ -808,15 +834,24 @@ mod tests {
     }
 
     /// The frontier as a walk over every slab row finds it: open rows,
-    /// closed rows, sub-calls the open rows wait on.
+    /// closed rows, sub-calls the open rows wait on. Checks on the way that
+    /// each row's pending count is the number of live sub-calls that point
+    /// to it, and that each of those is among the row's tickets.
     fn walked<P: RecProgram>(state: &RecState<P>) -> (u64, u64, u64) {
+        let mut live = vec![0u32; state.records.len()];
+        for &(ticket, row, _) in state.sub_calls.0.iter().flatten() {
+            live[row as usize] += 1;
+            let record = &state.records[row as usize];
+            assert!(record.tickets.iter().any(|&t| t == ticket), "row {row}");
+        }
         let mut walk = (0, 0, 0);
-        for record in &state.records {
+        for (record, live) in state.records.iter().zip(live) {
+            assert_eq!(record.pending, live);
             match record.row {
                 Row::Vacant => {}
                 Row::Open => {
                     walk.0 += 1;
-                    walk.2 += record.pending.len() as u64;
+                    walk.2 += live as u64;
                 }
                 Row::Closed => walk.1 += 1,
             }
@@ -825,7 +860,8 @@ mod tests {
     }
 
     /// Runs `root` to quiescence on a 4x4 torus, checking after every step
-    /// that each node's frontier counters equal the walk. Returns the
+    /// that each node's frontier counters and rows' pending counts equal
+    /// the walk. Returns the
     /// cancelled activations, the stale replies and the most closed rows
     /// seen at once.
     fn counters_follow_the_walk<P: RecProgram<Arg = u64>>(
@@ -909,6 +945,35 @@ mod tests {
             cancelled > 0 && stale > 0,
             "{cancelled} cancelled, {stale} stale"
         );
+    }
+
+    #[test]
+    fn a_withdrawal_leaves_a_reissued_ticket_alone() {
+        // Eight staggered races: race `k` waits on a chain `k` long, then
+        // races an invalid leaf, a long chain and a short one. The leaf's
+        // reply frees its slot with the same ticket, which a later race on
+        // that node takes for one of its own calls; the short chain's win
+        // must withdraw only what its own record still waits on.
+        let staggered = || {
+            FnProgram::new(|n: u64| -> Rec<u64, u64> {
+                match n {
+                    0 => Rec::done(0),
+                    1..=99 => Rec::call(n - 1).then(|r| Rec::done(r + 1)),
+                    100..=199 => Rec::call(n - 100).then(|_| {
+                        Rec::call_any(vec![0, 30, 5], |r| *r > 0)
+                            .then_any(|r| Rec::done(r.map_or(0, |_| 1)))
+                    }),
+                    _ => Rec::call_all((100..108).collect::<Vec<_>>())
+                        .then_all(|rs| Rec::done(rs.iter().sum())),
+                }
+            })
+        };
+        assert_eq!(eval_local(&staggered(), 200), 8);
+        let (_, stale, _) = counters_follow_the_walk(RecursionHost::new(staggered()), 200);
+        assert_eq!(stale, 8, "each race ignores its long chain");
+        let (cancelled, ..) =
+            counters_follow_the_walk(RecursionHost::new(staggered()).with_cancellation(), 200);
+        assert!(cancelled > 0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! equivalent encodings of the paper's `yield` mechanism:
 //!
 //! * [`RecProgram`] — defunctionalised continuations: the program returns
-//!   [`Step::Spawn`] carrying an explicit `Frame` value (the saved
-//!   activation) and is later resumed with `resume(frame, results)`.
-//!   This is the zero-overhead form used by the SAT solver.
+//!   [`Step::Spawn`] carrying its sub-calls (a [`Calls`] batch, inline up
+//!   to two) and an explicit `Frame` value (the saved activation), and is
+//!   later resumed with `resume(frame, results)`. This is the
+//!   zero-overhead form used by the SAT solver.
 //! * [`Rec`] / [`FnProgram`] — a CPS combinator layer recovering
 //!   Listing 3's ergonomics: `Rec::call(n - 1).then(move |total|
 //!   Rec::done(total + n))`. The boxed `FnOnce` closure *is* the saved
@@ -20,10 +21,11 @@
 //!
 //! [`RecursionHost`] drives either encoding over layer 3: each subcall
 //!   becomes a ticketed `Request`, each pending activation a *call record*
-//!   (Figure 3) holding the frame, the join mode and result slots. A
-//!   node's records are rows of a slab reached through the sub-call
-//!   tickets; a finished activation's row is reused, buffers included, by
-//!   the next one to suspend. Joins follow §IV-C:
+//!   (Figure 3) holding the frame, the join mode, a count of pending
+//!   sub-calls and, for an `All` join, result slots. A node's records are
+//!   rows of a slab reached through the sub-call tickets; a finished
+//!   activation's row is reused by the next one to suspend. Joins follow
+//!   §IV-C:
 //!
 //! * [`Join::All`] — `yield Sync()`: resume once every subcall returned;
 //! * [`Join::Any`] — non-deterministic choice: resume as soon as a result
@@ -32,10 +34,12 @@
 
 #![warn(missing_docs)]
 
+mod calls;
 mod cps;
 mod host;
 mod program;
 
+pub use calls::Calls;
 pub use cps::{FnProgram, Pending, Rec};
 pub use host::{BnbMode, FrontierSnapshot, IncumbentEvent, RecState, RecStats, RecursionHost};
 pub use program::{eval_local, Join, Objective, RecProgram, Resumed, Spawn, Step};

@@ -2,6 +2,8 @@
 
 use hyperspace_mapping::Weight;
 
+use crate::Calls;
+
 /// Direction of an optimisation objective (branch-and-bound mode).
 ///
 /// An *incumbent* is the best complete solution value found anywhere in
@@ -126,8 +128,8 @@ pub enum Step<P: RecProgram + ?Sized> {
 /// A batch of sub-calls plus the continuation to run when they join.
 pub struct Spawn<P: RecProgram + ?Sized> {
     /// Sub-call arguments, issued in order (slot `i` of an
-    /// [`Resumed::All`] corresponds to `calls[i]`).
-    pub calls: Vec<P::Arg>,
+    /// [`Resumed::All`] corresponds to the `i`-th call).
+    pub calls: Calls<P::Arg>,
     /// When to resume.
     pub join: Join<P::Out>,
     /// The saved activation.
@@ -198,23 +200,62 @@ impl<R> Resumed<R> {
 /// over a hyperspace machine must produce the same result for programs
 /// whose `Any`-joins are confluent (and exactly the same result for pure
 /// `All`-join programs). The test-suites use it as an oracle.
+///
+/// The recursion lives on the heap, not the native stack: a stack of
+/// suspended activations, each with the calls it has yet to issue, and
+/// one stack of the results their finished calls returned. Depth is
+/// bounded by memory only.
 pub fn eval_local<P: RecProgram>(program: &P, arg: P::Arg) -> P::Out {
-    fn drive<P: RecProgram>(program: &P, step: Step<P>) -> P::Out {
+    /// An activation waiting on its batch; its results so far are
+    /// `results[base..]`. An `Any` join keeps only the first valid one.
+    struct Suspended<P: RecProgram> {
+        frame: P::Frame,
+        join: Join<P::Out>,
+        calls: <Calls<P::Arg> as IntoIterator>::IntoIter,
+        base: usize,
+    }
+    let mut stack: Vec<Suspended<P>> = Vec::new();
+    let mut results: Vec<P::Out> = Vec::new();
+    let mut step = program.start(arg);
+    loop {
         match step {
-            Step::Done(v) => v,
-            Step::Spawn(Spawn { calls, join, frame }) => {
-                let results: Vec<P::Out> =
-                    calls.into_iter().map(|c| eval_local(program, c)).collect();
-                let resumed = match join {
-                    Join::All => Resumed::All(results),
-                    Join::Any(valid) => Resumed::Any(results.into_iter().find(valid)),
+            Step::Spawn(Spawn { calls, join, frame }) => stack.push(Suspended {
+                frame,
+                join,
+                calls: calls.into_iter(),
+                base: results.len(),
+            }),
+            Step::Done(out) => {
+                let Some(top) = stack.last() else {
+                    return out;
                 };
-                let next = program.resume(frame, resumed);
-                drive(program, next)
+                match top.join {
+                    Join::All => results.push(out),
+                    Join::Any(valid) if results.len() == top.base && valid(&out) => {
+                        results.push(out)
+                    }
+                    Join::Any(_) => {}
+                }
             }
         }
+        // Issue the innermost activation's next call, or resume it once
+        // every call has returned.
+        let top = stack.last_mut().expect("an activation is suspended");
+        step = match top.calls.next() {
+            Some(call) => program.start(call),
+            None => {
+                let Suspended {
+                    frame, join, base, ..
+                } = stack.pop().expect("an activation is suspended");
+                let resumed = match join {
+                    Join::All => Resumed::All(results.split_off(base)),
+                    Join::Any(_) if results.len() > base => Resumed::Any(results.pop()),
+                    Join::Any(_) => Resumed::Any(None),
+                };
+                program.resume(frame, resumed)
+            }
+        };
     }
-    drive(program, program.start(arg))
 }
 
 #[cfg(test)]

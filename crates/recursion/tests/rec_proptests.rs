@@ -31,7 +31,7 @@ impl RecProgram for TreeProgram {
             return Step::Done(k as u64);
         }
         Step::Spawn(Spawn {
-            calls,
+            calls: calls.into(),
             join: Join::All,
             frame: k,
         })
@@ -87,7 +87,7 @@ proptest! {
                     return Step::Done(1);
                 }
                 Step::Spawn(Spawn {
-                    calls: vec![k - 1, k / 2],
+                    calls: vec![k - 1, k / 2].into(),
                     join: Join::Any(|_| false),
                     frame: (),
                 })

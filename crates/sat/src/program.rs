@@ -67,7 +67,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use hyperspace_mapping::Weight;
-use hyperspace_recursion::{Join, RecProgram, Resumed, Spawn, Step};
+use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 use crate::cnf::{Assignment, Cnf, Lit, Model};
 use crate::heuristics::{jeroslow_wang, most_frequent_lit, most_frequent_var, Heuristic};
@@ -531,7 +531,7 @@ impl DpllProgram {
     /// the parent's assignment buffer (and a propagating one its
     /// counters); the parent's body returns to the free list when `sub`
     /// drops.
-    fn split(&self, mut sub: SubProblem) -> Vec<SubProblem> {
+    fn split(&self, mut sub: SubProblem) -> Calls<SubProblem> {
         let parent = &mut *sub;
         let propagating = self.mode != SimplifyMode::SplitOnly;
         let path = match parent.path.take() {
@@ -570,23 +570,23 @@ impl DpllProgram {
             })
         };
         if discrepancy == Some(0) {
-            return vec![last(lit, discrepancy, parent)];
+            return Calls::one(last(lit, discrepancy, parent));
         }
         let first =
             SubProblem::propagated(&path, lit, self.mode, discrepancy, |counters, assign| {
                 counters.clone_from(&parent.counters);
                 assign.clone_from(&parent.assign);
             });
-        vec![
+        Calls::two(
             first,
             last(lit.negated(), discrepancy.map(|d| d - 1), parent),
-        ]
+        )
     }
 }
 
 /// The children of a split-only split on `lit`, each on its parent's path
 /// with one more literal assigned, to be decided by its own activation.
-fn split_only_children(path: &Path, lit: Lit, parent: &mut SubProblemBody) -> Vec<SubProblem> {
+fn split_only_children(path: &Path, lit: Lit, parent: &mut SubProblemBody) -> Calls<SubProblem> {
     let (var, value) = (lit.var(), lit.demanded_value());
     let [first_path, second_path] = path.children(lit, &parent.assign);
     // Following the heuristic costs no discrepancy; going against it
@@ -595,12 +595,12 @@ fn split_only_children(path: &Path, lit: Lit, parent: &mut SubProblemBody) -> Ve
     first.assign.clone_from(&parent.assign);
     first.assign.assign(var, value);
     if parent.discrepancy == Some(0) {
-        return vec![first];
+        return Calls::one(first);
     }
     let mut second = SubProblem::on_path(parent.discrepancy.map(|d| d - 1), second_path);
     std::mem::swap(&mut second.assign, &mut parent.assign);
     second.assign.assign(var, !value);
-    vec![first, second]
+    Calls::two(first, second)
 }
 
 impl RecProgram for DpllProgram {

@@ -12,8 +12,15 @@
 //! travelling as its path from the root formula, in every mode: its
 //! residual against the `Cnf::assign` chain it stands for, simplified as
 //! the mode simplifies, for every heuristic, polarity and budget.
+//! Likewise batches held inline or spilled, and call records that count
+//! their pending sub-calls: batches wider than two, `All` joins, empty
+//! batches and a wide cancelling race against values recorded while every
+//! batch and every record's pending list was a `Vec`.
 
-use hyperspace::apps::{seeded_items, BnbKnapsackProgram, BnbKnapsackTask};
+use hyperspace::apps::{
+    seeded_items, BnbKnapsackProgram, BnbKnapsackTask, FibProgram, NQueensProgram, QueensTask,
+    TspInstance, TspProgram, TspTask,
+};
 use hyperspace::core::{
     BackendSpec, MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, RecRunReport, StackBuilder,
     TopologySpec,
@@ -796,6 +803,79 @@ fn knapsack_bnb_reproduces_the_parent_pin_on_both_engines() {
             "{backend:?}"
         );
     }
+}
+
+#[test]
+fn inline_and_spilled_batches_reproduce_the_parent_pins() {
+    fn machine<P: RecProgram>(program: P) -> StackBuilder<P> {
+        StackBuilder::new(program)
+            .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+            .mapper(MapperSpec::LeastBusy {
+                status_period: None,
+            })
+            .halt_on_root_reply(false)
+    }
+    fn pin<Out: Clone>(report: RecRunReport<Out>) -> (Option<Out>, (RecStats, u64, u64)) {
+        (report.result.clone(), counters(&report))
+    }
+    let stats = |started, completed, pruned, incumbent_updates| RecStats {
+        started,
+        completed,
+        pruned,
+        incumbent_updates,
+        ..RecStats::default()
+    };
+    // Recorded at the parent commit. Batches wider than two: N-Queens'
+    // safe columns and an 8-city tour's unvisited cities.
+    let queens = machine(NQueensProgram).run(QueensTask::root(6), 0);
+    assert_eq!(pin(queens), (Some(4), (stats(153, 153, 0, 0), 69, 307)));
+    let tsp = machine(TspProgram)
+        .objective(ObjectiveSpec::Minimise)
+        .prune(PruneSpec::incumbent())
+        .run(TspTask::root(TspInstance::random(5, 8, 40)), 0);
+    assert_eq!(
+        pin(tsp),
+        (Some(80), (stats(1614, 1614, 2687, 126), 2777, 9107))
+    );
+    // `All` joins of two.
+    let fib = machine(FibProgram).run(12, 0);
+    assert_eq!(pin(fib), (Some(144), (stats(465, 465, 0, 0), 108, 931)));
+    // Empty batches of both joins beside a wide one.
+    let empty = FnProgram::new(|n: u64| -> Rec<u64, u64> {
+        match n {
+            0 => Rec::done(1),
+            1 => Rec::call_all(vec![]).then_all(|rs| Rec::done(rs.len() as u64 + 10)),
+            2 => Rec::call_any(vec![], |_| true).then_any(|r| Rec::done(r.unwrap_or(20))),
+            _ => Rec::call_all(vec![0, 1, 2, n - 1]).then_all(|rs| Rec::done(rs.iter().sum())),
+        }
+    });
+    let empty = machine(empty).run(6, 0);
+    assert_eq!(pin(empty), (Some(144), (stats(17, 17, 0, 0), 17, 35)));
+    // A short chain races four long ones in one `Any` batch: with
+    // cancellation its win withdraws them all, link by link.
+    let race = || {
+        FnProgram::new(|n: u64| -> Rec<u64, u64> {
+            match n {
+                0 => Rec::done(1),
+                1..=9 => Rec::call(n - 1).then(|r| Rec::done(r + 1)),
+                _ => Rec::call_any(vec![n - 10, 8, 9, 7, 6], |r| *r > 0)
+                    .then_any(|r| Rec::done(r.unwrap_or(0))),
+            }
+        })
+    };
+    let race_stats = |completed, cancels_sent, cancelled| RecStats {
+        started: 38,
+        completed,
+        stale_replies: 4,
+        speculative_wins: 1,
+        cancels_sent,
+        cancelled,
+        ..RecStats::default()
+    };
+    let ignored = machine(race()).run(12, 0);
+    assert_eq!(pin(ignored), (Some(3), (race_stats(38, 0, 0), 22, 77)));
+    let cancelled = machine(race()).cancellation(true).run(12, 0);
+    assert_eq!(pin(cancelled), (Some(3), (race_stats(17, 25, 21), 17, 81)));
 }
 
 /// Two batches under one parent ticket: `n < 100` counts down a chain of

@@ -257,39 +257,6 @@ impl Cnf {
         self.clause_lens().any(|len| len == 0)
     }
 
-    /// Applies `var := value`: satisfied clauses vanish, falsified literals
-    /// are deleted (the `assign(problem, L, v)` of Listing 4 lines 13–14).
-    /// One forward pass, two allocations.
-    pub fn assign(&self, var: Var, value: bool) -> Cnf {
-        let satisfied = Lit::with_polarity(var, value);
-        let falsified = satisfied.negated();
-        let mut out = Cnf {
-            num_vars: self.num_vars,
-            lits: Vec::with_capacity(self.lits.len()),
-            ends: Vec::with_capacity(self.ends.len()),
-        };
-        for clause in self.clauses() {
-            // Copy optimistically; a satisfied clause rolls its copy back.
-            let mark = out.lits.len();
-            let mut satisfied_clause = false;
-            for &lit in clause {
-                if lit == satisfied {
-                    satisfied_clause = true;
-                    break;
-                }
-                if lit != falsified {
-                    out.lits.push(lit);
-                }
-            }
-            if satisfied_clause {
-                out.lits.truncate(mark);
-            } else {
-                out.ends.push(out.lits.len() as u32);
-            }
-        }
-        out
-    }
-
     /// Makes this formula the empty formula over no variable, keeping its
     /// buffers.
     pub(crate) fn clear(&mut self) {
@@ -298,9 +265,10 @@ impl Cnf {
         self.ends.clear();
     }
 
-    /// [`Cnf::retain`] into `out`'s buffers, whatever `out` held, with room
-    /// for `clauses` clauses of `lits` literals in all, leaving this
-    /// formula as it is.
+    /// Writes into `out`'s buffers, whatever `out` held, the clauses `i`
+    /// for which `keep_clause(i)`, in order, each with the literals
+    /// `keep_lit` accepts (none of them: an empty clause), with room for
+    /// `clauses` clauses of `lits` literals in all.
     pub(crate) fn retained_into(
         &self,
         out: &mut Cnf,
@@ -321,34 +289,6 @@ impl Cnf {
                 out.ends.push(out.lits.len() as u32);
             }
         }
-    }
-
-    /// Compacts this formula's own buffers, in order: clause `i` stays if
-    /// `keep_clause(i)`, and of a clause that stays, the literals
-    /// `keep_lit` accepts (none of them: an empty clause).
-    pub(crate) fn retain(
-        &mut self,
-        mut keep_clause: impl FnMut(usize) -> bool,
-        mut keep_lit: impl FnMut(Lit) -> bool,
-    ) {
-        let (mut start, mut lits_len, mut ends_len) = (0, 0, 0);
-        for i in 0..self.ends.len() {
-            let end = self.ends[i] as usize;
-            if keep_clause(i) {
-                for r in start..end {
-                    let lit = self.lits[r];
-                    if keep_lit(lit) {
-                        self.lits[lits_len] = lit;
-                        lits_len += 1;
-                    }
-                }
-                self.ends[ends_len] = lits_len as u32;
-                ends_len += 1;
-            }
-            start = end;
-        }
-        self.lits.truncate(lits_len);
-        self.ends.truncate(ends_len);
     }
 
     /// Evaluates the formula under a complete model.
@@ -399,26 +339,6 @@ mod tests {
     #[should_panic(expected = "cannot be zero")]
     fn zero_dimacs_rejected() {
         Lit::from_dimacs(0);
-    }
-
-    #[test]
-    fn assign_simplifies() {
-        // (x1 | x2) & (!x1 | x3) & (x2 | x3)
-        let cnf = Cnf::new(
-            3,
-            vec![
-                Clause::new(vec![lit(1), lit(2)]),
-                Clause::new(vec![lit(-1), lit(3)]),
-                Clause::new(vec![lit(2), lit(3)]),
-            ],
-        );
-        let after = cnf.assign(Var(0), true);
-        // First clause satisfied; second loses !x1.
-        assert_eq!(after.num_clauses(), 2);
-        assert_eq!(after.clause(0), [lit(3)]);
-
-        let contradiction = after.assign(Var(2), false);
-        assert!(contradiction.has_empty_clause());
     }
 
     #[test]

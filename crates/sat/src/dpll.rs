@@ -1,12 +1,21 @@
 //! Sequential DPLL: the single-core reference solver.
 //!
-//! Functionally identical to the distributed [`crate::DpllProgram`] but
-//! with classic depth-first backtracking: the "try `L = true` first, then
-//! `L = false`" order replaces the mesh's speculative evaluation of both.
+//! An iterative depth-first driver over the mesh's kernel: one
+//! [`RootFormula`](crate::RootFormula) built from the formula as given,
+//! and an explicit stack of decision levels, each a path from that root
+//! with its residual as counters and its assignment. A child copies its
+//! parent's level into the buffers a finished level left behind, forces
+//! its branch and runs its lines 6–11 there, exactly as a propagating
+//! [`DpllProgram`](crate::DpllProgram) split decides a child, and the
+//! branching literal comes from the same choice. Classic backtracking —
+//! "try `L = true` first, then `L = false`" — replaces the mesh's
+//! speculative evaluation of both. Nothing recurses natively: depth costs
+//! one level of counters on the heap, not a stack frame.
 
-use crate::cnf::{check_model, Assignment, Cnf, Model};
+use crate::cnf::{check_model, Assignment, Cnf, Lit, Model};
 use crate::heuristics::Heuristic;
-use crate::simplify::{simplify, Simplified};
+use crate::program::Path;
+use crate::simplify::{Residual, Simplified, SimplifyMode, SimplifyStats};
 
 /// Verdict of a solve.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,10 +50,21 @@ pub struct SolveStats {
     pub unit_props: u64,
     /// Pure-literal assignments applied.
     pub pure_assigns: u64,
-    /// Search-tree nodes visited (calls to the recursive solver).
+    /// Search-tree nodes visited: the root and every child descended to.
     pub nodes: u64,
     /// Deepest decision level reached.
     pub max_depth: u64,
+}
+
+/// A node on the branch being searched: its path, with its residual as
+/// counters over the root formula and its assignment, and the literal of
+/// its second branch while its first is searched.
+#[derive(Clone)]
+struct Level {
+    path: Path,
+    counters: Residual,
+    assign: Assignment,
+    untried: Option<Lit>,
 }
 
 /// Solves `cnf` with the given branching heuristic.
@@ -52,51 +72,70 @@ pub struct SolveStats {
 /// Returns the verdict and search statistics. Any returned model is
 /// verified against the input before returning (a `debug_assert`).
 pub fn solve(cnf: &Cnf, heuristic: Heuristic) -> (SatResult, SolveStats) {
-    let mut stats = SolveStats::default();
-    let assignment = Assignment::new(cnf.num_vars());
-    let result = recurse(cnf.clone(), assignment, heuristic, 0, &mut stats);
+    let mode = SimplifyMode::Fixpoint;
+    let mut forced = SimplifyStats::default();
+    let (mut counters, mut assign) = (Residual::default(), Assignment::new(cnf.num_vars()));
+    let path = Path::simplified_root(cnf.clone(), mode, &mut counters, &mut assign, &mut forced);
+    let mut levels = vec![Level {
+        path,
+        counters,
+        assign,
+        untried: None,
+    }];
+    let mut stats = SolveStats {
+        nodes: 1,
+        ..SolveStats::default()
+    };
+    let (mut depth, mut scratch) = (0, Cnf::default());
+    let result = loop {
+        let level = &mut levels[depth];
+        let (parent, lit) = match level.path.verdict() {
+            Simplified::Sat => break SatResult::Sat(level.assign.complete()),
+            Simplified::Undecided => {
+                let counters = Some(&level.counters);
+                let lit = level
+                    .path
+                    .select(heuristic, &level.assign, counters, &mut scratch);
+                let lit = lit.expect("undecided formula has literals");
+                stats.decisions += 1;
+                level.untried = Some(lit.negated());
+                (depth, lit)
+            }
+            // Back to the deepest node whose second branch is untried.
+            Simplified::Unsat => {
+                let open = levels[..depth].iter().rposition(|l| l.untried.is_some());
+                let Some(parent) = open else {
+                    break SatResult::Unsat;
+                };
+                let lit = levels[parent].untried.take();
+                (
+                    parent,
+                    lit.expect("the level was found by its untried branch"),
+                )
+            }
+        };
+        // The child goes into the buffers of the level that stood there last.
+        depth = parent + 1;
+        if levels.len() == depth {
+            levels.push(levels[parent].clone());
+        }
+        let [from, to] = levels
+            .get_disjoint_mut([parent, depth])
+            .expect("two levels");
+        to.counters.clone_from(&from.counters);
+        to.assign.clone_from(&from.assign);
+        to.untried = None;
+        to.path = from
+            .path
+            .child(lit, mode, &mut to.counters, &mut to.assign, &mut forced);
+        stats.nodes += 1;
+        stats.max_depth = stats.max_depth.max(depth as u64);
+    };
     if let SatResult::Sat(model) = &result {
         debug_assert!(check_model(cnf, model), "solver produced invalid model");
     }
+    (stats.unit_props, stats.pure_assigns) = (forced.unit_props, forced.pure_assigns);
     (result, stats)
-}
-
-fn recurse(
-    mut cnf: Cnf,
-    mut assignment: Assignment,
-    heuristic: Heuristic,
-    depth: u64,
-    stats: &mut SolveStats,
-) -> SatResult {
-    stats.nodes += 1;
-    stats.max_depth = stats.max_depth.max(depth);
-
-    let (state, sstats) = simplify(&mut cnf, &mut assignment);
-    stats.unit_props += sstats.unit_props;
-    stats.pure_assigns += sstats.pure_assigns;
-    match state {
-        Simplified::Sat => return SatResult::Sat(assignment.complete()),
-        Simplified::Unsat => return SatResult::Unsat,
-        Simplified::Undecided => {}
-    }
-
-    let lit = heuristic
-        .select(&cnf)
-        .expect("undecided formula has literals");
-    stats.decisions += 1;
-
-    // First branch: the heuristic's preferred polarity.
-    let mut first = assignment.clone();
-    first.assign(lit.var(), lit.demanded_value());
-    let sub1 = cnf.assign(lit.var(), lit.demanded_value());
-    if let SatResult::Sat(m) = recurse(sub1, first, heuristic, depth + 1, stats) {
-        return SatResult::Sat(m);
-    }
-
-    // Second branch: the negation.
-    assignment.assign(lit.var(), !lit.demanded_value());
-    let sub2 = cnf.assign(lit.var(), !lit.demanded_value());
-    recurse(sub2, assignment, heuristic, depth + 1, stats)
 }
 
 #[cfg(test)]

@@ -11,9 +11,7 @@
 //!   offset per clause) read through borrowed `&[Lit]` views
 //!   ([`Cnf::clauses`], [`Cnf::clause`]); the owned [`Clause`] is what
 //!   formulas are built from and what the CDCL solver learns and exports.
-//!   [`Cnf::assign`] — one forward pass, two buffers whatever the clause
-//!   count — is the branching primitive of sequential [`dpll`]. A
-//!   [`SubProblem`] is a handle to a body recycled through a per-thread
+//!   A [`SubProblem`] is a handle to a body recycled through a per-thread
 //!   free list. Below the root a sub-problem copies no formula: it
 //!   travels as its path, an `Arc` to the [`RootFormula`] the search
 //!   started from plus its assignment (and, in a propagating search, its
@@ -22,22 +20,15 @@
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, and a planted-solution generator for larger instances;
 //! * [`simplify`] — unit propagation and pure-literal assignment
-//!   (Listing 4 lines 6–11), the other half of an activation's cost and,
-//!   with `Fixpoint` the default mode, the larger half wherever formulas
-//!   propagate (portfolio races, service SAT jobs, sequential [`dpll`]).
-//!   It is counter-based: one remaining-occurrence counter per clause and
-//!   one occurrence list per literal, a forced literal visits only the
-//!   clauses it occurs in, and the formula is compacted once, on the way
-//!   out. [`simplify::simplify_with`] builds those tables per call
-//!   (only the counts when nothing is forced) and compacts in place. In a
-//!   propagating mesh search only the root calls it, and the root's
-//!   reduced formula gets its tables once: every split copies its
-//!   parent's counters and runs both children's lines 6–11 on them
-//!   against the root's occurrence lists, so a child arrives decided or
-//!   not and its activation reads its verdict in O(1). The same counters
-//!   feed the heuristics. Observably nothing moved: the same messages,
-//!   steps, mapping hints and verdicts as every activation simplifying
-//!   its own sub-problem;
+//!   (Listing 4 lines 6–11), the one DPLL propagation kernel. A search
+//!   keeps each sub-problem's residual as counters over the formula it
+//!   started from, as given: one remaining-occurrence counter per clause
+//!   and one live count per literal, against one occurrence list per
+//!   literal, so a forced literal visits only the clauses it occurs in and
+//!   no formula is written. A mesh split copies its parent's counters into
+//!   each child and decides the child there; sequential [`dpll`] does the
+//!   same on each decision level of its stack. The same counters feed the
+//!   heuristics;
 //! * [`heuristics`] — branching-variable selection (first-unassigned,
 //!   most-frequent, DLIS, Jeroslow-Wang, seeded random);
 //! * [`dpll`] — the sequential reference solver with search statistics;

@@ -22,13 +22,14 @@
 //! An activation below the root travels as its *path* from the formula
 //! the search started from (the guiding paths of distributed SAT
 //! solvers), not as a copy of its residual formula: a shared
-//! [`RootFormula`], which the root activation builds from its own formula
-//! once it has simplified it, and the assignment on the path. The
-//! residual is the root formula under that assignment, in the root's
-//! clause order.
+//! [`RootFormula`], which the root activation builds from its formula as
+//! given before it runs its own lines 2–11, and the assignment on the
+//! path. The residual is the root formula under that assignment, in the
+//! root's clause order.
 //!
 //! Under `Fixpoint` and `SinglePass` a path also carries its residual as
-//! counters over the root: the live occurrences of each literal, the
+//! counters over the root (the root activation runs its own lines 6–11
+//! on fresh ones): the live occurrences of each literal, the
 //! remaining occurrences of each clause and which variables are forced
 //! (their values are in the assignment). A split
 //! copies the parent's counters into the first child and moves them into
@@ -50,7 +51,9 @@
 //! On a propagating path DLIS and most-frequent read the live counts and
 //! Jeroslow–Wang reads the counters clause by clause, in the root's
 //! order; every other choice has the activation write its residual once,
-//! into its own buffer, and select on that.
+//! into its own buffer, and select on that. The sequential
+//! [`dpll`](crate::dpll) solver walks the same paths, with the same
+//! choice.
 //!
 //! A [`SubProblem`] travels as a handle: one pointer to a
 //! [`SubProblemBody`], so the mesh moves an 8-byte payload however large
@@ -71,7 +74,7 @@ use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 use crate::cnf::{Assignment, Cnf, Lit, Model};
 use crate::heuristics::{jeroslow_wang, most_frequent_lit, most_frequent_var, Heuristic};
-use crate::simplify::{simplify_with, Occurrences, Residual, Simplified, SimplifyMode};
+use crate::simplify::{Occurrences, Residual, Simplified, SimplifyMode, SimplifyStats};
 
 /// A self-contained DPLL sub-problem, as shipped between nodes: a handle
 /// to its [`SubProblemBody`], whose public fields it dereferences to
@@ -104,15 +107,15 @@ pub struct SubProblemBody {
     path: Option<Path>,
     /// Under `Fixpoint` and `SinglePass`, a path's residual as counters
     /// over its root formula, which its split copies into its children.
-    /// Otherwise empty, a buffer kept for a later owner.
+    /// Otherwise a buffer kept for a later owner.
     counters: Residual,
 }
 
 impl SubProblemBody {
     /// The residual formula: the one a root carries, or one written from
-    /// the path of a sub-problem below it — equal to the `Cnf::assign`
-    /// chain from the root it stands for, simplified as its mode
-    /// simplifies.
+    /// the path of a sub-problem below it — the root formula without the
+    /// clauses its assignment satisfies and the literals it falsifies, in
+    /// the root's clause order.
     pub fn residual(&self) -> Cow<'_, Cnf> {
         match &self.path {
             None => Cow::Borrowed(&self.cnf),
@@ -131,10 +134,9 @@ impl SubProblemBody {
     }
 }
 
-/// The formula a mesh search started from, once its root activation
-/// simplified it, with the clauses each literal occurs in: shared by
-/// every sub-problem on its paths, which read their residuals against it.
-/// It mentions no variable the root's assignment holds.
+/// The formula a search started from, as given, with the clauses each
+/// literal occurs in: shared by every sub-problem on its paths, which
+/// read their residuals against it.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RootFormula {
     cnf: Cnf,
@@ -145,7 +147,7 @@ pub struct RootFormula {
 /// formula under the body's assignment, and these are what its
 /// activation reads of that residual without writing it.
 #[derive(Clone, Debug, PartialEq, Eq)]
-struct Path {
+pub(crate) struct Path {
     root: Arc<RootFormula>,
     /// The residual's clause count once the split's literal holds, before
     /// the sub-problem's own propagation: the mapping hint.
@@ -166,27 +168,64 @@ fn satisfies(assign: &Assignment, lit: Lit) -> bool {
 }
 
 impl Path {
-    /// The path of `cnf`'s root sub-problem, whose assignment is `assign`
-    /// and whose literal occurrence counts are `counts`: every clause
-    /// open, the first one first.
-    fn root(cnf: Cnf, assign: &Assignment, counts: &[u32]) -> Path {
+    /// The root of a search over `cnf`, as given, after its lines 2–11
+    /// under `mode` on `counters`, which this overwrites. Records each
+    /// literal forced in `assign` and counts it in `stats`.
+    pub(crate) fn simplified_root(
+        cnf: Cnf,
+        mode: SimplifyMode,
+        counters: &mut Residual,
+        assign: &mut Assignment,
+        stats: &mut SimplifyStats,
+    ) -> Path {
         debug_assert!(
             cnf.iter_lits().all(|lit| assign.value(lit.var()).is_none()),
             "a root formula mentions an assigned variable"
         );
-        let (open, empty) = (cnf.num_clauses() as Weight, cnf.has_empty_clause());
-        let occurrences = Occurrences::new(&cnf, counts);
+        *counters = Residual::new(&cnf);
+        let occurrences = Occurrences::new(&cnf, counters.live_counts());
+        let (weight, mut empty) = (cnf.num_clauses() as Weight, cnf.has_empty_clause());
+        if !empty && mode != SimplifyMode::SplitOnly {
+            empty = counters.propagate(&occurrences, &cnf, mode, assign, stats);
+        }
         Path {
             root: Arc::new(RootFormula { cnf, occurrences }),
-            weight: open,
-            open,
-            first_open: 0,
+            weight,
+            open: counters.live(),
+            first_open: counters.first_live(0) as u32,
+            empty,
+        }
+    }
+
+    /// The child of a propagating split on this path in which `lit`
+    /// holds: `counters` and `assign`, this path's, become the child's
+    /// once `lit` is forced and the child's lines 6–11 have run on them,
+    /// each literal forced counted in `stats`. Its mapping hint is the
+    /// clauses live once `lit` holds, before the propagation.
+    pub(crate) fn child(
+        &self,
+        lit: Lit,
+        mode: SimplifyMode,
+        counters: &mut Residual,
+        assign: &mut Assignment,
+        stats: &mut SimplifyStats,
+    ) -> Path {
+        let (root, occurrences) = (&self.root, &self.root.occurrences);
+        assign.assign(lit.var(), lit.demanded_value());
+        let conflict = counters.force(occurrences, &root.cnf, lit);
+        let weight = counters.live();
+        let empty = conflict || counters.propagate(occurrences, &root.cnf, mode, assign, stats);
+        Path {
+            root: Arc::clone(root),
+            weight,
+            open: counters.live(),
+            first_open: counters.first_live(self.first_open as usize) as u32,
             empty,
         }
     }
 
     /// Lines 2–4: an empty clause, then an empty formula.
-    fn verdict(&self) -> Simplified {
+    pub(crate) fn verdict(&self) -> Simplified {
         if self.empty {
             Simplified::Unsat
         } else if self.open == 0 {
@@ -202,6 +241,32 @@ impl Path {
         let clause = self.root.cnf.clause(self.first_open as usize);
         let free = clause.iter().find(|lit| assign.value(lit.var()).is_none());
         *free.expect("an undecided path's first open clause has a free literal")
+    }
+
+    /// Line 12: `heuristic`'s literal on this path's residual, where
+    /// `assign` is the path's assignment. Read off `counters`, the path's
+    /// own, where the search propagates (`None` under `SplitOnly`, whose
+    /// paths carry none), or else off the residual written into `scratch`.
+    pub(crate) fn select(
+        &self,
+        heuristic: Heuristic,
+        assign: &Assignment,
+        counters: Option<&Residual>,
+        scratch: &mut Cnf,
+    ) -> Option<Lit> {
+        let root = &self.root.cnf;
+        match (heuristic, counters) {
+            (Heuristic::FirstUnassigned, _) => Some(self.first_free(assign)),
+            (Heuristic::MostFrequent, Some(counters)) => most_frequent_var(counters.live_counts()),
+            (Heuristic::Dlis, Some(counters)) => most_frequent_lit(counters.live_counts()),
+            (Heuristic::JeroslowWang, Some(counters)) => {
+                jeroslow_wang(root.num_vars(), counters.clauses(root))
+            }
+            (heuristic, _) => {
+                self.residual_into(assign, scratch);
+                heuristic.select(scratch)
+            }
+        }
     }
 
     /// Writes the residual into `out`'s buffers, whatever `out` held.
@@ -340,28 +405,24 @@ impl SubProblem {
         let body = &mut *sub;
         body.cnf.clear();
         fill(&mut body.counters, &mut body.assign);
-        let (root, counters) = (&parent.root, &mut body.counters);
-        let (weight, empty) =
-            counters.branch(&root.occurrences, &root.cnf, lit, mode, &mut body.assign);
-        body.path = Some(Path {
-            root: Arc::clone(root),
-            weight,
-            open: counters.live(),
-            first_open: counters.first_live(parent.first_open as usize) as u32,
-            empty,
-        });
+        let stats = &mut SimplifyStats::default();
+        let path = parent.child(lit, mode, &mut body.counters, &mut body.assign, stats);
+        body.path = Some(path);
         sub
     }
 
-    /// Lines 2–11: a root simplifies its formula; a path, whose split
-    /// already ran them (or, under `SplitOnly`, which none runs), reads
-    /// its verdict off its flag and count.
+    /// Lines 2–11: a root runs them on counters over its formula, which
+    /// becomes the root formula of its path; a path, whose split already
+    /// ran them (or, under `SplitOnly`, which none runs), reads its
+    /// verdict off its flag and count.
     fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
         let body = &mut **self;
-        match &body.path {
-            Some(path) => path.verdict(),
-            None => simplify_with(&mut body.cnf, &mut body.assign, mode).0,
-        }
+        let path = body.path.get_or_insert_with(|| {
+            let cnf = std::mem::take(&mut body.cnf);
+            let stats = &mut SimplifyStats::default();
+            Path::simplified_root(cnf, mode, &mut body.counters, &mut body.assign, stats)
+        });
+        path.verdict()
     }
 
     /// The root sub-problem with a limited-discrepancy budget.
@@ -525,37 +586,21 @@ impl DpllProgram {
         }
     }
 
-    /// Lines 12–16: the heuristic's choice on the parent's path (the
-    /// root's path built first if this is the search's first split), then
-    /// a child on that path for each branch to spawn. The last child takes
+    /// Lines 12–16: the heuristic's choice on the parent's path, then a
+    /// child on that path for each branch to spawn. The last child takes
     /// the parent's assignment buffer (and a propagating one its
     /// counters); the parent's body returns to the free list when `sub`
     /// drops.
     fn split(&self, mut sub: SubProblem) -> Calls<SubProblem> {
         let parent = &mut *sub;
         let propagating = self.mode != SimplifyMode::SplitOnly;
-        let path = match parent.path.take() {
-            Some(path) => path,
-            None => {
-                let cnf = std::mem::take(&mut parent.cnf);
-                parent.counters = Residual::new(&cnf);
-                Path::root(cnf, &parent.assign, parent.counters.live_counts())
-            }
-        };
-        let (root, counters) = (&path.root.cnf, &parent.counters);
-        let selected = match self.heuristic {
-            Heuristic::FirstUnassigned => Some(path.first_free(&parent.assign)),
-            Heuristic::MostFrequent if propagating => most_frequent_var(counters.live_counts()),
-            Heuristic::Dlis if propagating => most_frequent_lit(counters.live_counts()),
-            Heuristic::JeroslowWang if propagating => {
-                jeroslow_wang(root.num_vars(), counters.clauses(root))
-            }
-            heuristic => {
-                path.residual_into(&parent.assign, &mut parent.cnf);
-                heuristic.select(&parent.cnf)
-            }
-        };
-        let lit = self.branch(selected);
+        let path = parent
+            .path
+            .take()
+            .expect("lines 2–11 put every activation on its path");
+        let counters = propagating.then_some(&parent.counters);
+        let lit =
+            self.branch(path.select(self.heuristic, &parent.assign, counters, &mut parent.cnf));
         if !propagating {
             return split_only_children(&path, lit, parent);
         }

@@ -1,12 +1,12 @@
 //! Problem simplification: unit propagation and pure-literal assignment
 //! (Listing 4, lines 6–11).
 //!
-//! Two entry points share one propagation loop: [`simplify_with`] reduces
-//! a formula in place (the root of a mesh search, the sequential
-//! [`dpll`](crate::dpll) solver), and a propagating mesh search keeps
-//! every other sub-problem as counters over the root's reduced formula,
-//! which a split copies and runs the loop on against the root's
-//! occurrence lists, writing no formula.
+//! One kernel: a search keeps each sub-problem's residual as counters
+//! over the formula it started from, as given, and runs the propagation
+//! loop on them against that formula's occurrence lists, writing no
+//! formula. The mesh's [`DpllProgram`](crate::DpllProgram) copies a
+//! parent's counters into each child it ships; the sequential
+//! [`dpll`](crate::dpll) solver into each decision level of its stack.
 
 use crate::cnf::{Assignment, Cnf, Lit, Var};
 
@@ -22,13 +22,13 @@ pub enum Simplified {
     Undecided,
 }
 
-/// Statistics of one simplification pass.
+/// Literals forced by lines 6–11, by kind.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimplifyStats {
+pub(crate) struct SimplifyStats {
     /// Variables forced by unit clauses.
-    pub unit_props: u64,
+    pub(crate) unit_props: u64,
     /// Variables fixed by pure-literal elimination.
-    pub pure_assigns: u64,
+    pub(crate) pure_assigns: u64,
 }
 
 /// How aggressively each activation simplifies before branching.
@@ -83,52 +83,6 @@ impl std::str::FromStr for SimplifyMode {
     }
 }
 
-/// Runs unit propagation and pure-literal assignment to fixpoint, mutating
-/// the formula and recording forced values in `assignment`.
-pub fn simplify(cnf: &mut Cnf, assignment: &mut Assignment) -> (Simplified, SimplifyStats) {
-    simplify_with(cnf, assignment, SimplifyMode::Fixpoint)
-}
-
-/// [`simplify`] with an explicit [`SimplifyMode`].
-///
-/// Counter-based: a forced literal visits the clauses it occurs in, not the
-/// formula, and the formula is compacted in place once, on the way out.
-/// An activation that forces nothing returns after counting, before the
-/// occurrence lists are built.
-pub fn simplify_with(
-    cnf: &mut Cnf,
-    assignment: &mut Assignment,
-    mode: SimplifyMode,
-) -> (Simplified, SimplifyStats) {
-    let mut stats = SimplifyStats::default();
-    if cnf.has_empty_clause() {
-        return (Simplified::Unsat, stats);
-    }
-    if cnf.is_trivially_sat() {
-        return (Simplified::Sat, stats);
-    }
-    if mode == SimplifyMode::SplitOnly {
-        return (Simplified::Undecided, stats);
-    }
-    let mut residual = Residual::new(cnf);
-    let counts = residual.live_counts();
-    if cnf.clause_lens().all(|len| len != 1) && lowest_pure_literal(counts).is_none() {
-        return (Simplified::Undecided, stats);
-    }
-    let occurrences = Occurrences::new(cnf, counts);
-    let conflict = residual.propagate(&occurrences, cnf, mode, assignment, &mut stats);
-    if conflict {
-        return (Simplified::Unsat, stats);
-    }
-    residual.compact(cnf);
-    let outcome = if cnf.is_trivially_sat() {
-        Simplified::Sat
-    } else {
-        Simplified::Undecided
-    };
-    (outcome, stats)
-}
-
 /// The clauses each literal of a formula occurs in, ascending, once per
 /// occurrence, in one buffer: `2n + 1` offsets, then the lists. Literal
 /// `l`'s list runs from offset `l` to offset `l + 1`.
@@ -169,10 +123,10 @@ impl Occurrences {
     }
 }
 
-/// The residual of a formula under the literals forced so far, kept as
-/// counters over the untouched formula and its [`Occurrences`]: a
-/// [`simplify_with`] call's, or a propagating mesh sub-problem's over the
-/// search's root formula, which a split copies into each child.
+/// The residual of a search's root formula under the literals forced so
+/// far, kept as counters over that untouched formula and its
+/// [`Occurrences`]: a propagating sub-problem's, which a split copies
+/// into each child.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Residual {
     /// Three tables in one buffer, so that a child's copy is one copy into
@@ -185,8 +139,7 @@ pub(crate) struct Residual {
     ///   a unit;
     /// - `[vars_at..]`, whether this residual forced each variable:
     ///   [`FREE`] or [`FORCED`] (the value goes to the caller's
-    ///   [`Assignment`], which is not consulted: it may hold variables the
-    ///   formula no longer mentions).
+    ///   [`Assignment`], which is not consulted).
     state: Vec<u32>,
     clauses_at: usize,
     vars_at: usize,
@@ -295,33 +248,10 @@ impl Residual {
         from + live.unwrap_or(remaining.len())
     }
 
-    /// A split's child on these counters: forces `branch`, then runs
-    /// Listing 4 lines 6–11 under `mode`, recording each literal forced
-    /// in `assignment`. Returns the clauses live once `branch` holds,
-    /// before the propagation (the child's mapping hint), and whether some
-    /// clause lost its last occurrence.
-    pub(crate) fn branch(
-        &mut self,
-        occurrences: &Occurrences,
-        cnf: &Cnf,
-        branch: Lit,
-        mode: SimplifyMode,
-        assignment: &mut Assignment,
-    ) -> (u32, bool) {
-        assignment.assign(branch.var(), branch.demanded_value());
-        let conflict = self.force(occurrences, cnf, branch);
-        let live = self.live;
-        let mut stats = SimplifyStats::default();
-        (
-            live,
-            conflict || self.propagate(occurrences, cnf, mode, assignment, &mut stats),
-        )
-    }
-
     /// Listing 4 lines 6–11 from the current counters, recording each
     /// literal forced in `assignment`. Returns whether a clause lost its
     /// last occurrence, which ends the propagation where it stands.
-    fn propagate(
+    pub(crate) fn propagate(
         &mut self,
         occurrences: &Occurrences,
         cnf: &Cnf,
@@ -363,7 +293,7 @@ impl Residual {
     /// leaves the formula and gives its live occurrences back to the
     /// counts, a clause showing its negation loses that occurrence.
     /// Returns whether some clause lost its last one.
-    fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> bool {
+    pub(crate) fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> bool {
         let var = lit.var().0 as usize;
         debug_assert!(self.is_free(lit));
         for &i in occurrences.of(lit) {
@@ -393,16 +323,6 @@ impl Residual {
         self.state[self.vars_at + var] = FORCED;
         debug_assert_eq!(self.live_counts()[var * 2..var * 2 + 2], [0, 0]);
         conflict
-    }
-
-    /// Writes the residual back into `cnf`: satisfied clauses and
-    /// falsified literals go, everything else keeps its order. In place,
-    /// not compacted into a second formula swapped in: with that copy and
-    /// the counts grown into the state by a second allocation, sequential
-    /// `dpll::solve` ran 5–11 % slower (see EXPERIMENTS.md).
-    fn compact(&self, cnf: &mut Cnf) {
-        let remaining = self.remaining();
-        cnf.retain(|i| remaining[i] != SATISFIED, |lit| self.is_free(lit));
     }
 }
 
@@ -435,32 +355,54 @@ mod tests {
         )
     }
 
+    fn tables(f: &Cnf) -> (Occurrences, Residual) {
+        let residual = Residual::new(f);
+        (Occurrences::new(f, residual.live_counts()), residual)
+    }
+
+    /// The residual formula `residual` stands for over `f`, written out.
+    fn written(residual: &Residual, f: &Cnf) -> Cnf {
+        let clauses = residual.clauses(f).map(|(_, free)| free.collect());
+        Cnf::new(f.num_vars(), clauses.collect())
+    }
+
+    /// Lines 6–11 under `mode` on fresh counters over `f`: the outcome,
+    /// the literals forced, the residual and the assignment.
+    fn simplified(f: &Cnf, mode: SimplifyMode) -> (Simplified, SimplifyStats, Cnf, Assignment) {
+        let (occurrences, mut residual) = tables(f);
+        let (mut a, mut stats) = (Assignment::new(f.num_vars()), SimplifyStats::default());
+        let outcome = if residual.propagate(&occurrences, f, mode, &mut a, &mut stats) {
+            Simplified::Unsat
+        } else if residual.live() == 0 {
+            Simplified::Sat
+        } else {
+            Simplified::Undecided
+        };
+        (outcome, stats, written(&residual, f), a)
+    }
+
     #[test]
     fn unit_propagation_chain() {
         // x1 & (!x1 | x2) & (!x2 | x3): pure unit chain to SAT.
-        let mut f = cnf(&[&[1], &[-1, 2], &[-2, 3]], 3);
-        let mut a = Assignment::new(3);
-        let (out, stats) = simplify(&mut f, &mut a);
+        let f = cnf(&[&[1], &[-1, 2], &[-2, 3]], 3);
+        let (out, stats, _, a) = simplified(&f, SimplifyMode::Fixpoint);
         assert_eq!(out, Simplified::Sat);
         assert!(stats.unit_props >= 1);
-        let original = cnf(&[&[1], &[-1, 2], &[-2, 3]], 3);
-        assert!(check_model(&original, &a.complete()));
+        assert!(check_model(&f, &a.complete()));
     }
 
     #[test]
     fn unit_conflict_detected() {
-        let mut f = cnf(&[&[1], &[-1]], 1);
-        let mut a = Assignment::new(1);
-        let (out, _) = simplify(&mut f, &mut a);
+        let f = cnf(&[&[1], &[-1]], 1);
+        let (out, ..) = simplified(&f, SimplifyMode::Fixpoint);
         assert_eq!(out, Simplified::Unsat);
     }
 
     #[test]
     fn pure_literal_eliminates() {
         // x1 occurs only positively: fixing it satisfies both clauses.
-        let mut f = cnf(&[&[1, 2], &[1, -2]], 2);
-        let mut a = Assignment::new(2);
-        let (out, stats) = simplify(&mut f, &mut a);
+        let f = cnf(&[&[1, 2], &[1, -2]], 2);
+        let (out, stats, _, a) = simplified(&f, SimplifyMode::Fixpoint);
         assert_eq!(out, Simplified::Sat);
         assert!(stats.pure_assigns >= 1);
         assert_eq!(a.value(Var(0)), Some(true));
@@ -469,43 +411,40 @@ mod tests {
     #[test]
     fn undecided_when_branching_needed() {
         // 2-SAT with both polarities everywhere and no units.
-        let mut f = cnf(&[&[1, 2], &[-1, -2], &[1, -2], &[-1, 2]], 2);
-        let mut a = Assignment::new(2);
-        let (out, stats) = simplify(&mut f, &mut a);
+        let f = cnf(&[&[1, 2], &[-1, -2], &[1, -2], &[-1, 2]], 2);
+        let (out, stats, residual, _) = simplified(&f, SimplifyMode::Fixpoint);
         assert_eq!(out, Simplified::Undecided);
-        assert_eq!(stats.unit_props, 0);
-        assert_eq!(stats.pure_assigns, 0);
+        assert_eq!(stats, SimplifyStats::default());
+        assert_eq!(residual, f);
     }
 
     #[test]
-    fn forcing_a_literal_matches_the_copying_assign() {
+    fn forcing_a_literal_drops_satisfied_clauses_and_falsified_occurrences() {
         // A duplicate literal, `¬x` twice in one clause, `x ∨ ¬x`, and a
         // clause the assignment empties.
-        let original = cnf(&[&[1, 2, 1], &[-1, 3, -1], &[-1], &[2, 3], &[1, -1, 2]], 3);
-        for value in [true, false] {
-            let mut f = original.clone();
+        let f = cnf(&[&[1, 2, 1], &[-1, 3, -1], &[-1], &[2, 3], &[1, -1, 2]], 3);
+        let expected = [
+            (true, cnf(&[&[3], &[], &[2, 3]], 3)),
+            (false, cnf(&[&[2], &[2, 3]], 3)),
+        ];
+        for (value, expected) in expected {
             let (occurrences, mut residual) = tables(&f);
             let conflict = residual.force(&occurrences, &f, Lit::with_polarity(Var(0), value));
-            residual.compact(&mut f);
-            assert_eq!(f, original.assign(Var(0), value));
-            assert_eq!(conflict, f.has_empty_clause());
+            let after = written(&residual, &f);
+            assert_eq!(after, expected);
+            assert_eq!(conflict, after.has_empty_clause());
             assert_eq!(conflict, value);
-            assert_eq!(residual.live_counts(), occurrence_counts(&f));
-            assert_eq!(residual.live as usize, f.num_clauses());
+            assert_eq!(residual.live_counts(), occurrence_counts(&after));
+            assert_eq!(residual.live as usize, after.num_clauses());
+            assert!(residual.clauses(&f).all(|(len, free)| len == free.count()));
         }
-    }
-
-    fn tables(f: &Cnf) -> (Occurrences, Residual) {
-        let residual = Residual::new(f);
-        (Occurrences::new(f, residual.live_counts()), residual)
     }
 
     #[test]
     fn repeated_occurrences_count_one_by_one() {
         // `x ∨ x` is not a unit; falsifying `x` empties it in one step.
-        let mut f = cnf(&[&[1, 1], &[-1, -1, 2], &[-2, -2]], 2);
-        let mut a = Assignment::new(2);
-        let (out, stats) = simplify(&mut f, &mut a);
+        let f = cnf(&[&[1, 1], &[-1, -1, 2], &[-2, -2]], 2);
+        let (out, stats, ..) = simplified(&f, SimplifyMode::Fixpoint);
         assert_eq!((out, stats.unit_props), (Simplified::Undecided, 0));
         let (occurrences, mut residual) = tables(&f);
         assert_eq!(residual.first_unit(&f), None);
@@ -537,38 +476,37 @@ mod tests {
         );
         let program =
             DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SinglePass);
-        let Step::Spawn(spawn) = program.start(SubProblem::root(parent.clone())) else {
+        let Step::Spawn(spawn) = program.start(SubProblem::root(parent)) else {
             panic!("the root splits");
         };
         assert_eq!(spawn.calls.len(), 2);
-        for (child, branch) in spawn.calls.iter().zip([lit(1), lit(-1)]) {
-            let pure = [Var(1), Var(2)].map(|v| child.assign.value(v).is_some());
-            assert_eq!(pure, [true, false], "{branch:?}");
-            // The same as splitting, then simplifying the child.
-            let mut expected = parent.assign(branch.var(), branch.demanded_value());
+        // Each child: three clauses left once x1 takes its value, then x2
+        // fixed to close the one it occurs in.
+        let expected = [
+            (lit(1), cnf(&[&[-3, 5], &[-4, -5]], 5), lit(-2)),
+            (lit(-1), cnf(&[&[3, 5], &[-4, -5]], 5), lit(2)),
+        ];
+        for (child, (branch, residual, pure)) in spawn.calls.iter().zip(expected) {
             let mut a = Assignment::new(5);
             a.assign(branch.var(), branch.demanded_value());
-            let clauses_before = expected.num_clauses() as u32;
-            let (out, stats) = simplify_with(&mut expected, &mut a, SimplifyMode::SinglePass);
-            assert_eq!((out, stats.pure_assigns), (Simplified::Undecided, 1));
+            a.assign(pure.var(), pure.demanded_value());
             let got = (
                 child.residual().into_owned(),
                 &child.assign,
                 program.weight(child),
             );
-            assert_eq!(got, (expected, &a, clauses_before));
+            assert_eq!(got, (residual, &a, 3), "{branch:?}");
         }
     }
 
     #[test]
     fn single_pass_fixes_exactly_one_pure_literal() {
         // Unit chain x1, x2 to fixpoint, then x3 alone of the pure x3, x4.
-        let mut f = cnf(&[&[1], &[-1, 2], &[3, 5, -6], &[4, -5, 6]], 6);
-        let mut a = Assignment::new(6);
-        let (out, stats) = simplify_with(&mut f, &mut a, SimplifyMode::SinglePass);
+        let f = cnf(&[&[1], &[-1, 2], &[3, 5, -6], &[4, -5, 6]], 6);
+        let (out, stats, residual, a) = simplified(&f, SimplifyMode::SinglePass);
         assert_eq!(out, Simplified::Undecided);
         assert_eq!((stats.unit_props, stats.pure_assigns), (2, 1));
-        assert_eq!(f, cnf(&[&[4, -5, 6]], 6));
+        assert_eq!(residual, cnf(&[&[4, -5, 6]], 6));
         assert_eq!(a.value(Var(2)), Some(true));
         assert_eq!(a.value(Var(3)), None);
     }

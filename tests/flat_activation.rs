@@ -1,7 +1,7 @@
 //! The flat-layout activation path reproduces the nested-`Vec` one bit for
-//! bit: `Cnf::assign` and in-place simplification against a naive
-//! reference, whole mesh runs and a
-//! portfolio race against values recorded before the layout changed.
+//! bit: whole mesh runs and a portfolio race against values recorded
+//! before the layout changed, and the sequential solver against a naive
+//! recursive DPLL over the nested reference.
 //! Likewise the call-record slab and the ticket-keyed record table before
 //! it: limited-discrepancy, cancelling and branch-and-bound runs, and a
 //! program that keeps a closed record beside its successor, against
@@ -10,8 +10,9 @@
 //! reference, and hint-reading mesh runs against values recorded while
 //! every child still simplified its own formula. Likewise a child
 //! travelling as its path from the root formula, in every mode: its
-//! residual against the `Cnf::assign` chain it stands for, simplified as
-//! the mode simplifies, for every heuristic, polarity and budget.
+//! residual against the reference's assignment chain it stands for,
+//! simplified as the mode simplifies, for every heuristic, polarity and
+//! budget.
 //! Likewise batches held inline or spilled, and call records that count
 //! their pending sub-calls: batches wider than two, `All` joins, empty
 //! batches and a wide cancelling race against values recorded while every
@@ -29,9 +30,9 @@ use hyperspace::mapping::trigger;
 use hyperspace::portfolio::PortfolioRunner;
 use hyperspace::recursion::{FnProgram, FrontierSnapshot, Rec, RecProgram, RecStats, Step};
 use hyperspace::sat::heuristics::ALL_HEURISTICS;
-use hyperspace::sat::simplify::{simplify_with, Simplified};
+use hyperspace::sat::simplify::Simplified;
 use hyperspace::sat::{
-    dpll, gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, Polarity, SimplifyMode,
+    dpll, gen, Assignment, Clause, Cnf, DpllProgram, Heuristic, Lit, Model, Polarity, SimplifyMode,
     SolveStats, SubProblem, Var, Verdict,
 };
 use proptest::prelude::*;
@@ -60,14 +61,17 @@ fn naive_pure(formula: &Naive, num_vars: u32) -> Option<Lit> {
         .map(|pos| if occurs(pos) { pos } else { pos.negated() })
 }
 
-/// Listing 4 lines 6–11 over the reference; returns the outcome and the
-/// forced literals, units first within each round, in the order forced.
-fn naive_simplify(
-    formula: &mut Naive,
-    num_vars: u32,
-    mode: SimplifyMode,
-) -> (Simplified, Vec<Lit>) {
-    let mut forced = Vec::new();
+/// The literals lines 6–11 forced, by kind, each in the order forced.
+#[derive(Default)]
+struct Forced {
+    units: Vec<Lit>,
+    pures: Vec<Lit>,
+}
+
+/// Listing 4 lines 2–11 over the reference; returns the outcome and the
+/// forced literals.
+fn naive_simplify(formula: &mut Naive, num_vars: u32, mode: SimplifyMode) -> (Simplified, Forced) {
+    let mut forced = Forced::default();
     for round in 0.. {
         if formula.iter().any(|c| c.is_empty()) {
             return (Simplified::Unsat, forced);
@@ -78,26 +82,62 @@ fn naive_simplify(
         if mode == SimplifyMode::SplitOnly || (round > 0 && mode == SimplifyMode::SinglePass) {
             break;
         }
-        let before = forced.len();
+        let before = forced.units.len() + forced.pures.len();
         while let Some(unit) = formula.iter().find(|c| c.len() == 1) {
-            forced.push(unit[0]);
+            forced.units.push(unit[0]);
             *formula = naive_assign(formula, unit[0]);
             if formula.iter().any(|c| c.is_empty()) {
                 return (Simplified::Unsat, forced);
             }
         }
         while let Some(pure) = naive_pure(formula, num_vars) {
-            forced.push(pure);
+            forced.pures.push(pure);
             *formula = naive_assign(formula, pure);
             if mode == SimplifyMode::SinglePass {
                 break;
             }
         }
-        if forced.len() == before {
+        if forced.units.len() + forced.pures.len() == before {
             break;
         }
     }
     (Simplified::Undecided, forced)
+}
+
+/// Sequential DPLL over the reference, recursing: lines 2–11 to
+/// fixpoint, then the heuristic's literal on the residual, tried first,
+/// then its negation. Counts into `stats` as `dpll::solve` counts.
+fn naive_dpll(
+    mut formula: Naive,
+    num_vars: u32,
+    mut assign: Assignment,
+    heuristic: Heuristic,
+    depth: u64,
+    stats: &mut SolveStats,
+) -> Option<Model> {
+    stats.nodes += 1;
+    stats.max_depth = stats.max_depth.max(depth);
+    let (outcome, forced) = naive_simplify(&mut formula, num_vars, SimplifyMode::Fixpoint);
+    stats.unit_props += forced.units.len() as u64;
+    stats.pure_assigns += forced.pures.len() as u64;
+    for lit in forced.units.into_iter().chain(forced.pures) {
+        assign.assign(lit.var(), lit.demanded_value());
+    }
+    match outcome {
+        Simplified::Sat => return Some(assign.complete()),
+        Simplified::Unsat => return None,
+        Simplified::Undecided => {}
+    }
+    let lit = heuristic
+        .select(&flat(num_vars, &formula))
+        .expect("undecided");
+    stats.decisions += 1;
+    [lit, lit.negated()].into_iter().find_map(|branch| {
+        let mut assign = assign.clone();
+        assign.assign(branch.var(), branch.demanded_value());
+        let child = naive_assign(&formula, branch);
+        naive_dpll(child, num_vars, assign, heuristic, depth + 1, stats)
+    })
 }
 
 /// Small formulas dense in the awkward cases: empty clauses, duplicate
@@ -166,62 +206,20 @@ fn flat(num_vars: u32, formula: &Naive) -> Cnf {
     Cnf::new(num_vars, clauses)
 }
 
-/// Every read the flat formula offers agrees with the reference.
-fn assert_same(cnf: &Cnf, formula: &Naive) {
-    let views: Vec<&[Lit]> = cnf.clauses().collect();
-    assert_eq!(views, *formula);
-    assert_eq!(cnf.num_clauses(), formula.len());
-    assert_eq!(cnf.is_trivially_sat(), formula.is_empty());
-    assert_eq!(cnf.has_empty_clause(), formula.iter().any(|c| c.is_empty()));
-    let lits: Vec<Lit> = formula.iter().flatten().copied().collect();
-    assert_eq!(cnf.iter_lits().collect::<Vec<_>>(), lits);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn flat_assign_equals_the_nested_reference(
-        case in arb_formula(),
-        order in any::<u64>(),
-        values in any::<u32>(),
-    ) {
-        let (num_vars, mut formula) = case;
-        let mut cnf = flat(num_vars, &formula);
-        assert_same(&cnf, &formula);
-        // Assign every variable once, starting anywhere.
-        for k in 0..num_vars {
-            let var = Var(((order % u64::from(num_vars)) as u32 + k) % num_vars);
-            let lit = Lit::with_polarity(var, values >> k & 1 == 1);
-            cnf = cnf.assign(var, lit.demanded_value());
-            formula = naive_assign(&formula, lit);
-            assert_same(&cnf, &formula);
-        }
-        prop_assert!(formula.iter().all(|c| c.is_empty()));
-    }
-
-    #[test]
-    fn in_place_simplification_equals_the_nested_reference(
+    fn sequential_dpll_equals_a_naive_recursive_dpll(
         case in prop_oneof![arb_formula(), arb_kernel_formula()],
     ) {
         let (num_vars, formula) = case;
-        for mode in [SimplifyMode::Fixpoint, SimplifyMode::SinglePass, SimplifyMode::SplitOnly] {
-            let mut cnf = flat(num_vars, &formula);
-            let mut assignment = Assignment::new(num_vars);
-            let (outcome, stats) = simplify_with(&mut cnf, &mut assignment, mode);
-            let mut reference = formula.clone();
-            let (expected, forced) = naive_simplify(&mut reference, num_vars, mode);
-            prop_assert_eq!(&outcome, &expected);
-            prop_assert_eq!(stats.unit_props + stats.pure_assigns, forced.len() as u64);
-            let mut expected_assignment = Assignment::new(num_vars);
-            for lit in forced {
-                expected_assignment.assign(lit.var(), lit.demanded_value());
-            }
-            prop_assert_eq!(&assignment, &expected_assignment);
-            // An `Unsat` outcome returns mid-round, formula unspecified.
-            if outcome != Simplified::Unsat {
-                assert_same(&cnf, &reference);
-            }
+        let cnf = flat(num_vars, &formula);
+        for heuristic in ALL_HEURISTICS {
+            let mut stats = SolveStats::default();
+            let model = naive_dpll(formula.clone(), num_vars, Assignment::new(num_vars), heuristic, 0, &mut stats);
+            let (result, got) = dpll::solve(&cnf, heuristic);
+            prop_assert_eq!((result.model(), got), (model.as_ref(), stats), "{}", heuristic);
         }
     }
 
@@ -239,8 +237,9 @@ proptest! {
                         .with_polarity(polarity);
                     let mut root = SubProblem::root(flat(num_vars, &formula));
                     root.discrepancy = discrepancy;
-                    let reached = lines_2_to_11(root.residual().into_owned(), root.assign.clone(), mode);
-                    check_activation(&program, root, reached, 5);
+                    let reached =
+                        lines_2_to_11(formula.clone(), num_vars, Assignment::new(num_vars), mode);
+                    check_activation(&program, root, num_vars, reached, 5);
                 }
             }
         }
@@ -257,8 +256,8 @@ proptest! {
 
 /// Every heuristic, polarity and discrepancy budget under `mode`, `depth`
 /// levels deep from the root of `formula`: each child's residual, read
-/// off its path, against the `Cnf::assign` chain simplified as `mode`
-/// simplifies.
+/// off its path, against the reference's assignment chain simplified as
+/// `mode` simplifies.
 fn check_paths(num_vars: u32, formula: &Naive, mode: SimplifyMode, depth: u32) {
     for heuristic in ALL_HEURISTICS {
         for polarity in [Polarity::Positive, Polarity::Negative] {
@@ -269,8 +268,8 @@ fn check_paths(num_vars: u32, formula: &Naive, mode: SimplifyMode, depth: u32) {
                 let mut root = SubProblem::root(flat(num_vars, formula));
                 root.discrepancy = discrepancy;
                 let reached =
-                    lines_2_to_11(flat(num_vars, formula), Assignment::new(num_vars), mode);
-                check_activation(&program, root, reached, depth);
+                    lines_2_to_11(formula.clone(), num_vars, Assignment::new(num_vars), mode);
+                check_activation(&program, root, num_vars, reached, depth);
             }
         }
     }
@@ -319,28 +318,33 @@ fn paths_read_awkward_clauses_like_the_assign_chain_in_every_mode() {
 }
 
 /// What an activation reaches after Listing 4 lines 2–11 when it
-/// simplifies its own formula: the outcome, the residual and the
-/// assignment.
+/// simplifies its own formula, over the reference: the outcome, the
+/// residual and the assignment.
 fn lines_2_to_11(
-    mut cnf: Cnf,
+    mut formula: Naive,
+    num_vars: u32,
     mut assign: Assignment,
     mode: SimplifyMode,
-) -> (Simplified, Cnf, Assignment) {
-    let (outcome, _) = simplify_with(&mut cnf, &mut assign, mode);
-    (outcome, cnf, assign)
+) -> (Simplified, Naive, Assignment) {
+    let (outcome, forced) = naive_simplify(&mut formula, num_vars, mode);
+    for lit in forced.units.into_iter().chain(forced.pures) {
+        assign.assign(lit.var(), lit.demanded_value());
+    }
+    (outcome, formula, assign)
 }
 
 /// Starts `sub`, whose activation must reach `reached`, and checks every
-/// child it spawns against the reference — `Cnf::assign` of the
-/// activation's residual, then the child's own `simplify_with` — then, for
+/// child it spawns against the reference — the activation's residual
+/// under the branch, then the child's own lines 2–11 — then, for
 /// `depth - 1` more levels, the children themselves.
 fn check_activation(
     program: &DpllProgram,
     sub: SubProblem,
-    reached: (Simplified, Cnf, Assignment),
+    num_vars: u32,
+    reached: (Simplified, Naive, Assignment),
     depth: u32,
 ) {
-    let (outcome, cnf, assign) = reached;
+    let (outcome, formula, assign) = reached;
     let discrepancy = sub.discrepancy;
     let calls = match (program.start(sub), outcome) {
         (Step::Done(Verdict::Sat(model)), Simplified::Sat) => {
@@ -350,7 +354,10 @@ fn check_activation(
         (Step::Spawn(spawn), Simplified::Undecided) => spawn.calls,
         (_, outcome) => panic!("the activation did not end {outcome:?}"),
     };
-    let selected = program.heuristic().select(&cnf).expect("undecided");
+    let selected = program
+        .heuristic()
+        .select(&flat(num_vars, &formula))
+        .expect("undecided");
     let lit = match program.polarity() {
         Polarity::Positive => selected,
         Polarity::Negative => selected.negated(),
@@ -364,20 +371,20 @@ fn check_activation(
     };
     assert_eq!(calls.len(), branches.len());
     for (call, (branch, budget)) in calls.into_iter().zip(branches) {
-        let before = cnf.assign(branch.var(), branch.demanded_value());
+        let before = naive_assign(&formula, branch);
         let mut path = assign.clone();
         path.assign(branch.var(), branch.demanded_value());
-        let expected = lines_2_to_11(before.clone(), path, program.mode());
-        assert_eq!(program.weight(&call), before.num_clauses() as u32);
+        let expected = lines_2_to_11(before.clone(), num_vars, path, program.mode());
+        assert_eq!(program.weight(&call), before.len() as u32);
         assert_eq!(call.discrepancy, budget);
         if expected.0 == Simplified::Unsat {
             assert!(call.residual().has_empty_clause(), "{branch:?}");
         } else {
-            assert_eq!(*call.residual(), expected.1, "{branch:?}");
+            assert_eq!(*call.residual(), flat(num_vars, &expected.1), "{branch:?}");
             assert_eq!(call.assign, expected.2, "{branch:?}");
         }
         if depth > 1 {
-            check_activation(program, call, expected, depth - 1);
+            check_activation(program, call, num_vars, expected, depth - 1);
         }
     }
 }

@@ -1,11 +1,20 @@
 //! 0/1 knapsack by branch and bound: optimisation (not just decision)
 //! search, and the showcase for §III-B3's cross-layer hints.
 //!
-//! Each activation considers one item and forks take/skip branches joined
-//! with `All`, propagating the maximum achievable value. A fractional
-//! upper bound prunes branches that cannot beat the incumbent — the
-//! "lazy evaluation functions to prune the search space" the paper says
-//! can double as sub-problem size estimates for the mapping layer.
+//! Each activation decides one item and forks take/skip branches joined
+//! with `All`, folding the maximum achievable value. Both programs run on
+//! one [`BnbKnapsackTask`], a path over the items every task of a search
+//! shares. [`KnapsackProgram`] cuts a branch whose fractional upper bound
+//! cannot beat the value on its own path — the "lazy evaluation functions
+//! to prune the search space" the paper says can double as sub-problem
+//! size estimates. [`BnbKnapsackProgram`] leaves bounding to the stack's
+//! optimisation mode (`ObjectiveSpec::Maximise` + `PruneSpec::Incumbent`):
+//! completed subtree values gossip through the mesh as incumbents, and
+//! layer 4 checks the bound against the *global* incumbent before
+//! expanding a frame. Both are cross-checked against the
+//! [`knapsack_reference`] DP oracle.
+
+use std::sync::Arc;
 
 use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
@@ -18,33 +27,31 @@ pub struct Item {
     pub value: u32,
 }
 
-/// A branch-and-bound node: items already decided up to `next`, remaining
-/// capacity and accumulated value.
+/// A branch-and-bound node: the path from the root decided items `..next`,
+/// leaving `capacity` and accumulating `value`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KnapsackTask {
-    /// The full item list (travels with the task; messages are
-    /// self-contained).
-    pub items: Vec<Item>,
+pub struct BnbKnapsackTask {
+    /// The instance's items, shared by every task of one search.
+    /// Pre-sort by density for a tight bound.
+    pub items: Arc<[Item]>,
     /// Index of the next undecided item.
     pub next: usize,
     /// Remaining capacity.
     pub capacity: u32,
     /// Value accumulated by taken items.
     pub value: u32,
-    /// Best complete value seen on the path so far (prune bound).
-    pub incumbent: u32,
 }
 
-impl KnapsackTask {
-    /// Root task. Items should be pre-sorted by value density for the
-    /// bound to be tight (see [`sort_by_density`]).
-    pub fn root(items: Vec<Item>, capacity: u32) -> KnapsackTask {
-        KnapsackTask {
-            items,
+impl BnbKnapsackTask {
+    /// Root task over `items` with total `capacity`. Items should be
+    /// pre-sorted by value density for the bound to be tight (see
+    /// [`sort_by_density`]).
+    pub fn root(items: Vec<Item>, capacity: u32) -> BnbKnapsackTask {
+        BnbKnapsackTask {
+            items: items.into(),
             next: 0,
             capacity,
             value: 0,
-            incumbent: 0,
         }
     }
 
@@ -52,13 +59,46 @@ impl KnapsackTask {
     pub fn upper_bound(&self) -> u32 {
         fractional_bound(&self.items, self.next, self.capacity, self.value)
     }
+
+    /// The two ways to decide item `next`, in issue order: take it if it
+    /// fits, then skip it.
+    fn children(self) -> Calls<BnbKnapsackTask> {
+        let item = self.items[self.next];
+        let skip = BnbKnapsackTask {
+            next: self.next + 1,
+            ..self
+        };
+        if item.weight > skip.capacity {
+            return Calls::one(skip);
+        }
+        let take = BnbKnapsackTask {
+            capacity: skip.capacity - item.weight,
+            value: skip.value + item.value,
+            ..skip.clone()
+        };
+        Calls::two(take, skip)
+    }
+
+    /// §III-B3 hint: undecided items approximate remaining sub-tree
+    /// depth.
+    fn weight(&self) -> u32 {
+        (self.items.len() - self.next) as u32
+    }
+}
+
+/// The children of an undecided task joined with `All`.
+fn branch<P: RecProgram<Arg = BnbKnapsackTask, Frame = ()>>(task: BnbKnapsackTask) -> Step<P> {
+    Step::Spawn(Spawn {
+        calls: task.children(),
+        join: Join::All,
+        frame: (),
+    })
 }
 
 /// Fractional (LP-relaxation) upper bound on the value achievable with
 /// `capacity` left and items `next..` undecided, on top of `value`
 /// already accumulated. Tightest when items are density-sorted
-/// ([`sort_by_density`]). Shared by the path-local [`KnapsackTask`]
-/// bound and the incumbent-pruned [`crate::BnbKnapsackProgram`].
+/// ([`sort_by_density`]).
 pub fn fractional_bound(items: &[Item], next: usize, capacity: u32, value: u32) -> u32 {
     // Widen to u64: `value * cap` overflows u32 for large capacities,
     // and a wrapped-small "upper bound" would unsoundly prune the
@@ -111,51 +151,77 @@ pub fn sort_by_density(items: &mut [Item]) {
     });
 }
 
-/// Max-value 0/1 knapsack by distributed branch and bound.
+/// Max-value 0/1 knapsack by distributed branch and bound, pruning a
+/// branch whose upper bound cannot beat the value on its own path.
 #[derive(Clone, Copy)]
 pub struct KnapsackProgram;
 
 impl RecProgram for KnapsackProgram {
-    type Arg = KnapsackTask;
+    type Arg = BnbKnapsackTask;
     type Out = u64;
     type Frame = ();
 
-    fn start(&self, task: KnapsackTask) -> Step<Self> {
-        if task.next >= task.items.len() {
+    fn start(&self, task: BnbKnapsackTask) -> Step<Self> {
+        // Bound: nothing below (nothing at all, at a leaf) can beat what
+        // this path already holds.
+        if task.upper_bound() <= task.value {
             return Step::Done(task.value as u64);
         }
-        if task.upper_bound() <= task.incumbent {
-            // Bound: cannot beat what a sibling already achieved.
-            return Step::Done(task.value as u64);
-        }
-        let item = task.items[task.next];
-        let mut calls = Calls::new();
-        if item.weight <= task.capacity {
-            let mut take = task.clone();
-            take.next += 1;
-            take.capacity -= item.weight;
-            take.value += item.value;
-            take.incumbent = take.incumbent.max(take.value);
-            calls.push(take);
-        }
-        let mut skip = task;
-        skip.next += 1;
-        calls.push(skip);
-        Step::Spawn(Spawn {
-            calls,
-            join: Join::All,
-            frame: (),
-        })
+        branch(task)
     }
 
     fn resume(&self, _frame: (), results: Resumed<u64>) -> Step<Self> {
         Step::Done(results.into_all().into_iter().max().unwrap_or(0))
     }
 
-    /// §III-B3 hint: the LP bound estimates how much value (≈ search) is
-    /// left under this node.
-    fn weight(&self, arg: &KnapsackTask) -> u32 {
-        (arg.items.len() - arg.next) as u32
+    fn weight(&self, arg: &BnbKnapsackTask) -> u32 {
+        arg.weight()
+    }
+}
+
+/// Max-value 0/1 knapsack by distributed branch and bound with
+/// incumbent propagation (run with `ObjectiveSpec::Maximise`).
+#[derive(Clone, Copy)]
+pub struct BnbKnapsackProgram;
+
+impl RecProgram for BnbKnapsackProgram {
+    type Arg = BnbKnapsackTask;
+    type Out = u64;
+    type Frame = ();
+
+    fn start(&self, task: BnbKnapsackTask) -> Step<Self> {
+        if task.next == task.items.len() {
+            return Step::Done(task.value as u64);
+        }
+        branch(task)
+    }
+
+    fn resume(&self, _frame: (), results: Resumed<u64>) -> Step<Self> {
+        Step::Done(results.into_all().into_iter().max().unwrap_or(0))
+    }
+
+    fn weight(&self, arg: &BnbKnapsackTask) -> u32 {
+        arg.weight()
+    }
+
+    /// Every completed subtree value is achievable (leaves return the
+    /// value of a concrete item selection; joins fold `max`), so it is
+    /// a sound incumbent candidate.
+    fn solution_value(&self, out: &u64) -> Option<i64> {
+        Some(*out as i64)
+    }
+
+    /// Fractional-relaxation upper bound: the best this subtree could
+    /// possibly achieve.
+    fn bound(&self, arg: &BnbKnapsackTask) -> Option<i64> {
+        Some(arg.upper_bound() as i64)
+    }
+
+    /// A pruned subtree answers with the value already accumulated on
+    /// its path — achievable (take the chosen items, skip the rest) and
+    /// no better than anything the subtree could have produced.
+    fn pruned(&self, arg: &BnbKnapsackTask) -> Option<u64> {
+        Some(arg.value as u64)
     }
 }
 
@@ -174,7 +240,7 @@ pub fn knapsack_reference(items: &[Item], capacity: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyperspace_core::{MapperSpec, StackBuilder, TopologySpec};
+    use hyperspace_core::{MapperSpec, ObjectiveSpec, PruneSpec, StackBuilder, TopologySpec};
     use hyperspace_recursion::eval_local;
 
     fn sample_items() -> Vec<Item> {
@@ -213,7 +279,7 @@ mod tests {
         let items = sample_items();
         for cap in [0u32, 3, 7, 12, 21] {
             let expect = knapsack_reference(&items, cap);
-            let got = eval_local(&KnapsackProgram, KnapsackTask::root(items.clone(), cap));
+            let got = eval_local(&KnapsackProgram, BnbKnapsackTask::root(items.clone(), cap));
             assert_eq!(got, expect, "capacity {cap}");
         }
     }
@@ -228,7 +294,7 @@ mod tests {
                 local_threshold: 2,
                 status_period: None,
             })
-            .run(KnapsackTask::root(items, 10), 0);
+            .run(BnbKnapsackTask::root(items, 10), 0);
         assert_eq!(report.result, Some(expect));
     }
 
@@ -257,7 +323,7 @@ mod tests {
     #[test]
     fn upper_bound_dominates_value() {
         let items = sample_items();
-        let task = KnapsackTask::root(items.clone(), 9);
+        let task = BnbKnapsackTask::root(items.clone(), 9);
         assert!(task.upper_bound() as u64 >= knapsack_reference(&items, 9));
     }
 
@@ -269,5 +335,85 @@ mod tests {
             let d1 = w[1].value as f64 / w[1].weight as f64;
             assert!(d0 >= d1);
         }
+    }
+
+    fn items_from_seed(seed: u64, n: usize) -> Vec<Item> {
+        seeded_items(seed, n, 16, 24)
+    }
+
+    #[test]
+    fn unpruned_local_evaluation_matches_dp() {
+        for seed in 0..6u64 {
+            let items = items_from_seed(seed, 10);
+            let cap: u32 = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+            let expect = knapsack_reference(&items, cap);
+            let got = eval_local(&BnbKnapsackProgram, BnbKnapsackTask::root(items, cap));
+            assert_eq!(got, expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn distributed_bnb_matches_dp_and_prunes() {
+        let items = items_from_seed(3, 12);
+        let cap: u32 = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+        let expect = knapsack_reference(&items, cap);
+        let report = StackBuilder::new(BnbKnapsackProgram)
+            .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+            .mapper(MapperSpec::LeastBusy {
+                status_period: None,
+            })
+            .objective(ObjectiveSpec::Maximise)
+            .prune(PruneSpec::incumbent())
+            .halt_on_root_reply(false)
+            .run(BnbKnapsackTask::root(items, cap), 0);
+        assert_eq!(report.result, Some(expect));
+        assert_eq!(report.best_incumbent, Some(expect as i64));
+        assert!(report.nodes_pruned() > 0, "bound should cut something");
+        assert!(report.bounds_total > 0, "incumbents should gossip");
+        assert!(!report.incumbent_trace.is_empty());
+        // The trace ends at the optimum and improves monotonically in
+        // observation order per node (globally: last event is best).
+        assert_eq!(
+            report.incumbent_trace.last().map(|e| e.value),
+            Some(expect as i64)
+        );
+    }
+
+    #[test]
+    fn warm_start_prunes_more_than_cold_start() {
+        let items = items_from_seed(5, 12);
+        let cap: u32 = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+        let expect = knapsack_reference(&items, cap);
+        let run = |prune: PruneSpec| {
+            StackBuilder::new(BnbKnapsackProgram)
+                .topology(TopologySpec::Torus2D { w: 4, h: 4 })
+                .mapper(MapperSpec::RoundRobin)
+                .objective(ObjectiveSpec::Maximise)
+                .prune(prune)
+                .halt_on_root_reply(false)
+                .run(BnbKnapsackTask::root(items.clone(), cap), 0)
+        };
+        let cold = run(PruneSpec::incumbent());
+        // Warm-start with the optimum minus one: everything that cannot
+        // strictly beat it is cut immediately.
+        let warm = run(PruneSpec::Incumbent {
+            initial: Some(expect as i64 - 1),
+        });
+        assert_eq!(cold.result, Some(expect));
+        assert_eq!(warm.result, Some(expect));
+        // Cutting near the root shrinks the whole tree: fewer subtrees
+        // expanded *and* fewer even considered (pruned + expanded).
+        assert!(
+            warm.rec_totals.started <= cold.rec_totals.started,
+            "warm start must not expand more nodes ({} vs {})",
+            warm.rec_totals.started,
+            cold.rec_totals.started
+        );
+        assert!(
+            warm.requests_total <= cold.requests_total,
+            "warm start must not issue more requests ({} vs {})",
+            warm.requests_total,
+            cold.requests_total
+        );
     }
 }

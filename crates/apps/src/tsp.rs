@@ -10,11 +10,17 @@
 //! each unvisited one), the cheapest edge it could possibly use. Layer 4
 //! compares that bound against the gossiped incumbent before expanding.
 
+use std::sync::Arc;
+
 use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
 /// Sentinel cost of an infeasible/pruned subtree: loses every `min`
 /// fold and is never a solution value.
 pub const TSP_INFEASIBLE: u64 = u64::MAX;
+
+/// The most cities a tour may visit: a task keeps its visited set in a
+/// `u32` mask.
+pub const TSP_MAX_CITIES: usize = 32;
 
 /// A symmetric TSP instance: `n` cities with a row-major distance
 /// matrix.
@@ -61,9 +67,8 @@ impl TspInstance {
 /// and the cost accumulated along the path from city 0.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TspTask {
-    /// The instance (travels with the task; messages are
-    /// self-contained).
-    pub inst: TspInstance,
+    /// The instance, shared by every task of one search.
+    pub inst: Arc<TspInstance>,
     /// Bitmask of visited cities (city 0 is always set).
     pub visited: u32,
     /// The city the tour currently ends at.
@@ -73,11 +78,12 @@ pub struct TspTask {
 }
 
 impl TspTask {
-    /// The root task: tour started (and ending) at city 0.
+    /// The root task: tour started (and ending) at city 0. Panics unless
+    /// the instance has 2 to [`TSP_MAX_CITIES`] cities.
     pub fn root(inst: TspInstance) -> TspTask {
-        assert!(inst.n >= 2 && inst.n <= 32, "instance size out of range");
+        assert!(inst.n >= 2 && inst.n <= TSP_MAX_CITIES, "size out of range");
         TspTask {
-            inst,
+            inst: Arc::new(inst),
             visited: 1,
             last: 0,
             cost: 0,
@@ -268,7 +274,7 @@ mod tests {
             let visited_cities: Vec<usize> = (0..n).filter(|c| visited & (1 << c) != 0).collect();
             let last = visited_cities[next(visited_cities.len() as u64) as usize] as u8;
             let task = TspTask {
-                inst,
+                inst: Arc::new(inst),
                 visited,
                 last,
                 cost: next(500),

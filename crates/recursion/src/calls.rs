@@ -1,5 +1,6 @@
 //! [`Calls`]: a batch of sub-call arguments that holds one or two inline.
 
+use std::ops::Deref;
 use std::{slice, vec};
 
 /// A batch of sub-call arguments, in issue order.
@@ -7,7 +8,8 @@ use std::{slice, vec};
 /// DPLL and knapsack spawn two calls, Listing 3's `sum` one, so a batch of
 /// up to two lives inline and spawning it allocates nothing; a wider batch
 /// (N-Queens, TSP) spills to a `Vec`. Layer 4 keeps the tickets of a call
-/// record's sub-calls in the same shape.
+/// record's sub-calls in the same shape, and hands an `All` join's results
+/// back in it too. A batch reads as a slice in issue order.
 ///
 /// ```
 /// use hyperspace_recursion::Calls;
@@ -20,6 +22,16 @@ use std::{slice, vec};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Calls<A>(Repr<A>);
+
+/// Equal batches hold equal calls in the same order, however they are
+/// stored (a cleared spilled batch refilled with two still spills).
+impl<A: PartialEq> PartialEq for Calls<A> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<A: Eq> Eq for Calls<A> {}
 
 #[derive(Clone, Debug)]
 enum Repr<A> {
@@ -45,16 +57,6 @@ impl<A> Calls<A> {
     /// A batch of two calls, `a` issued first.
     pub const fn two(a: A, b: A) -> Self {
         Calls(Repr::Two([a, b]))
-    }
-
-    /// Number of calls in the batch.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Appends a call; the third spills the batch to a `Vec`.
@@ -83,20 +85,19 @@ impl<A> Calls<A> {
             inline => *inline = Repr::Zero,
         }
     }
+}
 
-    /// The calls in issue order.
-    pub fn as_slice(&self) -> &[A] {
+/// The calls in issue order.
+impl<A> Deref for Calls<A> {
+    type Target = [A];
+
+    fn deref(&self) -> &[A] {
         match &self.0 {
             Repr::Zero => &[],
             Repr::One(a) => slice::from_ref(a),
             Repr::Two(pair) => pair,
             Repr::Spilled(v) => v,
         }
-    }
-
-    /// Iterates over the calls in issue order.
-    pub fn iter(&self) -> slice::Iter<'_, A> {
-        self.as_slice().iter()
     }
 }
 
@@ -188,14 +189,14 @@ mod tests {
             for calls in [pushed, collected, converted] {
                 assert_eq!(calls.len(), n as usize);
                 assert_eq!(calls.is_empty(), n == 0);
-                assert_eq!(calls.as_slice(), expected);
+                assert_eq!(*calls, expected);
                 assert!(calls.iter().eq(&expected));
                 assert_eq!(spilled(&calls), n > 2, "{n} calls");
                 assert_eq!(calls.into_iter().collect::<Vec<_>>(), expected);
             }
         }
-        assert_eq!(Calls::one(7).as_slice(), [7]);
-        assert_eq!(Calls::two(7, 8).as_slice(), [7, 8]);
+        assert_eq!(*Calls::one(7), [7]);
+        assert_eq!(*Calls::two(7, 8), [7, 8]);
     }
 
     #[test]
@@ -215,7 +216,9 @@ mod tests {
         calls.clear();
         assert!(calls.is_empty() && spilled(&calls));
         calls.push("d");
-        assert_eq!((calls.as_slice(), capacity(&calls)), (&["d"][..], before));
+        assert_eq!((&*calls, capacity(&calls)), (&["d"][..], before));
+        // Equality reads the calls, not how they are held.
+        assert_eq!(calls, Calls::one("d"));
         // An inline one empties outright.
         let mut two = Calls::two(1, 2);
         two.clear();

@@ -55,8 +55,9 @@ impl<A, R> Rec<A, R> {
     }
 
     /// Issues a batch of sub-calls joined with [`Join::All`]; chain with
-    /// [`Pending::then_all`] receiving the `Vec` of results in call order.
-    pub fn call_all(args: impl Into<Calls<A>>) -> Pending<A, R, Vec<R>> {
+    /// [`Pending::then_all`] receiving the results in call order, in the
+    /// batch's own container.
+    pub fn call_all(args: impl Into<Calls<A>>) -> Pending<A, R, Calls<R>> {
         Pending::build(args.into(), Join::All)
     }
 
@@ -105,11 +106,11 @@ impl<A: 'static, R: 'static> Pending<A, R, R> {
     }
 }
 
-impl<A: 'static, R: 'static> Pending<A, R, Vec<R>> {
+impl<A: 'static, R: 'static> Pending<A, R, Calls<R>> {
     /// Attaches the continuation for an all-join batch.
     pub fn then_all<F>(self, f: F) -> Rec<A, R>
     where
-        F: FnOnce(Vec<R>) -> Rec<A, R> + Send + 'static,
+        F: FnOnce(Calls<R>) -> Rec<A, R> + Send + 'static,
     {
         Rec::Suspend {
             calls: self.calls,

@@ -17,12 +17,13 @@
 //! may have to withdraw sit in the row as a [`Calls`] batch, inline for up
 //! to two (a wider batch's spilled buffer stays with the row, as do an
 //! `All` join's result slots). So in steady state a sub-call costs two
-//! vector indexings, and neither a spawn of up to two calls nor its record
-//! allocates. The slab counts its open and closed rows and their
-//! pending sub-calls, so [`RecState::frontier`] is O(1). Rows are *not*
-//! keyed by the parent ticket: an activation resumed early by an `Any`
-//! join may suspend again while its first record still waits for the
-//! losing replies, and then two records answer to one parent.
+//! vector indexings, and neither a spawn of up to two calls, nor its
+//! record, nor the [`Calls`] batch its results resume with allocates.
+//! The slab counts its open and closed rows and their pending sub-calls,
+//! so [`RecState::frontier`] is O(1). Rows are *not* keyed by the parent
+//! ticket: an activation resumed early by an `Any` join may suspend again
+//! while its first record still waits for the losing replies, and then
+//! two records answer to one parent.
 
 use std::collections::HashMap;
 
@@ -401,7 +402,7 @@ impl<P: RecProgram> RecursionHost<P> {
                     if calls.is_empty() {
                         // Degenerate batch: resume immediately.
                         let resumed = match join {
-                            Join::All => Resumed::All(Vec::new()),
+                            Join::All => Resumed::All(Calls::new()),
                             Join::Any(_) => Resumed::Any(None),
                         };
                         step = self.program.resume(frame, resumed);
@@ -547,7 +548,7 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
             Join::All => {
                 rec.results[slot as usize] = Some(resp);
                 if rec.pending == 0 {
-                    let results: Vec<P::Out> = rec
+                    let results: Calls<P::Out> = rec
                         .results
                         .drain(..)
                         .map(|r| r.expect("all slots filled"))
@@ -842,7 +843,7 @@ mod tests {
         for &(ticket, row, _) in state.sub_calls.0.iter().flatten() {
             live[row as usize] += 1;
             let record = &state.records[row as usize];
-            assert!(record.tickets.iter().any(|&t| t == ticket), "row {row}");
+            assert!(record.tickets.contains(&ticket), "row {row}");
         }
         let mut walk = (0, 0, 0);
         for (record, live) in state.records.iter().zip(live) {

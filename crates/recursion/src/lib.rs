@@ -27,7 +27,8 @@
 //!   activation's row is reused by the next one to suspend. Joins follow
 //!   §IV-C:
 //!
-//! * [`Join::All`] — `yield Sync()`: resume once every subcall returned;
+//! * [`Join::All`] — `yield Sync()`: resume once every subcall returned,
+//!   with the results in a [`Calls`] batch of their own;
 //! * [`Join::Any`] — non-deterministic choice: resume as soon as a result
 //!   satisfies the validator (`is_valid`), ignoring or (optionally,
 //!   beyond-paper) *cancelling* the remaining evaluations.

@@ -58,7 +58,8 @@ impl Objective {
 /// suspend any number of times before finishing.
 pub trait RecProgram: Send + Sync + 'static {
     /// Argument of a (sub-)invocation — must be self-contained, as it
-    /// travels in messages.
+    /// travels in messages. It may share an immutable instance through
+    /// an `Arc`, as every search task in `hyperspace-apps` does.
     type Arg: Clone + Send;
     /// Result of an invocation.
     type Out: Clone + Send;
@@ -159,8 +160,9 @@ impl<R> std::fmt::Debug for Join<R> {
 /// The results handed back at resumption.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Resumed<R> {
-    /// All results, in sub-call order ([`Join::All`]).
-    All(Vec<R>),
+    /// All results, in sub-call order ([`Join::All`]): a batch comes back
+    /// in the container it went out in, inline up to two.
+    All(Calls<R>),
     /// The first valid result, or `None` if every sub-call returned an
     /// invalid one ([`Join::Any`]).
     Any(Option<R>),
@@ -170,14 +172,14 @@ impl<R> Resumed<R> {
     /// Unwraps a single-call [`Join::All`] result.
     pub fn into_single(self) -> R {
         match self {
-            Resumed::All(mut v) if v.len() == 1 => v.pop().expect("len checked"),
+            Resumed::All(v) if v.len() == 1 => v.into_iter().next().expect("len checked"),
             Resumed::All(v) => panic!("expected exactly one result, got {}", v.len()),
             Resumed::Any(_) => panic!("expected an All join"),
         }
     }
 
-    /// Unwraps a [`Join::All`] result vector.
-    pub fn into_all(self) -> Vec<R> {
+    /// Unwraps a [`Join::All`] result batch.
+    pub fn into_all(self) -> Calls<R> {
         match self {
             Resumed::All(v) => v,
             Resumed::Any(_) => panic!("expected an All join"),
@@ -248,7 +250,7 @@ pub fn eval_local<P: RecProgram>(program: &P, arg: P::Arg) -> P::Out {
                     frame, join, base, ..
                 } = stack.pop().expect("an activation is suspended");
                 let resumed = match join {
-                    Join::All => Resumed::All(results.split_off(base)),
+                    Join::All => Resumed::All(results.drain(base..).collect()),
                     Join::Any(_) if results.len() > base => Resumed::Any(results.pop()),
                     Join::Any(_) => Resumed::Any(None),
                 };
@@ -264,8 +266,8 @@ mod tests {
 
     #[test]
     fn resumed_unwrappers() {
-        assert_eq!(Resumed::All(vec![7]).into_single(), 7);
-        assert_eq!(Resumed::All(vec![1, 2]).into_all(), vec![1, 2]);
+        assert_eq!(Resumed::All(Calls::one(7)).into_single(), 7);
+        assert_eq!(*Resumed::All(Calls::two(1, 2)).into_all(), [1, 2]);
         assert_eq!(Resumed::<u32>::Any(Some(3)).into_any(), Some(3));
         assert_eq!(Resumed::<u32>::Any(None).into_any(), None);
     }
@@ -273,13 +275,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "expected exactly one result")]
     fn into_single_rejects_batches() {
-        Resumed::All(vec![1, 2]).into_single();
+        Resumed::All(Calls::two(1, 2)).into_single();
     }
 
     #[test]
     #[should_panic(expected = "expected an Any join")]
     fn into_any_rejects_all() {
-        Resumed::All(vec![1]).into_any();
+        Resumed::All(Calls::one(1)).into_any();
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use std::time::Duration;
 
 use hyperspace_apps::{
-    BnbKnapsackProgram, BnbKnapsackTask, FibProgram, Item, KnapsackProgram, KnapsackTask,
-    NQueensProgram, QueensTask, SumProgram, TspInstance, TspProgram, TspTask,
+    BnbKnapsackProgram, BnbKnapsackTask, FibProgram, Item, KnapsackProgram, NQueensProgram,
+    QueensTask, SumProgram, TspInstance, TspProgram, TspTask, QUEENS_MAX_N, TSP_MAX_CITIES,
 };
 use hyperspace_core::{
     BackendSpec, CheckpointSpec, EngineSpec, ErasedStackJob, JobParams, LimitKind, MapperSpec,
@@ -33,7 +33,8 @@ pub enum JobKind {
         /// Per-activation simplification strength.
         mode: SimplifyMode,
     },
-    /// 0/1 knapsack by distributed branch and bound (path-local bound).
+    /// 0/1 knapsack by distributed branch and bound, each branch pruned
+    /// against the value on its own path.
     Knapsack {
         /// Item list (pre-sort by density for tighter bounds).
         items: Vec<Item>,
@@ -239,19 +240,12 @@ impl JobKind {
             } else {
                 format!("sat/{heuristic}/{mode}/{}", dimacs::to_string(cnf))
             }),
-            JobKind::Knapsack { items, capacity } => {
-                let items: Vec<String> = items
+            JobKind::Knapsack { items, capacity } | JobKind::BnbKnapsack { items, capacity } => {
+                let items: Vec<_> = items
                     .iter()
                     .map(|i| format!("{}w{}v", i.weight, i.value))
                     .collect();
-                Some(format!("knapsack/{capacity}/{}", items.join(",")))
-            }
-            JobKind::BnbKnapsack { items, capacity } => {
-                let items: Vec<String> = items
-                    .iter()
-                    .map(|i| format!("{}w{}v", i.weight, i.value))
-                    .collect();
-                Some(format!("bnb-knapsack/{capacity}/{}", items.join(",")))
+                Some(format!("{}/{capacity}/{}", self.label(), items.join(",")))
             }
             JobKind::Tsp { inst } => {
                 let cells: Vec<String> = inst.dist.iter().map(|d| d.to_string()).collect();
@@ -289,7 +283,7 @@ impl JobKind {
                 }
             }),
             JobKind::Knapsack { items, capacity } => {
-                erase(KnapsackProgram, KnapsackTask::root(items, capacity))
+                erase(KnapsackProgram, BnbKnapsackTask::root(items, capacity))
             }
             JobKind::BnbKnapsack { items, capacity } => {
                 erase(BnbKnapsackProgram, BnbKnapsackTask::root(items, capacity))
@@ -320,17 +314,31 @@ where
     })
 }
 
-/// Decides whether a spec's portfolio fits its workload; returns the
-/// rejection reason when it does not. The one such check: `submit()`
-/// and `recover()` both call it, so nothing a worker would panic on —
-/// an empty member list or attempt chain, or a strategy only SAT
-/// workloads can execute (CDCL engines, discrepancy budgets and
-/// `or(...)` retry chains all manipulate the SAT search tree) on
-/// another workload — is ever queued, and nothing the spec grammar
+/// Decides whether a worker can run a spec: its workload's size fits its
+/// program and its portfolio fits its workload. Returns the rejection
+/// reason when it does not. The one such check: `submit()` and
+/// `recover()` both call it, so nothing a worker would panic on — a TSP
+/// instance outside 2 to [`TSP_MAX_CITIES`] cities or an N-Queens board
+/// above [`QUEENS_MAX_N`], an empty member list or attempt chain, or a
+/// strategy only SAT workloads can execute (CDCL engines, discrepancy
+/// budgets and `or(...)` retry chains all manipulate the SAT search tree)
+/// on another workload — is ever queued, and nothing the spec grammar
 /// refuses (a hand-built CDCL attempt under a discrepancy budget) is
 /// persisted in a rendering recovery could not read back. Erased
 /// workloads ignore the members and accept any well-formed portfolio.
-pub(crate) fn validate_portfolio(kind: &JobKind, params: &JobParams) -> Option<String> {
+pub(crate) fn refuse_unrunnable(kind: &JobKind, params: &JobParams) -> Option<String> {
+    match kind {
+        JobKind::Tsp { inst } if !(2..=TSP_MAX_CITIES).contains(&inst.n) => {
+            let n = inst.n;
+            return Some(format!(
+                "tsp instance size {n} is outside 2..={TSP_MAX_CITIES}"
+            ));
+        }
+        JobKind::NQueens { n } if *n > QUEENS_MAX_N => {
+            return Some(format!("nqueens board size {n} exceeds {QUEENS_MAX_N}"));
+        }
+        _ => {}
+    }
     let folio = params.portfolio.as_ref()?;
     if folio.members.is_empty() {
         return Some("portfolio has no members; a race needs at least one".into());

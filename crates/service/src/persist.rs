@@ -24,7 +24,7 @@
 
 use std::str::FromStr;
 
-use hyperspace_apps::{Item, TspInstance};
+use hyperspace_apps::{Item, TspInstance, TSP_MAX_CITIES};
 use hyperspace_core::{
     BackendSpec, CheckpointSpec, JobParams, MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec,
     TopologySpec,
@@ -43,12 +43,6 @@ use crate::job::JobKind;
 /// before they reach a record — and the reader lowers a filled one, so
 /// records written before that still decode to the same computation.
 pub const RECORD_VERSION: u32 = 2;
-
-/// Upper bound on a persisted TSP instance's city count. The decoder
-/// must validate `n * n == dist.len()` before `TspInstance::new` (which
-/// asserts), and bounding `n` first keeps the multiplication — and the
-/// allocation it implies — out of attacker-controlled range.
-const MAX_TSP_CITIES: u64 = 1 << 12;
 
 /// A job reconstructed from its durable record.
 pub struct RecoveredJob {
@@ -241,10 +235,14 @@ pub fn decode_record(payload: &[u8]) -> Result<RecoveredJob, CodecError> {
             JobKind::BnbKnapsack { items, capacity }
         }
         3 => {
+            // Submission refuses an instance a task cannot search, so no
+            // record holds one. Bounding `n` before `n * n` keeps that
+            // multiplication, and the allocation it implies, out of
+            // attacker-controlled range.
             let n = r.get_u64()?;
-            if n > MAX_TSP_CITIES {
+            if n > TSP_MAX_CITIES as u64 {
                 return Err(invalid(format!(
-                    "tsp city count {n} exceeds {MAX_TSP_CITIES}"
+                    "tsp city count {n} exceeds {TSP_MAX_CITIES}"
                 )));
             }
             let n = n as usize;

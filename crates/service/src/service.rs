@@ -231,8 +231,8 @@ impl SolverService {
     /// Re-queues every in-flight job in the durable store, in submission
     /// order and before the workers start, under its original id; it
     /// replays to its last checkpoint barrier. Corrupt records, and those
-    /// whose portfolio fails the submission check, are quarantined and
-    /// counted as persist errors.
+    /// that fail the submission check, are quarantined and counted as
+    /// persist errors.
     fn recover(&mut self) {
         let Some(store) = self.inner.store.clone() else {
             return;
@@ -242,7 +242,7 @@ impl SolverService {
         for manifest in outcome.jobs {
             let record = match persist::decode_record(&manifest.payload) {
                 Ok(record)
-                    if crate::job::validate_portfolio(&record.kind, &record.params).is_none() =>
+                    if crate::job::refuse_unrunnable(&record.kind, &record.params).is_none() =>
                 {
                     record
                 }
@@ -341,11 +341,12 @@ impl SolverService {
         }
     }
 
-    /// Submits a job; returns immediately with a handle. Invalid
-    /// portfolio requests (no members, or SAT-only strategies such as
-    /// CDCL members on a non-SAT workload — clause exchange needs a
-    /// formula) are rejected here with [`JobOutcome::Failed`] rather
-    /// than panicking a worker later.
+    /// Submits a job; returns immediately with a handle. Sizes a program
+    /// cannot search (a TSP instance outside 2 to 32 cities, an N-Queens
+    /// board above 32) and invalid portfolio requests (no members, or
+    /// SAT-only strategies such as CDCL members on a non-SAT workload —
+    /// clause exchange needs a formula) are rejected here with
+    /// [`JobOutcome::Failed`] rather than panicking a worker later.
     pub fn submit(&self, request: impl Into<JobRequest>) -> JobHandle {
         let JobRequest {
             spec,
@@ -353,7 +354,7 @@ impl SolverService {
             deadline,
         } = request.into();
         let inner = &self.inner;
-        let refusal = crate::job::validate_portfolio(&spec.kind, &spec.params);
+        let refusal = crate::job::refuse_unrunnable(&spec.kind, &spec.params);
         // Persistable = checkpoint-enabled + a workload the spec grammar
         // can serialise (closure-backed kinds cannot cross a process
         // boundary; every kind that serialises also clones, so it can

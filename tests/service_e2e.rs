@@ -794,6 +794,44 @@ fn invalid_strategy_requests_fail_at_submission() {
     assert!(result.outcome.is_completed(), "{:?}", result.outcome);
 }
 
+#[test]
+fn sizes_a_program_cannot_search_fail_at_submission() {
+    use hyperspace::apps::TspInstance;
+    use hyperspace::obs::EventKind;
+
+    // A tour of 33 cities overflows a task's visited mask, and a board of
+    // 33 rows its attack masks. Both are refused here, not by a panic on
+    // a worker that a checkpointed job would then restart.
+    let service = SolverService::with_workers(1);
+    let observer = service.observe();
+    let checkpointed = |kind| on_small_torus(kind).checkpoint(CheckpointSpec::every(8));
+    for (kind, expected) in [
+        (
+            JobKind::tsp(TspInstance::random(1, 33, 100)),
+            "size 33 is outside 2..=32",
+        ),
+        (
+            JobKind::tsp(TspInstance::random(1, 1, 100)),
+            "size 1 is outside 2..=32",
+        ),
+        (JobKind::nqueens(33), "size 33 exceeds 32"),
+    ] {
+        let result = service.submit(checkpointed(kind)).wait();
+        assert_eq!(result.worker, None, "{result:?}");
+        match result.outcome {
+            JobOutcome::Failed(reason) => assert!(reason.contains(expected), "{reason}"),
+            other => panic!("expected Failed, got {other:?}"),
+        }
+    }
+    let stats = service.shutdown();
+    assert_eq!((stats.failed, stats.restarts), (3, 0), "{stats}");
+    let events = observer.registry().recorder().snapshot();
+    assert!(
+        !events.iter().any(|e| e.kind == EventKind::Crashed),
+        "{events:?}"
+    );
+}
+
 /// The lifecycle trail of every job the recorder saw entering the
 /// service (a `submitted` or `recovered` event) must end in exactly one
 /// way out: its last lifecycle event is terminal, and at most one of

@@ -18,6 +18,16 @@ use std::sync::Arc;
 
 use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
+/// The largest sum of item values a knapsack instance may have: a task
+/// accumulates the value on its path in a `u32`.
+pub const KNAPSACK_MAX_TOTAL_VALUE: u64 = u32::MAX as u64;
+
+/// The sum of the items' values, widened so that it cannot overflow
+/// (compare it with [`KNAPSACK_MAX_TOTAL_VALUE`]).
+pub fn total_value(items: &[Item]) -> u64 {
+    items.iter().map(|item| u64::from(item.value)).sum()
+}
+
 /// A knapsack item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Item {
@@ -45,8 +55,13 @@ pub struct BnbKnapsackTask {
 impl BnbKnapsackTask {
     /// Root task over `items` with total `capacity`. Items should be
     /// pre-sorted by value density for the bound to be tight (see
-    /// [`sort_by_density`]).
+    /// [`sort_by_density`]). Panics unless the values sum to at most
+    /// [`KNAPSACK_MAX_TOTAL_VALUE`].
     pub fn root(items: Vec<Item>, capacity: u32) -> BnbKnapsackTask {
+        assert!(
+            total_value(&items) <= KNAPSACK_MAX_TOTAL_VALUE,
+            "item values sum past KNAPSACK_MAX_TOTAL_VALUE"
+        );
         BnbKnapsackTask {
             items: items.into(),
             next: 0,
@@ -318,6 +333,39 @@ mod tests {
             })
             .collect();
         assert_eq!(fractional_bound(&rich, 0, 10, u32::MAX / 2), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "KNAPSACK_MAX_TOTAL_VALUE")]
+    fn a_root_whose_values_overflow_a_task_is_refused() {
+        // Taking both items would wrap the task's `u32` value.
+        let items = vec![
+            Item {
+                weight: 1,
+                value: 1 << 31,
+            };
+            2
+        ];
+        BnbKnapsackTask::root(items, 2);
+    }
+
+    #[test]
+    fn values_summing_to_the_limit_are_searched_exactly() {
+        let items = vec![
+            Item {
+                weight: 1,
+                value: 1 << 31,
+            },
+            Item {
+                weight: 1,
+                value: (1 << 31) - 1,
+            },
+        ];
+        assert_eq!(total_value(&items), KNAPSACK_MAX_TOTAL_VALUE);
+        let expect = knapsack_reference(&items, 2);
+        assert_eq!(expect, KNAPSACK_MAX_TOTAL_VALUE);
+        let got = eval_local(&KnapsackProgram, BnbKnapsackTask::root(items, 2));
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub mod tsp;
 
 pub use fib::FibProgram;
 pub use knapsack::{
-    fractional_bound, knapsack_reference, seeded_items, sort_by_density, BnbKnapsackProgram,
-    BnbKnapsackTask, Item, KnapsackProgram,
+    fractional_bound, knapsack_reference, seeded_items, sort_by_density, total_value,
+    BnbKnapsackProgram, BnbKnapsackTask, Item, KnapsackProgram, KNAPSACK_MAX_TOTAL_VALUE,
 };
 pub use nqueens::{NQueensProgram, QueensTask, QUEENS_MAX_N};
 pub use sum::SumProgram;

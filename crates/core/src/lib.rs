@@ -26,6 +26,14 @@
 //!     .run(10, 0);
 //! assert_eq!(report.result, Some(55));
 //! ```
+//!
+//! A running stack has one handle, [`StackRun`]
+//! ([`StackBuilder::into_run`]): advance it to a step, read its root
+//! result and machine-wide frontier, inject a bound at its root, fold it
+//! into its [`RecRunReport`]. [`StackBuilder::run`] drives one from
+//! checkpoint barrier to barrier, [`StackBuilder::start`] hands one out
+//! as the [`RunSlice`] the solver service schedules, and a portfolio
+//! member is an epoch policy over one.
 
 #![warn(missing_docs)]
 
@@ -37,13 +45,11 @@ mod stack;
 
 pub use expr::{LimitKind, LimitSpec, StrategyExpr, MAX_EXPR_DEPTH, MAX_EXPR_TOKENS};
 pub use report::{IncumbentEvent, RecRunReport, RunSummary};
-pub use slice::{CheckpointMeta, RunSlice, SliceOutcome};
+pub use slice::{RunSlice, SliceOutcome, StackRun};
 pub use spec::{
     BackendSpec, CheckpointSpec, EngineSpec, MapperSpec, MemberPlan, ObjectiveSpec, PartitionSpec,
     PortfolioSpec, PruneSpec, SpecParseError, StrategySpec, TopologySpec,
 };
-pub use stack::{
-    drive, summarise, ErasedStackJob, JobParams, StackBuilder, StackProgram, StackSim,
-};
+pub use stack::{summarise, ErasedStackJob, JobParams, StackBuilder, StackProgram, StackSim};
 
 pub use hyperspace_sim::{ObsHandle, Observer, StopHandle};

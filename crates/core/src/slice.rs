@@ -1,4 +1,14 @@
-//! Suspendable stack execution: drive a solve in bounded step slices.
+//! One handle on a running five-layer stack, and the slices it is driven
+//! in.
+//!
+//! [`StackRun`] is the one way an assembled stack is driven: it owns the
+//! machine, its root node and its step cap, advances to an absolute step
+//! ([`StackRun::advance_to`]), reads the root result and the machine-wide
+//! frontier, injects bus bounds at the root, and folds into its report
+//! once ([`StackRun::finish`]). [`crate::StackBuilder::run`] drives one
+//! from slice to slice; [`crate::StackBuilder::start`] hands it out as a
+//! [`RunSlice`], the surface the service's scheduler drives; a portfolio
+//! member is an epoch policy over one.
 //!
 //! A running stack's node states have no byte encoding yet: there is no
 //! `Codec` for layer 4's `RecState`, layer 3's `MapState` or a mapper's
@@ -18,21 +28,10 @@
 //! deterministic replay after a worker crash).
 
 use hyperspace_recursion::{FrontierSnapshot, RecProgram};
-use hyperspace_sim::{NodeId, ObsHandle, RunOutcome};
+use hyperspace_sim::{NodeId, ObsHandle, RunOutcome, SimError};
 
-use crate::report::RunSummary;
-use crate::stack::{drive, summarise, StackSim};
-
-/// Observable checkpoint metadata of a suspended run: how far it got
-/// and what its layer-4 frontier looks like. This is what a scheduler
-/// logs or exposes — the full state stays in the suspended simulation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CheckpointMeta {
-    /// Simulated steps completed so far.
-    pub steps: u64,
-    /// The machine-wide recursion/B&B frontier, folded over all nodes.
-    pub frontier: FrontierSnapshot,
-}
+use crate::report::{RecRunReport, RunSummary};
+use crate::stack::{summarise, StackSim};
 
 /// What one slice of driving did to a suspendable run.
 pub enum SliceOutcome {
@@ -55,9 +54,6 @@ pub trait RunSlice: Send {
     /// Simulated steps completed so far.
     fn steps_done(&self) -> u64;
 
-    /// Checkpoint metadata at the current step barrier.
-    fn checkpoint(&self) -> CheckpointMeta;
-
     /// Serialised engine state at the current barrier, if this run's
     /// state can round-trip through bytes. Stack runs return `None`:
     /// their node states have no `Codec` yet (`RecState`, `MapState`,
@@ -70,8 +66,11 @@ pub trait RunSlice: Send {
     }
 }
 
-/// A five-layer stack run sliced at checkpoint intervals.
-pub(crate) struct StackSlice<P: RecProgram> {
+/// An assembled five-layer stack with its root problem injected, driven
+/// in bounded chunks ([`crate::StackBuilder::into_run`]). Between calls
+/// it rests at a step barrier, where its root result and frontier can be
+/// read and bounds injected.
+pub struct StackRun<P: RecProgram> {
     pub(crate) sim: StackSim<P>,
     pub(crate) root: NodeId,
     /// Steps per slice (`u64::MAX` = run to termination in one slice).
@@ -82,51 +81,67 @@ pub(crate) struct StackSlice<P: RecProgram> {
     /// to it. The engine inside `sim` holds its own copy for per-step
     /// reporting.
     pub(crate) obs: ObsHandle,
+    /// The outcome of the last advance ([`RunOutcome::MaxSteps`] before
+    /// the first) — the one [`StackRun::finish`] reports.
+    pub(crate) outcome: RunOutcome,
 }
 
-impl<P: RecProgram> StackSlice<P> {
-    /// Steps the underlying engine has executed.
-    pub(crate) fn current_step(&self) -> u64 {
+impl<P: RecProgram> StackRun<P> {
+    /// Simulated steps completed so far.
+    pub fn steps(&self) -> u64 {
         self.sim.current_step()
     }
 
-    /// Advances by one checkpoint interval; `None` means the slice
-    /// budget ran out with the run still open (suspended, resumable).
-    fn advance(&mut self) -> Option<RunOutcome> {
-        let target = self
-            .current_step()
-            .saturating_add(self.interval)
-            .min(self.cap);
-        let outcome = drive(&mut self.sim, target);
-        if outcome == RunOutcome::MaxSteps && self.current_step() < self.cap {
-            None
-        } else {
-            Some(outcome)
-        }
+    /// Drives the run to the absolute step `step`, clamped to the run's
+    /// step cap. `None` means the run is still open at that barrier;
+    /// `Some` is its terminal outcome — [`RunOutcome::MaxSteps`] only
+    /// once the cap itself is reached. This is the one place layer-1
+    /// failures become stack failures, whatever the backend: a handler
+    /// panic is re-raised as `handler of node N panicked at step S:
+    /// <original message>`, and a queue overflow cannot happen (stack
+    /// runs use unbounded queues).
+    pub fn advance_to(&mut self, step: u64) -> Option<RunOutcome> {
+        self.sim.set_max_steps(step.min(self.cap));
+        self.outcome = match self.sim.run_to_quiescence() {
+            Ok(report) => report.outcome,
+            Err(err @ SimError::HandlerPanic { .. }) => panic!("{err}"),
+            Err(err) => panic!("stack runs use unbounded queues: {err}"),
+        };
+        (self.outcome != RunOutcome::MaxSteps || self.steps() >= self.cap).then_some(self.outcome)
     }
 
-    /// Drives slice after slice to a terminal outcome, crossing the same
-    /// barriers a suspended run would ([`crate::StackBuilder::run`]).
-    pub(crate) fn run_to_terminal(&mut self) -> RunOutcome {
-        loop {
-            if let Some(outcome) = self.advance() {
-                return outcome;
-            }
-        }
+    /// Advances by one checkpoint interval.
+    pub(crate) fn advance_slice(&mut self) -> Option<RunOutcome> {
+        self.advance_to(self.steps().saturating_add(self.interval))
     }
 
-    /// Checkpoint metadata at the current step barrier: steps plus the
-    /// machine-wide frontier folded over all nodes.
-    fn checkpoint_meta(&self) -> CheckpointMeta {
+    /// The root call's result, once it has arrived.
+    pub fn root_result(&self) -> Option<&P::Out> {
+        self.sim.state(self.root).root_result()
+    }
+
+    /// The machine-wide recursion/B&B frontier at the current barrier:
+    /// every node's [`FrontierSnapshot`] folded by
+    /// [`FrontierSnapshot::absorb`], so its `incumbent` is the best any
+    /// node holds.
+    pub fn frontier(&self) -> FrontierSnapshot {
         let mut frontier = FrontierSnapshot::default();
         for node in 0..self.sim.topology().num_nodes() as NodeId {
-            let st = self.sim.state(node);
-            frontier.absorb(&st.app.frontier(), st.app.objective());
+            let st = &self.sim.state(node).app;
+            frontier.absorb(&st.frontier(), st.objective());
         }
-        CheckpointMeta {
-            steps: self.current_step(),
-            frontier,
-        }
+        frontier
+    }
+
+    /// Injects an incumbent bound at the root; it floods the mesh through
+    /// the ordinary bound-gossip channel.
+    pub fn inject_bound(&mut self, value: i64) {
+        self.sim.inject(self.root, hyperspace_mapping::bound(value));
+    }
+
+    /// Folds the run into its report under the last advance's outcome.
+    pub fn finish(self) -> RecRunReport<P::Out> {
+        summarise(self.sim, self.outcome, self.root)
     }
 
     /// Reports the live frontier to the observer. Folding the frontier
@@ -134,37 +149,28 @@ impl<P: RecProgram> StackSlice<P> {
     /// un-observed runs pay nothing at slice barriers.
     fn report_progress(&self) {
         if self.obs.enabled() {
-            let meta = self.checkpoint_meta();
-            self.obs.on_progress(
-                meta.steps,
-                meta.frontier.open_records,
-                meta.frontier.incumbent,
-            );
+            let frontier = self.frontier();
+            self.obs
+                .on_progress(self.steps(), frontier.open_records, frontier.incumbent);
         }
     }
 }
 
-impl<P: RecProgram> RunSlice for StackSlice<P>
+impl<P: RecProgram> RunSlice for StackRun<P>
 where
     P::Out: std::fmt::Debug,
 {
     fn run_slice(mut self: Box<Self>) -> SliceOutcome {
-        let outcome = match self.advance() {
-            None => {
-                self.report_progress();
-                return SliceOutcome::Yielded(self);
-            }
-            Some(outcome) => outcome,
-        };
+        let finished = self.advance_slice().is_some();
         self.report_progress();
-        SliceOutcome::Finished(summarise(self.sim, outcome, self.root).summary())
+        if finished {
+            SliceOutcome::Finished(self.finish().summary())
+        } else {
+            SliceOutcome::Yielded(self)
+        }
     }
 
     fn steps_done(&self) -> u64 {
-        self.current_step()
-    }
-
-    fn checkpoint(&self) -> CheckpointMeta {
-        self.checkpoint_meta()
+        self.steps()
     }
 }

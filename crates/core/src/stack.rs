@@ -1,14 +1,16 @@
-//! [`StackBuilder`]: wire layers 1–4 around a recursive program and run it.
+//! [`StackBuilder`]: wire layers 1–4 around a recursive program, hand the
+//! assembled machine out as a [`StackRun`] and fold it into its report
+//! ([`summarise`]).
 
-use hyperspace_mapping::{MapConfig, MapState, MappingHost};
-use hyperspace_recursion::{BnbMode, RecProgram, RecState, RecursionHost};
+use hyperspace_mapping::{MapConfig, MappingHost};
+use hyperspace_recursion::{BnbMode, FrontierSnapshot, RecProgram, RecStats, RecursionHost};
 use hyperspace_sim::{
-    NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, SimError, StopHandle, Topology,
+    NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, StopHandle, Topology,
 };
 
 use crate::expr::LimitKind;
 use crate::report::{IncumbentEvent, RecRunReport, RunSummary};
-use crate::slice::{RunSlice, SliceOutcome, StackSlice};
+use crate::slice::{RunSlice, SliceOutcome, StackRun};
 use crate::spec::{
     BackendSpec, BoxedMapperFactory, CheckpointSpec, MapperSpec, ObjectiveSpec, PruneSpec,
     TopologySpec,
@@ -288,22 +290,27 @@ impl<P: RecProgram> StackBuilder<P> {
         ShardedSimulation::new(topo, host, sim_cfg, backend.lower())
     }
 
-    /// Assembles the stack and injects the root problem as a suspended
-    /// slice (shared by [`StackBuilder::run`] and
-    /// [`StackBuilder::start`], so both cross identical step barriers).
-    fn into_slice(self, root_arg: P::Arg, root_node: NodeId) -> StackSlice<P> {
+    /// Assembles the stack and injects the root problem, without
+    /// executing anything: the typed handle on the running stack, driven
+    /// with [`StackRun::advance_to`] and folded with [`StackRun::finish`].
+    /// [`StackBuilder::run`] and [`StackBuilder::start`] both drive one,
+    /// so they cross identical step barriers; a portfolio member is an
+    /// epoch policy over one. The run's step cap is the tighter of
+    /// [`StackBuilder::max_steps`] and [`StackBuilder::logical_cap`].
+    pub fn into_run(self, root_arg: P::Arg, root_node: NodeId) -> StackRun<P> {
         // `Off` degenerates to a single slice spanning the whole cap.
         let interval = self.checkpoint.interval().unwrap_or(u64::MAX);
-        let cap = self.sim.max_steps;
-        let obs = self.sim.obs.clone();
-        let mut sim = self.build();
+        let (topo, host, sim_cfg, backend) = self.assemble();
+        let (cap, obs) = (sim_cfg.max_steps, sim_cfg.obs.clone());
+        let mut sim = ShardedSimulation::new(topo, host, sim_cfg, backend.lower());
         sim.inject(root_node, hyperspace_mapping::trigger(root_arg));
-        StackSlice {
+        StackRun {
             sim,
             root: root_node,
             interval,
             cap,
             obs,
+            outcome: RunOutcome::MaxSteps,
         }
     }
 
@@ -313,9 +320,9 @@ impl<P: RecProgram> StackBuilder<P> {
     /// through the same step barriers a suspended run would cross —
     /// with, by determinism, a bit-identical result.
     pub fn run(self, root_arg: P::Arg, root_node: NodeId) -> RecRunReport<P::Out> {
-        let mut slice = self.into_slice(root_arg, root_node);
-        let outcome = slice.run_to_terminal();
-        summarise(slice.sim, outcome, slice.root)
+        let mut run = self.into_run(root_arg, root_node);
+        while run.advance_slice().is_none() {}
+        run.finish()
     }
 }
 
@@ -331,28 +338,28 @@ where
     /// migrated to another worker thread, or dropped. The preemptive
     /// service scheduler is built on this.
     pub fn start(self, root_arg: P::Arg, root_node: NodeId) -> Box<dyn RunSlice> {
-        Box::new(self.into_slice(root_arg, root_node))
+        Box::new(self.into_run(root_arg, root_node))
     }
 }
 
-/// Per-node layer counters folded over all nodes, plus the root result.
-struct FoldedStack<Out> {
-    result: Option<Out>,
-    rec_totals: hyperspace_recursion::RecStats,
-    requests_total: u64,
-    replies_total: u64,
-    status_total: u64,
-    cancels_total: u64,
-    bounds_total: u64,
-    best_incumbent: Option<i64>,
-    incumbent_trace: Vec<IncumbentEvent>,
-}
-
-/// Folds the per-node layer-3/4 counters of a finished stack.
-fn fold_stack<P: RecProgram>(sim: &StackSim<P>, root_node: NodeId) -> FoldedStack<P::Out> {
-    let mut folded = FoldedStack {
-        result: None,
-        rec_totals: hyperspace_recursion::RecStats::default(),
+/// Folds a finished stack simulation into its report: layer-3/4 counters
+/// summed over all nodes, the best incumbent by the
+/// [`FrontierSnapshot::absorb`] rule, the root result and the merged
+/// incumbent trace.
+pub fn summarise<P: RecProgram>(
+    sim: StackSim<P>,
+    outcome: RunOutcome,
+    root_node: NodeId,
+) -> RecRunReport<P::Out> {
+    let steps = sim.current_step();
+    let (states, metrics) = sim.into_parts();
+    let mut report = RecRunReport {
+        result: states[root_node as usize].root_result().cloned(),
+        outcome,
+        steps,
+        computation_time: metrics.computation_time(),
+        metrics,
+        rec_totals: RecStats::default(),
         requests_total: 0,
         replies_total: 0,
         status_total: 0,
@@ -361,87 +368,32 @@ fn fold_stack<P: RecProgram>(sim: &StackSim<P>, root_node: NodeId) -> FoldedStac
         best_incumbent: None,
         incumbent_trace: Vec::new(),
     };
-    for node in 0..sim.topology().num_nodes() as NodeId {
-        let st: &MapState<RecursionHost<P>, _> = sim.state(node);
-        let rs: &RecState<P> = &st.app;
-        let s = rs.stats;
-        folded.rec_totals.started += s.started;
-        folded.rec_totals.completed += s.completed;
-        folded.rec_totals.stale_replies += s.stale_replies;
-        folded.rec_totals.speculative_wins += s.speculative_wins;
-        folded.rec_totals.cancels_sent += s.cancels_sent;
-        folded.rec_totals.cancelled += s.cancelled;
-        folded.rec_totals.pruned += s.pruned;
-        folded.rec_totals.incumbent_updates += s.incumbent_updates;
-        folded.requests_total += st.requests_in;
-        folded.replies_total += st.replies_in;
-        folded.status_total += st.status_in;
-        folded.cancels_total += st.cancels_in;
-        folded.bounds_total += st.bounds_in;
-        if let (Some(objective), Some(inc)) = (rs.objective(), rs.incumbent()) {
-            folded.best_incumbent = Some(match folded.best_incumbent {
-                Some(best) => objective.better(best, inc),
-                None => inc,
-            });
-        }
-        folded
+    let mut frontier = FrontierSnapshot::default();
+    for (node, st) in (0..).zip(&states) {
+        let rs = &st.app;
+        report.rec_totals += rs.stats;
+        report.requests_total += st.requests_in;
+        report.replies_total += st.replies_in;
+        report.status_total += st.status_in;
+        report.cancels_total += st.cancels_in;
+        report.bounds_total += st.bounds_in;
+        frontier.absorb(&rs.frontier(), rs.objective());
+        report
             .incumbent_trace
             .extend(rs.incumbent_trace().iter().map(|e| IncumbentEvent {
                 step: e.step,
                 value: e.value,
                 node,
             }));
-        if node == root_node {
-            folded.result = st.root_result().cloned();
-        }
     }
+    report.best_incumbent = frontier.incumbent;
     // Canonical merged order: by observation step, then value, then
     // node — a pure function of the deterministic delivery order, so the
     // merged trace is bit-identical across backends.
-    folded
+    report
         .incumbent_trace
         .sort_by_key(|e| (e.step, e.value, e.node));
-    folded
-}
-
-/// Drives a stack simulation to the absolute step `cap` — the one place
-/// layer-1 failures become stack failures, whatever the backend: a
-/// handler panic is re-raised as `handler of node N panicked at step S:
-/// <original message>`, and a queue overflow cannot happen (stack runs
-/// use unbounded queues).
-pub fn drive<P: RecProgram>(sim: &mut StackSim<P>, cap: u64) -> RunOutcome {
-    sim.set_max_steps(cap);
-    match sim.run_to_quiescence() {
-        Ok(report) => report.outcome,
-        Err(err @ SimError::HandlerPanic { .. }) => panic!("{err}"),
-        Err(err) => panic!("stack runs use unbounded queues: {err}"),
-    }
-}
-
-/// Extracts the aggregate report from a finished stack simulation.
-pub fn summarise<P: RecProgram>(
-    sim: StackSim<P>,
-    outcome: RunOutcome,
-    root_node: NodeId,
-) -> RecRunReport<P::Out> {
-    let steps = sim.current_step();
-    let folded = fold_stack(&sim, root_node);
-    let (_states, metrics) = sim.into_parts();
-    RecRunReport {
-        result: folded.result,
-        outcome,
-        steps,
-        computation_time: metrics.computation_time(),
-        metrics,
-        rec_totals: folded.rec_totals,
-        requests_total: folded.requests_total,
-        replies_total: folded.replies_total,
-        status_total: folded.status_total,
-        cancels_total: folded.cancels_total,
-        bounds_total: folded.bounds_total,
-        best_incumbent: folded.best_incumbent,
-        incumbent_trace: folded.incumbent_trace,
-    }
+    report
 }
 
 /// Machine/run parameters applied to an [`ErasedStackJob`] at execution
@@ -767,13 +719,18 @@ mod tests {
     fn suspended_slices_expose_checkpoint_metadata_and_finish_identically() {
         use crate::slice::SliceOutcome;
         use crate::spec::CheckpointSpec;
+        use hyperspace_obs::JobProbe;
+        use std::sync::Arc;
         let reference = StackBuilder::new(sum_program())
             .topology(TopologySpec::Torus2D { w: 4, h: 4 })
             .run(12, 0)
             .summary();
+        // The barrier's frontier reaches observers through `on_progress`.
+        let probe = Arc::new(JobProbe::new(0, "sum", None));
         let mut slice = StackBuilder::new(sum_program())
             .topology(TopologySpec::Torus2D { w: 4, h: 4 })
             .checkpoint(CheckpointSpec::every(5))
+            .observer(ObsHandle::new(probe.clone()))
             .start(12, 0);
         assert_eq!(slice.steps_done(), 0, "start() must not execute steps");
         let mut yields = 0u32;
@@ -783,11 +740,10 @@ mod tests {
                 SliceOutcome::Yielded(next) => {
                     yields += 1;
                     slice = next;
-                    let meta = slice.checkpoint();
-                    assert_eq!(meta.steps, slice.steps_done());
-                    assert!(meta.steps.is_multiple_of(5), "cuts land on barriers");
+                    assert_eq!(probe.steps(), slice.steps_done());
+                    assert!(probe.steps().is_multiple_of(5), "cuts land on barriers");
                     assert!(
-                        meta.frontier.open_records > 0,
+                        probe.open_records() > 0,
                         "mid-run frontier must hold suspended activations"
                     );
                 }

@@ -10,7 +10,9 @@
 //!   mesh stacks with different heuristics, simplification strengths,
 //!   branch polarities, mapper placements, prune warm starts and
 //!   backends, plus (for SAT) sequential CDCL solvers on restart
-//!   schedules;
+//!   schedules. A mesh member drives no machine of its own: it is an
+//!   epoch policy over core's [`StackRun`](hyperspace_core::StackRun),
+//!   the handle `StackBuilder::run` and the service drive too;
 //! * members advance in lock-step **sync epochs** (a fixed budget of
 //!   simulated steps / search operations per epoch). An epoch is one
 //!   fork-join over the race's owned members — disjoint chunks stepped

@@ -1,11 +1,12 @@
-//! The erased member abstraction: anything that can race in epochs.
+//! The erased member abstraction: anything that can race in epochs. A
+//! mesh member is an epoch policy over one [`StackRun`] (stop handle,
+//! acceptance predicate, terminal status); a CDCL member wraps the
+//! resumable solver; a chain hands over between attempts.
 
-use hyperspace_core::{
-    drive, summarise, JobParams, LimitKind, RunSummary, StackBuilder, StackSim, StrategySpec,
-};
-use hyperspace_recursion::{Objective, RecProgram};
+use hyperspace_core::{JobParams, RunSummary, StackBuilder, StackRun, StrategySpec};
+use hyperspace_recursion::RecProgram;
 use hyperspace_sat::{cdcl, CdclConfig, CdclSolver, CdclStatus, Clause, Cnf, SatResult, Verdict};
-use hyperspace_sim::{NodeId, ObsHandle, RunOutcome, StopHandle};
+use hyperspace_sim::{ObsHandle, RunOutcome, StopHandle};
 
 /// What one epoch of driving did to a member.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,14 +58,12 @@ pub(crate) trait MemberDrive: Send {
 /// Boxed acceptance predicate over a program's root result.
 type AcceptFn<Out> = Box<dyn Fn(&Out) -> bool + Send>;
 
-/// A full five-layer stack racing as one member.
+/// A full five-layer stack racing as one member: an epoch policy over
+/// one [`StackRun`] — its own stop handle, an acceptance predicate and
+/// the terminal status the race books.
 pub(crate) struct MeshMember<P: RecProgram> {
-    sim: StackSim<P>,
-    root: NodeId,
+    run: StackRun<P>,
     handle: StopHandle,
-    objective: Option<Objective>,
-    max_steps: u64,
-    outcome: RunOutcome,
     terminal: Option<EpochStatus>,
     /// Acceptance predicate for *limited* (incomplete) attempts: a run
     /// that completes with a root result this predicate rejects — e.g.
@@ -82,18 +81,15 @@ where
     /// is the one place a member's overrides meet the job's machine:
     /// `params` supplies topology, objective, cancellation, step cap,
     /// root placement and the base prune/mapping policies; `attempt`
-    /// diversifies on top.
+    /// diversifies on top — its `limit(time,N)` tightens the run's cap,
+    /// so the member exhausts (and stops being driven) once it spends
+    /// its own budget, even if the race continues.
     pub(crate) fn new(
         program: P,
         root_arg: P::Arg,
         attempt: &StrategySpec,
         params: &JobParams,
     ) -> Self {
-        // A member-level logical-time limit tightens the race cap: the
-        // member exhausts (and stops being driven) once it spends its
-        // own budget, even if the race continues.
-        let time = attempt.tightest(LimitKind::Time).unwrap_or(u64::MAX);
-        let max_steps = time.min(params.max_steps);
         let handle = StopHandle::new();
         // A member prune of `Off` is the strategy default ("no opinion")
         // and leaves the job-level policy set just before it in place;
@@ -102,22 +98,15 @@ where
         // members explore different placements.
         // Member engines run un-observed and stop through their own
         // handle: the race polls the job's at its epoch barriers.
-        let builder = StackBuilder::from_params(program, params)
+        let run = StackBuilder::from_params(program, params)
             .observer(ObsHandle::off())
             .strategy(attempt)
             .mapper(attempt.seeded_mapper(&params.mapper))
-            .max_steps(max_steps)
-            .stop(handle.clone());
-        let mut sim = builder.build();
-        let root = params.root_node;
-        sim.inject(root, hyperspace_mapping::trigger(root_arg));
+            .stop(handle.clone())
+            .into_run(root_arg, params.root_node);
         MeshMember {
-            sim,
-            root,
+            run,
             handle,
-            objective: params.objective.objective(),
-            max_steps,
-            outcome: RunOutcome::MaxSteps,
             terminal: None,
             accept: None,
         }
@@ -132,11 +121,6 @@ where
         self.accept = Some(Box::new(accept));
         self
     }
-
-    /// The root node's result, if it has one.
-    fn root_result(&self) -> Option<&P::Out> {
-        self.sim.state(self.root).root_result()
-    }
 }
 
 impl<P: RecProgram> MemberDrive for MeshMember<P>
@@ -147,46 +131,33 @@ where
         if let Some(terminal) = self.terminal {
             return terminal;
         }
-        let cap = cap.min(self.max_steps);
-        self.outcome = drive(&mut self.sim, cap);
-        let status = match self.outcome {
-            RunOutcome::Halted | RunOutcome::Quiescent => match &self.accept {
+        let status = match self.run.advance_to(cap) {
+            None => return EpochStatus::Running,
+            Some(RunOutcome::Halted | RunOutcome::Quiescent) => match &self.accept {
                 // A limited attempt only *finishes* when its result is
                 // conclusive; running out of tree is exhaustion.
-                Some(accept) if !self.root_result().is_some_and(accept) => EpochStatus::Exhausted,
+                Some(accept) if !self.run.root_result().is_some_and(accept) => {
+                    EpochStatus::Exhausted
+                }
                 _ => EpochStatus::Finished,
             },
-            RunOutcome::Stopped => EpochStatus::Stopped,
-            RunOutcome::MaxSteps if self.units() >= self.max_steps => EpochStatus::Exhausted,
-            RunOutcome::MaxSteps => return EpochStatus::Running,
+            Some(RunOutcome::Stopped) => EpochStatus::Stopped,
+            Some(RunOutcome::MaxSteps) => EpochStatus::Exhausted,
         };
         self.terminal = Some(status);
         status
     }
 
     fn units(&self) -> u64 {
-        self.sim.current_step()
+        self.run.steps()
     }
 
     fn best_incumbent(&self) -> Option<i64> {
-        let objective = self.objective?;
-        let mut best: Option<i64> = None;
-        let mut fold = |inc: Option<i64>| {
-            if let Some(inc) = inc {
-                best = Some(match best {
-                    Some(b) => objective.better(b, inc),
-                    None => inc,
-                });
-            }
-        };
-        for node in 0..self.sim.topology().num_nodes() as NodeId {
-            fold(self.sim.state(node).app.incumbent());
-        }
-        best
+        self.run.frontier().incumbent
     }
 
     fn inject_bound(&mut self, value: i64) {
-        self.sim.inject(self.root, hyperspace_mapping::bound(value));
+        self.run.inject_bound(value);
     }
 
     fn export_clauses(&mut self, _max_len: usize, _max_lbd: usize) -> Vec<Clause> {
@@ -204,13 +175,13 @@ where
         // The loser observes the trip through the ordinary stop path:
         // the run ends with `Stopped` before executing another step.
         self.handle.stop();
-        self.outcome = drive(&mut self.sim, self.max_steps);
-        debug_assert_eq!(self.outcome, RunOutcome::Stopped);
+        let outcome = self.run.advance_to(u64::MAX);
+        debug_assert_eq!(outcome, Some(RunOutcome::Stopped));
         self.terminal = Some(EpochStatus::Stopped);
     }
 
     fn finish(self: Box<Self>) -> RunSummary {
-        summarise(self.sim, self.outcome, self.root).summary()
+        self.run.finish().summary()
     }
 }
 

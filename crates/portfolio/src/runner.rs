@@ -1,10 +1,13 @@
-//! The epoch-synchronised race loop and knowledge bus.
+//! The epoch-synchronised race loop and knowledge bus. The race reads
+//! members only through [`MemberDrive`]: units, incumbents and clauses
+//! at epoch barriers; it never touches a member's machine. Observers
+//! see each epoch's progress and bus traffic through `on_epoch`.
 
 use std::collections::HashSet;
 
 use hyperspace_core::{
-    CheckpointMeta, EngineSpec, JobParams, LimitKind, MapperSpec, MemberPlan, ObjectiveSpec,
-    PortfolioSpec, PruneSpec, RunSlice, SliceOutcome, StrategySpec, TopologySpec,
+    EngineSpec, JobParams, LimitKind, MapperSpec, MemberPlan, ObjectiveSpec, PortfolioSpec,
+    PruneSpec, RunSlice, SliceOutcome, StrategySpec, TopologySpec,
 };
 use hyperspace_recursion::RecProgram;
 use hyperspace_sat::{Cnf, DpllProgram, Lit, SubProblem, Verdict};
@@ -364,16 +367,6 @@ pub struct PortfolioRace {
 }
 
 impl PortfolioRace {
-    /// The best incumbent any member currently holds (optimisation
-    /// portfolios; `None` otherwise). Callable between epochs.
-    pub fn best_incumbent(&self) -> Option<i64> {
-        let obj = self.objective.objective()?;
-        self.members
-            .iter()
-            .filter_map(|m| m.best_incumbent())
-            .reduce(|a, b| obj.better(a, b))
-    }
-
     /// Advances the race by up to `budget` sync epochs (or until it is
     /// decided) and returns whether it is now decided. Between epochs the
     /// race is plain owned data, resumable at any later time.
@@ -608,15 +601,6 @@ impl RunSlice for PortfolioRace {
 
     fn steps_done(&self) -> u64 {
         self.st.epochs.saturating_mul(self.epoch_len)
-    }
-
-    fn checkpoint(&self) -> CheckpointMeta {
-        let mut meta = CheckpointMeta {
-            steps: self.steps_done(),
-            ..CheckpointMeta::default()
-        };
-        meta.frontier.incumbent = self.best_incumbent();
-        meta
     }
 }
 

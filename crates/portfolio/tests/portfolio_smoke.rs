@@ -5,10 +5,11 @@
 
 use hyperspace_apps::{knapsack_reference, seeded_items, BnbKnapsackProgram, BnbKnapsackTask};
 use hyperspace_core::{
-    MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, StrategySpec, TopologySpec,
+    JobParams, MapperSpec, ObjectiveSpec, PortfolioSpec, PruneSpec, StackBuilder, StrategySpec,
+    TopologySpec,
 };
 use hyperspace_portfolio::PortfolioRunner;
-use hyperspace_sat::{brute, gen, Heuristic, Polarity, RestartPolicy};
+use hyperspace_sat::{brute, gen, DpllProgram, Heuristic, Polarity, RestartPolicy, SubProblem};
 use hyperspace_sim::{RunOutcome, StopHandle};
 
 fn small_runner(spec: PortfolioSpec) -> PortfolioRunner {
@@ -182,18 +183,65 @@ fn external_stop_cancels_the_whole_race() {
     assert_eq!(report.epochs, 0);
 }
 
+/// The machine `small_runner` races on, as job parameters.
+fn small_params() -> JobParams {
+    JobParams {
+        topology: TopologySpec::Torus2D { w: 4, h: 4 },
+        mapper: MapperSpec::LeastBusy {
+            status_period: None,
+        },
+        ..JobParams::default()
+    }
+}
+
 #[test]
 fn single_member_portfolio_reduces_to_its_member() {
     let cnf = gen::uf20_91(4);
-    let spec = PortfolioSpec::new(vec![
-        StrategySpec::mesh().with_heuristic(Heuristic::JeroslowWang)
-    ]);
+    let member = StrategySpec::mesh().with_heuristic(Heuristic::JeroslowWang);
+    let spec = PortfolioSpec::new(vec![member.clone()]);
     let report = small_runner(spec).run_sat(&cnf);
     assert_eq!(report.winner, Some(0));
     assert_eq!(report.clauses_shared, 0);
     assert_eq!(report.bounds_shared, 0);
+    // A member is its strategy's solo run, driven in epochs: the winner
+    // summary equals the builder's, bit for bit.
+    let program = DpllProgram::new(member.seeded_heuristic())
+        .with_mode(member.simplify)
+        .with_polarity(member.polarity);
+    let solo = StackBuilder::from_params(program, &small_params())
+        .strategy(&member)
+        .run(SubProblem::root(cnf.clone()), 0)
+        .summary();
+    assert_eq!(report.winner_summary(), Some(&solo));
     let summary = report.into_summary();
     assert!(summary.result.as_deref().unwrap_or("").starts_with("Sat"));
+
+    // Under an objective the member's incumbent fold matters too: a
+    // one-member knapsack race with incumbent pruning is the solo run.
+    let items = seeded_items(5, 12, 16, 24);
+    let capacity = items.iter().map(|i| i.weight).sum::<u32>() / 2;
+    let member = StrategySpec::mesh();
+    let report = small_runner(PortfolioSpec::new(vec![member.clone()]))
+        .objective(ObjectiveSpec::Maximise)
+        .prune(PruneSpec::incumbent())
+        .run_mesh(
+            |_, _| BnbKnapsackProgram,
+            BnbKnapsackTask::root(items.clone(), capacity),
+        );
+    let params = JobParams {
+        objective: ObjectiveSpec::Maximise,
+        prune: PruneSpec::incumbent(),
+        ..small_params()
+    };
+    let solo = StackBuilder::from_params(BnbKnapsackProgram, &params)
+        .strategy(&member)
+        .run(BnbKnapsackTask::root(items.clone(), capacity), 0)
+        .summary();
+    assert_eq!(report.winner, Some(0));
+    assert_eq!(report.winner_summary(), Some(&solo));
+    let optimum = knapsack_reference(&items, capacity) as i64;
+    assert_eq!(solo.best_incumbent, Some(optimum));
+    assert_eq!(report.best_incumbent, Some(optimum));
 }
 
 #[test]

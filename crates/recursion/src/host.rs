@@ -133,6 +133,20 @@ pub struct RecStats {
     pub incumbent_updates: u64,
 }
 
+impl std::ops::AddAssign for RecStats {
+    /// Sums another node's counters into these (machine-wide totals).
+    fn add_assign(&mut self, other: RecStats) {
+        self.started += other.started;
+        self.completed += other.completed;
+        self.stale_replies += other.stale_replies;
+        self.speculative_wins += other.speculative_wins;
+        self.cancels_sent += other.cancels_sent;
+        self.cancelled += other.cancelled;
+        self.pruned += other.pruned;
+        self.incumbent_updates += other.incumbent_updates;
+    }
+}
+
 /// Per-node layer-4 state.
 pub struct RecState<P: RecProgram> {
     /// The call-record slab; `free` lists its vacant rows.

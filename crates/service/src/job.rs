@@ -11,8 +11,9 @@
 use std::time::Duration;
 
 use hyperspace_apps::{
-    BnbKnapsackProgram, BnbKnapsackTask, FibProgram, Item, KnapsackProgram, NQueensProgram,
-    QueensTask, SumProgram, TspInstance, TspProgram, TspTask, QUEENS_MAX_N, TSP_MAX_CITIES,
+    total_value, BnbKnapsackProgram, BnbKnapsackTask, FibProgram, Item, KnapsackProgram,
+    NQueensProgram, QueensTask, SumProgram, TspInstance, TspProgram, TspTask,
+    KNAPSACK_MAX_TOTAL_VALUE, QUEENS_MAX_N, TSP_MAX_CITIES,
 };
 use hyperspace_core::{
     BackendSpec, CheckpointSpec, EngineSpec, ErasedStackJob, JobParams, LimitKind, MapperSpec,
@@ -318,8 +319,9 @@ where
 /// program and its portfolio fits its workload. Returns the rejection
 /// reason when it does not. The one such check: `submit()` and
 /// `recover()` both call it, so nothing a worker would panic on — a TSP
-/// instance outside 2 to [`TSP_MAX_CITIES`] cities or an N-Queens board
-/// above [`QUEENS_MAX_N`], an empty member list or attempt chain, or a
+/// instance outside 2 to [`TSP_MAX_CITIES`] cities, an N-Queens board
+/// above [`QUEENS_MAX_N`], knapsack items whose values sum past
+/// [`KNAPSACK_MAX_TOTAL_VALUE`], an empty member list or attempt chain, or a
 /// strategy only SAT workloads can execute (CDCL engines, discrepancy
 /// budgets and `or(...)` retry chains all manipulate the SAT search tree)
 /// on another workload — is ever queued, and nothing the spec grammar
@@ -336,6 +338,15 @@ pub(crate) fn refuse_unrunnable(kind: &JobKind, params: &JobParams) -> Option<St
         }
         JobKind::NQueens { n } if *n > QUEENS_MAX_N => {
             return Some(format!("nqueens board size {n} exceeds {QUEENS_MAX_N}"));
+        }
+        JobKind::Knapsack { items, .. } | JobKind::BnbKnapsack { items, .. } => {
+            let total = total_value(items);
+            if total > KNAPSACK_MAX_TOTAL_VALUE {
+                let label = kind.label();
+                return Some(format!(
+                    "{label} item values sum to {total}, past {KNAPSACK_MAX_TOTAL_VALUE}"
+                ));
+            }
         }
         _ => {}
     }

@@ -24,10 +24,13 @@
 //!   the summaries recorded at the commit before the service's job
 //!   lifecycle was unified (`tests/golden/job_matrix.expected`).
 
+use std::sync::Arc;
+
 use hyperspace::core::{
-    BackendSpec, CheckpointSpec, JobParams, MapperSpec, PortfolioSpec, RunSlice, RunSummary,
-    SliceOutcome, StackBuilder, TopologySpec,
+    BackendSpec, CheckpointSpec, JobParams, MapperSpec, ObsHandle, PortfolioSpec, RunSlice,
+    RunSummary, SliceOutcome, StackBuilder, TopologySpec,
 };
+use hyperspace::obs::JobProbe;
 use hyperspace::sat::gen;
 use hyperspace::sim::{
     DeliveryModel, InitCtx, NodeId, NodeProgram, Outbox, Partition, RunOutcome, ShardedConfig,
@@ -352,8 +355,15 @@ proptest! {
 }
 
 /// Drives a started race as the [`RunSlice`] it is, to its summary;
-/// every yield must land on a whole number of `chunk`-epoch slices.
-fn drive_slices(race: hyperspace::portfolio::PortfolioRace, slice_steps: u64) -> (RunSummary, u64) {
+/// every yield must land on a whole number of `chunk`-epoch slices, and
+/// the race's observer `probe` must have seen every `epoch`-step epoch
+/// up to that barrier.
+fn drive_slices(
+    race: hyperspace::portfolio::PortfolioRace,
+    slice_steps: u64,
+    epoch: u64,
+    probe: &JobProbe,
+) -> (RunSummary, u64) {
     let mut slice: Box<dyn RunSlice> = Box::new(race);
     let mut yields = 0u64;
     loop {
@@ -362,11 +372,17 @@ fn drive_slices(race: hyperspace::portfolio::PortfolioRace, slice_steps: u64) ->
             SliceOutcome::Yielded(next) => {
                 yields += 1;
                 assert_eq!(next.steps_done(), yields * slice_steps);
-                assert_eq!(next.checkpoint().steps, next.steps_done());
+                assert_eq!(probe.epoch() * epoch, next.steps_done());
                 slice = next;
             }
         }
     }
+}
+
+/// A probe to observe a race with, and the handle that attaches it.
+fn race_probe() -> (Arc<JobProbe>, ObsHandle) {
+    let probe = Arc::new(JobProbe::new(0, "race", None));
+    (probe.clone(), ObsHandle::new(probe))
 }
 
 /// The checkpoint spec under which a race of `epoch`-step epochs cuts
@@ -404,11 +420,17 @@ fn resumed_portfolio_races_pick_the_same_winner_with_identical_bus_counters() {
                 portfolio: Some(runner.spec().clone()),
                 ..JobParams::default()
             };
+            let (probe, obs) = race_probe();
             let sliced = PortfolioRunner::from_params(&params)
                 .expect("the params carry a portfolio")
-                .threads(2);
-            let (summary, yields) =
-                drive_slices(sliced.start_sat(&cnf), chunk.saturating_mul(epoch));
+                .threads(2)
+                .observer(obs);
+            let (summary, yields) = drive_slices(
+                sliced.start_sat(&cnf),
+                chunk.saturating_mul(epoch),
+                epoch,
+                &probe,
+            );
             let tag = format!("seed={seed} run_slice chunk={chunk}");
             assert_eq!(summary, reference.clone().into_summary(), "{tag}");
             assert_eq!(yields, (reference.epochs - 1) / chunk, "{tag}");
@@ -495,9 +517,12 @@ fn resumed_bnb_portfolio_race_matches_the_uninterrupted_incumbent_flow() {
             portfolio: Some(runner.spec().clone()),
             ..JobParams::default()
         };
-        let sliced = PortfolioRunner::from_params(&params).expect("the params carry a portfolio");
+        let (probe, obs) = race_probe();
+        let sliced = PortfolioRunner::from_params(&params)
+            .expect("the params carry a portfolio")
+            .observer(obs);
         let race = sliced.start_mesh(make, BnbKnapsackTask::root(items.clone(), capacity));
-        let (summary, yields) = drive_slices(race, chunk.saturating_mul(epoch));
+        let (summary, yields) = drive_slices(race, chunk.saturating_mul(epoch), epoch, &probe);
         assert_eq!(summary, reference.clone().into_summary(), "chunk={chunk}");
         assert_eq!(yields, (reference.epochs - 1) / chunk, "chunk={chunk}");
     }

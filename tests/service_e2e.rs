@@ -796,15 +796,20 @@ fn invalid_strategy_requests_fail_at_submission() {
 
 #[test]
 fn sizes_a_program_cannot_search_fail_at_submission() {
-    use hyperspace::apps::TspInstance;
+    use hyperspace::apps::{Item, TspInstance};
     use hyperspace::obs::EventKind;
 
-    // A tour of 33 cities overflows a task's visited mask, and a board of
-    // 33 rows its attack masks. Both are refused here, not by a panic on
-    // a worker that a checkpointed job would then restart.
+    // A tour of 33 cities overflows a task's visited mask, a board of 33
+    // rows its attack masks, and items whose values sum past `u32` a
+    // task's value. All are refused here, not by a panic on a worker that
+    // a checkpointed job would then restart.
     let service = SolverService::with_workers(1);
     let observer = service.observe();
     let checkpointed = |kind| on_small_torus(kind).checkpoint(CheckpointSpec::every(8));
+    let rich = Item {
+        weight: 1,
+        value: 1 << 31,
+    };
     for (kind, expected) in [
         (
             JobKind::tsp(TspInstance::random(1, 33, 100)),
@@ -815,6 +820,14 @@ fn sizes_a_program_cannot_search_fail_at_submission() {
             "size 1 is outside 2..=32",
         ),
         (JobKind::nqueens(33), "size 33 exceeds 32"),
+        (
+            JobKind::knapsack(vec![rich; 2], 2),
+            "knapsack item values sum to 4294967296, past 4294967295",
+        ),
+        (
+            JobKind::bnb_knapsack(vec![rich; 2], 2),
+            "bnb-knapsack item values sum to 4294967296",
+        ),
     ] {
         let result = service.submit(checkpointed(kind)).wait();
         assert_eq!(result.worker, None, "{result:?}");
@@ -824,7 +837,7 @@ fn sizes_a_program_cannot_search_fail_at_submission() {
         }
     }
     let stats = service.shutdown();
-    assert_eq!((stats.failed, stats.restarts), (3, 0), "{stats}");
+    assert_eq!((stats.failed, stats.restarts), (5, 0), "{stats}");
     let events = observer.registry().recorder().snapshot();
     assert!(
         !events.iter().any(|e| e.kind == EventKind::Crashed),

@@ -285,6 +285,52 @@ fn recovery_rejects_records_that_submission_would_reject() {
 }
 
 #[test]
+fn recovery_quarantines_knapsack_records_whose_values_overflow_a_task() {
+    // Two items worth 2^31 each sum past a task's `u32` value: submission
+    // refuses such a job, so a record of one (written before the check
+    // existed) is quarantined at recovery, never handed to a worker.
+    let rich = hyperspace::apps::Item {
+        weight: 1,
+        value: 1 << 31,
+    };
+    let params = JobParams {
+        topology: TopologySpec::Torus2D { w: 4, h: 4 },
+        checkpoint: CheckpointSpec::every(64),
+        ..JobParams::default()
+    };
+    let dir = store_dir("rich-knapsack");
+    {
+        let store = JobStore::open(&dir).expect("open");
+        for (id, kind) in [
+            JobKind::knapsack(vec![rich; 2], 2),
+            JobKind::bnb_knapsack(vec![rich; 2], 2),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let spec = encode_spec(0, kind, &params).expect("persistable");
+            store
+                .put(id as u64, 0, &encode_record(&spec, 0, None))
+                .expect("put");
+        }
+    }
+    let revived = SolverService::new(config(&dir));
+    assert!(
+        revived.recovered().is_empty(),
+        "nothing runnable to recover"
+    );
+    revived.drain();
+    let stats = revived.stats();
+    assert_eq!((stats.persist_errors, stats.restarts), (2, 0));
+    let events = revived.observe().registry().recorder().snapshot();
+    assert!(events.iter().all(|e| e.kind != EventKind::Crashed));
+    let scan = JobStore::open(&dir).expect("open").scan().expect("scan");
+    assert!(scan.jobs.is_empty(), "rejected records are removed");
+    drop(revived);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn golden_job_records_decode_key_and_run_as_at_the_parent() {
     // Written by the commit before portfolios became the one strategy
     // carrier: a version-1 and a version-2 record of a flat

@@ -105,6 +105,28 @@ pub fn planted_ksat(seed: u64, num_vars: u32, num_clauses: usize, k: usize) -> (
     (Cnf::new(num_vars, clauses), hidden)
 }
 
+/// The pigeonhole formula PHP(`holes` + 1, `holes`): `holes + 1` pigeons
+/// each in one of `holes` holes, no two in one hole. Unsatisfiable by
+/// construction, and hard for any resolution-based solver, DPLL
+/// included: an UNSAT oracle of any size. Variable `p * holes + h` puts
+/// pigeon `p` in hole `h`. The clauses come pigeon by pigeon (each in
+/// some hole), then hole by hole, pair by pair (no two share it).
+pub fn pigeonhole(holes: u32) -> Cnf {
+    let pigeons = holes + 1;
+    let at = |p: u32, h: u32| Var(p * holes + h);
+    let mut clauses: Vec<Clause> = (0..pigeons)
+        .map(|p| (0..holes).map(|h| Lit::pos(at(p, h))).collect())
+        .collect();
+    for h in 0..holes {
+        for p in 0..pigeons {
+            for q in p + 1..pigeons {
+                clauses.push(Clause::new(vec![Lit::neg(at(p, h)), Lit::neg(at(q, h))]));
+            }
+        }
+    }
+    Cnf::new(pigeons * holes, clauses)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +181,20 @@ mod tests {
         for seed in 0..5 {
             let (cnf, hidden) = planted_ksat(seed, 40, 160, 3);
             assert!(check_model(&cnf, &hidden), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn pigeonhole_is_unsat_and_shaped() {
+        for holes in 0..=3 {
+            let cnf = pigeonhole(holes);
+            let pairs = (holes * (holes + 1) / 2) as usize;
+            assert_eq!(cnf.num_vars(), holes * (holes + 1));
+            assert_eq!(
+                cnf.num_clauses(),
+                (holes + 1) as usize + holes as usize * pairs
+            );
+            assert!(!brute::solve(&cnf).is_sat(), "PHP({}, {holes})", holes + 1);
         }
     }
 

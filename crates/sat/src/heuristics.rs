@@ -105,21 +105,23 @@ impl Heuristic {
 }
 
 /// Occurrences of each literal, indexed by [`Lit::index`].
-pub(crate) fn occurrence_counts(cnf: &Cnf) -> Vec<u32> {
-    let mut counts = vec![0u32; cnf.num_vars() as usize * 2];
+pub(crate) fn occurrence_counts(cnf: &Cnf) -> Vec<i32> {
+    let mut counts = vec![0; cnf.num_vars() as usize * 2];
     for lit in cnf.iter_lits() {
         counts[lit.index()] += 1;
     }
     counts
 }
 
-/// `MostFrequent` from a formula's [`occurrence_counts`].
-pub(crate) fn most_frequent_var(counts: &[u32]) -> Option<Lit> {
-    let mut best: Option<(u32, Var, bool)> = None;
+/// `MostFrequent` from a formula's [`occurrence_counts`], or from a
+/// residual's counts, where a forced variable's sum to less than zero
+/// (its true literal's 0, its false one's parked below zero).
+pub(crate) fn most_frequent_var(counts: &[i32]) -> Option<Lit> {
+    let mut best: Option<(i32, Var, bool)> = None;
     for (v, c) in counts.chunks_exact(2).enumerate() {
         let (pos, neg) = (c[0], c[1]);
         let total = pos + neg;
-        if total == 0 {
+        if total <= 0 {
             continue;
         }
         if best.is_none_or(|(b, ..)| total > b) {
@@ -129,12 +131,13 @@ pub(crate) fn most_frequent_var(counts: &[u32]) -> Option<Lit> {
     best.map(|(_, var, positive)| Lit::with_polarity(var, positive))
 }
 
-/// `Dlis` from a formula's [`occurrence_counts`]: the literal with the
+/// `Dlis` from a formula's [`occurrence_counts`], or from a residual's
+/// counts, where a false literal's is below zero: the literal with the
 /// most occurrences, the lowest index on a tie.
-pub(crate) fn most_frequent_lit(counts: &[u32]) -> Option<Lit> {
-    let mut best: Option<(u32, usize)> = None;
+pub(crate) fn most_frequent_lit(counts: &[i32]) -> Option<Lit> {
+    let mut best: Option<(i32, usize)> = None;
     for (idx, &count) in counts.iter().enumerate() {
-        if count != 0 && best.is_none_or(|(b, _)| count > b) {
+        if count > 0 && best.is_none_or(|(b, _)| count > b) {
             best = Some((count, idx));
         }
     }

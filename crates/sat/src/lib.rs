@@ -18,17 +18,18 @@
 //!   residual as counters over that formula);
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
-//!   benchmark files, and a planted-solution generator for larger instances;
+//!   benchmark files, a planted-solution generator for larger instances
+//!   and the pigeonhole formulas, unsatisfiable by construction;
 //! * [`simplify`] — unit propagation and pure-literal assignment
 //!   (Listing 4 lines 6–11), the one DPLL propagation kernel. A search
 //!   keeps each sub-problem's residual as counters over the formula it
 //!   started from, as given: one remaining-occurrence counter per clause
-//!   and one live count per literal, against one occurrence list per
-//!   literal, so a forced literal visits only the clauses it occurs in and
-//!   no formula is written. A mesh split copies its parent's counters into
-//!   each child and decides the child there; sequential [`dpll`] does the
-//!   same on each decision level of its stack. The same counters feed the
-//!   heuristics;
+//!   and one count per literal (parked below zero once it is false),
+//!   against one occurrence list per literal, so a forced literal visits
+//!   only the clauses it occurs in and no formula is written. A mesh
+//!   split copies its parent's counters into each child and decides the
+//!   child there; sequential [`dpll`] does the same on each decision
+//!   level of its stack. The same counters feed the heuristics;
 //! * [`heuristics`] — branching-variable selection (first-unassigned,
 //!   most-frequent, DLIS, Jeroslow-Wang, seeded random);
 //! * [`dpll`] — the sequential reference solver with search statistics;

@@ -29,9 +29,10 @@
 //!
 //! Under `Fixpoint` and `SinglePass` a path also carries its residual as
 //! counters over the root (the root activation runs its own lines 6–11
-//! on fresh ones): the live occurrences of each literal, the
-//! remaining occurrences of each clause and which variables are forced
-//! (their values are in the assignment). A split
+//! on fresh ones): the remaining occurrences of each clause and a count
+//! per literal, its occurrences in the clauses still open less a fixed
+//! offset once it is false, so a forced variable reads off its two
+//! counts (its value is in the assignment). A split
 //! copies the parent's counters into the first child and moves them into
 //! the last, and runs each child's lines 6–11 on them against the root's
 //! occurrence lists; no formula is written. A child arrives decided or

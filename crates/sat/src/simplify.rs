@@ -7,6 +7,14 @@
 //! formula. The mesh's [`DpllProgram`](crate::DpllProgram) copies a
 //! parent's counters into each child it ships; the sequential
 //! [`dpll`](crate::dpll) solver into each decision level of its stack.
+//!
+//! A literal's count is its occurrences in the clauses still open,
+//! whatever its variable's state, and forcing a literal *parks* its
+//! negation's count: it takes a fixed offset far larger than any
+//! formula's occurrences off it. Closing a clause then takes every one
+//! of its occurrences off the counts without asking which are still
+//! free; a false literal's count stays below zero, a true one's reads 0,
+//! and every reader takes a count of zero or less as no live occurrence.
 
 use crate::cnf::{Assignment, Cnf, Lit, Var};
 
@@ -93,16 +101,15 @@ pub(crate) struct Occurrences {
 
 impl Occurrences {
     /// The lists of `cnf`, whose literal occurrence counts are `counts`.
-    pub(crate) fn new(cnf: &Cnf, counts: &[u32]) -> Occurrences {
-        let total: u32 = counts.iter().sum();
-        let mut lists = Vec::with_capacity(counts.len() + 1 + total as usize);
+    pub(crate) fn new(cnf: &Cnf, counts: &[i32]) -> Occurrences {
+        let mut lists = Vec::with_capacity(counts.len() + 1 + cnf.num_lits());
         // Offset `l + 1` starts where literal `l`'s list starts and is the
         // cursor that fills it, so it arrives where the list ends.
         let mut start = counts.len() as u32 + 1;
         lists.push(start);
         for &count in counts {
             lists.push(start);
-            start += count;
+            start += count as u32;
         }
         lists.resize(start as usize, 0);
         for (i, clause) in cnf.clauses().enumerate() {
@@ -127,22 +134,28 @@ impl Occurrences {
 /// far, kept as counters over that untouched formula and its
 /// [`Occurrences`]: a propagating sub-problem's, which a split copies
 /// into each child.
+///
+/// The counters are a function of the root formula and the literals
+/// forced, not of the order they were forced in, so two residuals over
+/// one root and one assignment compare equal.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Residual {
-    /// Three tables in one buffer, so that a child's copy is one copy into
+    /// Two tables in one buffer, so that a child's copy is one copy into
     /// a buffer a finished sub-problem left behind:
-    /// - `[..clauses_at]`, the live occurrences of each literal, indexed
-    ///   by [`Lit::index`] (both counts of an assigned variable are zero);
-    /// - `[clauses_at..vars_at]`, the occurrences not yet falsified in each
+    /// - `[..clauses_at]`, each literal's count, indexed by
+    ///   [`Lit::index`]: its occurrences in the clauses still in the
+    ///   formula, whatever its variable's state, less [`PARK`] once the
+    ///   literal is false. A free literal's count is its live
+    ///   occurrences, a true one's is 0 (every clause showing it has
+    ///   left), a false one's is below zero: whether a variable is forced
+    ///   reads off its two counts, and its value goes to the caller's
+    ///   [`Assignment`], which is not consulted;
+    /// - `[clauses_at..]`, the occurrences not yet falsified in each
     ///   clause, [`SATISFIED`] once the clause has left the formula.
     ///   Occurrences, not distinct literals: `x ∨ x` counts two and is not
-    ///   a unit;
-    /// - `[vars_at..]`, whether this residual forced each variable:
-    ///   [`FREE`] or [`FORCED`] (the value goes to the caller's
-    ///   [`Assignment`], which is not consulted).
-    state: Vec<u32>,
+    ///   a unit.
+    state: Vec<i32>,
     clauses_at: usize,
-    vars_at: usize,
     /// Clauses not yet satisfied.
     live: u32,
 }
@@ -158,37 +171,43 @@ impl Clone for Residual {
     /// Overwrites these counters in their own buffer.
     fn clone_from(&mut self, source: &Residual) {
         self.state.clone_from(&source.state);
-        (self.clauses_at, self.vars_at, self.live) =
-            (source.clauses_at, source.vars_at, source.live);
+        (self.clauses_at, self.live) = (source.clauses_at, source.live);
     }
 }
 
-/// Whether a residual forced a variable: no, or yes.
-const FREE: u32 = 0;
-const FORCED: u32 = 1;
+/// What forcing a literal takes off its negation's count: more than any
+/// formula's occurrences (which [`Residual::new`] asserts), so a false
+/// literal's count stays below zero while the clauses that close later
+/// take their occurrences off it, as off every other literal's.
+const PARK: i32 = 1 << 30;
 
 /// The remaining count of a clause some forced literal satisfied.
-const SATISFIED: u32 = u32::MAX;
+const SATISFIED: i32 = i32::MAX;
 
 impl Residual {
     /// Counters for `cnf`, nothing forced yet: its
     /// [`occurrence_counts`](crate::heuristics::occurrence_counts)
     /// and clause lengths, written into one allocation of the final size.
+    ///
+    /// # Panics
+    ///
+    /// If `cnf` has [`PARK`] literal occurrences or more.
     pub(crate) fn new(cnf: &Cnf) -> Residual {
-        let num_vars = cnf.num_vars() as usize;
-        let clauses_at = num_vars * 2;
-        let vars_at = clauses_at + cnf.num_clauses();
-        let mut state = Vec::with_capacity(vars_at + num_vars);
+        assert!(
+            cnf.num_lits() < PARK as usize,
+            "{} literal occurrences leave a false literal's count no room below zero",
+            cnf.num_lits()
+        );
+        let clauses_at = cnf.num_vars() as usize * 2;
+        let mut state = Vec::with_capacity(clauses_at + cnf.num_clauses());
         state.resize(clauses_at, 0);
         for lit in cnf.iter_lits() {
             state[lit.index()] += 1;
         }
-        state.extend(cnf.clause_lens());
-        state.resize(vars_at + num_vars, FREE);
+        state.extend(cnf.clause_lens().map(|len| len as i32));
         Residual {
             state,
             clauses_at,
-            vars_at,
             live: cnf.num_clauses() as u32,
         }
     }
@@ -196,7 +215,7 @@ impl Residual {
     /// Counters of no formula, keeping the buffer.
     pub(crate) fn clear(&mut self) {
         self.state.clear();
-        (self.clauses_at, self.vars_at, self.live) = (0, 0, 0);
+        (self.clauses_at, self.live) = (0, 0);
     }
 
     /// Clauses not yet satisfied: the residual's clause count.
@@ -204,21 +223,23 @@ impl Residual {
         self.live
     }
 
-    /// Live occurrences of each literal, indexed by [`Lit::index`]: the
-    /// residual's [`occurrence_counts`](crate::heuristics::occurrence_counts).
-    pub(crate) fn live_counts(&self) -> &[u32] {
+    /// Each literal's count, indexed by [`Lit::index`]: a free literal's
+    /// live occurrences, 0 for a true literal, below zero for a false one.
+    /// Read with positive meaning "occurs", it is the residual's
+    /// [`occurrence_counts`](crate::heuristics::occurrence_counts).
+    pub(crate) fn live_counts(&self) -> &[i32] {
         &self.state[..self.clauses_at]
     }
 
     /// Occurrences of each clause not yet falsified, or [`SATISFIED`].
-    fn remaining(&self) -> &[u32] {
-        &self.state[self.clauses_at..self.vars_at]
+    fn remaining(&self) -> &[i32] {
+        &self.state[self.clauses_at..]
     }
 
-    /// Whether `lit`'s variable is still unassigned: in a clause that is
-    /// still in the formula, whether that occurrence is.
+    /// Whether `lit`, shown by a clause still in the formula, is free: a
+    /// free literal counts that clause, a false one is below zero.
     fn is_free(&self, lit: Lit) -> bool {
-        self.state[self.vars_at + lit.var().0 as usize] == FREE
+        self.state[lit.index()] > 0
     }
 
     /// The residual formula's clauses, in order, over `cnf` (the formula
@@ -289,50 +310,61 @@ impl Residual {
         Some(*unit.expect("a clause with an occurrence left shows it"))
     }
 
-    /// Applies `lit` to every clause it occurs in: a clause showing it
-    /// leaves the formula and gives its live occurrences back to the
-    /// counts, a clause showing its negation loses that occurrence.
-    /// Returns whether some clause lost its last one.
+    /// Applies `lit`, whose variable is free, to every clause it occurs
+    /// in: a clause showing it leaves the formula and takes each of its
+    /// occurrences off its literal's count, free or not, and a clause
+    /// showing its negation loses that occurrence. Parks the negation's
+    /// count below zero. Returns whether some clause lost its last
+    /// occurrence.
     pub(crate) fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> bool {
-        let var = lit.var().0 as usize;
-        debug_assert!(self.is_free(lit));
+        let negated = lit.negated();
+        let (counts, remaining) = self.state.split_at_mut(self.clauses_at);
+        debug_assert!(counts[lit.index()] >= 0 && counts[negated.index()] >= 0);
+        let mut closed = 0;
         for &i in occurrences.of(lit) {
             let i = i as usize;
-            let left = &mut self.state[self.clauses_at + i];
-            if std::mem::replace(left, SATISFIED) == SATISFIED {
+            if std::mem::replace(&mut remaining[i], SATISFIED) == SATISFIED {
                 continue;
             }
-            self.live -= 1;
+            closed += 1;
+            // `x ∨ ¬x` takes its `¬x` off before the count is parked.
             for &other in cnf.clause(i) {
-                // `var` itself is not marked yet: `x ∨ ¬x` returns both.
-                if self.is_free(other) {
-                    self.state[other.index()] -= 1;
-                }
+                counts[other.index()] -= 1;
             }
         }
+        self.live -= closed;
+        counts[negated.index()] -= PARK;
         let mut conflict = false;
-        let negated = lit.negated();
         for &i in occurrences.of(negated) {
-            let left = &mut self.state[self.clauses_at + i as usize];
+            let left = &mut remaining[i as usize];
             if *left != SATISFIED {
                 *left -= 1;
                 conflict |= *left == 0;
-                self.state[negated.index()] -= 1;
             }
         }
-        self.state[self.vars_at + var] = FORCED;
-        debug_assert_eq!(self.live_counts()[var * 2..var * 2 + 2], [0, 0]);
+        debug_assert_eq!(
+            (counts[lit.index()], counts[negated.index()]),
+            (0, {
+                let open = occurrences.of(negated).iter();
+                open.filter(|&&i| remaining[i as usize] != SATISFIED)
+                    .count() as i32
+                    - PARK
+            }),
+            "a true literal counts nothing, a false one its open occurrences less PARK"
+        );
         conflict
     }
 }
 
 /// The pure literal of the lowest-numbered variable in a table of
-/// per-literal occurrence counts (indexed by [`Lit::index`]).
-fn lowest_pure_literal(counts: &[u32]) -> Option<Lit> {
+/// per-literal counts (indexed by [`Lit::index`]), where a count of zero
+/// or less is no live occurrence: a forced variable's two are 0 and
+/// below zero.
+fn lowest_pure_literal(counts: &[i32]) -> Option<Lit> {
     let var = counts
         .chunks_exact(2)
-        .position(|c| (c[0] == 0) != (c[1] == 0))?;
-    Some(Lit::with_polarity(Var(var as u32), counts[var * 2] != 0))
+        .position(|c| (c[0] > 0) != (c[1] > 0))?;
+    Some(Lit::with_polarity(Var(var as u32), counts[var * 2] > 0))
 }
 
 #[cfg(test)]
@@ -340,6 +372,7 @@ mod tests {
     use super::*;
     use crate::cnf::check_model;
     use crate::heuristics::occurrence_counts;
+    use proptest::prelude::*;
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)
@@ -434,9 +467,80 @@ mod tests {
             assert_eq!(after, expected);
             assert_eq!(conflict, after.has_empty_clause());
             assert_eq!(conflict, value);
-            assert_eq!(residual.live_counts(), occurrence_counts(&after));
+            // A free literal counts its occurrences in the written
+            // residual; the forced variable's true literal counts none and
+            // its false one is parked below zero.
+            let forced = Lit::with_polarity(Var(0), value);
+            let (counts, written_counts) = (residual.live_counts(), occurrence_counts(&after));
+            assert_eq!(counts[2..], written_counts[2..]);
+            assert_eq!(counts[forced.index()], 0);
+            assert!(counts[forced.negated().index()] < 0);
             assert_eq!(residual.live as usize, after.num_clauses());
             assert!(residual.clauses(&f).all(|(len, free)| len == free.count()));
+        }
+    }
+
+    /// Formulas over 1–8 variables whose clauses draw from a few
+    /// literals, so duplicated literals, `x ∨ ¬x` and empty clauses come
+    /// often.
+    fn arb_cnf() -> impl Strategy<Value = Cnf> {
+        let clause = proptest::collection::vec((0u32..8, any::<bool>()), 0..6);
+        (1u32..9, proptest::collection::vec(clause, 0..14)).prop_map(|(vars, raw)| {
+            let clauses = raw.into_iter().map(|lits| {
+                let lits = lits.into_iter();
+                lits.map(|(v, pos)| Lit::with_polarity(Var(v % vars), pos))
+                    .collect()
+            });
+            Cnf::new(vars, clauses.collect())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Forcing distinct variables one by one, in an order and with
+        /// polarities drawn per variable, conflicts or not: after each
+        /// force the counts read as the written residual, and the same
+        /// literals forced in a second order leave equal counters.
+        #[test]
+        fn parked_counts_read_as_the_written_residual(
+            f in arb_cnf(),
+            draws in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 8..9),
+            take in 0usize..9,
+        ) {
+            let draws = &draws[..f.num_vars() as usize];
+            let mut lits: Vec<(u32, Lit)> = draws
+                .iter()
+                .enumerate()
+                .map(|(v, &(key, _, pos))| (key, Lit::with_polarity(Var(v as u32), pos)))
+                .collect();
+            lits.sort_unstable();
+            lits.truncate(take);
+            let (occurrences, mut residual) = tables(&f);
+            for (step, &(_, lit)) in lits.iter().enumerate() {
+                residual.force(&occurrences, &f, lit);
+                let after = written(&residual, &f);
+                let forced = |var: Var| lits[..=step].iter().any(|&(_, l)| l.var() == var);
+                let written_counts = occurrence_counts(&after);
+                for (i, (&count, &occurs)) in residual.live_counts().iter().zip(&written_counts).enumerate() {
+                    if forced(Var(i as u32 / 2)) {
+                        prop_assert!(count <= 0, "{f:?}, {:?}: literal {i} counts {count}", &lits[..=step]);
+                    } else {
+                        prop_assert_eq!(count, occurs, "{:?}, {:?}: literal {}", f, &lits[..=step], i);
+                    }
+                }
+                prop_assert_eq!(residual.live() as usize, after.num_clauses());
+            }
+            let mut reordered: Vec<(u32, Lit)> = lits
+                .iter()
+                .map(|&(_, lit)| (draws[lit.var().0 as usize].1, lit))
+                .collect();
+            reordered.sort_unstable();
+            let mut again = Residual::new(&f);
+            for &(_, lit) in &reordered {
+                again.force(&occurrences, &f, lit);
+            }
+            prop_assert_eq!(again, residual, "{:?}: {:?} then {:?}", f, lits, reordered);
         }
     }
 

@@ -2,9 +2,11 @@
 //! sequential solver and the brute-force oracle, and every model it
 //! returns satisfies the original formula.
 
-use hyperspace::core::{MapperSpec, StackBuilder, TopologySpec};
+use hyperspace::core::{BackendSpec, MapperSpec, StackBuilder, TopologySpec};
+use hyperspace::sat::heuristics::ALL_HEURISTICS;
 use hyperspace::sat::{
-    brute, check_model, dpll, gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict,
+    brute, check_model, dpll, gen, DpllProgram, Heuristic, SatResult, SimplifyMode, SolveStats,
+    SubProblem, Verdict,
 };
 
 fn solve_distributed(
@@ -82,29 +84,82 @@ fn distributed_agrees_with_sequential_on_uf20() {
 
 #[test]
 fn unsat_instances_report_unsat_distributed() {
-    // Pigeonhole PHP(3,2) and a direct contradiction.
-    let php = {
-        use hyperspace::sat::{Clause, Cnf, Lit};
-        let lit = Lit::from_dimacs;
-        let mut clauses: Vec<Clause> = Vec::new();
-        for i in 0..3i32 {
-            clauses.push(Clause::new(vec![lit(i * 2 + 1), lit(i * 2 + 2)]));
-        }
-        for h in 0..2i32 {
-            for i in 0..3i32 {
-                for j in (i + 1)..3i32 {
-                    clauses.push(Clause::new(vec![
-                        lit(-(i * 2 + h + 1)),
-                        lit(-(j * 2 + h + 1)),
-                    ]));
-                }
-            }
-        }
-        Cnf::new(6, clauses)
-    };
+    // Pigeonhole PHP(3, 2).
+    let php = gen::pigeonhole(2);
     for mode in [SimplifyMode::Fixpoint, SimplifyMode::SplitOnly] {
         let verdict = solve_distributed(&php, mode, MapperSpec::RoundRobin);
         assert_eq!(verdict, Verdict::Unsat, "{mode}");
+    }
+}
+
+/// `dpll::solve` on PHP(h+1, h), h = 5, 6, 7 (30, 42 and 56 variables,
+/// beyond the brute-force oracle): UNSAT by construction, with the
+/// search pinned as recorded at `56f8d06`. The four
+/// deterministic heuristics read the same statistics on these formulas.
+#[test]
+fn sequential_dpll_refutes_pigeonhole() {
+    let stats = |decisions, unit_props, pure_assigns, nodes, max_depth| SolveStats {
+        decisions,
+        unit_props,
+        pure_assigns,
+        nodes,
+        max_depth,
+    };
+    let pins = [
+        (
+            5,
+            stats(119, 851, 100, 239, 10),
+            stats(149, 1269, 122, 299, 18),
+        ),
+        (
+            6,
+            stats(719, 5143, 615, 1439, 15),
+            stats(861, 7900, 754, 1723, 28),
+        ),
+        (
+            7,
+            stats(5039, 36051, 4326, 10079, 21),
+            stats(6675, 63250, 6103, 13351, 38),
+        ),
+    ];
+    for (holes, fixed, random) in pins {
+        let cnf = gen::pigeonhole(holes);
+        for heuristic in ALL_HEURISTICS {
+            let expected = match heuristic {
+                Heuristic::Random(_) => random,
+                _ => fixed,
+            };
+            let got = dpll::solve(&cnf, heuristic);
+            assert_eq!(
+                got,
+                (SatResult::Unsat, expected),
+                "PHP({}, {holes}) {heuristic}",
+                holes + 1
+            );
+        }
+    }
+}
+
+/// The propagating mesh refutes PHP(h+1, h), h = 5, 6, 7, on a 6x6
+/// torus in both propagating modes and on both step engines, in the
+/// steps recorded at `56f8d06`.
+#[test]
+fn propagating_mesh_refutes_pigeonhole() {
+    for (holes, steps) in [(5, 36), (6, 131), (7, 735)] {
+        let cnf = gen::pigeonhole(holes);
+        for mode in [SimplifyMode::Fixpoint, SimplifyMode::SinglePass] {
+            for backend in [BackendSpec::Sequential, "sharded:2".parse().unwrap()] {
+                let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(mode);
+                let report = StackBuilder::new(program)
+                    .topology(TopologySpec::Torus2D { w: 6, h: 6 })
+                    .mapper(MapperSpec::RoundRobin)
+                    .backend(backend.clone())
+                    .run(SubProblem::root(cnf.clone()), 0);
+                let php = format!("PHP({}, {holes}) {mode} {backend}", holes + 1);
+                assert_eq!(report.result, Some(Verdict::Unsat), "{php}");
+                assert_eq!(report.steps, steps, "{php}");
+            }
+        }
     }
 }
 

@@ -182,12 +182,9 @@ impl Assignment {
 /// A CNF formula in one flat compressed-row layout: every clause's
 /// literals back to back in `lits`, clause `i` ending (exclusively) at
 /// `ends[i]`. The layout keeps a formula at two buffers whatever its
-/// clause count, so an activation that writes its residual out for a
-/// heuristic writes it into the buffers of a formula a finished
-/// activation left behind (a recycled [`SubProblem`] body): a residual
-/// that fits them allocates nothing.
-///
-/// [`SubProblem`]: crate::SubProblem
+/// clause count. A search writes no formula after its root: every
+/// sub-problem below it reads the root's clauses through counters (see
+/// [`simplify`](crate::simplify)).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Cnf {
     num_vars: u32,
@@ -255,40 +252,6 @@ impl Cnf {
     /// `exist_empty_clause(problem)` from Listing 4 line 4.
     pub fn has_empty_clause(&self) -> bool {
         self.clause_lens().any(|len| len == 0)
-    }
-
-    /// Makes this formula the empty formula over no variable, keeping its
-    /// buffers.
-    pub(crate) fn clear(&mut self) {
-        self.num_vars = 0;
-        self.lits.clear();
-        self.ends.clear();
-    }
-
-    /// Writes into `out`'s buffers, whatever `out` held, the clauses `i`
-    /// for which `keep_clause(i)`, in order, each with the literals
-    /// `keep_lit` accepts (none of them: an empty clause), with room for
-    /// `clauses` clauses of `lits` literals in all.
-    pub(crate) fn retained_into(
-        &self,
-        out: &mut Cnf,
-        clauses: usize,
-        lits: usize,
-        mut keep_clause: impl FnMut(usize) -> bool,
-        mut keep_lit: impl FnMut(Lit) -> bool,
-    ) {
-        out.num_vars = self.num_vars;
-        out.lits.clear();
-        out.lits.reserve_exact(lits);
-        out.ends.clear();
-        out.ends.reserve_exact(clauses);
-        for (i, clause) in self.clauses().enumerate() {
-            if keep_clause(i) {
-                out.lits
-                    .extend(clause.iter().copied().filter(|&lit| keep_lit(lit)));
-                out.ends.push(out.lits.len() as u32);
-            }
-        }
     }
 
     /// Evaluates the formula under a complete model.

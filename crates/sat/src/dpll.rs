@@ -3,16 +3,16 @@
 //! An iterative depth-first driver over the mesh's kernel: one
 //! [`RootFormula`](crate::RootFormula) built from the formula as given,
 //! and an explicit stack of decision levels, each a path from that root
-//! with its residual as counters and its assignment. A child copies its
-//! parent's level into the buffers a finished level left behind, forces
-//! its branch and runs its lines 6–11 there, exactly as a propagating
+//! with its residual as counters, which hold its assignment too. A child
+//! copies its parent's counters into the buffer a finished level left
+//! behind, forces its branch and runs its lines 6–11 there, exactly as a
 //! [`DpllProgram`](crate::DpllProgram) split decides a child, and the
 //! branching literal comes from the same choice. Classic backtracking —
 //! "try `L = true` first, then `L = false`" — replaces the mesh's
 //! speculative evaluation of both. Nothing recurses natively: depth costs
 //! one level of counters on the heap, not a stack frame.
 
-use crate::cnf::{check_model, Assignment, Cnf, Lit, Model};
+use crate::cnf::{check_model, Cnf, Lit, Model};
 use crate::heuristics::Heuristic;
 use crate::program::Path;
 use crate::simplify::{Residual, Simplified, SimplifyMode, SimplifyStats};
@@ -57,13 +57,12 @@ pub struct SolveStats {
 }
 
 /// A node on the branch being searched: its path, with its residual as
-/// counters over the root formula and its assignment, and the literal of
-/// its second branch while its first is searched.
+/// counters over the root formula, and the literal of its second branch
+/// while its first is searched.
 #[derive(Clone)]
 struct Level {
     path: Path,
     counters: Residual,
-    assign: Assignment,
     untried: Option<Lit>,
 }
 
@@ -74,28 +73,24 @@ struct Level {
 pub fn solve(cnf: &Cnf, heuristic: Heuristic) -> (SatResult, SolveStats) {
     let mode = SimplifyMode::Fixpoint;
     let mut forced = SimplifyStats::default();
-    let (mut counters, mut assign) = (Residual::default(), Assignment::new(cnf.num_vars()));
-    let path = Path::simplified_root(cnf.clone(), mode, &mut counters, &mut assign, &mut forced);
+    let mut counters = Residual::default();
+    let path = Path::simplified_root(cnf.clone(), mode, &mut counters, &mut forced);
     let mut levels = vec![Level {
         path,
         counters,
-        assign,
         untried: None,
     }];
     let mut stats = SolveStats {
         nodes: 1,
         ..SolveStats::default()
     };
-    let (mut depth, mut scratch) = (0, Cnf::default());
+    let mut depth = 0;
     let result = loop {
         let level = &mut levels[depth];
-        let (parent, lit) = match level.path.verdict() {
-            Simplified::Sat => break SatResult::Sat(level.assign.complete()),
+        let (parent, lit) = match level.path.verdict(&level.counters) {
+            Simplified::Sat => break SatResult::Sat(level.counters.model()),
             Simplified::Undecided => {
-                let counters = Some(&level.counters);
-                let lit = level
-                    .path
-                    .select(heuristic, &level.assign, counters, &mut scratch);
+                let lit = level.path.select(heuristic, &level.counters);
                 let lit = lit.expect("undecided formula has literals");
                 stats.decisions += 1;
                 level.untried = Some(lit.negated());
@@ -114,7 +109,7 @@ pub fn solve(cnf: &Cnf, heuristic: Heuristic) -> (SatResult, SolveStats) {
                 )
             }
         };
-        // The child goes into the buffers of the level that stood there last.
+        // The child goes into the buffer of the level that stood there last.
         depth = parent + 1;
         if levels.len() == depth {
             levels.push(levels[parent].clone());
@@ -123,11 +118,8 @@ pub fn solve(cnf: &Cnf, heuristic: Heuristic) -> (SatResult, SolveStats) {
             .get_disjoint_mut([parent, depth])
             .expect("two levels");
         to.counters.clone_from(&from.counters);
-        to.assign.clone_from(&from.assign);
         to.untried = None;
-        to.path = from
-            .path
-            .child(lit, mode, &mut to.counters, &mut to.assign, &mut forced);
+        to.path = from.path.child(lit, mode, &mut to.counters, &mut forced);
         stats.nodes += 1;
         stats.max_depth = stats.max_depth.max(depth as u64);
     };

@@ -94,14 +94,19 @@ impl Heuristic {
             Heuristic::FirstUnassigned => cnf.iter_lits().next(),
             Heuristic::MostFrequent => most_frequent_var(&occurrence_counts(cnf)),
             Heuristic::Dlis => most_frequent_lit(&occurrence_counts(cnf)),
-            Heuristic::JeroslowWang => jeroslow_wang(
-                cnf.num_vars(),
-                cnf.clauses()
-                    .map(|clause| (clause.len(), clause.iter().copied())),
-            ),
-            Heuristic::Random(seed) => random_lit(cnf, *seed),
+            Heuristic::JeroslowWang => jeroslow_wang(cnf.num_vars(), clauses(cnf)),
+            Heuristic::Random(seed) => {
+                random_lit(*seed, cnf.num_vars(), cnf.num_clauses(), clauses(cnf))
+            }
         }
     }
+}
+
+/// A formula's clauses, in order, each as its length and its literals:
+/// the shape [`jeroslow_wang`] and [`random_lit`] read.
+fn clauses(cnf: &Cnf) -> impl Iterator<Item = (usize, impl Iterator<Item = Lit> + '_)> + Clone {
+    cnf.clauses()
+        .map(|clause| (clause.len(), clause.iter().copied()))
 }
 
 /// Occurrences of each literal, indexed by [`Lit::index`].
@@ -171,17 +176,30 @@ pub(crate) fn jeroslow_wang<C: Iterator<Item = Lit>>(
     Some(lit_from_index(idx))
 }
 
-fn random_lit(cnf: &Cnf, seed: u64) -> Option<Lit> {
-    // Derive the stream from the formula's shape so repeated calls at
-    // different search depths don't repeat choices.
-    let mix = cnf.num_clauses() as u64 ^ ((cnf.num_vars() as u64) << 32);
+/// `Random` with `seed` over a formula of `num_clauses` clauses over
+/// `num_vars` variables, given as in [`jeroslow_wang`]: the literal
+/// occurrence a stream mixed from the formula's shape draws, so repeated
+/// calls at different search depths don't repeat choices.
+pub(crate) fn random_lit<C: Iterator<Item = Lit>>(
+    seed: u64,
+    num_vars: u32,
+    num_clauses: usize,
+    clauses: impl Iterator<Item = (usize, C)> + Clone,
+) -> Option<Lit> {
+    let mix = num_clauses as u64 ^ ((num_vars as u64) << 32);
     let mut rng = SmallRng::seed_from_u64(seed ^ mix.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let total = cnf.iter_lits().count();
+    let total: usize = clauses.clone().map(|(len, _)| len).sum();
     if total == 0 {
         return None;
     }
-    let k = rng.gen_range(0..total);
-    cnf.iter_lits().nth(k)
+    let mut k = rng.gen_range(0..total);
+    for (len, mut lits) in clauses {
+        if k < len {
+            return lits.nth(k);
+        }
+        k -= len;
+    }
+    unreachable!("the draw is below the occurrence count")
 }
 
 #[inline]

@@ -14,8 +14,8 @@
 //!   A [`SubProblem`] is a handle to a body recycled through a per-thread
 //!   free list. Below the root a sub-problem copies no formula: it
 //!   travels as its path, an `Arc` to the [`RootFormula`] the search
-//!   started from plus its assignment (and, in a propagating search, its
-//!   residual as counters over that formula);
+//!   started from plus its residual as counters over that formula, which
+//!   hold its assignment too;
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, a planted-solution generator for larger instances

@@ -23,47 +23,38 @@
 //! the search started from (the guiding paths of distributed SAT
 //! solvers), not as a copy of its residual formula: a shared
 //! [`RootFormula`], which the root activation builds from its formula as
-//! given before it runs its own lines 2–11, and the assignment on the
-//! path. The residual is the root formula under that assignment, in the
-//! root's clause order.
+//! given before it runs its own lines 2–11 on fresh counters over it, and
+//! the residual as those counters: the remaining occurrences of each
+//! clause and a count per literal, its occurrences in the clauses still
+//! open less a fixed offset once it is false. The parked counts are the
+//! path's assignment, so the counters are all a path holds of its own.
+//! The residual is the root formula under that assignment, in the root's
+//! clause order.
 //!
-//! Under `Fixpoint` and `SinglePass` a path also carries its residual as
-//! counters over the root (the root activation runs its own lines 6–11
-//! on fresh ones): the remaining occurrences of each clause and a count
-//! per literal, its occurrences in the clauses still open less a fixed
-//! offset once it is false, so a forced variable reads off its two
-//! counts (its value is in the assignment). A split
-//! copies the parent's counters into the first child and moves them into
-//! the last, and runs each child's lines 6–11 on them against the root's
-//! occurrence lists; no formula is written. A child arrives decided or
-//! not (a conflict flag, its live clause count), with its mapping hint
-//! (the clauses live once its branch literal holds) and its assignment,
-//! and its activation goes straight to line 12. Where the simplification
-//! runs is not observable: messages, steps, mapping hints and verdicts
-//! are those of every activation simplifying its own sub-problem.
+//! A split copies the parent's counters into the first child and moves
+//! them into the last, forces each child's branch literal on them and
+//! runs the child's lines 6–11 there (none under `SplitOnly`) against the
+//! root's occurrence lists; no formula is written. A child arrives
+//! decided or not (a conflict flag, its live clause count), with its
+//! mapping hint (the clauses live once its branch literal holds), and its
+//! activation goes straight to line 12. Where the simplification runs is
+//! not observable: messages, steps, mapping hints and verdicts are those
+//! of every activation simplifying its own sub-problem.
 //!
-//! `SplitOnly` propagates nothing, so a path there carries no counters:
-//! the parent reads the residual's clause count (the mapping hint), its
-//! first open clause and whether some clause lost its last literal off
-//! the clauses the split variable occurs in — the occurrences of one
-//! variable, not two copies of the formula.
-//!
-//! `first` branches on the first free literal of the first open clause.
-//! On a propagating path DLIS and most-frequent read the live counts and
-//! Jeroslow–Wang reads the counters clause by clause, in the root's
-//! order; every other choice has the activation write its residual once,
-//! into its own buffer, and select on that. The sequential
-//! [`dpll`](crate::dpll) solver walks the same paths, with the same
-//! choice.
+//! Every heuristic reads the counters: `first` branches on the first free
+//! literal of the first open clause, DLIS and most-frequent read the live
+//! counts, and Jeroslow–Wang and `random` walk the residual's clauses in
+//! the root's order. The sequential [`dpll`](crate::dpll) solver walks
+//! the same paths, with the same choice.
 //!
 //! A [`SubProblem`] travels as a handle: one pointer to a
 //! [`SubProblemBody`], so the mesh moves an 8-byte payload however large
 //! the formula. Bodies are recycled through a bounded free list per
-//! thread: dropping a sub-problem returns its body with its buffers (but
-//! not its root formula), and [`SubProblem::root`], `clone` and every
-//! split take one. A split writes its children's counters and
-//! assignments into the buffers finished activations left behind, so a
-//! child that fits them allocates nothing.
+//! thread: dropping a sub-problem returns its body with its counters'
+//! buffer (but no formula), and [`SubProblem::root`], `clone` and every
+//! split take one. A split writes its children's counters into the
+//! buffers finished activations left behind, so a child that fits them
+//! allocates nothing.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -73,27 +64,25 @@ use std::sync::Arc;
 use hyperspace_mapping::Weight;
 use hyperspace_recursion::{Calls, Join, RecProgram, Resumed, Spawn, Step};
 
-use crate::cnf::{Assignment, Cnf, Lit, Model};
-use crate::heuristics::{jeroslow_wang, most_frequent_lit, most_frequent_var, Heuristic};
+use crate::cnf::{check_model, Assignment, Cnf, Lit, Model};
+use crate::heuristics::{
+    jeroslow_wang, most_frequent_lit, most_frequent_var, random_lit, Heuristic,
+};
 use crate::simplify::{Occurrences, Residual, Simplified, SimplifyMode, SimplifyStats};
 
 /// A self-contained DPLL sub-problem, as shipped between nodes: a handle
-/// to its [`SubProblemBody`], whose public fields it dereferences to
-/// (`sub.assign`, `sub.discrepancy`).
+/// to its [`SubProblemBody`], whose public fields and methods it
+/// dereferences to (`sub.discrepancy`, `sub.assignment()`).
 #[derive(Debug, PartialEq, Eq)]
 pub struct SubProblem(Option<Box<SubProblemBody>>);
 
 /// What a [`SubProblem`] holds: a root's formula, or a path from a shared
-/// root, plus the assignment accumulated on the path to it.
+/// root with its residual as counters over that root.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct SubProblemBody {
-    /// A root's formula, as given, for its own activation to simplify. A
-    /// sub-problem below the root carries its [`Path`] instead and leaves
-    /// this empty, as its activation's scratch buffer. Read through
-    /// [`SubProblemBody::residual`].
+    /// A root's formula, as given, for its own activation to simplify;
+    /// empty below the root. Read through [`SubProblemBody::residual`].
     cnf: Cnf,
-    /// Assignments made so far (decision + forced), full-width.
-    pub assign: Assignment,
     /// Remaining discrepancy budget (limited-discrepancy search): how many
     /// more times this path may deviate from the heuristic's preferred
     /// branch. `None` — the default — is the classic unlimited search.
@@ -103,28 +92,38 @@ pub struct SubProblemBody {
     /// denied discrepancy), which the portfolio layer reports as an
     /// exhausted attempt rather than a verdict.
     pub discrepancy: Option<u64>,
-    /// A sub-problem's residual below the root, as the root formula under
-    /// `assign`.
+    /// A sub-problem's place below the root: the root formula under the
+    /// assignment `counters` hold.
     path: Option<Path>,
-    /// Under `Fixpoint` and `SinglePass`, a path's residual as counters
-    /// over its root formula, which its split copies into its children.
-    /// Otherwise a buffer kept for a later owner.
+    /// A path's residual as counters over its root formula, which its
+    /// split copies into its children; their parked counts are the
+    /// assignment on the path. Otherwise a buffer kept for a later owner.
     counters: Residual,
 }
 
 impl SubProblemBody {
     /// The residual formula: the one a root carries, or one written from
-    /// the path of a sub-problem below it — the root formula without the
-    /// clauses its assignment satisfies and the literals it falsifies, in
-    /// the root's clause order.
+    /// the counters of a sub-problem below it — the root formula without
+    /// the clauses its assignment satisfies and the literals it falsifies,
+    /// in the root's clause order.
     pub fn residual(&self) -> Cow<'_, Cnf> {
         match &self.path {
             None => Cow::Borrowed(&self.cnf),
             Some(path) => {
-                let mut cnf = Cnf::default();
-                path.residual_into(&self.assign, &mut cnf);
-                Cow::Owned(cnf)
+                let root = &path.root.cnf;
+                let clauses = self.counters.clauses(root).map(|(_, free)| free.collect());
+                Cow::Owned(Cnf::new(root.num_vars(), clauses.collect()))
             }
+        }
+    }
+
+    /// The assignment on the path to this sub-problem, decisions and
+    /// forced literals alike, read off its counters; a root's assigns
+    /// nothing.
+    pub fn assignment(&self) -> Assignment {
+        match &self.path {
+            None => Assignment::new(self.cnf.num_vars()),
+            Some(_) => self.counters.assignment(),
         }
     }
 
@@ -145,204 +144,100 @@ pub struct RootFormula {
 }
 
 /// Where a sub-problem below the root stands: its residual is the root
-/// formula under the body's assignment, and these are what its
-/// activation reads of that residual without writing it.
+/// formula under the assignment its counters hold, and these are what
+/// its activation reads besides them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Path {
     root: Arc<RootFormula>,
     /// The residual's clause count once the split's literal holds, before
     /// the sub-problem's own propagation: the mapping hint.
     weight: Weight,
-    /// Clauses no assigned literal satisfies: the residual's clause count.
-    open: Weight,
-    /// No clause before this one is open; unless `empty` or `open` is 0,
+    /// No clause before this one is open; unless `empty` or no clause is,
     /// this one is.
     first_open: u32,
     /// Some open clause has no free literal left: an empty clause.
     empty: bool,
 }
 
-/// Whether `assign` makes `lit` true.
-#[inline]
-fn satisfies(assign: &Assignment, lit: Lit) -> bool {
-    assign.value(lit.var()) == Some(lit.demanded_value())
-}
-
 impl Path {
     /// The root of a search over `cnf`, as given, after its lines 2–11
-    /// under `mode` on `counters`, which this overwrites. Records each
-    /// literal forced in `assign` and counts it in `stats`.
+    /// under `mode` on `counters`, which this overwrites. Counts each
+    /// literal forced in `stats`.
     pub(crate) fn simplified_root(
         cnf: Cnf,
         mode: SimplifyMode,
         counters: &mut Residual,
-        assign: &mut Assignment,
         stats: &mut SimplifyStats,
     ) -> Path {
-        debug_assert!(
-            cnf.iter_lits().all(|lit| assign.value(lit.var()).is_none()),
-            "a root formula mentions an assigned variable"
-        );
         *counters = Residual::new(&cnf);
         let occurrences = Occurrences::new(&cnf, counters.live_counts());
-        let (weight, mut empty) = (cnf.num_clauses() as Weight, cnf.has_empty_clause());
-        if !empty && mode != SimplifyMode::SplitOnly {
-            empty = counters.propagate(&occurrences, &cnf, mode, assign, stats);
-        }
+        let weight = cnf.num_clauses() as Weight;
+        let empty = cnf.has_empty_clause() || counters.propagate(&occurrences, &cnf, mode, stats);
         Path {
             root: Arc::new(RootFormula { cnf, occurrences }),
             weight,
-            open: counters.live(),
             first_open: counters.first_live(0) as u32,
             empty,
         }
     }
 
-    /// The child of a propagating split on this path in which `lit`
-    /// holds: `counters` and `assign`, this path's, become the child's
-    /// once `lit` is forced and the child's lines 6–11 have run on them,
-    /// each literal forced counted in `stats`. Its mapping hint is the
-    /// clauses live once `lit` holds, before the propagation.
+    /// The child of a split on this path in which `lit` holds: `counters`,
+    /// this path's, become the child's once `lit` is forced and the
+    /// child's lines 6–11 under `mode` have run on them, each literal
+    /// forced counted in `stats`. Its mapping hint is the clauses live
+    /// once `lit` holds, before the propagation.
     pub(crate) fn child(
         &self,
         lit: Lit,
         mode: SimplifyMode,
         counters: &mut Residual,
-        assign: &mut Assignment,
         stats: &mut SimplifyStats,
     ) -> Path {
-        let (root, occurrences) = (&self.root, &self.root.occurrences);
-        assign.assign(lit.var(), lit.demanded_value());
-        let conflict = counters.force(occurrences, &root.cnf, lit);
+        let (cnf, occurrences) = (&self.root.cnf, &self.root.occurrences);
+        let conflict = counters.force(occurrences, cnf, lit);
         let weight = counters.live();
-        let empty = conflict || counters.propagate(occurrences, &root.cnf, mode, assign, stats);
+        let empty = conflict || counters.propagate(occurrences, cnf, mode, stats);
         Path {
-            root: Arc::clone(root),
+            root: Arc::clone(&self.root),
             weight,
-            open: counters.live(),
             first_open: counters.first_live(self.first_open as usize) as u32,
             empty,
         }
     }
 
-    /// Lines 2–4: an empty clause, then an empty formula.
-    pub(crate) fn verdict(&self) -> Simplified {
+    /// Lines 2–4: an empty clause, then an empty formula, where `counters`
+    /// are this path's.
+    pub(crate) fn verdict(&self, counters: &Residual) -> Simplified {
         if self.empty {
             Simplified::Unsat
-        } else if self.open == 0 {
+        } else if counters.live() == 0 {
             Simplified::Sat
         } else {
             Simplified::Undecided
         }
     }
 
-    /// The first free literal of the first open clause: the first literal
-    /// of the residual, which `first` branches on.
-    fn first_free(&self, assign: &Assignment) -> Lit {
-        let clause = self.root.cnf.clause(self.first_open as usize);
-        let free = clause.iter().find(|lit| assign.value(lit.var()).is_none());
-        *free.expect("an undecided path's first open clause has a free literal")
-    }
-
-    /// Line 12: `heuristic`'s literal on this path's residual, where
-    /// `assign` is the path's assignment. Read off `counters`, the path's
-    /// own, where the search propagates (`None` under `SplitOnly`, whose
-    /// paths carry none), or else off the residual written into `scratch`.
-    pub(crate) fn select(
-        &self,
-        heuristic: Heuristic,
-        assign: &Assignment,
-        counters: Option<&Residual>,
-        scratch: &mut Cnf,
-    ) -> Option<Lit> {
+    /// Line 12: `heuristic`'s literal on this path's residual, read off
+    /// `counters`, the path's own.
+    pub(crate) fn select(&self, heuristic: Heuristic, counters: &Residual) -> Option<Lit> {
         let root = &self.root.cnf;
-        match (heuristic, counters) {
-            (Heuristic::FirstUnassigned, _) => Some(self.first_free(assign)),
-            (Heuristic::MostFrequent, Some(counters)) => most_frequent_var(counters.live_counts()),
-            (Heuristic::Dlis, Some(counters)) => most_frequent_lit(counters.live_counts()),
-            (Heuristic::JeroslowWang, Some(counters)) => {
-                jeroslow_wang(root.num_vars(), counters.clauses(root))
+        match heuristic {
+            // The first free literal of the first open clause: the first
+            // literal of the residual.
+            Heuristic::FirstUnassigned => {
+                let clause = root.clause(self.first_open as usize);
+                clause.iter().copied().find(|&lit| counters.is_free(lit))
             }
-            (heuristic, _) => {
-                self.residual_into(assign, scratch);
-                heuristic.select(scratch)
-            }
+            Heuristic::MostFrequent => most_frequent_var(counters.live_counts()),
+            Heuristic::Dlis => most_frequent_lit(counters.live_counts()),
+            Heuristic::JeroslowWang => jeroslow_wang(root.num_vars(), counters.clauses(root)),
+            Heuristic::Random(seed) => random_lit(
+                seed,
+                root.num_vars(),
+                counters.live() as usize,
+                counters.clauses(root),
+            ),
         }
-    }
-
-    /// Writes the residual into `out`'s buffers, whatever `out` held.
-    fn residual_into(&self, assign: &Assignment, out: &mut Cnf) {
-        let (cnf, first) = (&self.root.cnf, self.first_open as usize);
-        cnf.retained_into(
-            out,
-            self.open as usize,
-            cnf.num_lits(),
-            |i| i >= first && !cnf.clause(i).iter().any(|&lit| satisfies(assign, lit)),
-            |lit| assign.value(lit.var()).is_none(),
-        );
-    }
-
-    /// The two children of a split-only split on `lit`'s variable, `lit`
-    /// holding in the first and failing in the second, where `assign` is
-    /// this path's assignment: a clause showing the literal that holds
-    /// closes, one showing the other loses it. Reads each clause the
-    /// variable occurs in once per occurrence, and clauses past the first
-    /// open one only in a child that closed it.
-    fn children(&self, lit: Lit, assign: &Assignment) -> [Path; 2] {
-        let (cnf, occurrences) = (&self.root.cnf, &self.root.occurrences);
-        let var = lit.var();
-        let shown = [lit, lit.negated()];
-        let (mut open, mut empty) = ([self.open; 2], [false; 2]);
-        for k in 0..2 {
-            let mut previous = None;
-            for &i in occurrences.of(shown[k]) {
-                // A clause shows a duplicated literal once per occurrence.
-                if previous.replace(i) == Some(i) {
-                    continue;
-                }
-                // Whether the clause keeps a literal in the other child:
-                // a free one, or the other literal of `var`, which closes
-                // it there.
-                let (mut satisfied, mut kept) = (false, false);
-                for &other in cnf.clause(i as usize) {
-                    if other.var() == var {
-                        kept |= other != shown[k];
-                    } else {
-                        match assign.value(other.var()) {
-                            None => kept = true,
-                            Some(value) if value == other.demanded_value() => {
-                                satisfied = true;
-                                break;
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-                if !satisfied {
-                    open[k] -= 1;
-                    empty[1 - k] |= !kept;
-                }
-            }
-        }
-        [0, 1].map(|k| {
-            let mut first_open = self.first_open as usize;
-            if !empty[k] && open[k] > 0 {
-                let closed = |i: usize| {
-                    let mut clause = cnf.clause(i).iter();
-                    clause.any(|&other| other == shown[k] || satisfies(assign, other))
-                };
-                while closed(first_open) {
-                    first_open += 1;
-                }
-            }
-            Path {
-                root: Arc::clone(&self.root),
-                weight: open[k],
-                open: open[k],
-                first_open: first_open as u32,
-                empty: empty[k],
-            }
-        })
     }
 }
 
@@ -362,17 +257,14 @@ thread_local! {
 impl SubProblem {
     /// The root sub-problem of a formula (unlimited discrepancies).
     pub fn root(cnf: Cnf) -> SubProblem {
-        let assign = Assignment::new(cnf.num_vars());
         let mut sub = SubProblem::recycled(None);
         sub.cnf = cnf;
-        sub.assign = assign;
         sub
     }
 
     /// A handle to a body off this thread's free list (a new one if the
-    /// list is empty), with `discrepancy` and no counters: its formula and
-    /// assignment are whatever the body's last owner left, for the caller
-    /// to overwrite.
+    /// list is empty), with `discrepancy`, no formula, no path and no
+    /// counters.
     fn recycled(discrepancy: Option<u64>) -> SubProblem {
         let mut body = FREE
             .with(|free| free.borrow_mut().pop())
@@ -382,48 +274,36 @@ impl SubProblem {
         SubProblem(Some(body))
     }
 
-    /// A split-only child on `path` in a recycled body, its assignment the
-    /// body's last owner's for the caller to overwrite.
-    fn on_path(discrepancy: Option<u64>, path: Path) -> SubProblem {
-        let mut sub = SubProblem::recycled(discrepancy);
-        sub.cnf.clear();
-        sub.path = Some(path);
-        sub
-    }
-
-    /// The child of a propagating split on `parent` in which `lit` holds,
-    /// in a recycled body: `fill` writes the parent's counters and
-    /// assignment into the body's buffers, then `lit` is forced and the
-    /// child's lines 6–11 run on them, recording every value forced.
-    fn propagated(
+    /// The child of a split on `parent` in which `lit` holds, in a
+    /// recycled body: `fill` writes the parent's counters into the body's
+    /// buffer, then `lit` is forced and the child's lines 6–11 run on
+    /// them.
+    fn child(
         parent: &Path,
         lit: Lit,
         mode: SimplifyMode,
         discrepancy: Option<u64>,
-        fill: impl FnOnce(&mut Residual, &mut Assignment),
+        fill: impl FnOnce(&mut Residual),
     ) -> SubProblem {
         let mut sub = SubProblem::recycled(discrepancy);
         let body = &mut *sub;
-        body.cnf.clear();
-        fill(&mut body.counters, &mut body.assign);
+        fill(&mut body.counters);
         let stats = &mut SimplifyStats::default();
-        let path = parent.child(lit, mode, &mut body.counters, &mut body.assign, stats);
-        body.path = Some(path);
+        body.path = Some(parent.child(lit, mode, &mut body.counters, stats));
         sub
     }
 
     /// Lines 2–11: a root runs them on counters over its formula, which
     /// becomes the root formula of its path; a path, whose split already
-    /// ran them (or, under `SplitOnly`, which none runs), reads its
-    /// verdict off its flag and count.
+    /// ran them, reads its verdict off its flag and counters.
     fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
         let body = &mut **self;
         let path = body.path.get_or_insert_with(|| {
             let cnf = std::mem::take(&mut body.cnf);
             let stats = &mut SimplifyStats::default();
-            Path::simplified_root(cnf, mode, &mut body.counters, &mut body.assign, stats)
+            Path::simplified_root(cnf, mode, &mut body.counters, stats)
         });
-        path.verdict()
+        path.verdict(&body.counters)
     }
 
     /// The root sub-problem with a limited-discrepancy budget.
@@ -454,7 +334,8 @@ impl DerefMut for SubProblem {
 impl Drop for SubProblem {
     fn drop(&mut self) {
         if let Some(mut body) = self.0.take() {
-            // No free list keeps a root formula alive.
+            // No free list keeps a formula alive, a root's or a shared one.
+            body.cnf = Cnf::default();
             body.path = None;
             let _ = FREE.try_with(|free| {
                 let mut free = free.borrow_mut();
@@ -470,7 +351,6 @@ impl Clone for SubProblem {
     fn clone(&self) -> SubProblem {
         let mut sub = SubProblem::recycled(self.discrepancy);
         sub.cnf.clone_from(&self.cnf);
-        sub.assign.clone_from(&self.assign);
         sub.path.clone_from(&self.path);
         sub.counters.clone_from(&self.counters);
         sub
@@ -589,64 +469,35 @@ impl DpllProgram {
 
     /// Lines 12–16: the heuristic's choice on the parent's path, then a
     /// child on that path for each branch to spawn. The last child takes
-    /// the parent's assignment buffer (and a propagating one its
-    /// counters); the parent's body returns to the free list when `sub`
-    /// drops.
+    /// the parent's counters; the parent's body returns to the free list
+    /// when `sub` drops.
     fn split(&self, mut sub: SubProblem) -> Calls<SubProblem> {
         let parent = &mut *sub;
-        let propagating = self.mode != SimplifyMode::SplitOnly;
         let path = parent
             .path
             .take()
             .expect("lines 2–11 put every activation on its path");
-        let counters = propagating.then_some(&parent.counters);
-        let lit =
-            self.branch(path.select(self.heuristic, &parent.assign, counters, &mut parent.cnf));
-        if !propagating {
-            return split_only_children(&path, lit, parent);
-        }
+        let lit = self.branch(path.select(self.heuristic, &parent.counters));
         // Each child is decided here: the first on a copy of the parent's
         // counters, the last on the counters themselves. Following the
         // heuristic costs no discrepancy; going against it spends one.
         let discrepancy = parent.discrepancy;
         let last = |lit, discrepancy, parent: &mut SubProblemBody| {
-            SubProblem::propagated(&path, lit, self.mode, discrepancy, |counters, assign| {
+            SubProblem::child(&path, lit, self.mode, discrepancy, |counters| {
                 std::mem::swap(counters, &mut parent.counters);
-                std::mem::swap(assign, &mut parent.assign);
             })
         };
         if discrepancy == Some(0) {
             return Calls::one(last(lit, discrepancy, parent));
         }
-        let first =
-            SubProblem::propagated(&path, lit, self.mode, discrepancy, |counters, assign| {
-                counters.clone_from(&parent.counters);
-                assign.clone_from(&parent.assign);
-            });
+        let first = SubProblem::child(&path, lit, self.mode, discrepancy, |counters| {
+            counters.clone_from(&parent.counters);
+        });
         Calls::two(
             first,
             last(lit.negated(), discrepancy.map(|d| d - 1), parent),
         )
     }
-}
-
-/// The children of a split-only split on `lit`, each on its parent's path
-/// with one more literal assigned, to be decided by its own activation.
-fn split_only_children(path: &Path, lit: Lit, parent: &mut SubProblemBody) -> Calls<SubProblem> {
-    let (var, value) = (lit.var(), lit.demanded_value());
-    let [first_path, second_path] = path.children(lit, &parent.assign);
-    // Following the heuristic costs no discrepancy; going against it
-    // spends one.
-    let mut first = SubProblem::on_path(parent.discrepancy, first_path);
-    first.assign.clone_from(&parent.assign);
-    first.assign.assign(var, value);
-    if parent.discrepancy == Some(0) {
-        return Calls::one(first);
-    }
-    let mut second = SubProblem::on_path(parent.discrepancy.map(|d| d - 1), second_path);
-    std::mem::swap(&mut second.assign, &mut parent.assign);
-    second.assign.assign(var, !value);
-    Calls::two(first, second)
 }
 
 impl RecProgram for DpllProgram {
@@ -658,7 +509,15 @@ impl RecProgram for DpllProgram {
 
     fn start(&self, mut sub: SubProblem) -> Step<Self> {
         match sub.simplify(self.mode) {
-            Simplified::Sat => return Step::Done(Verdict::Sat(sub.assign.complete())),
+            Simplified::Sat => {
+                let model = sub.counters.model();
+                debug_assert!(
+                    sub.root_formula()
+                        .is_some_and(|root| check_model(&root.cnf, &model)),
+                    "a satisfied leaf's model satisfies its root formula"
+                );
+                return Step::Done(Verdict::Sat(model));
+            }
             Simplified::Unsat => return Step::Done(Verdict::Unsat),
             Simplified::Undecided => {}
         }
@@ -704,7 +563,6 @@ impl RecProgram for DpllProgram {
 mod tests {
     use super::*;
     use crate::brute;
-    use crate::cnf::check_model;
     use crate::gen;
     use hyperspace_recursion::eval_local;
 
@@ -727,15 +585,9 @@ mod tests {
     }
 
     /// A handle to a body built in place, bypassing the free list.
-    fn handle(
-        cnf: Cnf,
-        assign: Assignment,
-        discrepancy: Option<u64>,
-        counters: Residual,
-    ) -> SubProblem {
+    fn handle(cnf: Cnf, discrepancy: Option<u64>, counters: Residual) -> SubProblem {
         SubProblem(Some(Box::new(SubProblemBody {
             cnf,
-            assign,
             discrepancy,
             path: None,
             counters,
@@ -745,14 +597,12 @@ mod tests {
     #[test]
     fn a_recycled_body_carries_nothing_into_a_root() {
         FREE.with(|free| free.borrow_mut().clear());
-        let mut assign = Assignment::new(12);
-        assign.assign(crate::Var(4), true);
         let dirty = gen::random_ksat(1, 12, 50, 3);
         let counters = Residual::new(&dirty);
-        drop(handle(dirty, assign, Some(3), counters));
+        drop(handle(dirty, Some(3), counters));
         assert_eq!(FREE.with(|free| free.borrow().len()), 1);
         let cnf = gen::random_ksat(2, 8, 20, 3);
-        let fresh = handle(cnf.clone(), Assignment::new(8), None, Residual::default());
+        let fresh = handle(cnf.clone(), None, Residual::default());
         let root = SubProblem::root(cnf);
         assert_eq!(
             FREE.with(|free| free.borrow().len()),

@@ -15,14 +15,17 @@
 //! of its occurrences off the counts without asking which are still
 //! free; a false literal's count stays below zero, a true one's reads 0,
 //! and every reader takes a count of zero or less as no live occurrence.
+//! So the counters are the assignment too: a variable is false when its
+//! positive literal's count is below zero, true when its negative one's
+//! is, and free otherwise.
 
-use crate::cnf::{Assignment, Cnf, Lit, Var};
+use crate::cnf::{Assignment, Cnf, Lit, Model, Var};
 
 /// Outcome of simplifying a sub-problem to fixpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Simplified {
-    /// Every clause satisfied; the accompanying assignment (completed with
-    /// `false` for free variables) is a model.
+    /// Every clause satisfied; the assignment the counters hold (completed
+    /// with `false` for free variables) is a model.
     Sat,
     /// An empty clause appeared: this branch is unsatisfiable.
     Unsat,
@@ -132,8 +135,8 @@ impl Occurrences {
 
 /// The residual of a search's root formula under the literals forced so
 /// far, kept as counters over that untouched formula and its
-/// [`Occurrences`]: a propagating sub-problem's, which a split copies
-/// into each child.
+/// [`Occurrences`]: a sub-problem's, which a split copies into each
+/// child, and its assignment, which reads off the parked counts.
 ///
 /// The counters are a function of the root formula and the literals
 /// forced, not of the order they were forced in, so two residuals over
@@ -147,9 +150,9 @@ pub(crate) struct Residual {
     ///   formula, whatever its variable's state, less [`PARK`] once the
     ///   literal is false. A free literal's count is its live
     ///   occurrences, a true one's is 0 (every clause showing it has
-    ///   left), a false one's is below zero: whether a variable is forced
-    ///   reads off its two counts, and its value goes to the caller's
-    ///   [`Assignment`], which is not consulted;
+    ///   left), a false one's is below zero: a variable's value reads off
+    ///   its two counts ([`Residual::value`]), and no other record of the
+    ///   assignment is kept;
     /// - `[clauses_at..]`, the occurrences not yet falsified in each
     ///   clause, [`SATISFIED`] once the clause has left the formula.
     ///   Occurrences, not distinct literals: `x ∨ x` counts two and is not
@@ -238,8 +241,43 @@ impl Residual {
 
     /// Whether `lit`, shown by a clause still in the formula, is free: a
     /// free literal counts that clause, a false one is below zero.
-    fn is_free(&self, lit: Lit) -> bool {
+    pub(crate) fn is_free(&self, lit: Lit) -> bool {
         self.state[lit.index()] > 0
+    }
+
+    /// The value forced on `var`: false if its positive literal's count is
+    /// parked below zero, true if its negative one's is, none if neither.
+    pub(crate) fn value(&self, var: Var) -> Option<bool> {
+        let counts = &self.state[var.0 as usize * 2..][..2];
+        match (counts[0] < 0, counts[1] < 0) {
+            (true, _) => Some(false),
+            (_, true) => Some(true),
+            _ => None,
+        }
+    }
+
+    /// The variables of the formula these counters are over.
+    fn vars(&self) -> impl Iterator<Item = Var> {
+        (0..self.clauses_at as u32 / 2).map(Var)
+    }
+
+    /// The assignment the counts hold: every literal forced so far.
+    pub(crate) fn assignment(&self) -> Assignment {
+        let mut assignment = Assignment::new(self.clauses_at as u32 / 2);
+        for var in self.vars() {
+            if let Some(value) = self.value(var) {
+                assignment.assign(var, value);
+            }
+        }
+        assignment
+    }
+
+    /// The assignment completed with `false` for free variables: a model
+    /// once no clause is left.
+    pub(crate) fn model(&self) -> Model {
+        self.vars()
+            .map(|var| self.value(var) == Some(true))
+            .collect()
     }
 
     /// The residual formula's clauses, in order, over `cnf` (the formula
@@ -248,7 +286,7 @@ impl Residual {
     pub(crate) fn clauses<'a>(
         &'a self,
         cnf: &'a Cnf,
-    ) -> impl Iterator<Item = (usize, impl Iterator<Item = Lit> + 'a)> + 'a {
+    ) -> impl Iterator<Item = (usize, impl Iterator<Item = Lit> + 'a)> + Clone + 'a {
         let live = self.remaining().iter().enumerate();
         live.filter(|&(_, &left)| left != SATISFIED)
             .map(move |(i, &left)| {
@@ -269,22 +307,23 @@ impl Residual {
         from + live.unwrap_or(remaining.len())
     }
 
-    /// Listing 4 lines 6–11 from the current counters, recording each
-    /// literal forced in `assignment`. Returns whether a clause lost its
+    /// Listing 4 lines 6–11 from the current counters, as `mode` runs
+    /// them: none under `SplitOnly`. Returns whether a clause lost its
     /// last occurrence, which ends the propagation where it stands.
     pub(crate) fn propagate(
         &mut self,
         occurrences: &Occurrences,
         cnf: &Cnf,
         mode: SimplifyMode,
-        assignment: &mut Assignment,
         stats: &mut SimplifyStats,
     ) -> bool {
+        if mode == SimplifyMode::SplitOnly {
+            return false;
+        }
         // Unit propagation (lines 6–8): drain every unit clause reachable
         // from the current formula, lowest clause first.
         while let Some(unit) = self.first_unit(cnf) {
             stats.unit_props += 1;
-            assignment.assign(unit.var(), unit.demanded_value());
             if self.force(occurrences, cnf, unit) {
                 return true;
             }
@@ -294,7 +333,6 @@ impl Residual {
         // one only removes clauses, so no unit and no conflict can follow.
         while let Some(pure) = lowest_pure_literal(self.live_counts()) {
             stats.pure_assigns += 1;
-            assignment.assign(pure.var(), pure.demanded_value());
             self.force(occurrences, cnf, pure);
             if mode == SimplifyMode::SinglePass {
                 break;
@@ -403,15 +441,15 @@ mod tests {
     /// the literals forced, the residual and the assignment.
     fn simplified(f: &Cnf, mode: SimplifyMode) -> (Simplified, SimplifyStats, Cnf, Assignment) {
         let (occurrences, mut residual) = tables(f);
-        let (mut a, mut stats) = (Assignment::new(f.num_vars()), SimplifyStats::default());
-        let outcome = if residual.propagate(&occurrences, f, mode, &mut a, &mut stats) {
+        let mut stats = SimplifyStats::default();
+        let outcome = if residual.propagate(&occurrences, f, mode, &mut stats) {
             Simplified::Unsat
         } else if residual.live() == 0 {
             Simplified::Sat
         } else {
             Simplified::Undecided
         };
-        (outcome, stats, written(&residual, f), a)
+        (outcome, stats, written(&residual, f), residual.assignment())
     }
 
     #[test]
@@ -495,8 +533,91 @@ mod tests {
         })
     }
 
+    /// `f` under `assign`, written the naive way: the clauses no literal
+    /// of `assign` satisfies, each without the literals it falsifies.
+    fn naive_written(f: &Cnf, assign: &Assignment) -> Cnf {
+        let holds = |lit: Lit| assign.value(lit.var()) == Some(lit.demanded_value());
+        let open = f
+            .clauses()
+            .filter(|clause| !clause.iter().any(|&lit| holds(lit)));
+        let clauses = open.map(|clause| {
+            let free = clause.iter().copied();
+            free.filter(|lit| assign.value(lit.var()).is_none())
+                .collect()
+        });
+        Cnf::new(f.num_vars(), clauses.collect())
+    }
+
+    /// Lines 6–11 under `mode` on `f` under `assign`, rewriting the
+    /// formula after every literal: records each literal forced in
+    /// `assign` and returns whether a clause emptied.
+    fn naive_propagate(f: &Cnf, assign: &mut Assignment, mode: SimplifyMode) -> bool {
+        if mode == SimplifyMode::SplitOnly {
+            return false;
+        }
+        loop {
+            let residual = naive_written(f, assign);
+            if residual.has_empty_clause() {
+                return true;
+            }
+            let Some(unit) = residual.clauses().find(|clause| clause.len() == 1) else {
+                break;
+            };
+            assign.assign(unit[0].var(), unit[0].demanded_value());
+        }
+        while let Some(pure) = lowest_pure_literal(&occurrence_counts(&naive_written(f, assign))) {
+            assign.assign(pure.var(), pure.demanded_value());
+            if mode == SimplifyMode::SinglePass {
+                break;
+            }
+        }
+        false
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Drawn literals forced one by one, each on a free variable (a
+        /// draw whose variable is forced already is skipped), with lines
+        /// 6–11 under a drawn mode at the start and after each force until
+        /// a clause empties: the counters hold the assignment the forced
+        /// literals make, its completion is their model, and fresh
+        /// counters forced with its literals in variable order equal them.
+        #[test]
+        fn the_counters_are_the_assignment(
+            f in arb_cnf(),
+            draws in proptest::collection::vec((0u32..8, any::<bool>()), 0..10),
+            mode in 0usize..3,
+        ) {
+            let modes = [SimplifyMode::Fixpoint, SimplifyMode::SinglePass, SimplifyMode::SplitOnly];
+            let mode = modes[mode];
+            let (occurrences, mut residual) = tables(&f);
+            let mut expected = Assignment::new(f.num_vars());
+            let mut conflict = f.has_empty_clause();
+            let draws = draws.iter().map(|&(v, pos)| Some(Lit::with_polarity(Var(v % f.num_vars()), pos)));
+            for draw in std::iter::once(None).chain(draws) {
+                if let Some(lit) = draw {
+                    if expected.value(lit.var()).is_some() {
+                        continue;
+                    }
+                    expected.assign(lit.var(), lit.demanded_value());
+                    conflict |= residual.force(&occurrences, &f, lit);
+                }
+                if !conflict {
+                    conflict = residual.propagate(&occurrences, &f, mode, &mut SimplifyStats::default());
+                    prop_assert_eq!(conflict, naive_propagate(&f, &mut expected, mode), "{:?}", f);
+                }
+            }
+            prop_assert_eq!(residual.assignment(), expected.clone(), "{:?}", f);
+            prop_assert_eq!(residual.model(), expected.complete(), "{:?}", f);
+            let mut fresh = Residual::new(&f);
+            for var in (0..f.num_vars()).map(Var) {
+                if let Some(value) = expected.value(var) {
+                    fresh.force(&occurrences, &f, Lit::with_polarity(var, value));
+                }
+            }
+            prop_assert_eq!(fresh, residual, "{:?}", f);
+        }
 
         /// Forcing distinct variables one by one, in an order and with
         /// polarities drawn per variable, conflicts or not: after each
@@ -596,10 +717,10 @@ mod tests {
             a.assign(pure.var(), pure.demanded_value());
             let got = (
                 child.residual().into_owned(),
-                &child.assign,
+                child.assignment(),
                 program.weight(child),
             );
-            assert_eq!(got, (residual, &a, 3), "{branch:?}");
+            assert_eq!(got, (residual, a, 3), "{branch:?}");
         }
     }
 

@@ -381,7 +381,7 @@ fn check_activation(
             assert!(call.residual().has_empty_clause(), "{branch:?}");
         } else {
             assert_eq!(*call.residual(), flat(num_vars, &expected.1), "{branch:?}");
-            assert_eq!(call.assign, expected.2, "{branch:?}");
+            assert_eq!(call.assignment(), expected.2, "{branch:?}");
         }
         if depth > 1 {
             check_activation(program, call, num_vars, expected, depth - 1);

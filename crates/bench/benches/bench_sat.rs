@@ -1,5 +1,5 @@
-//! SAT substrate microbenchmarks: sequential solver per heuristic,
-//! instance generation, and one mid-search mesh activation (both children
+//! SAT substrate microbenchmarks: sequential solver per heuristic on two
+//! formulas, instance generation, and one mid-search mesh activation (both children
 //! of a branching variable, simplified).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -7,18 +7,28 @@ use hyperspace_recursion::{RecProgram, Step};
 use hyperspace_sat::heuristics::ALL_HEURISTICS;
 use hyperspace_sat::{cdcl, dpll, gen, Cnf, DpllProgram, Heuristic, Lit, SubProblem};
 
+/// `dpll::solve` per heuristic on uf20-91 (rows named by the heuristic
+/// alone) and on `ksat-40-182@1`, the shape of the `portfolio_sat`
+/// benchmark's formulas.
 fn bench_sequential_solver(c: &mut Criterion) {
-    let cnf = gen::uf20_91(2017);
+    let uf20 = gen::uf20_91(2017);
+    let ksat = gen::satisfiable_ksat(1, 40, 182, 3);
     let mut group = c.benchmark_group("dpll-seq");
     group.sample_size(20);
     for h in ALL_HEURISTICS {
-        group.bench_function(BenchmarkId::from_parameter(h.to_string()), |b| {
-            b.iter(|| {
-                let (r, stats) = dpll::solve(std::hint::black_box(&cnf), h);
-                assert!(r.is_sat());
-                stats.nodes
-            })
-        });
+        let rows = [
+            (BenchmarkId::from_parameter(h.to_string()), &uf20),
+            (BenchmarkId::new(h.to_string(), "ksat-40-182@1"), &ksat),
+        ];
+        for (id, cnf) in rows {
+            group.bench_function(id, |b| {
+                b.iter(|| {
+                    let (r, stats) = dpll::solve(std::hint::black_box(cnf), h);
+                    assert!(r.is_sat());
+                    stats.nodes
+                })
+            });
+        }
     }
     group.finish();
 }

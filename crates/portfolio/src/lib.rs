@@ -15,10 +15,14 @@
 //!   the handle `StackBuilder::run` and the service drive too;
 //! * members advance in lock-step **sync epochs** (a fixed budget of
 //!   simulated steps / search operations per epoch). An epoch is one
-//!   fork-join over the race's owned members — disjoint chunks stepped
-//!   on up to [`PortfolioRunner::threads`] scoped threads — and the join
-//!   is the epoch barrier where knowledge is exchanged, on the calling
-//!   thread alone: CDCL members export the clauses they learned (bounded
+//!   fork-join over the race's owned members — chunks of consecutive
+//!   members on up to [`PortfolioRunner::threads`] threads, the first
+//!   chunk on the calling thread and each other one moved by value to a
+//!   helper thread — and the join is the epoch barrier where knowledge
+//!   is exchanged, on the calling thread alone.
+//!   The helpers outlive the race: the calling thread keeps them, idle
+//!   between epochs, for its next race, and they exit when it does.
+//!   At the barrier CDCL members export the clauses they learned (bounded
 //!   by length/LBD budgets) onto a deduplicating bus and import every
 //!   sibling's lemmas, while branch-and-bound members publish their
 //!   incumbents, which are re-injected into trailing members through
@@ -32,8 +36,8 @@
 //! Everything the race decides — the winner, every member's counters,
 //! how many clauses and bounds crossed the bus — is keyed on *logical*
 //! progress (simulated steps, search operations), never wall clock.
-//! Members only interact at epoch barriers (no thread but the caller's
-//! is alive there), each member's engine is itself bit-identical across
+//! Members only interact at epoch barriers (every member is back on the
+//! caller's thread there), each member's engine is itself bit-identical across
 //! execution backends, and barrier bookkeeping runs in member-id order —
 //! down to which member's panic a faulting race re-raises (the lowest
 //! id's). The resulting [`PortfolioReport`] is therefore

@@ -3,7 +3,10 @@
 //! at epoch barriers; it never touches a member's machine. Observers
 //! see each epoch's progress and bus traffic through `on_epoch`.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 
 use hyperspace_core::{
     EngineSpec, JobParams, LimitKind, MapperSpec, MemberPlan, ObjectiveSpec, PortfolioSpec,
@@ -98,8 +101,9 @@ impl PortfolioRunner {
         self
     }
 
-    /// How many threads an epoch's fork-join steps the members on (the
-    /// caller's included; `1` spawns nothing). Any value produces the
+    /// How many threads an epoch's fork-join steps the members on: the
+    /// caller's and up to `threads − 1` helpers the calling thread keeps
+    /// from race to race (`1` spawns nothing). Any value produces the
     /// same report; this only trades wall-clock for cores.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -607,53 +611,198 @@ impl RunSlice for PortfolioRace {
 /// What a faulting member leaves behind: its caught panic payload.
 type Fault = Box<dyn std::any::Any + Send>;
 
-/// Steps every member to the absolute unit `cap` as one fork-join and
-/// returns their statuses in member-id order. Members, status slots and
-/// one fault slot per chunk are split into disjoint slices: chunk 0 runs
-/// on the calling thread, the others on scoped threads (`threads == 1`
-/// spawns nothing), and the scope's own end-of-scope wait is the
-/// rendezvous. A member panic is contained in its chunk — the chunk
-/// stops there, siblings finish their epoch — and the *lowest* chunk's
-/// payload is re-raised afterwards with its original message, exactly as
-/// a direct single-stack run would fail, so which fault a race reports
-/// never depends on `threads` or on wall-clock arrival.
-fn step_members(
-    members: &mut [Box<dyn MemberDrive>],
-    threads: usize,
-    cap: u64,
-) -> Vec<EpochStatus> {
-    fn step_chunk(
-        members: &mut [Box<dyn MemberDrive>],
-        statuses: &mut [EpochStatus],
-        fault: &mut Option<Fault>,
-        cap: u64,
-    ) {
-        *fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (member, status) in members.iter_mut().zip(statuses) {
-                *status = member.run_epoch(cap);
+/// A chunk of members, by value, as a helper steps them.
+type Chunk = Vec<Box<dyn MemberDrive>>;
+
+/// What stepping a chunk leaves: the chunk, its members' statuses and
+/// its caught fault.
+type Stepped = (Chunk, Vec<EpochStatus>, Option<Fault>);
+
+/// A race driver thread that outlives the race: it steps each chunk it
+/// receives to the cap sent with it and sends the chunk back. Its
+/// thread-local free lists (recycled sub-problem bodies) stay warm from
+/// one race to the next.
+struct Helper {
+    chunks: Sender<(Chunk, u64)>,
+    stepped: Receiver<Stepped>,
+    thread: JoinHandle<()>,
+}
+
+impl Helper {
+    fn spawn() -> Helper {
+        let (chunks, inbox) = channel::<(Chunk, u64)>();
+        let (outbox, stepped) = channel();
+        let thread = std::thread::spawn(move || {
+            // Ends when the owner drops its end of either channel.
+            while let Ok((mut chunk, cap)) = inbox.recv() {
+                let (statuses, fault) = step_chunk(&mut chunk, cap);
+                if outbox.send((chunk, statuses, fault)).is_err() {
+                    break;
+                }
             }
-        }))
-        .err();
+        });
+        Helper {
+            chunks,
+            stepped,
+            thread,
+        }
     }
+}
+
+/// The helpers a calling thread steps chunks 1.. on, spawned as its races
+/// first need them. They exit, joined, when the thread-local drops at the
+/// calling thread's end.
+#[derive(Default)]
+struct Helpers(Vec<Helper>);
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        // Dropping a helper's channels ends its loop.
+        let threads: Vec<_> = self.0.drain(..).map(|helper| helper.thread).collect();
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+thread_local! {
+    static HELPERS: RefCell<Helpers> = RefCell::new(Helpers::default());
+}
+
+/// Steps `members` to `cap` in order inside one `catch_unwind`: a panic
+/// stops the chunk there and leaves the rest `Running`.
+fn step_chunk(members: &mut [Box<dyn MemberDrive>], cap: u64) -> (Vec<EpochStatus>, Option<Fault>) {
+    let mut statuses = vec![EpochStatus::Running; members.len()];
+    let fault = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        for (member, status) in members.iter_mut().zip(&mut statuses) {
+            *status = member.run_epoch(cap);
+        }
+    }))
+    .err();
+    (statuses, fault)
+}
+
+/// Steps every member to the absolute unit `cap` as one fork-join and
+/// returns their statuses in member-id order. The members split into
+/// chunks of consecutive ids: chunk 0 runs on the calling thread, chunk
+/// `k` moves by value to the calling thread's helper `k − 1` (a
+/// persistent thread, spawned the first time a race needs it; `threads
+/// == 1` sends nothing) and comes back with its statuses, and receiving
+/// every chunk back is the rendezvous. A member panic is contained in
+/// its chunk — the chunk stops there, siblings finish their epoch — and
+/// once every chunk is back in place the *lowest* chunk's payload is
+/// re-raised with its original message, exactly as a direct single-stack
+/// run would fail, so which fault a race reports never depends on
+/// `threads` or on wall-clock arrival.
+fn step_members(members: &mut Chunk, threads: usize, cap: u64) -> Vec<EpochStatus> {
     let n = members.len();
     let chunk = n.div_ceil(threads.clamp(1, n));
-    let mut statuses = vec![EpochStatus::Running; n];
-    let mut faults: Vec<Option<Fault>> = (0..n.div_ceil(chunk)).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut chunks = members
-            .chunks_mut(chunk)
-            .zip(statuses.chunks_mut(chunk))
-            .zip(&mut faults);
-        let own = chunks.next();
-        for ((members, statuses), fault) in chunks {
-            scope.spawn(move || step_chunk(members, statuses, fault, cap));
-        }
-        if let Some(((members, statuses), fault)) = own {
-            step_chunk(members, statuses, fault, cap);
-        }
-    });
+    let sent = n.div_ceil(chunk) - 1;
+    // Taken out for the epoch, so a member may race a portfolio of its own.
+    let mut helpers = HELPERS.take();
+    while helpers.0.len() < sent {
+        helpers.0.push(Helper::spawn());
+    }
+    for (k, helper) in helpers.0[..sent].iter().enumerate().rev() {
+        let tail = members.split_off((k + 1) * chunk);
+        helper
+            .chunks
+            .send((tail, cap))
+            .expect("a race helper outlives its owner's races");
+    }
+    let (mut statuses, fault) = step_chunk(members, cap);
+    let mut faults = vec![fault];
+    for helper in &helpers.0[..sent] {
+        let (mut back, chunk_statuses, fault) = helper
+            .stepped
+            .recv()
+            .expect("a race helper sends back every chunk it receives");
+        members.append(&mut back);
+        statuses.extend(chunk_statuses);
+        faults.push(fault);
+    }
+    HELPERS.set(helpers);
     if let Some(payload) = faults.into_iter().flatten().next() {
         std::panic::resume_unwind(payload);
     }
     statuses
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+
+    use hyperspace_core::RunSummary;
+    use hyperspace_sat::Clause;
+
+    use super::*;
+
+    /// A member that finishes in its first epoch and records, under its
+    /// id, the thread that stepped it.
+    struct Recorder {
+        id: usize,
+        steps: Arc<Mutex<Vec<(usize, ThreadId)>>>,
+    }
+
+    impl MemberDrive for Recorder {
+        fn run_epoch(&mut self, _cap: u64) -> EpochStatus {
+            let on = std::thread::current().id();
+            self.steps.lock().unwrap().push((self.id, on));
+            EpochStatus::Finished
+        }
+
+        fn units(&self) -> u64 {
+            0
+        }
+
+        fn best_incumbent(&self) -> Option<i64> {
+            None
+        }
+
+        fn inject_bound(&mut self, _value: i64) {}
+
+        fn export_clauses(&mut self, _max_len: usize, _max_lbd: usize) -> Vec<Clause> {
+            Vec::new()
+        }
+
+        fn import_clauses(&mut self, _clauses: &[&Clause]) -> u64 {
+            0
+        }
+
+        fn cancel(&mut self) {}
+
+        fn finish(self: Box<Self>) -> RunSummary {
+            unreachable!("the races here are dropped, not folded")
+        }
+    }
+
+    #[test]
+    fn consecutive_races_step_chunk_1_on_the_same_helper() {
+        let spec = PortfolioSpec::new(vec![StrategySpec::mesh(); 2]);
+        let runner = PortfolioRunner::new(spec).threads(2);
+        let steps = Arc::new(Mutex::new(Vec::new()));
+        for _ in 0..2 {
+            let members = (0..2).map(|id| {
+                let steps = Arc::clone(&steps);
+                Box::new(Recorder { id, steps }) as Box<dyn MemberDrive>
+            });
+            let mut race = runner.begin(members.collect());
+            assert!(race.run_epochs(u64::MAX));
+        }
+        let steps = steps.lock().unwrap();
+        let stepped_on = |id: usize| -> Vec<ThreadId> {
+            let mine = steps.iter().filter(|&&(member, _)| member == id);
+            mine.map(|&(_, on)| on).collect()
+        };
+        let caller = std::thread::current().id();
+        assert_eq!(stepped_on(0), [caller, caller]);
+        let chunk_1 = stepped_on(1);
+        assert_eq!(chunk_1.len(), 2);
+        assert_ne!(chunk_1[0], caller);
+        assert_eq!(
+            chunk_1[0], chunk_1[1],
+            "one helper steps chunk 1 in both races"
+        );
+    }
 }

@@ -275,6 +275,28 @@ fn member_panics_propagate_without_deadlocking_the_drivers() {
             "threads {threads}: {message}"
         );
     }
+    // The drivers survive the fault: a clean race on this thread's
+    // helpers completes and reports what a single-threaded one does.
+    let sum = |_: usize, _: &StrategySpec| {
+        FnProgram::new(|n: u64| -> Rec<u64, u64> {
+            if n == 0 {
+                return Rec::done(0);
+            }
+            Rec::call(n - 1).then(move |total| Rec::done(total + n))
+        })
+    };
+    let spec = PortfolioSpec::new(vec![
+        StrategySpec::mesh(),
+        StrategySpec::mesh().with_mapper(MapperSpec::Random { seed: 3 }),
+    ])
+    .epoch(8);
+    let [one, two] = [1, 2].map(|threads| {
+        small_runner(spec.clone())
+            .threads(threads)
+            .run_mesh(sum, 5u64)
+    });
+    assert!(two.winner.is_some());
+    assert_eq!(two, one);
 }
 
 #[test]

@@ -160,7 +160,7 @@ pub(crate) fn jeroslow_wang<C: Iterator<Item = Lit>>(
     let mut scores = vec![0.0f64; num_vars as usize * 2];
     let mut seen = false;
     for (len, lits) in clauses {
-        let w = (2.0f64).powi(-(len as i32));
+        let w = jeroslow_wang_weight(len as i32);
         for lit in lits {
             scores[lit.index()] += w;
             seen = true;
@@ -174,6 +174,15 @@ pub(crate) fn jeroslow_wang<C: Iterator<Item = Lit>>(
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores are finite"))?;
     Some(lit_from_index(idx))
+}
+
+/// A clause's Jeroslow–Wang weight, `2^-len`, written as its bits where
+/// the exponent allows: exactly `2f64.powi(-len)`, without the call.
+fn jeroslow_wang_weight(len: i32) -> f64 {
+    match len {
+        0..=1022 => f64::from_bits(((1023 - len) as u64) << 52),
+        _ => 2.0f64.powi(-len),
+    }
 }
 
 /// `Random` with `seed` over a formula of `num_clauses` clauses over
@@ -264,6 +273,14 @@ mod tests {
         // 4-clauses = 0.125. Pick x3.
         let f = cnf(&[&[3, 2], &[3, -2], &[1, -2, 4, 5], &[1, 2, -4, -5]], 5);
         assert_eq!(Heuristic::JeroslowWang.select(&f), Some(lit(3)));
+    }
+
+    #[test]
+    fn jeroslow_wang_weights_are_the_powers_of_two() {
+        for len in 0..1100 {
+            let weight = jeroslow_wang_weight(len);
+            assert_eq!(weight.to_bits(), 2.0f64.powi(-len).to_bits(), "{len}");
+        }
     }
 
     #[test]

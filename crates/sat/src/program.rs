@@ -172,7 +172,8 @@ impl Path {
         *counters = Residual::new(&cnf);
         let occurrences = Occurrences::new(&cnf, counters.live_counts());
         let weight = cnf.num_clauses() as Weight;
-        let empty = cnf.has_empty_clause() || counters.propagate(&occurrences, &cnf, mode, stats);
+        let empty =
+            cnf.has_empty_clause() || counters.propagate(&occurrences, &cnf, mode, 0, stats);
         Path {
             root: Arc::new(RootFormula { cnf, occurrences }),
             weight,
@@ -194,9 +195,12 @@ impl Path {
         stats: &mut SimplifyStats,
     ) -> Path {
         let (cnf, occurrences) = (&self.root.cnf, &self.root.occurrences);
-        let conflict = counters.force(occurrences, cnf, lit);
+        // The parent's counters are at fixpoint: the force's report is
+        // where a unit can first stand.
+        let forced = counters.force(occurrences, cnf, lit);
         let weight = counters.live();
-        let empty = conflict || counters.propagate(occurrences, cnf, mode, stats);
+        let empty =
+            forced.conflict || counters.propagate(occurrences, cnf, mode, forced.unit_from, stats);
         Path {
             root: Arc::clone(&self.root),
             weight,

@@ -18,6 +18,16 @@
 //! So the counters are the assignment too: a variable is false when its
 //! positive literal's count is below zero, true when its negative one's
 //! is, and free otherwise.
+//!
+//! Unit propagation scans the clause counts for the first unit, but not
+//! from clause 0 each time: forcing a literal takes an occurrence off
+//! only the clauses showing its negation, whose list is ascending, so
+//! `Residual::force` reports the lowest clause it took down to one
+//! occurrence, and `Residual::propagate` takes a `from` clause before
+//! which no clause is a unit. The scan resumes at the lower of the
+//! report and the clause after the unit just forced; a child of a split
+//! passes its branch force's report, since its parent's counters are at
+//! fixpoint, and only a root scans from clause 0.
 
 use crate::cnf::{Assignment, Cnf, Lit, Model, Var};
 
@@ -310,23 +320,33 @@ impl Residual {
     /// Listing 4 lines 6–11 from the current counters, as `mode` runs
     /// them: none under `SplitOnly`. Returns whether a clause lost its
     /// last occurrence, which ends the propagation where it stands.
+    ///
+    /// No clause before `from` is a unit (a `debug_assert` checks it):
+    /// 0 on fresh counters, and after a force on counters at fixpoint the
+    /// force's [`Forced::unit_from`], so the unit scan starts where the
+    /// force can have made one.
     pub(crate) fn propagate(
         &mut self,
         occurrences: &Occurrences,
         cnf: &Cnf,
         mode: SimplifyMode,
+        mut from: usize,
         stats: &mut SimplifyStats,
     ) -> bool {
         if mode == SimplifyMode::SplitOnly {
             return false;
         }
         // Unit propagation (lines 6–8): drain every unit clause reachable
-        // from the current formula, lowest clause first.
-        while let Some(unit) = self.first_unit(cnf) {
+        // from the current formula, lowest clause first. Forcing clause
+        // `i`'s unit closes `i` and makes units only from its report on,
+        // so the scan resumes at the lower of the two.
+        while let Some((i, unit)) = self.first_unit(cnf, from) {
             stats.unit_props += 1;
-            if self.force(occurrences, cnf, unit) {
+            let forced = self.force(occurrences, cnf, unit);
+            if forced.conflict {
                 return true;
             }
+            from = forced.unit_from.min(i + 1);
         }
         // Pure-literal assignment (lines 9–11): a variable occurring with
         // a single polarity can be fixed to satisfy all its clauses. Fixing
@@ -341,20 +361,28 @@ impl Residual {
         false
     }
 
-    /// The literal of the first unit clause, if any (Listing 4 line 7).
-    fn first_unit(&self, cnf: &Cnf) -> Option<Lit> {
-        let i = self.remaining().iter().position(|&left| left == 1)?;
+    /// The first unit clause from `from` on, none being before it, and its
+    /// literal (Listing 4 line 7).
+    fn first_unit(&self, cnf: &Cnf, from: usize) -> Option<(usize, Lit)> {
+        let remaining = self.remaining();
+        debug_assert!(
+            !remaining[..from].contains(&1),
+            "a unit clause before clause {from}, where the scan starts"
+        );
+        let i = from + remaining[from..].iter().position(|&left| left == 1)?;
         let unit = cnf.clause(i).iter().find(|&&lit| self.is_free(lit));
-        Some(*unit.expect("a clause with an occurrence left shows it"))
+        Some((i, *unit.expect("a clause with an occurrence left shows it")))
     }
 
     /// Applies `lit`, whose variable is free, to every clause it occurs
     /// in: a clause showing it leaves the formula and takes each of its
     /// occurrences off its literal's count, free or not, and a clause
     /// showing its negation loses that occurrence. Parks the negation's
-    /// count below zero. Returns whether some clause lost its last
-    /// occurrence.
-    pub(crate) fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> bool {
+    /// count below zero. Reports whether some clause lost its last
+    /// occurrence, and the lowest clause this took down to one: only the
+    /// negation's clauses lose an occurrence, so if no clause was a unit
+    /// before the force, none before the reported one is after it.
+    pub(crate) fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> Forced {
         let negated = lit.negated();
         let (counts, remaining) = self.state.split_at_mut(self.clauses_at);
         debug_assert!(counts[lit.index()] >= 0 && counts[negated.index()] >= 0);
@@ -372,12 +400,21 @@ impl Residual {
         }
         self.live -= closed;
         counts[negated.index()] -= PARK;
-        let mut conflict = false;
-        for &i in occurrences.of(negated) {
+        let mut forced = Forced {
+            conflict: false,
+            unit_from: remaining.len(),
+        };
+        // The list is ascending and walked from its top, so the last
+        // clause taken down to one is the lowest: a conditional move per
+        // clause, no branch to mispredict.
+        for &i in occurrences.of(negated).iter().rev() {
             let left = &mut remaining[i as usize];
             if *left != SATISFIED {
                 *left -= 1;
-                conflict |= *left == 0;
+                forced.conflict |= *left == 0;
+                if *left == 1 {
+                    forced.unit_from = i as usize;
+                }
             }
         }
         debug_assert_eq!(
@@ -390,8 +427,20 @@ impl Residual {
             }),
             "a true literal counts nothing, a false one its open occurrences less PARK"
         );
-        conflict
+        forced
     }
+}
+
+/// What [`Residual::force`] did to the clauses showing the forced
+/// literal's negation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Forced {
+    /// Some clause lost its last occurrence.
+    pub(crate) conflict: bool,
+    /// The lowest clause the force took down to one occurrence, or the
+    /// clause count if it took none: where [`Residual::propagate`]'s unit
+    /// scan starts after this force on counters at fixpoint.
+    pub(crate) unit_from: usize,
 }
 
 /// The pure literal of the lowest-numbered variable in a table of
@@ -442,7 +491,7 @@ mod tests {
     fn simplified(f: &Cnf, mode: SimplifyMode) -> (Simplified, SimplifyStats, Cnf, Assignment) {
         let (occurrences, mut residual) = tables(f);
         let mut stats = SimplifyStats::default();
-        let outcome = if residual.propagate(&occurrences, f, mode, &mut stats) {
+        let outcome = if residual.propagate(&occurrences, f, mode, 0, &mut stats) {
             Simplified::Unsat
         } else if residual.live() == 0 {
             Simplified::Sat
@@ -500,7 +549,9 @@ mod tests {
         ];
         for (value, expected) in expected {
             let (occurrences, mut residual) = tables(&f);
-            let conflict = residual.force(&occurrences, &f, Lit::with_polarity(Var(0), value));
+            let conflict = residual
+                .force(&occurrences, &f, Lit::with_polarity(Var(0), value))
+                .conflict;
             let after = written(&residual, &f);
             assert_eq!(after, expected);
             assert_eq!(conflict, after.has_empty_clause());
@@ -601,10 +652,10 @@ mod tests {
                         continue;
                     }
                     expected.assign(lit.var(), lit.demanded_value());
-                    conflict |= residual.force(&occurrences, &f, lit);
+                    conflict |= residual.force(&occurrences, &f, lit).conflict;
                 }
                 if !conflict {
-                    conflict = residual.propagate(&occurrences, &f, mode, &mut SimplifyStats::default());
+                    conflict = residual.propagate(&occurrences, &f, mode, 0, &mut SimplifyStats::default());
                     prop_assert_eq!(conflict, naive_propagate(&f, &mut expected, mode), "{:?}", f);
                 }
             }
@@ -663,21 +714,91 @@ mod tests {
             }
             prop_assert_eq!(again, residual, "{:?}: {:?} then {:?}", f, lits, reordered);
         }
+
+        /// Lines 6–11 under a propagating mode from fresh counters, then
+        /// after each drawn force on a free variable, from that force's
+        /// report; at the fixpoint this leaves (unless a clause emptied),
+        /// a drawn branch literal forced on a free variable: propagating
+        /// from its report ends as propagating from clause 0 does, with
+        /// the same conflict, the same literals forced by kind and equal
+        /// counters.
+        #[test]
+        fn propagating_from_a_forces_report_is_propagating_from_clause_0(
+            f in arb_cnf(),
+            draws in proptest::collection::vec((0u32..8, any::<bool>()), 0..4),
+            branch in (0u32..8, any::<bool>()),
+            single_pass in any::<bool>(),
+        ) {
+            let mode = if single_pass { SimplifyMode::SinglePass } else { SimplifyMode::Fixpoint };
+            let (occurrences, mut residual) = tables(&f);
+            let mut stats = SimplifyStats::default();
+            let mut conflict =
+                f.has_empty_clause() || residual.propagate(&occurrences, &f, mode, 0, &mut stats);
+            for &(v, pos) in &draws {
+                let lit = Lit::with_polarity(Var(v % f.num_vars()), pos);
+                if !conflict && residual.value(lit.var()).is_none() {
+                    let forced = residual.force(&occurrences, &f, lit);
+                    conflict = forced.conflict
+                        || residual.propagate(&occurrences, &f, mode, forced.unit_from, &mut stats);
+                }
+            }
+            let vars = f.num_vars();
+            let mut free = (0..vars).map(|k| Var((branch.0 + k) % vars));
+            if let (false, Some(var)) = (conflict, free.find(|&var| residual.value(var).is_none())) {
+                let lit = Lit::with_polarity(var, branch.1);
+                let forced = residual.force(&occurrences, &f, lit);
+                let mut from_0 = residual.clone();
+                let (mut resumed, mut restarted) = (SimplifyStats::default(), SimplifyStats::default());
+                let conflict = forced.conflict
+                    || residual.propagate(&occurrences, &f, mode, forced.unit_from, &mut resumed);
+                let again =
+                    forced.conflict || from_0.propagate(&occurrences, &f, mode, 0, &mut restarted);
+                prop_assert_eq!((conflict, resumed), (again, restarted), "{:?}: {:?}", f, lit);
+                prop_assert_eq!(residual, from_0, "{:?}: {:?}", f, lit);
+            }
+        }
     }
 
     #[test]
     fn repeated_occurrences_count_one_by_one() {
-        // `x ∨ x` is not a unit; falsifying `x` empties it in one step.
+        // `x ∨ x` is not a unit; falsifying `x` empties it in one step,
+        // taking it through one occurrence on the way.
         let f = cnf(&[&[1, 1], &[-1, -1, 2], &[-2, -2]], 2);
         let (out, stats, ..) = simplified(&f, SimplifyMode::Fixpoint);
         assert_eq!((out, stats.unit_props), (Simplified::Undecided, 0));
         let (occurrences, mut residual) = tables(&f);
-        assert_eq!(residual.first_unit(&f), None);
-        assert!(residual.force(&occurrences, &f, lit(-1)));
-        // `¬x ∨ ¬x ∨ y` becomes the unit `y` when `x` holds.
+        assert_eq!(residual.first_unit(&f, 0), None);
+        let forced = residual.force(&occurrences, &f, lit(-1));
+        let conflict = Forced {
+            conflict: true,
+            unit_from: 0,
+        };
+        assert_eq!(forced, conflict);
+        // `¬x ∨ ¬x ∨ y` becomes the unit `y` when `x` holds, and the force
+        // reports it; so does `¬y ∨ ¬y`'s empty clause when `y` holds too.
         let (occurrences, mut residual) = tables(&f);
-        assert!(!residual.force(&occurrences, &f, lit(1)));
-        assert_eq!(residual.first_unit(&f), Some(lit(2)));
+        let forced = residual.force(&occurrences, &f, lit(1));
+        let unit = Forced {
+            conflict: false,
+            unit_from: 1,
+        };
+        assert_eq!(forced, unit);
+        assert_eq!(residual.first_unit(&f, forced.unit_from), Some((1, lit(2))));
+        let forced = residual.force(&occurrences, &f, lit(2));
+        let conflict = Forced {
+            conflict: true,
+            unit_from: 2,
+        };
+        assert_eq!(forced, conflict);
+        // A force that takes no clause down to one reports the clause
+        // count.
+        let (occurrences, mut residual) = tables(&f);
+        let forced = residual.force(&occurrences, &f, lit(-2));
+        let none = Forced {
+            conflict: false,
+            unit_from: 3,
+        };
+        assert_eq!(forced, none);
     }
 
     #[test]

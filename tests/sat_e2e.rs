@@ -181,3 +181,54 @@ fn planted_instances_solve_at_scale() {
     };
     assert!(check_model(&cnf, &model));
 }
+
+/// `dpll::solve`'s full statistics on `satisfiable_ksat(seed, 40, 182,
+/// 3)`, the shape of the `portfolio_sat` pool, for every heuristic, as
+/// recorded at `ba2c71f`: `[nodes, decisions, unit_props, pure_assigns,
+/// max_depth]` per heuristic in `ALL_HEURISTICS` order. A refuted branch
+/// stops at its first empty clause, so its `unit_props` count depends on
+/// the order units are forced in, and a changed order moves this table.
+#[test]
+fn sequential_dpll_statistics_on_ksat_40_182_are_pinned() {
+    #[rustfmt::skip]
+    let pins: [(u64, [[u64; 5]; 5]); 20] = [
+        (1, [[206, 104, 940, 41, 16], [18, 12, 69, 15, 9], [43, 23, 222, 17, 11], [14, 12, 23, 8, 12], [199, 101, 995, 15, 15]]),
+        (2, [[44, 23, 237, 1, 10], [25, 15, 128, 0, 8], [33, 20, 165, 3, 11], [38, 22, 178, 1, 10], [110, 56, 556, 6, 12]]),
+        (3, [[21, 12, 106, 2, 8], [91, 46, 552, 5, 12], [15, 14, 22, 1, 14], [12, 11, 23, 5, 11], [285, 144, 1763, 9, 15]]),
+        (4, [[23, 15, 74, 7, 10], [26, 16, 124, 2, 9], [23, 15, 106, 3, 9], [57, 31, 330, 3, 11], [168, 87, 948, 17, 13]]),
+        (5, [[18, 10, 107, 1, 8], [11, 9, 37, 5, 9], [10, 8, 50, 1, 8], [18, 13, 50, 10, 10], [6, 5, 33, 0, 5]]),
+        (6, [[48, 26, 310, 1, 10], [20, 12, 118, 3, 8], [23, 16, 85, 11, 12], [11, 7, 78, 1, 7], [193, 99, 1126, 1, 12]]),
+        (7, [[47, 25, 224, 13, 9], [11, 9, 28, 5, 9], [13, 12, 16, 11, 12], [13, 12, 11, 12, 12], [17, 13, 60, 4, 12]]),
+        (8, [[44, 24, 244, 0, 10], [22, 13, 126, 0, 6], [16, 10, 90, 2, 8], [16, 9, 106, 0, 7], [177, 89, 943, 8, 13]]),
+        (9, [[21, 14, 74, 4, 12], [18, 11, 94, 3, 7], [13, 10, 55, 4, 9], [15, 12, 35, 3, 11], [91, 46, 551, 7, 10]]),
+        (10, [[128, 64, 752, 7, 10], [17, 10, 100, 0, 6], [30, 16, 164, 1, 7], [38, 21, 210, 1, 7], [32, 18, 210, 0, 7]]),
+        (11, [[27, 15, 153, 8, 8], [10, 7, 54, 2, 7], [12, 10, 39, 2, 10], [10, 9, 28, 2, 9], [246, 125, 1307, 18, 12]]),
+        (12, [[42, 25, 179, 8, 12], [40, 21, 238, 9, 6], [61, 32, 374, 6, 9], [17, 12, 99, 2, 9], [39, 22, 176, 10, 12]]),
+        (13, [[20, 14, 62, 1, 11], [24, 14, 145, 6, 8], [12, 10, 36, 6, 10], [13, 10, 42, 3, 10], [15, 9, 90, 4, 6]]),
+        (14, [[107, 55, 511, 12, 13], [14, 10, 65, 4, 8], [9, 8, 22, 7, 8], [9, 8, 21, 8, 8], [57, 29, 294, 6, 11]]),
+        (15, [[12, 11, 23, 3, 11], [9, 8, 21, 8, 8], [12, 11, 18, 7, 11], [12, 11, 19, 6, 11], [34, 19, 179, 4, 10]]),
+        (16, [[77, 41, 429, 15, 11], [23, 14, 143, 12, 9], [10, 9, 18, 12, 9], [10, 9, 14, 15, 9], [101, 55, 530, 5, 12]]),
+        (17, [[78, 44, 331, 8, 14], [24, 15, 85, 9, 10], [21, 13, 56, 19, 10], [18, 14, 57, 6, 13], [192, 98, 990, 19, 13]]),
+        (18, [[42, 24, 265, 6, 11], [27, 15, 168, 5, 8], [21, 13, 118, 5, 9], [13, 9, 48, 3, 7], [158, 79, 851, 10, 11]]),
+        (19, [[106, 57, 527, 17, 12], [35, 21, 151, 11, 12], [17, 12, 62, 5, 9], [33, 21, 124, 21, 12], [90, 46, 471, 11, 13]]),
+        (20, [[141, 71, 809, 13, 11], [19, 13, 58, 7, 10], [19, 13, 84, 11, 10], [11, 8, 46, 7, 8], [149, 77, 767, 13, 11]]),
+    ];
+    for (seed, row) in pins {
+        let cnf = gen::satisfiable_ksat(seed, 40, 182, 3);
+        for (heuristic, [nodes, decisions, unit_props, pure_assigns, max_depth]) in
+            ALL_HEURISTICS.into_iter().zip(row)
+        {
+            let (result, stats) = dpll::solve(&cnf, heuristic);
+            let model = result.model().expect("satisfiable by construction");
+            assert!(check_model(&cnf, model), "seed {seed} {heuristic}");
+            let expected = SolveStats {
+                decisions,
+                unit_props,
+                pure_assigns,
+                nodes,
+                max_depth,
+            };
+            assert_eq!(stats, expected, "seed {seed} {heuristic}");
+        }
+    }
+}

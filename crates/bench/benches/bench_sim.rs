@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hyperspace_apps::traversal::FloodFill;
 use hyperspace_bench::experiments::{run_sat, SatRunConfig};
-use hyperspace_core::{BackendSpec, MapperSpec, PartitionSpec, TopologySpec};
+use hyperspace_core::{BackendSpec, MapperSpec, Partition, TopologySpec};
 use hyperspace_sat::gen;
 use hyperspace_sim::{ShardedConfig, ShardedSimulation, SimConfig};
 use hyperspace_topology::Torus;
@@ -49,7 +49,7 @@ fn bench_sat_stepper(c: &mut Criterion) {
     let sharded = [2, 4, 8].map(|shards| {
         let backend = BackendSpec::Sharded {
             shards,
-            partition: PartitionSpec::Block,
+            partition: Partition::Block,
             threads: None,
         };
         (format!("sharded:{shards}"), backend)

@@ -47,9 +47,9 @@ pub use expr::{LimitKind, LimitSpec, StrategyExpr, MAX_EXPR_DEPTH, MAX_EXPR_TOKE
 pub use report::{IncumbentEvent, RecRunReport, RunSummary};
 pub use slice::{RunSlice, SliceOutcome, StackRun};
 pub use spec::{
-    BackendSpec, CheckpointSpec, EngineSpec, MapperSpec, MemberPlan, ObjectiveSpec, PartitionSpec,
-    PortfolioSpec, PruneSpec, SpecParseError, StrategySpec, TopologySpec,
+    BackendSpec, CheckpointSpec, EngineSpec, MapperSpec, MemberPlan, ObjectiveSpec, PortfolioSpec,
+    PruneSpec, SpecParseError, StrategySpec, TopologySpec,
 };
 pub use stack::{summarise, ErasedStackJob, JobParams, StackBuilder, StackProgram, StackSim};
 
-pub use hyperspace_sim::{ObsHandle, Observer, StopHandle};
+pub use hyperspace_sim::{ObsHandle, Observer, Partition, StopHandle};

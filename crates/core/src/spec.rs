@@ -573,27 +573,6 @@ impl std::str::FromStr for CheckpointSpec {
     }
 }
 
-/// Node-to-shard assignment policies of the sharded backend
-/// (string forms: `block`, `rr`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PartitionSpec {
-    /// Contiguous node-id blocks (locality-preserving).
-    #[default]
-    Block,
-    /// Striped `node % shards` assignment (load-spreading).
-    RoundRobin,
-}
-
-impl PartitionSpec {
-    /// The layer-1 partitioner this spec selects.
-    pub fn to_partition(self) -> Partition {
-        match self {
-            PartitionSpec::Block => Partition::Block,
-            PartitionSpec::RoundRobin => Partition::RoundRobin,
-        }
-    }
-}
-
 /// Which layer-1 execution backend runs the assembled stack.
 ///
 /// Three spellings of one engine: each names how the layer-1 machine is
@@ -615,8 +594,8 @@ pub enum BackendSpec {
     Sharded {
         /// Number of shards.
         shards: u32,
-        /// Node-to-shard assignment.
-        partition: PartitionSpec,
+        /// Node-to-shard assignment (string forms: `block`, `rr`).
+        partition: Partition,
         /// Worker threads (`None` = one per shard, capped by the
         /// machine).
         threads: Option<u32>,
@@ -628,7 +607,7 @@ impl BackendSpec {
     pub fn sharded(shards: u32) -> BackendSpec {
         BackendSpec::Sharded {
             shards,
-            partition: PartitionSpec::Block,
+            partition: Partition::Block,
             threads: None,
         }
     }
@@ -660,7 +639,7 @@ impl BackendSpec {
                 threads,
             } => Some(ShardedConfig {
                 shards: *shards as usize,
-                partition: partition.to_partition(),
+                partition: *partition,
                 threads: threads.map(|t| t as usize),
             }),
             _ => None,
@@ -679,7 +658,7 @@ impl std::fmt::Display for BackendSpec {
                 threads,
             } => {
                 write!(f, "sharded:{shards}")?;
-                if *partition != PartitionSpec::Block {
+                if *partition != Partition::Block {
                     f.write_str(":rr")?;
                 }
                 if let Some(t) = threads {
@@ -713,8 +692,8 @@ impl std::str::FromStr for BackendSpec {
                 let mut threads = None;
                 for tok in rest {
                     match *tok {
-                        "block" if partition.is_none() => partition = Some(PartitionSpec::Block),
-                        "rr" if partition.is_none() => partition = Some(PartitionSpec::RoundRobin),
+                        "block" if partition.is_none() => partition = Some(Partition::Block),
+                        "rr" if partition.is_none() => partition = Some(Partition::RoundRobin),
                         other if threads.is_none() && other.parse::<u32>().is_ok() => {
                             let t = parse_scalar(other, s)?;
                             if t == 0 {
@@ -1426,17 +1405,17 @@ mod tests {
             BackendSpec::sharded(4),
             BackendSpec::Sharded {
                 shards: 8,
-                partition: PartitionSpec::RoundRobin,
+                partition: Partition::RoundRobin,
                 threads: None,
             },
             BackendSpec::Sharded {
                 shards: 8,
-                partition: PartitionSpec::Block,
+                partition: Partition::Block,
                 threads: Some(2),
             },
             BackendSpec::Sharded {
                 shards: 16,
-                partition: PartitionSpec::RoundRobin,
+                partition: Partition::RoundRobin,
                 threads: Some(3),
             },
         ];
@@ -1563,7 +1542,7 @@ mod tests {
     fn backend_spec_resolves_sharded_config() {
         let cfg = BackendSpec::Sharded {
             shards: 6,
-            partition: PartitionSpec::RoundRobin,
+            partition: Partition::RoundRobin,
             threads: Some(2),
         }
         .sharded_config()

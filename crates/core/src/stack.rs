@@ -796,7 +796,8 @@ mod tests {
 
     #[test]
     fn sharded_backend_matches_sequential() {
-        use crate::spec::{BackendSpec, PartitionSpec};
+        use crate::spec::BackendSpec;
+        use hyperspace_sim::Partition;
         let run = |backend: BackendSpec| {
             StackBuilder::new(sum_program())
                 .topology(TopologySpec::Torus2D { w: 6, h: 6 })
@@ -814,7 +815,7 @@ mod tests {
             BackendSpec::sharded(4),
             BackendSpec::Sharded {
                 shards: 7,
-                partition: PartitionSpec::RoundRobin,
+                partition: Partition::RoundRobin,
                 threads: Some(2),
             },
         ] {

@@ -86,11 +86,6 @@ pub trait Observer: Send + Sync {
         let _ = (step, delivered, queued);
     }
 
-    /// A shard worker spent `nanos` waiting at a step barrier.
-    fn on_barrier_wait(&self, shard: usize, nanos: u64) {
-        let _ = (shard, nanos);
-    }
-
     /// Live recursion/B&B frontier progress at a slice barrier.
     fn on_progress(&self, steps: u64, open_records: u64, incumbent: Option<i64>) {
         let _ = (steps, open_records, incumbent);
@@ -102,14 +97,10 @@ pub trait Observer: Send + Sync {
         let _ = (epoch, member, steps, clauses, incumbents);
     }
 
-    /// A checkpoint was encoded (`bytes` of payload in `nanos`).
-    fn on_checkpoint(&self, bytes: u64, nanos: u64) {
-        let _ = (bytes, nanos);
-    }
-
-    /// A checkpoint was decoded/restored (`bytes` of payload in `nanos`).
-    fn on_restore(&self, bytes: u64, nanos: u64) {
-        let _ = (bytes, nanos);
+    /// A checkpoint was encoded (`bytes` of payload; its time arrives as
+    /// the [`Phase::CheckpointEncode`] phase).
+    fn on_checkpoint(&self, bytes: u64) {
+        let _ = bytes;
     }
 
     /// A lifecycle-rate structured event (job submitted, slice yielded,
@@ -120,8 +111,8 @@ pub trait Observer: Send + Sync {
 
     /// `shard` spent `nanos` of wall time in `phase`. Step-loop phases
     /// (delivery/handler/exchange) only fire on sampled steps (see
-    /// [`ObsHandle::phase_sampled`]); checkpoint-encode and fsync fire
-    /// on every occurrence.
+    /// [`ObsHandle::phase_sampled`]); barrier waits, checkpoint encodes
+    /// and fsyncs fire on every occurrence.
     fn on_phase(&self, shard: usize, phase: Phase, nanos: u64) {
         let _ = (shard, phase, nanos);
     }
@@ -227,8 +218,9 @@ impl ObsHandle {
     }
 
     /// Times `f` and attributes it to `phase` on `shard` — for
-    /// occurrence-rate phases (checkpoint encode, fsync) that are never
-    /// sampled away. Runs `f` with no clock reads when disabled.
+    /// occurrence-rate phases (barrier wait, checkpoint encode, fsync)
+    /// that are never sampled away. Runs `f` with no clock reads when
+    /// disabled.
     #[inline]
     pub fn time_phase<R>(&self, shard: usize, phase: Phase, f: impl FnOnce() -> R) -> R {
         match &self.observer {
@@ -250,14 +242,6 @@ impl ObsHandle {
         }
     }
 
-    /// See [`Observer::on_barrier_wait`].
-    #[inline]
-    pub fn on_barrier_wait(&self, shard: usize, nanos: u64) {
-        if let Some(o) = &self.observer {
-            o.on_barrier_wait(shard, nanos);
-        }
-    }
-
     /// See [`Observer::on_progress`].
     #[inline]
     pub fn on_progress(&self, steps: u64, open_records: u64, incumbent: Option<i64>) {
@@ -276,17 +260,9 @@ impl ObsHandle {
 
     /// See [`Observer::on_checkpoint`].
     #[inline]
-    pub fn on_checkpoint(&self, bytes: u64, nanos: u64) {
+    pub fn on_checkpoint(&self, bytes: u64) {
         if let Some(o) = &self.observer {
-            o.on_checkpoint(bytes, nanos);
-        }
-    }
-
-    /// See [`Observer::on_restore`].
-    #[inline]
-    pub fn on_restore(&self, bytes: u64, nanos: u64) {
-        if let Some(o) = &self.observer {
-            o.on_restore(bytes, nanos);
+            o.on_checkpoint(bytes);
         }
     }
 
@@ -311,22 +287,6 @@ impl ObsHandle {
     pub fn on_shard_active(&self, shard: usize, nodes: u64) {
         if let Some(o) = &self.observer {
             o.on_shard_active(shard, nodes);
-        }
-    }
-
-    /// Times `f` and reports the wall-clock wait to
-    /// [`Observer::on_barrier_wait`]; when disabled, runs `f` with no
-    /// clock reads at all.
-    #[inline]
-    pub fn time_barrier<R>(&self, shard: usize, f: impl FnOnce() -> R) -> R {
-        match &self.observer {
-            None => f(),
-            Some(o) => {
-                let start = std::time::Instant::now();
-                let out = f();
-                o.on_barrier_wait(shard, saturating_nanos(start.elapsed()));
-                out
-            }
         }
     }
 }
@@ -379,7 +339,7 @@ mod tests {
     #[derive(Default)]
     struct CountingObserver {
         steps: AtomicU64,
-        barriers: AtomicU64,
+        phases: AtomicU64,
         events: AtomicU64,
     }
 
@@ -387,8 +347,8 @@ mod tests {
         fn on_step(&self, _step: u64, _delivered: u64, _queued: u64) {
             self.steps.fetch_add(1, Ordering::Relaxed);
         }
-        fn on_barrier_wait(&self, _shard: usize, _nanos: u64) {
-            self.barriers.fetch_add(1, Ordering::Relaxed);
+        fn on_phase(&self, _shard: usize, _phase: Phase, _nanos: u64) {
+            self.phases.fetch_add(1, Ordering::Relaxed);
         }
         fn on_event(&self, _event: &Event) {
             self.events.fetch_add(1, Ordering::Relaxed);
@@ -401,7 +361,7 @@ mod tests {
         assert!(!h.enabled());
         h.on_step(1, 2, 3);
         h.on_progress(1, 2, Some(3));
-        assert_eq!(h.time_barrier(0, || 42), 42);
+        assert_eq!(h.time_phase(0, Phase::BarrierWait, || 42), 42);
         assert_eq!(format!("{h:?}"), "ObsHandle(off)");
     }
 
@@ -412,10 +372,10 @@ mod tests {
         assert!(h.enabled());
         h.on_step(1, 0, 0);
         h.on_step(2, 0, 0);
-        assert_eq!(h.time_barrier(3, || "x"), "x");
+        assert_eq!(h.time_phase(3, Phase::BarrierWait, || "x"), "x");
         h.on_event(&Event::new(EventKind::Submitted, Some(7), 0));
         assert_eq!(obs.steps.load(Ordering::Relaxed), 2);
-        assert_eq!(obs.barriers.load(Ordering::Relaxed), 1);
+        assert_eq!(obs.phases.load(Ordering::Relaxed), 1);
         assert_eq!(obs.events.load(Ordering::Relaxed), 1);
         assert_eq!(format!("{h:?}"), "ObsHandle(on)");
     }

@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::json::JsonValue;
-use crate::metric::SpanStat;
 use crate::phase::{Phase, PhaseProfiler, PhaseSample, TraceBuffer};
 use crate::recorder::{Event, EventKind, FlightRecorder};
 use crate::Observer;
@@ -49,11 +48,8 @@ pub struct JobProbe {
     /// Times the incumbent actually changed (the improvement-rate
     /// numerator).
     incumbent_updates: AtomicU64,
-    /// Time spent encoding/decoding checkpoints.
-    checkpoint_span: Arc<SpanStat>,
-    /// Time shard workers spent waiting at step barriers.
-    barrier_span: Arc<SpanStat>,
-    /// Per-shard, per-phase wall-time attribution.
+    /// Per-shard, per-phase wall-time attribution (barrier waits and
+    /// checkpoint encodes included).
     phases: Arc<PhaseProfiler>,
     /// Individual phase spans for timeline export, when attached.
     trace: Option<Arc<TraceBuffer>>,
@@ -80,8 +76,6 @@ impl JobProbe {
             persists: AtomicU64::new(0),
             recovers: AtomicU64::new(0),
             incumbent_updates: AtomicU64::new(0),
-            checkpoint_span: Arc::new(SpanStat::new()),
-            barrier_span: Arc::new(SpanStat::new()),
             phases: Arc::new(PhaseProfiler::new()),
             trace: None,
             recorder,
@@ -161,16 +155,6 @@ impl JobProbe {
         self.incumbent_updates.load(Ordering::Relaxed)
     }
 
-    /// Checkpoint encode/decode timing.
-    pub fn checkpoint_span(&self) -> &SpanStat {
-        &self.checkpoint_span
-    }
-
-    /// Shard barrier-wait timing.
-    pub fn barrier_span(&self) -> &SpanStat {
-        &self.barrier_span
-    }
-
     /// Per-shard, per-phase wall-time attribution.
     pub fn phases(&self) -> &Arc<PhaseProfiler> {
         &self.phases
@@ -211,7 +195,7 @@ impl JobProbe {
             ),
             (
                 "barrier_wait_ms",
-                JsonValue::Float(self.barrier_span.total_ns() as f64 / 1e6),
+                JsonValue::Float(self.phases.phase_total(Phase::BarrierWait).1 as f64 / 1e6),
             ),
             ("phases", self.phases.to_json()),
         ])
@@ -230,14 +214,6 @@ impl Observer for JobProbe {
         let total = self.delivered.load(Ordering::Relaxed) + delivered;
         self.delivered.store(total, Ordering::Relaxed);
         self.queued.store(queued, Ordering::Relaxed);
-    }
-
-    fn on_barrier_wait(&self, shard: usize, nanos: u64) {
-        self.barrier_span.record(nanos);
-        self.phases.record(shard, Phase::BarrierWait, nanos);
-        if let Some(trace) = &self.trace {
-            trace.record(shard, Phase::BarrierWait, nanos);
-        }
     }
 
     fn on_progress(&self, steps: u64, open_records: u64, incumbent: Option<i64>) {
@@ -259,14 +235,9 @@ impl Observer for JobProbe {
         self.bus_incumbents.fetch_add(incumbents, Ordering::Relaxed);
     }
 
-    fn on_checkpoint(&self, bytes: u64, nanos: u64) {
+    fn on_checkpoint(&self, bytes: u64) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.checkpoint_span.record(nanos);
-    }
-
-    fn on_restore(&self, _bytes: u64, nanos: u64) {
-        self.checkpoint_span.record(nanos);
     }
 
     fn on_event(&self, event: &Event) {

@@ -12,18 +12,18 @@
 //! The records of a node form a slab: a `Vec` of rows plus a free list,
 //! found through a vector indexed by the sub-call ticket's
 //! [`Ticket::slot`]. A suspension takes a vacant row and the reply that
-//! completes the join gives it back. A row lists no pending calls: a reply
-//! decrements the row's count of them, and the tickets a cancelling host
-//! may have to withdraw sit in the row as a [`Calls`] batch, inline for up
-//! to two (a wider batch's spilled buffer stays with the row, as do an
-//! `All` join's result slots). So in steady state a sub-call costs two
-//! vector indexings, and neither a spawn of up to two calls, nor its
-//! record, nor the [`Calls`] batch its results resume with allocates.
-//! The slab counts its open and closed rows and their pending sub-calls,
-//! so [`RecState::frontier`] is O(1). Rows are *not* keyed by the parent
-//! ticket: an activation resumed early by an `Any` join may suspend again
-//! while its first record still waits for the losing replies, and then
-//! two records answer to one parent.
+//! completes the join gives it back, before the activation resumes: a row
+//! holds a frame exactly while its activation waits. A row lists no
+//! pending calls: a reply decrements the row's count of them, and the
+//! tickets a won `Any` join or a cancel must forget sit in the row as a
+//! [`Calls`] batch, inline for up to two (a wider batch's spilled buffer
+//! stays with the row, as do an `All` join's result slots). A forgotten
+//! call's reply finds no sub-call and counts as stale.
+//! So in steady state a sub-call costs two vector indexings, and neither
+//! a spawn of up to two calls, nor its record, nor the [`Calls`] batch
+//! its results resume with allocates. The slab counts its pending
+//! sub-calls, so [`RecState::frontier`] is O(1), and at most one row
+//! answers to a parent ticket.
 
 use std::collections::HashMap;
 
@@ -74,39 +74,25 @@ pub struct IncumbentEvent {
 /// One suspended activation (a row of Figure 3's call-record table).
 ///
 /// Rows live in a slab ([`RecState`]'s `records`): a row whose activation
-/// is over becomes [`Row::Vacant`] and is handed, with its `results`
-/// buffer and any spilled `tickets`, to the next activation that suspends
-/// on this node.
+/// has resumed or been cancelled is vacant (it holds no frame) and is
+/// handed, with its `results` buffer and any spilled `tickets`, to the
+/// next activation that suspends on this node.
 struct CallRecord<P: RecProgram> {
     /// Where this activation's final result must be sent.
     parent: Ticket,
-    /// The saved continuation; taken when the join fires.
+    /// The saved continuation; `None` while the row is vacant.
     frame: Option<P::Frame>,
     /// Join mode of the outstanding batch.
     join: Join<P::Out>,
     /// Result slots of an `All` join, one per sub-call, in issue order
     /// (an `Any` join keeps no results).
     results: Vec<Option<P::Out>>,
-    /// Sub-calls not yet answered or withdrawn.
+    /// Sub-calls not yet answered or forgotten.
     pending: u32,
-    /// Every sub-call's ticket, in issue order, for withdrawing the ones
-    /// still live ([`SubCalls`] knows which) when a cancelling host closes
-    /// the row. Answered ones stay listed until the row is vacated.
+    /// Every sub-call's ticket, in issue order, for forgetting the ones
+    /// still live ([`SubCalls`] knows which) when an `Any` join wins or a
+    /// cancel arrives. Answered ones stay listed until the row is vacated.
     tickets: Calls<Ticket>,
-    /// Whether the row is in use, and how.
-    row: Row,
-}
-
-/// What a slab row currently holds.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Row {
-    /// On the free list.
-    Vacant,
-    /// A suspended activation waiting on its join.
-    Open,
-    /// `Any` join already satisfied: remaining replies are ignored, the
-    /// record lingers only until the last of them has arrived.
-    Closed,
 }
 
 /// Counters exposed for experiments and tests.
@@ -116,7 +102,8 @@ pub struct RecStats {
     pub started: u64,
     /// Activations completed with a reply.
     pub completed: u64,
-    /// Replies that arrived for already-closed or cancelled records.
+    /// Replies to sub-calls forgotten by an `Any` win or withdrawn by a
+    /// cancel.
     pub stale_replies: u64,
     /// Activations whose `Any` join was satisfied before all sub-calls
     /// returned (speculation wins).
@@ -152,16 +139,14 @@ pub struct RecState<P: RecProgram> {
     /// The call-record slab; `free` lists its vacant rows.
     records: Vec<CallRecord<P>>,
     free: Vec<u32>,
-    /// A row is vacated only once no sub-call points to it, so a reply
-    /// never finds a reused row.
+    /// A row is vacated only once no sub-call points to it (its losers
+    /// forgotten), so a reply never finds a reused row.
     sub_calls: SubCalls,
     /// parent ticket -> record row, for cancellation lookups: kept only by
     /// a host [`RecursionHost::with_cancellation`], as only such a host
     /// (every node runs the same one) ever sends a `Cancel`.
     parent_index: HashMap<Ticket, u32>,
-    /// The frontier beyond `live_records()`: closed rows, and the
-    /// sub-calls the open ones wait on.
-    closed_records: u64,
+    /// The sub-calls the live rows wait on.
     pending_calls: u64,
     /// Objective direction, when the host runs in B&B mode (used by
     /// report folding to pick the best incumbent across nodes).
@@ -181,7 +166,6 @@ impl<P: RecProgram> RecState<P> {
             free: Vec::new(),
             sub_calls: SubCalls::default(),
             parent_index: HashMap::new(),
-            closed_records: 0,
             pending_calls: 0,
             objective: bnb.map(|m| m.objective),
             incumbent: bnb.and_then(|m| m.initial_incumbent),
@@ -222,8 +206,7 @@ impl<P: RecProgram> RecState<P> {
     /// metadata and observability surfaces carry.
     pub fn frontier(&self) -> FrontierSnapshot {
         FrontierSnapshot {
-            open_records: self.live_records() as u64 - self.closed_records,
-            closed_records: self.closed_records,
+            open_records: self.live_records() as u64,
             pending_calls: self.pending_calls,
             incumbent: self.incumbent,
             incumbent_updates: self.stats.incumbent_updates,
@@ -269,9 +252,6 @@ impl SubCalls {
 pub struct FrontierSnapshot {
     /// Suspended activations still waiting on sub-calls.
     pub open_records: u64,
-    /// Records whose join already fired (or were cancelled) and linger
-    /// only for bookkeeping.
-    pub closed_records: u64,
     /// Outstanding sub-call tickets across the open records.
     pub pending_calls: u64,
     /// Best feasible solution value known (B&B mode).
@@ -285,7 +265,6 @@ impl FrontierSnapshot {
     /// which incumbent wins (absent outside B&B mode).
     pub fn absorb(&mut self, other: &FrontierSnapshot, objective: Option<Objective>) {
         self.open_records += other.open_records;
-        self.closed_records += other.closed_records;
         self.pending_calls += other.pending_calls;
         self.incumbent_updates += other.incumbent_updates;
         self.incumbent = match (self.incumbent, other.incumbent) {
@@ -430,7 +409,6 @@ impl<P: RecProgram> RecursionHost<P> {
                             results: Vec::new(),
                             pending: 0,
                             tickets: Calls::new(),
-                            row: Row::Vacant,
                         });
                         (state.records.len() - 1) as u32
                     });
@@ -448,7 +426,6 @@ impl<P: RecProgram> RecursionHost<P> {
                     rec.parent = parent;
                     rec.frame = Some(frame);
                     rec.join = join;
-                    rec.row = Row::Open;
                     rec.pending = width as u32;
                     state.pending_calls += width as u64;
                     if self.cancel_losers {
@@ -460,39 +437,38 @@ impl<P: RecProgram> RecursionHost<P> {
         }
     }
 
-    /// Withdraws the sub-calls of `row` still outstanding, in issue order.
-    fn withdraw(&self, state: &mut RecState<P>, row: u32, ctx: &mut dyn CallCtx<P::Arg, P::Out>) {
+    /// Forgets the sub-calls of `row` still outstanding, in issue order; a
+    /// cancelling host also withdraws each with a `Cancel`. Their replies
+    /// then find no sub-call and count as stale.
+    fn forget(&self, state: &mut RecState<P>, row: u32, ctx: &mut dyn CallCtx<P::Arg, P::Out>) {
         let rec = &mut state.records[row as usize];
         for (slot, &t) in rec.tickets.iter().enumerate() {
             if state.sub_calls.withdraw(t, row, slot as u32) {
-                ctx.cancel(t);
-                state.stats.cancels_sent += 1;
+                if self.cancel_losers {
+                    ctx.cancel(t);
+                    state.stats.cancels_sent += 1;
+                }
                 rec.pending -= 1;
+                state.pending_calls -= 1;
             }
         }
         debug_assert_eq!(rec.pending, 0);
     }
 
-    /// Returns `row`, whose activation is over and whose sub-calls are all
-    /// answered or withdrawn, to the free list.
-    fn vacate(&self, state: &mut RecState<P>, row: u32) {
+    /// Returns `row`, whose sub-calls are all answered or forgotten, to the
+    /// free list, with the frame and parent ticket its activation resumes
+    /// with.
+    fn vacate(&self, state: &mut RecState<P>, row: u32) -> (P::Frame, Ticket) {
         let rec = &mut state.records[row as usize];
-        debug_assert!(rec.row != Row::Vacant && rec.pending == 0);
-        if rec.row == Row::Closed {
-            state.closed_records -= 1;
-        }
-        rec.row = Row::Vacant;
-        rec.frame = None;
+        debug_assert_eq!(rec.pending, 0);
+        let frame = rec.frame.take().expect("a live row holds its frame");
         rec.results.clear();
         rec.tickets.clear();
-        // The parent ticket may by now name a successor: an activation
-        // resumed by an `Any` win suspends again under the same ticket
-        // while this row still waits for its stragglers.
-        let parent = rec.parent;
-        if self.cancel_losers && state.parent_index.get(&parent) == Some(&row) {
-            state.parent_index.remove(&parent);
+        if self.cancel_losers {
+            state.parent_index.remove(&rec.parent);
         }
         state.free.push(row);
+        (frame, rec.parent)
     }
 }
 
@@ -542,67 +518,42 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
         ctx: &mut dyn CallCtx<P::Arg, P::Out>,
     ) {
         let Some((row, slot)) = state.sub_calls.take(ticket) else {
-            // Straggler for a record already resolved/cancelled.
+            // Straggler for a call forgotten by an `Any` win or a cancel.
             state.stats.stale_replies += 1;
             return;
         };
         let rec = &mut state.records[row as usize];
         rec.pending -= 1;
-
-        if rec.row == Row::Closed {
-            state.stats.stale_replies += 1;
-            if rec.pending == 0 {
-                self.vacate(state, row);
-            }
-            return;
-        }
         state.pending_calls -= 1;
 
-        match rec.join {
+        let resumed = match rec.join {
             Join::All => {
                 rec.results[slot as usize] = Some(resp);
-                if rec.pending == 0 {
-                    let results: Calls<P::Out> = rec
-                        .results
+                if rec.pending > 0 {
+                    return;
+                }
+                Resumed::All(
+                    rec.results
                         .drain(..)
                         .map(|r| r.expect("all slots filled"))
-                        .collect();
-                    let frame = rec.frame.take().expect("frame present until resumed");
-                    let parent = rec.parent;
-                    self.vacate(state, row);
-                    let step = self.program.resume(frame, Resumed::All(results));
-                    self.drive(state, step, parent, ctx);
-                }
+                        .collect(),
+                )
             }
-            Join::Any(valid) => {
-                if valid(&resp) {
-                    // First valid result wins; ignore (or cancel) the rest.
-                    rec.row = Row::Closed;
-                    state.closed_records += 1;
-                    state.pending_calls -= rec.pending as u64;
-                    if rec.pending > 0 {
-                        state.stats.speculative_wins += 1;
-                    }
-                    let frame = rec.frame.take().expect("frame present until resumed");
-                    let parent = rec.parent;
-                    if self.cancel_losers {
-                        self.withdraw(state, row, ctx);
-                    }
-                    if state.records[row as usize].pending == 0 {
-                        self.vacate(state, row);
-                    }
-                    let step = self.program.resume(frame, Resumed::Any(Some(resp)));
-                    self.drive(state, step, parent, ctx);
-                } else if rec.pending == 0 {
-                    // Everything returned, nothing valid: null result.
-                    let frame = rec.frame.take().expect("frame present until resumed");
-                    let parent = rec.parent;
-                    self.vacate(state, row);
-                    let step = self.program.resume(frame, Resumed::Any(None));
-                    self.drive(state, step, parent, ctx);
+            Join::Any(valid) if valid(&resp) => {
+                // First valid result wins; the rest are forgotten.
+                if rec.pending > 0 {
+                    state.stats.speculative_wins += 1;
                 }
+                self.forget(state, row, ctx);
+                Resumed::Any(Some(resp))
             }
-        }
+            // Everything returned, nothing valid: null result.
+            Join::Any(_) if rec.pending == 0 => Resumed::Any(None),
+            Join::Any(_) => return,
+        };
+        let (frame, parent) = self.vacate(state, row);
+        let step = self.program.resume(frame, resumed);
+        self.drive(state, step, parent, ctx);
     }
 
     fn on_cancel(
@@ -620,8 +571,7 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
             return;
         };
         state.stats.cancelled += 1;
-        state.pending_calls -= state.records[row as usize].pending as u64;
-        self.withdraw(state, row, ctx);
+        self.forget(state, row, ctx);
         self.vacate(state, row);
     }
 
@@ -848,27 +798,27 @@ mod tests {
         assert_eq!(done.pending_calls, 0);
     }
 
-    /// The frontier as a walk over every slab row finds it: open rows,
-    /// closed rows, sub-calls the open rows wait on. Checks on the way that
-    /// each row's pending count is the number of live sub-calls that point
-    /// to it, and that each of those is among the row's tickets.
-    fn walked<P: RecProgram>(state: &RecState<P>) -> (u64, u64, u64) {
+    /// The frontier as a walk over every slab row finds it: rows holding a
+    /// frame, and the sub-calls they wait on. Checks on the way that each
+    /// row's pending count is the number of live sub-calls that point to
+    /// it, that each of those is among the row's tickets, and that a row
+    /// without a frame (vacant: its activation resumed or was cancelled)
+    /// waits on none.
+    fn walked<P: RecProgram>(state: &RecState<P>) -> (u64, u64) {
         let mut live = vec![0u32; state.records.len()];
         for &(ticket, row, _) in state.sub_calls.0.iter().flatten() {
             live[row as usize] += 1;
             let record = &state.records[row as usize];
             assert!(record.tickets.contains(&ticket), "row {row}");
         }
-        let mut walk = (0, 0, 0);
-        for (record, live) in state.records.iter().zip(live) {
+        let mut walk = (0, 0);
+        for (row, (record, live)) in state.records.iter().zip(live).enumerate() {
             assert_eq!(record.pending, live);
-            match record.row {
-                Row::Vacant => {}
-                Row::Open => {
-                    walk.0 += 1;
-                    walk.2 += live as u64;
-                }
-                Row::Closed => walk.1 += 1,
+            if record.frame.is_some() {
+                walk.0 += 1;
+                walk.1 += live as u64;
+            } else {
+                assert_eq!(live, 0, "vacant row {row} waits on a sub-call");
             }
         }
         walk
@@ -876,13 +826,11 @@ mod tests {
 
     /// Runs `root` to quiescence on a 4x4 torus, checking after every step
     /// that each node's frontier counters and rows' pending counts equal
-    /// the walk. Returns the
-    /// cancelled activations, the stale replies and the most closed rows
-    /// seen at once.
+    /// the walk. Returns the cancelled activations and the stale replies.
     fn counters_follow_the_walk<P: RecProgram<Arg = u64>>(
         host: RecursionHost<P>,
         root: u64,
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64) {
         let cfg = MapConfig {
             halt_on_root_reply: false,
             ..MapConfig::default()
@@ -890,33 +838,28 @@ mod tests {
         let host = MappingHost::new(host, RoundRobinMapper::factory(), cfg);
         let mut sim = Simulation::new(Torus::new_2d(4, 4), host, SimConfig::default());
         sim.inject(0, trigger(root));
-        let mut most_closed = 0;
         loop {
             let report = sim.step().unwrap();
-            let mut closed = 0;
             for node in 0..16 {
                 let app = &sim.state(node).app;
                 let f = app.frontier();
-                let counted = (f.open_records, f.closed_records, f.pending_calls);
+                let counted = (f.open_records, f.pending_calls);
                 assert_eq!(counted, walked(app), "node {node}, step {}", report.step);
-                closed += f.closed_records;
             }
-            most_closed = most_closed.max(closed);
             if report.queued_after == 0 {
                 break;
             }
         }
         let stats = (0..16).map(|node| sim.state(node).app.stats);
-        let (cancelled, stale) = stats.fold((0, 0), |(c, s), st| {
+        stats.fold((0, 0), |(c, s), st| {
             (c + st.cancelled, s + st.stale_replies)
-        });
-        (cancelled, stale, most_closed)
+        })
     }
 
     /// Two batches under one parent ticket, as in
     /// `tests/flat_activation.rs`: a `100` races a short chain against a
-    /// long one and calls again once the short one wins, so without
-    /// cancellation its closed first record lingers beside the second.
+    /// long one and calls again once the short one wins, while the long
+    /// one is still out; the won row is vacant before the second call.
     fn two_batch_program() -> impl RecProgram<Arg = u64, Out = u64> {
         FnProgram::new(|n: u64| -> Rec<u64, u64> {
             match n {
@@ -932,18 +875,14 @@ mod tests {
 
     #[test]
     fn frontier_counters_equal_a_walk_of_the_slab_at_every_step() {
-        let (cancelled, stale, most_closed) =
+        let (cancelled, stale) =
             counters_follow_the_walk(RecursionHost::new(two_batch_program()), 200);
         assert_eq!((cancelled, stale), (0, 3));
-        assert!(
-            most_closed > 0,
-            "closed records linger without cancellation"
-        );
-        let (_, stale, most_closed) = counters_follow_the_walk(
+        let (_, stale) = counters_follow_the_walk(
             RecursionHost::new(two_batch_program()).with_cancellation(),
             200,
         );
-        assert_eq!((stale, most_closed), (3, 0));
+        assert_eq!(stale, 3);
         // A short chain races two long ones: its win withdraws them while
         // they are suspended, and each withdrawn link withdraws the next.
         let race = FnProgram::new(|n: u64| -> Rec<u64, u64> {
@@ -954,7 +893,7 @@ mod tests {
                     .then_any(|r| Rec::done(r.unwrap_or(0))),
             }
         });
-        let (cancelled, stale, _) =
+        let (cancelled, stale) =
             counters_follow_the_walk(RecursionHost::new(race).with_cancellation(), 12);
         assert!(
             cancelled > 0 && stale > 0,
@@ -984,9 +923,9 @@ mod tests {
             })
         };
         assert_eq!(eval_local(&staggered(), 200), 8);
-        let (_, stale, _) = counters_follow_the_walk(RecursionHost::new(staggered()), 200);
+        let (_, stale) = counters_follow_the_walk(RecursionHost::new(staggered()), 200);
         assert_eq!(stale, 8, "each race ignores its long chain");
-        let (cancelled, ..) =
+        let (cancelled, _) =
             counters_follow_the_walk(RecursionHost::new(staggered()).with_cancellation(), 200);
         assert!(cancelled > 0);
     }
@@ -995,14 +934,12 @@ mod tests {
     fn frontier_absorb_folds_incumbents_by_objective() {
         let a = FrontierSnapshot {
             open_records: 2,
-            closed_records: 1,
             pending_calls: 3,
             incumbent: Some(10),
             incumbent_updates: 2,
         };
         let b = FrontierSnapshot {
             open_records: 1,
-            closed_records: 0,
             pending_calls: 1,
             incumbent: Some(25),
             incumbent_updates: 1,

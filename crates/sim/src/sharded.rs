@@ -39,7 +39,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use hyperspace_obs::{saturating_nanos, ObsHandle, Phase};
+use hyperspace_obs::{ObsHandle, Phase};
 use hyperspace_topology::{Csr, NodeId, Topology};
 
 use crate::checkpoint::{encode_body, CheckpointState, SimCheckpoint};
@@ -336,7 +336,7 @@ fn exchange<P: NodeProgram>(
                     }
                 }
             }
-            obs.time_barrier(group[0].id, || barrier.wait());
+            obs.time_phase(group[0].id, Phase::BarrierWait, || barrier.wait());
             for shard in group.iter_mut() {
                 grid.collect(shard.id, &mut shard.mail);
             }
@@ -690,7 +690,7 @@ fn follow<T: Topology, P: NodeProgram>(
     let worker = group[0].id;
     loop {
         // command visible to every thread
-        obs.time_barrier(worker, || shared.barrier.wait());
+        obs.time_phase(worker, Phase::BarrierWait, || shared.barrier.wait());
         let step = shared.next.load(Ordering::SeqCst);
         if step == FINISH {
             return;
@@ -699,7 +699,7 @@ fn follow<T: Topology, P: NodeProgram>(
         step_group(group, env, step, Some(shared), &mut out);
         *slot.lock().expect("step slot poisoned") = out;
         // step results published
-        obs.time_barrier(worker, || shared.barrier.wait());
+        obs.time_phase(worker, Phase::BarrierWait, || shared.barrier.wait());
     }
 }
 
@@ -725,13 +725,13 @@ fn lead<T: Topology, P: NodeProgram>(
             clock.step
         };
         shared.next.store(next, Ordering::SeqCst);
-        obs.time_barrier(0, || shared.barrier.wait());
+        obs.time_phase(0, Phase::BarrierWait, || shared.barrier.wait());
         if let Some(verdict) = verdict {
             return verdict;
         }
         let mut out = StepOut::default();
         step_group(group, env, clock.step, Some(shared), &mut out);
-        obs.time_barrier(0, || shared.barrier.wait());
+        obs.time_phase(0, Phase::BarrierWait, || shared.barrier.wait());
         for slot in &shared.outs {
             out.merge(std::mem::take(
                 &mut *slot.lock().expect("step slot poisoned"),
@@ -763,20 +763,17 @@ where
             .flat_map(|s| s.transit.iter().map(|m| (m.key, m.at, &m.env)))
             .collect();
         transit.sort_by_key(|&(key, _, _)| key);
-        let started = self.cfg.obs.enabled().then(std::time::Instant::now);
-        let body = encode_body(
-            (0..n as NodeId).map(|node| self.state(node)),
-            (self.home.iter()).map(|&(shard, local)| &self.shards[shard].inboxes.queues[local]),
-            transit.len(),
-            transit.into_iter(),
-            self.metrics(),
-            self.trace(),
-        );
-        if let Some(started) = started {
-            let nanos = saturating_nanos(started.elapsed());
-            self.cfg.obs.on_checkpoint(body.len() as u64, nanos);
-            self.cfg.obs.on_phase(0, Phase::CheckpointEncode, nanos);
-        }
+        let body = self.cfg.obs.time_phase(0, Phase::CheckpointEncode, || {
+            encode_body(
+                (0..n as NodeId).map(|node| self.state(node)),
+                (self.home.iter()).map(|&(shard, local)| &self.shards[shard].inboxes.queues[local]),
+                transit.len(),
+                transit.into_iter(),
+                self.metrics(),
+                self.trace(),
+            )
+        });
+        self.cfg.obs.on_checkpoint(body.len() as u64);
         SimCheckpoint::new(self.clock.step, self.clock.halted, n, body)
     }
 
@@ -803,14 +800,7 @@ where
                 ckpt.num_nodes()
             )));
         }
-        let started = sim.cfg.obs.enabled().then(std::time::Instant::now);
         let state = CheckpointState::<P::State, P::Msg>::decode(ckpt)?;
-        if let Some(started) = started {
-            sim.cfg.obs.on_restore(
-                ckpt.size_bytes() as u64,
-                saturating_nanos(started.elapsed()),
-            );
-        }
         sim.clock = Clock {
             step: ckpt.step(),
             queued: state.queued(),

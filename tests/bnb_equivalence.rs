@@ -11,7 +11,7 @@ use hyperspace::apps::{
     TspInstance, TspProgram, TspTask,
 };
 use hyperspace::core::{
-    BackendSpec, MapperSpec, ObjectiveSpec, PartitionSpec, PruneSpec, RecRunReport, StackBuilder,
+    BackendSpec, MapperSpec, ObjectiveSpec, Partition, PruneSpec, RecRunReport, StackBuilder,
     TopologySpec,
 };
 use proptest::prelude::*;
@@ -23,17 +23,17 @@ fn backend_matrix() -> Vec<BackendSpec> {
         BackendSpec::sharded(1),
         BackendSpec::Sharded {
             shards: 2,
-            partition: PartitionSpec::RoundRobin,
+            partition: Partition::RoundRobin,
             threads: Some(2),
         },
         BackendSpec::Sharded {
             shards: 7,
-            partition: PartitionSpec::Block,
+            partition: Partition::Block,
             threads: Some(3),
         },
         BackendSpec::Sharded {
             shards: 7,
-            partition: PartitionSpec::RoundRobin,
+            partition: Partition::RoundRobin,
             threads: Some(7),
         },
     ]

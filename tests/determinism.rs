@@ -4,7 +4,7 @@
 //! backend's trace is invariant under its worker-thread count.
 
 use hyperspace::core::{
-    BackendSpec, MapperSpec, PartitionSpec, RecRunReport, StackBuilder, TopologySpec,
+    BackendSpec, MapperSpec, Partition, RecRunReport, StackBuilder, TopologySpec,
 };
 use hyperspace::sat::{gen, DpllProgram, Heuristic, SimplifyMode, SubProblem, Verdict};
 use hyperspace::sim::record::TraceEvent;
@@ -65,7 +65,7 @@ fn parallel_stepper_matches_sequential_exactly() {
 fn sharded_run(
     seed: u64,
     shards: u32,
-    partition: PartitionSpec,
+    partition: Partition,
     threads: u32,
 ) -> (Vec<TraceEvent>, Vec<u64>, Vec<u64>, u64, u64) {
     let cnf = gen::uf20_91(seed);
@@ -104,11 +104,11 @@ fn sharded_runs_are_identical_across_thread_counts() {
     // Same seed, same shard layout, different worker-thread counts: the
     // trace (and everything derived from it) must be bit-identical.
     // Repeat each configuration to also catch run-to-run nondeterminism.
-    let baseline = sharded_run(2017, 7, PartitionSpec::RoundRobin, 1);
+    let baseline = sharded_run(2017, 7, Partition::RoundRobin, 1);
     assert!(!baseline.0.is_empty(), "trace recorded");
     for threads in [1u32, 2, 5, 7] {
         for repeat in 0..2 {
-            let run = sharded_run(2017, 7, PartitionSpec::RoundRobin, threads);
+            let run = sharded_run(2017, 7, Partition::RoundRobin, threads);
             assert_eq!(
                 run, baseline,
                 "threads={threads} repeat={repeat} diverged from single-threaded baseline"
@@ -120,12 +120,12 @@ fn sharded_runs_are_identical_across_thread_counts() {
 #[test]
 fn sharded_trace_is_partition_and_shard_count_invariant() {
     // The trace must not depend on how the state was sharded at all.
-    let baseline = sharded_run(42, 1, PartitionSpec::Block, 1);
+    let baseline = sharded_run(42, 1, Partition::Block, 1);
     for (shards, partition) in [
-        (2, PartitionSpec::Block),
-        (7, PartitionSpec::Block),
-        (7, PartitionSpec::RoundRobin),
-        (64, PartitionSpec::RoundRobin),
+        (2, Partition::Block),
+        (7, Partition::Block),
+        (7, Partition::RoundRobin),
+        (64, Partition::RoundRobin),
     ] {
         let run = sharded_run(42, shards, partition, 3);
         assert_eq!(run, baseline, "K={shards} {partition:?} diverged");

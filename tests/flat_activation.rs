@@ -4,8 +4,8 @@
 //! recursive DPLL over the nested reference.
 //! Likewise the call-record slab and the ticket-keyed record table before
 //! it: limited-discrepancy, cancelling and branch-and-bound runs, and a
-//! program that keeps a closed record beside its successor, against
-//! values recorded at that parent commit. Likewise the children a split
+//! program that suspends again under one parent ticket after an `Any`
+//! win, against values recorded at that parent commit. Likewise the children a split
 //! decides before they run: each against the split-then-simplify
 //! reference, and hint-reading mesh runs against values recorded while
 //! every child still simplified its own formula. Likewise a child
@@ -888,10 +888,11 @@ fn inline_and_spilled_batches_reproduce_the_parent_pins() {
 /// Two batches under one parent ticket: `n < 100` counts down a chain of
 /// calls and returns `n`; a `100` races a short chain against a long one,
 /// is resumed by the short one while the long one is still out, and then
-/// calls again — so, without cancellation, its closed first record
-/// lingers beside the open second one until the long chain returns. (Why
-/// records cannot be keyed by their parent ticket.) A `200` sums three
-/// such activations.
+/// calls again. The win forgets the long chain and vacates the first
+/// record before the activation resumes, so with or without cancellation
+/// the second record is the only one that answers to the parent ticket,
+/// and the long chain's reply arrives stale. A `200` sums three such
+/// activations.
 fn two_batch_program() -> impl hyperspace::recursion::RecProgram<Arg = u64, Out = u64> {
     FnProgram::new(|n: u64| -> Rec<u64, u64> {
         match n {
@@ -906,7 +907,7 @@ fn two_batch_program() -> impl hyperspace::recursion::RecProgram<Arg = u64, Out 
 }
 
 #[test]
-fn a_closed_record_lingers_beside_its_successor() {
+fn a_won_record_is_gone_before_its_successor_suspends() {
     let frontier_at = |cancel: bool, steps: u64| {
         let mut sim = StackBuilder::new(two_batch_program())
             .topology(TopologySpec::Torus2D { w: 4, h: 4 })
@@ -927,21 +928,20 @@ fn a_closed_record_lingers_beside_its_successor() {
         for node in 0..16 {
             let app = &sim.state(node).app;
             assert_eq!(app.live_records(), 0, "cancel {cancel}: node {node} leaked");
-            assert_eq!(app.frontier().closed_records, 0);
         }
         let stats = (0..16).map(|node| sim.state(node).app.stats);
         let stale: u64 = stats.map(|s| s.stale_replies).sum();
         (machine, stale)
     };
-    // Mid-run frontiers and stale-reply totals recorded at the parent
-    // commit: the three closed records are there without cancellation,
-    // gone at once with it.
-    let snapshot = |open_records, closed_records, pending_calls| FrontierSnapshot {
+    // Mid-run frontiers and stale-reply totals recorded when a won record
+    // still lingered until its last losing reply (the three such rows were
+    // never counted as open, so forgetting the losers at once moves none
+    // of these values).
+    let snapshot = |open_records, pending_calls| FrontierSnapshot {
         open_records,
-        closed_records,
         pending_calls,
         ..FrontierSnapshot::default()
     };
-    assert_eq!(frontier_at(false, 12), (snapshot(40, 3, 42), 3));
-    assert_eq!(frontier_at(true, 12), (snapshot(31, 0, 33), 3));
+    assert_eq!(frontier_at(false, 12), (snapshot(40, 42), 3));
+    assert_eq!(frontier_at(true, 12), (snapshot(31, 33), 3));
 }

@@ -12,7 +12,7 @@
 
 use hyperspace::apps::fib::fib_reference;
 use hyperspace::apps::{FibProgram, NQueensProgram, QueensTask, SumProgram};
-use hyperspace::core::{BackendSpec, MapperSpec, PartitionSpec, StackBuilder, TopologySpec};
+use hyperspace::core::{BackendSpec, MapperSpec, StackBuilder, TopologySpec};
 use hyperspace::mapping::{trigger, MapConfig, MapState, MappingHost};
 use hyperspace::recursion::{eval_local, RecursionHost};
 use hyperspace::sim::{
@@ -318,12 +318,12 @@ proptest! {
             BackendSpec::sharded(1),
             BackendSpec::Sharded {
                 shards: 2,
-                partition: PartitionSpec::RoundRobin,
+                partition: Partition::RoundRobin,
                 threads: Some(2),
             },
             BackendSpec::Sharded {
                 shards: 7,
-                partition: PartitionSpec::Block,
+                partition: Partition::Block,
                 threads: Some(3),
             },
         ] {

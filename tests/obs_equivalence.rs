@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use hyperspace::core::{
-    BackendSpec, MapperSpec, PartitionSpec, PortfolioSpec, RecRunReport, StackBuilder, TopologySpec,
+    BackendSpec, MapperSpec, PortfolioSpec, RecRunReport, StackBuilder, TopologySpec,
 };
 use hyperspace::obs::{JobProbe, ObsHandle, Observer};
 use hyperspace::obs::{Phase, TraceBuffer};
@@ -388,7 +388,7 @@ fn sharded_runs_are_identical_with_observation_on_and_off() {
     assert_eq!(on, off, "sharded run diverged under observation");
     assert_eq!(p.steps(), off.2, "probe saw every sharded step");
     assert!(
-        p.barrier_span().count() > 0,
+        p.phases().phase_total(Phase::BarrierWait).0 > 0,
         "probe timed shard barrier waits"
     );
 }
@@ -404,7 +404,7 @@ fn sharded_stack_reports_are_identical_with_observation_on_and_off() {
             .mapper(MapperSpec::RoundRobin)
             .backend(BackendSpec::Sharded {
                 shards: 4,
-                partition: PartitionSpec::Block,
+                partition: Partition::Block,
                 threads: Some(2),
             })
             .halt_on_root_reply(false)

@@ -54,8 +54,8 @@ fn golden_registry() -> Registry {
     let probe = r.probe(1, "sat");
     probe.on_step(64, 12, 3);
     probe.on_progress(64, 5, Some(-7));
-    probe.on_checkpoint(2_048, 10_000);
-    probe.on_barrier_wait(0, 3_000);
+    probe.on_checkpoint(2_048);
+    probe.on_phase(0, Phase::BarrierWait, 3_000);
     probe.on_phase(0, Phase::Delivery, 400);
     probe.on_phase(0, Phase::Handler, 900);
     probe.on_phase(1, Phase::Handler, 1_100);

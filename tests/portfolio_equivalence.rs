@@ -10,7 +10,7 @@ use hyperspace::apps::{
     TspInstance, TspProgram, TspTask,
 };
 use hyperspace::core::{
-    BackendSpec, MapperSpec, ObjectiveSpec, PartitionSpec, PortfolioSpec, PruneSpec, StrategySpec,
+    BackendSpec, MapperSpec, ObjectiveSpec, Partition, PortfolioSpec, PruneSpec, StrategySpec,
     TopologySpec,
 };
 use hyperspace::portfolio::{PortfolioReport, PortfolioRunner};
@@ -25,12 +25,12 @@ fn backend_matrix() -> Vec<BackendSpec> {
         BackendSpec::sharded(1),
         BackendSpec::Sharded {
             shards: 2,
-            partition: PartitionSpec::RoundRobin,
+            partition: Partition::RoundRobin,
             threads: Some(2),
         },
         BackendSpec::Sharded {
             shards: 7,
-            partition: PartitionSpec::Block,
+            partition: Partition::Block,
             threads: Some(3),
         },
     ]

@@ -17,7 +17,7 @@
 //!    construction.
 
 use hyperspace::core::{
-    BackendSpec, LimitSpec, MapperSpec, PartitionSpec, PortfolioSpec, StrategyExpr, StrategySpec,
+    BackendSpec, LimitSpec, MapperSpec, Partition, PortfolioSpec, StrategyExpr, StrategySpec,
     TopologySpec,
 };
 use hyperspace::portfolio::{PortfolioReport, PortfolioRunner};
@@ -37,12 +37,12 @@ fn backend_matrix() -> Vec<BackendSpec> {
         BackendSpec::sharded(1),
         BackendSpec::Sharded {
             shards: 2,
-            partition: PartitionSpec::RoundRobin,
+            partition: Partition::RoundRobin,
             threads: Some(2),
         },
         BackendSpec::Sharded {
             shards: 7,
-            partition: PartitionSpec::Block,
+            partition: Partition::Block,
             threads: Some(3),
         },
     ]

@@ -6,7 +6,7 @@
 //! with its residual as counters, which hold its assignment too. A child
 //! copies its parent's counters into the buffer a finished level left
 //! behind, forces its branch and runs its lines 6–11 there, exactly as a
-//! [`DpllProgram`](crate::DpllProgram) split decides a child, and the
+//! [`DpllProgram`](crate::DpllProgram) child decides itself, and the
 //! branching literal comes from the same choice. Classic backtracking —
 //! "try `L = true` first, then `L = false`" — replaces the mesh's
 //! speculative evaluation of both. Nothing recurses natively: depth costs
@@ -74,7 +74,7 @@ pub fn solve(cnf: &Cnf, heuristic: Heuristic) -> (SatResult, SolveStats) {
     let mode = SimplifyMode::Fixpoint;
     let mut forced = SimplifyStats::default();
     let mut counters = Residual::default();
-    let path = Path::simplified_root(cnf.clone(), mode, &mut counters, &mut forced);
+    let path = Path::root(cnf.clone(), &mut counters).child(None, mode, &mut counters, &mut forced);
     let mut levels = vec![Level {
         path,
         counters,
@@ -119,7 +119,10 @@ pub fn solve(cnf: &Cnf, heuristic: Heuristic) -> (SatResult, SolveStats) {
             .expect("two levels");
         to.counters.clone_from(&from.counters);
         to.untried = None;
-        to.path = from.path.child(lit, mode, &mut to.counters, &mut forced);
+        to.path = from
+            .path
+            .clone()
+            .child(Some(lit), mode, &mut to.counters, &mut forced);
         stats.nodes += 1;
         stats.max_depth = stats.max_depth.max(depth as u64);
     };

@@ -12,10 +12,9 @@
 //!   ([`Cnf::clauses`], [`Cnf::clause`]); the owned [`Clause`] is what
 //!   formulas are built from and what the CDCL solver learns and exports.
 //!   A [`SubProblem`] is a handle to a body recycled through a per-thread
-//!   free list. Below the root a sub-problem copies no formula: it
-//!   travels as its path, an `Arc` to the [`RootFormula`] the search
-//!   started from plus its residual as counters over that formula, which
-//!   hold its assignment too;
+//!   free list. It copies no formula: it travels as its path, an `Arc` to
+//!   the [`RootFormula`] the search started from, its parent's counters
+//!   over that formula, shared with its sibling, and its branch literal;
 //! * [`gen`] — seeded uniform random k-SAT (the SATLIB distribution), a
 //!   satisfiable-filtered `uf20_91` generator substituting for the offline
 //!   benchmark files, a planted-solution generator for larger instances
@@ -27,8 +26,8 @@
 //!   and one count per literal (parked below zero once it is false),
 //!   against one occurrence list per literal, so a forced literal visits
 //!   only the clauses it occurs in and no formula is written. A mesh
-//!   split copies its parent's counters into each child and decides the
-//!   child there; sequential [`dpll`] does the same on each decision
+//!   child copies or takes its parent's counters as it starts and decides
+//!   itself there; sequential [`dpll`] does the same on each decision
 //!   level of its stack. The same counters feed the heuristics;
 //! * [`heuristics`] — branching-variable selection (first-unassigned,
 //!   most-frequent, DLIS, Jeroslow-Wang, seeded random);

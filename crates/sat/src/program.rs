@@ -19,27 +19,26 @@
 //! the activation "without waiting for [the] other result" (§V-B); if both
 //! return UNSAT the activation is UNSAT.
 //!
-//! An activation below the root travels as its *path* from the formula
-//! the search started from (the guiding paths of distributed SAT
-//! solvers), not as a copy of its residual formula: a shared
-//! [`RootFormula`], which the root activation builds from its formula as
-//! given before it runs its own lines 2–11 on fresh counters over it, and
-//! the residual as those counters: the remaining occurrences of each
-//! clause and a count per literal, its occurrences in the clauses still
-//! open less a fixed offset once it is false. The parked counts are the
-//! path's assignment, so the counters are all a path holds of its own.
-//! The residual is the root formula under that assignment, in the root's
-//! clause order.
+//! A sub-problem travels as its *path* from the formula the search
+//! started from (the guiding paths of distributed SAT solvers), not as a
+//! copy of its residual formula: a shared [`RootFormula`], which
+//! [`SubProblem::root`] builds from its formula as given, and counters
+//! over it: the remaining occurrences of each clause and a count per
+//! literal, its occurrences in the clauses still open less a fixed offset
+//! once it is false. The parked counts are the path's assignment. The
+//! residual is the root formula under it, in the root's clause order.
 //!
-//! A split copies the parent's counters into the first child and moves
-//! them into the last, forces each child's branch literal on them and
-//! runs the child's lines 6–11 there (none under `SplitOnly`) against the
-//! root's occurrence lists; no formula is written. A child arrives
-//! decided or not (a conflict flag, its live clause count), with its
-//! mapping hint (the clauses live once its branch literal holds), and its
-//! activation goes straight to line 12. Where the simplification runs is
-//! not observable: messages, steps, mapping hints and verdicts are those
-//! of every activation simplifying its own sub-problem.
+//! A split reads and its children write. The split reads each child's
+//! mapping hint (the clauses live once its literal holds) off the
+//! parent's counters, at fixpoint, and both children share them. A child
+//! starting forces its literal and runs its lines 6–11 (none under
+//! `SplitOnly`) against the root's occurrence lists: its first write
+//! takes the counters' buffer if its sibling has started already, or
+//! copies it into a recycled buffer if not. So a queued child is its
+//! parent's counters plus one literal. Neither which child copies nor
+//! where the simplification runs is observable: messages, steps, mapping
+//! hints and verdicts are those of every activation simplifying its own
+//! sub-problem.
 //!
 //! Every heuristic reads the counters: `first` branches on the first free
 //! literal of the first open clause, DLIS and most-frequent read the live
@@ -49,12 +48,11 @@
 //!
 //! A [`SubProblem`] travels as a handle: one pointer to a
 //! [`SubProblemBody`], so the mesh moves an 8-byte payload however large
-//! the formula. Bodies are recycled through a bounded free list per
-//! thread: dropping a sub-problem returns its body with its counters'
-//! buffer (but no formula), and [`SubProblem::root`], `clone` and every
-//! split take one. A split writes its children's counters into the
-//! buffers finished activations left behind, so a child that fits them
-//! allocates nothing.
+//! the formula. Bodies and counter buffers are recycled through bounded
+//! free lists per thread: dropping a sub-problem returns its body, and
+//! its buffer if no other sub-problem holds it. A split's first child
+//! takes a body (the last keeps its parent's), and a child that copies
+//! takes a buffer, so a steady-state split allocates nothing.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -68,7 +66,9 @@ use crate::cnf::{check_model, Assignment, Cnf, Lit, Model};
 use crate::heuristics::{
     jeroslow_wang, most_frequent_lit, most_frequent_var, random_lit, Heuristic,
 };
-use crate::simplify::{Occurrences, Residual, Simplified, SimplifyMode, SimplifyStats};
+use crate::simplify::{
+    Forced, Occurrences, Residual, Simplified, SimplifyMode, SimplifyStats, FREE_LIST,
+};
 
 /// A self-contained DPLL sub-problem, as shipped between nodes: a handle
 /// to its [`SubProblemBody`], whose public fields and methods it
@@ -76,13 +76,10 @@ use crate::simplify::{Occurrences, Residual, Simplified, SimplifyMode, SimplifyS
 #[derive(Debug, PartialEq, Eq)]
 pub struct SubProblem(Option<Box<SubProblemBody>>);
 
-/// What a [`SubProblem`] holds: a root's formula, or a path from a shared
-/// root with its residual as counters over that root.
-#[derive(Debug, Default, PartialEq, Eq)]
+/// What a [`SubProblem`] holds: its parent's path and counters, which it
+/// shares until it writes them, and the literal the split gave it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SubProblemBody {
-    /// A root's formula, as given, for its own activation to simplify;
-    /// empty below the root. Read through [`SubProblemBody::residual`].
-    cnf: Cnf,
     /// Remaining discrepancy budget (limited-discrepancy search): how many
     /// more times this path may deviate from the heuristic's preferred
     /// branch. `None` — the default — is the classic unlimited search.
@@ -92,45 +89,58 @@ pub struct SubProblemBody {
     /// denied discrepancy), which the portfolio layer reports as an
     /// exhausted attempt rather than a verdict.
     pub discrepancy: Option<u64>,
-    /// A sub-problem's place below the root: the root formula under the
-    /// assignment `counters` hold.
+    /// The parent's path (a root's own); `None` on the free list.
     path: Option<Path>,
-    /// A path's residual as counters over its root formula, which its
-    /// split copies into its children; their parked counts are the
-    /// assignment on the path. Otherwise a buffer kept for a later owner.
+    /// The parent's counters at fixpoint (a root's, fresh).
     counters: Residual,
+    /// The mode of the parent's lines 2–11, and so of this sub-problem's;
+    /// a root's reads `SplitOnly` until it starts, as nothing has run.
+    mode: SimplifyMode,
+    /// The literal the split gave this sub-problem; `None` for a root.
+    lit: Option<Lit>,
+    /// The residual's clause count once `lit` holds, before the
+    /// sub-problem's own lines 6–11: the mapping hint.
+    weight: Weight,
 }
 
 impl SubProblemBody {
-    /// The residual formula: the one a root carries, or one written from
-    /// the counters of a sub-problem below it — the root formula without
-    /// the clauses its assignment satisfies and the literals it falsifies,
-    /// in the root's clause order.
+    /// The path and counters this sub-problem's lines 2–11 reach, on a
+    /// scratch copy of the counters.
+    fn reached(&self) -> (Path, Residual) {
+        let (mut counters, stats) = (self.counters.clone(), &mut SimplifyStats::default());
+        let parent = self.path.clone().expect("a live sub-problem is on a path");
+        let path = parent.child(self.lit, self.mode, &mut counters, stats);
+        (path, counters)
+    }
+
+    /// The residual formula this sub-problem's lines 2–11 leave (a root's
+    /// is its formula as given): the root formula without the clauses its
+    /// assignment satisfies and the literals it falsifies, in order.
     pub fn residual(&self) -> Cow<'_, Cnf> {
-        match &self.path {
-            None => Cow::Borrowed(&self.cnf),
-            Some(path) => {
-                let root = &path.root.cnf;
-                let clauses = self.counters.clauses(root).map(|(_, free)| free.collect());
-                Cow::Owned(Cnf::new(root.num_vars(), clauses.collect()))
-            }
-        }
+        let (path, counters) = self.reached();
+        let root = &path.root.cnf;
+        let clauses = counters.clauses(root).map(|(_, free)| free.collect());
+        Cow::Owned(Cnf::new(root.num_vars(), clauses.collect()))
     }
 
-    /// The assignment on the path to this sub-problem, decisions and
-    /// forced literals alike, read off its counters; a root's assigns
-    /// nothing.
+    /// The assignment on the path to this sub-problem once its lines 2–11
+    /// have run, decisions and forced literals alike, read off its
+    /// counters; a root's assigns nothing.
     pub fn assignment(&self) -> Assignment {
-        match &self.path {
-            None => Assignment::new(self.cnf.num_vars()),
-            Some(_) => self.counters.assignment(),
-        }
+        self.reached().1.assignment()
     }
 
-    /// The root formula a sub-problem's path starts from; `None` for a
-    /// root, which carries its formula.
+    /// The root formula this sub-problem's path starts from.
     pub fn root_formula(&self) -> Option<&Arc<RootFormula>> {
         self.path.as_ref().map(|path| &path.root)
+    }
+
+    /// Makes this body, which holds `parent`'s counters, the child of a
+    /// split on `parent` in which `lit` holds, with `discrepancy` left.
+    fn child_of(&mut self, parent: Path, lit: Lit, discrepancy: Option<u64>, mode: SimplifyMode) {
+        self.weight = parent.hint(lit, &self.counters);
+        (self.lit, self.discrepancy, self.mode) = (Some(lit), discrepancy, mode);
+        self.path = Some(parent);
     }
 }
 
@@ -143,15 +153,12 @@ pub struct RootFormula {
     occurrences: Occurrences,
 }
 
-/// Where a sub-problem below the root stands: its residual is the root
-/// formula under the assignment its counters hold, and these are what
-/// its activation reads besides them.
+/// Where a sub-problem stands once its lines 2–11 have run: its residual
+/// is the root formula under the assignment its counters hold, and these
+/// are what its activation reads besides them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Path {
     root: Arc<RootFormula>,
-    /// The residual's clause count once the split's literal holds, before
-    /// the sub-problem's own propagation: the mapping hint.
-    weight: Weight,
     /// No clause before this one is open; unless `empty` or no clause is,
     /// this one is.
     first_open: u32,
@@ -160,51 +167,50 @@ pub(crate) struct Path {
 }
 
 impl Path {
-    /// The root of a search over `cnf`, as given, after its lines 2–11
-    /// under `mode` on `counters`, which this overwrites. Counts each
-    /// literal forced in `stats`.
-    pub(crate) fn simplified_root(
-        cnf: Cnf,
-        mode: SimplifyMode,
-        counters: &mut Residual,
-        stats: &mut SimplifyStats,
-    ) -> Path {
+    /// The root of a search over `cnf`, as given, and `counters` fresh
+    /// over it: its lines 2–11 are [`Path::child`] with no literal.
+    pub(crate) fn root(cnf: Cnf, counters: &mut Residual) -> Path {
         *counters = Residual::new(&cnf);
         let occurrences = Occurrences::new(&cnf, counters.live_counts());
-        let weight = cnf.num_clauses() as Weight;
-        let empty =
-            cnf.has_empty_clause() || counters.propagate(&occurrences, &cnf, mode, 0, stats);
         Path {
+            empty: cnf.has_empty_clause(),
             root: Arc::new(RootFormula { cnf, occurrences }),
-            weight,
-            first_open: counters.first_live(0) as u32,
-            empty,
+            first_open: 0,
         }
     }
 
-    /// The child of a split on this path in which `lit` holds: `counters`,
-    /// this path's, become the child's once `lit` is forced and the
-    /// child's lines 6–11 under `mode` have run on them, each literal
-    /// forced counted in `stats`. Its mapping hint is the clauses live
-    /// once `lit` holds, before the propagation.
+    /// The mapping hint of this path's child in which `lit` holds: the
+    /// clauses live once `lit` holds, read off `counters`, this path's.
+    pub(crate) fn hint(&self, lit: Lit, counters: &Residual) -> Weight {
+        counters.live() - counters.closed_by(&self.root.occurrences, lit)
+    }
+
+    /// This path's child in which `lit` holds (with no literal, this
+    /// root) after its lines 2–11 under `mode`: `counters`, this path's,
+    /// become the child's, each literal forced counted in `stats`.
     pub(crate) fn child(
-        &self,
-        lit: Lit,
+        self,
+        lit: Option<Lit>,
         mode: SimplifyMode,
         counters: &mut Residual,
         stats: &mut SimplifyStats,
     ) -> Path {
         let (cnf, occurrences) = (&self.root.cnf, &self.root.occurrences);
-        // The parent's counters are at fixpoint: the force's report is
-        // where a unit can first stand.
-        let forced = counters.force(occurrences, cnf, lit);
-        let weight = counters.live();
+        // A split's counters are at fixpoint, so the force's report is
+        // where a unit can first stand; a root's are fresh, so its unit
+        // scan starts at clause 0.
+        let forced = match lit {
+            Some(lit) => counters.force(occurrences, cnf, lit),
+            None => Forced {
+                conflict: self.empty,
+                unit_from: 0,
+            },
+        };
         let empty =
             forced.conflict || counters.propagate(occurrences, cnf, mode, forced.unit_from, stats);
         Path {
-            root: Arc::clone(&self.root),
-            weight,
             first_open: counters.first_live(self.first_open as usize) as u32,
+            root: self.root,
             empty,
         }
     }
@@ -245,12 +251,6 @@ impl Path {
     }
 }
 
-/// How many bodies a thread's free list keeps. A recycled body keeps its
-/// largest buffers, and a thread may drop more bodies than it takes (a
-/// race's caller drops what its per-epoch workers built), so the list is
-/// bounded.
-const FREE_BODIES: usize = 64;
-
 thread_local! {
     /// Bodies this thread's dropped sub-problems returned. Boxed: the
     /// allocation a handle points to is what is recycled.
@@ -261,53 +261,20 @@ thread_local! {
 impl SubProblem {
     /// The root sub-problem of a formula (unlimited discrepancies).
     pub fn root(cnf: Cnf) -> SubProblem {
-        let mut sub = SubProblem::recycled(None);
-        sub.cnf = cnf;
-        sub
+        let mut root = SubProblemBody::default();
+        root.path = Some(Path::root(cnf, &mut root.counters));
+        (root.weight, root.mode) = (root.counters.live(), SimplifyMode::SplitOnly);
+        SubProblem::boxed(root)
     }
 
-    /// A handle to a body off this thread's free list (a new one if the
-    /// list is empty), with `discrepancy`, no formula, no path and no
-    /// counters.
-    fn recycled(discrepancy: Option<u64>) -> SubProblem {
-        let mut body = FREE
+    /// A handle to `body`, in a box off this thread's free list (a new
+    /// one if the list is empty).
+    fn boxed(body: SubProblemBody) -> SubProblem {
+        let mut boxed = FREE
             .with(|free| free.borrow_mut().pop())
             .unwrap_or_default();
-        body.discrepancy = discrepancy;
-        body.counters.clear();
-        SubProblem(Some(body))
-    }
-
-    /// The child of a split on `parent` in which `lit` holds, in a
-    /// recycled body: `fill` writes the parent's counters into the body's
-    /// buffer, then `lit` is forced and the child's lines 6–11 run on
-    /// them.
-    fn child(
-        parent: &Path,
-        lit: Lit,
-        mode: SimplifyMode,
-        discrepancy: Option<u64>,
-        fill: impl FnOnce(&mut Residual),
-    ) -> SubProblem {
-        let mut sub = SubProblem::recycled(discrepancy);
-        let body = &mut *sub;
-        fill(&mut body.counters);
-        let stats = &mut SimplifyStats::default();
-        body.path = Some(parent.child(lit, mode, &mut body.counters, stats));
-        sub
-    }
-
-    /// Lines 2–11: a root runs them on counters over its formula, which
-    /// becomes the root formula of its path; a path, whose split already
-    /// ran them, reads its verdict off its flag and counters.
-    fn simplify(&mut self, mode: SimplifyMode) -> Simplified {
-        let body = &mut **self;
-        let path = body.path.get_or_insert_with(|| {
-            let cnf = std::mem::take(&mut body.cnf);
-            let stats = &mut SimplifyStats::default();
-            Path::simplified_root(cnf, mode, &mut body.counters, stats)
-        });
-        path.verdict(&body.counters)
+        *boxed = body;
+        SubProblem(Some(boxed))
     }
 
     /// The root sub-problem with a limited-discrepancy budget.
@@ -333,17 +300,16 @@ impl DerefMut for SubProblem {
     }
 }
 
-/// Returns the body to this thread's free list, unless the list is full
-/// (or the thread is exiting), in which case the body is freed.
+/// Releases the counters and returns the body to this thread's free list,
+/// unless the list is full (or the thread is exiting).
 impl Drop for SubProblem {
     fn drop(&mut self) {
         if let Some(mut body) = self.0.take() {
-            // No free list keeps a formula alive, a root's or a shared one.
-            body.cnf = Cnf::default();
             body.path = None;
+            std::mem::take(&mut body.counters).release();
             let _ = FREE.try_with(|free| {
                 let mut free = free.borrow_mut();
-                if free.len() < FREE_BODIES {
+                if free.len() < FREE_LIST {
                     free.push(body);
                 }
             });
@@ -351,13 +317,10 @@ impl Drop for SubProblem {
     }
 }
 
+/// A clone shares the counters: it copies none until it writes.
 impl Clone for SubProblem {
     fn clone(&self) -> SubProblem {
-        let mut sub = SubProblem::recycled(self.discrepancy);
-        sub.cnf.clone_from(&self.cnf);
-        sub.path.clone_from(&self.path);
-        sub.counters.clone_from(&self.counters);
-        sub
+        SubProblem::boxed((**self).clone())
     }
 }
 
@@ -471,36 +434,21 @@ impl DpllProgram {
         }
     }
 
-    /// Lines 12–16: the heuristic's choice on the parent's path, then a
-    /// child on that path for each branch to spawn. The last child takes
-    /// the parent's counters; the parent's body returns to the free list
-    /// when `sub` drops.
-    fn split(&self, mut sub: SubProblem) -> Calls<SubProblem> {
-        let parent = &mut *sub;
-        let path = parent
-            .path
-            .take()
-            .expect("lines 2–11 put every activation on its path");
-        let lit = self.branch(path.select(self.heuristic, &parent.counters));
-        // Each child is decided here: the first on a copy of the parent's
-        // counters, the last on the counters themselves. Following the
-        // heuristic costs no discrepancy; going against it spends one.
-        let discrepancy = parent.discrepancy;
-        let last = |lit, discrepancy, parent: &mut SubProblemBody| {
-            SubProblem::child(&path, lit, self.mode, discrepancy, |counters| {
-                std::mem::swap(counters, &mut parent.counters);
-            })
-        };
+    /// Lines 12–16: the heuristic's choice on `path`, then a child for
+    /// each branch, the last in `sub`'s body. Following the heuristic
+    /// costs no discrepancy; going against it spends one.
+    fn split(&self, mut sub: SubProblem, path: Path) -> Calls<SubProblem> {
+        let lit = self.branch(path.select(self.heuristic, &sub.counters));
+        let discrepancy = sub.discrepancy;
         if discrepancy == Some(0) {
-            return Calls::one(last(lit, discrepancy, parent));
+            sub.child_of(path, lit, discrepancy, self.mode);
+            return Calls::one(sub);
         }
-        let first = SubProblem::child(&path, lit, self.mode, discrepancy, |counters| {
-            counters.clone_from(&parent.counters);
-        });
-        Calls::two(
-            first,
-            last(lit.negated(), discrepancy.map(|d| d - 1), parent),
-        )
+        let mut first = sub.clone();
+        first.child_of(path.clone(), lit, discrepancy, self.mode);
+        let discrepancy = discrepancy.map(|d| d - 1);
+        sub.child_of(path, lit.negated(), discrepancy, self.mode);
+        Calls::two(first, sub)
     }
 }
 
@@ -512,27 +460,29 @@ impl RecProgram for DpllProgram {
     type Frame = ();
 
     fn start(&self, mut sub: SubProblem) -> Step<Self> {
-        match sub.simplify(self.mode) {
+        let body = &mut *sub;
+        let parent = body.path.take().expect("a live sub-problem is on a path");
+        let stats = &mut SimplifyStats::default();
+        let path = parent.child(body.lit, self.mode, &mut body.counters, stats);
+        match path.verdict(&body.counters) {
             Simplified::Sat => {
-                let model = sub.counters.model();
+                let model = body.counters.model();
                 debug_assert!(
-                    sub.root_formula()
-                        .is_some_and(|root| check_model(&root.cnf, &model)),
+                    check_model(&path.root.cnf, &model),
                     "a satisfied leaf's model satisfies its root formula"
                 );
-                return Step::Done(Verdict::Sat(model));
+                Step::Done(Verdict::Sat(model))
             }
-            Simplified::Unsat => return Step::Done(Verdict::Unsat),
-            Simplified::Undecided => {}
+            Simplified::Unsat => Step::Done(Verdict::Unsat),
+            // Both branches spawn, or the preferred one alone when the
+            // discrepancy budget is spent: deviating would cost a
+            // discrepancy we no longer have.
+            Simplified::Undecided => Step::Spawn(Spawn {
+                calls: self.split(sub, path),
+                join: Join::Any(|v: &Verdict| v.is_sat()),
+                frame: (),
+            }),
         }
-        // Both branches spawn, or the preferred one alone when the
-        // discrepancy budget is spent: deviating would cost a discrepancy
-        // we no longer have.
-        Step::Spawn(Spawn {
-            calls: self.split(sub),
-            join: Join::Any(|v: &Verdict| v.is_sat()),
-            frame: (),
-        })
     }
 
     fn resume(&self, _frame: (), results: Resumed<Verdict>) -> Step<Self> {
@@ -545,12 +495,10 @@ impl RecProgram for DpllProgram {
 
     /// Cross-layer hint (§III-B3): residual clause count approximates the
     /// work a sub-problem represents. The count before the sub-problem's
-    /// own simplification, which a path carries beside its verdict.
+    /// own simplification, which its split read off the parent's
+    /// counters.
     fn weight(&self, arg: &SubProblem) -> Weight {
-        match &arg.path {
-            Some(path) => path.weight,
-            None => arg.cnf.num_clauses() as Weight,
-        }
+        arg.weight
     }
 
     /// A subtree denied by a budget (e.g. the strategy language's
@@ -588,32 +536,137 @@ mod tests {
         }
     }
 
-    /// A handle to a body built in place, bypassing the free list.
-    fn handle(cnf: Cnf, discrepancy: Option<u64>, counters: Residual) -> SubProblem {
-        SubProblem(Some(Box::new(SubProblemBody {
-            cnf,
-            discrepancy,
-            path: None,
-            counters,
-        })))
-    }
-
     #[test]
     fn a_recycled_body_carries_nothing_into_a_root() {
         FREE.with(|free| free.borrow_mut().clear());
-        let dirty = gen::random_ksat(1, 12, 50, 3);
-        let counters = Residual::new(&dirty);
-        drop(handle(dirty, Some(3), counters));
-        assert_eq!(FREE.with(|free| free.borrow().len()), 1);
+        // A split of a wider formula under a budget, dropped before its
+        // children start: both bodies go back on the free list.
+        let program =
+            DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
+        let dirty = SubProblem::root(gen::random_ksat(1, 12, 50, 3)).with_discrepancy(3);
+        let Step::Spawn(spawn) = program.start(dirty) else {
+            panic!("the root splits");
+        };
+        drop(spawn);
+        assert_eq!(FREE.with(|free| free.borrow().len()), 2);
         let cnf = gen::random_ksat(2, 8, 20, 3);
-        let fresh = handle(cnf.clone(), None, Residual::default());
+        let fresh = {
+            let cnf = cnf.clone();
+            let on_a_fresh_thread = std::thread::spawn(move || SubProblem::root(cnf));
+            on_a_fresh_thread
+                .join()
+                .expect("a fresh thread builds a root")
+        };
         let root = SubProblem::root(cnf);
         assert_eq!(
             FREE.with(|free| free.borrow().len()),
-            0,
-            "the root took the dirty body"
+            1,
+            "the root took a dirty body"
         );
         assert_eq!(root, fresh);
+    }
+
+    /// What starting a sub-problem gives, which the copy-or-take choice
+    /// must not move: its verdict, or its children in spawn order,
+    /// compared by value (budget, literal, weight, path and counters).
+    type Started = Result<Verdict, Vec<SubProblem>>;
+
+    /// Starts `sub`: what it gives and, if it split, whether its
+    /// activation wrote the buffer `sub` held (it took it) rather than a
+    /// copy.
+    fn start(program: &DpllProgram, sub: SubProblem) -> (Started, Option<bool>) {
+        let held = sub.counters.buffer();
+        match program.start(sub) {
+            Step::Done(verdict) => (Ok(verdict), None),
+            Step::Spawn(spawn) => {
+                let children: Vec<_> = spawn.calls.into_iter().collect();
+                let took = children[0].counters.buffer() == held;
+                (Err(children), Some(took))
+            }
+        }
+    }
+
+    /// The two children of a split.
+    fn two(started: Started) -> (SubProblem, SubProblem) {
+        let mut calls = started
+            .expect_err("an undecided activation splits")
+            .into_iter();
+        let (Some(first), Some(last), None) = (calls.next(), calls.next(), calls.next()) else {
+            panic!("two branches");
+        };
+        (first, last)
+    }
+
+    /// Starts the children of the split of a sub-problem `make` makes,
+    /// first-then-last, then those of the same split made again
+    /// last-then-first, then again with the first cloned before either
+    /// starts: each order gives the same outcomes, and the last to start
+    /// takes the buffer the others copied. Then the same for each
+    /// grandchild that splits, `depth` levels deep. Returns the splits
+    /// checked.
+    fn check_copy_or_take(
+        program: &DpllProgram,
+        make: &dyn Fn() -> SubProblem,
+        depth: u32,
+    ) -> usize {
+        let split = || two(start(program, make()).0);
+        let took = |expected: bool, took: Option<bool>| took.is_none_or(|took| took == expected);
+        let (first, last) = split();
+        let ((a, a_took), (b, b_took)) = (start(program, first), start(program, last));
+        assert!(took(false, a_took) && took(true, b_took), "first then last");
+        let (first, last) = split();
+        let ((b2, b_took), (a2, a_took)) = (start(program, last), start(program, first));
+        assert!(took(true, a_took) && took(false, b_took), "last then first");
+        let (first, last) = split();
+        let extra = first.clone();
+        let ((a3, a_took), (b3, b_took)) = (start(program, first), start(program, last));
+        let (c3, c_took) = start(program, extra);
+        let cloned = took(false, a_took) && took(false, b_took) && took(true, c_took);
+        assert!(cloned, "cloned");
+        assert_eq!((&a2, &b2), (&a, &b), "last then first");
+        assert_eq!((&a3, &b3, &c3), (&a, &b, &a), "cloned");
+        let mut checked = 1;
+        if depth > 1 {
+            for grandchild in [a, b].into_iter().filter_map(Result::err).flatten() {
+                if start(program, grandchild.clone()).1.is_some() {
+                    checked += check_copy_or_take(program, &|| grandchild.clone(), depth - 1);
+                }
+            }
+        }
+        checked
+    }
+    #[test]
+    fn children_give_the_same_outcomes_in_either_order_or_cloned() {
+        for mode in [SimplifyMode::SplitOnly, SimplifyMode::Fixpoint] {
+            for polarity in [Polarity::Positive, Polarity::Negative] {
+                let program = DpllProgram::new(Heuristic::FirstUnassigned)
+                    .with_mode(mode)
+                    .with_polarity(polarity);
+                let mut checked = 0;
+                for seed in 1..=3 {
+                    let cnf = gen::satisfiable_ksat(seed, 20, 85, 3);
+                    checked += check_copy_or_take(&program, &|| SubProblem::root(cnf.clone()), 3);
+                }
+                assert!(checked >= 9, "{mode} {polarity}: {checked} splits");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_child_split_copies_nothing() {
+        for mode in [SimplifyMode::SplitOnly, SimplifyMode::Fixpoint] {
+            let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(mode);
+            let mut sub = SubProblem::root(gen::satisfiable_ksat(1, 20, 85, 3)).with_discrepancy(0);
+            let mut levels = 0;
+            loop {
+                let (started, took) = start(&program, sub);
+                let Err(children) = started else { break };
+                assert_eq!(took, Some(true), "{mode}: level {levels} copied");
+                let [child] = <[SubProblem; 1]>::try_from(children).expect("one branch");
+                (sub, levels) = (child, levels + 1);
+            }
+            assert!(levels > 1, "{mode}: {levels} levels");
+        }
     }
 
     #[test]

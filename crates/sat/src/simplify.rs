@@ -4,9 +4,9 @@
 //! One kernel: a search keeps each sub-problem's residual as counters
 //! over the formula it started from, as given, and runs the propagation
 //! loop on them against that formula's occurrence lists, writing no
-//! formula. The mesh's [`DpllProgram`](crate::DpllProgram) copies a
-//! parent's counters into each child it ships; the sequential
-//! [`dpll`](crate::dpll) solver into each decision level of its stack.
+//! formula. A mesh [`DpllProgram`](crate::DpllProgram) child copies or
+//! takes its parent's counters as it starts; the sequential
+//! [`dpll`](crate::dpll) solver copies them into each decision level.
 //!
 //! A literal's count is its occurrences in the clauses still open,
 //! whatever its variable's state, and forcing a literal *parks* its
@@ -28,6 +28,9 @@
 //! report and the clause after the unit just forced; a child of a split
 //! passes its branch force's report, since its parent's counters are at
 //! fixpoint, and only a root scans from clause 0.
+
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::cnf::{Assignment, Cnf, Lit, Model, Var};
 
@@ -145,16 +148,15 @@ impl Occurrences {
 
 /// The residual of a search's root formula under the literals forced so
 /// far, kept as counters over that untouched formula and its
-/// [`Occurrences`]: a sub-problem's, which a split copies into each
-/// child, and its assignment, which reads off the parked counts.
+/// [`Occurrences`]: a sub-problem's, which its children share until each
+/// writes its own, and its assignment, which reads off the parked counts.
 ///
 /// The counters are a function of the root formula and the literals
 /// forced, not of the order they were forced in, so two residuals over
 /// one root and one assignment compare equal.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Residual {
-    /// Two tables in one buffer, so that a child's copy is one copy into
-    /// a buffer a finished sub-problem left behind:
+    /// Two tables in one buffer, which clones share until one writes:
     /// - `[..clauses_at]`, each literal's count, indexed by
     ///   [`Lit::index`]: its occurrences in the clauses still in the
     ///   formula, whatever its variable's state, less [`PARK`] once the
@@ -167,25 +169,57 @@ pub(crate) struct Residual {
     ///   clause, [`SATISFIED`] once the clause has left the formula.
     ///   Occurrences, not distinct literals: `x ∨ x` counts two and is not
     ///   a unit.
-    state: Vec<i32>,
+    state: Arc<[i32]>,
     clauses_at: usize,
     /// Clauses not yet satisfied.
     live: u32,
 }
 
 impl Clone for Residual {
+    /// Shares the buffer: the first write of either holder copies it.
     fn clone(&self) -> Residual {
         Residual {
-            state: self.state.clone(),
+            state: Arc::clone(&self.state),
             ..*self
         }
     }
 
-    /// Overwrites these counters in their own buffer.
+    /// Overwrites these counters in their own buffer (see [`copy_into`]).
     fn clone_from(&mut self, source: &Residual) {
-        self.state.clone_from(&source.state);
+        copy_into(&mut self.state, &source.state);
         (self.clauses_at, self.live) = (source.clauses_at, source.live);
     }
+}
+
+/// Writes `source` into `target`'s buffer, or into a new one if another
+/// holder shares it or it does not fit.
+fn copy_into(target: &mut Arc<[i32]>, source: &[i32]) {
+    match Arc::get_mut(target) {
+        Some(own) if own.len() == source.len() => own.copy_from_slice(source),
+        _ => *target = Arc::from(source),
+    }
+}
+
+/// How many sub-problem bodies, and how many buffers, a thread's free
+/// lists keep: a thread may drop more than it takes.
+pub(crate) const FREE_LIST: usize = 64;
+
+thread_local! {
+    /// Buffers no one else holds: finished sub-problems' counters.
+    static BUFFERS: RefCell<Vec<Arc<[i32]>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `state`, to write: first copied into a buffer off this thread's free
+/// list if another holder shares it (no `Weak` is ever made).
+fn owned(state: &mut Arc<[i32]>) -> &mut [i32] {
+    if Arc::strong_count(state) != 1 {
+        let mut own = BUFFERS
+            .with(|free| free.borrow_mut().pop())
+            .unwrap_or_default();
+        copy_into(&mut own, state);
+        *state = own;
+    }
+    Arc::get_mut(state).expect("a buffer just copied is its holder's own")
 }
 
 /// What forcing a literal takes off its negation's count: more than any
@@ -212,12 +246,12 @@ impl Residual {
             cnf.num_lits()
         );
         let clauses_at = cnf.num_vars() as usize * 2;
-        let mut state = Vec::with_capacity(clauses_at + cnf.num_clauses());
-        state.resize(clauses_at, 0);
+        let lens = cnf.clause_lens().map(|len| len as i32);
+        let mut state = std::iter::repeat_n(0, clauses_at).chain(lens).collect();
+        let counts = &mut owned(&mut state)[..clauses_at];
         for lit in cnf.iter_lits() {
-            state[lit.index()] += 1;
+            counts[lit.index()] += 1;
         }
-        state.extend(cnf.clause_lens().map(|len| len as i32));
         Residual {
             state,
             clauses_at,
@@ -225,10 +259,17 @@ impl Residual {
         }
     }
 
-    /// Counters of no formula, keeping the buffer.
-    pub(crate) fn clear(&mut self) {
-        self.state.clear();
-        (self.clauses_at, self.live) = (0, 0);
+    /// Drops these counters, returning their buffer to this thread's free
+    /// list if no one else holds it and the list has room.
+    pub(crate) fn release(self) {
+        if Arc::strong_count(&self.state) == 1 {
+            let _ = BUFFERS.try_with(|free| {
+                let mut free = free.borrow_mut();
+                if free.len() < FREE_LIST {
+                    free.push(self.state);
+                }
+            });
+        }
     }
 
     /// Clauses not yet satisfied: the residual's clause count.
@@ -317,6 +358,15 @@ impl Residual {
         from + live.unwrap_or(remaining.len())
     }
 
+    /// The clauses forcing `lit` would close, read without writing: the
+    /// open ones it occurs in, each once. Its list is ascending, so a
+    /// clause's repeats of `lit` are adjacent.
+    pub(crate) fn closed_by(&self, occurrences: &Occurrences, lit: Lit) -> u32 {
+        let clauses = occurrences.of(lit).chunk_by(|a, b| a == b);
+        let open = clauses.filter(|run| self.remaining()[run[0] as usize] != SATISFIED);
+        open.count() as u32
+    }
+
     /// Listing 4 lines 6–11 from the current counters, as `mode` runs
     /// them: none under `SplitOnly`. Returns whether a clause lost its
     /// last occurrence, which ends the propagation where it stands.
@@ -384,7 +434,7 @@ impl Residual {
     /// before the force, none before the reported one is after it.
     pub(crate) fn force(&mut self, occurrences: &Occurrences, cnf: &Cnf, lit: Lit) -> Forced {
         let negated = lit.negated();
-        let (counts, remaining) = self.state.split_at_mut(self.clauses_at);
+        let (counts, remaining) = owned(&mut self.state).split_at_mut(self.clauses_at);
         debug_assert!(counts[lit.index()] >= 0 && counts[negated.index()] >= 0);
         let mut closed = 0;
         for &i in occurrences.of(lit) {
@@ -460,6 +510,13 @@ mod tests {
     use crate::cnf::check_model;
     use crate::heuristics::occurrence_counts;
     use proptest::prelude::*;
+
+    impl Residual {
+        /// Where the buffer is, to tell a copy from a shared one.
+        pub(crate) fn buffer(&self) -> *const i32 {
+            self.state.as_ptr()
+        }
+    }
 
     fn lit(d: i32) -> Lit {
         Lit::from_dimacs(d)

@@ -11,8 +11,12 @@ use hyperspace::sim::record::TraceEvent;
 use hyperspace::sim::SimConfig;
 
 fn run(backend: BackendSpec, seed: u64) -> RecRunReport<Verdict> {
+    run_in(SimplifyMode::SplitOnly, backend, seed)
+}
+
+fn run_in(mode: SimplifyMode, backend: BackendSpec, seed: u64) -> RecRunReport<Verdict> {
     let cnf = gen::uf20_91(seed);
-    let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(SimplifyMode::SplitOnly);
+    let program = DpllProgram::new(Heuristic::FirstUnassigned).with_mode(mode);
     StackBuilder::new(program)
         .topology(TopologySpec::Torus2D { w: 8, h: 8 })
         .mapper(MapperSpec::LeastBusy {
@@ -56,6 +60,25 @@ fn parallel_stepper_matches_sequential_exactly() {
         );
         assert_eq!(seq.result, par.result);
         assert_eq!(seq.rec_totals, par.rec_totals);
+    }
+}
+
+#[test]
+fn sharded_sat_runs_match_sequential_in_both_modes() {
+    // On two threads, which of a split's children copies its parent's
+    // counters and which takes them depends on which thread starts its
+    // child first: the run must not show it.
+    let sharded: BackendSpec = "sharded:2:2".parse().expect("a backend spelling");
+    for mode in [SimplifyMode::SplitOnly, SimplifyMode::Fixpoint] {
+        for seed in [2017u64, 42] {
+            let seq = run_in(mode, BackendSpec::Sequential, seed);
+            let other = run_in(mode, sharded.clone(), seed);
+            assert_eq!(other.result, seq.result, "{mode} seed {seed}");
+            assert_eq!(other.steps, seq.steps, "{mode} seed {seed}");
+            assert_eq!(other.computation_time, seq.computation_time);
+            assert_eq!(other.rec_totals, seq.rec_totals, "{mode} seed {seed}");
+            assert_eq!(other.metrics, seq.metrics, "{mode} seed {seed}");
+        }
     }
 }
 

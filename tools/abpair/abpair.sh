@@ -4,15 +4,19 @@
 #   tools/abpair/abpair.sh [-w WORKLOAD]... [-n PAIRS] [-s SECONDS]
 #                          [-f FIRST_SEED] [-d DIR] PARENT_REV CHANGE_REV
 #
-# Exports each revision with `git archive` into DIR/parent and DIR/change,
-# builds `benchmark/` in each, then for every workload runs PAIRS pairs of
-# `--workload W --seed i --seconds S --trace 0`, the parent first in odd
-# pairs and the change first in even ones. Prints, per pair and side,
-# `ops_per_s`, the host gauge's median slowdown, raw ops/s (ops per pass
-# over the median raw pass time, from the `detail` line),
-# `sim_steps_per_op` and failed ops, then each side's median and
-# quartiles. Defaults: every graded workload, 10 pairs, 25 s, seeds from
-# 1, DIR a fresh temporary directory. Raw outputs stay in DIR/runs.
+# Builds each revision in turn at one path, DIR/build: a `git archive`
+# export and a fresh target directory there, the binary moved out to
+# DIR/bin/SIDE before the next side is exported over it. Then for every
+# workload it runs PAIRS pairs of `--workload W --seed i --seconds S
+# --trace 0`, the parent first in odd pairs and the change first in even
+# ones. Prints, per pair and side, `ops_per_s`, the host gauge's median
+# slowdown, raw ops/s (ops per pass over the median raw pass time, from
+# the `detail` line), `peak_rss_mb`, `setup_s`, `sim_steps_per_op` and
+# failed ops, then each side's median and quartiles. Passing one revision
+# twice is an A/A run: it says whether the two builds are byte-identical
+# and prints the floor, the spread of one binary against itself.
+# Defaults: every graded workload, 10 pairs, 25 s, seeds from 1, DIR a
+# fresh temporary directory. Raw outputs stay in DIR/runs.
 # See README.md beside this script for why the sides are built this way.
 set -euo pipefail
 
@@ -43,25 +47,30 @@ shift $((OPTIND - 1))
 
 repo=$(git rev-parse --show-toplevel)
 declare -A rev=([parent]=$1 [change]=$2)
-# Both sides sit in one directory under names of one length: cargo hashes
-# a path dependency's absolute path into its symbols, and the path alone
-# has moved a workload by more than a change under test does.
+# One path for both builds: cargo hashes a path dependency's absolute
+# path into its symbols, so sides built in two directories differ in
+# code layout even at one revision.
+mkdir -p "$dir/bin"
 for side in parent change; do
-    src="$dir/$side"
-    rm -rf "$src"
-    mkdir -p "$src"
-    git -C "$repo" archive "${rev[$side]}" | tar -x -C "$src"
-    echo "building $side (${rev[$side]}) in $src" >&2
-    CARGO_TARGET_DIR="$src/benchmark/target" \
-        cargo build --release --offline --quiet --manifest-path "$src/benchmark/Cargo.toml"
+    rm -rf "$dir/build"
+    mkdir -p "$dir/build"
+    git -C "$repo" archive "${rev[$side]}" | tar -x -C "$dir/build"
+    echo "building $side (${rev[$side]}) in $dir/build" >&2
+    CARGO_TARGET_DIR="$dir/build/benchmark/target" \
+        cargo build --release --offline --quiet --manifest-path "$dir/build/benchmark/Cargo.toml"
+    mv "$dir/build/benchmark/target/release/hyperspace-benchmark" "$dir/bin/$side"
 done
+aa=""
+if [ "$(git -C "$repo" rev-parse "$1^{commit}")" = "$(git -C "$repo" rev-parse "$2^{commit}")" ]; then
+    if cmp -s "$dir/bin/parent" "$dir/bin/change"; then same=yes; else same=no; fi
+    aa="A/A run of one revision (builds byte-identical: $same): every move is the floor"
+    echo "$aa" >&2
+fi
 
 mkdir -p "$dir/runs"
 run() { # side workload seed
-    local out="$dir/runs/$2.$3.$1.txt"
-    (cd "$dir/$1" &&
-        benchmark/target/release/hyperspace-benchmark \
-            --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 >"$out")
+    "$dir/bin/$1" --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 \
+        >"$dir/runs/$2.$3.$1.txt"
 }
 for workload in "${workloads[@]}"; do
     for ((i = 0; i < pairs; i++)); do
@@ -74,10 +83,10 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-python3 - "$dir/runs" "$first_seed" "$pairs" "${workloads[@]}" <<'EOF'
+python3 - "$dir/runs" "$first_seed" "$pairs" "$aa" "${workloads[@]}" <<'EOF'
 import json, statistics, sys
 
-runs, first, pairs, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+runs, first, pairs, aa, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4], sys.argv[5:]
 
 def read(workload, seed, side):
     lines = open(f"{runs}/{workload}.{seed}.{side}.txt").read().splitlines()
@@ -88,6 +97,8 @@ def read(workload, seed, side):
         "ops_per_s": metric("ops_per_s"),
         "gauge": detail["host_slowdown"]["median"],
         "raw": detail["ops_per_pass"] / detail["raw_pass_s"]["median"],
+        "peak_rss_mb": metric("peak_rss_mb"),
+        "setup_s": metric("setup_s"),
         "steps": metric("sim_steps_per_op"),
         "failed": result["failed"],
     }
@@ -96,7 +107,9 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-cols = ["ops_per_s", "gauge", "raw", "steps", "failed"]
+cols = ["ops_per_s", "gauge", "raw", "peak_rss_mb", "setup_s", "steps", "failed"]
+if aa:
+    print(f"\n{aa}")
 for workload in workloads:
     rows = [(first + i, read(workload, first + i, "parent"), read(workload, first + i, "change"))
             for i in range(pairs)]
@@ -104,15 +117,16 @@ for workload in workloads:
     print(f"{'seed':>5} " + " ".join(f"{c:>21}" for c in cols))
     for seed, p, c in rows:
         print(f"{seed:>5} " + " ".join(f"{p[k]:>10.4g}|{c[k]:<10.4g}" for k in cols))
-    for key in ["ops_per_s", "gauge", "raw"]:
+    for key in ["ops_per_s", "gauge", "raw", "peak_rss_mb", "setup_s"]:
         p = [r[1][key] for r in rows]
         c = [r[2][key] for r in rows]
         pq, cq = quartiles(p), quartiles(c)
         move = (cq[1] / pq[1] - 1) * 100
         higher = sum(b > a for a, b in zip(p, c))
-        print(f"{key:>9}: parent {pq[1]:.4g} (q1 {pq[0]:.4g}, q3 {pq[2]:.4g}, iqr {pq[2] - pq[0]:.3g})"
+        lower = sum(b < a for a, b in zip(p, c))
+        print(f"{key:>11}: parent {pq[1]:.4g} (q1 {pq[0]:.4g}, q3 {pq[2]:.4g}, iqr {pq[2] - pq[0]:.3g})"
               f"  change {cq[1]:.4g} (q1 {cq[0]:.4g}, q3 {cq[2]:.4g})"
-              f"  move {move:+.1f} %  change higher in {higher}/{len(rows)}")
+              f"  move {move:+.1f} %  change higher in {higher}/{len(rows)}, lower in {lower}/{len(rows)}")
     tied = sum(r[1]["steps"] == r[2]["steps"] for r in rows)
     failed = [sum(r[i]["failed"] for r in rows) for i in (1, 2)]
     print(f"sim_steps_per_op tied in {tied}/{len(rows)}; failed ops parent {failed[0]}, change {failed[1]}")

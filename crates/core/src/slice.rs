@@ -31,7 +31,7 @@ use hyperspace_recursion::{FrontierSnapshot, RecProgram};
 use hyperspace_sim::{NodeId, ObsHandle, RunOutcome, SimError};
 
 use crate::report::{RecRunReport, RunSummary};
-use crate::stack::{summarise, StackSim};
+use crate::stack::{fold, park, Shape, StackSim};
 
 /// What one slice of driving did to a suspendable run.
 pub enum SliceOutcome {
@@ -69,9 +69,13 @@ pub trait RunSlice: Send {
 /// An assembled five-layer stack with its root problem injected, driven
 /// in bounded chunks ([`crate::StackBuilder::into_run`]). Between calls
 /// it rests at a step barrier, where its root result and frontier can be
-/// read and bounds injected.
+/// read and bounds injected. Finished or dropped, it parks its machine
+/// for the next run of its shape on the same thread.
 pub struct StackRun<P: RecProgram> {
-    pub(crate) sim: StackSim<P>,
+    /// The machine; `None` once [`StackRun::finish`] has parked it.
+    pub(crate) sim: Option<StackSim<P>>,
+    /// What the machine must match to serve another run.
+    pub(crate) shape: Shape,
     pub(crate) root: NodeId,
     /// Steps per slice (`u64::MAX` = run to termination in one slice).
     pub(crate) interval: u64,
@@ -87,9 +91,21 @@ pub struct StackRun<P: RecProgram> {
 }
 
 impl<P: RecProgram> StackRun<P> {
+    fn sim(&self) -> &StackSim<P> {
+        self.sim
+            .as_ref()
+            .expect("a run holds its machine until it ends")
+    }
+
+    fn sim_mut(&mut self) -> &mut StackSim<P> {
+        self.sim
+            .as_mut()
+            .expect("a run holds its machine until it ends")
+    }
+
     /// Simulated steps completed so far.
     pub fn steps(&self) -> u64 {
-        self.sim.current_step()
+        self.sim().current_step()
     }
 
     /// Drives the run to the absolute step `step`, clamped to the run's
@@ -101,8 +117,10 @@ impl<P: RecProgram> StackRun<P> {
     /// <original message>`, and a queue overflow cannot happen (stack
     /// runs use unbounded queues).
     pub fn advance_to(&mut self, step: u64) -> Option<RunOutcome> {
-        self.sim.set_max_steps(step.min(self.cap));
-        self.outcome = match self.sim.run_to_quiescence() {
+        let cap = step.min(self.cap);
+        let sim = self.sim_mut();
+        sim.set_max_steps(cap);
+        self.outcome = match sim.run_to_quiescence() {
             Ok(report) => report.outcome,
             Err(err @ SimError::HandlerPanic { .. }) => panic!("{err}"),
             Err(err) => panic!("stack runs use unbounded queues: {err}"),
@@ -117,7 +135,7 @@ impl<P: RecProgram> StackRun<P> {
 
     /// The root call's result, once it has arrived.
     pub fn root_result(&self) -> Option<&P::Out> {
-        self.sim.state(self.root).root_result()
+        self.sim().state(self.root).root_result()
     }
 
     /// The machine-wide recursion/B&B frontier at the current barrier:
@@ -126,8 +144,9 @@ impl<P: RecProgram> StackRun<P> {
     /// node holds.
     pub fn frontier(&self) -> FrontierSnapshot {
         let mut frontier = FrontierSnapshot::default();
-        for node in 0..self.sim.topology().num_nodes() as NodeId {
-            let st = &self.sim.state(node).app;
+        let sim = self.sim();
+        for node in 0..sim.topology().num_nodes() as NodeId {
+            let st = &sim.state(node).app;
             frontier.absorb(&st.frontier(), st.objective());
         }
         frontier
@@ -136,12 +155,19 @@ impl<P: RecProgram> StackRun<P> {
     /// Injects an incumbent bound at the root; it floods the mesh through
     /// the ordinary bound-gossip channel.
     pub fn inject_bound(&mut self, value: i64) {
-        self.sim.inject(self.root, hyperspace_mapping::bound(value));
+        let root = self.root;
+        self.sim_mut()
+            .inject(root, hyperspace_mapping::bound(value));
     }
 
-    /// Folds the run into its report under the last advance's outcome.
-    pub fn finish(self) -> RecRunReport<P::Out> {
-        summarise(self.sim, self.outcome, self.root)
+    /// Folds the run into its report under the last advance's outcome,
+    /// reading the machine in place, then parks the machine: the next
+    /// run of the same shape on this thread reuses it.
+    pub fn finish(mut self) -> RecRunReport<P::Out> {
+        let mut sim = self.sim.take().expect("a run finishes once");
+        let report = fold(&mut sim, self.outcome, self.root);
+        park(self.shape.clone(), sim);
+        report
     }
 
     /// Reports the live frontier to the observer. Folding the frontier
@@ -152,6 +178,19 @@ impl<P: RecProgram> StackRun<P> {
             let frontier = self.frontier();
             self.obs
                 .on_progress(self.steps(), frontier.open_records, frontier.incumbent);
+        }
+    }
+}
+
+impl<P: RecProgram> Drop for StackRun<P> {
+    /// An unfinished run parks its machine too — its queued envelopes
+    /// and suspended activations dropped — unless it is being dropped by
+    /// a panic, which leaves the machine to unwind with it.
+    fn drop(&mut self) {
+        if let Some(sim) = self.sim.take() {
+            if !std::thread::panicking() {
+                park(self.shape.clone(), sim);
+            }
         }
     }
 }

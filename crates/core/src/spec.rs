@@ -2,8 +2,8 @@
 
 use crate::expr::{LimitKind, LimitSpec};
 use hyperspace_mapping::{
-    GlobalRandomMapper, LeastBusyMapper, Mapper, MapperFactory, RandomMapper, RoundRobinMapper,
-    WeightAwareMapper,
+    GlobalRandomMapper, LeastBusyMapper, MapView, Mapper, MapperFactory, RandomMapper,
+    RoundRobinMapper, Target, WeightAwareMapper,
 };
 use hyperspace_recursion::Objective;
 use hyperspace_sat::{Heuristic, Polarity, RestartPolicy, SimplifyMode};
@@ -248,28 +248,9 @@ impl MapperSpec {
         matches!(self, MapperSpec::GlobalRandom { .. })
     }
 
-    /// A factory producing boxed per-node mappers of this policy.
-    pub fn factory(&self) -> BoxedMapperFactory {
-        let spec = self.clone();
-        BoxedMapperFactory {
-            build_fn: Box::new(move |node, degree| match &spec {
-                MapperSpec::RoundRobin => {
-                    Box::new(RoundRobinMapper::starting_at(node as usize % degree.max(1)))
-                }
-                MapperSpec::LeastBusy { .. } => {
-                    Box::new(LeastBusyMapper::with_cursor(degree, node as usize))
-                }
-                MapperSpec::Random { seed } => Box::new(RandomMapper::new(
-                    seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                )),
-                MapperSpec::GlobalRandom { seed } => Box::new(GlobalRandomMapper::new(
-                    seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                )),
-                MapperSpec::WeightAware {
-                    local_threshold, ..
-                } => Box::new(WeightAwareMapper::new(degree, *local_threshold)),
-            }),
-        }
+    /// A factory producing this policy's per-node mappers.
+    pub fn factory(&self) -> SpecMapperFactory {
+        SpecMapperFactory { spec: self.clone() }
     }
 }
 
@@ -1243,17 +1224,97 @@ impl std::str::FromStr for PortfolioSpec {
     }
 }
 
-/// A [`MapperFactory`] whose product type is erased, letting one stack
-/// type serve every policy.
-pub struct BoxedMapperFactory {
-    #[allow(clippy::type_complexity)]
-    build_fn: Box<dyn Fn(NodeId, usize) -> Box<dyn Mapper> + Sync + Send>,
+/// The per-node mapper of an assembled stack: any built-in policy, held
+/// by value, so that one stack type serves every policy.
+pub enum SpecMapper {
+    /// [`MapperSpec::RoundRobin`].
+    RoundRobin(RoundRobinMapper),
+    /// [`MapperSpec::LeastBusy`].
+    LeastBusy(LeastBusyMapper),
+    /// [`MapperSpec::Random`].
+    Random(RandomMapper),
+    /// [`MapperSpec::GlobalRandom`].
+    GlobalRandom(GlobalRandomMapper),
+    /// [`MapperSpec::WeightAware`].
+    WeightAware(WeightAwareMapper),
 }
 
-impl MapperFactory for BoxedMapperFactory {
-    type M = Box<dyn Mapper>;
-    fn build(&self, node: NodeId, degree: usize) -> Box<dyn Mapper> {
-        (self.build_fn)(node, degree)
+impl SpecMapper {
+    fn inner(&mut self) -> &mut dyn Mapper {
+        match self {
+            SpecMapper::RoundRobin(m) => m,
+            SpecMapper::LeastBusy(m) => m,
+            SpecMapper::Random(m) => m,
+            SpecMapper::GlobalRandom(m) => m,
+            SpecMapper::WeightAware(m) => m,
+        }
+    }
+}
+
+impl Mapper for SpecMapper {
+    fn choose(&mut self, view: &MapView) -> Target {
+        self.inner().choose(view)
+    }
+
+    fn observe(&mut self, port: usize, load: u64) {
+        self.inner().observe(port, load)
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            SpecMapper::RoundRobin(m) => m.name(),
+            SpecMapper::LeastBusy(m) => m.name(),
+            SpecMapper::Random(m) => m.name(),
+            SpecMapper::GlobalRandom(m) => m.name(),
+            SpecMapper::WeightAware(m) => m.name(),
+        }
+    }
+}
+
+/// The [`MapperFactory`] of a [`MapperSpec`]: each node's mapper as the
+/// `hyperspace_mapping` factories make it, seeded mappers from the spec's
+/// seed mixed with the node id.
+pub struct SpecMapperFactory {
+    spec: MapperSpec,
+}
+
+impl MapperFactory for SpecMapperFactory {
+    type M = SpecMapper;
+
+    fn build(&self, node: NodeId, degree: usize) -> SpecMapper {
+        let mix = |seed: u64| seed ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        match &self.spec {
+            MapperSpec::RoundRobin => {
+                SpecMapper::RoundRobin(RoundRobinMapper::starting_at(node as usize % degree.max(1)))
+            }
+            MapperSpec::LeastBusy { .. } => {
+                SpecMapper::LeastBusy(LeastBusyMapper::with_cursor(degree, node as usize))
+            }
+            MapperSpec::Random { seed } => SpecMapper::Random(RandomMapper::new(mix(*seed))),
+            MapperSpec::GlobalRandom { seed } => {
+                SpecMapper::GlobalRandom(GlobalRandomMapper::new(mix(*seed)))
+            }
+            MapperSpec::WeightAware {
+                local_threshold, ..
+            } => SpecMapper::WeightAware(WeightAwareMapper::new(degree, *local_threshold)),
+        }
+    }
+
+    /// A mapper of this policy's kind restarts in its own count table;
+    /// any other is built afresh (only the count tables live on the heap).
+    fn reinit(&self, mapper: &mut SpecMapper, node: NodeId, degree: usize) {
+        match (&self.spec, mapper) {
+            (MapperSpec::LeastBusy { .. }, SpecMapper::LeastBusy(m)) => {
+                m.restart(degree, node as usize)
+            }
+            (
+                MapperSpec::WeightAware {
+                    local_threshold, ..
+                },
+                SpecMapper::WeightAware(m),
+            ) => m.restart(degree, *local_threshold),
+            (_, mapper) => *mapper = self.build(node, degree),
+        }
     }
 }
 

@@ -1,23 +1,38 @@
 //! [`StackBuilder`]: wire layers 1–4 around a recursive program, hand the
 //! assembled machine out as a [`StackRun`] and fold it into its report
 //! ([`summarise`]).
+//!
+//! A finished machine serves the next run: [`StackRun::finish`] (or
+//! dropping an unfinished run) parks it on a short per-thread list, and
+//! [`StackBuilder::into_run`] takes one of its shape from there — same
+//! program type, topology and backend — instead of building and growing
+//! a new one. Parking drops the run's queued envelopes, what its node
+//! states hold of it, its program and its configuration, so a parked
+//! machine keeps nothing of the run but the room its buffers grew.
+//! Taking it re-initialises every node under the new run's program
+//! through the one initialisation path a new machine takes
+//! ([`SimShell::start`]), so a recycled machine runs exactly as a fresh
+//! one would.
+
+use std::any::Any;
+use std::cell::RefCell;
 
 use hyperspace_mapping::{MapConfig, MappingHost};
 use hyperspace_recursion::{BnbMode, FrontierSnapshot, RecProgram, RecStats, RecursionHost};
 use hyperspace_sim::{
-    NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, StopHandle, Topology,
+    NodeId, ObsHandle, RunOutcome, ShardedSimulation, SimConfig, SimShell, StopHandle, Topology,
 };
 
 use crate::expr::LimitKind;
 use crate::report::{IncumbentEvent, RecRunReport, RunSummary};
 use crate::slice::{RunSlice, SliceOutcome, StackRun};
 use crate::spec::{
-    BackendSpec, BoxedMapperFactory, CheckpointSpec, MapperSpec, ObjectiveSpec, PruneSpec,
+    BackendSpec, CheckpointSpec, MapperSpec, ObjectiveSpec, PruneSpec, SpecMapperFactory,
     TopologySpec,
 };
 
 /// The concrete layer-1 program type of an assembled stack.
-pub type StackProgram<P> = MappingHost<RecursionHost<P>, BoxedMapperFactory>;
+pub type StackProgram<P> = MappingHost<RecursionHost<P>, SpecMapperFactory>;
 
 /// The concrete simulation type of an assembled stack: the one layer-1
 /// machine, sharded and threaded as the [`BackendSpec`] says (`seq` is a
@@ -244,10 +259,9 @@ impl<P: RecProgram> StackBuilder<P> {
         self
     }
 
-    /// Resolves the builder into its layer-1 ingredients: topology, host
-    /// program, engine config and backend choice.
-    fn assemble(self) -> (Box<dyn Topology>, StackProgram<P>, SimConfig, BackendSpec) {
-        let topo = self.topology.build();
+    /// Resolves the builder into its layer-1 ingredients: the machine's
+    /// shape, the host program and the engine config.
+    fn assemble(self) -> (Shape, StackProgram<P>, SimConfig) {
         let mut sim_cfg = self.sim.clone();
         sim_cfg.tick_every = self.mapper.status_period();
         if let Some(cap) = self.logical_cap {
@@ -279,15 +293,19 @@ impl<P: RecProgram> StackBuilder<P> {
             });
         }
         let host = MappingHost::new(rec, self.mapper.factory(), host_cfg);
-        (topo, host, sim_cfg, self.backend)
+        let shape = Shape {
+            topology: self.topology,
+            backend: self.backend,
+        };
+        (shape, host, sim_cfg)
     }
 
     /// Builds the simulation on the selected backend without running it
     /// (for step-by-step inspection); inject root problems with
-    /// [`hyperspace_mapping::trigger`].
+    /// [`hyperspace_mapping::trigger`]. The machine is always a new one.
     pub fn build(self) -> StackSim<P> {
-        let (topo, host, sim_cfg, backend) = self.assemble();
-        ShardedSimulation::new(topo, host, sim_cfg, backend.lower())
+        let (shape, host, sim_cfg) = self.assemble();
+        ShardedSimulation::new(shape.topology.build(), host, sim_cfg, shape.backend.lower())
     }
 
     /// Assembles the stack and injects the root problem, without
@@ -297,15 +315,23 @@ impl<P: RecProgram> StackBuilder<P> {
     /// so they cross identical step barriers; a portfolio member is an
     /// epoch policy over one. The run's step cap is the tighter of
     /// [`StackBuilder::max_steps`] and [`StackBuilder::logical_cap`].
+    ///
+    /// The machine is the one the last run of the same shape (program
+    /// type, topology and backend) finished on this thread, if it is
+    /// parked here, re-initialised for this run; else a new one. Either
+    /// way the run is the same.
     pub fn into_run(self, root_arg: P::Arg, root_node: NodeId) -> StackRun<P> {
         // `Off` degenerates to a single slice spanning the whole cap.
         let interval = self.checkpoint.interval().unwrap_or(u64::MAX);
-        let (topo, host, sim_cfg, backend) = self.assemble();
+        let (shape, host, sim_cfg) = self.assemble();
         let (cap, obs) = (sim_cfg.max_steps, sim_cfg.obs.clone());
-        let mut sim = ShardedSimulation::new(topo, host, sim_cfg, backend.lower());
+        let shell = unpark::<P>(&shape)
+            .unwrap_or_else(|| SimShell::new(shape.topology.build(), shape.backend.lower()));
+        let mut sim = shell.start(host, sim_cfg);
         sim.inject(root_node, hyperspace_mapping::trigger(root_arg));
         StackRun {
-            sim,
+            sim: Some(sim),
+            shape,
             root: root_node,
             interval,
             cap,
@@ -318,7 +344,9 @@ impl<P: RecProgram> StackBuilder<P> {
     /// backend and collects the full report. Under a
     /// [`CheckpointSpec::Interval`] the run is driven slice by slice
     /// through the same step barriers a suspended run would cross —
-    /// with, by determinism, a bit-identical result.
+    /// with, by determinism, a bit-identical result. The next run of the
+    /// same shape on this thread reuses the machine (see
+    /// [`StackBuilder::into_run`]).
     pub fn run(self, root_arg: P::Arg, root_node: NodeId) -> RecRunReport<P::Out> {
         let mut run = self.into_run(root_arg, root_node);
         while run.advance_slice().is_none() {}
@@ -336,10 +364,64 @@ where
     /// interval (the whole run, under [`CheckpointSpec::Off`]); between
     /// calls the run is parked at a step barrier and can be queued,
     /// migrated to another worker thread, or dropped. The preemptive
-    /// service scheduler is built on this.
+    /// service scheduler is built on this. Like [`StackBuilder::run`] it
+    /// takes its machine through [`StackBuilder::into_run`].
     pub fn start(self, root_arg: P::Arg, root_node: NodeId) -> Box<dyn RunSlice> {
         Box::new(self.into_run(root_arg, root_node))
     }
+}
+
+/// The shape of an assembled machine: what a parked machine must share
+/// with the next run to serve it (the program type aside).
+#[derive(Clone, PartialEq)]
+pub(crate) struct Shape {
+    topology: TopologySpec,
+    backend: BackendSpec,
+}
+
+/// How many parked machines a thread keeps. The widest real traffic is a
+/// four-member portfolio race, whose coordinator thread assembles all
+/// four member machines and finishes them.
+const SPARES: usize = 4;
+
+/// A machine parked for the next run of its shape on this thread.
+struct Spare<P: RecProgram> {
+    shape: Shape,
+    shell: SimShell<Box<dyn Topology>, StackProgram<P>>,
+}
+
+thread_local! {
+    /// This thread's parked machines, each a `Spare<P>` of some program
+    /// type `P` (every [`RecProgram`] is `'static`, so any can be held).
+    static PARKED: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes a machine of `shape` running `P` off this thread's list. A
+/// thread keeps machines of its last shape only: spares of any other are
+/// dropped.
+fn unpark<P: RecProgram>(shape: &Shape) -> Option<SimShell<Box<dyn Topology>, StackProgram<P>>> {
+    let fits = |spare: &Box<dyn Any>| {
+        (spare.downcast_ref::<Spare<P>>()).is_some_and(|spare| spare.shape == *shape)
+    };
+    let spare = PARKED.try_with(|parked| {
+        let mut parked = parked.borrow_mut();
+        parked.retain(fits);
+        parked.pop()
+    });
+    let spare = spare.ok()??.downcast::<Spare<P>>().ok()?;
+    Some(spare.shell)
+}
+
+/// Ends `sim`'s run and parks the machine on this thread's list, unless
+/// the list is full.
+pub(crate) fn park<P: RecProgram>(shape: Shape, sim: StackSim<P>) {
+    let shell = sim.into_shell();
+    let _ = PARKED.try_with(|parked| {
+        let mut parked = parked.borrow_mut();
+        if parked.len() < SPARES {
+            parked.push(Box::new(Spare { shape, shell }));
+        }
+    });
 }
 
 /// Folds a finished stack simulation into its report: layer-3/4 counters
@@ -347,16 +429,25 @@ where
 /// [`FrontierSnapshot::absorb`] rule, the root result and the merged
 /// incumbent trace.
 pub fn summarise<P: RecProgram>(
-    sim: StackSim<P>,
+    mut sim: StackSim<P>,
     outcome: RunOutcome,
     root_node: NodeId,
 ) -> RecRunReport<P::Out> {
-    let steps = sim.current_step();
-    let (states, metrics) = sim.into_parts();
+    fold(&mut sim, outcome, root_node)
+}
+
+/// [`summarise`] in place: reads the node states where they are and moves
+/// only the metrics out, leaving the machine to serve another run.
+pub(crate) fn fold<P: RecProgram>(
+    sim: &mut StackSim<P>,
+    outcome: RunOutcome,
+    root_node: NodeId,
+) -> RecRunReport<P::Out> {
+    let metrics = sim.take_metrics();
     let mut report = RecRunReport {
-        result: states[root_node as usize].root_result().cloned(),
+        result: sim.state(root_node).root_result().cloned(),
         outcome,
-        steps,
+        steps: sim.current_step(),
         computation_time: metrics.computation_time(),
         metrics,
         rec_totals: RecStats::default(),
@@ -369,7 +460,8 @@ pub fn summarise<P: RecProgram>(
         incumbent_trace: Vec::new(),
     };
     let mut frontier = FrontierSnapshot::default();
-    for (node, st) in (0..).zip(&states) {
+    for node in 0..sim.topology().num_nodes() as NodeId {
+        let st = sim.state(node);
         let rs = &st.app;
         report.rec_totals += rs.stats;
         report.requests_total += st.requests_in;

@@ -24,6 +24,19 @@ pub trait TicketHandler: Sync {
     /// Initial application state of `node`.
     fn init(&self, node: NodeId) -> Self::State;
 
+    /// Re-initialises `state`, which a run of this handler type left on
+    /// `node`, to what `init(node)` would return, keeping the capacity of
+    /// its buffers (see [`NodeProgram::reinit`]). The default builds a
+    /// fresh state.
+    fn reinit(&self, state: &mut Self::State, node: NodeId) {
+        *state = self.init(node);
+    }
+
+    /// Drops what a run left in `state` that its data could be reached
+    /// through, as the machine is parked (see [`NodeProgram::release`]).
+    /// The default keeps the state as it is.
+    fn release(&self, _state: &mut Self::State) {}
+
     /// Services a request; must eventually cause exactly one
     /// `ctx.reply(reply_to, ...)` (possibly only after further calls
     /// return).
@@ -178,6 +191,17 @@ struct CallSlab {
 }
 
 impl CallSlab {
+    /// Forgets every slot: serials restart at generation 0, and slots a
+    /// wrapped generation retired come back. The table keeps room for as
+    /// many slots as the last run opened.
+    fn clear(&mut self) {
+        let used = self.slots.len();
+        self.slots.clear();
+        fit(&mut self.slots, used);
+        self.free.clear();
+        fit(&mut self.free, used);
+    }
+
     /// Takes a slot for a call mapped to `dst`; returns its ticket.
     fn open(&mut self, node: NodeId, dst: NodeId) -> Ticket {
         let index = self.free.pop().unwrap_or_else(|| {
@@ -205,6 +229,15 @@ impl CallSlab {
         }
         self.free.push(ticket.slot() as u32);
         Some(call)
+    }
+}
+
+/// Shrinks `buf` to the `used` entries the last run needed if it left the
+/// buffer more than half idle, so that a recycled node keeps about the
+/// room a fresh one grows.
+fn fit<T>(buf: &mut Vec<T>, used: usize) {
+    if buf.capacity() > 2 * used {
+        buf.shrink_to(used);
     }
 }
 
@@ -364,6 +397,25 @@ where
             bounds_in: 0,
             calls_out: 0,
         }
+    }
+
+    fn reinit(&self, state: &mut Self::State, node: NodeId, ctx: &InitCtx) {
+        self.handler.reinit(&mut state.app, node);
+        self.factory.reinit(&mut state.mapper, node, ctx.degree());
+        state.received = 0;
+        state.calls.clear();
+        state.root_results.clear();
+        state.requests_in = 0;
+        state.replies_in = 0;
+        state.status_in = 0;
+        state.cancels_in = 0;
+        state.bounds_in = 0;
+        state.calls_out = 0;
+    }
+
+    fn release(&self, state: &mut Self::State) {
+        self.handler.release(&mut state.app);
+        state.root_results.clear();
     }
 
     fn on_message(

@@ -75,6 +75,13 @@ pub trait MapperFactory: Sync {
     type M: Mapper;
     /// Builds the mapper for `node` with the given degree.
     fn build(&self, node: NodeId, degree: usize) -> Self::M;
+
+    /// Makes `mapper`, which a run left on `node`, the one
+    /// `build(node, degree)` would return, keeping its buffers where it
+    /// can. The default builds a fresh one.
+    fn reinit(&self, mapper: &mut Self::M, node: NodeId, degree: usize) {
+        *mapper = self.build(node, degree);
+    }
 }
 
 /// Any `Fn(NodeId, usize) -> M` is a factory.
@@ -162,6 +169,14 @@ impl LeastBusyMapper {
     /// A factory producing one per node, cursor offset by node id.
     pub fn factory() -> impl MapperFactory<M = Self> {
         |node: NodeId, degree: usize| LeastBusyMapper::with_cursor(degree, node as usize)
+    }
+
+    /// Makes this mapper the one [`LeastBusyMapper::with_cursor`] builds,
+    /// keeping the count table's buffer.
+    pub fn restart(&mut self, degree: usize, start: usize) {
+        self.counts.clear();
+        self.counts.resize(degree, 0);
+        self.tie_cursor = start % degree.max(1);
     }
 }
 
@@ -303,6 +318,13 @@ impl WeightAwareMapper {
     /// A factory producing one per node.
     pub fn factory(local_threshold: Weight) -> impl MapperFactory<M = Self> {
         move |_node: NodeId, degree: usize| WeightAwareMapper::new(degree, local_threshold)
+    }
+
+    /// Makes this mapper the one [`WeightAwareMapper::new`] builds,
+    /// keeping the count table's buffer.
+    pub fn restart(&mut self, degree: usize, local_threshold: Weight) {
+        self.inner.restart(degree, 0);
+        self.local_threshold = local_threshold;
     }
 }
 

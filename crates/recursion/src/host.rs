@@ -139,6 +139,9 @@ pub struct RecState<P: RecProgram> {
     /// The call-record slab; `free` lists its vacant rows.
     records: Vec<CallRecord<P>>,
     free: Vec<u32>,
+    /// How many rows this run has taken: untouched rows are taken lowest
+    /// first, so they are the first `rows_used`.
+    rows_used: u32,
     /// A row is vacated only once no sub-call points to it (its losers
     /// forgotten), so a reply never finds a reused row.
     sub_calls: SubCalls,
@@ -164,6 +167,7 @@ impl<P: RecProgram> RecState<P> {
         RecState {
             records: Vec::new(),
             free: Vec::new(),
+            rows_used: 0,
             sub_calls: SubCalls::default(),
             parent_index: HashMap::new(),
             pending_calls: 0,
@@ -172,6 +176,40 @@ impl<P: RecProgram> RecState<P> {
             incumbent_trace: Vec::new(),
             stats: RecStats::default(),
         }
+    }
+
+    /// Drops every frame and result a run left, vacating every row.
+    fn release(&mut self) {
+        for rec in &mut self.records {
+            rec.frame = None;
+            rec.results.clear();
+            rec.pending = 0;
+            rec.tickets.clear();
+        }
+    }
+
+    /// Makes this state the one `RecState::new(bnb)` returns, but for the
+    /// room it keeps: the rows the last run took, and the indexes as wide
+    /// as it needed them (a buffer it left more than half idle shrinks).
+    /// Every row is vacant and listed free, lowest on top, as a fresh
+    /// slab would push it.
+    fn reset(&mut self, bnb: Option<&BnbMode>) {
+        self.release();
+        let rows = std::mem::take(&mut self.rows_used) as usize;
+        self.records.truncate(rows);
+        fit(&mut self.records, rows);
+        self.free.clear();
+        fit(&mut self.free, rows);
+        self.free.extend((0..rows as u32).rev());
+        let slots = self.sub_calls.0.len();
+        self.sub_calls.0.clear();
+        fit(&mut self.sub_calls.0, slots);
+        self.parent_index.clear();
+        self.pending_calls = 0;
+        self.objective = bnb.map(|m| m.objective);
+        self.incumbent = bnb.and_then(|m| m.initial_incumbent);
+        self.incumbent_trace.clear();
+        self.stats = RecStats::default();
     }
 
     /// Number of live call records (suspended activations) on this node.
@@ -211,6 +249,15 @@ impl<P: RecProgram> RecState<P> {
             incumbent: self.incumbent,
             incumbent_updates: self.stats.incumbent_updates,
         }
+    }
+}
+
+/// Shrinks `buf` to the `used` entries the last run needed if it left the
+/// buffer more than half idle, so that a recycled node keeps about the
+/// room a fresh one grows.
+fn fit<T>(buf: &mut Vec<T>, used: usize) {
+    if buf.capacity() > 2 * used {
+        buf.shrink_to(used);
     }
 }
 
@@ -412,6 +459,7 @@ impl<P: RecProgram> RecursionHost<P> {
                         });
                         (state.records.len() - 1) as u32
                     });
+                    state.rows_used = state.rows_used.max(row + 1);
                     let rec = &mut state.records[row as usize];
                     let width = calls.len();
                     for (slot, arg) in calls.into_iter().enumerate() {
@@ -479,6 +527,14 @@ impl<P: RecProgram> TicketHandler for RecursionHost<P> {
 
     fn init(&self, _node: NodeId) -> RecState<P> {
         RecState::new(self.bnb.as_ref())
+    }
+
+    fn reinit(&self, state: &mut RecState<P>, _node: NodeId) {
+        state.reset(self.bnb.as_ref());
+    }
+
+    fn release(&self, state: &mut RecState<P>) {
+        state.release();
     }
 
     fn on_request(

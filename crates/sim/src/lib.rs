@@ -75,7 +75,7 @@ pub use engine::{
 };
 pub use envelope::Envelope;
 pub use program::{InitCtx, NodeProgram, Outbox};
-pub use sharded::{Partition, ShardedConfig, ShardedSimulation};
+pub use sharded::{Partition, ShardedConfig, ShardedSimulation, SimShell};
 
 pub use hyperspace_obs::{ObsHandle, Observer};
 pub use hyperspace_topology::{NodeId, Topology};

@@ -51,6 +51,21 @@ pub trait NodeProgram: Sync {
     /// Computes the initial state of `node` (Listing 1's `init`).
     fn init(&self, node: NodeId, ctx: &InitCtx) -> Self::State;
 
+    /// Re-initialises `state`, which a run of this program type left on
+    /// `node`, to what `init(node, ctx)` would return: equal in
+    /// everything but the capacity of its buffers. A machine that serves
+    /// another run ([`crate::SimShell`]) initialises its nodes through
+    /// this; the default builds a fresh state.
+    fn reinit(&self, state: &mut Self::State, node: NodeId, ctx: &InitCtx) {
+        *state = self.init(node, ctx);
+    }
+
+    /// Drops what a run left in `state` that the run's own data could be
+    /// reached through, when the machine is parked between runs
+    /// ([`crate::ShardedSimulation::into_shell`]); `reinit` sees the rest.
+    /// The default keeps the state as it is until then.
+    fn release(&self, _state: &mut Self::State) {}
+
     /// Handles one delivered message (Listing 1's `receive`).
     fn on_message(&self, state: &mut Self::State, msg: Self::Msg, ctx: &mut Outbox<'_, Self::Msg>);
 

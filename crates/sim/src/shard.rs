@@ -166,6 +166,9 @@ impl ActiveSet {
 /// through [`Inboxes::push`].
 pub(crate) struct Inboxes<M> {
     pub(crate) queues: Vec<VecDeque<Envelope<M>>>,
+    /// The longest each queue grew this run, as the delivery pass saw it
+    /// (a queue only grows between delivery passes).
+    peaks: Vec<u32>,
     /// Messages held in all queues.
     held: u64,
     /// Local indices with pending deliveries. Derived state — never
@@ -266,7 +269,7 @@ pub(crate) struct Shard<P: NodeProgram> {
 impl<P: NodeProgram> Shard<P> {
     /// An empty shard `id` of `shards`, owning the ascending progression
     /// `nodes` (states are pushed by the machine in node order).
-    pub(crate) fn new(id: usize, shards: usize, nodes: &[NodeId], metrics: SimMetrics) -> Self {
+    pub(crate) fn new(id: usize, shards: usize, nodes: &[NodeId]) -> Self {
         let len = nodes.len();
         let first = nodes.first().copied().unwrap_or(0);
         let stride = nodes.get(1).map_or(1, |second| second - first);
@@ -278,6 +281,7 @@ impl<P: NodeProgram> Shard<P> {
             states: Vec::with_capacity(len),
             inboxes: Inboxes {
                 queues: (0..len).map(|_| VecDeque::new()).collect(),
+                peaks: vec![0; len],
                 held: 0,
                 active: ActiveSet::new(len),
                 overflow: None,
@@ -294,9 +298,48 @@ impl<P: NodeProgram> Shard<P> {
             halted: false,
             panic: None,
             hops: [0; 64],
-            metrics,
+            metrics: SimMetrics::default(),
             trace: Vec::new(),
         }
+    }
+
+    /// Sizes each inbox for a new run: one the last run left more than
+    /// half idle shrinks to that run's longest queue, so that a recycled
+    /// machine keeps about the room a fresh one grows.
+    pub(crate) fn fit_inboxes(&mut self) {
+        let inboxes = &mut self.inboxes;
+        for (queue, peak) in inboxes.queues.iter_mut().zip(&mut inboxes.peaks) {
+            let peak = std::mem::take(peak) as usize;
+            if queue.capacity() > 2 * peak {
+                queue.shrink_to(peak);
+            }
+        }
+    }
+
+    /// Empties every queue and buffer of the shard and its per-step
+    /// report, keeping their capacity: queued envelopes are dropped, and
+    /// the metrics and trace start over. Node states are the machine's
+    /// to re-initialise.
+    pub(crate) fn clear(&mut self) {
+        let inboxes = &mut self.inboxes;
+        inboxes.queues.iter_mut().for_each(VecDeque::clear);
+        inboxes.held = 0;
+        inboxes.active.clear();
+        inboxes.overflow = None;
+        self.sends.clear();
+        self.transit.clear();
+        self.survivors.clear();
+        self.work.clear();
+        self.out.iter_mut().for_each(Vec::clear);
+        self.mail.clear();
+        self.cursor = 0;
+        self.to_pop = 0;
+        self.delivered = 0;
+        self.halted = false;
+        self.panic = None;
+        self.hops = [0; 64];
+        self.metrics = SimMetrics::default();
+        self.trace.clear();
     }
 
     /// Whether this is the machine's only shard: nothing arrives from
@@ -410,6 +453,8 @@ impl<P: NodeProgram> Shard<P> {
         let mut delivered = 0u64;
         for &li in &self.work {
             let queue = &inboxes.queues[li];
+            let peak = &mut inboxes.peaks[li];
+            *peak = (*peak).max(queue.len() as u32);
             let take = queue.len().min(budget);
             for msg in queue.range(..take) {
                 match self.hops.get_mut(msg.hops as usize) {

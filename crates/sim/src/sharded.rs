@@ -206,6 +206,18 @@ struct Clock {
     idle: bool,
 }
 
+impl Default for Clock {
+    /// Step 0 of a machine with nothing queued.
+    fn default() -> Self {
+        Clock {
+            step: 0,
+            queued: 0,
+            halted: false,
+            idle: true,
+        }
+    }
+}
+
 impl Clock {
     /// Decides whether to run another step: `Some(outcome)` ends the
     /// run, `None` means the clock now shows the step to execute. The
@@ -389,6 +401,90 @@ fn step_group<T: Topology, P: NodeProgram>(
     }
 }
 
+/// A machine between runs: a topology cut into shards, with every
+/// node's state and queue buffers, but no program, no run configuration
+/// and nothing a run left behind. [`SimShell::start`] runs a program on
+/// it; [`ShardedSimulation::into_shell`] hands a machine back as one, so
+/// that the next run of the same program type on the same topology and
+/// sharding reuses the buffers the last one grew.
+pub struct SimShell<T: Topology, P: NodeProgram> {
+    topo: T,
+    csr: Csr,
+    /// `(shard, local index)` of every node.
+    home: Vec<(usize, usize)>,
+    threads: usize,
+    shards: Vec<Shard<P>>,
+}
+
+impl<T: Topology, P: NodeProgram> SimShell<T, P> {
+    /// An empty machine: `topo` cut into K shards as `scfg` says, no node
+    /// initialised yet.
+    pub fn new(topo: T, scfg: ShardedConfig) -> Self {
+        let n = topo.num_nodes();
+        let k = scfg.shards.max(1);
+        let csr = Csr::build(&topo);
+        let mut home = vec![(0, 0); n];
+        let shards = (0..k)
+            .map(|id| {
+                let nodes = scfg.partition.nodes_of(id, n, k);
+                for (li, &node) in nodes.iter().enumerate() {
+                    home[node as usize] = (id, li);
+                }
+                Shard::new(id, k, &nodes)
+            })
+            .collect();
+        let threads = match scfg.threads {
+            Some(threads) => threads,
+            None if k == 1 => 1,
+            None => std::thread::available_parallelism()
+                .map(|t| t.get())
+                .unwrap_or(1),
+        };
+        SimShell {
+            topo,
+            csr,
+            home,
+            threads: threads.clamp(1, k),
+            shards,
+        }
+    }
+
+    /// Makes the machine that runs `program` under `cfg`: every node
+    /// initialised in global id order, whatever the partition — by
+    /// `program.init` on an empty shell, by [`NodeProgram::reinit`] on a
+    /// node a run has left — every queue empty, the clock at step 0.
+    pub fn start(self, program: P, mut cfg: SimConfig) -> ShardedSimulation<T, P> {
+        // A zero budget would deliver nothing forever (see the field's
+        // doc); clamp rather than panic so sweeps over budgets are safe.
+        cfg.msgs_per_step = cfg.msgs_per_step.max(1);
+        let SimShell {
+            topo,
+            csr,
+            home,
+            threads,
+            shards,
+        } = self;
+        let mut sim = ShardedSimulation {
+            topo,
+            program,
+            cfg,
+            csr,
+            home,
+            threads,
+            shards,
+            clock: Clock::default(),
+            merged: None,
+        };
+        sim.init();
+        let (n, k) = (sim.home.len(), sim.shards.len());
+        for shard in &mut sim.shards {
+            shard.metrics = SimMetrics::new(n, sim.cfg.record_node_activity);
+        }
+        sim.merged = (k > 1).then(|| (SimMetrics::new(n, false), Vec::new()));
+        sim
+    }
+}
+
 /// A deterministic time-stepped simulation of a hyperspace machine
 /// running one [`NodeProgram`] on every node, its state cut into K
 /// shards: same API shape as [`crate::Simulation`] (which is this
@@ -413,58 +509,73 @@ impl<T: Topology, P: NodeProgram> ShardedSimulation<T, P> {
     /// Builds the machine: K shards, each owning its partition's node
     /// states and queues. Nodes are initialised in global id order via
     /// `program.init`, whatever the partition.
-    pub fn new(topo: T, program: P, mut cfg: SimConfig, scfg: ShardedConfig) -> Self {
-        // A zero budget would deliver nothing forever (see the field's
-        // doc); clamp rather than panic so sweeps over budgets are safe.
-        cfg.msgs_per_step = cfg.msgs_per_step.max(1);
-        let n = topo.num_nodes();
-        let k = scfg.shards.max(1);
-        let csr = Csr::build(&topo);
-        let mut home = vec![(0, 0); n];
-        let mut shards: Vec<Shard<P>> = (0..k)
-            .map(|id| {
-                let nodes = scfg.partition.nodes_of(id, n, k);
-                for (li, &node) in nodes.iter().enumerate() {
-                    home[node as usize] = (id, li);
-                }
-                let metrics = SimMetrics::new(n, cfg.record_node_activity);
-                Shard::new(id, k, &nodes, metrics)
-            })
-            .collect();
+    pub fn new(topo: T, program: P, cfg: SimConfig, scfg: ShardedConfig) -> Self {
+        SimShell::new(topo, scfg).start(program, cfg)
+    }
+
+    /// Ends the run and hands the machine back as a shell: queued and
+    /// in-flight envelopes are dropped, every node state is released
+    /// ([`NodeProgram::release`]), and the program is dropped with the
+    /// run's configuration. The next [`SimShell::start`] re-initialises
+    /// the nodes.
+    pub fn into_shell(mut self) -> SimShell<T, P> {
+        for shard in &mut self.shards {
+            shard.clear();
+            shard
+                .states
+                .iter_mut()
+                .for_each(|st| self.program.release(st));
+        }
+        let ShardedSimulation {
+            topo,
+            csr,
+            home,
+            threads,
+            shards,
+            ..
+        } = self;
+        SimShell {
+            topo,
+            csr,
+            home,
+            threads,
+            shards,
+        }
+    }
+
+    /// The one initialisation path, on an empty shell and on a machine a
+    /// run has left alike: every shard emptied, every node initialised
+    /// in global id order, the clock at step 0.
+    fn init(&mut self) {
+        for shard in &mut self.shards {
+            shard.fit_inboxes();
+            shard.clear();
+        }
+        let n = self.home.len();
         for node in 0..n as NodeId {
             let ictx = InitCtx {
                 node,
                 num_nodes: n,
-                neighbours: csr.neighbours(node),
+                neighbours: self.csr.neighbours(node),
             };
+            let (shard, local) = self.home[node as usize];
             // Every shard's nodes are ascending, so pushing in global
             // order fills each shard in its local order.
-            shards[home[node as usize].0]
-                .states
-                .push(program.init(node, &ictx));
+            let states = &mut self.shards[shard].states;
+            match states.get_mut(local) {
+                Some(state) => self.program.reinit(state, node, &ictx),
+                None => states.push(self.program.init(node, &ictx)),
+            }
         }
-        let threads = match scfg.threads {
-            Some(threads) => threads,
-            None if k == 1 => 1,
-            None => std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1),
-        };
-        ShardedSimulation {
-            topo,
-            program,
-            cfg,
-            csr,
-            home,
-            threads: threads.clamp(1, k),
-            shards,
-            clock: Clock {
-                step: 0,
-                queued: 0,
-                halted: false,
-                idle: true,
-            },
-            merged: (k > 1).then(|| (SimMetrics::new(n, false), Vec::new())),
+        self.clock = Clock::default();
+    }
+
+    /// Moves the run's measurements out (the ones [`Self::metrics`]
+    /// reads), leaving empty ones behind.
+    pub fn take_metrics(&mut self) -> SimMetrics {
+        match &mut self.merged {
+            Some((metrics, _)) => std::mem::take(metrics),
+            None => std::mem::take(&mut self.shards[0].metrics),
         }
     }
 
